@@ -45,12 +45,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy())
 
-    def numpy(self):
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -486,41 +480,6 @@ def max_pool2d(x, k):
         gx = gr.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
         return (np.ascontiguousarray(gx),)
     return _make(np.ascontiguousarray(y), (x,), bwd)
-
-
-def bilinear_sample(m, pts):
-    """Sample a (C,H,W) map at K float (x, y) positions, giving (K, C).
-
-    Coordinates are clamped to the valid rectangle, so querying exactly on
-    the border is safe.  The positions are constants; gradients flow to the
-    map only.
-    """
-    m = _as_tensor(m)
-    c, h, w = m.data.shape
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    px = np.clip(pts[:, 0], 0.0, w - 1.0)
-    py = np.clip(pts[:, 1], 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(px), w - 2 if w > 1 else 0).astype(np.int64)
-    y0 = np.minimum(np.floor(py), h - 2 if h > 1 else 0).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (px - x0).astype(m.data.dtype)
-    fy = (py - y0).astype(m.data.dtype)
-    w00 = (1 - fx) * (1 - fy)
-    w01 = fx * (1 - fy)
-    w10 = (1 - fx) * fy
-    w11 = fx * fy
-    y = (m.data[:, y0, x0] * w00 + m.data[:, y0, x1] * w01
-         + m.data[:, y1, x0] * w10 + m.data[:, y1, x1] * w11).T
-    def bwd(g):
-        gm = np.zeros(m.data.shape, dtype=g.dtype)
-        gt = g.T
-        np.add.at(gm, (slice(None), y0, x0), gt * w00)
-        np.add.at(gm, (slice(None), y0, x1), gt * w01)
-        np.add.at(gm, (slice(None), y1, x0), gt * w10)
-        np.add.at(gm, (slice(None), y1, x1), gt * w11)
-        return (gm,)
-    return _make(np.ascontiguousarray(y), (m,), bwd)
 
 
 def gradcheck(fn, inputs, eps=1e-3, rtol=1e-3, atol=1e-6):

@@ -116,8 +116,6 @@ def build_parser():
                        help="key=value file; flags override it")
         p.add_argument("--out", default=None,
                        help="output directory (default: content-addressed)")
-        p.add_argument("--threads", default=None,
-                       help="worker threads (default 1; kept for provenance)")
         for name in params:
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            default=None)
@@ -128,24 +126,20 @@ def resolve_config(command, args):
     """flags > config file > defaults; returns the full string-valued dict."""
     spec = _COMMAND_PARAMS[command]
     resolved = {k: v for k, v in spec.items() if v is not None}
-    resolved["threads"] = "1"
     if args.config is not None:
         file_values = eio.parse_config(open(args.config).read(), path=args.config)
         for key, value in file_values.items():
-            if key not in spec and key != "threads":
+            if key not in spec:
                 raise ValueError(f"{args.config}: unknown key {key!r} for {command}")
             resolved[key] = value
     for key in spec:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    if args.threads is not None:
-        resolved["threads"] = args.threads
     missing = [k for k in spec if k not in resolved]
     if missing:
         raise ValueError(f"{command}: missing required parameters: "
                          + ", ".join("--" + m.replace("_", "-") for m in missing))
-    int(resolved["threads"])
     return resolved
 
 
@@ -173,20 +167,34 @@ def _student_config_from(cfg):
         score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]))
 
 
-def _event_keypoints(sample, cfg, params, config):
+def _scene_from(cfg):
+    return make_scene(seed=int(cfg["seed"]), width=int(cfg["width"]),
+                      height=int(cfg["height"]), n_rects=int(cfg["n_rects"]),
+                      height_amplitude=float(cfg["height_amplitude"]),
+                      motion_scale=float(cfg["motion_scale"]),
+                      duration=float(cfg["duration"]))
+
+
+def _keypoints(maps, cfg, threshold):
+    """The top --k keypoints, or all above threshold when one is given."""
+    return extract_keypoints(maps, border=int(cfg["border"]),
+                             nms_radius=int(cfg["nms"]),
+                             k=None if threshold is not None else int(cfg["k"]),
+                             threshold=threshold)
+
+
+def _event_keypoints(sample, cfg, params, config, threshold=None):
     rep = build_representation(sample.events, cfg["representation"],
                                bins=int(cfg["bins"]))
     maps = forward_student(rep, params, config)
     if _parse_bool(cfg["mask"], "mask"):
         maps = apply_event_mask(maps, accumulate_mask(sample.events))
-    return extract_keypoints(maps, border=int(cfg["border"]),
-                             nms_radius=int(cfg["nms"]), k=int(cfg["k"]))
+    return _keypoints(maps, cfg, threshold)
 
 
-def _image_keypoints(sample, cfg, teacher=None):
+def _image_keypoints(sample, cfg, teacher=None, threshold=None):
     maps = analytic_teacher(sample.image) if teacher is None else teacher(sample.image)
-    return extract_keypoints(maps, border=int(cfg["border"]),
-                             nms_radius=int(cfg["nms"]), k=int(cfg["k"]))
+    return _keypoints(maps, cfg, threshold)
 
 
 def _make_matcher(cfg):
@@ -203,20 +211,17 @@ def _make_matcher(cfg):
     raise ValueError(f"unknown matcher {kind!r} (expected mnn or ca)")
 
 
-def _pair_list(cfg, n_samples):
-    if cfg.get("pairs_file"):
+def _index_pairs(cfg, default):
+    """(i, j) pairs from --pairs-file when one is given, else the default."""
+    if cfg["pairs_file"]:
         return [(i, j) for i, j, _ in eio.load_pairs(cfg["pairs_file"])]
-    return [(i, i) for i in range(n_samples)]
+    return default
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_synth(out, cfg):
-    scene = make_scene(seed=int(cfg["seed"]), width=int(cfg["width"]),
-                       height=int(cfg["height"]), n_rects=int(cfg["n_rects"]),
-                       height_amplitude=float(cfg["height_amplitude"]),
-                       motion_scale=float(cfg["motion_scale"]),
-                       duration=float(cfg["duration"]))
+    scene = _scene_from(cfg)
     samples = make_lfd_dataset(scene, int(cfg["n"]), float(cfg["delta_t"]),
                                seed=int(cfg["seed"]),
                                contrast=float(cfg["contrast"]),
@@ -226,11 +231,7 @@ def cmd_synth(out, cfg):
 
 
 def cmd_benchgen(out, cfg):
-    scene = make_scene(seed=int(cfg["seed"]), width=int(cfg["width"]),
-                       height=int(cfg["height"]), n_rects=int(cfg["n_rects"]),
-                       height_amplitude=float(cfg["height_amplitude"]),
-                       motion_scale=float(cfg["motion_scale"]),
-                       duration=float(cfg["duration"]))
+    scene = _scene_from(cfg)
     max_attempts = int(cfg["max_attempts"]) or None
     bench = generate_benchmark(
         scene, int(cfg["n_pairs"]), float(cfg["delta_t"]),
@@ -268,10 +269,7 @@ def cmd_train_extractor(out, cfg):
 def cmd_train_matcher(out, cfg):
     samples, intr, width, height = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
-    if cfg["pairs_file"]:
-        pairs = [(i, j) for i, j, _ in eio.load_pairs(cfg["pairs_file"])]
-    else:
-        pairs = [(i, i + 1) for i in range(len(samples) - 1)]
+    pairs = _index_pairs(cfg, [(i, i + 1) for i in range(len(samples) - 1)])
     if not pairs:
         raise ValueError("need at least two samples to form training pairs")
     examples = []
@@ -305,28 +303,18 @@ def cmd_extract(out, cfg):
     threshold = float(cfg["threshold"]) if cfg["threshold"] else None
     kp_dir = os.path.join(out, "keypoints")
     os.makedirs(kp_dir, exist_ok=True)
+    params = config = teacher = None
     if modality == "events":
         if not cfg["extractor"]:
             raise ValueError("extracting from events requires --extractor")
         params, config = load_extractor(cfg["extractor"])
-        teacher = None
-    else:
-        params = config = None
-        teacher = (load_teacher_checkpoint(cfg["extractor"])
-                   if cfg["extractor"] else analytic_teacher)
+    elif cfg["extractor"]:
+        teacher = load_teacher_checkpoint(cfg["extractor"])
     for i, sample in enumerate(samples):
         if modality == "events":
-            rep = build_representation(sample.events, cfg["representation"],
-                                       bins=int(cfg["bins"]))
-            maps = forward_student(rep, params, config)
-            if _parse_bool(cfg["mask"], "mask"):
-                maps = apply_event_mask(maps, accumulate_mask(sample.events))
+            kp = _event_keypoints(sample, cfg, params, config, threshold)
         else:
-            maps = teacher(sample.image)
-        kp = extract_keypoints(maps, border=int(cfg["border"]),
-                               nms_radius=int(cfg["nms"]),
-                               k=None if threshold is not None else int(cfg["k"]),
-                               threshold=threshold)
+            kp = _image_keypoints(sample, cfg, teacher, threshold)
         eio.save_keypoints(os.path.join(kp_dir, f"{i:03d}.txt"), kp)
     print(f"wrote {len(samples)} keypoint dumps to {kp_dir}")
 
@@ -337,10 +325,8 @@ def cmd_match(out, cfg):
         return [os.path.join(d, n) for n in names]
 
     files_a, files_b = kp_files(cfg["kp_a"]), kp_files(cfg["kp_b"])
-    if cfg["pairs_file"]:
-        pairs = [(i, j) for i, j, _ in eio.load_pairs(cfg["pairs_file"])]
-    else:
-        pairs = [(i, i) for i in range(min(len(files_a), len(files_b)))]
+    n = min(len(files_a), len(files_b))
+    pairs = _index_pairs(cfg, [(i, i) for i in range(n)])
     match_fn = _make_matcher(cfg)
     match_dir = os.path.join(out, "matches")
     os.makedirs(match_dir, exist_ok=True)

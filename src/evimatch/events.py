@@ -19,16 +19,6 @@ EVT_MAGIC = b"EVT1"
 _EVT_RECORD = struct.Struct("<HHqb3x")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single polarity event."""
-
-    x: int
-    y: int
-    t: float
-    p: int
-
-
 @dataclass
 class EventStream:
     """Events sorted by timestamp plus the sensor resolution.
@@ -89,21 +79,6 @@ class EventStream:
 
     def __len__(self):
         return len(self.ts)
-
-    def __iter__(self):
-        for i in range(len(self.ts)):
-            yield Event(int(self.xs[i]), int(self.ys[i]), float(self.ts[i]), int(self.ps[i]))
-
-    @classmethod
-    def from_events(cls, events, width, height, **kw):
-        """Build a stream from an iterable of Event (or (x, y, t, p) tuples)."""
-        rows = [(e.x, e.y, e.t, e.p) if isinstance(e, Event) else tuple(e) for e in events]
-        if rows:
-            xs, ys, ts, ps = (np.asarray(col) for col in zip(*rows))
-        else:
-            xs = ys = ps = np.empty(0)
-            ts = np.empty(0)
-        return cls(xs, ys, ts, ps, width, height, **kw)
 
     def extent(self):
         """(t_start, t_end) of the window, falling back to the data extent.

@@ -17,18 +17,17 @@ selection, and bilinear descriptor sampling from the unit-normalized map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .events import EventMask
-from .optim import load_checkpoint, save_checkpoint
+from .optim import load_module, save_module
 from .representations import EventTensor
 
 TEACHER_PROJECTION_SEED = 7
-_CONFIG_PREFIX = "__config__."
 
 
 @dataclass
@@ -75,6 +74,10 @@ class ExtractorConfig:
     desc_head: tuple = (128, 64)
 
     def __post_init__(self):
+        for name in ("in_channels", "channels", "latent_dim", "desc_dim",
+                     "score_head", "desc_head"):
+            if min(np.atleast_1d(getattr(self, name)), default=1) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if len(self.channels) != len(self.pools):
             raise ValueError("channels and pools must have equal length")
         if any(p not in (1, 2) for p in self.pools):
@@ -141,6 +144,20 @@ class KeypointSet:
     def empty(cls, desc_dim):
         return cls(np.zeros((0, 2)), np.zeros((0, desc_dim), np.float32),
                    np.zeros(0, np.float32))
+
+
+def _positions(kp):
+    """(K, 2) float64 positions of a KeypointSet or a plain array."""
+    if isinstance(kp, KeypointSet):
+        return np.asarray(kp.positions, dtype=np.float64)
+    return np.asarray(kp, dtype=np.float64).reshape(-1, 2)
+
+
+def _descriptors(kp):
+    """(K, C) float64 descriptors of a KeypointSet or a plain array."""
+    if isinstance(kp, KeypointSet):
+        return np.asarray(kp.descriptors, dtype=np.float64)
+    return np.asarray(kp, dtype=np.float64)
 
 
 # -- student ------------------------------------------------------------
@@ -428,7 +445,11 @@ def sample_descriptors(desc_map, positions):
 
 
 def bilinear_sample_np(m, pts):
-    """Plain-numpy twin of the autodiff bilinear_sample: (K, C) samples."""
+    """Sample a (C, H, W) map at K (x, y) positions, giving (K, C).
+
+    Positions are clamped to the map, so querying on or beyond the border
+    returns the nearest edge value.
+    """
     c, h, w = m.shape
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     px = np.clip(pts[:, 0], 0.0, w - 1.0)
@@ -445,60 +466,18 @@ def bilinear_sample_np(m, pts):
 
 # -- persistence --------------------------------------------------------
 
-def _config_entries(config: ExtractorConfig):
-    return {
-        _CONFIG_PREFIX + "in_channels": np.array([config.in_channels], np.float32),
-        _CONFIG_PREFIX + "channels": np.asarray(config.channels, np.float32),
-        _CONFIG_PREFIX + "pools": np.asarray(config.pools, np.float32),
-        _CONFIG_PREFIX + "latent_dim": np.array([config.latent_dim], np.float32),
-        _CONFIG_PREFIX + "desc_dim": np.array([config.desc_dim], np.float32),
-        _CONFIG_PREFIX + "score_head": np.asarray(config.score_head, np.float32),
-        _CONFIG_PREFIX + "desc_head": np.asarray(config.desc_head, np.float32),
-    }
-
-
 def save_extractor(path, params, config: ExtractorConfig):
     """Persist extractor params with the architecture embedded."""
-    blob = dict(_config_entries(config))
-    for name, p in params.items():
-        blob[name] = p.data if isinstance(p, Tensor) else np.asarray(p)
-    save_checkpoint(path, blob)
+    save_module(path, config, params)
 
 
 def load_extractor(path, trainable=False):
     """Load (params, config) from a checkpoint written by save_extractor.
 
-    Missing or extra parameters, or shape mismatches against the embedded
-    architecture, raise with the offending name.
+    Malformed architecture entries, and missing, extra or mis-shaped
+    parameters, raise ValueError with the offending name.
     """
-    blob = load_checkpoint(path)
-    cfg_items = {k[len(_CONFIG_PREFIX):]: v for k, v in blob.items()
-                 if k.startswith(_CONFIG_PREFIX)}
-    if "in_channels" not in cfg_items:
-        raise ValueError(f"{path}: checkpoint lacks embedded extractor architecture")
-    config = ExtractorConfig(
-        in_channels=int(cfg_items["in_channels"][0]),
-        channels=tuple(int(v) for v in cfg_items["channels"]),
-        pools=tuple(int(v) for v in cfg_items["pools"]),
-        latent_dim=int(cfg_items["latent_dim"][0]),
-        desc_dim=int(cfg_items["desc_dim"][0]),
-        score_head=tuple(int(v) for v in cfg_items["score_head"]),
-        desc_head=tuple(int(v) for v in cfg_items["desc_head"]),
-    )
-    expected = {name: p.data.shape for name, p in init_student(config).items()}
-    loaded = {k: v for k, v in blob.items() if not k.startswith(_CONFIG_PREFIX)}
-    for name in expected:
-        if name not in loaded:
-            raise ValueError(f"{path}: missing parameter {name}")
-        if loaded[name].shape != expected[name]:
-            raise ValueError(
-                f"{path}: parameter {name} has shape {loaded[name].shape}, "
-                f"expected {expected[name]}")
-    for name in loaded:
-        if name not in expected:
-            raise ValueError(f"{path}: unexpected parameter {name}")
-    params = {name: Tensor(loaded[name], requires_grad=trainable) for name in expected}
-    return params, config
+    return load_module(path, ExtractorConfig, init_student, trainable)
 
 
 def load_teacher_checkpoint(path):
@@ -521,7 +500,3 @@ def load_teacher_checkpoint(path):
         return forward_student(img, params, config).detached()
 
     return teacher
-
-
-def parameter_shapes(config: ExtractorConfig):
-    return {name: p.data.shape for name, p in init_student(config).items()}

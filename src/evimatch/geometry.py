@@ -289,6 +289,50 @@ def _ransac_iters_needed(inlier_ratio, sample_size, confidence):
     return int(np.ceil(np.log(1.0 - confidence) / denom))
 
 
+def _matched_points(pts1, pts2, sample_size):
+    """Matched pixels as two (N, 2) arrays, N at least one RANSAC sample."""
+    pts1 = np.asarray(pts1, dtype=np.float64).reshape(-1, 2)
+    pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, 2)
+    if len(pts2) != len(pts1):
+        raise ValueError("match arrays must have equal length")
+    if len(pts1) < sample_size:
+        raise EstimationFailed(
+            f"need at least {sample_size} matches, got {len(pts1)}")
+    return pts1, pts2
+
+
+def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidence):
+    """Uniform-sampling RANSAC with the adaptive stopping rule.
+
+    Each iteration draws ``sample_size`` of the ``n`` matches without
+    replacement and fits a model; a ``fit`` returning None (degenerate
+    sample) still counts as an iteration.  A model's inliers are the
+    matches with ``residual_sq(model) <= thr_sq``; a strictly larger
+    inlier set replaces the best one and tightens the iteration budget to
+    what ``confidence`` requires.  Returns (best inlier mask, iterations).
+    """
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = 0
+    needed = max_iters
+    it = 0
+    while it < min(needed, max_iters):
+        it += 1
+        model = fit(rng.choice(n, size=sample_size, replace=False))
+        if model is None:
+            continue
+        mask = residual_sq(model) <= thr_sq
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            needed = _ransac_iters_needed(count / n, sample_size, confidence)
+    if best_mask is None or best_count < sample_size:
+        raise EstimationFailed(
+            f"no model with {sample_size} inliers after {it} iterations")
+    return best_mask, it
+
+
 def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
                               intr2: CameraIntrinsics, threshold_px: float = 1.0,
                               max_iters: int = 2000, seed: int = 0,
@@ -303,35 +347,15 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     coplanar scene and raises DegenerateGeometry), and decomposed with the
     cheirality check.  Deterministic for a fixed seed.
     """
-    pts1 = np.asarray(pts1, dtype=np.float64).reshape(-1, 2)
-    pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, 2)
-    n = len(pts1)
-    if len(pts2) != n:
-        raise ValueError("match arrays must have equal length")
-    if n < 8:
-        raise EstimationFailed(f"need at least 8 matches, got {n}")
+    pts1, pts2 = _matched_points(pts1, pts2, 8)
     x1 = _normalized_coords(pts1, intr1)
     x2 = _normalized_coords(pts2, intr2)
     f_avg = (intr1.fx + intr1.fy + intr2.fx + intr2.fy) / 4.0
     thr_sq = (threshold_px / f_avg) ** 2
 
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    best_count = 0
-    needed = max_iters
-    it = 0
-    while it < min(needed, max_iters):
-        it += 1
-        sel = rng.choice(n, size=8, replace=False)
-        e, _ = _eight_point(x1[sel], x2[sel])
-        mask = _sampson_sq(e, x1, x2) <= thr_sq
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = _ransac_iters_needed(count / n, 8, confidence)
-    if best_mask is None or best_count < 8:
-        raise EstimationFailed(f"no model with 8 inliers after {it} iterations")
+    best_mask, it = _ransac(
+        len(pts1), 8, lambda idx: _eight_point(x1[idx], x2[idx])[0],
+        lambda e: _sampson_sq(e, x1, x2), thr_sq, max_iters, seed, confidence)
 
     e, sv = _eight_point(x1[best_mask], x2[best_mask])
     # a unique solution needs the 8th singular value well above noise level;
@@ -413,13 +437,7 @@ def estimate_homography_ransac(pts1, pts2, threshold_px: float = 1.0,
     inliers and scaled so H[2,2] = 1.  Collinear samples are skipped; if no
     valid model is found EstimationFailed is raised.
     """
-    pts1 = np.asarray(pts1, dtype=np.float64).reshape(-1, 2)
-    pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, 2)
-    n = len(pts1)
-    if len(pts2) != n:
-        raise ValueError("match arrays must have equal length")
-    if n < 4:
-        raise EstimationFailed(f"need at least 4 matches, got {n}")
+    pts1, pts2 = _matched_points(pts1, pts2, 4)
 
     def fit(idx):
         p1, p2 = pts1[idx], pts2[idx]
@@ -434,35 +452,19 @@ def estimate_homography_ransac(pts1, pts2, threshold_px: float = 1.0,
             return None  # collinear or otherwise degenerate sample
         return np.linalg.inv(t2) @ h_hat @ t1
 
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    best_count = 0
-    needed = max_iters
-    it = 0
+    def transfer_sq(h):
+        return ((_homography_transfer(h, pts1) - pts2) ** 2).sum(axis=1)
+
     thr_sq = threshold_px ** 2
-    while it < min(needed, max_iters):
-        it += 1
-        sel = rng.choice(n, size=4, replace=False)
-        h = fit(sel)
-        if h is None:
-            continue
-        err = ((_homography_transfer(h, pts1) - pts2) ** 2).sum(axis=1)
-        mask = err <= thr_sq
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = _ransac_iters_needed(count / n, 4, confidence)
-    if best_mask is None or best_count < 4:
-        raise EstimationFailed(f"no homography with 4 inliers after {it} iterations")
+    best_mask, _ = _ransac(len(pts1), 4, fit, transfer_sq, thr_sq, max_iters, seed,
+                           confidence)
     h = fit(np.flatnonzero(best_mask))
     if h is None:
         raise DegenerateGeometry("inlier set does not determine a homography")
     if abs(h[2, 2]) < 1e-12:
         raise EstimationFailed("homography is not normalizable (H[2,2] ~ 0)")
     h = h / h[2, 2]
-    err = ((_homography_transfer(h, pts1) - pts2) ** 2).sum(axis=1)
-    return h, err <= thr_sq
+    return h, transfer_sq(h) <= thr_sq
 
 
 def pose_angular_errors(estimate, gt: RigidPose):

@@ -1,4 +1,4 @@
-"""File formats: images, tensors, dumps, configs and dataset directories.
+"""File formats: images, depth maps, dumps, configs and dataset directories.
 
 Everything here is deterministic byte-for-byte given the same inputs, which
 is what makes rerun-identity of the pipeline testable.  Binary formats are
@@ -14,12 +14,11 @@ import struct
 import numpy as np
 
 from .datagen import LFDSample
-from .events import EventStream, load_events, save_events
-from .extractor import KeypointSet
+from .events import load_events, save_events
+from .extractor import KeypointSet, _positions
 from .geometry import CameraIntrinsics, RigidPose, quat_to_rotmat, rotmat_to_quat
-from .matching import Assignment, GroundTruthMatches
+from .matching import Assignment
 
-TENSOR_MAGIC = b"TNS1"
 DESC_MAGIC = b"DSC1"
 
 
@@ -85,47 +84,7 @@ def save_ppm(path, rgb):
         f.write(img.tobytes())
 
 
-def load_ppm(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM file")
-    tokens, off = _pnm_tokens(raw, 4, path)
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
-    data = raw[off:off + w * h * 3]
-    if len(data) < w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-# -- tensors and depth -----------------------------------------------------
-
-def save_tensor(path, data):
-    """Debug dump of a (C, H, W) float tensor: "TNS1", u32 dims, f32 data."""
-    arr = np.ascontiguousarray(np.asarray(data), dtype="<f4")
-    if arr.ndim != 3:
-        raise ValueError(f"expected a (C, H, W) tensor, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<III", *arr.shape))
-        f.write(arr.tobytes())
-
-
-def load_tensor(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != TENSOR_MAGIC:
-        raise ValueError(f"{path}: not a tensor dump")
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated header")
-    c, h, w = struct.unpack("<III", raw[4:16])
-    n = c * h * w * 4
-    if len(raw) != 16 + n:
-        raise ValueError(f"{path}: expected {16 + n} bytes, found {len(raw)}")
-    return np.frombuffer(raw[16:], dtype="<f4").reshape(c, h, w).copy()
-
+# -- depth -----------------------------------------------------------------
 
 def save_depth(path, depth):
     """Raw little-endian float32 H x W, row-major, no header."""
@@ -200,15 +159,6 @@ def save_matches(path, assignment: Assignment):
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def save_gt_matches(path, gt: GroundTruthMatches):
-    """Match-dump format with the unmatched index sets as a trailer."""
-    lines = [f"{int(i)} {int(j)} 1.0" for i, j in gt.matches]
-    lines.append("#unmatched_E " + " ".join(str(int(i)) for i in gt.unmatched_a))
-    lines.append("#unmatched_I " + " ".join(str(int(j)) for j in gt.unmatched_b))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def load_matches(path) -> Assignment:
     pairs, scores = [], []
     with open(path) as f:
@@ -223,30 +173,6 @@ def load_matches(path) -> Assignment:
             scores.append(float(parts[2]))
     return Assignment(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
                       np.asarray(scores, dtype=np.float64))
-
-
-def load_gt_matches(path) -> GroundTruthMatches:
-    pairs = []
-    unmatched = {"#unmatched_E": None, "#unmatched_I": None}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] in unmatched:
-                unmatched[parts[0]] = np.asarray([int(v) for v in parts[1:]],
-                                                 dtype=np.int64)
-                continue
-            if line.startswith("#"):
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected `i j score`")
-            pairs.append((int(parts[0]), int(parts[1])))
-    if unmatched["#unmatched_E"] is None or unmatched["#unmatched_I"] is None:
-        raise ValueError(f"{path}: missing #unmatched_E/#unmatched_I trailer")
-    return GroundTruthMatches(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                              unmatched["#unmatched_E"], unmatched["#unmatched_I"])
 
 
 # -- poses, intrinsics, configs ---------------------------------------------
@@ -428,8 +354,7 @@ def make_match_image(image_a, image_b, kp_a, kp_b, assignment: Assignment,
     canvas = np.zeros((h, wa + gap + wb, 3), dtype=np.uint8)
     canvas[:a.shape[0], :wa] = np.round(np.clip(a, 0, 1) * 255)[..., None]
     canvas[:b.shape[0], wa + gap:] = np.round(np.clip(b, 0, 1) * 255)[..., None]
-    pa = np.asarray(kp_a.positions if isinstance(kp_a, KeypointSet) else kp_a)
-    pb = np.asarray(kp_b.positions if isinstance(kp_b, KeypointSet) else kp_b)
+    pa, pb = _positions(kp_a), _positions(kp_b)
     for x, y in pa:
         _draw_dot(canvas, x, y, DOT)
     for x, y in pb:

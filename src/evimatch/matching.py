@@ -20,11 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .extractor import KeypointSet, bilinear_sample_np
+from .extractor import _as_array, _descriptors, _positions, bilinear_sample_np
 from .geometry import CameraIntrinsics, RigidPose, relative_pose, reproject_many
-from .optim import Adam, load_checkpoint, save_checkpoint
-
-_CONFIG_PREFIX = "__config__."
+from .optim import Adam, load_module, save_module
 
 
 @dataclass
@@ -73,32 +71,21 @@ class GroundTruthMatches:
         self.unmatched_b = np.asarray(self.unmatched_b, dtype=np.int64).reshape(-1)
 
 
-def _descriptor_matrix(kp):
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.descriptors, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64)
-
-
-def _positions(kp):
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.positions, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64)
-
-
 def _log_softmax(s, axis):
     z = s - s.max(axis=axis, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def _mutual_argmax(p):
-    """Strict mutual argmax pairs of a score matrix, first occurrence on ties."""
-    if p.shape[0] == 0 or p.shape[1] == 0:
-        return np.zeros((0, 2), np.int64)
-    best_j = np.argmax(p, axis=1)
-    best_i = np.argmax(p, axis=0)
-    rows = np.arange(p.shape[0])
-    keep = best_i[best_j] == rows
-    return np.stack([rows[keep], best_j[keep]], axis=1).astype(np.int64)
+def _mutual_nearest(cost):
+    """(rows, cols) of the mutual argmins of a non-empty cost matrix.
+
+    Ties go to the first occurrence along each axis; rows come out in
+    increasing order.  Score matrices are passed negated.
+    """
+    best_j = np.argmin(cost, axis=1)
+    best_i = np.argmin(cost, axis=0)
+    rows = np.flatnonzero(best_i[best_j] == np.arange(cost.shape[0]))
+    return rows, best_j[rows]
 
 
 def mnn_match(kp_a, kp_b) -> Assignment:
@@ -109,15 +96,14 @@ def mnn_match(kp_a, kp_b) -> Assignment:
     strict mutual argmaxes of that matrix.  Swapping the inputs transposes
     the result exactly.
     """
-    da = _descriptor_matrix(kp_a)
-    db = _descriptor_matrix(kp_b)
+    da = _descriptors(kp_a)
+    db = _descriptors(kp_b)
     if len(da) == 0 or len(db) == 0:
         return Assignment.empty()
     s = da @ db.T
     log_p = _log_softmax(s, axis=1) + _log_softmax(s, axis=0)
-    pairs = _mutual_argmax(log_p)
-    scores = np.exp(log_p[pairs[:, 0], pairs[:, 1]]) if len(pairs) else np.zeros(0)
-    return Assignment(pairs, scores)
+    rows, cols = _mutual_nearest(-log_p)
+    return Assignment(np.stack([rows, cols], axis=1), np.exp(log_p[rows, cols]))
 
 
 # -- context-aware matcher ----------------------------------------------
@@ -135,10 +121,14 @@ class CAConfig:
     image_size: tuple = (64, 64)  # (width, height) for coordinate normalization
 
     def __post_init__(self):
+        for name in ("desc_dim", "dim", "heads", "pe_freqs", "ffn_mult",
+                     "image_size"):
+            if min(np.atleast_1d(getattr(self, name)), default=1) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if len(self.image_size) != 2:
+            raise ValueError("image_size must be (width, height)")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        if self.pe_freqs < 1:
-            raise ValueError("pe_freqs must be at least 1")
         if self.layers < 0:
             raise ValueError("layers must be non-negative")
 
@@ -183,9 +173,6 @@ class CAMatcherParams:
         p["logit_scale"] = Tensor(np.asarray(math.log(10.0), dtype),
                                   requires_grad=True)
         return cls(config, p)
-
-    def tensors(self):
-        return list(self.params.values())
 
 
 def fourier_encoding(positions, config: CAConfig):
@@ -255,7 +242,7 @@ def ca_forward(kp_a, kp_b, matcher: CAMatcherParams):
     operator commutes with swapping the two sets.
     """
     cfg, p = matcher.config, matcher.params
-    da, db = _descriptor_matrix(kp_a), _descriptor_matrix(kp_b)
+    da, db = _descriptors(kp_a), _descriptors(kp_b)
     pa, pb = _positions(kp_a), _positions(kp_b)
     dtype = p["in_proj.w"].data.dtype
     if da.shape[1] != cfg.desc_dim or db.shape[1] != cfg.desc_dim:
@@ -301,12 +288,10 @@ def ca_scores(kp_a, kp_b, matcher: CAMatcherParams):
 
 def assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0):
     """Numpy soft assignment matrix from forward outputs (no graph)."""
-    xa = np.asarray(x_a.data if isinstance(x_a, Tensor) else x_a, np.float64)
-    xb = np.asarray(x_b.data if isinstance(x_b, Tensor) else x_b, np.float64)
-    sa = np.asarray(sigma_a.data if isinstance(sigma_a, Tensor) else sigma_a,
-                    np.float64).reshape(-1)
-    sb = np.asarray(sigma_b.data if isinstance(sigma_b, Tensor) else sigma_b,
-                    np.float64).reshape(-1)
+    xa = np.asarray(_as_array(x_a), np.float64)
+    xb = np.asarray(_as_array(x_b), np.float64)
+    sa = np.asarray(_as_array(sigma_a), np.float64).reshape(-1)
+    sb = np.asarray(_as_array(sigma_b), np.float64).reshape(-1)
     s = scale * (xa @ xb.T)
     soft = np.exp(_log_softmax(s, axis=0) + _log_softmax(s, axis=1))
     return sa[:, None] * sb[None, :] * soft
@@ -320,25 +305,19 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
     satisfies 0 <= P_ij <= sigma_i sigma_j, so low-matchability keypoints
     can never form a match.
     """
-    if (np.asarray(x_a.data if isinstance(x_a, Tensor) else x_a).shape[0] == 0
-            or np.asarray(x_b.data if isinstance(x_b, Tensor) else x_b).shape[0] == 0):
+    if len(_as_array(x_a)) == 0 or len(_as_array(x_b)) == 0:
         return Assignment.empty()
     p = assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale)
-    pairs = _mutual_argmax(p)
-    if len(pairs):
-        vals = p[pairs[:, 0], pairs[:, 1]]
-        keep = vals >= threshold
-        pairs, vals = pairs[keep], vals[keep]
-    else:
-        vals = np.zeros(0)
-    return Assignment(pairs, vals)
+    rows, cols = _mutual_nearest(-p)
+    vals = p[rows, cols]
+    keep = vals >= threshold
+    return Assignment(np.stack([rows[keep], cols[keep]], axis=1), vals[keep])
 
 
 def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
              threshold: float = 0.1) -> Assignment:
     """Forward pass plus hard assignment with the learned temperature."""
-    da, db = _descriptor_matrix(kp_a), _descriptor_matrix(kp_b)
-    if len(da) == 0 or len(db) == 0:
+    if len(_descriptors(kp_a)) == 0 or len(_descriptors(kp_b)) == 0:
         return Assignment.empty()
     xa, sa, xb, sb = ca_forward(kp_a, kp_b, matcher)
     scale = float(np.exp(matcher.params["logit_scale"].data))
@@ -387,16 +366,9 @@ def gt_assignment(kp_a, kp_b, depth_a, depth_b,
         d_ba[:, ~vb] = np.inf
         cost = np.maximum(d_ab, d_ba)
 
-    pairs = []
-    if np.isfinite(cost).any():
-        best_j = np.argmin(cost, axis=1)
-        best_i = np.argmin(cost, axis=0)
-        rows = np.arange(na)
-        mutual = best_i[best_j] == rows
-        close = cost[rows, best_j] < eps_px ** 2
-        keep = mutual & close
-        pairs = np.stack([rows[keep], best_j[keep]], axis=1)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, cols = _mutual_nearest(cost)
+    keep = cost[rows, cols] < eps_px ** 2
+    pairs = np.stack([rows[keep], cols[keep]], axis=1)
     un_a = np.setdiff1d(np.arange(na), pairs[:, 0], assume_unique=False)
     un_b = np.setdiff1d(np.arange(nb), pairs[:, 1], assume_unique=False)
     return GroundTruthMatches(pairs, un_a, un_b)
@@ -464,7 +436,7 @@ def train_matcher(examples, matcher: CAMatcherParams | None = None,
         raise ValueError("no training examples provided")
     if matcher is None:
         if ca_config is None:
-            desc_dim = _descriptor_matrix(examples[0][0]).shape[1]
+            desc_dim = _descriptors(examples[0][0]).shape[1]
             ca_config = CAConfig(desc_dim=desc_dim)
         matcher = CAMatcherParams.create(ca_config, seed=config.seed)
 
@@ -513,49 +485,12 @@ def matcher_history_csv(history) -> str:
 
 def save_matcher(path, matcher: CAMatcherParams):
     """Persist matcher params with the architecture embedded."""
-    cfg = matcher.config
-    blob = {
-        _CONFIG_PREFIX + "desc_dim": np.array([cfg.desc_dim], np.float32),
-        _CONFIG_PREFIX + "dim": np.array([cfg.dim], np.float32),
-        _CONFIG_PREFIX + "layers": np.array([cfg.layers], np.float32),
-        _CONFIG_PREFIX + "heads": np.array([cfg.heads], np.float32),
-        _CONFIG_PREFIX + "pe_freqs": np.array([cfg.pe_freqs], np.float32),
-        _CONFIG_PREFIX + "ffn_mult": np.array([cfg.ffn_mult], np.float32),
-        _CONFIG_PREFIX + "image_size": np.asarray(cfg.image_size, np.float32),
-    }
-    for name, t in matcher.params.items():
-        blob[name] = t.data
-    save_checkpoint(path, blob)
+    save_module(path, matcher.config, matcher.params)
 
 
 def load_matcher(path, trainable=False) -> CAMatcherParams:
-    """Load a matcher; missing/extra/mis-shaped params raise by name."""
-    blob = load_checkpoint(path)
-    cfg_items = {k[len(_CONFIG_PREFIX):]: v for k, v in blob.items()
-                 if k.startswith(_CONFIG_PREFIX)}
-    if "dim" not in cfg_items:
-        raise ValueError(f"{path}: checkpoint lacks embedded matcher architecture")
-    config = CAConfig(
-        desc_dim=int(cfg_items["desc_dim"][0]),
-        dim=int(cfg_items["dim"][0]),
-        layers=int(cfg_items["layers"][0]),
-        heads=int(cfg_items["heads"][0]),
-        pe_freqs=int(cfg_items["pe_freqs"][0]),
-        ffn_mult=int(cfg_items["ffn_mult"][0]),
-        image_size=tuple(int(v) for v in cfg_items["image_size"]),
-    )
-    expected = {name: t.data.shape
-                for name, t in CAMatcherParams.create(config).params.items()}
-    loaded = {k: v for k, v in blob.items() if not k.startswith(_CONFIG_PREFIX)}
-    for name in expected:
-        if name not in loaded:
-            raise ValueError(f"{path}: missing parameter {name}")
-        if loaded[name].shape != expected[name]:
-            raise ValueError(f"{path}: parameter {name} has shape "
-                             f"{loaded[name].shape}, expected {expected[name]}")
-    for name in loaded:
-        if name not in expected:
-            raise ValueError(f"{path}: unexpected parameter {name}")
-    params = {name: Tensor(loaded[name], requires_grad=trainable)
-              for name in expected}
+    """Load a matcher; malformed architecture entries and missing, extra or
+    mis-shaped params raise ValueError by name."""
+    params, config = load_module(
+        path, CAConfig, lambda c: CAMatcherParams.create(c).params, trainable)
     return CAMatcherParams(config, params)

@@ -14,19 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extractor import KeypointSet
-
-
-def _positions(kp):
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.positions, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64).reshape(-1, 2)
-
-
-def _descriptors(kp):
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.descriptors, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64)
+from .extractor import _descriptors, _positions
+from .matching import _mutual_nearest
 
 
 def warp_points(points, h):
@@ -76,12 +65,10 @@ def valid_pairs(kp_a, kp_b, h_ab, eps: float = 3.0) -> ValidPairSet:
     wa, ok = warp_points(pa, h_ab)
     d = np.sqrt(((wa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
     d[~ok, :] = np.inf
-    best_j = np.argmin(d, axis=1)
-    best_i = np.argmin(d, axis=0)
-    rows = np.arange(len(pa))
-    keep = (best_i[best_j] == rows) & (d[rows, best_j] <= eps)
-    pairs = np.stack([rows[keep], best_j[keep]], axis=1)
-    return ValidPairSet(pairs, d[rows, best_j][keep])
+    rows, cols = _mutual_nearest(d)
+    dist = d[rows, cols]
+    keep = dist <= eps
+    return ValidPairSet(np.stack([rows[keep], cols[keep]], axis=1), dist[keep])
 
 
 def repeatability(kp_a, kp_b, h_ab, eps: float = 3.0) -> float:
@@ -150,8 +137,8 @@ def rpe_auc(errors, threshold: float) -> float:
     The recall curve steps through the sorted finite errors with recall
     (i+1)/N against the full pair count N; the curve is truncated at the
     threshold (holding the last recall) and integrated by the trapezoid
-    rule, then divided by the threshold.  All errors non-finite is an
-    error: there is no curve to integrate.
+    rule, then divided by the threshold.  When every error is non-finite
+    the recall curve is zero throughout, so the area is 0.
     """
     e = np.asarray(errors, dtype=np.float64).reshape(-1)
     if len(e) == 0:
@@ -160,7 +147,7 @@ def rpe_auc(errors, threshold: float) -> float:
         raise ValueError("threshold must be positive")
     finite = np.sort(e[np.isfinite(e)])
     if len(finite) == 0:
-        raise ValueError("all errors are non-finite; recall curve is empty")
+        return 0.0
     recall = np.arange(1, len(finite) + 1, dtype=np.float64) / len(e)
     cut = int(np.searchsorted(finite, threshold, side="left"))
     xs = np.concatenate([[0.0], finite[:cut], [threshold]])
@@ -171,9 +158,10 @@ def rpe_auc(errors, threshold: float) -> float:
 def he_metrics(h_estimates, h_gts, thresholds, width: int, height: int):
     """Corner-error aggregation for a list of homography estimates.
 
-    Failed estimations are passed as None and become +inf corner errors.
-    Returns (errors, entries) where entries are ("he_ratio"/"he_auc",
-    threshold, value) rows ready for a report.
+    Failed estimations are passed as None and become +inf corner errors;
+    when every estimation failed, each ratio and AUC is 0.  Returns
+    (errors, entries) where entries are ("he_ratio"/"he_auc", threshold,
+    value) rows ready for a report.
     """
     from .geometry import corner_error
 

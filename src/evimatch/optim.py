@@ -1,16 +1,24 @@
 """Optimization utilities: Adam with a cosine learning-rate schedule, plus
 the binary checkpoint format used to persist parameter dictionaries.
+
+A module checkpoint also embeds the config dataclass that built the
+parameters.  Each config field comes first, in field order, as a float32
+vector entry named ``__config__.<field>``: a tuple field holds its items,
+an int field one element.  The parameters follow in dict order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+import typing
 
 import numpy as np
 
 from .autodiff import Tensor
 
 CKPT_MAGIC = b"CKPT"
+_CONFIG_PREFIX = "__config__."
 
 
 def cosine_lr(lr0: float, progress: float) -> float:
@@ -62,10 +70,6 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * (g * g)
             p.data -= (lr / c1) * m / (np.sqrt(v / c2) + self.eps)
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params.values():
             p.grad = None
 
 
@@ -122,12 +126,57 @@ def load_checkpoint(path):
     return params
 
 
-def as_parameters(arrays):
-    """Wrap a name -> ndarray dict as trainable Tensors."""
-    return {k: Tensor(np.asarray(v, dtype=np.float32), requires_grad=True)
-            for k, v in arrays.items()}
+def save_module(path, config, params):
+    """Write params with their config dataclass embedded.
+
+    Config fields must be ints or tuples of ints.  Each is stored as the
+    float32 vector ``__config__.<field>`` (one element for an int), in
+    field order and ahead of the parameters, which keep their dict order.
+    """
+    blob = {_CONFIG_PREFIX + f.name: np.asarray(getattr(config, f.name),
+                                                np.float32).reshape(-1)
+            for f in dataclasses.fields(config)}
+    blob.update(params)
+    save_checkpoint(path, blob)
 
 
-def parameter_count(params):
-    return int(sum(int(np.prod(p.data.shape if isinstance(p, Tensor) else p.shape))
-                   for p in params.values()))
+def load_module(path, config_cls, make_params, trainable=False):
+    """Read (params, config) from a checkpoint written by save_module.
+
+    ``make_params(config)`` gives the expected name -> Tensor dict.  A
+    config entry that is missing, non-finite, not integral or of the wrong
+    length, a config the dataclass rejects, and a missing, extra or
+    mis-shaped parameter all raise ValueError naming the file and the key.
+    """
+    blob = load_checkpoint(path)
+    hints = typing.get_type_hints(config_cls)
+    values = {}
+    for f in dataclasses.fields(config_cls):
+        key = _CONFIG_PREFIX + f.name
+        if key not in blob:
+            raise ValueError(f"{path}: missing architecture entry {key}")
+        v = blob[key]
+        is_tuple = hints[f.name] is tuple
+        if v.ndim != 1 or (not is_tuple and len(v) != 1):
+            raise ValueError(f"{path}: {key} has shape {v.shape}")
+        if not np.isfinite(v).all() or (v != np.round(v)).any():
+            raise ValueError(f"{path}: {key} must hold integers, got {v.tolist()}")
+        values[f.name] = tuple(int(x) for x in v) if is_tuple else int(v[0])
+    try:
+        config = config_cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    expected = {name: p.data.shape for name, p in make_params(config).items()}
+    loaded = {k: v for k, v in blob.items() if not k.startswith(_CONFIG_PREFIX)}
+    for name in expected:
+        if name not in loaded:
+            raise ValueError(f"{path}: missing parameter {name}")
+        if loaded[name].shape != expected[name]:
+            raise ValueError(f"{path}: parameter {name} has shape "
+                             f"{loaded[name].shape}, expected {expected[name]}")
+    for name in loaded:
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected parameter {name}")
+    params = {name: Tensor(loaded[name], requires_grad=trainable)
+              for name in expected}
+    return params, config

@@ -121,20 +121,6 @@ def test_conv_transpose_doubles_spatial_size():
     assert y.data.shape == (1, 3, 8, 8)
 
 
-def test_bilinear_sample_at_grid_points():
-    m = t64(2, 4, 5)
-    y = ad.bilinear_sample(Tensor(m), np.array([[2.0, 3.0], [0.0, 0.0]]))
-    np.testing.assert_allclose(y.data[0], m[:, 3, 2], atol=1e-6)
-    np.testing.assert_allclose(y.data[1], m[:, 0, 0], atol=1e-6)
-
-
-def test_bilinear_sample_clamps_outside():
-    m = t64(1, 3, 3)
-    y = ad.bilinear_sample(Tensor(m), np.array([[-5.0, -5.0], [99.0, 99.0]]))
-    assert y.data[0, 0] == pytest.approx(m[0, 0, 0], abs=1e-6)
-    assert y.data[1, 0] == pytest.approx(m[0, 2, 2], abs=1e-6)
-
-
 # -- gradient checks, one per op ------------------------------------------
 # inputs stay away from kinks (relu/abs/clamp) and pooling ties
 
@@ -278,11 +264,6 @@ def test_grad_max_pool2d():
     x = t64(1, 2, 4, 4)
     x += np.arange(32).reshape(x.shape) * 0.1  # break pooling ties
     assert gradcheck(lambda t: ad.max_pool2d(t, 2), [x])
-
-
-def test_grad_bilinear_sample():
-    pts = np.array([[1.3, 2.7], [0.1, 0.9], [4.0, 3.0]])
-    assert gradcheck(lambda m: ad.bilinear_sample(m, pts), [t64(2, 4, 5)])
 
 
 def test_gradcheck_catches_wrong_gradient():

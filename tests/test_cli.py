@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from evimatch import io as eio
-from evimatch.cli import build_parser, main, output_dir, resolve_config
+from evimatch.cli import _eval_rpe, build_parser, main, output_dir, resolve_config
+from evimatch.extractor import ExtractorConfig, init_student
+from evimatch.matching import Assignment
 
 TINY_SYNTH = ["--width", "16", "--height", "16", "--n", "2",
               "--duration", "1.0", "--dt-sim", "0.005", "--n-rects", "6"]
@@ -33,7 +35,6 @@ def test_defaults_resolve():
     args = parse(["synth"])
     cfg = resolve_config("synth", args)
     assert cfg["width"] == "64" and cfg["n"] == "16"
-    assert cfg["threads"] == "1"
 
 
 def test_flags_override_config_file(tmp_path):
@@ -58,11 +59,6 @@ def test_missing_required_parameter():
     args = parse(["train-extractor"])
     with pytest.raises(ValueError, match="missing required parameters: --data"):
         resolve_config("train-extractor", args)
-
-
-def test_threads_flag_recorded():
-    args = parse(["synth", "--threads", "2"])
-    assert resolve_config("synth", args)["threads"] == "2"
 
 
 # -- output directory addressing -------------------------------------------------
@@ -96,7 +92,7 @@ def test_synth_layout_and_config_echo(dataset):
     lines = open(os.path.join(dataset, "config.txt")).read().splitlines()
     assert lines[0] == "command=synth"
     echoed = eio.parse_config("\n".join(lines[1:]))
-    assert echoed["width"] == "16" and echoed["threads"] == "1"
+    assert echoed["width"] == "16"
     samples, _, w, h = eio.load_dataset(dataset)
     assert len(samples) == 2 and (w, h) == (16, 16)
 
@@ -147,6 +143,23 @@ def test_extract_threshold_mode(dataset, tmp_path):
     assert (kp.scores > 0.05).all()
 
 
+def test_eval_rpe_all_failures_score_zero(dataset):
+    # a matcher that finds nothing: every pair fails, and the report says so
+    samples, intr, _, _ = eio.load_dataset(dataset)
+    cfg = resolve_config("eval", parse(
+        ["eval", "--data", dataset, "--mode", "rpe", "--extractor", "unused",
+         "--border", "2", "--nms", "2", "--k", "16"]))
+    config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=8, score_head=(4,),
+                             desc_head=(4,))
+    pairs = [(0, 1, 0.5), (1, 0, 0.5)]
+    entries = _eval_rpe(samples, pairs, intr, cfg, init_student(config), config,
+                        lambda kp_a, kp_b: Assignment.empty())
+    report = {(m, t): v for m, t, v in entries}
+    assert report[("n_pairs", None)] == report[("n_failed", None)] == 2
+    assert [report[("rpe_auc", t)] for t in (5.0, 10.0, 20.0)] == [0.0] * 3
+
+
 # -- failure semantics ---------------------------------------------------------
 
 def test_failure_removes_created_dir(tmp_path, capsys):
@@ -173,7 +186,7 @@ def test_failure_preserves_preexisting_dir(tmp_path):
 
 def test_bad_flag_value_fails_before_output(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rc = main(["synth", "--threads", "abc"])
+    rc = main(["train-extractor"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []

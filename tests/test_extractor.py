@@ -7,11 +7,12 @@ from evimatch.autodiff import Tensor
 from evimatch.events import EventMask
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 TeacherConfig, analytic_teacher,
-                                apply_event_mask, extract_keypoints,
-                                forward_student, harris_score, init_student,
-                                load_extractor, load_teacher_checkpoint,
-                                nms_mask, normalize_desc, parameter_shapes,
-                                sample_descriptors, save_extractor)
+                                apply_event_mask, bilinear_sample_np,
+                                extract_keypoints, forward_student,
+                                harris_score, init_student, load_extractor,
+                                load_teacher_checkpoint, nms_mask,
+                                normalize_desc, sample_descriptors,
+                                save_extractor)
 
 TINY = ExtractorConfig(in_channels=2, channels=(8, 8), pools=(1, 2),
                        latent_dim=8, desc_dim=16, score_head=(8,),
@@ -37,8 +38,16 @@ def test_config_rejects_bad_pool_factor():
 
 def test_init_student_matches_declared_shapes():
     params = init_student(TINY, seed=0)
-    shapes = parameter_shapes(TINY)
-    assert set(params) == set(shapes)
+    shapes = {
+        "backbone.0.w": (8, 2, 3, 3), "backbone.0.b": (8,),
+        "backbone.1.w": (8, 8, 3, 3), "backbone.1.b": (8,),
+        "latent.w": (8, 8, 1, 1), "latent.b": (8,),
+        "score.0.w": (8, 8, 4, 4), "score.0.b": (8,),
+        "score.out.w": (1, 8, 1, 1), "score.out.b": (1,),
+        "desc.0.w": (8, 8, 4, 4), "desc.0.b": (8,),
+        "desc.out.w": (16, 8, 1, 1), "desc.out.b": (16,),
+    }
+    assert list(params) == list(shapes)
     for name, shape in shapes.items():
         assert params[name].data.shape == shape, name
         assert params[name].requires_grad
@@ -270,6 +279,20 @@ def test_extract_matches_brute_force_end_to_end():
     np.testing.assert_array_equal(kp.positions,
                                   np.stack([xs[order], ys[order]], 1))
     np.testing.assert_allclose(kp.scores, vals[order], rtol=1e-6)
+
+
+def test_bilinear_sample_at_grid_points():
+    m = np.random.default_rng(0).standard_normal((2, 4, 5))
+    y = bilinear_sample_np(m, np.array([[2.0, 3.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(y[0], m[:, 3, 2])
+    np.testing.assert_array_equal(y[1], m[:, 0, 0])
+
+
+def test_bilinear_sample_clamps_outside():
+    m = np.random.default_rng(1).standard_normal((1, 3, 3))
+    y = bilinear_sample_np(m, np.array([[-5.0, -5.0], [99.0, 99.0]]))
+    assert y[0, 0] == m[0, 0, 0]
+    assert y[1, 0] == m[0, 2, 2]
 
 
 def test_sample_descriptors_renormalizes():

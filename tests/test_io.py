@@ -8,7 +8,7 @@ from evimatch.datagen import LFDSample
 from evimatch.events import EventStream
 from evimatch.extractor import KeypointSet
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
-from evimatch.matching import Assignment, GroundTruthMatches
+from evimatch.matching import Assignment
 
 RNG = np.random.default_rng(7)
 
@@ -56,7 +56,10 @@ def test_ppm_roundtrip(tmp_path):
     rgb = RNG.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
     p = tmp_path / "a.ppm"
     io.save_ppm(p, rgb)
-    np.testing.assert_array_equal(io.load_ppm(p), rgb)
+    raw = p.read_bytes()
+    assert raw[:11] == b"P6\n5 4\n255\n"
+    np.testing.assert_array_equal(
+        np.frombuffer(raw[11:], dtype=np.uint8).reshape(4, 5, 3), rgb)
 
 
 def test_ppm_shape_validation(tmp_path):
@@ -64,30 +67,7 @@ def test_ppm_shape_validation(tmp_path):
         io.save_ppm(tmp_path / "x.ppm", np.zeros((4, 5), dtype=np.uint8))
 
 
-# -- tensors and depth --------------------------------------------------------
-
-def test_tensor_roundtrip(tmp_path):
-    t = RNG.standard_normal((3, 4, 5)).astype(np.float32)
-    p = tmp_path / "a.tns"
-    io.save_tensor(p, t)
-    np.testing.assert_array_equal(io.load_tensor(p), t)
-
-
-def test_tensor_errors(tmp_path):
-    with pytest.raises(ValueError, match=r"\(C, H, W\)"):
-        io.save_tensor(tmp_path / "x", np.zeros((2, 2)))
-    p = tmp_path / "bad"
-    p.write_bytes(b"XXXX" + b"\x00" * 12)
-    with pytest.raises(ValueError, match="not a tensor dump"):
-        io.load_tensor(p)
-    p.write_bytes(io.TENSOR_MAGIC + b"\x00" * 4)
-    with pytest.raises(ValueError, match="truncated header"):
-        io.load_tensor(p)
-    import struct
-    p.write_bytes(io.TENSOR_MAGIC + struct.pack("<III", 1, 1, 2) + b"\x00" * 4)
-    with pytest.raises(ValueError, match="expected 24 bytes, found 20"):
-        io.load_tensor(p)
-
+# -- depth --------------------------------------------------------------------
 
 def test_depth_roundtrip(tmp_path):
     d = RNG.uniform(0.5, 9.0, size=(3, 7)).astype(np.float32)
@@ -161,45 +141,21 @@ def test_matches_empty_and_malformed(tmp_path):
     p = tmp_path / "m.txt"
     io.save_matches(p, Assignment(np.zeros((0, 2), np.int64), np.zeros(0)))
     assert io.load_matches(p).matches.shape == (0, 2)
+    p.write_text("# comment\n0 1 1.0\n\n#trailer 1 2\n")
+    np.testing.assert_array_equal(io.load_matches(p).matches, [[0, 1]])
     p.write_text("1 2 3 4\n")
     with pytest.raises(ValueError, match="expected `i j score`"):
         io.load_matches(p)
 
 
-def test_gt_matches_roundtrip(tmp_path):
-    gt = GroundTruthMatches(np.array([[0, 1], [2, 0]]),
-                            np.array([1, 3]), np.array([2]))
-    p = tmp_path / "gt.txt"
-    io.save_gt_matches(p, gt)
-    back = io.load_gt_matches(p)
-    np.testing.assert_array_equal(back.matches, gt.matches)
-    np.testing.assert_array_equal(back.unmatched_a, gt.unmatched_a)
-    np.testing.assert_array_equal(back.unmatched_b, gt.unmatched_b)
-
-
-def test_gt_matches_empty_sides(tmp_path):
-    gt = GroundTruthMatches(np.array([[0, 0]]), np.zeros(0, np.int64),
-                            np.zeros(0, np.int64))
-    p = tmp_path / "gt.txt"
-    io.save_gt_matches(p, gt)
-    back = io.load_gt_matches(p)
-    assert len(back.unmatched_a) == 0 and len(back.unmatched_b) == 0
-
-
-def test_gt_matches_requires_trailer(tmp_path):
-    p = tmp_path / "gt.txt"
-    p.write_text("0 1 1.0\n")
-    with pytest.raises(ValueError, match="missing #unmatched"):
-        io.load_gt_matches(p)
-
-
 def test_gt_matches_readable_as_plain_matches(tmp_path):
-    # the trailer lines are comments to the plain match reader
-    gt = GroundTruthMatches(np.array([[0, 1]]), np.array([1]), np.array([0]))
+    # a match file with unmatched-index trailers: the trailers are comments
+    # to the plain match reader
     p = tmp_path / "gt.txt"
-    io.save_gt_matches(p, gt)
+    p.write_text("0 1 1.0\n#unmatched_E 1\n#unmatched_I 0\n")
     a = io.load_matches(p)
     np.testing.assert_array_equal(a.matches, [[0, 1]])
+    np.testing.assert_array_equal(a.scores, [1.0])
 
 
 # -- poses, intrinsics, configs -----------------------------------------------

@@ -147,8 +147,10 @@ def test_rpe_auc_failures_depress_recall():
 
 
 def test_rpe_auc_all_nonfinite_raises():
-    with pytest.raises(ValueError, match="non-finite"):
-        rpe_auc([np.inf, np.nan], 10.0)
+    # every pair failed: the recall curve is zero, not missing
+    assert rpe_auc([np.inf, np.nan], 10.0) == 0.0
+    with pytest.raises(ValueError, match="no errors"):
+        rpe_auc([], 10.0)
 
 
 def test_rpe_auc_bounded():
@@ -190,6 +192,9 @@ def test_he_metrics_identity_and_failures():
     d = {(m, t): v for m, t, v in entries}
     assert d[("he_ratio", 10.0)] == pytest.approx(1.0 / 3.0)
     assert 0.0 < d[("he_auc", 10.0)] < 1.0
+    _, entries = he_metrics([None, None], [h, h], thresholds=(10.0,),
+                            width=64, height=48)
+    assert [v for _, _, v in entries] == [0.0, 0.0]
 
 
 def test_he_metrics_misaligned_lists():

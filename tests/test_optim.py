@@ -1,12 +1,17 @@
 """Cosine schedule, Adam updates and the binary checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 
 import evimatch.autodiff as ad
 from evimatch.autodiff import Tensor
-from evimatch.optim import (Adam, as_parameters, cosine_lr, load_checkpoint,
-                            parameter_count, save_checkpoint)
+from evimatch.extractor import (ExtractorConfig, init_student, load_extractor,
+                                save_extractor)
+from evimatch.matching import (CAConfig, CAMatcherParams, load_matcher,
+                               save_matcher)
+from evimatch.optim import Adam, cosine_lr, load_checkpoint, save_checkpoint
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -120,8 +125,46 @@ def test_checkpoint_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
-def test_as_parameters_and_count():
-    params = as_parameters({"a": np.zeros((2, 3)), "b": np.zeros(5)})
-    assert all(p.requires_grad for p in params.values())
-    assert all(p.data.dtype == np.float32 for p in params.values())
-    assert parameter_count(params) == 11
+def write_extractor(path):
+    config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=8, score_head=(4,),
+                             desc_head=(4,))
+    save_extractor(path, init_student(config), config)
+    return load_extractor
+
+
+def write_matcher(path):
+    config = CAConfig(desc_dim=8, dim=8, layers=1, heads=2, pe_freqs=2,
+                      ffn_mult=2)
+    save_matcher(path, CAMatcherParams.create(config))
+    return load_matcher
+
+
+@pytest.mark.parametrize("write, key, value", [
+    (write_extractor, "channels", None),
+    (write_extractor, "in_channels", [np.inf]),
+    (write_extractor, "in_channels", [np.nan]),
+    (write_extractor, "in_channels", [0.0]),
+    (write_extractor, "in_channels", []),
+    (write_extractor, "in_channels", [2.0, 2.0]),
+    (write_extractor, "in_channels", [2.7]),
+    (write_extractor, "desc_head", [4.5]),
+    (write_matcher, "heads", None),
+    (write_matcher, "heads", [0.0]),
+    (write_matcher, "dim", [np.inf]),
+    (write_matcher, "dim", []),
+    (write_matcher, "heads", [2.5]),
+    (write_matcher, "image_size", [64.0]),
+])
+def test_malformed_config_entry_names_file_and_key(tmp_path, write, key, value):
+    # value None drops the entry
+    path = tmp_path / "module.ckpt"
+    load = write(path)
+    blob = load_checkpoint(path)
+    if value is None:
+        del blob["__config__." + key]
+    else:
+        blob["__config__." + key] = np.asarray(value, np.float32)
+    save_checkpoint(path, blob)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
+        load(path)

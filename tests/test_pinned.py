@@ -1,0 +1,191 @@
+"""Outputs pinned to recorded values.
+
+Checkpoint bytes, RANSAC inlier masks and iteration counts, and the
+mutual-nearest matchers' outputs on inputs with ties were recorded once;
+any refactor of the code behind them must reproduce them exactly.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from evimatch import geometry
+from evimatch.extractor import ExtractorConfig, init_student, save_extractor
+from evimatch.geometry import (CameraIntrinsics, RigidPose,
+                               estimate_essential_ransac,
+                               estimate_homography_ransac, rotation_about)
+from evimatch.matching import (CAConfig, CAMatcherParams, ca_assignment,
+                               gt_assignment, mnn_match, save_matcher)
+from evimatch.metrics import valid_pairs
+
+INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
+
+
+def sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def mask_indices(mask):
+    return np.flatnonzero(mask).tolist()
+
+
+# -- checkpoints ------------------------------------------------------------
+
+@pytest.mark.parametrize("config, digest", [
+    (ExtractorConfig(in_channels=2, channels=(4, 4), pools=(1, 2), latent_dim=4,
+                     desc_dim=8, score_head=(4,), desc_head=(4,)),
+     "ee7ee5df35c1efad1449c7a3ddeab4f54375b21bf8de5d4c57617e0a198c7180"),
+    (ExtractorConfig(in_channels=1, channels=(4,), pools=(1,), latent_dim=4,
+                     desc_dim=8, score_head=(), desc_head=()),
+     "015fc18c49f83983a3e31ac9f598c1994860db70b4acf2b6a7ab5aad0dfbb10c"),
+])
+def test_extractor_checkpoint_bytes(tmp_path, config, digest):
+    path = tmp_path / "student.ckpt"
+    save_extractor(path, init_student(config, seed=0), config)
+    assert sha256(path) == digest
+
+
+def test_matcher_checkpoint_bytes(tmp_path):
+    config = CAConfig(desc_dim=8, dim=8, layers=1, heads=2, pe_freqs=2,
+                      ffn_mult=2, image_size=(32, 24))
+    path = tmp_path / "matcher.ckpt"
+    save_matcher(path, CAMatcherParams.create(config, seed=0))
+    assert sha256(path) == ("bffd91919ea051d8e86b4e6ffb031ca76bb7dff8"
+                            "ea2f1ebf63160146a4028c3e")
+
+
+# -- RANSAC -----------------------------------------------------------------
+
+class CountingRng:
+    """A seeded generator that counts its sample draws (one per iteration)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def counting_draws(monkeypatch, fn):
+    """fn() with geometry's generators counting; returns (result, draws)."""
+    made = []
+
+    def default_rng(seed):
+        made.append(CountingRng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry.np.random, "default_rng", default_rng)
+        result = fn()
+    return result, sum(r.draws for r in made)
+
+
+def two_view_matches(n_in, n_out, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.stack([rng.uniform(-1.5, 1.5, n_in), rng.uniform(-1.0, 1.0, n_in),
+                    rng.uniform(3.0, 6.0, n_in)], axis=1)
+    pose = RigidPose(rotation_about([0.2, 1.0, 0.1], 6.0), [0.4, -0.05, 0.1])
+    x1, _ = geometry.project_many(pts, INTR)
+    x2, _ = geometry.project_many(pose.apply(pts), INTR)
+    x2 = x2 + rng.normal(0.0, 0.2, x2.shape)
+    out1 = rng.uniform(0.0, 64.0, (n_out, 2))
+    out2 = rng.uniform(0.0, 48.0, (n_out, 2))
+    order = rng.permutation(n_in + n_out)
+    return np.vstack([x1, out1])[order], np.vstack([x2, out2])[order]
+
+
+@pytest.mark.parametrize("n_in, n_out, max_iters, inliers, iterations", [
+    (40, 20, 2000, [0, 1, 3, 5, 6, 8, 9, 11, 12, 14, 16, 17, 18, 20, 22, 23, 24,
+                    25, 26, 27, 28, 29, 30, 31, 33, 35, 37, 38, 41, 42, 44, 46,
+                    47, 48, 49, 50, 51, 52, 53, 54, 55, 57, 58, 59], 111),
+    # low inlier share: runs to the iteration cap
+    (12, 40, 300, [5, 6, 12, 24, 33, 38, 39, 40, 41, 48, 49], 300),
+])
+def test_essential_ransac_masks_and_iterations(monkeypatch, n_in, n_out, max_iters,
+                                               inliers, iterations):
+    p1, p2 = two_view_matches(n_in, n_out, seed=n_in)
+    est, draws = counting_draws(monkeypatch, lambda: estimate_essential_ransac(
+        p1, p2, INTR, INTR, threshold_px=1.0, max_iters=max_iters, seed=3))
+    assert est.iterations == draws
+    assert mask_indices(est.inlier_mask) == inliers
+    assert est.iterations == iterations
+
+
+def planar_matches(seed):
+    """Matches under a fixed homography; 20 of the 32 inliers are collinear,
+    so some 4-point samples are degenerate and yield no model."""
+    rng = np.random.default_rng(seed)
+    h = np.array([[1.05, 0.04, 2.0], [-0.03, 0.97, -1.5], [4e-4, -2e-4, 1.0]])
+    line = np.stack([np.linspace(4.0, 60.0, 20), np.linspace(6.0, 40.0, 20)], axis=1)
+    p1 = np.vstack([line, rng.uniform(0.0, 64.0, (12, 2)),
+                    rng.uniform(0.0, 64.0, (10, 2))])
+    q = np.hstack([p1, np.ones((len(p1), 1))]) @ h.T
+    p2 = q[:, :2] / q[:, 2:] + rng.normal(0.0, 0.1, (len(p1), 2))
+    p2[32:] = rng.uniform(0.0, 64.0, (10, 2))
+    return p1, p2
+
+
+@pytest.mark.parametrize("seed, max_iters, draws", [
+    (2, 2000, 24),  # adaptive stop; one degenerate sample among the draws
+    (1, 12, 12),  # iteration cap; two degenerate samples count towards it
+])
+def test_homography_ransac_mask_and_iterations(monkeypatch, seed, max_iters, draws):
+    p1, p2 = planar_matches(seed=5)
+    (_, mask), n = counting_draws(monkeypatch, lambda: estimate_homography_ransac(
+        p1, p2, threshold_px=1.0, max_iters=max_iters, seed=seed))
+    assert mask_indices(mask) == list(range(32))
+    assert n == draws
+
+
+# -- mutual nearest neighbours ----------------------------------------------
+
+def test_mnn_match_ties():
+    # b holds a duplicated row, so a's best column ties between 1 and 3
+    da = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                   [0.6, 0.8, 0.0]])
+    db = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8],
+                   [1.0, 0.0, 0.0]])
+    out = mnn_match(da, db)
+    assert out.matches.tolist() == [[0, 1], [2, 0]]
+    np.testing.assert_allclose(out.scores, [0.1519190767201205, 0.18609074776705928],
+                               rtol=1e-12)
+
+
+def test_ca_assignment_ties_and_threshold():
+    xa = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    xb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sa = np.array([0.9, 0.5, 1.0])
+    sb = np.array([0.8, 0.8, 0.3])
+    out = ca_assignment(xa, sa, xb, sb, scale=4.0, threshold=0.1)
+    # (0, 0) wins the tie with column 1; the mutual pair (1, 2) scores 0.0986
+    assert out.matches.tolist() == [[0, 0]]
+    np.testing.assert_allclose(out.scores, [0.292353342526269], rtol=1e-12)
+
+
+def test_gt_assignment_ties_and_strict_bound():
+    # identity motion: costs are plain squared pixel distances
+    pa = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 10.0], [40.0, 30.0]])
+    pb = np.array([[9.0, 10.0], [11.0, 10.0], [23.0, 20.0], [30.0, 10.0],
+                   [30.0, 10.0], [41.0, 31.0]])
+    depth = np.full((48, 64), 4.0)
+    pose = RigidPose.identity()
+    gt = gt_assignment(pa, pb, depth, depth, INTR, INTR, pose, pose, eps_px=3.0)
+    # a[1] sits exactly eps_px from its nearest b: the bound is strict
+    assert gt.matches.tolist() == [[0, 0], [2, 3], [3, 5]]
+    assert gt.unmatched_a.tolist() == [1]
+    assert gt.unmatched_b.tolist() == [1, 2, 4]
+
+
+def test_valid_pairs_ties_and_inclusive_bound():
+    pa = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 10.0], [40.0, 30.0]])
+    pb = np.array([[9.0, 10.0], [11.0, 10.0], [23.0, 20.0], [30.0, 10.0],
+                   [30.0, 10.0], [43.5, 30.0]])
+    h = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    v = valid_pairs(pa, pb, h, eps=3.0)
+    # a[3] lands exactly eps from b[5]: the bound is inclusive
+    assert v.pairs.tolist() == [[0, 1], [1, 2], [2, 3], [3, 5]]
+    np.testing.assert_allclose(v.distances, [0.5, 2.5, 0.5, 3.0], rtol=1e-12)
