@@ -2,8 +2,9 @@
 
 A scene is a textured heightfield observed by a camera on a smooth
 closed-form trajectory.  Everything downstream needs ground truth, so the
-renderer is exact up to bisection precision: per-pixel rays are intersected
-with the surface, giving intensity and metric depth, and the event stream
+renderer is exact to float resolution: per-pixel rays are intersected with
+the surface by a bracketed regula-falsi solver that runs until its next
+step would not move, giving intensity and metric depth, and the event stream
 is generated from the log-intensity signal with quantized contrast
 thresholds and linearly interpolated crossing times.  The texture mixes a
 smooth random field with hard-edged rectangles at random orientations so
@@ -126,8 +127,11 @@ def _grid_interp(grid, x, y, extent):
     v0 = np.minimum(v.astype(np.int64), gh - 2)
     fu = u - u0
     fv = v - v0
-    return (grid[v0, u0] * (1 - fu) * (1 - fv) + grid[v0, u0 + 1] * fu * (1 - fv)
-            + grid[v0 + 1, u0] * (1 - fu) * fv + grid[v0 + 1, u0 + 1] * fu * fv)
+    # one flat index for the four corners: cheaper than four 2-D fancy indexes
+    g = grid.ravel()
+    k = v0 * gw + u0
+    return (g[k] * (1 - fu) * (1 - fv) + g[k + 1] * fu * (1 - fv)
+            + g[k + gw] * (1 - fu) * fv + g[k + gw + 1] * fu * fv)
 
 
 def surface_height(scene: Scene, x, y):
@@ -149,13 +153,69 @@ def surface_texture(scene: Scene, x, y):
     return np.clip(tex, 0.05, 0.95)
 
 
+def _illinois(f, a, b, fa, fb):
+    """Per-element sign change of f between a and b by regula falsi.
+
+    a, b, fa = f(a) and fb = f(b) are 1-D arrays, and f(x, idx) evaluates
+    elements idx of f at x.  Each element steps to the regula-falsi point
+    of its bracket, and the new point replaces the end of its own sign.
+    Illinois modification: when two points in a row fall on the same side,
+    the retained end's value is halved for the interpolation, so both ends
+    converge.  Safeguard: when two steps in a row have not halved the
+    bracket, the next step is the midpoint, so the bracket halves at least
+    once every three evaluations.  Every evaluated point lies strictly
+    inside its element's current bracket, so the bracket keeps a sign
+    change of f if it started with one.  An element is done when its next
+    regula-falsi point is not strictly inside the bracket, which includes
+    f being 0 at an end; it then returns the end with the smaller |f|.
+    """
+    out = np.empty_like(a)
+    idx = np.arange(len(a))
+    inf = np.full_like(a, np.inf)
+    # rows: b is the latest point and a the retained end; fa and fb are
+    # their values, ga is fa as used for interpolation, and w1, w2 are the
+    # bracket widths before the latest step and the one ahead of it
+    state = np.stack([a, b, fa, fb, fa, inf, inf])
+    while True:
+        a, b, fa, fb, ga, w1, w2 = state
+        w = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - fb * (w / (fb - ga))
+        live = (x - a) * (x - b) < 0
+        x = np.where(np.abs(w) > 0.5 * w2, a + 0.5 * w, x)
+        if not live.all():
+            stop = ~live
+            out[idx[stop]] = np.where(np.abs(fa[stop]) < np.abs(fb[stop]),
+                                      a[stop], b[stop])
+            state, idx, x, w = state[:, live], idx[live], x[live], w[live]
+            if not len(idx):
+                return out
+            a, b, fa, fb, ga, w1, w2 = state
+        fx = f(x, idx)
+        # x and b on opposite sides: b becomes the retained end; otherwise
+        # a is retained once more and its value halved
+        turn = (fx > 0) != (fb > 0)
+        ga *= 0.5
+        np.copyto(ga, fb, where=turn)
+        np.copyto(a, b, where=turn)
+        np.copyto(fa, fb, where=turn)
+        b[:] = x
+        fb[:] = fx
+        w2[:] = w1
+        w1[:] = np.abs(w)
+
+
 def render(scene: Scene, t: float):
-    """Render (image, depth) at time t by per-pixel ray bisection.
+    """Render (image, depth) at time t by per-pixel ray casting.
 
     Rays are parametrized by the camera-frame depth lambda, so the returned
-    depth map is directly the projective depth used everywhere else.  The
-    camera must be above the surface and every ray must reach it; anything
-    else (camera inside the geometry, rays escaping the scene) is an error.
+    depth map is directly the projective depth used everywhere else.  Each
+    ray's depth is a sign change of its height above the surface, found by
+    ``_illinois`` between lambda = 1e-3 and the depth where the ray reaches
+    the lowest possible surface height; it stops when the next regula-falsi
+    point would not lie strictly inside the bracket.  The camera must be
+    above the surface and every ray must reach it; anything else (camera
+    inside the geometry, rays escaping the scene) is an error.
     """
     pose = scene.trajectory.pose(t)
     intr = scene.intrinsics
@@ -172,21 +232,18 @@ def render(scene: Scene, t: float):
     dz = dirs_w[..., 2]
     if np.any(dz >= -1e-9):
         raise ValueError(f"camera rays do not descend onto the surface at t={t}")
-    lo = np.full((h, w), 1e-3)
-    hi = (floor_z - c[2]) / dz  # depth where the ray reaches the lowest surface
+    rays = dirs_w.reshape(-1, 3)
+    lo = np.full(h * w, 1e-3)
+    hi = (floor_z - c[2]) / rays[:, 2]  # depth where a ray reaches the lowest surface
 
-    def above(lmb):
-        p = c[None, None, :] + lmb[..., None] * dirs_w
-        return p[..., 2] - surface_height(scene, p[..., 0], p[..., 1])
+    def above(lmb, idx=slice(None)):
+        p = c + lmb[:, None] * rays[idx]
+        return p[:, 2] - surface_height(scene, p[:, 0], p[:, 1])
 
-    if np.any(above(lo) <= 0):
+    f_lo = above(lo)
+    if np.any(f_lo <= 0):
         raise ValueError(f"camera is inside or below the surface at t={t}")
-    for _ in range(46):
-        mid = 0.5 * (lo + hi)
-        mask = above(mid) > 0
-        lo = np.where(mask, mid, lo)
-        hi = np.where(mask, hi, mid)
-    depth = 0.5 * (lo + hi)
+    depth = _illinois(above, lo, hi, f_lo, above(hi)).reshape(h, w)
     p = c[None, None, :] + depth[..., None] * dirs_w
     image = surface_texture(scene, p[..., 0], p[..., 1])
     return image, depth

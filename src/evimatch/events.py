@@ -104,10 +104,6 @@ class EventMask:
             raise ValueError("mask must be 2-D")
         object.__setattr__(self, "mask", m)
 
-    @property
-    def coverage(self):
-        return float(self.mask.mean())
-
 
 def window(stream: EventStream, t_end: float, delta_t: float) -> EventStream:
     """Cut the closed window [t_end - delta_t, t_end] from a stream.

@@ -162,41 +162,40 @@ def _descriptors(kp):
 
 # -- student ------------------------------------------------------------
 
-def init_student(config: ExtractorConfig, seed: int = 0):
-    """He-initialized parameter dict for the student architecture."""
-    rng = np.random.default_rng(seed)
+def _student_layout(config: ExtractorConfig):
+    """(name, shape, fan_in) per student parameter, in checkpoint order.
 
-    def conv_w(c_out, c_in, k):
-        scale = math.sqrt(2.0 / (c_in * k * k))
-        return Tensor(rng.normal(0.0, scale, (c_out, c_in, k, k)).astype(np.float32),
-                      requires_grad=True)
+    Biases have fan_in 0.  Shapes only: nothing is allocated, so a loader
+    can check a checkpoint against them before trusting its sizes.
+    """
+    layout = []
 
-    def convt_w(c_in, c_out, k):
-        scale = math.sqrt(2.0 / (c_in * k * k))
-        return Tensor(rng.normal(0.0, scale, (c_in, c_out, k, k)).astype(np.float32),
-                      requires_grad=True)
+    def conv(name, c_out, c_in, k, transposed=False):
+        shape = (c_in, c_out, k, k) if transposed else (c_out, c_in, k, k)
+        layout.extend([(name + ".w", shape, c_in * k * k),
+                       (name + ".b", (c_out,), 0)])
 
-    def bias(c):
-        return Tensor(np.zeros(c, np.float32), requires_grad=True)
-
-    params = {}
     c_in = config.in_channels
     for i, c_out in enumerate(config.channels):
-        params[f"backbone.{i}.w"] = conv_w(c_out, c_in, 3)
-        params[f"backbone.{i}.b"] = bias(c_out)
+        conv(f"backbone.{i}", c_out, c_in, 3)
         c_in = c_out
-    params["latent.w"] = conv_w(config.latent_dim, c_in, 1)
-    params["latent.b"] = bias(config.latent_dim)
+    conv("latent", config.latent_dim, c_in, 1)
     for head, widths, out_dim in (("score", config.score_head, 1),
                                   ("desc", config.desc_head, config.desc_dim)):
         c = c_in
         for i, width in enumerate(widths):
-            params[f"{head}.{i}.w"] = convt_w(c, width, 4)
-            params[f"{head}.{i}.b"] = bias(width)
+            conv(f"{head}.{i}", width, c, 4, transposed=True)
             c = width
-        params[f"{head}.out.w"] = conv_w(out_dim, c, 1)
-        params[f"{head}.out.b"] = bias(out_dim)
-    return params
+        conv(f"{head}.out", out_dim, c, 1)
+    return layout
+
+
+def init_student(config: ExtractorConfig, seed: int = 0):
+    """He-initialized parameter dict for the student architecture."""
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape).astype(np.float32)
+                         if fan_in else np.zeros(shape, np.float32), requires_grad=True)
+            for name, shape, fan_in in _student_layout(config)}
 
 
 def forward_student_batch(x, params, config: ExtractorConfig):
@@ -477,7 +476,8 @@ def load_extractor(path, trainable=False):
     Malformed architecture entries, and missing, extra or mis-shaped
     parameters, raise ValueError with the offending name.
     """
-    return load_module(path, ExtractorConfig, init_student, trainable)
+    return load_module(path, ExtractorConfig,
+                       lambda c: {n: s for n, s, _ in _student_layout(c)}, trainable)
 
 
 def load_teacher_checkpoint(path):

@@ -136,44 +136,7 @@ def skew(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def essential_from_pose(pose: RigidPose) -> np.ndarray:
-    """E = [t]x R for the relative pose taking view-1 frame to view-2."""
-    return skew(pose.translation) @ pose.rotation
-
-
 # -- projection ---------------------------------------------------------
-
-def project(point, intr: CameraIntrinsics):
-    """Project one camera-frame 3-D point to pixels; z must be positive."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    if p[2] <= 0:
-        raise ValueError(f"cannot project point with depth {p[2]}")
-    return np.array([intr.fx * p[0] / p[2] + intr.cx,
-                     intr.fy * p[1] / p[2] + intr.cy])
-
-
-def unproject(pixel, depth, intr: CameraIntrinsics):
-    """Lift a pixel at a given positive depth to camera-frame 3-D."""
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    u, v = np.asarray(pixel, dtype=np.float64).reshape(2)
-    return np.array([(u - intr.cx) / intr.fx * depth,
-                     (v - intr.cy) / intr.fy * depth,
-                     depth])
-
-
-def reproject(pixel, depth, intr_src: CameraIntrinsics, intr_dst: CameraIntrinsics,
-              rel: RigidPose):
-    """Carry a pixel with known depth into another view.
-
-    Returns (pixel, valid); valid is False when the point lands behind the
-    destination camera, in which case the pixel is NaN.
-    """
-    p = rel.apply(unproject(pixel, depth, intr_src))
-    if p[2] <= 0:
-        return np.full(2, np.nan), False
-    return project(p, intr_dst), True
-
 
 def project_many(points, intr: CameraIntrinsics):
     """Vectorized projection: (N,3) -> ((N,2) pixels, (N,) validity)."""

@@ -159,22 +159,6 @@ def save_matches(path, assignment: Assignment):
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_matches(path) -> Assignment:
-    pairs, scores = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected `i j score`")
-            pairs.append((int(parts[0]), int(parts[1])))
-            scores.append(float(parts[2]))
-    return Assignment(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                      np.asarray(scores, dtype=np.float64))
-
-
 # -- poses, intrinsics, configs ---------------------------------------------
 
 def save_poses(path, times_us, poses):

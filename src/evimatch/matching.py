@@ -49,9 +49,6 @@ class Assignment:
     def empty(cls):
         return cls(np.zeros((0, 2), np.int64), np.zeros(0))
 
-    def transposed(self):
-        return Assignment(self.matches[:, ::-1], self.scores)
-
 
 @dataclass
 class GroundTruthMatches:
@@ -144,35 +141,50 @@ class CAMatcherParams:
     def create(cls, config: CAConfig = CAConfig(), seed: int = 0,
                dtype=np.float32):
         rng = np.random.default_rng(seed)
-        d = config.dim
         p = {}
-
-        def linear(name, n_in, n_out):
-            p[name + ".w"] = Tensor(rng.normal(0.0, 1.0 / math.sqrt(n_in),
-                                               (n_in, n_out)).astype(dtype),
-                                    requires_grad=True)
-            p[name + ".b"] = Tensor(np.zeros(n_out, dtype), requires_grad=True)
-
-        def ln(name):
-            p[name + ".g"] = Tensor(np.ones(d, dtype), requires_grad=True)
-            p[name + ".b"] = Tensor(np.zeros(d, dtype), requires_grad=True)
-
-        linear("in_proj", config.desc_dim, d)
-        linear("pe_proj", 4 * config.pe_freqs, d)
-        for layer in range(config.layers):
-            for unit in ("self", "cross"):
-                base = f"layers.{layer}.{unit}"
-                ln(base + ".ln1")
-                for proj in ("wq", "wk", "wv", "wo"):
-                    linear(f"{base}.{proj}", d, d)
-                ln(base + ".ln2")
-                linear(base + ".ffn1", d, config.ffn_mult * d)
-                linear(base + ".ffn2", config.ffn_mult * d, d)
-        linear("out_proj", d, d)
-        linear("match_head", d, 1)
-        p["logit_scale"] = Tensor(np.asarray(math.log(10.0), dtype),
-                                  requires_grad=True)
+        for name, shape in _matcher_layout(config):
+            if name.endswith(".w"):  # linear weight (n_in, n_out)
+                data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape).astype(dtype)
+            elif name.endswith(".g"):  # layer-norm gain
+                data = np.ones(shape, dtype)
+            elif name == "logit_scale":
+                data = np.asarray(math.log(10.0), dtype)
+            else:  # biases
+                data = np.zeros(shape, dtype)
+            p[name] = Tensor(data, requires_grad=True)
         return cls(config, p)
+
+
+def _matcher_layout(config: CAConfig):
+    """(name, shape) per matcher parameter, in checkpoint order.
+
+    Shapes only: nothing is allocated, so a loader can check a checkpoint
+    against them before trusting its sizes.
+    """
+    d = config.dim
+    layout = []
+
+    def linear(name, n_in, n_out):
+        layout.extend([(name + ".w", (n_in, n_out)), (name + ".b", (n_out,))])
+
+    def ln(name):
+        layout.extend([(name + ".g", (d,)), (name + ".b", (d,))])
+
+    linear("in_proj", config.desc_dim, d)
+    linear("pe_proj", 4 * config.pe_freqs, d)
+    for layer in range(config.layers):
+        for unit in ("self", "cross"):
+            base = f"layers.{layer}.{unit}"
+            ln(base + ".ln1")
+            for proj in ("wq", "wk", "wv", "wo"):
+                linear(f"{base}.{proj}", d, d)
+            ln(base + ".ln2")
+            linear(base + ".ffn1", d, config.ffn_mult * d)
+            linear(base + ".ffn2", config.ffn_mult * d, d)
+    linear("out_proj", d, d)
+    linear("match_head", d, 1)
+    layout.append(("logit_scale", ()))
+    return layout
 
 
 def fourier_encoding(positions, config: CAConfig):
@@ -491,6 +503,6 @@ def save_matcher(path, matcher: CAMatcherParams):
 def load_matcher(path, trainable=False) -> CAMatcherParams:
     """Load a matcher; malformed architecture entries and missing, extra or
     mis-shaped params raise ValueError by name."""
-    params, config = load_module(
-        path, CAConfig, lambda c: CAMatcherParams.create(c).params, trainable)
+    params, config = load_module(path, CAConfig,
+                                 lambda c: dict(_matcher_layout(c)), trainable)
     return CAMatcherParams(config, params)

@@ -140,13 +140,15 @@ def save_module(path, config, params):
     save_checkpoint(path, blob)
 
 
-def load_module(path, config_cls, make_params, trainable=False):
+def load_module(path, config_cls, param_shapes, trainable=False):
     """Read (params, config) from a checkpoint written by save_module.
 
-    ``make_params(config)`` gives the expected name -> Tensor dict.  A
-    config entry that is missing, non-finite, not integral or of the wrong
-    length, a config the dataclass rejects, and a missing, extra or
-    mis-shaped parameter all raise ValueError naming the file and the key.
+    ``param_shapes(config)`` gives the expected name -> shape dict without
+    allocating anything, so a checkpoint that declares huge sizes costs no
+    more than its own bytes before it is rejected.  A config entry that is
+    missing, non-finite, not integral or of the wrong length, a config the
+    dataclass rejects, and a missing, extra or mis-shaped parameter all
+    raise ValueError naming the file and the key.
     """
     blob = load_checkpoint(path)
     hints = typing.get_type_hints(config_cls)
@@ -166,7 +168,7 @@ def load_module(path, config_cls, make_params, trainable=False):
         config = config_cls(**values)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    expected = {name: p.data.shape for name, p in make_params(config).items()}
+    expected = param_shapes(config)
     loaded = {k: v for k, v in blob.items() if not k.startswith(_CONFIG_PREFIX)}
     for name in expected:
         if name not in loaded:

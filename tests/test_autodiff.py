@@ -18,7 +18,7 @@ def t64(*shape, lo=-1.0, hi=1.0):
 def test_tensor_keeps_zero_dim_shape():
     t = Tensor(np.float32(2.5))
     assert t.shape == ()
-    assert t.item() == pytest.approx(2.5)
+    assert float(t.data) == pytest.approx(2.5)
 
 
 def test_tensor_casts_int_to_float32():
@@ -37,12 +37,6 @@ def test_grad_accumulates_across_reuse():
     y = ad.sum_all(ad.add(ad.mul(x, x), x))  # x^2 + x -> dy/dx = 2x + 1
     y.backward()
     assert x.grad[0] == pytest.approx(5.0)
-
-
-def test_detach_cuts_the_graph():
-    x = Tensor(np.ones(2), requires_grad=True)
-    y = ad.sum_all(ad.mul(x, x).detach())
-    assert not y.requires_grad
 
 
 def test_shape_mismatch_raises():
@@ -79,7 +73,7 @@ def test_softmax_rows_sum_to_one():
 def test_masked_mean_value():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     m = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert ad.masked_mean(a, m).item() == pytest.approx(2.5)
+    assert float(ad.masked_mean(a, m).data) == pytest.approx(2.5)
 
 
 def test_masked_mean_empty_mask_raises():

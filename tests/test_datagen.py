@@ -1,12 +1,15 @@
 """Synthetic scene rendering, event simulation and benchmark assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from evimatch.datagen import (events_from_log_frames, generate_benchmark,
-                              make_lfd_dataset, make_sample, make_scene,
-                              overlap_score, render, simulate_events,
-                              surface_height, surface_texture)
+from evimatch import datagen
+from evimatch.datagen import (_illinois, events_from_log_frames,
+                              generate_benchmark, make_lfd_dataset, make_sample,
+                              make_scene, overlap_score, render,
+                              simulate_events, surface_height, surface_texture)
 from evimatch.events import EventStream
 from evimatch.geometry import relative_pose
 
@@ -50,17 +53,158 @@ def test_render_shapes_and_ranges():
     assert np.isfinite(depth).all()
 
 
+def camera_rays(scene, t):
+    """Camera center and per-pixel world ray directions per unit depth."""
+    pose = scene.trajectory.pose(t)
+    intr = scene.intrinsics
+    ys, xs = np.mgrid[0:scene.height, 0:scene.width].astype(np.float64)
+    dirs = np.stack([(xs - intr.cx) / intr.fx, (ys - intr.cy) / intr.fy,
+                     np.ones_like(xs)], axis=-1)
+    return pose.inverse().translation, dirs @ pose.rotation
+
+
 def test_render_depth_consistent_with_surface():
-    # unproject the center pixel with its depth; it must land on the surface
-    image, depth = render(SCENE, 0.3)
-    pose = SCENE.trajectory.pose(0.3)
-    intr = SCENE.intrinsics
-    y, x = 16, 16
-    z = depth[y, x]
-    cam = np.array([(x - intr.cx) / intr.fx * z, (y - intr.cy) / intr.fy * z, z])
-    world = pose.inverse().apply(cam)
-    assert world[2] == pytest.approx(surface_height(SCENE, world[0], world[1]),
-                                     abs=1e-4)
+    # every pixel, unprojected with its depth, lands on the surface
+    for t in (0.3, 1.9, 3.4):
+        _, depth = render(SCENE, t)
+        c, rays = camera_rays(SCENE, t)
+        world = c + depth[..., None] * rays
+        gap = world[..., 2] - surface_height(SCENE, world[..., 0], world[..., 1])
+        assert np.abs(gap).max() < 1e-12
+
+
+def test_render_planar_depth_matches_closed_form():
+    flat = make_scene(seed=2, width=32, height=32, height_amplitude=0.0)
+    for t in (0.2, 1.3, 2.8):
+        _, depth = render(flat, t)
+        c, rays = camera_rays(flat, t)
+        np.testing.assert_allclose(depth, (0.0 - c[2]) / rays[..., 2],
+                                   rtol=1e-12, atol=0)
+
+
+def bisection_depth(scene, t, steps=46):
+    """Reference renderer depth: fixed-step bisection of each ray."""
+    c, rays = camera_rays(scene, t)
+    floor_z = min(0.0, -abs(scene.height_amplitude) * np.abs(scene.height_grid).max())
+    lo = np.full(rays.shape[:2], 1e-3)
+    hi = (floor_z - c[2]) / rays[..., 2]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        p = c + mid[..., None] * rays
+        up = p[..., 2] > surface_height(scene, p[..., 0], p[..., 1])
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("scene", [SCENE, make_scene(seed=5)])
+def test_render_depth_matches_bisection(scene):
+    for t in (0.1, 1.7, 3.3):
+        np.testing.assert_allclose(render(scene, t)[1], bisection_depth(scene, t),
+                                   rtol=0, atol=1e-13)
+
+
+def test_render_rejects_camera_below_surface():
+    traj = dataclasses.replace(SCENE.trajectory, center=(0.0, 0.0, -0.5))
+    below = dataclasses.replace(SCENE, trajectory=traj)
+    with pytest.raises(ValueError, match="inside or below the surface"):
+        render(below, 0.4)
+
+
+def test_render_rejects_rays_that_do_not_descend():
+    # pitched 1.5 rad from straight down: the upper image rows look up
+    traj = dataclasses.replace(SCENE.trajectory, ang_amp=(0.0, 1.5, 0.0),
+                               ang_freq=(0.0, 0.0, 0.0),
+                               ang_phase=(0.0, np.pi / 2, 0.0))
+    tilted = dataclasses.replace(SCENE, trajectory=traj)
+    with pytest.raises(ValueError, match="do not descend"):
+        render(tilted, 0.4)
+
+
+def test_render_work_per_pixel(monkeypatch):
+    # regula falsi with the Illinois modification needs a fraction of the
+    # 47 evaluations per ray of a 46-step bisection
+    calls = []
+
+    def counted(scene, x, y):
+        calls.append(np.size(x))
+        return surface_height(scene, x, y)
+
+    monkeypatch.setattr(datagen, "surface_height", counted)
+    for t in (0.1, 1.7, 3.3):
+        calls.clear()
+        render(SCENE, t)
+        assert sum(calls) / (SCENE.width * SCENE.height) < 8.0
+
+
+def kink(x):
+    """Slope 1 left of 0.3 and 1e-12 right of it."""
+    return np.where(x < 0.3, x - 0.3, 1e-12 * (x - 0.3))
+
+
+# functions on which plain regula falsi stalls or has nothing left to do:
+# (f, bracket ends, root, whether the root is recovered to 1e-12)
+STALLS = {
+    "flat_left": (lambda x: x ** 10 - 0.5 ** 10, 0.0, 1.3, 0.5, True),
+    "flat_right": (lambda x: 1.0 - np.exp(-30.0 * (x - 0.2)), 0.0, 3.0, 0.2, True),
+    "near_step": (lambda x: np.tanh(50.0 * (x - 0.3)), 0.0, 1.0, 0.3, True),
+    "near_step_falling": (lambda x: -np.tanh(50.0 * (x - 0.77)), 0.0, 1.0, 0.77, True),
+    "triple_root": (lambda x: (x - 0.4) ** 3, 0.0, 1.0, 0.4, True),
+    "root_at_lower_end": (lambda x: x - 0.25, 0.25, 2.0, 0.25, True),
+    "root_at_upper_end": (lambda x: 2.0 - x, 0.5, 2.0, 2.0, True),
+    # the stopping rule trusts |f|: on a side this flat, |f| is below 1e-17
+    # far from the root, so only the bracket and the bound are guaranteed
+    "flat_side_kink": (kink, 0.0, 1.0, 0.3, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLS))
+def test_illinois_stays_bracketed_and_bounded(name):
+    g, a, b, root, exact = STALLS[name]
+    seen = []
+
+    def f(x, idx):
+        assert idx.tolist() == [0]
+        seen.append(float(x[0]))
+        return g(x)
+
+    x = float(_illinois(f, np.array([a]), np.array([b]), g(np.array([a])),
+                        g(np.array([b])))[0])
+    # every evaluation lies strictly inside the bracket of sign changes
+    lo, hi = a, b
+    for p in seen:
+        assert lo < p < hi
+        if (g(p) > 0) == (g(lo) > 0):
+            lo = p
+        else:
+            hi = p
+    # the result is the end of the last bracket with the smaller |f|, and
+    # the bracket holds a sign change
+    assert x == (lo if abs(g(lo)) < abs(g(hi)) else hi)
+    assert g(x) == 0 or (g(lo) > 0) != (g(hi) > 0)
+    assert abs(g(x)) < 1e-15
+    if exact:
+        assert x == pytest.approx(root, rel=1e-12, abs=0)
+    # the bracket halves at least once every three evaluations until no
+    # float lies strictly inside it
+    halvings = np.ceil(np.log2((b - a) / np.spacing(root)))
+    assert len(seen) <= 3 * halvings
+
+
+def test_illinois_elements_are_independent():
+    # each element converges as it would alone, whatever the others do
+    roots = np.random.default_rng(0).uniform(0.05, 0.95, 50)
+
+    def f(x, idx):
+        return np.tanh(50.0 * (x - roots[idx]))
+
+    a, b = np.zeros(len(roots)), np.ones(len(roots))
+    x = _illinois(f, a, b, f(a, np.arange(50)), f(b, np.arange(50)))
+    np.testing.assert_allclose(x, roots, rtol=1e-12, atol=0)
+    for i in range(len(roots)):
+        def fi(xi, idx):
+            return np.tanh(50.0 * (xi - roots[i]))
+        alone = _illinois(fi, a[:1], b[:1], fi(a[:1], None), fi(b[:1], None))
+        assert alone[0] == x[i]
 
 
 def test_trajectory_pose_is_rigid():

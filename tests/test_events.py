@@ -84,7 +84,7 @@ def test_accumulate_mask_marks_event_pixels():
     assert m.mask.shape == (4, 4)
     assert m.mask[2, 1] == 1 and m.mask[0, 3] == 1
     assert m.mask.sum() == 2
-    assert m.coverage == pytest.approx(2 / 16)
+    assert m.mask.mean() == pytest.approx(2 / 16)
 
 
 def test_binary_roundtrip_exact(tmp_path):

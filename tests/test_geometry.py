@@ -5,13 +5,12 @@ import pytest
 
 from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                EstimationFailed, PoseEstimate, RigidPose,
-                               corner_error, essential_from_pose,
+                               _eight_point, corner_error,
                                estimate_essential_ransac,
-                               estimate_homography_ransac, project,
-                               project_many, pose_angular_errors,
-                               quat_to_rotmat, relative_pose, reproject,
-                               reproject_many, rotation_about,
-                               rotmat_to_quat, unproject, unproject_many)
+                               estimate_homography_ransac, project_many,
+                               pose_angular_errors, quat_to_rotmat,
+                               relative_pose, reproject_many, rotation_about,
+                               rotmat_to_quat, skew, unproject_many)
 
 INTR = CameraIntrinsics(fx=120.0, fy=120.0, cx=63.5, cy=47.5)
 
@@ -77,22 +76,27 @@ def test_rotation_about_quarter_turn():
 
 
 def test_essential_epipolar_constraint():
+    # the eight-point fit on noise-free points recovers E = [t]x R up to sign
     rng = np.random.default_rng(3)
     rel = RigidPose(rotation_about([0, 1, 0], 12.0), np.array([0.5, 0.1, 0.05]))
-    e = essential_from_pose(rel)
     x1 = rng.normal(size=(20, 3))
     x1[:, 2] = np.abs(x1[:, 2]) + 2.0
     x2 = rel.apply(x1)
     h1 = x1 / x1[:, 2:]
     h2 = x2 / x2[:, 2:]
+    e, _ = _eight_point(h1, h2)
     residual = np.abs(np.einsum("ni,ij,nj->n", h2, e, h1))
     assert residual.max() < 1e-12
+    e_true = skew(rel.translation) @ rel.rotation
+    e_true /= np.linalg.norm(e_true)
+    assert min(np.abs(e - e_true).max(), np.abs(e + e_true).max()) < 1e-9
 
 
 def test_project_unproject_roundtrip():
-    pt = np.array([0.3, -0.2, 2.5])
-    px = project(pt, INTR)
-    np.testing.assert_allclose(unproject(px, 2.5, INTR), pt, atol=1e-12)
+    pt = np.array([[0.3, -0.2, 2.5]])
+    px, valid = project_many(pt, INTR)
+    assert valid.all()
+    np.testing.assert_allclose(unproject_many(px, [2.5], INTR), pt, atol=1e-12)
 
 
 def test_project_many_matches_scalar():
@@ -101,22 +105,25 @@ def test_project_many_matches_scalar():
     pts[:, 2] = np.abs(pts[:, 2]) + 1.0
     many, valid = project_many(pts, INTR)
     assert valid.all()
-    for i in range(8):
-        np.testing.assert_allclose(many[i], project(pts[i], INTR), atol=1e-12)
+    for i, (x, y, z) in enumerate(pts):
+        np.testing.assert_allclose(many[i], [INTR.fx * x / z + INTR.cx,
+                                             INTR.fy * y / z + INTR.cy], atol=1e-12)
 
 
 def test_unproject_many_matches_scalar():
     px = np.array([[10.0, 20.0], [63.5, 47.5]])
     d = np.array([1.5, 3.0])
     many = unproject_many(px, d, INTR)
-    for i in range(2):
-        np.testing.assert_allclose(many[i], unproject(px[i], d[i], INTR), atol=1e-12)
+    for i, ((u, v), z) in enumerate(zip(px, d)):
+        np.testing.assert_allclose(many[i], [(u - INTR.cx) / INTR.fx * z,
+                                             (v - INTR.cy) / INTR.fy * z, z],
+                                   atol=1e-12)
 
 
 def test_reproject_identity_is_noop():
-    px = np.array([30.0, 40.0])
-    out, ok = reproject(px, 2.0, INTR, INTR, RigidPose.identity())
-    assert ok
+    px = np.array([[30.0, 40.0]])
+    out, ok = reproject_many(px, [2.0], INTR, INTR, RigidPose.identity())
+    assert ok.all()
     np.testing.assert_allclose(out, px, atol=1e-12)
 
 

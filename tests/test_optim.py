@@ -1,6 +1,7 @@
 """Cosine schedule, Adam updates and the binary checkpoint format."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,24 @@ def test_malformed_config_entry_names_file_and_key(tmp_path, write, key, value):
     save_checkpoint(path, blob)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
         load(path)
+
+
+@pytest.mark.parametrize("write, key", [(write_extractor, "in_channels"),
+                                        (write_matcher, "desc_dim")])
+def test_oversized_architecture_rejected_without_allocating(tmp_path, write, key):
+    # a small checkpoint declaring a huge input size must be rejected at the
+    # cost of its own bytes, not of the parameters it declares
+    path = tmp_path / "module.ckpt"
+    load = write(path)
+    blob = load_checkpoint(path)
+    blob["__config__." + key] = np.asarray([20000.0], np.float32)
+    save_checkpoint(path, blob)
+    assert path.stat().st_size < 8192
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*has shape"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

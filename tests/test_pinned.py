@@ -1,16 +1,20 @@
 """Outputs pinned to recorded values.
 
-Checkpoint bytes, RANSAC inlier masks and iteration counts, and the
-mutual-nearest matchers' outputs on inputs with ties were recorded once;
-any refactor of the code behind them must reproduce them exactly.
+Checkpoint bytes, dataset bytes at the default 64x64 scene, RANSAC inlier
+masks and iteration counts, and the mutual-nearest matchers' outputs on
+inputs with ties were recorded once; any refactor of the code behind them
+must reproduce them exactly.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from evimatch import geometry
+from evimatch import io as eio
+from evimatch.datagen import generate_benchmark, make_lfd_dataset, make_scene
 from evimatch.extractor import ExtractorConfig, init_student, save_extractor
 from evimatch.geometry import (CameraIntrinsics, RigidPose,
                                estimate_essential_ransac,
@@ -54,6 +58,51 @@ def test_matcher_checkpoint_bytes(tmp_path):
     save_matcher(path, CAMatcherParams.create(config, seed=0))
     assert sha256(path) == ("bffd91919ea051d8e86b4e6ffb031ca76bb7dff8"
                             "ea2f1ebf63160146a4028c3e")
+
+
+# -- datasets ---------------------------------------------------------------
+
+SYNTH_DIGESTS = {
+    "depth/000.f32": "234c1ec31d0d70eaf8286051ea0c5460f4a84764426874b94e394ed30cfbbdd3",
+    "events/000.evt": "93202da22b83f3d54fef865ce04139c067926a1cc5d9b3cb516f93df35933794",
+    "images/000.pgm": "d4909fe7c1933a3c6ccd4fe5692c6ce61550e262bdef245fa4eee20261faa99c",
+    "manifest.txt": "faa1ebc71526da4fa1747bc764900b76a01a9d2c0291b2be93c897dbcadd4c18",
+    "poses.txt": "a27fe03cb75d056f83f8bd6f62d1ec24201606c06627a86deed9cec875d9c533",
+}
+
+BENCH_DIGESTS = {
+    # the first pair's events sample falls at the same time as the synth sample
+    "depth/000.f32": SYNTH_DIGESTS["depth/000.f32"],
+    "depth/001.f32": "420750d742106b9f9226be9816e11ce782e617c7edd1208922b1f4912740ac2a",
+    "events/000.evt": SYNTH_DIGESTS["events/000.evt"],
+    "events/001.evt": "49f5f4c3b5b3a3c134267cd333affb365f45928fcd2b71aef7297dcd7bac3660",
+    "images/000.pgm": SYNTH_DIGESTS["images/000.pgm"],
+    "images/001.pgm": "0cf2887686d2b99bcadf6ba15150d35ec5a182336b0d958d4d337af65bb02a4c",
+    "manifest.txt": "293389c5ee182177d94b31010b626d8cc132c0792da6030d40af0938c6f9ce26",
+    "pairs.txt": "6f7a5cbe263001788157efd0e6382888407524c3e1cab964c803a81a3595fe5b",
+    "poses.txt": "a33d901cccb285a397be1e6be67e601a3d0ab4451ae484db93bf0240eacce705",
+}
+
+
+def dataset_digests(root, samples, scene, pairs=None):
+    eio.save_dataset(root, samples, scene.intrinsics, scene.width, scene.height)
+    if pairs is not None:
+        eio.save_pairs(os.path.join(root, "pairs.txt"), pairs)
+    return {name: sha256(os.path.join(root, name))
+            for name in BENCH_DIGESTS if os.path.exists(os.path.join(root, name))}
+
+
+def test_synth_dataset_bytes(tmp_path):
+    scene = make_scene(seed=1)
+    samples = make_lfd_dataset(scene, 1, seed=1)
+    assert dataset_digests(tmp_path, samples, scene) == SYNTH_DIGESTS
+
+
+def test_benchgen_dataset_bytes(tmp_path):
+    scene = make_scene(seed=1)
+    bench = generate_benchmark(scene, 1, seed=1)
+    assert dataset_digests(tmp_path, bench.samples, scene,
+                           bench.pairs) == BENCH_DIGESTS
 
 
 # -- RANSAC -----------------------------------------------------------------
