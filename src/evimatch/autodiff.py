@@ -3,14 +3,23 @@
 A Tensor wraps an ndarray plus an optional backward closure; ops build the
 graph lazily and ``backward`` walks it in reverse topological order.  The
 op set is deliberately small: exactly what a convolutional extractor, an
-attention matcher and their losses need.  Storage is float32 (float64 is
+attention matcher and their losses need.  Elementwise and reduction ops,
+2-D matmul and transpose, row and pair gathers, bias and layer norm, the
+convolutions and pooling, and one fused multi-head ``attention`` node that
+keeps only its probabilities for backward.  Storage is float32 (float64 is
 accepted for numerical checking); explicit reductions accumulate in float64
 before casting back.  Broadcasting is limited to scalar-with-tensor and the
 per-channel bias in ``bias_add``; everything else requires exact shape
 agreement, which keeps gradients trivially correct.
+
+``backward`` accumulates into leaves (tensors no op produced) and releases
+each intermediate gradient as soon as its node has propagated it, so a
+backward pass holds only the gradients still waiting to be consumed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,7 +52,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Leaves add to whatever ``.grad`` they already hold.  Each
+        intermediate node's ``.grad`` is set to None once its backward has
+        run, so calling ``backward`` again on the same graph adds the same
+        gradients to the leaves once more.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         topo = []
@@ -61,11 +76,16 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        # a leaf root accumulates like any leaf; an intermediate root holds
+        # no gradient here, since every backward releases them
+        seed = np.ones_like(self.data)
+        self.grad = seed if self.grad is None else self.grad + seed
         for node in reversed(topo):
             if node._bwd is None or node.grad is None:
                 continue
-            for p, g in zip(node._parents, node._bwd(node.grad)):
+            grads = node._bwd(node.grad)
+            node.grad = None
+            for p, g in zip(node._parents, grads):
                 if g is None or not p.requires_grad:
                     continue
                 if g.dtype != p.data.dtype:
@@ -73,6 +93,8 @@ class Tensor:
                 if p.grad is None:
                     p.grad = g
                 else:
+                    # out of place: a backward may return its incoming array
+                    # (bias_add does), so gradient arrays can be shared
                     p.grad = p.grad + g
 
 
@@ -271,27 +293,6 @@ def l2_normalize(a, axis):
     return _make(y, (a,), bwd)
 
 
-def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    def bwd(g):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
-
-
-def slice_axis(a, axis, start, stop):
-    a = _as_tensor(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    def bwd(g):
-        out = np.zeros(a.data.shape, dtype=g.dtype)
-        out[idx] = g
-        return (out,)
-    return _make(np.ascontiguousarray(a.data[idx]), (a,), bwd)
-
-
 def take_rows(a, idx):
     """Gather rows of a 2-D tensor; duplicate indices accumulate in backward."""
     a = _as_tensor(a)
@@ -357,6 +358,60 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         gbeta = np.asarray(g.sum(axis=red, dtype=np.float64), dtype=beta.data.dtype)
         return gx, ggamma, gbeta
     return _make(y, (x, gamma, beta), bwd)
+
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention as one graph node.
+
+    q is (N, D); k and v are (M, D).  Each of the ``heads`` consecutive
+    column blocks of width d_h = D / heads attends on its own,
+    softmax(q_h k_h^T / sqrt(d_h)) v_h, and the head outputs are
+    concatenated back to (N, D).  All heads run as batched matmuls on
+    (heads, rows, d_h) arrays, and only the (heads, N, M) probabilities are
+    kept for backward.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
+            or q.data.shape[1] != k.data.shape[1]:
+        raise ValueError(
+            f"attention: q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
+            "must be (N, D), (M, D) and (M, D)")
+    d = q.data.shape[1]
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention: width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+
+    # each head's block is made contiguous, and k's is stored transposed,
+    # so every per-head matmul sees the operand layouts a 2-D one would
+    def split(x):  # (rows, D) -> (heads, rows, d_h)
+        return np.ascontiguousarray(x.reshape(len(x), heads, dh).transpose(1, 0, 2))
+
+    def merge(x):  # (heads, rows, d_h) -> (rows, D)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    def k_t():  # (heads, d_h, M)
+        return np.ascontiguousarray(k.data.reshape(-1, heads, dh).transpose(1, 2, 0))
+
+    # softmax in place, in the order scale, subtract the row max, exp, divide
+    p = np.matmul(split(q.data), k_t())
+    p *= scale
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    y = merge(np.matmul(p, split(v.data)))
+
+    def bwd(g):
+        gh = split(g)
+        gv = merge(np.matmul(p.transpose(0, 2, 1), gh))
+        gs = np.matmul(gh, split(v.data).transpose(0, 2, 1))
+        gs -= (gs * p).sum(axis=2, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = merge(np.matmul(gs, k_t().transpose(0, 2, 1)))
+        gk = merge(np.matmul(split(q.data).transpose(0, 2, 1), gs).transpose(0, 2, 1))
+        return gq, gk, gv
+    return _make(y, (q, k, v), bwd)
 
 
 # convolution plumbing: one im2col/col2im pair drives conv2d forward and

@@ -319,15 +319,28 @@ def simulate_events(scene: Scene, t_start: float, t_end: float,
     the log intensities drive the contrast-threshold model.  A static
     camera yields an empty stream.
     """
+    return _simulate(scene, t_start, t_end, contrast, dt_sim)[0]
+
+
+def _simulate(scene, t_start, t_end, contrast, dt_sim):
+    """simulate_events plus the (image, depth) render at t_end.
+
+    linspace ends exactly at t_end, so the last simulated frame is the
+    frame at t_end and a caller that needs it does not render it again.
+    """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if dt_sim <= 0:
         raise ValueError("dt_sim must be positive")
     n_steps = max(int(np.ceil((t_end - t_start) / dt_sim)), 1)
     times = np.linspace(t_start, t_end, n_steps + 1)
-    frames = np.stack([np.log(render(scene, t)[0]) for t in times])
-    return events_from_log_frames(frames, times, contrast,
-                                  t_start=t_start, t_end=t_end)
+    frames = []
+    for t in times:
+        last = render(scene, t)
+        frames.append(np.log(last[0]))
+    events = events_from_log_frames(np.stack(frames), times, contrast,
+                                    t_start=t_start, t_end=t_end)
+    return events, last
 
 
 def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
@@ -383,8 +396,7 @@ class LFDSample:
 
 def make_sample(scene: Scene, t: float, delta_t: float = 0.05,
                 contrast: float = 0.2, dt_sim: float = 1e-3) -> LFDSample:
-    image, depth = render(scene, t)
-    events = simulate_events(scene, t - delta_t, t, contrast, dt_sim)
+    events, (image, depth) = _simulate(scene, t - delta_t, t, contrast, dt_sim)
     return LFDSample(float(t), events, image, depth, scene.trajectory.pose(t))
 
 

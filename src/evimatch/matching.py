@@ -213,21 +213,12 @@ def _linear(x, p, name):
 
 
 def _mha(xq, xkv, p, base, heads):
+    """Multi-head attention of xq over xkv: q, k and v projections, one
+    fused ``ad.attention`` over all heads, then the output projection."""
     q = _linear(xq, p, base + ".wq")
     k = _linear(xkv, p, base + ".wk")
     v = _linear(xkv, p, base + ".wv")
-    d = q.data.shape[1]
-    dh = d // heads
-    outs = []
-    for hh in range(heads):
-        qh = ad.slice_axis(q, 1, hh * dh, (hh + 1) * dh)
-        kh = ad.slice_axis(k, 1, hh * dh, (hh + 1) * dh)
-        vh = ad.slice_axis(v, 1, hh * dh, (hh + 1) * dh)
-        logits = ad.matmul(qh, ad.transpose(kh))
-        att = ad.softmax(ad.mul(logits, _scalar_like(1.0 / math.sqrt(dh), logits)),
-                         axis=1)
-        outs.append(ad.matmul(att, vh))
-    return _linear(ad.concat(outs, axis=1), p, base + ".wo")
+    return _linear(ad.attention(q, k, v, heads), p, base + ".wo")
 
 
 def _attn_unit(x, ctx, p, base, heads):

@@ -39,6 +39,36 @@ def test_grad_accumulates_across_reuse():
     assert x.grad[0] == pytest.approx(5.0)
 
 
+def test_backward_twice_doubles_leaf_gradients():
+    x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    h = ad.mul(x, 2.0)
+    y = ad.sum_all(ad.mul(h, 3.0))
+    y.backward()
+    once = x.grad.copy()
+    np.testing.assert_array_equal(once, [6.0, 6.0])
+    assert h.grad is None and y.grad is None  # intermediates are released
+    y.backward()
+    np.testing.assert_array_equal(x.grad, 2 * once)
+    assert h.grad is None and y.grad is None
+
+
+def test_backward_from_a_leaf_accumulates():
+    x = Tensor(np.float32(2.0), requires_grad=True)
+    ad.mul(x, 3.0).backward()
+    x.backward()
+    assert float(x.grad) == 4.0
+
+
+def test_shared_gradient_arrays_accumulate_independently():
+    # add's backward hands the same array to both parents
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    z = Tensor(np.ones(3, np.float32), requires_grad=True)
+    y = ad.add(ad.sum_all(ad.add(x, z)), ad.sum_all(x))
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(z.grad, [1.0, 1.0, 1.0])
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError, match="do not match"):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
@@ -208,13 +238,56 @@ def test_grad_l2_normalize():
                      [t64(3, 5, lo=0.3, hi=1.0)])
 
 
-def test_grad_concat():
-    assert gradcheck(lambda a, b: ad.concat([a, b], axis=1),
-                     [t64(2, 3), t64(2, 4)])
+@pytest.mark.parametrize("heads, n_q, n_kv", [(1, 3, 3), (2, 3, 3), (1, 4, 2),
+                                             (2, 3, 5)])
+def test_grad_attention(heads, n_q, n_kv):
+    assert gradcheck(lambda q, k, v: ad.attention(q, k, v, heads),
+                     [t64(n_q, 4), t64(n_kv, 4), t64(n_kv, 4)])
 
 
-def test_grad_slice_axis():
-    assert gradcheck(lambda x: ad.slice_axis(x, 1, 1, 4), [t64(3, 5)])
+def attention_per_head(q, k, v, heads, g):
+    """Reference: one 2-D graph per head from matmul, transpose, mul and
+    softmax, on column blocks cut outside the graph.  Returns the output
+    and the q, k, v gradients of sum(output * g), heads concatenated."""
+    dh = q.shape[1] // heads
+    scale = Tensor(np.asarray(1.0 / np.sqrt(dh), dtype=q.dtype))
+    outs, grads = [], []
+    for h in range(heads):
+        block = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = (Tensor(x[:, block], requires_grad=True) for x in (q, k, v))
+        att = ad.softmax(ad.mul(ad.matmul(qh, ad.transpose(kh)), scale), axis=1)
+        out = ad.matmul(att, vh)
+        ad.sum_all(ad.mul(out, Tensor(g[:, block]))).backward()
+        outs.append(out.data)
+        grads.append((qh.grad, kh.grad, vh.grad))
+    return (np.concatenate(outs, axis=1),
+            *(np.concatenate(gs, axis=1) for gs in zip(*grads)))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("heads, n_q, n_kv", [(4, 37, 53), (2, 24, 24), (1, 9, 5)])
+def test_attention_bitwise_equals_per_head_graph(heads, n_q, n_kv):
+    r = np.random.default_rng(heads)
+    q, k, v = (r.normal(size=(n, 32)).astype(np.float32) for n in (n_q, n_kv, n_kv))
+    g = r.normal(size=(n_q, 32)).astype(np.float32)
+    tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+    y = ad.attention(tq, tk, tv, heads)
+    ad.sum_all(ad.mul(y, Tensor(g))).backward()
+    ref = attention_per_head(q, k, v, heads, g)
+    for got, want in zip((y.data, tq.grad, tk.grad, tv.grad), ref):
+        assert_bitwise_equal(got, want)
+
+
+def test_attention_rejects_bad_shapes():
+    x = Tensor(np.ones((3, 4), np.float32))
+    with pytest.raises(ValueError, match="heads"):
+        ad.attention(x, x, x, 3)
+    with pytest.raises(ValueError, match="must be"):
+        ad.attention(x, Tensor(np.ones((3, 2), np.float32)), x, 2)
 
 
 def test_grad_take_rows():

@@ -320,6 +320,22 @@ def test_make_sample_fields():
     np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
 
 
+def test_make_sample_renders_each_frame_once(monkeypatch):
+    times = []
+
+    def counting_render(scene, t):
+        times.append(float(t))
+        return render(scene, t)
+
+    monkeypatch.setattr(datagen, "render", counting_render)
+    s = make_sample(SCENE, 0.5, delta_t=0.05, dt_sim=1e-2)
+    # the simulation's last frame is the sample's frame
+    assert len(times) == len(set(times)) == 6 and times[-1] == 0.5
+    image, depth = render(SCENE, 0.5)
+    np.testing.assert_array_equal(s.image, image)
+    np.testing.assert_array_equal(s.depth, depth)
+
+
 def test_make_lfd_dataset_sorted_times():
     samples = make_lfd_dataset(SCENE, 5, delta_t=0.05, seed=2, dt_sim=4e-3)
     ts = [s.t for s in samples]

@@ -1,5 +1,6 @@
 """Dual-softmax matching, the attention matcher and its supervision."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,28 @@ def test_nll_loss_backward_reaches_inputs():
                             np.array([2]))
     nll_loss(p, sa, sb, gt).backward()
     assert p.grad is not None and sa.grad is not None and sb.grad is not None
+
+
+def test_training_step_memory_at_256_keypoints():
+    # bounds what one step's graph stores at the default architecture;
+    # keeping per-head logits, scaled logits and slices would exceed it
+    cfg = CAConfig()
+    matcher = CAMatcherParams.create(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    kp_a, kp_b = (kp_from(rng.normal(size=(256, cfg.desc_dim)),
+                          positions=rng.uniform(0.0, 64.0, (256, 2)))
+                  for _ in range(2))
+    gt = GroundTruthMatches(np.stack([np.arange(200), rng.permutation(256)[:200]], 1),
+                            np.arange(200, 256), np.zeros(0, np.int64))
+    tracemalloc.start()
+    try:
+        p, sa, sb = ca_scores(kp_a, kp_b, matcher)
+        nll_loss(p, sa, sb, gt).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matcher.params["layers.0.self.wq.w"].grad is not None
+    assert peak < 60 * 2**20
 
 
 # -- training and persistence ------------------------------------------------

@@ -1,9 +1,10 @@
 """Outputs pinned to recorded values.
 
-Checkpoint bytes, dataset bytes at the default 64x64 scene, RANSAC inlier
-masks and iteration counts, and the mutual-nearest matchers' outputs on
-inputs with ties were recorded once; any refactor of the code behind them
-must reproduce them exactly.
+Checkpoint bytes (fresh, and a matcher after a short training run),
+dataset bytes at the default 64x64 scene, RANSAC inlier masks and
+iteration counts, and the mutual-nearest matchers' outputs on inputs with
+ties were recorded once; any refactor of the code behind them must
+reproduce them exactly.
 """
 
 import hashlib
@@ -15,12 +16,14 @@ import pytest
 from evimatch import geometry
 from evimatch import io as eio
 from evimatch.datagen import generate_benchmark, make_lfd_dataset, make_scene
-from evimatch.extractor import ExtractorConfig, init_student, save_extractor
+from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
+                                save_extractor)
 from evimatch.geometry import (CameraIntrinsics, RigidPose,
                                estimate_essential_ransac,
                                estimate_homography_ransac, rotation_about)
-from evimatch.matching import (CAConfig, CAMatcherParams, ca_assignment,
-                               gt_assignment, mnn_match, save_matcher)
+from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
+                               MatchTrainConfig, ca_assignment, gt_assignment,
+                               mnn_match, save_matcher, train_matcher)
 from evimatch.metrics import valid_pairs
 
 INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
@@ -58,6 +61,45 @@ def test_matcher_checkpoint_bytes(tmp_path):
     save_matcher(path, CAMatcherParams.create(config, seed=0))
     assert sha256(path) == ("bffd91919ea051d8e86b4e6ffb031ca76bb7dff8"
                             "ea2f1ebf63160146a4028c3e")
+
+
+def tiny_match_examples(n_pairs, n_a, n_b, n_matched, desc_dim, seed):
+    """Two-view keypoint sets whose first n_matched keypoints of a reappear,
+    shuffled and noisy, in b; the rest of each side is unmatched."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_pairs):
+        desc_a = rng.normal(size=(n_a, desc_dim))
+        pos_a = rng.uniform(2.0, 30.0, (n_a, 2))
+        desc_b = rng.normal(size=(n_b, desc_dim))
+        pos_b = rng.uniform(2.0, 30.0, (n_b, 2))
+        cols = rng.permutation(n_b)[:n_matched]
+        desc_b[cols] = desc_a[:n_matched] + 0.1 * rng.normal(size=(n_matched, desc_dim))
+        pos_b[cols] = pos_a[:n_matched] + rng.normal(0.0, 0.5, (n_matched, 2))
+        kps = []
+        for desc, pos in ((desc_a, pos_a), (desc_b, pos_b)):
+            desc = desc / np.linalg.norm(desc, axis=1, keepdims=True)
+            kps.append(KeypointSet(pos, desc.astype(np.float32),
+                                   np.ones(len(pos), np.float32)))
+        gt = GroundTruthMatches(np.stack([np.arange(n_matched), cols], axis=1),
+                                np.arange(n_matched, n_a),
+                                np.setdiff1d(np.arange(n_b), cols))
+        out.append((kps[0], kps[1], gt))
+    return out
+
+
+def test_trained_matcher_checkpoint_bytes(tmp_path):
+    config = CAConfig(desc_dim=8, dim=8, layers=1, heads=2, pe_freqs=2,
+                      ffn_mult=2, image_size=(32, 24))
+    examples = tiny_match_examples(3, n_a=24, n_b=30, n_matched=18,
+                                   desc_dim=8, seed=7)
+    matcher, _ = train_matcher(examples, ca_config=config,
+                               config=MatchTrainConfig(lr=3e-3, epochs=2,
+                                                       batch_size=2, seed=0))
+    path = tmp_path / "matcher.ckpt"
+    save_matcher(path, matcher)
+    assert sha256(path) == ("ad93361bb62063e3993629bd282cfbcf354fe59c"
+                            "cf5d408b04420367145bdd38")
 
 
 # -- datasets ---------------------------------------------------------------
