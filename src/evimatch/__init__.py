@@ -16,8 +16,8 @@ from .datagen import (Benchmark, LFDSample, Scene, Trajectory,
                       render, simulate_events)
 from .distillation import (DistillConfig, LFDBatch, LFDLossReport, lfd_loss,
                            loss_history_csv, train_extractor)
-from .events import (EventMask, EventStream, accumulate_mask, load_events,
-                     save_events, window)
+from .events import (EventStream, accumulate_mask, load_events, save_events,
+                     window)
 from .extractor import (DenseMaps, ExtractorConfig, KeypointSet, TeacherConfig,
                         analytic_teacher, apply_event_mask, extract_keypoints,
                         forward_student, init_student, load_extractor,

@@ -52,7 +52,7 @@ _COMMAND_PARAMS = {
                      overlap_lo="0.4", overlap_hi="0.8", max_attempts="0"),
     "train-extractor": {
         "data": None, "representation": "voxel", "bins": "16",
-        "delta_t": "0.05", "lr": "0.001", "epochs": "50", "batch": "8",
+        "lr": "0.001", "epochs": "50", "batch": "8",
         "pairs": "512", "seed": "0", "loss_terms": "feats,score,desc",
         "channels": "64,64,128,128", "pools": "1,2,1,2",
         "latent_dim": "128", "desc_dim": "128",
@@ -159,14 +159,6 @@ def _echo_config(out, command, resolved):
 
 # -- shared pipeline pieces -------------------------------------------------
 
-def _student_config_from(cfg):
-    return ExtractorConfig(
-        in_channels=2 if cfg["representation"] == "time_surface" else int(cfg["bins"]),
-        channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
-        latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
-        score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]))
-
-
 def _scene_from(cfg):
     return make_scene(seed=int(cfg["seed"]), width=int(cfg["width"]),
                       height=int(cfg["height"]), n_rects=int(cfg["n_rects"]),
@@ -252,15 +244,18 @@ def cmd_train_extractor(out, cfg):
     if unknown:
         raise ValueError(f"unknown loss terms: {', '.join(sorted(unknown))}")
     dcfg = DistillConfig(
-        delta_t=float(cfg["delta_t"]), representation=cfg["representation"],
-        bins=int(cfg["bins"]), lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
+        representation=cfg["representation"], bins=int(cfg["bins"]),
+        lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch"]), n_pairs=int(cfg["pairs"]),
         seed=int(cfg["seed"]), use_feats="feats" in terms,
         use_score="score" in terms, use_desc="desc" in terms)
-    params, student_config, history = train_extractor(
-        samples, dcfg, student_config=_student_config_from(cfg),
-        log=lambda msg: print(msg))
-    save_extractor(os.path.join(out, "student.ckpt"), params, student_config)
+    student = ExtractorConfig(
+        in_channels=dcfg.input_channels,
+        channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
+        latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
+        score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]))
+    params, _, history = train_extractor(samples, dcfg, student, log=print)
+    save_extractor(os.path.join(out, "student.ckpt"), params, student)
     with open(os.path.join(out, "loss.csv"), "w") as f:
         f.write(loss_history_csv(history))
     print(f"wrote student checkpoint to {out}")
@@ -288,7 +283,7 @@ def cmd_train_matcher(out, cfg):
     tcfg = MatchTrainConfig(lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
                             batch_size=int(cfg["batch"]), seed=int(cfg["seed"]))
     matcher, history = train_matcher(examples, config=tcfg, ca_config=ca_config,
-                                     log=lambda msg: print(msg))
+                                     log=print)
     save_matcher(os.path.join(out, "matcher.ckpt"), matcher)
     with open(os.path.join(out, "loss.csv"), "w") as f:
         f.write(matcher_history_csv(history))

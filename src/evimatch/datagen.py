@@ -22,7 +22,8 @@ import numpy as np
 from .events import EventStream
 from .geometry import (CameraIntrinsics, EstimationFailed, RigidPose,
                        estimate_essential_ransac, pose_angular_errors,
-                       relative_pose, reproject_many, rotation_about)
+                       relative_pose, reproject_many, rotation_about,
+                       unproject_many)
 
 
 @dataclass(frozen=True)
@@ -364,11 +365,7 @@ def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
         proj, valid = reproject_many(px, depth_src.ravel(), scene.intrinsics,
                                      scene.intrinsics, rel)
         # reprojected camera-frame depth in the destination view
-        pts = rel.apply(np.stack([
-            (px[:, 0] - scene.intrinsics.cx) / scene.intrinsics.fx,
-            (px[:, 1] - scene.intrinsics.cy) / scene.intrinsics.fy,
-            np.ones(len(px))], axis=1) * depth_src.ravel()[:, None])
-        z = pts[:, 2]
+        z = rel.apply(unproject_many(px, depth_src.ravel(), scene.intrinsics))[:, 2]
         inside = (valid & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
                   & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
         good = np.zeros(len(px), dtype=bool)

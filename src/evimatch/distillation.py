@@ -19,17 +19,17 @@ from .autodiff import Tensor
 from .events import EventStream, accumulate_mask
 from .extractor import (ExtractorConfig, analytic_teacher,
                         forward_student_batch, init_student)
-from .optim import Adam
+from .optim import fit, history_csv
 from .representations import build_representation
 
 _REPRESENTATIONS = ("voxel", "time_surface", "stack")
+_COLUMNS = ("l_feats", "l_score", "l_desc", "l_total")
 
 
 @dataclass(frozen=True)
 class DistillConfig:
     """Training recipe for the event extractor."""
 
-    delta_t: float = 0.05
     representation: str = "voxel"
     bins: int = 16
     lr: float = 1e-3
@@ -46,8 +46,8 @@ class DistillConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.epochs <= 0 or self.batch_size <= 0 or self.n_pairs <= 0:
             raise ValueError("epochs, batch_size and n_pairs must be positive")
-        if self.lr <= 0 or self.delta_t <= 0:
-            raise ValueError("lr and delta_t must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if not (self.use_feats or self.use_score or self.use_desc):
             raise ValueError("at least one loss term must be enabled")
 
@@ -151,73 +151,42 @@ def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
         feats.append(np.asarray(maps.feats, dtype=np.float32))
         scores.append(np.asarray(maps.score, dtype=np.float32))
         descs.append(np.asarray(maps.desc, dtype=np.float32))
-        masks.append(accumulate_mask(events).mask[None].astype(np.float32))
+        masks.append(accumulate_mask(events)[None].astype(np.float32))
     return (np.stack(inputs), np.stack(feats), np.stack(scores),
             np.stack(descs), np.stack(masks))
 
 
-def default_student_config(config: DistillConfig,
-                           teacher_cfg=None) -> ExtractorConfig:
-    latent = 128 if teacher_cfg is None else teacher_cfg.latent_dim
-    desc = 128 if teacher_cfg is None else teacher_cfg.desc_dim
-    return ExtractorConfig(in_channels=config.input_channels,
-                           latent_dim=latent, desc_dim=desc)
-
-
-def train_extractor(samples, config: DistillConfig = DistillConfig(),
-                    student_config: ExtractorConfig | None = None,
-                    teacher=None, log=None):
+def train_extractor(samples, config: DistillConfig,
+                    student_config: ExtractorConfig, teacher=None, log=None):
     """Distill the event extractor; returns (params, student_config, history).
 
-    Runs config.epochs epochs of Adam with a cosine schedule over at most
-    config.n_pairs samples.  The teacher is evaluated once up front and
-    never updated.  history is one row per epoch with the mean of each loss
-    term; a non-finite total aborts immediately, naming the epoch.  The
+    Trains a fresh student (seeded by config.seed) with ``optim.fit`` on the
+    LFD loss over at most config.n_pairs samples; fit's rows are the epoch
+    means of l_feats, l_score, l_desc and l_total, and the params come back
+    frozen.  The teacher is evaluated once up front and never updated.  The
     whole run is a pure function of the samples and the two configs.
     """
     samples = list(samples)[:config.n_pairs]
     if not samples:
         raise ValueError("no training samples provided")
-    if student_config is None:
-        student_config = default_student_config(config)
     if student_config.in_channels != config.input_channels:
         raise ValueError(
             f"student expects {student_config.in_channels} input channels but the "
             f"{config.representation!r} representation yields {config.input_channels}")
 
     xs, tf, ts, td, ms = prepare_batch_arrays(samples, config, teacher)
-    n = len(samples)
-    rng = np.random.default_rng(config.seed)
     params = init_student(student_config, seed=config.seed)
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    opt = Adam(params, lr=config.lr,
-               total_steps=config.epochs * steps_per_epoch)
 
-    history = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        sums = np.zeros(4)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            feats, score, desc = forward_student_batch(xs[idx], params, student_config)
-            batch = LFDBatch(xs[idx], tf[idx], ts[idx], td[idx], ms[idx])
-            report = lfd_loss(feats, score, desc, batch, config)
-            if not np.isfinite(report.l_total):
-                raise RuntimeError(
-                    f"non-finite distillation loss at epoch {epoch}; aborting")
-            report.total.backward()
-            opt.step()
-            sums += (report.l_feats, report.l_score, report.l_desc, report.l_total)
-        row = (epoch,) + tuple(sums / steps_per_epoch)
-        history.append(row)
-        if log is not None:
-            log("epoch %d l_feats=%.6f l_score=%.6f l_desc=%.6f l_total=%.6f" % row)
+    def batch_loss(idx):
+        feats, score, desc = forward_student_batch(xs[idx], params, student_config)
+        batch = LFDBatch(xs[idx], tf[idx], ts[idx], td[idx], ms[idx])
+        r = lfd_loss(feats, score, desc, batch, config)
+        return r.total, (r.l_feats, r.l_score, r.l_desc, r.l_total)
+
+    history = fit(params, len(samples), config, batch_loss, _COLUMNS, log)
     return params, student_config, history
 
 
 def loss_history_csv(history) -> str:
-    """Render training history as CSV with a fixed header."""
-    lines = ["epoch,l_feats,l_score,l_desc,l_total"]
-    for epoch, lf, lsc, ld, lt in history:
-        lines.append(f"{int(epoch)},{lf:.8f},{lsc:.8f},{ld:.8f},{lt:.8f}")
-    return "\n".join(lines) + "\n"
+    """Render train_extractor's history as CSV with a fixed header."""
+    return history_csv(_COLUMNS, history)

@@ -92,19 +92,6 @@ class EventStream:
         return 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class EventMask:
-    """Binary per-pixel activity map: 1 where at least one event fired."""
-
-    mask: np.ndarray  # (H, W) uint8 in {0, 1}
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.mask, dtype=np.uint8)
-        if m.ndim != 2:
-            raise ValueError("mask must be 2-D")
-        object.__setattr__(self, "mask", m)
-
-
 def window(stream: EventStream, t_end: float, delta_t: float) -> EventStream:
     """Cut the closed window [t_end - delta_t, t_end] from a stream.
 
@@ -123,11 +110,11 @@ def window(stream: EventStream, t_end: float, delta_t: float) -> EventStream:
     )
 
 
-def accumulate_mask(stream: EventStream) -> EventMask:
-    """Binary map of pixels that saw at least one event."""
+def accumulate_mask(stream: EventStream) -> np.ndarray:
+    """(H, W) uint8 map: 1 where at least one event fired, else 0."""
     m = np.zeros((stream.height, stream.width), dtype=np.uint8)
     m[stream.ys, stream.xs] = 1
-    return EventMask(m)
+    return m
 
 
 def save_events(path, stream: EventStream):

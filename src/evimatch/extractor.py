@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .events import EventMask
 from .optim import load_module, save_module
 from .representations import EventTensor
 
@@ -342,9 +341,10 @@ def normalize_desc(desc_map):
     return (d / safe).astype(d.dtype)
 
 
-def apply_event_mask(maps: DenseMaps, mask: EventMask) -> DenseMaps:
-    """Gate the score map by event support; feats and desc pass through."""
-    m = mask.mask
+def apply_event_mask(maps: DenseMaps, mask) -> DenseMaps:
+    """Gate the score map by an (H, W) event mask (``accumulate_mask``);
+    feats and desc pass through."""
+    m = np.asarray(mask)
     score = maps.score
     sh = _as_array(score).shape
     if sh[-2:] != m.shape:
@@ -470,14 +470,14 @@ def save_extractor(path, params, config: ExtractorConfig):
     save_module(path, config, params)
 
 
-def load_extractor(path, trainable=False):
-    """Load (params, config) from a checkpoint written by save_extractor.
+def load_extractor(path):
+    """Load frozen (params, config) from a checkpoint written by save_extractor.
 
     Malformed architecture entries, and missing, extra or mis-shaped
     parameters, raise ValueError with the offending name.
     """
     return load_module(path, ExtractorConfig,
-                       lambda c: {n: s for n, s, _ in _student_layout(c)}, trainable)
+                       lambda c: {n: s for n, s, _ in _student_layout(c)})
 
 
 def load_teacher_checkpoint(path):
@@ -486,7 +486,7 @@ def load_teacher_checkpoint(path):
     The checkpoint must describe a 1-channel extractor; the closure maps a
     grayscale image in [0, 1] to detached DenseMaps.
     """
-    params, config = load_extractor(path, trainable=False)
+    params, config = load_extractor(path)
     if config.in_channels != 1:
         raise ValueError(
             f"{path}: teacher must take 1 input channel, got {config.in_channels}")

@@ -178,13 +178,6 @@ class PoseEstimate:
     iterations: int = field(default=0, compare=False)
 
 
-def _normalized_coords(pts, intr):
-    p = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    return np.stack([(p[:, 0] - intr.cx) / intr.fx,
-                     (p[:, 1] - intr.cy) / intr.fy,
-                     np.ones(len(p))], axis=1)
-
-
 def _eight_point(x1, x2):
     # x2^T E x1 = 0 solved on Hartley-conditioned coordinates; even in
     # camera-normalized units the constant column dominates the Kronecker
@@ -311,8 +304,8 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     cheirality check.  Deterministic for a fixed seed.
     """
     pts1, pts2 = _matched_points(pts1, pts2, 8)
-    x1 = _normalized_coords(pts1, intr1)
-    x2 = _normalized_coords(pts2, intr2)
+    x1 = unproject_many(pts1, np.ones(len(pts1)), intr1)
+    x2 = unproject_many(pts2, np.ones(len(pts2)), intr2)
     f_avg = (intr1.fx + intr1.fy + intr2.fx + intr2.fy) / 4.0
     thr_sq = (threshold_px / f_avg) ** 2
 

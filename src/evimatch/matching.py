@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .extractor import _as_array, _descriptors, _positions, bilinear_sample_np
 from .geometry import CameraIntrinsics, RigidPose, relative_pose, reproject_many
-from .optim import Adam, load_module, save_module
+from .optim import fit, history_csv, load_module, save_module
 
 
 @dataclass
@@ -138,20 +138,19 @@ class CAMatcherParams:
     params: dict
 
     @classmethod
-    def create(cls, config: CAConfig = CAConfig(), seed: int = 0,
-               dtype=np.float32):
+    def create(cls, config: CAConfig = CAConfig(), seed: int = 0):
         rng = np.random.default_rng(seed)
         p = {}
         for name, shape in _matcher_layout(config):
             if name.endswith(".w"):  # linear weight (n_in, n_out)
-                data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape).astype(dtype)
+                data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape)
             elif name.endswith(".g"):  # layer-norm gain
-                data = np.ones(shape, dtype)
+                data = np.ones(shape)
             elif name == "logit_scale":
-                data = np.asarray(math.log(10.0), dtype)
+                data = np.asarray(math.log(10.0))
             else:  # biases
-                data = np.zeros(shape, dtype)
-            p[name] = Tensor(data, requires_grad=True)
+                data = np.zeros(shape)
+            p[name] = Tensor(data.astype(np.float32), requires_grad=True)
         return cls(config, p)
 
 
@@ -427,61 +426,36 @@ class MatchTrainConfig:
 
 def train_matcher(examples, matcher: CAMatcherParams | None = None,
                   config: MatchTrainConfig = MatchTrainConfig(),
-                  ca_config: CAConfig | None = None, log=None):
+                  ca_config: CAConfig = CAConfig(), log=None):
     """Train the matcher on (kp_a, kp_b, GroundTruthMatches) triples.
 
-    Adam with a cosine schedule; each step averages the per-pair losses of
-    one minibatch.  A non-finite batch loss aborts with the step index.
-    Returns (matcher, history) with one (epoch, mean loss) row per epoch.
+    Trains ``matcher`` (default: a fresh ca_config matcher seeded by
+    config.seed) with ``optim.fit``; each step averages the per-pair
+    losses of one minibatch.  Returns (matcher, history) with one (epoch,
+    mean loss) row per epoch; the matcher's params come back frozen.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples provided")
     if matcher is None:
-        if ca_config is None:
-            desc_dim = _descriptors(examples[0][0]).shape[1]
-            ca_config = CAConfig(desc_dim=desc_dim)
         matcher = CAMatcherParams.create(ca_config, seed=config.seed)
 
-    n = len(examples)
-    rng = np.random.default_rng(config.seed)
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    opt = Adam(matcher.params, lr=config.lr,
-               total_steps=config.epochs * steps_per_epoch)
-    history = []
-    step = 0
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            losses = []
-            for i in idx:
-                kp_a, kp_b, gt = examples[i]
-                p, sa, sb = ca_scores(kp_a, kp_b, matcher)
-                losses.append(nll_loss(p, sa, sb, gt))
-            batch_loss = losses[0]
-            for t in losses[1:]:
-                batch_loss = ad.add(batch_loss, t)
-            batch_loss = ad.mul(batch_loss, _scalar_like(1.0 / len(losses), batch_loss))
-            if not np.isfinite(batch_loss.data):
-                raise RuntimeError(
-                    f"non-finite matching loss at step {step}; aborting")
-            batch_loss.backward()
-            opt.step()
-            total += float(batch_loss.data)
-            step += 1
-        history.append((epoch, total / steps_per_epoch))
-        if log is not None:
-            log("epoch %d loss=%.6f" % history[-1])
+    def batch_loss(idx):
+        losses = [nll_loss(*ca_scores(kp_a, kp_b, matcher), gt)
+                  for kp_a, kp_b, gt in (examples[i] for i in idx)]
+        total = losses[0]
+        for t in losses[1:]:
+            total = ad.add(total, t)
+        total = ad.mul(total, _scalar_like(1.0 / len(losses), total))
+        return total, (float(total.data),)
+
+    history = fit(matcher.params, len(examples), config, batch_loss, ("loss",), log)
     return matcher, history
 
 
 def matcher_history_csv(history) -> str:
-    lines = ["epoch,loss"]
-    for epoch, loss in history:
-        lines.append(f"{int(epoch)},{loss:.8f}")
-    return "\n".join(lines) + "\n"
+    """Render train_matcher's history as CSV: epoch,loss."""
+    return history_csv(("loss",), history)
 
 
 # -- persistence ----------------------------------------------------------
@@ -491,9 +465,9 @@ def save_matcher(path, matcher: CAMatcherParams):
     save_module(path, matcher.config, matcher.params)
 
 
-def load_matcher(path, trainable=False) -> CAMatcherParams:
+def load_matcher(path) -> CAMatcherParams:
     """Load a matcher; malformed architecture entries and missing, extra or
     mis-shaped params raise ValueError by name."""
     params, config = load_module(path, CAConfig,
-                                 lambda c: dict(_matcher_layout(c)), trainable)
+                                 lambda c: dict(_matcher_layout(c)))
     return CAMatcherParams(config, params)

@@ -1,5 +1,9 @@
-"""Optimization utilities: Adam with a cosine learning-rate schedule, plus
+"""Training and persistence: the one minibatch training loop, ``fit``,
+with Adam on a cosine learning-rate schedule; the per-epoch loss CSV; and
 the binary checkpoint format used to persist parameter dictionaries.
+
+Both learners (the distilled event extractor and the context-aware
+matcher) train through ``fit``; they differ only in the loss they hand it.
 
 A module checkpoint also embeds the config dataclass that built the
 parameters.  Each config field comes first, in field order, as a float32
@@ -73,6 +77,54 @@ class Adam:
             p.grad = None
 
 
+def fit(params, n, recipe, batch_loss, columns, log=None):
+    """Train params on n items; returns one (epoch, *column means) row per epoch.
+
+    recipe is any config with ``lr``, ``epochs``, ``batch_size`` and
+    ``seed``.  Every epoch visits the items in a fresh permutation drawn
+    from ``default_rng(recipe.seed)``, batch_size at a time (the last batch
+    may be short), and takes one Adam step per batch on a cosine schedule
+    that spans all epochs.  ``batch_loss(idx)`` returns (loss Tensor, one
+    value per column).  A non-finite loss aborts before its backward pass,
+    naming the epoch and the global step.  Column means accumulate in
+    float64 in step order; ``log`` receives ``epoch E name=value ...`` per
+    epoch.  params become trainable for the run and come back frozen, so
+    inference on the result records no graph.
+    """
+    for p in params.values():
+        p.requires_grad = True
+    rng = np.random.default_rng(recipe.seed)
+    steps_per_epoch = (n + recipe.batch_size - 1) // recipe.batch_size
+    opt = Adam(params, lr=recipe.lr, total_steps=recipe.epochs * steps_per_epoch)
+    history = []
+    for epoch in range(recipe.epochs):
+        perm = rng.permutation(n)
+        sums = np.zeros(len(columns))
+        for start in range(0, n, recipe.batch_size):
+            loss, values = batch_loss(perm[start:start + recipe.batch_size])
+            if not np.isfinite(loss.data):
+                raise RuntimeError(
+                    f"non-finite loss at epoch {epoch}, step {opt.t}; aborting")
+            loss.backward()
+            opt.step()
+            sums += values
+        history.append((epoch, *(sums / steps_per_epoch).tolist()))
+        if log is not None:
+            log(" ".join([f"epoch {epoch}"] + [
+                f"{c}={v:.6f}" for c, v in zip(columns, history[-1][1:])]))
+    for p in params.values():
+        p.requires_grad = False
+    return history
+
+
+def history_csv(columns, history) -> str:
+    """Render fit's rows as CSV: an ``epoch`` column, then 8 decimals."""
+    lines = [",".join(("epoch", *columns))]
+    for epoch, *values in history:
+        lines.append(",".join([str(int(epoch))] + [f"{v:.8f}" for v in values]))
+    return "\n".join(lines) + "\n"
+
+
 def save_checkpoint(path, params):
     """Write a parameter dict in the binary checkpoint format.
 
@@ -140,8 +192,8 @@ def save_module(path, config, params):
     save_checkpoint(path, blob)
 
 
-def load_module(path, config_cls, param_shapes, trainable=False):
-    """Read (params, config) from a checkpoint written by save_module.
+def load_module(path, config_cls, param_shapes):
+    """Read frozen (params, config) from a checkpoint written by save_module.
 
     ``param_shapes(config)`` gives the expected name -> shape dict without
     allocating anything, so a checkpoint that declares huge sizes costs no
@@ -179,6 +231,5 @@ def load_module(path, config_cls, param_shapes, trainable=False):
     for name in loaded:
         if name not in expected:
             raise ValueError(f"{path}: unexpected parameter {name}")
-    params = {name: Tensor(loaded[name], requires_grad=trainable)
-              for name in expected}
+    params = {name: Tensor(loaded[name]) for name in expected}
     return params, config

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from evimatch.autodiff import Tensor
-from evimatch.distillation import (DistillConfig, LFDBatch,
-                                   default_student_config, lfd_loss,
+from evimatch.distillation import (DistillConfig, LFDBatch, lfd_loss,
                                    loss_history_csv, prepare_batch_arrays,
                                    train_extractor)
 from evimatch.events import EventStream
 from evimatch.extractor import (ExtractorConfig, TeacherConfig,
-                                analytic_teacher, init_student)
+                                analytic_teacher, forward_student, init_student)
+from evimatch.representations import build_representation
 
 
 def test_config_validation():
@@ -144,12 +144,6 @@ def test_prepare_batch_rejects_non_stream():
         prepare_batch_arrays([(np.zeros(3), np.zeros((16, 16)))], RECIPE)
 
 
-def test_default_student_config_tracks_teacher():
-    cfg = default_student_config(RECIPE, SMALL_TEACHER)
-    assert cfg.in_channels == 4
-    assert cfg.latent_dim == 8 and cfg.desc_dim == 8
-
-
 def test_train_extractor_loss_decreases():
     params, cfg, history = train_extractor(
         training_samples(), RECIPE, student_config=STUDENT,
@@ -167,6 +161,18 @@ def test_train_extractor_deterministic():
     p2, _, h2 = train_extractor(training_samples(), **kw)
     assert h1 == h2
     assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+
+def test_train_extractor_returns_frozen_params():
+    params, cfg, _ = train_extractor(
+        training_samples(), DistillConfig(representation="voxel", bins=4,
+                                          epochs=1, batch_size=4, seed=0),
+        STUDENT, teacher=small_teacher)
+    assert not any(p.requires_grad for p in params.values())
+    events = training_samples(n=1)[0][0]
+    maps = forward_student(build_representation(events, "voxel", bins=4),
+                           params, cfg)
+    assert not maps.score.requires_grad and not maps.desc.requires_grad
 
 
 def test_train_extractor_channel_mismatch():

@@ -81,10 +81,10 @@ def test_window_rejects_nonpositive_delta():
 def test_accumulate_mask_marks_event_pixels():
     s = EventStream([1, 1, 3], [2, 2, 0], [0.0, 0.1, 0.2], [1, -1, 1], 4, 4)
     m = accumulate_mask(s)
-    assert m.mask.shape == (4, 4)
-    assert m.mask[2, 1] == 1 and m.mask[0, 3] == 1
-    assert m.mask.sum() == 2
-    assert m.mask.mean() == pytest.approx(2 / 16)
+    assert m.shape == (4, 4) and m.dtype == np.uint8
+    assert m[2, 1] == 1 and m[0, 3] == 1
+    assert m.sum() == 2
+    assert m.mean() == pytest.approx(2 / 16)
 
 
 def test_binary_roundtrip_exact(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evimatch.autodiff import Tensor
-from evimatch.events import EventMask
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 TeacherConfig, analytic_teacher,
                                 apply_event_mask, bilinear_sample_np,
@@ -168,7 +167,7 @@ def test_apply_event_mask_gates_score():
                      np.zeros((4, 4, 4), np.float32))
     mask = np.zeros((4, 4), np.uint8)
     mask[1, 2] = 1
-    gated = apply_event_mask(maps, EventMask(mask))
+    gated = apply_event_mask(maps, mask)
     assert gated.score[0, 1, 2] == 1.0
     assert gated.score.sum() == 1.0
 
@@ -178,7 +177,7 @@ def test_apply_event_mask_shape_mismatch():
                      np.ones((1, 4, 4), np.float32),
                      np.zeros((4, 4, 4), np.float32))
     with pytest.raises(ValueError, match="mask shape"):
-        apply_event_mask(maps, EventMask(np.zeros((3, 3), np.uint8)))
+        apply_event_mask(maps, np.zeros((3, 3), np.uint8))
 
 
 def brute_force_nms(score, radius):
@@ -313,8 +312,6 @@ def test_save_load_extractor_roundtrip(tmp_path):
     for k in params:
         np.testing.assert_array_equal(back[k].data, params[k].data)
         assert not back[k].requires_grad
-    trainable, _ = load_extractor(path, trainable=True)
-    assert all(p.requires_grad for p in trainable.values())
 
 
 def test_load_extractor_missing_param(tmp_path):

@@ -314,6 +314,30 @@ def test_training_step_memory_at_256_keypoints():
     assert peak < 60 * 2**20
 
 
+def test_ca_match_after_training_records_no_graph():
+    # the trained params come back frozen, so inference builds no backward
+    # graph: one 512-keypoint call peaks near 10 MiB instead of near 95
+    cfg = CAConfig()
+    rng = np.random.default_rng(0)
+    small = [kp_from(rng.normal(size=(8, cfg.desc_dim)),
+                     positions=rng.uniform(0.0, 64.0, (8, 2))) for _ in range(2)]
+    gt = GroundTruthMatches(np.stack([np.arange(8)] * 2, 1),
+                            np.zeros(0, np.int64), np.zeros(0, np.int64))
+    matcher, _ = train_matcher([(small[0], small[1], gt)], ca_config=cfg,
+                               config=MatchTrainConfig(epochs=1, batch_size=1))
+    assert not any(p.requires_grad for p in matcher.params.values())
+    kp_a, kp_b = (kp_from(rng.normal(size=(512, cfg.desc_dim)),
+                          positions=rng.uniform(0.0, 64.0, (512, 2)))
+                  for _ in range(2))
+    tracemalloc.start()
+    try:
+        ca_match(kp_a, kp_b, matcher)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 # -- training and persistence ------------------------------------------------
 
 def make_examples(n_pairs=3, k=6, seed=0):
@@ -348,6 +372,17 @@ def test_train_matcher_deterministic():
     assert h1 == h2
     assert all(np.array_equal(m1.params[k].data, m2.params[k].data)
                for k in m1.params)
+
+
+def test_train_matcher_trains_a_frozen_matcher():
+    # a loaded checkpoint is frozen; training it again still moves it
+    matcher = CAMatcherParams.create(CFG, seed=0)
+    frozen = CAMatcherParams(CFG, {k: Tensor(v.data.copy())
+                                   for k, v in matcher.params.items()})
+    train_matcher(make_examples(), matcher=frozen,
+                  config=MatchTrainConfig(lr=1e-3, epochs=1, batch_size=3))
+    assert not np.array_equal(frozen.params["in_proj.w"].data,
+                              matcher.params["in_proj.w"].data)
 
 
 def test_train_matcher_empty_examples():

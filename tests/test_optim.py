@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from evimatch.extractor import (ExtractorConfig, init_student, load_extractor,
                                 save_extractor)
 from evimatch.matching import (CAConfig, CAMatcherParams, load_matcher,
                                save_matcher)
-from evimatch.optim import Adam, cosine_lr, load_checkpoint, save_checkpoint
+from evimatch.optim import (Adam, cosine_lr, fit, history_csv, load_checkpoint,
+                            save_checkpoint)
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -78,6 +80,80 @@ def test_adam_converges_on_quadratic():
         loss.backward()
         opt.step()
     assert np.abs(p.data).max() < 1e-3
+
+
+# -- fit ------------------------------------------------------------------
+
+TARGETS = np.array([1.0, -2.0, 0.5, 3.0, -1.5])  # one scalar item each
+
+
+def quadratic(calls, nan_at=None):
+    """fit's batch_loss for x pulled towards each item's target: the mean of
+    (x - c_i)^2 over the batch.  Records (idx, values) per call and returns
+    a NaN loss on call nan_at."""
+    x = Tensor(np.zeros(1, np.float32))  # frozen: fit makes it trainable
+
+    def batch_loss(idx):
+        terms = [ad.square(ad.sub(x, Tensor(np.float32([TARGETS[i]])))) for i in idx]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        loss = ad.mul(ad.sum_all(total), Tensor(np.float32(1.0 / len(idx))))
+        if len(calls) == nan_at:
+            loss = ad.mul(loss, Tensor(np.float32(np.nan)))
+        values = (float(loss.data), float(len(idx)))
+        calls.append((idx.tolist(), values))
+        return loss, values
+
+    return {"x": x}, batch_loss
+
+
+RECIPE = SimpleNamespace(lr=0.1, epochs=3, batch_size=2, seed=4)
+
+
+def test_fit_rows_are_epoch_means_in_step_order():
+    calls, log = [], []
+    params, batch_loss = quadratic(calls)
+    history = fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"),
+                  log=log.append)
+    assert len(calls) == 9  # 3 steps per epoch: 2, 2 and 1 items
+    for epoch, row in enumerate(history):
+        sums = [0.0, 0.0]
+        for _, values in calls[3 * epoch:3 * epoch + 3]:
+            sums = [a + b for a, b in zip(sums, values)]
+        assert row == (epoch, sums[0] / 3, sums[1] / 3)
+        assert log[epoch] == "epoch %d loss=%.6f size=%.6f" % row
+    assert history[-1][1] < history[0][1]
+    assert history_csv(("loss", "size"), history).splitlines()[:2] == [
+        "epoch,loss,size", "0,%.8f,1.66666667" % history[0][1]]
+
+
+def test_fit_visits_each_index_once_per_epoch():
+    calls = []
+    params, batch_loss = quadratic(calls)
+    fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"))
+    rng = np.random.default_rng(RECIPE.seed)
+    for epoch in range(RECIPE.epochs):
+        order = sum((idx for idx, _ in calls[3 * epoch:3 * epoch + 3]), [])
+        assert order == rng.permutation(len(TARGETS)).tolist()
+    assert [len(idx) for idx, _ in calls] == [2, 2, 1] * 3
+
+
+def test_fit_abort_names_epoch_and_global_step():
+    calls = []
+    params, batch_loss = quadratic(calls, nan_at=4)
+    with pytest.raises(RuntimeError, match=r"at epoch 1, step 4; aborting"):
+        fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"))
+    # the check runs before backward: the NaN never reached the parameter
+    assert params["x"].grad is None and np.isfinite(params["x"].data).all()
+
+
+def test_fit_trains_then_freezes_params():
+    params, batch_loss = quadratic([])
+    fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"))
+    assert params["x"].data[0] != 0.0  # trained although handed in frozen
+    assert not params["x"].requires_grad
+    assert not ad.square(params["x"]).requires_grad
 
 
 def test_checkpoint_roundtrip(tmp_path):

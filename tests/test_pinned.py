@@ -1,7 +1,7 @@
 """Outputs pinned to recorded values.
 
-Checkpoint bytes (fresh, and a matcher after a short training run),
-dataset bytes at the default 64x64 scene, RANSAC inlier masks and
+Checkpoint bytes (fresh, and an extractor and a matcher after short
+training runs, with their loss CSVs and log lines), dataset bytes at the default 64x64 scene, RANSAC inlier masks and
 iteration counts, and the mutual-nearest matchers' outputs on inputs with
 ties were recorded once; any refactor of the code behind them must
 reproduce them exactly.
@@ -16,6 +16,8 @@ import pytest
 from evimatch import geometry
 from evimatch import io as eio
 from evimatch.datagen import generate_benchmark, make_lfd_dataset, make_scene
+from evimatch.distillation import (DistillConfig, loss_history_csv,
+                                   train_extractor)
 from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
                                 save_extractor)
 from evimatch.geometry import (CameraIntrinsics, RigidPose,
@@ -23,7 +25,8 @@ from evimatch.geometry import (CameraIntrinsics, RigidPose,
                                estimate_homography_ransac, rotation_about)
 from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                MatchTrainConfig, ca_assignment, gt_assignment,
-                               mnn_match, save_matcher, train_matcher)
+                               matcher_history_csv, mnn_match, save_matcher,
+                               train_matcher)
 from evimatch.metrics import valid_pairs
 
 INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
@@ -93,13 +96,44 @@ def test_trained_matcher_checkpoint_bytes(tmp_path):
                       ffn_mult=2, image_size=(32, 24))
     examples = tiny_match_examples(3, n_a=24, n_b=30, n_matched=18,
                                    desc_dim=8, seed=7)
-    matcher, _ = train_matcher(examples, ca_config=config,
-                               config=MatchTrainConfig(lr=3e-3, epochs=2,
-                                                       batch_size=2, seed=0))
+    log = []
+    matcher, history = train_matcher(examples, ca_config=config,
+                                     config=MatchTrainConfig(lr=3e-3, epochs=2,
+                                                             batch_size=2, seed=0),
+                                     log=log.append)
     path = tmp_path / "matcher.ckpt"
     save_matcher(path, matcher)
     assert sha256(path) == ("ad93361bb62063e3993629bd282cfbcf354fe59c"
                             "cf5d408b04420367145bdd38")
+    assert matcher_history_csv(history) == "epoch,loss\n0,6.73042488\n1,5.64935303\n"
+    assert log == ["epoch 0 loss=6.730425", "epoch 1 loss=5.649353"]
+
+
+def test_trained_extractor_checkpoint_bytes(tmp_path):
+    # three 32x24 samples at batch size 2: each epoch averages a full and a
+    # partial batch, against the default analytic teacher
+    scene = make_scene(seed=3, width=32, height=24)
+    samples = make_lfd_dataset(scene, 3, seed=3, dt_sim=0.01)
+    student = ExtractorConfig(in_channels=4, channels=(4, 8), pools=(2, 2),
+                              latent_dim=128, desc_dim=128, score_head=(4, 4),
+                              desc_head=(8, 8))
+    recipe = DistillConfig(representation="voxel", bins=4, lr=3e-3, epochs=2,
+                           batch_size=2, seed=0)
+    log = []
+    params, config, history = train_extractor(samples, recipe,
+                                              student_config=student,
+                                              log=log.append)
+    path = tmp_path / "student.ckpt"
+    save_extractor(path, params, config)
+    assert sha256(path) == ("62afc289fb74417f3f1f0cddd0441baf8e9dba4c"
+                            "dea84d16deb43868b2e6c7c2")
+    assert loss_history_csv(history) == (
+        "epoch,l_feats,l_score,l_desc,l_total\n"
+        "0,0.14808773,0.10861790,0.08966396,0.34636959\n"
+        "1,0.10086456,0.09494041,0.07895313,0.27475809\n")
+    assert log == [
+        "epoch 0 l_feats=0.148088 l_score=0.108618 l_desc=0.089664 l_total=0.346370",
+        "epoch 1 l_feats=0.100865 l_score=0.094940 l_desc=0.078953 l_total=0.274758"]
 
 
 # -- datasets ---------------------------------------------------------------
