@@ -25,13 +25,12 @@ from .extractor import (ExtractorConfig, analytic_teacher, apply_event_mask,
                         extract_keypoints, forward_student, load_extractor,
                         load_teacher_checkpoint, save_extractor)
 from .geometry import (EstimationFailed, estimate_essential_ransac,
-                       estimate_homography_ransac, pose_angular_errors,
-                       relative_pose)
+                       pose_angular_errors, relative_pose)
 from .matching import (CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
-from .metrics import (he_metrics, mma_mr, repeatability, report_csv,
-                      report_text, rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
+from .metrics import (mma_mr, repeatability, report_csv, report_text,
+                      rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
 from .representations import build_representation, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
@@ -69,7 +68,7 @@ _COMMAND_PARAMS = {
     "eval": dict(_EXTRACT_PARAMS, data=None, mode=None, extractor=None,
                  matcher="mnn", matcher_ckpt="", threshold="0.1",
                  eps="3.0", ransac_px="1.0",
-                 rpe_thresholds="5,10,20", he_thresholds="3,5,10", seed="0"),
+                 rpe_thresholds="5,10,20", seed="0"),
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
                 index_b="-1", k="256", matcher="mnn", matcher_ckpt="",
                 threshold="0.1", eps="3.0"),
@@ -254,7 +253,7 @@ def cmd_train_extractor(out, cfg):
         channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
         latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
         score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]))
-    params, _, history = train_extractor(samples, dcfg, student, log=print)
+    params, history = train_extractor(samples, dcfg, student, log=print)
     save_extractor(os.path.join(out, "student.ckpt"), params, student)
     with open(os.path.join(out, "loss.csv"), "w") as f:
         f.write(loss_history_csv(history))
@@ -335,19 +334,18 @@ def cmd_match(out, cfg):
 
 
 def _eval_keypoints(samples, cfg, params, config, match_fn, eps):
-    h_id = np.eye(3)
     reps, vdds, vdas, mmas, mrs = [], [], [], [], []
     for sample in samples:
         kp_a = _event_keypoints(sample, cfg, params, config)
         kp_b = _image_keypoints(sample, cfg)
         if len(kp_a) + len(kp_b) > 0:
-            reps.append(repeatability(kp_a, kp_b, h_id, eps))
-        pairs = valid_pairs(kp_a, kp_b, h_id, eps)
+            reps.append(repeatability(kp_a, kp_b, eps))
+        pairs = valid_pairs(kp_a, kp_b, eps)
         if len(pairs):
             vdd, vda = vdd_vda(pairs, kp_a, kp_b)
             vdds.append(vdd)
             vdas.append(vda)
-        mma, mr = mma_mr(match_fn(kp_a, kp_b), kp_a, kp_b, h_id, eps)
+        mma, mr = mma_mr(match_fn(kp_a, kp_b), kp_a, kp_b, eps)
         mrs.append(mr)
         if mma is not None:
             mmas.append(mma)
@@ -398,31 +396,8 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
     return entries
 
 
-def _eval_he(samples, width, height, cfg, params, config, match_fn):
-    h_id = np.eye(3)
-    estimates, gts = [], []
-    for sample in samples:
-        kp_a = _event_keypoints(sample, cfg, params, config)
-        kp_b = _image_keypoints(sample, cfg)
-        assignment = match_fn(kp_a, kp_b)
-        h_est = None
-        if len(assignment) >= 4:
-            try:
-                h_est, _ = estimate_homography_ransac(
-                    kp_a.positions[assignment.matches[:, 0]],
-                    kp_b.positions[assignment.matches[:, 1]],
-                    threshold_px=float(cfg["ransac_px"]), seed=int(cfg["seed"]))
-            except EstimationFailed:
-                h_est = None
-        estimates.append(h_est)
-        gts.append(h_id)
-    _, entries = he_metrics(estimates, gts, _floats(cfg["he_thresholds"]),
-                            width, height)
-    return [("n_samples", None, float(len(samples)))] + entries
-
-
 def cmd_eval(out, cfg):
-    samples, intr, width, height = eio.load_dataset(cfg["data"])
+    samples, intr, _, _ = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
     match_fn = _make_matcher(cfg)
     mode = cfg["mode"]
@@ -432,10 +407,8 @@ def cmd_eval(out, cfg):
     elif mode == "rpe":
         pairs = eio.load_pairs(os.path.join(cfg["data"], "pairs.txt"))
         entries = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
-    elif mode == "he":
-        entries = _eval_he(samples, width, height, cfg, params, config, match_fn)
     else:
-        raise ValueError(f"unknown eval mode {mode!r} (keypoints, rpe or he)")
+        raise ValueError(f"unknown eval mode {mode!r} (keypoints or rpe)")
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))
     with open(os.path.join(out, "report.csv"), "w") as f:

@@ -312,22 +312,14 @@ def events_from_log_frames(log_frames, times, contrast: float,
                        t_end=float(times[-1]) if t_end is None else t_end)
 
 
-def simulate_events(scene: Scene, t_start: float, t_end: float,
-                    contrast: float = 0.2, dt_sim: float = 1e-3) -> EventStream:
-    """Simulate the event camera over [t_start, t_end].
+def _simulate(scene, t_start, t_end, contrast, dt_sim):
+    """Simulate the event camera over [t_start, t_end]; returns the
+    EventStream and the (image, depth) render at t_end.
 
     The renderer is sampled every dt_sim seconds (endpoints included) and
-    the log intensities drive the contrast-threshold model.  A static
-    camera yields an empty stream.
-    """
-    return _simulate(scene, t_start, t_end, contrast, dt_sim)[0]
-
-
-def _simulate(scene, t_start, t_end, contrast, dt_sim):
-    """simulate_events plus the (image, depth) render at t_end.
-
-    linspace ends exactly at t_end, so the last simulated frame is the
-    frame at t_end and a caller that needs it does not render it again.
+    the log intensities drive the contrast-threshold model, so a static
+    camera yields an empty stream.  linspace ends exactly at t_end, so the
+    last simulated frame is the frame at t_end and is not rendered again.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")

@@ -80,7 +80,6 @@ class LFDLossReport:
     l_score: float
     l_desc: float
     l_total: float
-    empty_mask: bool
     total: Tensor = field(repr=False, default=None)
 
 
@@ -91,7 +90,7 @@ def lfd_loss(student_feats, student_score, student_desc, batch: LFDBatch,
     The feature term is an unmasked mean over every latent cell; the score
     and descriptor terms average only over event-supported pixels, pooled
     across the whole batch.  A batch whose masks are all zero contributes
-    nothing through the masked terms (flagged, not NaN).  Disabled terms
+    nothing through the masked terms (zero, not NaN).  Disabled terms
     are exactly zero and never enter the graph.
     """
     mask = np.asarray(batch.masks, dtype=np.float32)
@@ -122,43 +121,36 @@ def lfd_loss(student_feats, student_score, student_desc, batch: LFDBatch,
             total = ad.add(total, t)
     else:
         total = Tensor(np.float32(0.0))
-    return LFDLossReport(l_feats, l_score, l_desc, float(total.data), empty, total)
-
-
-def _sample_fields(sample):
-    if hasattr(sample, "events") and hasattr(sample, "image"):
-        return sample.events, sample.image
-    events, image = sample[0], sample[1]
-    return events, image
+    return LFDLossReport(l_feats, l_score, l_desc, float(total.data), total)
 
 
 def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
     """Precompute inputs, teacher targets and masks for a sample list.
 
-    samples are (EventStream, image) pairs or objects exposing .events and
-    .image; the streams are assumed to already be the observation windows.
-    teacher defaults to the analytic image teacher.
+    samples are ``LFDSample``s; their event streams are assumed to already
+    be the observation windows.  teacher defaults to the analytic image
+    teacher.
     """
     tf = analytic_teacher if teacher is None else teacher
     inputs, feats, scores, descs, masks = [], [], [], [], []
     for sample in samples:
-        events, image = _sample_fields(sample)
-        if not isinstance(events, EventStream):
+        if not isinstance(sample.events, EventStream):
             raise TypeError("samples must carry EventStream windows")
-        rep = build_representation(events, config.representation, bins=config.bins)
-        maps = tf(image)
+        rep = build_representation(sample.events, config.representation,
+                                   bins=config.bins)
+        maps = tf(sample.image)
         inputs.append(rep.data)
         feats.append(np.asarray(maps.feats, dtype=np.float32))
         scores.append(np.asarray(maps.score, dtype=np.float32))
         descs.append(np.asarray(maps.desc, dtype=np.float32))
-        masks.append(accumulate_mask(events)[None].astype(np.float32))
+        masks.append(accumulate_mask(sample.events)[None].astype(np.float32))
     return (np.stack(inputs), np.stack(feats), np.stack(scores),
             np.stack(descs), np.stack(masks))
 
 
 def train_extractor(samples, config: DistillConfig,
                     student_config: ExtractorConfig, teacher=None, log=None):
-    """Distill the event extractor; returns (params, student_config, history).
+    """Distill the event extractor; returns (params, history).
 
     Trains a fresh student (seeded by config.seed) with ``optim.fit`` on the
     LFD loss over at most config.n_pairs samples; fit's rows are the epoch
@@ -184,7 +176,7 @@ def train_extractor(samples, config: DistillConfig,
         return r.total, (r.l_feats, r.l_score, r.l_desc, r.l_total)
 
     history = fit(params, len(samples), config, batch_loss, _COLUMNS, log)
-    return params, student_config, history
+    return params, history
 
 
 def loss_history_csv(history) -> str:

@@ -2,9 +2,9 @@
 
 An event is a tuple (x, y, t, p): pixel coordinates, timestamp in seconds,
 and polarity +1/-1 for a brightness increase/decrease.  Streams keep events
-sorted by timestamp and know the sensor resolution.  Windowing selects the
-closed interval [t_end - delta_t, t_end], which is how fixed-duration slices
-are fed to the tensor representations.
+sorted by timestamp and know the sensor resolution and the closed interval
+[t_start, t_end] they cover, which is how fixed-duration slices are fed to
+the tensor representations.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class EventStream:
     timestamps it sorts them (stable, so same-timestamp order is kept) and
     sets ``resorted`` so callers can tell the input was out of order.
 
-    ``t_start``/``t_end`` record the window this stream was cut from; they
-    are set by :func:`window` and default to the data extent.  Keeping them
+    ``t_start``/``t_end`` record the window this stream covers; the event
+    simulator sets them and they default to the data extent.  Keeping them
     explicit matters for empty or one-sided windows, where the data extent
     alone cannot recover the interval.
     """
@@ -90,24 +90,6 @@ class EventStream:
         if len(self.ts):
             return float(self.ts[0]), float(self.ts[-1])
         return 0.0, 0.0
-
-
-def window(stream: EventStream, t_end: float, delta_t: float) -> EventStream:
-    """Cut the closed window [t_end - delta_t, t_end] from a stream.
-
-    delta_t must be positive.  Events with timestamps exactly on either
-    boundary are included.  The returned stream records the window bounds
-    even when it contains no events.
-    """
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
-    t0 = t_end - delta_t
-    lo = int(np.searchsorted(stream.ts, t0, side="left"))
-    hi = int(np.searchsorted(stream.ts, t_end, side="right"))
-    return EventStream(
-        stream.xs[lo:hi], stream.ys[lo:hi], stream.ts[lo:hi], stream.ps[lo:hi],
-        stream.width, stream.height, t_start=t0, t_end=t_end,
-    )
 
 
 def accumulate_mask(stream: EventStream) -> np.ndarray:

@@ -3,9 +3,9 @@
 Poses are world-to-camera maps, x_cam = R @ x_world + t.  The relative pose
 between views a and b is the map taking a-frame camera coordinates into the
 b frame.  Essential-matrix estimation uses the normalized 8-point algorithm
-inside a plain RANSAC loop with a seeded generator; homographies use the
-4-point DLT with Hartley normalization.  Translation directions recovered
-from an essential matrix are unit vectors, so translation error is angular.
+inside a plain RANSAC loop with a seeded generator.  Translation directions
+recovered from an essential matrix are unit vectors, so translation error is
+angular.
 """
 
 from __future__ import annotations
@@ -185,8 +185,6 @@ def _eight_point(x1, x2):
     # sub-pixel noise
     t1 = _hartley_normalization(x1[:, :2])
     t2 = _hartley_normalization(x2[:, :2])
-    t1 = np.eye(3) if t1 is None else t1
-    t2 = np.eye(3) if t2 is None else t2
     n1 = x1 @ t1.T
     n2 = x2 @ t2.T
     a = np.stack([
@@ -261,8 +259,7 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
     """Uniform-sampling RANSAC with the adaptive stopping rule.
 
     Each iteration draws ``sample_size`` of the ``n`` matches without
-    replacement and fits a model; a ``fit`` returning None (degenerate
-    sample) still counts as an iteration.  A model's inliers are the
+    replacement and fits a model to them.  A model's inliers are the
     matches with ``residual_sq(model) <= thr_sq``; a strictly larger
     inlier set replaces the best one and tightens the iteration budget to
     what ``confidence`` requires.  Returns (best inlier mask, iterations).
@@ -275,8 +272,6 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
     while it < min(needed, max_iters):
         it += 1
         model = fit(rng.choice(n, size=sample_size, replace=False))
-        if model is None:
-            continue
         mask = residual_sq(model) <= thr_sq
         count = int(mask.sum())
         if count > best_count:
@@ -349,78 +344,14 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
 
 def _hartley_normalization(pts):
+    """Similarity moving pts to zero mean and sqrt(2) mean norm; the
+    identity when all points coincide."""
     c = pts.mean(axis=0)
     d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
     if d < 1e-12:
-        return None
+        return np.eye(3)
     s = np.sqrt(2.0) / d
-    t = np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
-    return t
-
-
-def _dlt_homography(x1, x2):
-    n = len(x1)
-    a = np.zeros((2 * n, 9))
-    a[0::2, 0:2] = x1[:, :2]
-    a[0::2, 2] = 1.0
-    a[0::2, 6:8] = -x2[:, 0:1] * x1[:, :2]
-    a[0::2, 8] = -x2[:, 0]
-    a[1::2, 3:5] = x1[:, :2]
-    a[1::2, 5] = 1.0
-    a[1::2, 6:8] = -x2[:, 1:2] * x1[:, :2]
-    a[1::2, 8] = -x2[:, 1]
-    _, s, vt = np.linalg.svd(a)
-    return vt[-1].reshape(3, 3), s
-
-
-def _homography_transfer(h, pts):
-    q = pts @ h[:, :2].T + h[:, 2]
-    w = q[:, 2]
-    bad = np.abs(w) < 1e-12
-    w = np.where(bad, 1.0, w)
-    out = q[:, :2] / w[:, None]
-    out[bad] = np.inf
-    return out
-
-
-def estimate_homography_ransac(pts1, pts2, threshold_px: float = 1.0,
-                               max_iters: int = 2000, seed: int = 0,
-                               confidence: float = 0.999):
-    """Fit a homography to pixel matches; returns (H, inlier_mask).
-
-    4-point DLT with Hartley normalization inside RANSAC; the inlier test
-    is the forward transfer distance.  The final model is refit on the
-    inliers and scaled so H[2,2] = 1.  Collinear samples are skipped; if no
-    valid model is found EstimationFailed is raised.
-    """
-    pts1, pts2 = _matched_points(pts1, pts2, 4)
-
-    def fit(idx):
-        p1, p2 = pts1[idx], pts2[idx]
-        t1 = _hartley_normalization(p1)
-        t2 = _hartley_normalization(p2)
-        if t1 is None or t2 is None:
-            return None
-        x1 = np.hstack([p1, np.ones((len(p1), 1))]) @ t1.T
-        x2 = np.hstack([p2, np.ones((len(p2), 1))]) @ t2.T
-        h_hat, s = _dlt_homography(x1, x2)
-        if s[7] / s[0] < 1e-9:
-            return None  # collinear or otherwise degenerate sample
-        return np.linalg.inv(t2) @ h_hat @ t1
-
-    def transfer_sq(h):
-        return ((_homography_transfer(h, pts1) - pts2) ** 2).sum(axis=1)
-
-    thr_sq = threshold_px ** 2
-    best_mask, _ = _ransac(len(pts1), 4, fit, transfer_sq, thr_sq, max_iters, seed,
-                           confidence)
-    h = fit(np.flatnonzero(best_mask))
-    if h is None:
-        raise DegenerateGeometry("inlier set does not determine a homography")
-    if abs(h[2, 2]) < 1e-12:
-        raise EstimationFailed("homography is not normalizable (H[2,2] ~ 0)")
-    h = h / h[2, 2]
-    return h, transfer_sq(h) <= thr_sq
+    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
 
 
 def pose_angular_errors(estimate, gt: RigidPose):
@@ -449,24 +380,3 @@ def pose_angular_errors(estimate, gt: RigidPose):
     t_err = np.degrees(np.arccos(np.clip(cos_t, 0.0, 1.0)))
     return float(r_err), float(t_err)
 
-
-def corner_error(h_est, h_gt, width, height):
-    """Mean distance between the warps of the four image corners.
-
-    Both homographies must be invertible.  A corner that lands on the line
-    at infinity (vanishing w) makes the error infinite rather than raising,
-    so estimation failures can be aggregated as +inf entries.
-    """
-    h_est = np.asarray(h_est, dtype=np.float64)
-    h_gt = np.asarray(h_gt, dtype=np.float64)
-    for name, h in (("estimated", h_est), ("ground-truth", h_gt)):
-        hn = h / np.linalg.norm(h)
-        if abs(np.linalg.det(hn)) < 1e-12:
-            raise ValueError(f"{name} homography is not invertible")
-    corners = np.array([[0.0, 0.0], [width - 1.0, 0.0],
-                        [width - 1.0, height - 1.0], [0.0, height - 1.0]])
-    pa = _homography_transfer(h_est, corners)
-    pb = _homography_transfer(h_gt, corners)
-    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
-        return float("inf")
-    return float(np.sqrt(((pa - pb) ** 2).sum(axis=1)).mean())

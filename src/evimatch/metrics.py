@@ -1,11 +1,11 @@
 """Evaluation metrics for cross-modal detection, matching and estimation.
 
 The keypoint metrics (repeatability, descriptor distances, matching
-accuracy) are defined through homography-warped correspondences between
-the two views.  The estimation metrics aggregate per-pair errors into a
-threshold ratio and the area under the truncated recall curve; failed
-estimations enter as +inf so a crash-free evaluation can still report
-every pair.
+accuracy) compare two keypoint sets extracted at the same time from aligned
+views, so a correspondence is plain pixel distance between the sets.  The
+estimation metrics aggregate per-pair errors into a threshold ratio and the
+area under the truncated recall curve; failed estimations enter as +inf so
+a crash-free evaluation can still report every pair.
 """
 
 from __future__ import annotations
@@ -18,28 +18,12 @@ from .extractor import _descriptors, _positions
 from .matching import _mutual_nearest
 
 
-def warp_points(points, h):
-    """Apply a homography to (N, 2) points: returns (warped, valid).
-
-    Points mapped to the line at infinity (|w| < 1e-12) are invalid and
-    come back NaN.
-    """
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    h = np.asarray(h, dtype=np.float64)
-    q = np.concatenate([p, np.ones((len(p), 1))], axis=1) @ h.T
-    w = q[:, 2]
-    valid = np.abs(w) >= 1e-12
-    out = np.full((len(p), 2), np.nan)
-    out[valid] = q[valid, :2] / w[valid, None]
-    return out, valid
-
-
 @dataclass
 class ValidPairSet:
     """Mutually nearest keypoint pairs within the pixel tolerance."""
 
     pairs: np.ndarray  # (V, 2) int64: (index_a, index_b)
-    distances: np.ndarray  # (V,) warped pixel distances
+    distances: np.ndarray  # (V,) pixel distances
 
     def __post_init__(self):
         self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
@@ -49,12 +33,11 @@ class ValidPairSet:
         return len(self.pairs)
 
 
-def valid_pairs(kp_a, kp_b, h_ab, eps: float = 3.0) -> ValidPairSet:
-    """Ground-truth correspondences under a homography.
+def valid_pairs(kp_a, kp_b, eps: float = 3.0) -> ValidPairSet:
+    """Ground-truth correspondences between two aligned keypoint sets.
 
-    Keypoints of the first set are warped by h_ab into the second view; a
-    pair is valid iff the two are mutual nearest neighbors there and at
-    most eps pixels apart.
+    A pair is valid iff the two keypoints are mutual nearest neighbors in
+    pixel distance and at most eps pixels apart.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -62,21 +45,19 @@ def valid_pairs(kp_a, kp_b, h_ab, eps: float = 3.0) -> ValidPairSet:
     pb = _positions(kp_b)
     if len(pa) == 0 or len(pb) == 0:
         return ValidPairSet(np.zeros((0, 2), np.int64), np.zeros(0))
-    wa, ok = warp_points(pa, h_ab)
-    d = np.sqrt(((wa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    d[~ok, :] = np.inf
+    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
     rows, cols = _mutual_nearest(d)
     dist = d[rows, cols]
     keep = dist <= eps
     return ValidPairSet(np.stack([rows[keep], cols[keep]], axis=1), dist[keep])
 
 
-def repeatability(kp_a, kp_b, h_ab, eps: float = 3.0) -> float:
+def repeatability(kp_a, kp_b, eps: float = 3.0) -> float:
     """Fraction of keypoints that have a valid partner in the other view."""
     na, nb = len(_positions(kp_a)), len(_positions(kp_b))
     if na + nb == 0:
         raise ValueError("repeatability is undefined with no keypoints at all")
-    v = valid_pairs(kp_a, kp_b, h_ab, eps)
+    v = valid_pairs(kp_a, kp_b, eps)
     return 2.0 * len(v) / (na + nb)
 
 
@@ -96,10 +77,10 @@ def vdd_vda(pairs: ValidPairSet, kp_a, kp_b):
     return vdd, vda
 
 
-def mma_mr(assignment, kp_a, kp_b, h_ab, eps: float = 3.0):
+def mma_mr(assignment, kp_a, kp_b, eps: float = 3.0):
     """Mean matching accuracy and matching ratio of a hard assignment.
 
-    MMA is the fraction of matches whose warped distance is at most eps;
+    MMA is the fraction of matches whose pixel distance is at most eps;
     with zero matches it is absent (None), never a fake zero.  MR is the
     match count over min(|A|, |B|), and 0 when either set is empty.
     """
@@ -110,10 +91,8 @@ def mma_mr(assignment, kp_a, kp_b, h_ab, eps: float = 3.0):
     mr = float(len(matches)) / denom if denom > 0 else 0.0
     if len(matches) == 0:
         return None, mr
-    wa, ok = warp_points(pa[matches[:, 0]], h_ab)
-    d = np.sqrt(((wa - pb[matches[:, 1]]) ** 2).sum(axis=1))
-    correct = ok & (d <= eps)
-    return float(correct.mean()), mr
+    d = np.sqrt(((pa[matches[:, 0]] - pb[matches[:, 1]]) ** 2).sum(axis=1))
+    return float((d <= eps).mean()), mr
 
 
 # -- error aggregation ----------------------------------------------------
@@ -153,35 +132,6 @@ def rpe_auc(errors, threshold: float) -> float:
     xs = np.concatenate([[0.0], finite[:cut], [threshold]])
     ys = np.concatenate([[0.0], recall[:cut], [recall[cut - 1] if cut else 0.0]])
     return float(np.trapezoid(ys, xs) / threshold)
-
-
-def he_metrics(h_estimates, h_gts, thresholds, width: int, height: int):
-    """Corner-error aggregation for a list of homography estimates.
-
-    Failed estimations are passed as None and become +inf corner errors;
-    when every estimation failed, each ratio and AUC is 0.  Returns
-    (errors, entries) where entries are ("he_ratio"/"he_auc", threshold,
-    value) rows ready for a report.
-    """
-    from .geometry import corner_error
-
-    if len(h_estimates) != len(h_gts):
-        raise ValueError("estimate and ground-truth lists must align")
-    errors = []
-    for h_est, h_gt in zip(h_estimates, h_gts):
-        if h_est is None:
-            errors.append(np.inf)
-            continue
-        try:
-            errors.append(corner_error(h_est, h_gt, width, height))
-        except ValueError:
-            errors.append(np.inf)
-    errors = np.asarray(errors, dtype=np.float64)
-    entries = []
-    for t in thresholds:
-        entries.append(("he_ratio", float(t), rpe_ratio(errors, t)))
-        entries.append(("he_auc", float(t), rpe_auc(errors, t)))
-    return errors, entries
 
 
 # -- reports ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, hashing, determinism, cleanup."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from evimatch import io as eio
 from evimatch.cli import _eval_rpe, build_parser, main, output_dir, resolve_config
-from evimatch.extractor import ExtractorConfig, init_student
+from evimatch.extractor import ExtractorConfig, init_student, save_extractor
 from evimatch.matching import Assignment
 
 TINY_SYNTH = ["--width", "16", "--height", "16", "--n", "2",
@@ -143,6 +144,36 @@ def test_extract_threshold_mode(dataset, tmp_path):
     assert (kp.scores > 0.05).all()
 
 
+@pytest.fixture(scope="module")
+def student_ckpt(tmp_path_factory):
+    """A seeded, untrained student whose descriptors match the teacher's."""
+    config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=128, score_head=(4,),
+                             desc_head=(4,))
+    path = str(tmp_path_factory.mktemp("ckpt") / "student.ckpt")
+    save_extractor(path, init_student(config, seed=2), config)
+    return path
+
+
+def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", dataset, "--mode", "keypoints",
+               "--extractor", student_ckpt, "--border", "2", "--nms", "2",
+               "--k", "16", "--out", str(out)])
+    assert rc == 0
+    assert (out / "report.txt").read_text() == (
+        "n_samples=2.000000\nrepeatability@3=0.400000\nvdd=1.357714\n"
+        "vda=85.521653\nmma@3=0.250000\nmr=1.000000\n")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("report.csv", "report.txt")}
+    assert digests == {
+        "report.csv": ("e3a93764fd0976f91cc44ec1a7d4c157"
+                       "78e13abe6eb188b58241f65a7b49b155"),
+        "report.txt": ("30ec6fd4225fda45636605c82eedeb50"
+                       "64ad45f8c228df5dc1850fef78d57735"),
+    }
+
+
 def test_eval_rpe_all_failures_score_zero(dataset):
     # a matcher that finds nothing: every pair fails, and the report says so
     samples, intr, _, _ = eio.load_dataset(dataset)
@@ -197,6 +228,17 @@ def test_bad_modality_message(dataset, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "modality must be events or images" in capsys.readouterr().err
+
+
+def test_eval_unknown_mode_fails_and_cleans_up(dataset, student_ckpt, tmp_path,
+                                               capsys):
+    out = tmp_path / "ev_he"
+    rc = main(["eval", "--data", dataset, "--mode", "he",
+               "--extractor", student_ckpt, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "evimatch eval: error: unknown eval mode 'he' (keypoints or rpe)\n")
+    assert not out.exists()
 
 
 def test_unknown_matcher_and_missing_ckpt(dataset, tmp_path, capsys):

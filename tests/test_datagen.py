@@ -8,8 +8,8 @@ import pytest
 from evimatch import datagen
 from evimatch.datagen import (_illinois, events_from_log_frames,
                               generate_benchmark, make_lfd_dataset, make_sample,
-                              make_scene, overlap_score, render,
-                              simulate_events, surface_height, surface_texture)
+                              make_scene, overlap_score, render, surface_height,
+                              surface_texture)
 from evimatch.events import EventStream
 from evimatch.geometry import relative_pose
 
@@ -280,7 +280,7 @@ def test_events_frame_time_mismatch():
 
 
 def test_simulate_events_nonempty_and_windowed():
-    ev = simulate_events(SCENE, 0.2, 0.25, contrast=0.2, dt_sim=2e-3)
+    ev = make_sample(SCENE, 0.25, delta_t=0.05, contrast=0.2, dt_sim=2e-3).events
     assert len(ev) > 0
     assert ev.extent() == (0.2, 0.25)
     assert ev.ts.min() >= 0.2 - 1e-9 and ev.ts.max() <= 0.25 + 1e-9
@@ -290,7 +290,7 @@ def test_simulate_events_nonempty_and_windowed():
 
 def test_simulate_events_validation():
     with pytest.raises(ValueError, match="t_end"):
-        simulate_events(SCENE, 0.5, 0.5)
+        make_sample(SCENE, 0.5, delta_t=0.0)
 
 
 def test_overlap_same_time_is_high():

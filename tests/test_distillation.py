@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from evimatch.autodiff import Tensor
+from evimatch.datagen import LFDSample
 from evimatch.distillation import (DistillConfig, LFDBatch, lfd_loss,
                                    loss_history_csv, prepare_batch_arrays,
                                    train_extractor)
 from evimatch.events import EventStream
 from evimatch.extractor import (ExtractorConfig, TeacherConfig,
                                 analytic_teacher, forward_student, init_student)
+from evimatch.geometry import RigidPose
 from evimatch.representations import build_representation
 
 
@@ -56,7 +58,6 @@ def test_lfd_loss_matches_hand_computation():
     assert rep.l_score == pytest.approx(l_score, rel=1e-5)
     assert rep.l_desc == pytest.approx(l_desc, rel=1e-5)
     assert rep.l_total == pytest.approx(l_feats + l_score + l_desc, rel=1e-5)
-    assert not rep.empty_mask
 
 
 def test_lfd_loss_mask_restricts_support():
@@ -75,7 +76,6 @@ def test_lfd_loss_mask_restricts_support():
 def test_lfd_loss_empty_mask_flagged_not_nan():
     (sf, ss, sd), batch = tiny_batch(mask_val=0.0)
     rep = lfd_loss(sf, ss, sd, batch, DistillConfig())
-    assert rep.empty_mask
     assert rep.l_score == 0.0 and rep.l_desc == 0.0
     assert np.isfinite(rep.l_total)
     assert rep.l_total == pytest.approx(rep.l_feats)
@@ -105,6 +105,11 @@ RECIPE = DistillConfig(representation="voxel", bins=4, lr=3e-3, epochs=4,
                        batch_size=2, n_pairs=8, seed=0)
 
 
+def lfd_sample(events, image):
+    return LFDSample(0.05, events, image, np.ones_like(image),
+                     RigidPose.identity())
+
+
 def training_samples(n=4, size=16, seed=0):
     rng = np.random.default_rng(seed)
     out = []
@@ -116,7 +121,7 @@ def training_samples(n=4, size=16, seed=0):
         ps = rng.choice([-1, 1], m)
         events = EventStream(xs, ys, ts, ps, size, size)
         image = np.clip(rng.uniform(0.2, 0.8, (size, size)), 0, 1)
-        out.append((events, image))
+        out.append(lfd_sample(events, image))
     return out
 
 
@@ -141,14 +146,14 @@ def test_prepare_batch_shapes():
 
 def test_prepare_batch_rejects_non_stream():
     with pytest.raises(TypeError, match="EventStream"):
-        prepare_batch_arrays([(np.zeros(3), np.zeros((16, 16)))], RECIPE)
+        prepare_batch_arrays([lfd_sample(np.zeros(3), np.zeros((16, 16)))],
+                             RECIPE)
 
 
 def test_train_extractor_loss_decreases():
-    params, cfg, history = train_extractor(
+    params, history = train_extractor(
         training_samples(), RECIPE, student_config=STUDENT,
         teacher=small_teacher)
-    assert cfg is STUDENT
     assert len(history) == RECIPE.epochs
     first, last = history[0][4], history[-1][4]
     assert last < first
@@ -157,21 +162,21 @@ def test_train_extractor_loss_decreases():
 
 def test_train_extractor_deterministic():
     kw = dict(config=RECIPE, student_config=STUDENT, teacher=small_teacher)
-    p1, _, h1 = train_extractor(training_samples(), **kw)
-    p2, _, h2 = train_extractor(training_samples(), **kw)
+    p1, h1 = train_extractor(training_samples(), **kw)
+    p2, h2 = train_extractor(training_samples(), **kw)
     assert h1 == h2
     assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
 
 
 def test_train_extractor_returns_frozen_params():
-    params, cfg, _ = train_extractor(
+    params, _ = train_extractor(
         training_samples(), DistillConfig(representation="voxel", bins=4,
                                           epochs=1, batch_size=4, seed=0),
         STUDENT, teacher=small_teacher)
     assert not any(p.requires_grad for p in params.values())
-    events = training_samples(n=1)[0][0]
+    events = training_samples(n=1)[0].events
     maps = forward_student(build_representation(events, "voxel", bins=4),
-                           params, cfg)
+                           params, STUDENT)
     assert not maps.score.requires_grad and not maps.desc.requires_grad
 
 

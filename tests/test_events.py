@@ -1,4 +1,4 @@
-"""Event container, windowing and the binary/CSV file formats."""
+"""Event container, event masks and the binary/CSV file formats."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch.events import (EventStream, accumulate_mask, load_events,
-                             save_events, window)
+                             save_events)
 
 
 def make_stream(n=20, width=16, height=12, seed=0):
@@ -56,26 +56,6 @@ def test_stream_stable_resort_keeps_tie_order():
 
 def test_sorted_input_is_not_flagged():
     assert not make_stream().resorted
-
-
-def test_window_closed_on_both_ends():
-    s = EventStream([0, 1, 2, 3], [0, 0, 0, 0], [0.0, 0.1, 0.2, 0.3],
-                    [1, 1, 1, 1], 4, 4)
-    w = window(s, t_end=0.2, delta_t=0.1)
-    assert list(w.ts) == [0.1, 0.2]
-    assert w.extent() == (pytest.approx(0.1), pytest.approx(0.2))
-
-
-def test_window_empty_keeps_bounds():
-    s = make_stream()
-    w = window(s, t_end=9.0, delta_t=0.5)
-    assert len(w) == 0
-    assert w.extent() == (8.5, 9.0)
-
-
-def test_window_rejects_nonpositive_delta():
-    with pytest.raises(ValueError, match="delta_t"):
-        window(make_stream(), 1.0, 0.0)
 
 
 def test_accumulate_mask_marks_event_pixels():

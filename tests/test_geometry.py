@@ -1,13 +1,12 @@
-"""Poses, quaternions, projection and the two robust estimators."""
+"""Poses, quaternions, projection and the robust essential estimator."""
 
 import numpy as np
 import pytest
 
 from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                EstimationFailed, PoseEstimate, RigidPose,
-                               _eight_point, corner_error,
-                               estimate_essential_ransac,
-                               estimate_homography_ransac, project_many,
+                               _eight_point, estimate_essential_ransac,
+                               project_many,
                                pose_angular_errors, quat_to_rotmat,
                                relative_pose, reproject_many, rotation_about,
                                rotmat_to_quat, skew, unproject_many)
@@ -185,40 +184,6 @@ def test_essential_ransac_deterministic():
     np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
 
 
-def homography_points(h, n=40, seed=0):
-    rng = np.random.default_rng(seed)
-    p1 = rng.uniform(0.0, 100.0, (n, 2))
-    ones = np.hstack([p1, np.ones((n, 1))])
-    q = ones @ h.T
-    return p1, q[:, :2] / q[:, 2:]
-
-
-def test_homography_ransac_exact_recovery():
-    h_gt = np.array([[1.1, 0.05, 4.0], [-0.03, 0.95, -2.0], [1e-4, -2e-4, 1.0]])
-    p1, p2 = homography_points(h_gt)
-    h, mask = estimate_homography_ransac(p1, p2, seed=1)
-    assert mask.all()
-    np.testing.assert_allclose(h, h_gt, atol=1e-8)
-    assert h[2, 2] == pytest.approx(1.0)
-
-
-def test_homography_ransac_rejects_outliers():
-    h_gt = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, -5.0], [0.0, 0.0, 1.0]])
-    p1, p2 = homography_points(h_gt, n=50, seed=2)
-    rng = np.random.default_rng(3)
-    bad = rng.choice(50, 12, replace=False)
-    p2 = p2.copy()
-    p2[bad] += rng.uniform(20.0, 50.0, (12, 2))
-    h, mask = estimate_homography_ransac(p1, p2, seed=2)
-    assert not mask[bad].any()
-    np.testing.assert_allclose(h, h_gt, atol=1e-6)
-
-
-def test_homography_ransac_needs_four():
-    with pytest.raises(EstimationFailed, match="at least 4"):
-        estimate_homography_ransac(np.zeros((3, 2)), np.zeros((3, 2)))
-
-
 def test_pose_angular_errors_identity():
     gt = RigidPose(rotation_about([1, 0, 0], 20.0), np.array([0.0, 1.0, 0.0]))
     r_err, t_err = pose_angular_errors((gt.rotation, gt.translation), gt)
@@ -252,20 +217,3 @@ def test_pose_angular_errors_accepts_estimate_object():
                        np.ones(5, bool), 1.0, 3)
     assert pose_angular_errors(est, gt) == (pytest.approx(0.0), pytest.approx(0.0))
 
-
-def test_corner_error_identity_zero():
-    assert corner_error(np.eye(3), np.eye(3), 64, 48) == 0.0
-
-
-def test_corner_error_translation():
-    h = np.eye(3)
-    h[0, 2] = 3.0
-    h[1, 2] = 4.0
-    assert corner_error(h, np.eye(3), 64, 48) == pytest.approx(5.0)
-
-
-def test_corner_error_non_invertible_raises():
-    bad = np.zeros((3, 3))
-    bad[0, 0] = 1.0
-    with pytest.raises(ValueError, match="not invertible"):
-        corner_error(bad, np.eye(3), 64, 48)

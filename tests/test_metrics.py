@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch.extractor import KeypointSet
-from evimatch.metrics import (ValidPairSet, he_metrics, mma_mr, repeatability,
-                              report_csv, report_text, rpe_auc, rpe_ratio,
-                              valid_pairs, vdd_vda, warp_points)
+from evimatch.metrics import (ValidPairSet, mma_mr, repeatability, report_csv,
+                              report_text, rpe_auc, rpe_ratio, valid_pairs,
+                              vdd_vda)
 
 
 def kp_at(positions, desc=None):
@@ -21,32 +21,10 @@ def kp_at(positions, desc=None):
     return KeypointSet(pos, np.asarray(desc, np.float32), np.ones(k, np.float32))
 
 
-def test_warp_points_identity():
-    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out, ok = warp_points(pts, np.eye(3))
-    assert ok.all()
-    np.testing.assert_allclose(out, pts)
-
-
-def test_warp_points_translation():
-    h = np.eye(3)
-    h[0, 2], h[1, 2] = 5.0, -2.0
-    out, ok = warp_points(np.array([[0.0, 0.0]]), h)
-    np.testing.assert_allclose(out[0], [5.0, -2.0])
-
-
-def test_warp_points_infinity_invalid():
-    h = np.eye(3)
-    h[2] = [1.0, 0.0, 0.0]  # w = x: points with x=0 go to infinity
-    out, ok = warp_points(np.array([[0.0, 1.0], [2.0, 1.0]]), h)
-    assert not ok[0] and ok[1]
-    assert np.isnan(out[0]).all()
-
-
 def test_valid_pairs_identity_homography():
     a = kp_at([[5.0, 5.0], [20.0, 10.0]])
     b = kp_at([[5.5, 5.0], [20.0, 10.5], [40.0, 40.0]])
-    v = valid_pairs(a, b, np.eye(3), eps=1.0)
+    v = valid_pairs(a, b, eps=1.0)
     np.testing.assert_array_equal(v.pairs, [[0, 0], [1, 1]])
     np.testing.assert_allclose(v.distances, [0.5, 0.5])
 
@@ -54,15 +32,15 @@ def test_valid_pairs_identity_homography():
 def test_valid_pairs_respects_eps():
     a = kp_at([[5.0, 5.0]])
     b = kp_at([[9.0, 5.0]])
-    assert len(valid_pairs(a, b, np.eye(3), eps=3.0)) == 0
-    assert len(valid_pairs(a, b, np.eye(3), eps=4.0)) == 1
+    assert len(valid_pairs(a, b, eps=3.0)) == 0
+    assert len(valid_pairs(a, b, eps=4.0)) == 1
 
 
 def test_valid_pairs_mutual_only():
     # two a-points nearest to the same b-point: only the mutual one stays
     a = kp_at([[0.0, 0.0], [1.0, 0.0]])
     b = kp_at([[0.9, 0.0]])
-    v = valid_pairs(a, b, np.eye(3), eps=2.0)
+    v = valid_pairs(a, b, eps=2.0)
     np.testing.assert_array_equal(v.pairs, [[1, 0]])
 
 
@@ -70,9 +48,9 @@ def test_repeatability_value_and_errors():
     a = kp_at([[5.0, 5.0], [30.0, 30.0]])
     b = kp_at([[5.0, 5.0], [90.0, 90.0], [50.0, 10.0]])
     # one valid pair out of 5 keypoints -> 2*1/5
-    assert repeatability(a, b, np.eye(3), eps=1.0) == pytest.approx(0.4)
+    assert repeatability(a, b, eps=1.0) == pytest.approx(0.4)
     with pytest.raises(ValueError, match="undefined"):
-        repeatability(kp_at(np.zeros((0, 2))), kp_at(np.zeros((0, 2))), np.eye(3))
+        repeatability(kp_at(np.zeros((0, 2))), kp_at(np.zeros((0, 2))))
 
 
 def test_vdd_vda_hand_values():
@@ -96,14 +74,14 @@ def test_mma_mr_values():
     a = kp_at([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     b = kp_at([[0.0, 0.0], [10.0, 0.0], [99.0, 0.0]])
     matches = np.array([[0, 0], [1, 1], [2, 2]])
-    mma, mr = mma_mr(matches, a, b, np.eye(3), eps=3.0)
+    mma, mr = mma_mr(matches, a, b, eps=3.0)
     assert mma == pytest.approx(2.0 / 3.0)
     assert mr == pytest.approx(1.0)
 
 
 def test_mma_absent_with_no_matches():
     a, b = kp_at([[0.0, 0.0]]), kp_at([[0.0, 0.0]])
-    mma, mr = mma_mr(np.zeros((0, 2), np.int64), a, b, np.eye(3))
+    mma, mr = mma_mr(np.zeros((0, 2), np.int64), a, b)
     assert mma is None
     assert mr == 0.0
 
@@ -180,26 +158,6 @@ def test_rpe_auc_extra_failure_never_helps(errors):
     base = rpe_auc(errors, 10.0)
     worse = rpe_auc(list(errors) + [np.inf], 10.0)
     assert worse <= base + 1e-12
-
-
-def test_he_metrics_identity_and_failures():
-    h = np.eye(3)
-    shifted = np.eye(3)
-    shifted[0, 2] = 30.0
-    errors, entries = he_metrics([h, shifted, None], [h, h, h],
-                                 thresholds=(10.0,), width=64, height=48)
-    np.testing.assert_allclose(errors, [0.0, 30.0, np.inf])
-    d = {(m, t): v for m, t, v in entries}
-    assert d[("he_ratio", 10.0)] == pytest.approx(1.0 / 3.0)
-    assert 0.0 < d[("he_auc", 10.0)] < 1.0
-    _, entries = he_metrics([None, None], [h, h], thresholds=(10.0,),
-                            width=64, height=48)
-    assert [v for _, _, v in entries] == [0.0, 0.0]
-
-
-def test_he_metrics_misaligned_lists():
-    with pytest.raises(ValueError, match="align"):
-        he_metrics([np.eye(3)], [], (5.0,), 64, 48)
 
 
 def test_report_text_format():

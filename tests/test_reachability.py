@@ -1,0 +1,46 @@
+"""Every top-level function and class in the package has a caller.
+
+A definition counts as reached when its name appears as a Name, as an
+Attribute or as a ``from ... import`` alias anywhere in the package
+modules (``__init__.py`` excluded: re-exporting is not using) or in the
+benchmark harness under ``perfbench/``.  Tests do not count: code that only
+tests reach should move into the tests or go.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "evimatch"
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _referenced_names():
+    names = set()
+    for path in _modules() + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreached(referenced):
+    out = []
+    for path in _modules():
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in referenced):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_top_level_definition_is_referenced():
+    unreached = _unreached(_referenced_names())
+    assert not unreached, "no caller outside the tests: " + ", ".join(unreached)
