@@ -29,8 +29,8 @@ from .geometry import (EstimationFailed, estimate_essential_ransac,
 from .matching import (CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
-from .metrics import (mma_mr, repeatability, report_csv, report_text,
-                      rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
+from .metrics import (correct_matches, mma_mr, repeatability, report_csv,
+                      report_text, rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
 from .representations import build_representation, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
@@ -397,18 +397,18 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
 
 
 def cmd_eval(out, cfg):
+    mode = cfg["mode"]
+    if mode not in ("keypoints", "rpe"):
+        raise ValueError(f"unknown eval mode {mode!r} (keypoints or rpe)")
     samples, intr, _, _ = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
     match_fn = _make_matcher(cfg)
-    mode = cfg["mode"]
     if mode == "keypoints":
         entries = _eval_keypoints(samples, cfg, params, config, match_fn,
                                   float(cfg["eps"]))
-    elif mode == "rpe":
+    else:
         pairs = eio.load_pairs(os.path.join(cfg["data"], "pairs.txt"))
         entries = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
-    else:
-        raise ValueError(f"unknown eval mode {mode!r} (keypoints or rpe)")
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))
     with open(os.path.join(out, "report.csv"), "w") as f:
@@ -430,9 +430,7 @@ def cmd_viz(out, cfg):
     correct = None
     if ia == ib and len(assignment):
         # aligned pair: the ground-truth warp is the identity
-        d = np.sqrt(((kp_a.positions[assignment.matches[:, 0]]
-                      - kp_b.positions[assignment.matches[:, 1]]) ** 2).sum(axis=1))
-        correct = d <= float(cfg["eps"])
+        correct = correct_matches(assignment.matches, kp_a, kp_b, float(cfg["eps"]))
     surface = time_surface(sa.events).data.max(axis=0)
     canvas = eio.make_match_image(surface, sb.image, kp_a, kp_b, assignment,
                                   correct)

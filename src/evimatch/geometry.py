@@ -3,9 +3,14 @@
 Poses are world-to-camera maps, x_cam = R @ x_world + t.  The relative pose
 between views a and b is the map taking a-frame camera coordinates into the
 b frame.  Essential-matrix estimation uses the normalized 8-point algorithm
-inside a plain RANSAC loop with a seeded generator.  Translation directions
-recovered from an essential matrix are unit vectors, so translation error is
-angular.
+inside a plain RANSAC loop with a seeded generator.  The loop draws and fits
+its samples in chunks, one batched 8-point call per chunk, then scores the
+models in draw order under the adaptive stopping rule, so masks, iteration
+counts and poses are exactly those of a one-sample-at-a-time loop; an early
+stop leaves the rest of the chunk's draws unscored.  The 8-point fit, its
+Hartley normalization and the Sampson distance take leading batch axes.
+Translation directions recovered from an essential matrix are unit vectors,
+so translation error is angular.
 """
 
 from __future__ import annotations
@@ -179,34 +184,46 @@ class PoseEstimate:
 
 
 def _eight_point(x1, x2):
+    """Normalized 8-point fit over leading batch axes.
+
+    x1, x2 are (..., N, 3) homogeneous points.  Returns the (..., 3, 3)
+    unit-norm essential matrices, projected to two equal singular values,
+    and the (..., min(N, 9)) singular values of the design matrices.
+    """
     # x2^T E x1 = 0 solved on Hartley-conditioned coordinates; even in
     # camera-normalized units the constant column dominates the Kronecker
     # system, and the raw least-squares fit is visibly biased already at
     # sub-pixel noise
-    t1 = _hartley_normalization(x1[:, :2])
-    t2 = _hartley_normalization(x2[:, :2])
-    n1 = x1 @ t1.T
-    n2 = x2 @ t2.T
+    t1 = _hartley_normalization(x1[..., :2])
+    t2 = _hartley_normalization(x2[..., :2])
+    n1 = x1 @ np.swapaxes(t1, -1, -2)
+    n2 = x2 @ np.swapaxes(t2, -1, -2)
     a = np.stack([
-        n2[:, 0] * n1[:, 0], n2[:, 0] * n1[:, 1], n2[:, 0],
-        n2[:, 1] * n1[:, 0], n2[:, 1] * n1[:, 1], n2[:, 1],
-        n1[:, 0], n1[:, 1], np.ones(len(n1)),
-    ], axis=1)
+        n2[..., 0] * n1[..., 0], n2[..., 0] * n1[..., 1], n2[..., 0],
+        n2[..., 1] * n1[..., 0], n2[..., 1] * n1[..., 1], n2[..., 1],
+        n1[..., 0], n1[..., 1], np.ones(n1.shape[:-1]),
+    ], axis=-1)
     _, s, vt = np.linalg.svd(a)
     # denormalize before projecting: the equal-singular-value structure of
     # an essential matrix only holds in the calibrated frame
-    e = t2.T @ vt[-1].reshape(3, 3) @ t1
+    e = np.swapaxes(t2, -1, -2) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ t1
     u, sv, vt2 = np.linalg.svd(e)
-    m = (sv[0] + sv[1]) / 2.0
-    e = u @ np.diag([m, m, 0.0]) @ vt2
-    return e / np.linalg.norm(e), s
+    m = (sv[..., 0] + sv[..., 1]) / 2.0
+    diag = np.zeros(e.shape)
+    diag[..., 0, 0] = diag[..., 1, 1] = m
+    e = u @ diag @ vt2
+    # the norm as a per-matrix dot product, the reduction np.linalg.norm
+    # uses, so a batched fit equals the fits made one at a time
+    f = e.reshape(e.shape[:-2] + (1, 9))
+    return e / np.sqrt(f @ np.swapaxes(f, -1, -2)), s
 
 
 def _sampson_sq(e, x1, x2):
-    ex1 = x1 @ e.T
+    """Squared Sampson distances (..., N) of (N, 3) matches to each (..., 3, 3) E."""
+    ex1 = x1 @ np.swapaxes(e, -1, -2)
     etx2 = x2 @ e
-    num = np.einsum("ij,ij->i", x2, ex1) ** 2
-    den = ex1[:, 0] ** 2 + ex1[:, 1] ** 2 + etx2[:, 0] ** 2 + etx2[:, 1] ** 2
+    num = np.einsum("ij,...ij->...i", x2, ex1) ** 2
+    den = ex1[..., 0] ** 2 + ex1[..., 1] ** 2 + etx2[..., 0] ** 2 + etx2[..., 1] ** 2
     den = np.maximum(den, 1e-18)
     return num / den
 
@@ -215,24 +232,23 @@ def _triangulate(r, t, x1, x2, cap=50):
     """Linear triangulation; returns per-point depths in both views."""
     n = min(len(x1), cap)
     p2 = np.hstack([r, t.reshape(3, 1)])
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    for i in range(n):
-        a = np.stack([
-            x1[i, 0] * np.array([0, 0, 1, 0.0]) - np.array([1, 0, 0, 0.0]),
-            x1[i, 1] * np.array([0, 0, 1, 0.0]) - np.array([0, 1, 0, 0.0]),
-            x2[i, 0] * p2[2] - p2[0],
-            x2[i, 1] * p2[2] - p2[1],
-        ])
-        _, _, vt = np.linalg.svd(a)
-        xh = vt[-1]
-        if abs(xh[3]) < 1e-12:
-            d1[i] = d2[i] = -1.0
-            continue
-        pw = xh[:3] / xh[3]
-        d1[i] = pw[2]
-        d2[i] = (r @ pw + t)[2]
+    a = np.stack([
+        x1[:n, 0, None] * np.array([0, 0, 1, 0.0]) - np.array([1, 0, 0, 0.0]),
+        x1[:n, 1, None] * np.array([0, 0, 1, 0.0]) - np.array([0, 1, 0, 0.0]),
+        x2[:n, 0, None] * p2[2] - p2[0],
+        x2[:n, 1, None] * p2[2] - p2[1],
+    ], axis=1)
+    _, _, vt = np.linalg.svd(a)
+    xh = vt[:, -1]
+    at_infinity = np.abs(xh[:, 3]) < 1e-12
+    pw = xh[:, :3] / np.where(at_infinity, 1.0, xh[:, 3])[:, None]
+    d1 = np.where(at_infinity, -1.0, pw[:, 2])
+    d2 = np.where(at_infinity, -1.0, (r @ pw[:, :, None])[:, 2, 0] + t[2])
     return d1, d2
+
+
+# samples drawn and fitted per batch in _ransac
+_CHUNK = 256
 
 
 def _ransac_iters_needed(inlier_ratio, sample_size, confidence):
@@ -263,6 +279,16 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
     matches with ``residual_sq(model) <= thr_sq``; a strictly larger
     inlier set replaces the best one and tightens the iteration budget to
     what ``confidence`` requires.  Returns (best inlier mask, iterations).
+
+    Samples are drawn and fitted in chunks of up to ``_CHUNK``: ``fit``
+    maps a (k, sample_size) index array to k models in one batched call.
+    The models are then scored one at a time in draw order, so the
+    iteration count and the best mask are those of drawing, fitting and
+    scoring one sample at a time, and models past the stop are never
+    scored.  A chunk is never larger than the budget left when it is drawn,
+    so a run that ends at ``max_iters`` draws exactly ``max_iters`` samples;
+    a run that stops early may have drawn up to ``_CHUNK - 1`` samples past
+    its last iteration, which nothing reads.
     """
     rng = np.random.default_rng(seed)
     best_mask = None
@@ -270,14 +296,19 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
     needed = max_iters
     it = 0
     while it < min(needed, max_iters):
-        it += 1
-        model = fit(rng.choice(n, size=sample_size, replace=False))
-        mask = residual_sq(model) <= thr_sq
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = _ransac_iters_needed(count / n, sample_size, confidence)
+        k = min(_CHUNK, min(needed, max_iters) - it)
+        idx = np.stack([rng.choice(n, size=sample_size, replace=False)
+                        for _ in range(k)])
+        for model in fit(idx):
+            it += 1
+            mask = residual_sq(model) <= thr_sq
+            count = int(mask.sum())
+            if count > best_count:
+                best_count = count
+                best_mask = mask
+                needed = _ransac_iters_needed(count / n, sample_size, confidence)
+            if it >= min(needed, max_iters):
+                break
     if best_mask is None or best_count < sample_size:
         raise EstimationFailed(
             f"no model with {sample_size} inliers after {it} iterations")
@@ -297,6 +328,12 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     null space (a near-rank-deficient system means pure rotation or a
     coplanar scene and raises DegenerateGeometry), and decomposed with the
     cheirality check.  Deterministic for a fixed seed.
+
+    Samples are drawn and fitted a chunk at a time and scored one at a
+    time in draw order (see ``_ransac``), with the same result as the
+    one-sample loop.  ``iterations`` counts the hypotheses the adaptive
+    stopping rule scored, not the samples drawn: an early stop may leave
+    up to ``_CHUNK - 1`` drawn samples unscored.
     """
     pts1, pts2 = _matched_points(pts1, pts2, 8)
     x1 = unproject_many(pts1, np.ones(len(pts1)), intr1)
@@ -344,14 +381,19 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
 
 def _hartley_normalization(pts):
-    """Similarity moving pts to zero mean and sqrt(2) mean norm; the
-    identity when all points coincide."""
-    c = pts.mean(axis=0)
-    d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
-    if d < 1e-12:
-        return np.eye(3)
-    s = np.sqrt(2.0) / d
-    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+    """Similarities (..., 3, 3) moving each (..., N, 2) point set to zero
+    mean and sqrt(2) mean norm; the identity where all points coincide."""
+    c = pts.mean(axis=-2)
+    d = np.sqrt(((pts - c[..., None, :]) ** 2).sum(axis=-1)).mean(axis=-1)
+    coincide = d < 1e-12
+    s = np.sqrt(2.0) / np.where(coincide, 1.0, d)
+    t = np.zeros(d.shape + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = s
+    t[..., 0, 2] = -s * c[..., 0]
+    t[..., 1, 2] = -s * c[..., 1]
+    t[..., 2, 2] = 1.0
+    t[coincide] = np.eye(3)
+    return t
 
 
 def pose_angular_errors(estimate, gt: RigidPose):

@@ -77,6 +77,14 @@ def vdd_vda(pairs: ValidPairSet, kp_a, kp_b):
     return vdd, vda
 
 
+def correct_matches(matches, kp_a, kp_b, eps: float):
+    """Per (M, 2) match row, whether its two keypoints lie at most eps
+    pixels apart."""
+    pa, pb = _positions(kp_a), _positions(kp_b)
+    d = np.sqrt(((pa[matches[:, 0]] - pb[matches[:, 1]]) ** 2).sum(axis=1))
+    return d <= eps
+
+
 def mma_mr(assignment, kp_a, kp_b, eps: float = 3.0):
     """Mean matching accuracy and matching ratio of a hard assignment.
 
@@ -86,13 +94,11 @@ def mma_mr(assignment, kp_a, kp_b, eps: float = 3.0):
     """
     matches = np.asarray(getattr(assignment, "matches", assignment),
                          dtype=np.int64).reshape(-1, 2)
-    pa, pb = _positions(kp_a), _positions(kp_b)
-    denom = min(len(pa), len(pb))
+    denom = min(len(_positions(kp_a)), len(_positions(kp_b)))
     mr = float(len(matches)) / denom if denom > 0 else 0.0
     if len(matches) == 0:
         return None, mr
-    d = np.sqrt(((pa[matches[:, 0]] - pb[matches[:, 1]]) ** 2).sum(axis=1))
-    return float((d <= eps).mean()), mr
+    return float(correct_matches(matches, kp_a, kp_b, eps).mean()), mr
 
 
 # -- error aggregation ----------------------------------------------------

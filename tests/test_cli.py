@@ -241,6 +241,27 @@ def test_eval_unknown_mode_fails_and_cleans_up(dataset, student_ckpt, tmp_path,
     assert not out.exists()
 
 
+def test_eval_checks_mode_before_loading(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    rc = main(["eval", "--data", missing, "--mode", "he", "--extractor",
+               missing + ".ckpt", "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "evimatch eval: error: unknown eval mode 'he' (keypoints or rpe)\n")
+
+
+def test_viz_aligned_pair_image_bytes(dataset, student_ckpt, tmp_path):
+    # sample 1 against itself draws both correct and incorrect matches
+    out = tmp_path / "viz"
+    rc = main(["viz", "--data", dataset, "--extractor", student_ckpt,
+               "--index-a", "1", "--border", "2", "--nms", "2", "--k", "16",
+               "--out", str(out)])
+    assert rc == 0
+    ppm = (out / "viz" / "match_001_001.ppm").read_bytes()
+    assert hashlib.sha256(ppm).hexdigest() == (
+        "94d1cf232c9dd75ad49d2733cf2398e932094c5ca2f3eba7435682dc6fdf2a39")
+
+
 def test_unknown_matcher_and_missing_ckpt(dataset, tmp_path, capsys):
     kp_out = str(tmp_path / "kp")
     main(["extract", "--data", dataset, "--modality", "images",

@@ -1,12 +1,18 @@
 """Poses, quaternions, projection and the robust essential estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from evimatch import geometry
 from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                EstimationFailed, PoseEstimate, RigidPose,
-                               _eight_point, estimate_essential_ransac,
-                               project_many,
+                               _CHUNK, _eight_point, _hartley_normalization,
+                               _ransac_iters_needed, _sampson_sq, _triangulate,
+                               estimate_essential_ransac, project_many,
                                pose_angular_errors, quat_to_rotmat,
                                relative_pose, reproject_many, rotation_about,
                                rotmat_to_quat, skew, unproject_many)
@@ -182,6 +188,182 @@ def test_essential_ransac_deterministic():
     b = estimate_essential_ransac(p1, p2, INTR, INTR, seed=4)
     np.testing.assert_array_equal(a.rotation, b.rotation)
     np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
+
+
+# -- chunked RANSAC against the one-sample loop ------------------------------
+
+def reference_ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed,
+                     confidence):
+    """``_ransac`` drawing, fitting and scoring one sample per iteration:
+    the loop whose masks, iterations and draws the chunked one reproduces."""
+    rng = np.random.default_rng(seed)
+    best_mask = None
+    best_count = 0
+    needed = max_iters
+    it = 0
+    while it < min(needed, max_iters):
+        it += 1
+        model = fit(rng.choice(n, size=sample_size, replace=False)[None])[0]
+        mask = residual_sq(model) <= thr_sq
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            needed = _ransac_iters_needed(count / n, sample_size, confidence)
+    if best_mask is None or best_count < sample_size:
+        raise EstimationFailed(
+            f"no model with {sample_size} inliers after {it} iterations")
+    return best_mask, it
+
+
+def reference_hartley(pts):
+    """``_hartley_normalization`` for one (N, 2) point set."""
+    c = pts.mean(axis=0)
+    d = np.sqrt(((pts - c) ** 2).sum(axis=1)).mean()
+    if d < 1e-12:
+        return np.eye(3)
+    s = np.sqrt(2.0) / d
+    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+
+
+def reference_eight_point(x1, x2):
+    """``_eight_point`` for one (N, 3) match set."""
+    t1 = reference_hartley(x1[:, :2])
+    t2 = reference_hartley(x2[:, :2])
+    n1 = x1 @ t1.T
+    n2 = x2 @ t2.T
+    a = np.stack([
+        n2[:, 0] * n1[:, 0], n2[:, 0] * n1[:, 1], n2[:, 0],
+        n2[:, 1] * n1[:, 0], n2[:, 1] * n1[:, 1], n2[:, 1],
+        n1[:, 0], n1[:, 1], np.ones(len(n1)),
+    ], axis=1)
+    _, s, vt = np.linalg.svd(a)
+    e = t2.T @ vt[-1].reshape(3, 3) @ t1
+    u, sv, vt2 = np.linalg.svd(e)
+    m = (sv[0] + sv[1]) / 2.0
+    e = u @ np.diag([m, m, 0.0]) @ vt2
+    return e / np.linalg.norm(e), s
+
+
+def reference_sampson_sq(e, x1, x2):
+    """``_sampson_sq`` for one (3, 3) model."""
+    ex1 = x1 @ e.T
+    etx2 = x2 @ e
+    num = np.einsum("ij,ij->i", x2, ex1) ** 2
+    den = ex1[:, 0] ** 2 + ex1[:, 1] ** 2 + etx2[:, 0] ** 2 + etx2[:, 1] ** 2
+    return num / np.maximum(den, 1e-18)
+
+
+def noisy_two_view(n, share, seed, coincide=False):
+    """n matches, round(share * n) of them true up to 0.2 px noise and the
+    rest uniform in the frame; coincide puts every view-1 point on one pixel."""
+    p1, p2, _ = make_two_view(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    p2 = p2 + rng.normal(0.0, 0.2, p2.shape)
+    n_out = n - int(round(share * n))
+    p2[:n_out] = rng.uniform(0.0, 96.0, (n_out, 2))
+    if coincide:
+        p1[:] = p1[0]
+    return p1, p2
+
+
+def outcome(fn):
+    """The bytes of fn()'s pose estimate, or its failure's type and message."""
+    try:
+        est = fn()
+    except EstimationFailed as e:
+        return type(e).__name__, str(e)
+    return (est.rotation.tobytes(), est.translation.tobytes(),
+            est.inlier_mask.tobytes(), est.inlier_ratio, est.iterations)
+
+
+# (n, share, max_iters): an early stop inside the first chunk, one inside a
+# later chunk, and a cap that is not a multiple of _CHUNK
+CHUNK_EDGES = [(60, 1.0, 2000), (200, 0.7, 2000), (100, 0.1, 600)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(8, 300), share=st.floats(0.1, 1.0), seed=st.integers(0, 999),
+       max_iters=st.integers(1, 600), coincide=st.booleans())
+@example(n=60, share=1.0, seed=0, max_iters=2000, coincide=False)
+@example(n=200, share=0.7, seed=0, max_iters=2000, coincide=False)
+@example(n=100, share=0.1, seed=0, max_iters=600, coincide=False)
+@example(n=8, share=1.0, seed=0, max_iters=1, coincide=True)
+def test_chunked_ransac_equals_one_sample_loop(n, share, seed, max_iters, coincide):
+    p1, p2 = noisy_two_view(n, share, seed, coincide)
+
+    def estimate():
+        return estimate_essential_ransac(p1, p2, INTR, INTR, max_iters=max_iters,
+                                         seed=seed)
+
+    chunked = outcome(estimate)
+    with mock.patch.object(geometry, "_ransac", reference_ransac):
+        assert outcome(estimate) == chunked
+
+    # a batched fit, and each model's score, are bitwise those of the
+    # single-sample code
+    x1 = unproject_many(p1, np.ones(n), INTR)
+    x2 = unproject_many(p2, np.ones(n), INTR)
+    rng = np.random.default_rng(seed)
+    idx = np.stack([rng.choice(n, size=8, replace=False) for _ in range(16)])
+    e, s = _eight_point(x1[idx], x2[idx])
+    for i, sample in enumerate(idx):
+        e_i, s_i = reference_eight_point(x1[sample], x2[sample])
+        assert e[i].tobytes() == e_i.tobytes() and s[i].tobytes() == s_i.tobytes()
+        assert (_sampson_sq(e[i], x1, x2).tobytes()
+                == reference_sampson_sq(e_i, x1, x2).tobytes())
+    if coincide:
+        assert (_hartley_normalization(x1[idx, :2]) == np.eye(3)).all()
+
+
+@pytest.mark.parametrize("n, share, max_iters", CHUNK_EDGES)
+def test_chunk_edge_examples_reach_their_edge(n, share, max_iters):
+    # the explicit examples above stop where their comment says they do
+    p1, p2 = noisy_two_view(n, share, seed=0)
+    it = estimate_essential_ransac(p1, p2, INTR, INTR, max_iters=max_iters,
+                                   seed=0).iterations
+    assert it % _CHUNK != 0
+    if max_iters < 2000:
+        assert it == max_iters > _CHUNK
+    else:
+        assert it < max_iters and (it < _CHUNK) == (share == 1.0)
+
+
+def reference_triangulate(r, t, x1, x2, cap=50):
+    """``_triangulate`` with one SVD per point."""
+    n = min(len(x1), cap)
+    p2 = np.hstack([r, t.reshape(3, 1)])
+    d1 = np.empty(n)
+    d2 = np.empty(n)
+    for i in range(n):
+        a = np.stack([
+            x1[i, 0] * np.array([0, 0, 1, 0.0]) - np.array([1, 0, 0, 0.0]),
+            x1[i, 1] * np.array([0, 0, 1, 0.0]) - np.array([0, 1, 0, 0.0]),
+            x2[i, 0] * p2[2] - p2[0],
+            x2[i, 1] * p2[2] - p2[1],
+        ])
+        _, _, vt = np.linalg.svd(a)
+        xh = vt[-1]
+        if abs(xh[3]) < 1e-12:
+            d1[i] = d2[i] = -1.0
+            continue
+        pw = xh[:3] / xh[3]
+        d1[i] = pw[2]
+        d2[i] = (r @ pw + t)[2]
+    return d1, d2
+
+
+@pytest.mark.parametrize("n", [1, 8, 50, 80])
+def test_triangulate_equals_per_point_loop(n):
+    p1, p2, gt = make_two_view(n=n, seed=n)
+    x1 = unproject_many(p1, np.ones(n), INTR)
+    x2 = unproject_many(p2, np.ones(n), INTR)
+    x2[0] = x1[0]  # zero parallax under pure translation: a point at infinity
+    t = gt.translation / np.linalg.norm(gt.translation)
+    for r, t in ((gt.rotation, t), (gt.rotation, -t), (gt.rotation.T, t)):
+        got = _triangulate(r, t, x1, x2)
+        want = reference_triangulate(r, t, x1, x2)
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
 def test_pose_angular_errors_identity():

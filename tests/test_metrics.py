@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch.extractor import KeypointSet
-from evimatch.metrics import (ValidPairSet, mma_mr, repeatability, report_csv,
-                              report_text, rpe_auc, rpe_ratio, valid_pairs,
-                              vdd_vda)
+from evimatch.metrics import (ValidPairSet, correct_matches, mma_mr,
+                              repeatability, report_csv, report_text, rpe_auc,
+                              rpe_ratio, valid_pairs, vdd_vda)
 
 
 def kp_at(positions, desc=None):
@@ -77,6 +77,13 @@ def test_mma_mr_values():
     mma, mr = mma_mr(matches, a, b, eps=3.0)
     assert mma == pytest.approx(2.0 / 3.0)
     assert mr == pytest.approx(1.0)
+
+
+def test_correct_matches_bound_is_inclusive():
+    a = kp_at([[0.0, 0.0], [10.0, 0.0]])
+    b = kp_at([[3.0, 0.0], [13.5, 0.0]])
+    matches = np.array([[0, 0], [1, 1]])
+    assert correct_matches(matches, a, b, eps=3.0).tolist() == [True, False]
 
 
 def test_mma_absent_with_no_matches():

@@ -28,6 +28,7 @@ from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                matcher_history_csv, mnn_match, save_matcher,
                                train_matcher)
 from evimatch.metrics import valid_pairs
+from test_geometry import reference_ransac
 
 INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
 
@@ -183,19 +184,19 @@ def test_benchgen_dataset_bytes(tmp_path):
 # -- RANSAC -----------------------------------------------------------------
 
 class CountingRng:
-    """A seeded generator that counts its sample draws (one per iteration)."""
+    """A seeded generator that records each sample it draws."""
 
     def __init__(self, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.draws = 0
+        self.drawn = []
 
     def choice(self, *args, **kwargs):
-        self.draws += 1
-        return self.rng.choice(*args, **kwargs)
+        self.drawn.append(self.rng.choice(*args, **kwargs))
+        return self.drawn[-1]
 
 
-def counting_draws(monkeypatch, fn):
-    """fn() with geometry's generators counting; returns (result, draws)."""
+def recorded_draws(monkeypatch, fn):
+    """fn() with geometry's generators recording; returns (result, draws)."""
     made = []
 
     def default_rng(seed):
@@ -205,7 +206,7 @@ def counting_draws(monkeypatch, fn):
     with monkeypatch.context() as m:
         m.setattr(geometry.np.random, "default_rng", default_rng)
         result = fn()
-    return result, sum(r.draws for r in made)
+    return result, [d for r in made for d in r.drawn]
 
 
 def two_view_matches(n_in, n_out, seed):
@@ -232,11 +233,27 @@ def two_view_matches(n_in, n_out, seed):
 def test_essential_ransac_masks_and_iterations(monkeypatch, n_in, n_out, max_iters,
                                                inliers, iterations):
     p1, p2 = two_view_matches(n_in, n_out, seed=n_in)
-    est, draws = counting_draws(monkeypatch, lambda: estimate_essential_ransac(
-        p1, p2, INTR, INTR, threshold_px=1.0, max_iters=max_iters, seed=3))
-    assert est.iterations == draws
+
+    def estimate():
+        return estimate_essential_ransac(p1, p2, INTR, INTR, threshold_px=1.0,
+                                         max_iters=max_iters, seed=3)
+
+    est, draws = recorded_draws(monkeypatch, estimate)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_ransac", reference_ransac)
+        ref, ref_draws = recorded_draws(monkeypatch, estimate)
+    # chunks draw ahead of the stopping rule, but never past max_iters
+    assert ref.iterations == len(ref_draws)
+    assert [d.tolist() for d in draws[:est.iterations]] == [
+        d.tolist() for d in ref_draws]
+    if est.iterations == max_iters:
+        assert len(draws) == est.iterations
+    else:
+        assert est.iterations <= len(draws) < est.iterations + geometry._CHUNK
     assert mask_indices(est.inlier_mask) == inliers
     assert est.iterations == iterations
+    assert mask_indices(ref.inlier_mask) == inliers
+    assert ref.iterations == iterations
 
 
 # -- mutual nearest neighbours ----------------------------------------------
