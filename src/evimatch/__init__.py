@@ -32,7 +32,7 @@ from .matching import (Assignment, CAConfig, CAMatcherParams,
 from .metrics import (ValidPairSet, mma_mr, repeatability, report_csv,
                       report_text, rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
 from .optim import Adam, cosine_lr, load_checkpoint, save_checkpoint
-from .representations import (EventTensor, build_representation, event_stack,
+from .representations import (build_representation, event_stack,
                               normalize_tensor, time_surface, voxel_grid)
 
 __version__ = "0.1.0"

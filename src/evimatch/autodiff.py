@@ -44,10 +44,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -338,14 +334,15 @@ def bias_add(x, b):
     return _make(y, (x, b), bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance, then affine;
+    1e-5 is added to the variance before the square root."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     y = xhat * gamma.data + beta.data
     def bwd(g):

@@ -126,7 +126,7 @@ def resolve_config(command, args):
     spec = _COMMAND_PARAMS[command]
     resolved = {k: v for k, v in spec.items() if v is not None}
     if args.config is not None:
-        file_values = eio.parse_config(open(args.config).read(), path=args.config)
+        file_values = eio.load_config(args.config)
         for key, value in file_values.items():
             if key not in spec:
                 raise ValueError(f"{args.config}: unknown key {key!r} for {command}")
@@ -431,7 +431,7 @@ def cmd_viz(out, cfg):
     if ia == ib and len(assignment):
         # aligned pair: the ground-truth warp is the identity
         correct = correct_matches(assignment.matches, kp_a, kp_b, float(cfg["eps"]))
-    surface = time_surface(sa.events).data.max(axis=0)
+    surface = time_surface(sa.events).max(axis=0)
     canvas = eio.make_match_image(surface, sb.image, kp_a, kp_b, assignment,
                                   correct)
     viz_dir = os.path.join(out, "viz")

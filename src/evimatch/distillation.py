@@ -136,10 +136,9 @@ def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
     for sample in samples:
         if not isinstance(sample.events, EventStream):
             raise TypeError("samples must carry EventStream windows")
-        rep = build_representation(sample.events, config.representation,
-                                   bins=config.bins)
+        inputs.append(build_representation(sample.events, config.representation,
+                                           bins=config.bins))
         maps = tf(sample.image)
-        inputs.append(rep.data)
         feats.append(np.asarray(maps.feats, dtype=np.float32))
         scores.append(np.asarray(maps.score, dtype=np.float32))
         descs.append(np.asarray(maps.desc, dtype=np.float32))

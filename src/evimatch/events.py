@@ -1,10 +1,11 @@
-"""Event streams from event cameras.
+"""Event streams from event cameras and their one file format, EVT1.
 
 An event is a tuple (x, y, t, p): pixel coordinates, timestamp in seconds,
 and polarity +1/-1 for a brightness increase/decrease.  Streams keep events
 sorted by timestamp and know the sensor resolution and the closed interval
 [t_start, t_end] they cover, which is how fixed-duration slices are fed to
-the tensor representations.
+the tensor representations.  ``save_events``/``load_events`` write and read
+the binary EVT1 layout that dataset directories store per sample.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EVT_MAGIC = b"EVT1"
-_EVT_RECORD = struct.Struct("<HHqb3x")
+_EVT_DTYPE = np.dtype(
+    [("x", "<u2"), ("y", "<u2"), ("t", "<i8"), ("p", "i1"), ("pad", "V3")])
 
 
 @dataclass
@@ -106,8 +108,7 @@ def save_events(path, stream: EventStream):
     record per event: u16 x, u16 y, i64 timestamp in microseconds, i8
     polarity, 3 pad bytes.  Little-endian throughout.
     """
-    rec = np.zeros(len(stream), dtype=np.dtype(
-        [("x", "<u2"), ("y", "<u2"), ("t", "<i8"), ("p", "i1"), ("pad", "V3")]))
+    rec = np.zeros(len(stream), dtype=_EVT_DTYPE)
     rec["x"] = stream.xs
     rec["y"] = stream.ys
     rec["t"] = np.round(stream.ts * 1e6).astype(np.int64)
@@ -118,65 +119,30 @@ def save_events(path, stream: EventStream):
         f.write(rec.tobytes())
 
 
-def load_events(path, width=None, height=None) -> EventStream:
-    """Load events from the binary format or its CSV variant.
+def load_events(path) -> EventStream:
+    """Load events written by ``save_events``.
 
-    The two are distinguished by the leading magic bytes.  CSV rows are
-    ``x,y,t_us,p`` with an optional header line; CSV carries no resolution,
-    so width/height must be passed for it.  Out-of-range coordinates and
-    malformed rows raise ValueError naming the offending record index.
+    A bad magic, a header or record block of the wrong length, and any
+    record the stream rejects (out-of-sensor coordinates, a polarity other
+    than -1/+1, a zero resolution) raise ValueError naming the file.
     Unsorted timestamps are tolerated: the stream is sorted and flagged,
     and a warning is emitted.
     """
     with open(path, "rb") as f:
-        head = f.read(4)
-        if head == EVT_MAGIC:
-            meta = f.read(12)
-            if len(meta) != 12:
-                raise ValueError(f"{path}: truncated header")
-            w, h, count = struct.unpack("<III", meta)
-            raw = f.read(count * _EVT_RECORD.size)
-            if len(raw) != count * _EVT_RECORD.size:
-                raise ValueError(
-                    f"{path}: expected {count} records, file holds "
-                    f"{len(raw) // _EVT_RECORD.size}")
-            rec = np.frombuffer(raw, dtype=np.dtype(
-                [("x", "<u2"), ("y", "<u2"), ("t", "<i8"), ("p", "i1"), ("pad", "V3")]))
-            xs = rec["x"].astype(np.int32)
-            ys = rec["y"].astype(np.int32)
-            ts = rec["t"].astype(np.float64) * 1e-6
-            ps = rec["p"].astype(np.int8)
-        else:
-            if width is None or height is None:
-                raise ValueError("CSV event files need explicit width and height")
-            f.seek(0)
-            text = f.read().decode("ascii")
-            xs, ys, ts, ps = _parse_csv_events(text, path)
-            w, h = width, height
-    stream = EventStream(xs, ys, ts, ps, w, h)
+        raw = f.read()
+    if raw[:4] != EVT_MAGIC:
+        raise ValueError(f"{path}: not an EVT1 event file")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header")
+    w, h, count = struct.unpack_from("<III", raw, 4)
+    if len(raw) - 16 != count * _EVT_DTYPE.itemsize:
+        raise ValueError(f"{path}: expected {count} records after the header, "
+                         f"found {len(raw) - 16} bytes")
+    rec = np.frombuffer(raw, dtype=_EVT_DTYPE, offset=16)
+    try:
+        stream = EventStream(rec["x"], rec["y"], rec["t"] * 1e-6, rec["p"], w, h)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if stream.resorted:
         warnings.warn(f"{path}: timestamps were not sorted; stream was re-sorted")
     return stream
-
-
-def _parse_csv_events(text, path):
-    xs, ys, ts, ps = [], [], [], []
-    for lineno, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if lineno == 0 and any(c.isalpha() for c in line):
-            continue  # header row
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno + 1}: expected 4 fields, got {len(parts)}")
-        try:
-            x, y, t_us, p = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno + 1}: malformed record") from None
-        xs.append(x)
-        ys.append(y)
-        ts.append(t_us * 1e-6)
-        ps.append(p)
-    return (np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64),
-            np.asarray(ts, dtype=np.float64), np.asarray(ps, dtype=np.int64))

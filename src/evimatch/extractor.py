@@ -24,7 +24,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import load_module, save_module
-from .representations import EventTensor
 
 TEACHER_PROJECTION_SEED = 7
 
@@ -190,10 +189,14 @@ def _student_layout(config: ExtractorConfig):
 
 
 def init_student(config: ExtractorConfig, seed: int = 0):
-    """He-initialized parameter dict for the student architecture."""
+    """He-initialized parameter dict for the student architecture.
+
+    The parameters come frozen: ``optim.fit`` turns gradients on while it
+    trains them, so a forward pass on a fresh student records no graph.
+    """
     rng = np.random.default_rng(seed)
     return {name: Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape).astype(np.float32)
-                         if fan_in else np.zeros(shape, np.float32), requires_grad=True)
+                         if fan_in else np.zeros(shape, np.float32))
             for name, shape, fan_in in _student_layout(config)}
 
 
@@ -224,12 +227,12 @@ def forward_student_batch(x, params, config: ExtractorConfig):
 
 
 def forward_student(tensor, params, config: ExtractorConfig) -> DenseMaps:
-    """Run the student on one event tensor (or any (C, H, W) array).
+    """Run the student on one (C, H, W) event representation.
 
     Returns DenseMaps of Tensors; the graph is recorded only when the
     parameters require gradients, so inference on frozen params is cheap.
     """
-    data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
+    data = np.asarray(tensor)
     if data.ndim != 3:
         raise ValueError(f"expected a (C, H, W) input, got shape {data.shape}")
     feats, score, desc = forward_student_batch(
@@ -342,19 +345,14 @@ def normalize_desc(desc_map):
 
 
 def apply_event_mask(maps: DenseMaps, mask) -> DenseMaps:
-    """Gate the score map by an (H, W) event mask (``accumulate_mask``);
-    feats and desc pass through."""
+    """Gate the score map by an (H, W) event mask (``accumulate_mask``)
+    into a plain array, for inference; feats and desc pass through."""
     m = np.asarray(mask)
-    score = maps.score
-    sh = _as_array(score).shape
-    if sh[-2:] != m.shape:
-        raise ValueError(f"mask shape {m.shape} does not match score {sh}")
-    m3 = m.reshape(sh).astype(np.float32)
-    if isinstance(score, Tensor):
-        gated = ad.mul(score, Tensor(m3))
-    else:
-        gated = score * m3
-    return DenseMaps(maps.feats, gated, maps.desc)
+    score = _as_array(maps.score)
+    if score.shape[-2:] != m.shape:
+        raise ValueError(f"mask shape {m.shape} does not match score {score.shape}")
+    return DenseMaps(maps.feats, score * m.reshape(score.shape).astype(np.float32),
+                     maps.desc)
 
 
 # -- keypoint extraction ------------------------------------------------

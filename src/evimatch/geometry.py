@@ -40,12 +40,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
-    @property
-    def matrix(self):
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
 
 @dataclass
 class RigidPose:
@@ -61,10 +55,6 @@ class RigidPose:
         if err > 1e-9 or np.linalg.det(self.rotation) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def inverse(self):
         return RigidPose(self.rotation.T, -self.rotation.T @ self.translation)
 
@@ -72,12 +62,6 @@ class RigidPose:
         """Map world points (3,) or (N,3) into the camera frame."""
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
-
-    def matrix(self):
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
 
 def relative_pose(pose_a: RigidPose, pose_b: RigidPose) -> RigidPose:
@@ -249,14 +233,16 @@ def _triangulate(r, t, x1, x2, cap=50):
 
 # samples drawn and fitted per batch in _ransac
 _CHUNK = 256
+# probability that RANSAC's iteration budget includes one all-inlier sample
+_CONFIDENCE = 0.999
 
 
-def _ransac_iters_needed(inlier_ratio, sample_size, confidence):
+def _ransac_iters_needed(inlier_ratio, sample_size):
     w = min(max(inlier_ratio, 1e-9), 1.0 - 1e-12)
     denom = np.log1p(-(w ** sample_size))
     if denom >= 0:
         return 1
-    return int(np.ceil(np.log(1.0 - confidence) / denom))
+    return int(np.ceil(np.log(1.0 - _CONFIDENCE) / denom))
 
 
 def _matched_points(pts1, pts2, sample_size):
@@ -271,14 +257,14 @@ def _matched_points(pts1, pts2, sample_size):
     return pts1, pts2
 
 
-def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidence):
+def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
     """Uniform-sampling RANSAC with the adaptive stopping rule.
 
     Each iteration draws ``sample_size`` of the ``n`` matches without
     replacement and fits a model to them.  A model's inliers are the
     matches with ``residual_sq(model) <= thr_sq``; a strictly larger
     inlier set replaces the best one and tightens the iteration budget to
-    what ``confidence`` requires.  Returns (best inlier mask, iterations).
+    what ``_CONFIDENCE`` requires.  Returns (best inlier mask, iterations).
 
     Samples are drawn and fitted in chunks of up to ``_CHUNK``: ``fit``
     maps a (k, sample_size) index array to k models in one batched call.
@@ -306,7 +292,7 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
             if count > best_count:
                 best_count = count
                 best_mask = mask
-                needed = _ransac_iters_needed(count / n, sample_size, confidence)
+                needed = _ransac_iters_needed(count / n, sample_size)
             if it >= min(needed, max_iters):
                 break
     if best_mask is None or best_count < sample_size:
@@ -317,8 +303,7 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed, confidenc
 
 def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
                               intr2: CameraIntrinsics, threshold_px: float = 1.0,
-                              max_iters: int = 2000, seed: int = 0,
-                              confidence: float = 0.999) -> PoseEstimate:
+                              max_iters: int = 2000, seed: int = 0) -> PoseEstimate:
     """Recover the relative pose (view 1 to view 2) from pixel matches.
 
     Normalized 8-point algorithm inside a uniform-sampling RANSAC loop.
@@ -343,7 +328,7 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
     best_mask, it = _ransac(
         len(pts1), 8, lambda idx: _eight_point(x1[idx], x2[idx])[0],
-        lambda e: _sampson_sq(e, x1, x2), thr_sq, max_iters, seed, confidence)
+        lambda e: _sampson_sq(e, x1, x2), thr_sq, max_iters, seed)
 
     e, sv = _eight_point(x1[best_mask], x2[best_mask])
     # a unique solution needs the 8th singular value well above noise level;
@@ -396,24 +381,18 @@ def _hartley_normalization(pts):
     return t
 
 
-def pose_angular_errors(estimate, gt: RigidPose):
+def pose_angular_errors(estimate: PoseEstimate, gt: RigidPose):
     """Angular rotation and translation errors in degrees.
 
-    ``estimate`` is a PoseEstimate or a plain (R, t) pair.  The rotation
-    error is the geodesic angle between estimate and ground truth.  The
-    translation error compares directions only and absorbs the sign (an
-    essential matrix cannot tell t from -t), so it lies in [0, 90].  Either
-    translation having (near-)zero norm is an error: the direction is
-    undefined then.
+    The rotation error is the geodesic angle between estimate and ground
+    truth.  The translation error compares directions only and absorbs the
+    sign (an essential matrix cannot tell t from -t), so it lies in
+    [0, 90].  Either translation having (near-)zero norm is an error: the
+    direction is undefined then.
     """
-    if isinstance(estimate, PoseEstimate):
-        rotation, translation = estimate.rotation, estimate.translation
-    else:
-        rotation, translation = estimate
-    r = np.asarray(rotation, dtype=np.float64)
+    r, t = estimate.rotation, estimate.translation
     cos_r = (np.trace(r.T @ gt.rotation) - 1.0) / 2.0
     r_err = np.degrees(np.arccos(np.clip(cos_r, -1.0, 1.0)))
-    t = np.asarray(translation, dtype=np.float64).reshape(3)
     tn = np.linalg.norm(t)
     gn = np.linalg.norm(gt.translation)
     if tn < 1e-12 or gn < 1e-12:

@@ -4,6 +4,13 @@ Everything here is deterministic byte-for-byte given the same inputs, which
 is what makes rerun-identity of the pipeline testable.  Binary formats are
 little-endian with short magic headers; text formats are plain ASCII with
 full-precision floats (repr round-trips exactly).
+
+Text record files (keypoint dumps, poses, pairs, manifests) hold one record
+per line as whitespace-separated fields; blank lines and lines starting
+with ``#`` are skipped.  ``key=value`` files (configs, intrinsics) follow
+the same comment rule.  Every reader rejects malformed input with a
+ValueError that names the file, and for text the line or key:
+``path:line: expected `x y score```.
 """
 
 from __future__ import annotations
@@ -20,6 +27,24 @@ from .geometry import CameraIntrinsics, RigidPose, quat_to_rotmat, rotmat_to_qua
 from .matching import Assignment
 
 DESC_MAGIC = b"DSC1"
+
+
+def _rows(path, layout, types, make=lambda *fields: fields):
+    """``make(*fields)`` per record, each field converted by its entry of
+    ``types``; any failure is ``path:line: expected `layout```."""
+    out = []
+    with open(path, "rb") as f:
+        for ln, raw in enumerate(f, 1):
+            try:
+                fields = raw.decode("utf-8").split()
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if len(fields) != len(types):
+                    raise ValueError("wrong field count")
+                out.append(make(*(t(v) for t, v in zip(types, fields))))
+            except ValueError as e:
+                raise ValueError(f"{path}:{ln}: expected `{layout}`") from e
+    return out
 
 
 # -- portable graymaps ----------------------------------------------------
@@ -64,7 +89,12 @@ def load_pgm(path):
     if raw[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM file")
     tokens, off = _pnm_tokens(raw, 4, path)
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: bad header {b' '.join(tokens)!r}") from None
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     data = raw[off:off + w * h]
@@ -125,30 +155,19 @@ def save_keypoints(path, kp: KeypointSet):
 
 
 def load_keypoints(path) -> KeypointSet:
-    positions, scores = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected `x y score`")
-            positions.append((float(parts[0]), float(parts[1])))
-            scores.append(float(parts[2]))
+    rows = np.asarray(_rows(path, "x y score", (float,) * 3), np.float64).reshape(-1, 3)
     side = descriptor_sidecar_path(path)
     with open(side, "rb") as f:
         raw = f.read()
-    if raw[:4] != DESC_MAGIC:
+    if raw[:4] != DESC_MAGIC or len(raw) < 12:
         raise ValueError(f"{side}: not a descriptor sidecar")
-    k, c = struct.unpack("<II", raw[4:12])
-    if k != len(positions):
-        raise ValueError(f"{side}: {k} descriptors for {len(positions)} keypoints")
+    k, c = struct.unpack_from("<II", raw, 4)
+    if k != len(rows):
+        raise ValueError(f"{side}: {k} descriptors for {len(rows)} keypoints")
     if len(raw) != 12 + k * c * 4:
         raise ValueError(f"{side}: truncated descriptor data")
-    desc = np.frombuffer(raw[12:], dtype="<f4").reshape(k, c)
-    return KeypointSet(np.asarray(positions, dtype=np.float64).reshape(-1, 2),
-                       desc.copy(), np.asarray(scores, dtype=np.float32))
+    desc = np.frombuffer(raw, dtype="<f4", offset=12).reshape(k, c)
+    return KeypointSet(rows[:, :2].copy(), desc.copy(), rows[:, 2])
 
 
 def save_matches(path, assignment: Assignment):
@@ -175,19 +194,9 @@ def save_poses(path, times_us, poses):
 
 def load_poses(path):
     """Returns aligned lists (times_us, poses)."""
-    times, poses = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{ln}: expected `t_us tx ty tz qx qy qz qw`")
-            times.append(int(parts[0]))
-            vals = [float(v) for v in parts[1:]]
-            poses.append(RigidPose(quat_to_rotmat(vals[3:7]), vals[0:3]))
-    return times, poses
+    rows = _rows(path, "t_us tx ty tz qx qy qz qw", (int,) + (float,) * 7,
+                 lambda t_us, *v: (t_us, RigidPose(quat_to_rotmat(v[3:]), v[:3])))
+    return [t for t, _ in rows], [pose for _, pose in rows]
 
 
 def save_intrinsics(path, intr: CameraIntrinsics, width: int, height: int):
@@ -199,18 +208,35 @@ def save_intrinsics(path, intr: CameraIntrinsics, width: int, height: int):
 
 def load_intrinsics(path):
     """Returns (CameraIntrinsics, width, height)."""
-    kv = parse_config(open(path).read(), path=path)
+    kv = load_config(path)
+    values = []
+    for key, kind in zip(("fx", "fy", "cx", "cy", "width", "height"),
+                         (float,) * 4 + (int,) * 2):
+        try:
+            values.append(kind(kv[key]))
+        except KeyError:
+            raise ValueError(f"{path}: missing intrinsics key {key}") from None
+        except ValueError:
+            raise ValueError(f"{path}: {key}={kv[key]!r} is not {kind.__name__}") from None
     try:
-        intr = CameraIntrinsics(fx=float(kv["fx"]), fy=float(kv["fy"]),
-                                cx=float(kv["cx"]), cy=float(kv["cy"]))
-        return intr, int(kv["width"]), int(kv["height"])
-    except KeyError as e:
-        raise ValueError(f"{path}: missing intrinsics key {e.args[0]}") from None
+        return CameraIntrinsics(*values[:4]), values[4], values[5]
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def format_config(values: dict) -> str:
     """key=value lines, keys sorted for stable output."""
     return "".join(f"{k}={values[k]}\n" for k in sorted(values))
+
+
+def load_config(path) -> dict:
+    """parse_config over a UTF-8 file."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return parse_config(raw.decode("utf-8"), path)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text at byte {e.start}") from None
 
 
 def parse_config(text: str, path="config") -> dict:
@@ -250,8 +276,8 @@ def save_dataset(root, samples, intrinsics: CameraIntrinsics,
 def load_dataset(root):
     """Read a dataset directory back: (samples, intrinsics, width, height)."""
     intr, width, height = load_intrinsics(os.path.join(root, "intrinsics.txt"))
-    with open(os.path.join(root, "manifest.txt")) as f:
-        times_us = [int(line.strip()) for line in f if line.strip()]
+    times_us = _rows(os.path.join(root, "manifest.txt"), "t_us", (int,),
+                     lambda t_us: t_us)
     pose_times, poses = load_poses(os.path.join(root, "poses.txt"))
     if pose_times != times_us:
         raise ValueError(f"{root}: poses.txt and manifest.txt disagree")
@@ -273,17 +299,7 @@ def save_pairs(path, pairs):
 
 
 def load_pairs(path):
-    pairs = []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected `idx_events idx_image overlap`")
-            pairs.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return pairs
+    return _rows(path, "idx_events idx_image overlap", (int, int, float))
 
 
 # -- visualization -------------------------------------------------------------
@@ -325,8 +341,9 @@ DOT = (90, 140, 230)
 
 
 def make_match_image(image_a, image_b, kp_a, kp_b, assignment: Assignment,
-                     correct=None, gap: int = 8):
-    """Side-by-side match visualization as an (H, 2W+gap, 3) uint8 array.
+                     correct=None):
+    """Side-by-side match visualization as an (H, W_a + 8 + W_b, 3) uint8
+    array: the two images with an 8-pixel black gap between them.
 
     Lines are green for correct matches, red for incorrect ones, and
     yellow when no ground truth is available (correct is None).
@@ -335,6 +352,7 @@ def make_match_image(image_a, image_b, kp_a, kp_b, assignment: Assignment,
     b = np.asarray(image_b, dtype=np.float64)
     h = max(a.shape[0], b.shape[0])
     wa, wb = a.shape[1], b.shape[1]
+    gap = 8
     canvas = np.zeros((h, wa + gap + wb, 3), dtype=np.uint8)
     canvas[:a.shape[0], :wa] = np.round(np.clip(a, 0, 1) * 255)[..., None]
     canvas[:b.shape[0], wa + gap:] = np.round(np.clip(b, 0, 1) * 255)[..., None]

@@ -139,6 +139,8 @@ class CAMatcherParams:
 
     @classmethod
     def create(cls, config: CAConfig = CAConfig(), seed: int = 0):
+        """Freshly initialized, frozen parameters; ``optim.fit`` turns
+        gradients on while it trains them."""
         rng = np.random.default_rng(seed)
         p = {}
         for name, shape in _matcher_layout(config):
@@ -150,7 +152,7 @@ class CAMatcherParams:
                 data = np.asarray(math.log(10.0))
             else:  # biases
                 data = np.zeros(shape)
-            p[name] = Tensor(data.astype(np.float32), requires_grad=True)
+            p[name] = Tensor(data.astype(np.float32))
         return cls(config, p)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extractor import _descriptors, _positions
-from .matching import _mutual_nearest
+from .matching import Assignment, _mutual_nearest
 
 
 @dataclass
@@ -85,15 +85,14 @@ def correct_matches(matches, kp_a, kp_b, eps: float):
     return d <= eps
 
 
-def mma_mr(assignment, kp_a, kp_b, eps: float = 3.0):
+def mma_mr(assignment: Assignment, kp_a, kp_b, eps: float = 3.0):
     """Mean matching accuracy and matching ratio of a hard assignment.
 
     MMA is the fraction of matches whose pixel distance is at most eps;
     with zero matches it is absent (None), never a fake zero.  MR is the
     match count over min(|A|, |B|), and 0 when either set is empty.
     """
-    matches = np.asarray(getattr(assignment, "matches", assignment),
-                         dtype=np.int64).reshape(-1, 2)
+    matches = assignment.matches
     denom = min(len(_positions(kp_a)), len(_positions(kp_b)))
     mr = float(len(matches)) / denom if denom > 0 else 0.0
     if len(matches) == 0:

@@ -14,6 +14,7 @@ an int field one element.  The parameters follow in dict order.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 import typing
 
@@ -39,15 +40,13 @@ class Adam:
     schedule with progress = completed_steps / total_steps, so the first
     update runs at lr0 and the rate would hit zero just past the final
     update.  Gradients are read from ``.grad`` and cleared after the step.
+    The moment decays (0.9, 0.999) and the denominator's 1e-8 are fixed.
     """
 
-    def __init__(self, params, lr, total_steps=None, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, total_steps=None):
         self.params = params
         self.lr0 = float(lr)
         self.total_steps = total_steps
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -60,7 +59,7 @@ class Adam:
     def step(self):
         lr = self.current_lr()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -73,7 +72,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= (lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+            p.data -= (lr / c1) * m / (np.sqrt(v / c2) + 1e-8)
             p.grad = None
 
 
@@ -167,10 +166,16 @@ def load_checkpoint(path):
     params = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: parameter name is not UTF-8") from None
         (ndim,) = struct.unpack("<I", take(4, "ndim"))
+        if ndim > 64:  # numpy's limit
+            raise ValueError(f"{path}: parameter {name} has {ndim} dimensions")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        n = int(np.prod(shape)) if ndim else 1
+        # exact: a wrapped int64 product could pass the length check
+        n = math.prod(shape)
         data = np.frombuffer(take(4 * n, f"data of {name}"), dtype="<f4")
         params[name] = data.reshape(shape).astype(np.float32)
     if off != len(raw):

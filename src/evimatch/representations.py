@@ -1,46 +1,24 @@
 """Dense tensor representations of event windows.
 
 Each builder turns an event stream (usually a fixed-duration window) into a
-(C, H, W) float32 grid suitable for a convolutional extractor: a voxel grid
-with bilinear splatting along time, a per-polarity exponential time surface,
-or a stack of signed count images.  ``normalize`` standardizes a tensor over
-its nonzero support only, so sparse grids are not drowned by the zero
-background.
+plain (C, H, W) float32 array suitable for a convolutional extractor: a
+voxel grid with bilinear splatting along time, a per-polarity exponential
+time surface, or a stack of signed count images.  ``normalize_tensor``
+standardizes an array over its nonzero support only, so sparse grids are
+not drowned by the zero background; ``build_representation`` always does.
+Builders accumulate in float64 and round to float32 once, and
+normalization works on those float32 values, so the extractor sees the
+same bytes however a grid reaches it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .events import EventStream
 
 
-@dataclass
-class EventTensor:
-    """A (C, H, W) float32 grid built from one event window."""
-
-    data: np.ndarray
-    kind: str
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise ValueError("event tensor must be (C, H, W)")
-
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    @property
-    def window(self):
-        return (self.t_start, self.t_end)
-
-
-def voxel_grid(stream: EventStream, bins: int = 16) -> EventTensor:
+def voxel_grid(stream: EventStream, bins: int = 16) -> np.ndarray:
     """Signed polarity mass splatted bilinearly over `bins` temporal slices.
 
     Each event lands at the continuous bin coordinate
@@ -68,23 +46,19 @@ def voxel_grid(stream: EventStream, bins: int = 16) -> EventTensor:
         np.add.at(flat, (i0, pix), pol * (1.0 - frac))
         right = i0 + 1 < bins
         np.add.at(flat, (i0[right] + 1, pix[right]), pol[right] * frac[right])
-    return EventTensor(grid, "voxel", t0, t1)
+    return grid.astype(np.float32)
 
 
-def time_surface(stream: EventStream, tau: float | None = None) -> EventTensor:
+def time_surface(stream: EventStream) -> np.ndarray:
     """Exponential decay image of the most recent event per pixel.
 
     Two channels, negative polarity first: channel (p + 1) / 2 holds
     exp(-(t_end - t_last) / tau) where t_last is the newest event of that
-    polarity at the pixel.  tau defaults to half the window duration; a
+    polarity at the pixel and tau is half the window duration; a
     zero-duration window writes 1.0 at every event pixel.
     """
-    if tau is not None and tau <= 0:
-        raise ValueError("tau must be positive")
     t0, t1 = stream.extent()
-    dur = t1 - t0
-    if tau is None:
-        tau = dur / 2.0
+    tau = (t1 - t0) / 2.0
     surf = np.zeros((2, stream.height, stream.width), dtype=np.float64)
     if len(stream):
         # events are time-sorted, so later writes win: each pixel ends up
@@ -97,10 +71,10 @@ def time_surface(stream: EventStream, tau: float | None = None) -> EventTensor:
             surf[seen] = np.exp(-(t1 - last[seen]) / tau)
         else:
             surf[seen] = 1.0
-    return EventTensor(surf, "time_surface", t0, t1)
+    return surf.astype(np.float32)
 
 
-def event_stack(stream: EventStream, slices: int = 16) -> EventTensor:
+def event_stack(stream: EventStream, slices: int = 16) -> np.ndarray:
     """Signed event counts over equal-duration slices of the window.
 
     Slice k covers [t_start + k * dur / bins, t_start + (k+1) * dur / bins);
@@ -119,20 +93,20 @@ def event_stack(stream: EventStream, slices: int = 16) -> EventTensor:
             idx = np.zeros(len(stream), dtype=np.int64)
         pix = stream.ys.astype(np.int64) * stream.width + stream.xs
         np.add.at(grid.reshape(slices, -1), (idx, pix), stream.ps.astype(np.float64))
-    return EventTensor(grid, "stack", t0, t1)
+    return grid.astype(np.float32)
 
 
-def normalize_tensor(tensor: EventTensor) -> EventTensor:
+def normalize_tensor(tensor) -> np.ndarray:
     """Standardize to zero mean / unit std over the nonzero entries only.
 
     Zero entries stay exactly zero.  A std below 1e-6 is clamped to 1 so
-    near-constant support does not blow up.  An all-zero tensor is returned
-    unchanged.
+    near-constant support does not blow up.  An all-zero array comes back
+    unchanged.  The statistics are taken in float64; the result is float32.
     """
-    data = tensor.data.astype(np.float64)
+    data = np.asarray(tensor, dtype=np.float64)
     support = data != 0
     if not support.any():
-        return EventTensor(tensor.data.copy(), tensor.kind, tensor.t_start, tensor.t_end)
+        return data.astype(np.float32)
     vals = data[support]
     mean = vals.mean()
     std = vals.std()
@@ -140,18 +114,18 @@ def normalize_tensor(tensor: EventTensor) -> EventTensor:
         std = 1.0
     out = np.zeros_like(data)
     out[support] = (vals - mean) / std
-    return EventTensor(out, tensor.kind, tensor.t_start, tensor.t_end)
+    return out.astype(np.float32)
 
 
-def build_representation(stream: EventStream, kind: str, bins: int = 16,
-                         tau: float | None = None, standardize: bool = True) -> EventTensor:
-    """Dispatch on representation name: 'voxel', 'time_surface' or 'stack'."""
+def build_representation(stream: EventStream, kind: str, bins: int = 16) -> np.ndarray:
+    """Standardized (C, H, W) float32 grid of one window, by name:
+    'voxel', 'time_surface' or 'stack'."""
     if kind == "voxel":
         t = voxel_grid(stream, bins=bins)
     elif kind == "time_surface":
-        t = time_surface(stream, tau=tau)
+        t = time_surface(stream)
     elif kind == "stack":
         t = event_stack(stream, slices=bins)
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    return normalize_tensor(t) if standardize else t
+    return normalize_tensor(t)

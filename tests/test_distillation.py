@@ -107,7 +107,7 @@ RECIPE = DistillConfig(representation="voxel", bins=4, lr=3e-3, epochs=4,
 
 def lfd_sample(events, image):
     return LFDSample(0.05, events, image, np.ones_like(image),
-                     RigidPose.identity())
+                     RigidPose(np.eye(3), np.zeros(3)))
 
 
 def training_samples(n=4, size=16, seed=0):

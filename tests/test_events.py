@@ -1,4 +1,6 @@
-"""Event container, event masks and the binary/CSV file formats."""
+"""Event container, event masks and the binary EVT1 file format."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -100,41 +102,17 @@ def test_load_truncated_file_raises(tmp_path):
         load_events(path)
 
 
-def test_csv_load_with_header(tmp_path):
-    path = tmp_path / "ev.csv"
-    path.write_text("x,y,t,p\n1,2,1000,1\n3,4,2000,-1\n")
-    s = load_events(path, width=8, height=8)
-    assert list(s.xs) == [1, 3]
-    assert s.ts[1] == pytest.approx(0.002)
-    assert list(s.ps) == [1, -1]
-
-
-def test_csv_requires_resolution(tmp_path):
-    path = tmp_path / "ev.csv"
-    path.write_text("1,2,1000,1\n")
-    with pytest.raises(ValueError, match="width and height"):
-        load_events(path)
-
-
-def test_csv_malformed_row_names_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,1000,1\n1,2,oops,1\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_events(path, width=8, height=8)
-
-
-def test_csv_wrong_field_count(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,1000\n")
-    with pytest.raises(ValueError, match="expected 4 fields"):
-        load_events(path, width=8, height=8)
+def evt_bytes(width, height, records):
+    """An EVT1 file holding (x, y, t_us, p) records in the given order."""
+    return (b"EVT1" + struct.pack("<III", width, height, len(records))
+            + b"".join(struct.pack("<HHqb3x", *r) for r in records))
 
 
 def test_load_unsorted_warns_and_sorts(tmp_path):
-    path = tmp_path / "uns.csv"
-    path.write_text("0,0,2000,1\n1,0,1000,-1\n")
+    path = tmp_path / "uns.evt"
+    path.write_bytes(evt_bytes(4, 4, [(0, 0, 2000, 1), (1, 0, 1000, -1)]))
     with pytest.warns(UserWarning, match="re-sorted"):
-        s = load_events(path, width=4, height=4)
+        s = load_events(path)
     assert s.resorted
     assert list(s.xs) == [1, 0]
 
@@ -159,3 +137,30 @@ def test_binary_roundtrip_property(tmp_path_factory, rows):
     np.testing.assert_array_equal(back.xs, s.xs)
     np.testing.assert_allclose(back.ts, s.ts, atol=1e-12)
     np.testing.assert_array_equal(back.ps, s.ps)
+
+
+@pytest.mark.parametrize("width, height, record, cause", [
+    (4, 4, (1, 1, 0, 0), "polarity 0"),
+    (4, 4, (4, 1, 0, 1), "outside the 4x4 sensor"),
+    (4, 4, (1, 7, 0, -1), "outside the 4x4 sensor"),
+    (0, 4, (0, 0, 0, 1), "resolution must be positive"),
+])
+def test_bad_record_names_the_file(tmp_path, width, height, record, cause):
+    path = tmp_path / "bad.evt"
+    path.write_bytes(evt_bytes(width, height, [record]))
+    with pytest.raises(ValueError, match=rf"bad\.evt: .*{cause}"):
+        load_events(path)
+
+
+def test_foreign_file_names_the_file(tmp_path):
+    path = tmp_path / "ev.csv"
+    path.write_text("x,y,t,p\n1,2,1000,1\n")
+    with pytest.raises(ValueError, match=r"ev\.csv: not an EVT1 event file"):
+        load_events(path)
+
+
+def test_trailing_bytes_are_rejected(tmp_path):
+    path = tmp_path / "long.evt"
+    path.write_bytes(evt_bytes(4, 4, [(1, 1, 0, 1)]) + b"\0" * 16)
+    with pytest.raises(ValueError, match=r"long\.evt: expected 1 records"):
+        load_events(path)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from evimatch.autodiff import Tensor
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 TeacherConfig, analytic_teacher,
                                 apply_event_mask, bilinear_sample_np,
@@ -49,7 +48,7 @@ def test_init_student_matches_declared_shapes():
     assert list(params) == list(shapes)
     for name, shape in shapes.items():
         assert params[name].data.shape == shape, name
-        assert params[name].requires_grad
+        assert not params[name].requires_grad  # optim.fit turns grads on
 
 
 def test_init_student_seed_determinism():
@@ -76,11 +75,13 @@ def test_forward_student_rejects_wrong_channels():
 
 def test_forward_student_graph_only_when_trainable():
     x = np.random.default_rng(0).normal(size=(2, 8, 8)).astype(np.float32)
-    trainable = forward_student(x, init_student(TINY), TINY)
-    assert trainable.score.requires_grad
-    frozen_params = {k: Tensor(v.data) for k, v in init_student(TINY).items()}
-    frozen = forward_student(x, frozen_params, TINY)
+    params = init_student(TINY)
+    frozen = forward_student(x, params, TINY)
     assert not frozen.score.requires_grad
+    for p in params.values():
+        p.requires_grad = True
+    trainable = forward_student(x, params, TINY)
+    assert trainable.score.requires_grad
 
 
 def test_harris_flat_image_is_zero():

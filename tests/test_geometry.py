@@ -18,6 +18,7 @@ from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                rotmat_to_quat, skew, unproject_many)
 
 INTR = CameraIntrinsics(fx=120.0, fy=120.0, cx=63.5, cy=47.5)
+IDENTITY = RigidPose(np.eye(3), np.zeros(3))
 
 
 def random_rotation(rng):
@@ -26,8 +27,9 @@ def random_rotation(rng):
 
 
 def test_intrinsics_matrix_and_validation():
-    k = INTR.matrix
-    assert k[0, 0] == 120.0 and k[0, 2] == 63.5 and k[2, 2] == 1.0
+    px, ok = project_many([[0.0, 0.0, 2.0], [1.0, -0.5, 2.0]], INTR)
+    assert ok.all()
+    assert px.tolist() == [[63.5, 47.5], [63.5 + 60.0, 47.5 - 30.0]]
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
 
@@ -127,7 +129,7 @@ def test_unproject_many_matches_scalar():
 
 def test_reproject_identity_is_noop():
     px = np.array([[30.0, 40.0]])
-    out, ok = reproject_many(px, [2.0], INTR, INTR, RigidPose.identity())
+    out, ok = reproject_many(px, [2.0], INTR, INTR, IDENTITY)
     assert ok.all()
     np.testing.assert_allclose(out, px, atol=1e-12)
 
@@ -144,7 +146,7 @@ def make_two_view(n=60, angle=10.0, seed=0, baseline=(1.0, 0.0, 0.0)):
     rng = np.random.default_rng(seed)
     world = rng.uniform(-1.0, 1.0, (n, 3))
     world[:, 2] = rng.uniform(3.0, 6.0, n)
-    pose_a = RigidPose.identity()
+    pose_a = IDENTITY
     pose_b = RigidPose(rotation_about([0, 1, 0], angle), np.asarray(baseline, float))
     p1, _ = project_many(pose_a.apply(world), INTR)
     p2, _ = project_many(pose_b.apply(world), INTR)
@@ -192,8 +194,7 @@ def test_essential_ransac_deterministic():
 
 # -- chunked RANSAC against the one-sample loop ------------------------------
 
-def reference_ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed,
-                     confidence):
+def reference_ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
     """``_ransac`` drawing, fitting and scoring one sample per iteration:
     the loop whose masks, iterations and draws the chunked one reproduces."""
     rng = np.random.default_rng(seed)
@@ -209,7 +210,7 @@ def reference_ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed,
         if count > best_count:
             best_count = count
             best_mask = mask
-            needed = _ransac_iters_needed(count / n, sample_size, confidence)
+            needed = _ransac_iters_needed(count / n, sample_size)
     if best_mask is None or best_count < sample_size:
         raise EstimationFailed(
             f"no model with {sample_size} inliers after {it} iterations")
@@ -366,16 +367,20 @@ def test_triangulate_equals_per_point_loop(n):
         assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
 
 
+def estimate_of(rotation, translation):
+    return PoseEstimate(rotation, translation, np.ones(8, bool), 1.0)
+
+
 def test_pose_angular_errors_identity():
     gt = RigidPose(rotation_about([1, 0, 0], 20.0), np.array([0.0, 1.0, 0.0]))
-    r_err, t_err = pose_angular_errors((gt.rotation, gt.translation), gt)
+    r_err, t_err = pose_angular_errors(estimate_of(gt.rotation, gt.translation), gt)
     assert r_err == pytest.approx(0.0, abs=1e-9)
     assert t_err == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pose_angular_errors_known_angle():
     gt = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-    est = (rotation_about([0, 0, 1], 5.0), np.array([0.0, 1.0, 0.0]))
+    est = estimate_of(rotation_about([0, 0, 1], 5.0), np.array([0.0, 1.0, 0.0]))
     r_err, t_err = pose_angular_errors(est, gt)
     assert r_err == pytest.approx(5.0, abs=1e-9)
     assert t_err == pytest.approx(90.0, abs=1e-9)
@@ -383,14 +388,14 @@ def test_pose_angular_errors_known_angle():
 
 def test_pose_angular_errors_sign_absorbed():
     gt = RigidPose(np.eye(3), np.array([0.3, -0.4, 0.5]))
-    _, t_err = pose_angular_errors((np.eye(3), -gt.translation), gt)
+    _, t_err = pose_angular_errors(estimate_of(np.eye(3), -gt.translation), gt)
     assert t_err == pytest.approx(0.0, abs=1e-5)
 
 
 def test_pose_angular_errors_zero_baseline_raises():
     gt = RigidPose(np.eye(3), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="zero-norm"):
-        pose_angular_errors((np.eye(3), np.zeros(3)), gt)
+        pose_angular_errors(estimate_of(np.eye(3), np.zeros(3)), gt)
 
 
 def test_pose_angular_errors_accepts_estimate_object():

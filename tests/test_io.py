@@ -1,14 +1,20 @@
 """Roundtrips and validation for the on-disk formats."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimatch import io
 from evimatch.datagen import LFDSample
-from evimatch.events import EventStream
-from evimatch.extractor import KeypointSet
+from evimatch.events import EventStream, load_events, save_events
+from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
+                                load_extractor, save_extractor)
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import Assignment
+from evimatch.optim import load_checkpoint, save_checkpoint
 
 RNG = np.random.default_rng(7)
 
@@ -270,7 +276,7 @@ def test_match_image_geometry_and_colors():
     kp_b = np.array([[4.0, 3.0], [9.0, 8.0]])
     assignment = Assignment(np.array([[0, 0], [1, 1]]), np.array([0.9, 0.8]))
     img = make = io.make_match_image(image_a, image_b, kp_a, kp_b, assignment,
-                                     correct=[True, False], gap=8)
+                                     correct=[True, False])
     assert img.shape == (10, 12 + 8 + 12, 3)
     assert img.dtype == np.uint8
     flat = img.reshape(-1, 3)
@@ -295,3 +301,142 @@ def test_match_image_keypointset_inputs_and_validation():
     with pytest.raises(ValueError, match="correctness flags"):
         io.make_match_image(np.zeros((5, 6)), np.zeros((5, 6)), kp, kp,
                             assignment, correct=[True, False])
+
+
+# -- located errors ------------------------------------------------------------
+
+@pytest.mark.parametrize("header, cause", [
+    (b"P5\n-4 3\n255\n", "image size -4x3"),
+    (b"P5\n0 4\n255\n", "image size 0x4"),
+    (b"P5\n4 x\n255\n", "bad header"),
+])
+def test_pgm_header_values_are_checked(tmp_path, header, cause):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header + bytes(12))
+    with pytest.raises(ValueError, match=rf"bad\.pgm: {cause}"):
+        io.load_pgm(p)
+
+
+def test_short_descriptor_sidecar(tmp_path):
+    p = tmp_path / "kp.txt"
+    io.save_keypoints(p, random_keypoints(k=2))
+    (tmp_path / "kp.txt.desc").write_bytes(io.DESC_MAGIC + b"\x02\x00")
+    with pytest.raises(ValueError, match=r"kp\.txt\.desc: not a descriptor sidecar"):
+        io.load_keypoints(p)
+
+
+def test_checkpoint_name_must_be_utf8(tmp_path):
+    p = tmp_path / "bad.ckpt"
+    save_checkpoint(p, {"w": np.zeros(2, np.float32)})
+    p.write_bytes(p.read_bytes().replace(b"\x01\x00\x00\x00w", b"\x01\x00\x00\x00\xff"))
+    with pytest.raises(ValueError, match=r"bad\.ckpt: parameter name is not UTF-8"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("pairs.txt", "0 1 0.5\n0 x 0.5\n", r"pairs\.txt:2: expected `idx_events"),
+    ("pairs.txt", "# i j overlap\n0 1 0.5\n1 \xff 2\n", r"pairs\.txt:3: expected"),
+    ("kp.txt", "1.0 2.0 0.5\n\n1.0 abc 0.5\n", r"kp\.txt:3: expected `x y score`"),
+    ("poses.txt", "0 0 0 0 0 0 0 0\n", r"poses\.txt:1: expected `t_us tx"),
+    ("poses.txt", "1.5 0 0 0 0 0 0 1\n", r"poses\.txt:1: expected `t_us tx"),
+])
+def test_text_records_name_file_and_line(tmp_path, name, text, where):
+    p = tmp_path / name
+    p.write_bytes(text.encode("latin-1"))
+    read = {"pairs.txt": io.load_pairs, "kp.txt": io.load_keypoints,
+            "poses.txt": io.load_poses}[name]
+    with pytest.raises(ValueError, match=where):
+        read(p)
+
+
+def test_manifest_names_file_and_line(tmp_path):
+    root = tmp_path / "ds"
+    io.save_dataset(root, [tiny_sample(0.25, 1)],
+                    CameraIntrinsics(6.4, 6.4, 3.5, 2.5), 8, 6)
+    (root / "manifest.txt").write_text("250000\n25O000\n")
+    with pytest.raises(ValueError, match=r"manifest\.txt:2: expected `t_us`"):
+        io.load_dataset(root)
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("fx=abc\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "fx='abc' is not float"),
+    ("fx=1\nfy=1\ncx=0\ncy=0\nwidth=4.5\nheight=4\n", "width='4.5' is not int"),
+    ("fx=0\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "focal lengths"),
+])
+def test_intrinsics_name_the_bad_key(tmp_path, text, cause):
+    p = tmp_path / "intr.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"intr\.txt: {cause}"):
+        io.load_intrinsics(p)
+
+
+def test_config_file_must_be_utf8(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"seed=1\nname=\xff\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: not UTF-8 text at byte 12"):
+        io.load_config(p)
+
+
+# -- parser fuzzing --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """name -> (file to corrupt, reader of it) over one valid file per format."""
+    d = tmp_path_factory.mktemp("valid")
+    sample = tiny_sample(0.25, 1)
+    intr = CameraIntrinsics(6.4, 6.4, 3.5, 2.5)
+    io.save_dataset(d / "ds", [sample], intr, 8, 6)
+    save_events(d / "ev.evt", sample.events)
+    config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,), latent_dim=4,
+                             desc_dim=8, score_head=(4,), desc_head=(4,))
+    save_extractor(d / "net.ckpt", init_student(config), config)
+    io.save_keypoints(d / "kp.txt", random_keypoints(k=3, c=4))
+    io.save_pairs(d / "pairs.txt", [(0, 1, 0.62), (2, 3, 0.41)])
+    io.save_poses(d / "poses.txt", [0, 33000], [sample.pose, sample.pose])
+    io.save_intrinsics(d / "intr.txt", intr, 8, 6)
+    (d / "run.cfg").write_text(io.format_config({"seed": "3", "k": "64"}))
+    io.save_pgm(d / "img.pgm", sample.image)
+    io.save_depth(d / "depth.f32", sample.depth)
+    return {
+        "evt": (d / "ev.evt", load_events),
+        "checkpoint": (d / "net.ckpt", load_extractor),
+        "keypoints": (d / "kp.txt", io.load_keypoints),
+        "sidecar": (d / "kp.txt.desc", lambda _: io.load_keypoints(d / "kp.txt")),
+        "pairs": (d / "pairs.txt", io.load_pairs),
+        "poses": (d / "poses.txt", io.load_poses),
+        "manifest": (d / "ds" / "manifest.txt", lambda _: io.load_dataset(d / "ds")),
+        "intrinsics": (d / "intr.txt", io.load_intrinsics),
+        "config": (d / "run.cfg", io.load_config),
+        "pgm": (d / "img.pgm", io.load_pgm),
+        "depth": (d / "depth.f32", lambda p: io.load_depth(p, 8, 6)),
+    }
+
+
+BYTES = st.one_of(st.integers(0, 255), st.sampled_from(list(b"0123456789-.#=e \n")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader=st.sampled_from(["evt", "checkpoint", "keypoints", "sidecar", "pairs",
+                               "poses", "manifest", "intrinsics", "config", "pgm",
+                               "depth"]),
+       cut=st.one_of(st.none(), st.integers(0, 10 ** 6)),
+       edits=st.lists(st.tuples(st.integers(0, 10 ** 6), BYTES), max_size=4))
+def test_corrupt_files_load_or_name_the_file(valid_files, reader, cut, edits):
+    """A truncated or byte-mutated file either loads or raises a ValueError
+    naming it; no other exception escapes a reader."""
+    path, read = valid_files[reader]
+    original = path.read_bytes()
+    raw = bytearray(original)
+    for pos, value in edits:
+        raw[pos % len(raw)] = value
+    if cut is not None:
+        raw = raw[:cut % len(raw)]
+    path.write_bytes(bytes(raw))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            read(path)
+    except ValueError as e:
+        assert path.name in str(e)
+    finally:
+        path.write_bytes(original)

@@ -181,6 +181,7 @@ def test_ca_scores_matches_numpy_probabilities():
 # -- reprojection ground truth ---------------------------------------------
 
 INTR = CameraIntrinsics(fx=60.0, fy=60.0, cx=23.5, cy=23.5)
+IDENTITY = RigidPose(np.eye(3), np.zeros(3))
 
 
 def flat_depth(value=2.0, size=48):
@@ -190,7 +191,7 @@ def flat_depth(value=2.0, size=48):
 def test_gt_assignment_identity_views():
     kp = random_kp(8, seed=9)
     gt = gt_assignment(kp, kp, flat_depth(), flat_depth(), INTR, INTR,
-                       RigidPose.identity(), RigidPose.identity(), eps_px=1.0)
+                       IDENTITY, IDENTITY, eps_px=1.0)
     np.testing.assert_array_equal(gt.matches,
                                   np.stack([np.arange(8)] * 2, 1))
     assert len(gt.unmatched_a) == 0 and len(gt.unmatched_b) == 0
@@ -207,7 +208,7 @@ def test_gt_assignment_translated_views():
     kp_b = KeypointSet(pos_b, kp_a.descriptors, kp_a.scores)
     pose_b = RigidPose(np.eye(3), np.array([-tx, 0.0, 0.0]))
     gt = gt_assignment(kp_a, kp_b, flat_depth(z), flat_depth(z), INTR, INTR,
-                       RigidPose.identity(), pose_b, eps_px=1.0)
+                       IDENTITY, pose_b, eps_px=1.0)
     np.testing.assert_array_equal(gt.matches,
                                   np.stack([np.arange(10)] * 2, 1))
 
@@ -215,7 +216,7 @@ def test_gt_assignment_translated_views():
 def test_gt_assignment_partition_is_complete():
     a, b = random_kp(12, seed=11), random_kp(9, seed=12)
     gt = gt_assignment(a, b, flat_depth(), flat_depth(), INTR, INTR,
-                       RigidPose.identity(),
+                       IDENTITY,
                        RigidPose(rotation_about([0, 1, 0], 3.0),
                                  np.array([0.1, 0.0, 0.0])), eps_px=2.0)
     ia = np.concatenate([gt.matches[:, 0], gt.unmatched_a])
@@ -228,9 +229,9 @@ def test_gt_assignment_swap_symmetric():
     a, b = random_kp(10, seed=13), random_kp(11, seed=14)
     pose_b = RigidPose(rotation_about([1, 0, 0], 2.0), np.array([0.05, 0.0, 0.0]))
     ab = gt_assignment(a, b, flat_depth(), flat_depth(), INTR, INTR,
-                       RigidPose.identity(), pose_b, eps_px=2.0)
+                       IDENTITY, pose_b, eps_px=2.0)
     ba = gt_assignment(b, a, flat_depth(), flat_depth(), INTR, INTR,
-                       pose_b, RigidPose.identity(), eps_px=2.0)
+                       pose_b, IDENTITY, eps_px=2.0)
     assert set(map(tuple, ab.matches)) == set(map(tuple, ba.matches[:, ::-1]))
     np.testing.assert_array_equal(ab.unmatched_a, ba.unmatched_b)
     np.testing.assert_array_equal(ab.unmatched_b, ba.unmatched_a)
@@ -240,7 +241,7 @@ def test_gt_assignment_invalid_depth_unmatched():
     kp = random_kp(6, seed=15)
     dead = np.zeros((48, 48))  # nonpositive depth everywhere
     gt = gt_assignment(kp, kp, dead, dead, INTR, INTR,
-                       RigidPose.identity(), RigidPose.identity())
+                       IDENTITY, IDENTITY)
     assert len(gt.matches) == 0
     assert len(gt.unmatched_a) == 6 and len(gt.unmatched_b) == 6
 
@@ -248,7 +249,7 @@ def test_gt_assignment_invalid_depth_unmatched():
 def test_gt_assignment_empty_side():
     gt = gt_assignment(KeypointSet.empty(16), random_kp(3),
                        flat_depth(), flat_depth(), INTR, INTR,
-                       RigidPose.identity(), RigidPose.identity())
+                       IDENTITY, IDENTITY)
     assert len(gt.matches) == 0 and len(gt.unmatched_b) == 3
 
 
@@ -297,6 +298,8 @@ def test_training_step_memory_at_256_keypoints():
     # keeping per-head logits, scaled logits and slices would exceed it
     cfg = CAConfig()
     matcher = CAMatcherParams.create(cfg, seed=0)
+    for p in matcher.params.values():
+        p.requires_grad = True
     rng = np.random.default_rng(0)
     kp_a, kp_b = (kp_from(rng.normal(size=(256, cfg.desc_dim)),
                           positions=rng.uniform(0.0, 64.0, (256, 2)))
@@ -326,6 +329,24 @@ def test_ca_match_after_training_records_no_graph():
     matcher, _ = train_matcher([(small[0], small[1], gt)], ca_config=cfg,
                                config=MatchTrainConfig(epochs=1, batch_size=1))
     assert not any(p.requires_grad for p in matcher.params.values())
+    kp_a, kp_b = (kp_from(rng.normal(size=(512, cfg.desc_dim)),
+                          positions=rng.uniform(0.0, 64.0, (512, 2)))
+                  for _ in range(2))
+    tracemalloc.start()
+    try:
+        ca_match(kp_a, kp_b, matcher)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_fresh_matcher_records_no_graph():
+    # created params are frozen: a 512-keypoint ca_match on them peaks near
+    # 10 MiB, where a recorded backward graph would take hundreds
+    cfg = CAConfig()
+    matcher = CAMatcherParams.create(cfg, seed=0)
+    rng = np.random.default_rng(0)
     kp_a, kp_b = (kp_from(rng.normal(size=(512, cfg.desc_dim)),
                           positions=rng.uniform(0.0, 64.0, (512, 2)))
                   for _ in range(2))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch.extractor import KeypointSet
+from evimatch.matching import Assignment
 from evimatch.metrics import (ValidPairSet, correct_matches, mma_mr,
                               repeatability, report_csv, report_text, rpe_auc,
                               rpe_ratio, valid_pairs, vdd_vda)
@@ -73,7 +74,7 @@ def test_vdd_vda_empty_raises():
 def test_mma_mr_values():
     a = kp_at([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     b = kp_at([[0.0, 0.0], [10.0, 0.0], [99.0, 0.0]])
-    matches = np.array([[0, 0], [1, 1], [2, 2]])
+    matches = Assignment(np.array([[0, 0], [1, 1], [2, 2]]), np.ones(3))
     mma, mr = mma_mr(matches, a, b, eps=3.0)
     assert mma == pytest.approx(2.0 / 3.0)
     assert mr == pytest.approx(1.0)
@@ -88,7 +89,7 @@ def test_correct_matches_bound_is_inclusive():
 
 def test_mma_absent_with_no_matches():
     a, b = kp_at([[0.0, 0.0]]), kp_at([[0.0, 0.0]])
-    mma, mr = mma_mr(np.zeros((0, 2), np.int64), a, b)
+    mma, mr = mma_mr(Assignment.empty(), a, b)
     assert mma is None
     assert mr == 0.0
 

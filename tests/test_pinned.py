@@ -287,7 +287,7 @@ def test_gt_assignment_ties_and_strict_bound():
     pb = np.array([[9.0, 10.0], [11.0, 10.0], [23.0, 20.0], [30.0, 10.0],
                    [30.0, 10.0], [41.0, 31.0]])
     depth = np.full((48, 64), 4.0)
-    pose = RigidPose.identity()
+    pose = RigidPose(np.eye(3), np.zeros(3))
     gt = gt_assignment(pa, pb, depth, depth, INTR, INTR, pose, pose, eps_px=3.0)
     # a[1] sits exactly eps_px from its nearest b: the bound is strict
     assert gt.matches.tolist() == [[0, 0], [2, 3], [3, 5]]

@@ -1,10 +1,12 @@
-"""Every top-level function and class in the package has a caller.
+"""Every top-level function and class in the package, and every method
+and property of its classes, has a caller.
 
 A definition counts as reached when its name appears as a Name, as an
 Attribute or as a ``from ... import`` alias anywhere in the package
 modules (``__init__.py`` excluded: re-exporting is not using) or in the
-benchmark harness under ``perfbench/``.  Tests do not count: code that only
-tests reach should move into the tests or go.
+benchmark harness under ``perfbench/``.  Dunder methods are exempt: the
+language calls them.  Tests do not count: code that only tests reach
+should move into the tests or go.
 """
 
 import ast
@@ -31,16 +33,33 @@ def _referenced_names():
     return names
 
 
-def _unreached(referenced):
-    out = []
+def _definitions():
+    """(qualified name, name) of each top-level definition, then of each
+    non-dunder method or property of a top-level class."""
+    tops, members = [], []
     for path in _modules():
         for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in referenced):
-                out.append(f"{path.stem}.{node.name}")
-    return out
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            tops.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{path.stem}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("__")]
+    return tops, members
+
+
+def _unreached(defs):
+    referenced = _referenced_names()
+    return [qual for qual, name in defs if name not in referenced]
 
 
 def test_every_top_level_definition_is_referenced():
-    unreached = _unreached(_referenced_names())
+    unreached = _unreached(_definitions()[0])
+    assert not unreached, "no caller outside the tests: " + ", ".join(unreached)
+
+
+def test_every_method_and_property_is_referenced():
+    unreached = _unreached(_definitions()[1])
     assert not unreached, "no caller outside the tests: " + ", ".join(unreached)
