@@ -176,13 +176,6 @@ def transpose(a):
     return _make(a.data.T, (a,), bwd)
 
 
-def reshape(a, shape):
-    a = _as_tensor(a)
-    def bwd(g):
-        return (g.reshape(a.data.shape),)
-    return _make(a.data.reshape(shape), (a,), bwd)
-
-
 def relu(a):
     a = _as_tensor(a)
     keep = a.data > 0

@@ -9,7 +9,10 @@ is generated from the log-intensity signal with quantized contrast
 thresholds and linearly interpolated crossing times.  The texture mixes a
 smooth random field with hard-edged rectangles at random orientations so
 both gradients and distinctive corners exist; the heightfield keeps the
-scene non-planar, which two-view essential-matrix estimation needs.
+scene non-planar, which two-view essential-matrix estimation needs.  Both
+coarse fields are read through the bilinear sampler in ``geometry``.
+Co-visibility scores and the exact matches of the rpe filter come from one
+reprojection of a pixel grid with its rendered depth.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from .events import EventStream
 from .geometry import (CameraIntrinsics, EstimationFailed, RigidPose,
-                       estimate_essential_ransac, pose_angular_errors,
-                       relative_pose, reproject_many, rotation_about,
-                       unproject_many)
+                       _bilinear, estimate_essential_ransac,
+                       pose_angular_errors, project_many, relative_pose,
+                       rotation_about, unproject_many)
 
 
 @dataclass(frozen=True)
@@ -119,33 +122,25 @@ def make_scene(seed: int = 0, width: int = 64, height: int = 64,
                  float(height_amplitude), extent, trajectory, float(duration))
 
 
-def _grid_interp(grid, x, y, extent):
-    """Bilinear interpolation of a coarse grid over [-extent, extent]^2."""
+def _grid_xy(grid, x, y, extent):
+    """Pixel coordinates in a coarse grid spread over [-extent, extent]^2
+    of the world points (x, y)."""
     gh, gw = grid.shape
-    u = np.clip((x / extent * 0.5 + 0.5) * (gw - 1), 0.0, gw - 1.0)
-    v = np.clip((y / extent * 0.5 + 0.5) * (gh - 1), 0.0, gh - 1.0)
-    u0 = np.minimum(u.astype(np.int64), gw - 2)
-    v0 = np.minimum(v.astype(np.int64), gh - 2)
-    fu = u - u0
-    fv = v - v0
-    # one flat index for the four corners: cheaper than four 2-D fancy indexes
-    g = grid.ravel()
-    k = v0 * gw + u0
-    return (g[k] * (1 - fu) * (1 - fv) + g[k + 1] * fu * (1 - fv)
-            + g[k + gw] * (1 - fu) * fv + g[k + gw + 1] * fu * fv)
+    return (x / extent * 0.5 + 0.5) * (gw - 1), (y / extent * 0.5 + 0.5) * (gh - 1)
 
 
 def surface_height(scene: Scene, x, y):
     """Heightfield z = h(x, y); exactly 0 everywhere when the amplitude is 0."""
     if scene.height_amplitude == 0.0:
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-    return scene.height_amplitude * _grid_interp(scene.height_grid, x, y,
-                                                 scene.extent)
+    u, v = _grid_xy(scene.height_grid, x, y, scene.extent)
+    return scene.height_amplitude * _bilinear(scene.height_grid, u, v)
 
 
 def surface_texture(scene: Scene, x, y):
     """Surface intensity in [0.05, 0.95]: smooth field plus rectangle steps."""
-    tex = _grid_interp(scene.texture_grid, x, y, scene.extent)
+    u, v = _grid_xy(scene.texture_grid, x, y, scene.extent)
+    tex = _bilinear(scene.texture_grid, u, v)
     for cx, cy, hw, hh, c, s, delta in scene.rects:
         u = (x - cx) * c + (y - cy) * s
         v = -(x - cx) * s + (y - cy) * c
@@ -250,11 +245,11 @@ def render(scene: Scene, t: float):
     return image, depth
 
 
-def events_from_log_frames(log_frames, times, contrast: float,
-                           t_start=None, t_end=None) -> EventStream:
+def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
     """Contrast-threshold events from densely sampled log-intensity frames.
 
-    Each pixel keeps a quantized reference level; when the linearly
+    The stream's window runs from the first to the last sample time.  Each
+    pixel keeps a quantized reference level; when the linearly
     interpolated signal between consecutive samples moves n full contrast
     steps away from it, n events fire at the interpolated crossing times
     and the reference moves by n steps.  A monotone step of exactly 2C
@@ -308,8 +303,7 @@ def events_from_log_frames(log_frames, times, contrast: float,
         ts = np.zeros(0)
         ps = np.zeros(0, np.int8)
     return EventStream(x, y, ts, ps, width=w, height=h,
-                       t_start=float(times[0]) if t_start is None else t_start,
-                       t_end=float(times[-1]) if t_end is None else t_end)
+                       t_start=float(times[0]), t_end=float(times[-1]))
 
 
 def _simulate(scene, t_start, t_end, contrast, dt_sim):
@@ -331,8 +325,7 @@ def _simulate(scene, t_start, t_end, contrast, dt_sim):
     for t in times:
         last = render(scene, t)
         frames.append(np.log(last[0]))
-    events = events_from_log_frames(np.stack(frames), times, contrast,
-                                    t_start=t_start, t_end=t_end)
+    events = events_from_log_frames(np.stack(frames), times, contrast)
     return events, last
 
 
@@ -351,22 +344,11 @@ def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
 
     def direction(depth_src, depth_dst, rel):
         h, w = depth_src.shape
-        xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                             np.arange(h, dtype=np.float64))
-        px = np.stack([xs.ravel(), ys.ravel()], axis=1)
-        proj, valid = reproject_many(px, depth_src.ravel(), scene.intrinsics,
-                                     scene.intrinsics, rel)
-        # reprojected camera-frame depth in the destination view
-        z = rel.apply(unproject_many(px, depth_src.ravel(), scene.intrinsics))[:, 2]
-        inside = (valid & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
-                  & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
-        good = np.zeros(len(px), dtype=bool)
-        if inside.any():
-            ix = np.clip(np.round(proj[inside, 0]).astype(np.int64), 0, w - 1)
-            iy = np.clip(np.round(proj[inside, 1]).astype(np.int64), 0, h - 1)
-            observed = depth_dst[iy, ix]
-            good[inside] = np.abs(z[inside] - observed) / observed < 0.1
-        return good.mean()
+        _, proj, z = _carry_grid(scene, depth_src, rel)
+        ix = np.clip(np.round(proj[:, 0]).astype(np.int64), 0, w - 1)
+        iy = np.clip(np.round(proj[:, 1]).astype(np.int64), 0, h - 1)
+        observed = depth_dst[iy, ix]
+        return np.count_nonzero(np.abs(z - observed) / observed < 0.1) / depth_src.size
 
     return float(min(direction(depth_a, depth_b, relative_pose(pose_a, pose_b)),
                      direction(depth_b, depth_a, relative_pose(pose_b, pose_a))))
@@ -411,22 +393,30 @@ class Benchmark:
     pairs: list = field(default_factory=list)
 
 
-def _gt_correspondences(scene, sample_a, sample_b, stride=4):
-    """Reprojection-exact pixel matches between two samples."""
-    h, w = sample_a.depth.shape
+def _carry_grid(scene, depth, rel, stride=1):
+    """Carry the pixels of a stride grid into another view with their depth.
+
+    rel maps the depth map's camera frame into the other view.  Returns
+    the (N, 2) grid pixels with positive depth that land in frame in front
+    of the other camera, their (N, 2) reprojections and their (N,)
+    camera-frame depths in the other view.
+    """
+    h, w = depth.shape
     xs, ys = np.meshgrid(np.arange(0, w, stride, dtype=np.float64),
                          np.arange(0, h, stride, dtype=np.float64))
     px = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    d = sample_a.depth[ys.astype(int).ravel(), xs.astype(int).ravel()]
-    rel = relative_pose(sample_a.pose, sample_b.pose)
-    proj, valid = reproject_many(px, d, scene.intrinsics, scene.intrinsics, rel)
-    inside = (valid & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
+    d = depth[::stride, ::stride].ravel()
+    pts = rel.apply(unproject_many(px, d, scene.intrinsics))
+    proj, valid = project_many(pts, scene.intrinsics)
+    inside = (valid & (d > 0) & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
               & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
-    return px[inside], proj[inside]
+    return px[inside], proj[inside], pts[inside, 2]
 
 
 def _rpe_filter_ok(scene, sample_a, sample_b):
-    pts_a, pts_b = _gt_correspondences(scene, sample_a, sample_b)
+    pts_a, pts_b, _ = _carry_grid(scene, sample_a.depth,
+                                  relative_pose(sample_a.pose, sample_b.pose),
+                                  stride=4)
     if len(pts_a) < 8:
         return False
     try:

@@ -2,16 +2,19 @@
 
 Two extractors produce the same kind of output: dense feature maps holding a
 latent map at the backbone stride, a full-resolution detection score map,
-and a full-resolution descriptor map.  The student is a small VGG-style
-convolutional net over event tensors, built on the autodiff engine so it
-can be distilled.  The teacher is analytic: Harris corner strength for the
-score, windowed oriented-gradient descriptors, and a fixed seeded lift of
-steerable gradient responses for the latent map.  It needs no training,
-which keeps the whole distillation pipeline self-contained.
+and a full-resolution descriptor map, all plain arrays.  The student is a
+small VGG-style convolutional net over event tensors, built on the autodiff
+engine so it can be distilled: training runs the batched forward pass on
+graph Tensors, and inference returns their arrays.  The teacher is
+analytic: Harris corner strength for the score, windowed oriented-gradient
+descriptors, and a fixed seeded lift of steerable gradient responses for
+the latent map.  It needs no training, which keeps the whole distillation
+pipeline self-contained.
 
 Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k or threshold
-selection, and bilinear descriptor sampling from the unit-normalized map.
+selection, and bilinear descriptor sampling from the unit-normalized map
+through the sampler in ``geometry``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .geometry import _bilinear
 from .optim import load_module, save_module
 
 TEACHER_PROJECTION_SEED = 7
@@ -33,22 +37,12 @@ class DenseMaps:
     """Dense extractor outputs: latent features, score map, descriptor map.
 
     feats is (C', H/s, W/s) for backbone stride s; score is (1, H, W);
-    desc is (C_d, H, W).  Fields hold Tensors when produced by the student
-    (differentiable) and plain arrays when produced by the teacher.
+    desc is (C_d, H, W); all three are float32 arrays.
     """
 
-    feats: object
-    score: object
-    desc: object
-
-    def detached(self):
-        return DenseMaps(_as_array(self.feats).copy(),
-                         _as_array(self.score).copy(),
-                         _as_array(self.desc).copy())
-
-
-def _as_array(m):
-    return m.data if isinstance(m, Tensor) else np.asarray(m)
+    feats: np.ndarray
+    score: np.ndarray
+    desc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -201,13 +195,15 @@ def init_student(config: ExtractorConfig, seed: int = 0):
 
 
 def forward_student_batch(x, params, config: ExtractorConfig):
-    """Batched forward pass: (N, C, H, W) -> (feats, score, desc) Tensors."""
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=np.float32))
-    if x.data.ndim != 4 or x.data.shape[1] != config.in_channels:
+    """Batched forward pass: (N, C, H, W) array -> (feats, score, desc) Tensors.
+
+    The graph is recorded only when the parameters require gradients.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim != 4 or x.shape[1] != config.in_channels:
         raise ValueError(
-            f"expected (N, {config.in_channels}, H, W) input, got {x.data.shape}")
-    h = x
+            f"expected (N, {config.in_channels}, H, W) input, got {x.shape}")
+    h = Tensor(x)
     for i, pool in enumerate(config.pools):
         h = ad.relu(ad.conv2d(h, params[f"backbone.{i}.w"], params[f"backbone.{i}.b"],
                               stride=1, padding=1))
@@ -227,19 +223,16 @@ def forward_student_batch(x, params, config: ExtractorConfig):
 
 
 def forward_student(tensor, params, config: ExtractorConfig) -> DenseMaps:
-    """Run the student on one (C, H, W) event representation.
+    """Run the student on one (C, H, W) event representation, for inference.
 
-    Returns DenseMaps of Tensors; the graph is recorded only when the
-    parameters require gradients, so inference on frozen params is cheap.
+    Returns DenseMaps of arrays.  Training goes through
+    ``forward_student_batch``, whose Tensors carry the graph.
     """
     data = np.asarray(tensor)
     if data.ndim != 3:
         raise ValueError(f"expected a (C, H, W) input, got shape {data.shape}")
-    feats, score, desc = forward_student_batch(
-        data[None].astype(np.float32, copy=False), params, config)
-    return DenseMaps(ad.reshape(feats, feats.shape[1:]),
-                     ad.reshape(score, score.shape[1:]),
-                     ad.reshape(desc, desc.shape[1:]))
+    feats, score, desc = forward_student_batch(data[None], params, config)
+    return DenseMaps(feats.data[0], score.data[0], desc.data[0])
 
 
 # -- analytic teacher ---------------------------------------------------
@@ -348,7 +341,7 @@ def apply_event_mask(maps: DenseMaps, mask) -> DenseMaps:
     """Gate the score map by an (H, W) event mask (``accumulate_mask``)
     into a plain array, for inference; feats and desc pass through."""
     m = np.asarray(mask)
-    score = _as_array(maps.score)
+    score = maps.score
     if score.shape[-2:] != m.shape:
         raise ValueError(f"mask shape {m.shape} does not match score {score.shape}")
     return DenseMaps(maps.feats, score * m.reshape(score.shape).astype(np.float32),
@@ -407,11 +400,11 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
         raise ValueError("border and nms_radius must be non-negative")
     if threshold is None and (k is None or k <= 0):
         raise ValueError(f"k must be positive, got {k}")
-    score = np.asarray(_as_array(maps.score), dtype=np.float64)
+    score = np.asarray(maps.score, dtype=np.float64)
     if score.ndim == 3:
         score = score[0]
     h, w = score.shape
-    desc_map = normalize_desc(_as_array(maps.desc))
+    desc_map = normalize_desc(maps.desc)
 
     s = score.copy()
     if border > 0:
@@ -430,35 +423,8 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     if len(order) == 0:
         return KeypointSet.empty(desc_map.shape[0])
     pos = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
-    descs = sample_descriptors(desc_map, pos)
+    descs = normalize_desc(_bilinear(desc_map, pos[:, 0], pos[:, 1])).T
     return KeypointSet(pos, descs, vals[order].astype(np.float32))
-
-
-def sample_descriptors(desc_map, positions):
-    """Bilinearly sample a (C, H, W) map at (x, y) positions, renormalized."""
-    d = bilinear_sample_np(desc_map, positions)
-    n = np.sqrt((d.astype(np.float64) ** 2).sum(axis=1, keepdims=True))
-    return (d / np.where(n < 1e-12, 1.0, n)).astype(np.float32)
-
-
-def bilinear_sample_np(m, pts):
-    """Sample a (C, H, W) map at K (x, y) positions, giving (K, C).
-
-    Positions are clamped to the map, so querying on or beyond the border
-    returns the nearest edge value.
-    """
-    c, h, w = m.shape
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    px = np.clip(pts[:, 0], 0.0, w - 1.0)
-    py = np.clip(pts[:, 1], 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(px), w - 2 if w > 1 else 0).astype(np.int64)
-    y0 = np.minimum(np.floor(py), h - 2 if h > 1 else 0).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = px - x0
-    fy = py - y0
-    return (m[:, y0, x0] * (1 - fx) * (1 - fy) + m[:, y0, x1] * fx * (1 - fy)
-            + m[:, y1, x0] * (1 - fx) * fy + m[:, y1, x1] * fx * fy).T
 
 
 # -- persistence --------------------------------------------------------
@@ -482,7 +448,7 @@ def load_teacher_checkpoint(path):
     """Load a frozen image extractor and return its forward closure.
 
     The checkpoint must describe a 1-channel extractor; the closure maps a
-    grayscale image in [0, 1] to detached DenseMaps.
+    grayscale image in [0, 1] to DenseMaps.
     """
     params, config = load_extractor(path)
     if config.in_channels != 1:
@@ -495,6 +461,6 @@ def load_teacher_checkpoint(path):
             img = img[None]
         if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
             raise ValueError("image values must lie in [0, 1]")
-        return forward_student(img, params, config).detached()
+        return forward_student(img, params, config)
 
     return teacher

@@ -10,7 +10,9 @@ counts and poses are exactly those of a one-sample-at-a-time loop; an early
 stop leaves the rest of the chunk's draws unscored.  The 8-point fit, its
 Hartley normalization and the Sampson distance take leading batch axes.
 Translation directions recovered from an essential matrix are unit vectors,
-so translation error is angular.
+so translation error is angular.  The package's one bilinear sampler lives
+here too, so that scene synthesis, keypoint extraction and match
+supervision share it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
@@ -51,6 +55,8 @@ class RigidPose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError("rotation and translation must be finite")
         err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
         if err > 1e-9 or np.linalg.det(self.rotation) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")
@@ -144,6 +150,37 @@ def unproject_many(pixels, depths, intr: CameraIntrinsics):
     return np.stack([(px[:, 0] - intr.cx) / intr.fx * d,
                      (px[:, 1] - intr.cy) / intr.fy * d,
                      d], axis=1)
+
+
+def _bilinear(m, x, y):
+    """Bilinearly sample the trailing (H, W) axes of m at pixels (x, y).
+
+    x and y broadcast to one shape S of any rank; the result has shape
+    m.shape[:-2] + S.  Coordinates are clamped to the map, so a point on or
+    beyond the border takes the nearest edge value, and a map one pixel
+    wide or high is constant along that axis.
+    """
+    h, w = m.shape[-2:]
+    px = np.clip(x, 0.0, w - 1.0)
+    py = np.clip(y, 0.0, h - 1.0)
+    # truncation is floor on clamped coordinates; the last pixel row and
+    # column fall in the cell before them, at weight 1 on its far corner
+    x0 = np.minimum(px.astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(py.astype(np.int64), max(h - 2, 0))
+    fx = px - x0
+    fy = py - y0
+    ex = 1 - fx
+    ey = 1 - fy
+    # one flat index for the four corners: cheaper than four 2-D fancy
+    # indexes; a map without leading axes is indexed bare, since an
+    # ellipsis doubles the time of its gathers in render's solver loop
+    g = m.reshape(m.shape[:-2] + (h * w,))
+    lead = (Ellipsis,) * (m.ndim > 2)
+    k = y0 * w + x0
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    return (g[lead + (k,)] * ex * ey + g[lead + (k + dx,)] * fx * ey
+            + g[lead + (k + dy,)] * ex * fy + g[lead + (k + dy + dx,)] * fx * fy)
 
 
 def reproject_many(pixels, depths, intr_src, intr_dst, rel: RigidPose):

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .extractor import _as_array, _descriptors, _positions, bilinear_sample_np
-from .geometry import CameraIntrinsics, RigidPose, relative_pose, reproject_many
+from .extractor import _descriptors, _positions
+from .geometry import (CameraIntrinsics, RigidPose, _bilinear, relative_pose,
+                       reproject_many)
 from .optim import fit, history_csv, load_module, save_module
 
 
@@ -291,11 +292,11 @@ def ca_scores(kp_a, kp_b, matcher: CAMatcherParams):
 
 
 def assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0):
-    """Numpy soft assignment matrix from forward outputs (no graph)."""
-    xa = np.asarray(_as_array(x_a), np.float64)
-    xb = np.asarray(_as_array(x_b), np.float64)
-    sa = np.asarray(_as_array(sigma_a), np.float64).reshape(-1)
-    sb = np.asarray(_as_array(sigma_b), np.float64).reshape(-1)
+    """Soft assignment matrix from the arrays of ``ca_forward``'s outputs."""
+    xa = np.asarray(x_a, np.float64)
+    xb = np.asarray(x_b, np.float64)
+    sa = np.asarray(sigma_a, np.float64).reshape(-1)
+    sb = np.asarray(sigma_b, np.float64).reshape(-1)
     s = scale * (xa @ xb.T)
     soft = np.exp(_log_softmax(s, axis=0) + _log_softmax(s, axis=1))
     return sa[:, None] * sb[None, :] * soft
@@ -309,7 +310,7 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
     satisfies 0 <= P_ij <= sigma_i sigma_j, so low-matchability keypoints
     can never form a match.
     """
-    if len(_as_array(x_a)) == 0 or len(_as_array(x_b)) == 0:
+    if len(x_a) == 0 or len(x_b) == 0:
         return Assignment.empty()
     p = assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale)
     rows, cols = _mutual_nearest(-p)
@@ -323,7 +324,7 @@ def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
     """Forward pass plus hard assignment with the learned temperature."""
     if len(_descriptors(kp_a)) == 0 or len(_descriptors(kp_b)) == 0:
         return Assignment.empty()
-    xa, sa, xb, sb = ca_forward(kp_a, kp_b, matcher)
+    xa, sa, xb, sb = (t.data for t in ca_forward(kp_a, kp_b, matcher))
     scale = float(np.exp(matcher.params["logit_scale"].data))
     return ca_assignment(xa, sa, xb, sb, scale=scale, threshold=threshold)
 
@@ -350,8 +351,8 @@ def gt_assignment(kp_a, kp_b, depth_a, depth_b,
                                   np.arange(na), np.arange(nb))
     da = np.asarray(depth_a, dtype=np.float64)
     db = np.asarray(depth_b, dtype=np.float64)
-    za = bilinear_sample_np(da[None], pa)[:, 0]
-    zb = bilinear_sample_np(db[None], pb)[:, 0]
+    za = _bilinear(da, pa[:, 0], pa[:, 1])
+    zb = _bilinear(db, pb[:, 0], pb[:, 1])
     ok_a = np.isfinite(za) & (za > 0)
     ok_b = np.isfinite(zb) & (zb > 0)
 

@@ -177,7 +177,13 @@ def load_checkpoint(path):
         # exact: a wrapped int64 product could pass the length check
         n = math.prod(shape)
         data = np.frombuffer(take(4 * n, f"data of {name}"), dtype="<f4")
-        params[name] = data.reshape(shape).astype(np.float32)
+        try:
+            params[name] = data.reshape(shape).astype(np.float32)
+        except ValueError:
+            # numpy refuses dims whose running product overflows, even when
+            # a later zero makes the array empty
+            raise ValueError(f"{path}: parameter {name} has shape {shape} "
+                             "numpy cannot hold") from None
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes after last parameter")
     return params

@@ -225,10 +225,6 @@ def test_grad_transpose():
     assert gradcheck(ad.transpose, [t64(3, 4)])
 
 
-def test_grad_reshape():
-    assert gradcheck(lambda x: ad.reshape(x, (6, 2)), [t64(3, 4)])
-
-
 def test_grad_relu():
     x = t64(4, 4)
     x[np.abs(x) < 0.05] = 0.5

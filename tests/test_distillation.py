@@ -10,7 +10,8 @@ from evimatch.distillation import (DistillConfig, LFDBatch, lfd_loss,
                                    train_extractor)
 from evimatch.events import EventStream
 from evimatch.extractor import (ExtractorConfig, TeacherConfig,
-                                analytic_teacher, forward_student, init_student)
+                                analytic_teacher, forward_student_batch,
+                                init_student)
 from evimatch.geometry import RigidPose
 from evimatch.representations import build_representation
 
@@ -175,9 +176,9 @@ def test_train_extractor_returns_frozen_params():
         STUDENT, teacher=small_teacher)
     assert not any(p.requires_grad for p in params.values())
     events = training_samples(n=1)[0].events
-    maps = forward_student(build_representation(events, "voxel", bins=4),
-                           params, STUDENT)
-    assert not maps.score.requires_grad and not maps.desc.requires_grad
+    outs = forward_student_batch(build_representation(events, "voxel", bins=4)[None],
+                                 params, STUDENT)
+    assert not any(t.requires_grad for t in outs)
 
 
 def test_train_extractor_channel_mismatch():

@@ -5,12 +5,12 @@ import pytest
 
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 TeacherConfig, analytic_teacher,
-                                apply_event_mask, bilinear_sample_np,
-                                extract_keypoints, forward_student,
+                                apply_event_mask, extract_keypoints,
+                                forward_student, forward_student_batch,
                                 harris_score, init_student, load_extractor,
                                 load_teacher_checkpoint, nms_mask,
-                                normalize_desc, sample_descriptors,
-                                save_extractor)
+                                normalize_desc, save_extractor)
+from evimatch.geometry import _bilinear
 
 TINY = ExtractorConfig(in_channels=2, channels=(8, 8), pools=(1, 2),
                        latent_dim=8, desc_dim=16, score_head=(8,),
@@ -62,9 +62,9 @@ def test_init_student_seed_determinism():
 def test_forward_student_output_shapes():
     params = init_student(TINY, seed=0)
     maps = forward_student(np.zeros((2, 16, 24), np.float32), params, TINY)
-    assert maps.feats.data.shape == (8, 8, 12)
-    assert maps.score.data.shape == (1, 16, 24)
-    assert maps.desc.data.shape == (16, 16, 24)
+    assert maps.feats.shape == (8, 8, 12)
+    assert maps.score.shape == (1, 16, 24)
+    assert maps.desc.shape == (16, 16, 24)
 
 
 def test_forward_student_rejects_wrong_channels():
@@ -76,12 +76,15 @@ def test_forward_student_rejects_wrong_channels():
 def test_forward_student_graph_only_when_trainable():
     x = np.random.default_rng(0).normal(size=(2, 8, 8)).astype(np.float32)
     params = init_student(TINY)
-    frozen = forward_student(x, params, TINY)
-    assert not frozen.score.requires_grad
+    maps = forward_student(x, params, TINY)
+    assert all(type(m) is np.ndarray and m.dtype == np.float32
+               for m in (maps.feats, maps.score, maps.desc))
+    assert not any(t.requires_grad for t in forward_student_batch(x[None], params, TINY))
     for p in params.values():
         p.requires_grad = True
-    trainable = forward_student(x, params, TINY)
-    assert trainable.score.requires_grad
+    feats, score, desc = forward_student_batch(x[None], params, TINY)
+    assert feats.requires_grad and score.requires_grad and desc.requires_grad
+    np.testing.assert_array_equal(score.data[0], maps.score)
 
 
 def test_harris_flat_image_is_zero():
@@ -283,24 +286,25 @@ def test_extract_matches_brute_force_end_to_end():
 
 def test_bilinear_sample_at_grid_points():
     m = np.random.default_rng(0).standard_normal((2, 4, 5))
-    y = bilinear_sample_np(m, np.array([[2.0, 3.0], [0.0, 0.0]]))
-    np.testing.assert_array_equal(y[0], m[:, 3, 2])
-    np.testing.assert_array_equal(y[1], m[:, 0, 0])
+    y = _bilinear(m, np.array([2.0, 0.0]), np.array([3.0, 0.0]))
+    np.testing.assert_array_equal(y[:, 0], m[:, 3, 2])
+    np.testing.assert_array_equal(y[:, 1], m[:, 0, 0])
 
 
 def test_bilinear_sample_clamps_outside():
     m = np.random.default_rng(1).standard_normal((1, 3, 3))
-    y = bilinear_sample_np(m, np.array([[-5.0, -5.0], [99.0, 99.0]]))
+    y = _bilinear(m, np.array([-5.0, 99.0]), np.array([-5.0, 99.0]))
     assert y[0, 0] == m[0, 0, 0]
-    assert y[1, 0] == m[0, 2, 2]
+    assert y[0, 1] == m[0, 2, 2]
 
 
-def test_sample_descriptors_renormalizes():
-    d = np.zeros((3, 4, 4), np.float32)
-    d[0] = 1.0
-    d[1] = 1.0
-    out = sample_descriptors(normalize_desc(d), np.array([[1.5, 1.5]]))
-    assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-6)
+def test_normalize_desc_renormalizes_sampled_block():
+    # between pixels of a unit map the sampled vectors are shorter than 1
+    d = normalize_desc(np.random.default_rng(0).standard_normal((3, 4, 4)))
+    block = _bilinear(d, np.array([1.5, 0.25]), np.array([1.5, 2.75]))
+    assert (np.linalg.norm(block, axis=0) < 1.0 - 1e-3).all()
+    np.testing.assert_allclose(np.linalg.norm(normalize_desc(block), axis=0),
+                               1.0, atol=1e-12)
 
 
 def test_save_load_extractor_roundtrip(tmp_path):
@@ -344,7 +348,7 @@ def test_teacher_checkpoint_closure(tmp_path):
     teacher = load_teacher_checkpoint(path)
     maps = teacher(np.full((16, 16), 0.5, np.float32))
     assert maps.score.shape == (1, 16, 16)
-    assert isinstance(maps.score, np.ndarray)  # detached
+    assert type(maps.score) is np.ndarray
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         teacher(np.full((16, 16), 2.0, np.float32))
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evimatch import geometry
 from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                EstimationFailed, PoseEstimate, RigidPose,
-                               _CHUNK, _eight_point, _hartley_normalization,
+                               _CHUNK, _bilinear, _eight_point,
+                               _hartley_normalization,
                                _ransac_iters_needed, _sampson_sq, _triangulate,
                                estimate_essential_ransac, project_many,
                                pose_angular_errors, quat_to_rotmat,
@@ -37,6 +39,61 @@ def test_intrinsics_matrix_and_validation():
 def test_pose_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         RigidPose(np.eye(3) * 1.01, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pose_and_intrinsics_reject_non_finite(bad):
+    rot = np.eye(3)
+    rot[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RigidPose(rot, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        RigidPose(np.eye(3), [0.0, bad, 0.0])
+    for field in ("fx", "fy", "cx", "cy"):
+        values = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**values)
+
+
+def reference_bilinear(m, x, y):
+    """The four-corner formula ``_bilinear`` replaced: a (C, H, W) map
+    sampled with one 2-D gather per corner, giving (C,) + x.shape."""
+    c, h, w = m.shape
+    px = np.clip(np.ravel(x), 0.0, w - 1.0)
+    py = np.clip(np.ravel(y), 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(px), w - 2 if w > 1 else 0).astype(np.int64)
+    y0 = np.minimum(np.floor(py), h - 2 if h > 1 else 0).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = px - x0
+    fy = py - y0
+    out = (m[:, y0, x0] * (1 - fx) * (1 - fy) + m[:, y0, x1] * fx * (1 - fy)
+           + m[:, y1, x0] * (1 - fx) * fy + m[:, y1, x1] * fx * fy)
+    return out.reshape((c,) + np.shape(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), channels=st.sampled_from([None, 1, 2, 3, 128]),
+       h=st.integers(1, 9), w=st.integers(1, 9),
+       coords=st.sampled_from([(0,), (1,), (5,), (2, 3)]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_bilinear_matches_four_corner_reference(data, channels, h, w, coords, dtype):
+    # maps one pixel wide or high, whole-pixel, border and out-of-map points,
+    # 1-D and 2-D coordinate arrays, and maps with and without channels
+    shape = (h, w) if channels is None else (channels, h, w)
+    m = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+        shape).astype(dtype)
+    x = data.draw(hnp.arrays(np.float64, coords, elements=st.one_of(
+        st.integers(-2, w + 1).map(float), st.floats(-3.0, w + 2.0))))
+    y = data.draw(hnp.arrays(np.float64, coords, elements=st.one_of(
+        st.integers(-2, h + 1).map(float), st.floats(-3.0, h + 2.0))))
+    want = reference_bilinear(m if channels else m[None], x, y)
+    got = _bilinear(m, x, y)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want if channels else want[0])
+    # the same points, gathered one point at a time
+    for i in np.ndindex(coords):
+        np.testing.assert_array_equal(got[(...,) + i], _bilinear(m, x[i], y[i]))
 
 
 def test_pose_rejects_reflection():

@@ -1,5 +1,6 @@
 """Roundtrips and validation for the on-disk formats."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
                                 load_extractor, save_extractor)
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import Assignment
-from evimatch.optim import load_checkpoint, save_checkpoint
+from evimatch.optim import CKPT_MAGIC, load_checkpoint, save_checkpoint
 
 RNG = np.random.default_rng(7)
 
@@ -333,12 +334,25 @@ def test_checkpoint_name_must_be_utf8(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_empty_shape_with_overflowing_dims(tmp_path):
+    # a zero dim leaves no data to read, but numpy still refuses the shape
+    # when the dims before the zero overflow its index type
+    dims = (2 ** 31, 2 ** 31, 2 ** 31, 0)
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(CKPT_MAGIC + struct.pack("<II", 1, 1) + b"w"
+                  + struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+    with pytest.raises(ValueError, match=r"bad\.ckpt: parameter w has shape"):
+        load_checkpoint(p)
+
+
 @pytest.mark.parametrize("name, text, where", [
     ("pairs.txt", "0 1 0.5\n0 x 0.5\n", r"pairs\.txt:2: expected `idx_events"),
     ("pairs.txt", "# i j overlap\n0 1 0.5\n1 \xff 2\n", r"pairs\.txt:3: expected"),
     ("kp.txt", "1.0 2.0 0.5\n\n1.0 abc 0.5\n", r"kp\.txt:3: expected `x y score`"),
     ("poses.txt", "0 0 0 0 0 0 0 0\n", r"poses\.txt:1: expected `t_us tx"),
     ("poses.txt", "1.5 0 0 0 0 0 0 1\n", r"poses\.txt:1: expected `t_us tx"),
+    ("poses.txt", "0 0 0 0 0 nan 0 1\n", r"poses\.txt:1: expected `t_us tx"),
+    ("poses.txt", "0 0 0 0 0 0 0 1\n5 0 inf 0 0 0 0 1\n", r"poses\.txt:2: expected"),
 ])
 def test_text_records_name_file_and_line(tmp_path, name, text, where):
     p = tmp_path / name
@@ -362,6 +376,8 @@ def test_manifest_names_file_and_line(tmp_path):
     ("fx=abc\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "fx='abc' is not float"),
     ("fx=1\nfy=1\ncx=0\ncy=0\nwidth=4.5\nheight=4\n", "width='4.5' is not int"),
     ("fx=0\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "focal lengths"),
+    ("fx=nan\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "intrinsics must be finite"),
+    ("fx=1\nfy=1\ncx=-inf\ncy=0\nwidth=4\nheight=4\n", "intrinsics must be finite"),
 ])
 def test_intrinsics_name_the_bad_key(tmp_path, text, cause):
     p = tmp_path / "intr.txt"
