@@ -4,17 +4,22 @@ A Tensor wraps an ndarray plus an optional backward closure; ops build the
 graph lazily and ``backward`` walks it in reverse topological order.  The
 op set is deliberately small: exactly what a convolutional extractor, an
 attention matcher and their losses need.  Elementwise and reduction ops,
-2-D matmul and transpose, row and pair gathers, bias and layer norm, the
-convolutions and pooling, and one fused multi-head ``attention`` node that
-keeps only its probabilities for backward.  Storage is float32 (float64 is
-accepted for numerical checking); explicit reductions accumulate in float64
-before casting back.  Broadcasting is limited to scalar-with-tensor and the
-per-channel bias in ``bias_add``; everything else requires exact shape
-agreement, which keeps gradients trivially correct.
+2-D matmul and transpose, an affine ``linear`` layer, row and pair
+gathers, layer norm, the convolutions (each with its optional bias folded
+into the same node) and pooling, and one fused multi-head ``attention``
+node that keeps only its probabilities for backward.  Storage is float32
+(float64 is accepted for numerical checking); explicit reductions
+accumulate in float64 before casting back.  Broadcasting is limited to
+scalar-with-tensor and the per-channel biases of ``linear`` and the
+convolutions; everything else requires exact shape agreement, which keeps
+gradients trivially correct.
 
-``backward`` accumulates into leaves (tensors no op produced) and releases
-each intermediate gradient as soon as its node has propagated it, so a
-backward pass holds only the gradients still waiting to be consumed.
+``backward`` consumes its graph.  It accumulates into leaves (tensors no
+op produced) and, node by node in reverse topological order, releases the
+node's gradient, its backward closure and its parent references once the
+node has propagated, so each activation is freed as soon as the last
+backward that needs it has run.  A later ``backward`` that reaches a
+consumed node raises instead of accumulating again.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+_CONSUMED = object()  # the _bwd of a node whose graph a backward has freed
 
 
 class Tensor:
@@ -48,12 +56,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable leaf.
+        """Accumulate gradients of this scalar into every reachable leaf,
+        consuming the graph on the way.
 
-        Leaves add to whatever ``.grad`` they already hold.  Each
-        intermediate node's ``.grad`` is set to None once its backward has
-        run, so calling ``backward`` again on the same graph adds the same
-        gradients to the leaves once more.
+        Leaves add to whatever ``.grad`` they already hold.  Once a node's
+        backward has run, its ``.grad``, backward closure and parent
+        references are dropped and it is marked consumed, so no activation
+        outlives the last backward that reads it.  A graph therefore
+        supports one backward: reaching a consumed node (the same root
+        again, or a second loss that shares a node with the first) raises
+        RuntimeError before any gradient is accumulated.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
@@ -67,6 +79,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._bwd is _CONSUMED:
+                raise RuntimeError(
+                    "backward reached a node whose graph an earlier backward consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -76,22 +91,27 @@ class Tensor:
         # no gradient here, since every backward releases them
         seed = np.ones_like(self.data)
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(topo):
-            if node._bwd is None or node.grad is None:
+        # popping keeps the order list from holding nodes already consumed
+        while topo:
+            node = topo.pop()
+            if node._bwd is None:  # a leaf
                 continue
-            grads = node._bwd(node.grad)
-            node.grad = None
-            for p, g in zip(node._parents, grads):
-                if g is None or not p.requires_grad:
-                    continue
-                if g.dtype != p.data.dtype:
-                    g = g.astype(p.data.dtype)
-                if p.grad is None:
-                    p.grad = g
-                else:
-                    # out of place: a backward may return its incoming array
-                    # (bias_add does), so gradient arrays can be shared
-                    p.grad = p.grad + g
+            if node.grad is not None:
+                grads = node._bwd(node.grad)
+                node.grad = None
+                for p, g in zip(node._parents, grads):
+                    if g is None or not p.requires_grad:
+                        continue
+                    if g.dtype != p.data.dtype:
+                        g = g.astype(p.data.dtype)
+                    if p.grad is None:
+                        p.grad = g
+                    else:
+                        # out of place: a backward may return its incoming
+                        # array (add does), so gradient arrays can be shared
+                        p.grad = p.grad + g
+            node._parents = ()
+            node._bwd = _CONSUMED
 
 
 def _make(data, parents, bwd):
@@ -167,6 +187,25 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), bwd)
 
 
+def linear(x, w, b):
+    """Affine map x @ w + b, x (M, K) with w (K, D) and bias b (D,).
+
+    The bias is added in place to the product, and its gradient is the
+    float64 column sum of the incoming gradient cast back to b's dtype.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear expects 2-D input and weight")
+    _check_bias(b, w.data.shape[1], "linear")
+    y = x.data @ w.data
+    y += b.data
+    def bwd(g):
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g if w.requires_grad else None
+        return gx, gw, _bias_grad(g, b, (0,))
+    return _make(y, (x, w, b), bwd)
+
+
 def transpose(a):
     a = _as_tensor(a)
     if a.data.ndim != 2:
@@ -212,9 +251,8 @@ def log(a):
 
 def abs_(a):
     a = _as_tensor(a)
-    s = np.sign(a.data)
     def bwd(g):
-        return (g * s,)
+        return (g * np.sign(a.data),)
     return _make(np.abs(a.data), (a,), bwd)
 
 
@@ -305,28 +343,6 @@ def take_pairs(a, ij):
     return _make(a.data[ii, jj], (a,), bwd)
 
 
-def bias_add(x, b):
-    """Add a per-channel bias: (N,C,H,W)+(C,) or (M,D)+(D,)."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.data.ndim != 1:
-        raise ValueError("bias must be 1-D")
-    if x.data.ndim == 4:
-        if x.data.shape[1] != b.data.shape[0]:
-            raise ValueError("bias length must match the channel axis")
-        y = x.data + b.data[None, :, None, None]
-        axes = (0, 2, 3)
-    elif x.data.ndim == 2:
-        if x.data.shape[1] != b.data.shape[0]:
-            raise ValueError("bias length must match the last axis")
-        y = x.data + b.data[None, :]
-        axes = (0,)
-    else:
-        raise ValueError("bias_add expects a 2-D or 4-D tensor")
-    def bwd(g):
-        return g, np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=b.data.dtype)
-    return _make(y, (x, b), bwd)
-
-
 def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine;
     1e-5 is added to the variance before the square root."""
@@ -404,11 +420,24 @@ def attention(q, k, v, heads):
     return _make(y, (q, k, v), bwd)
 
 
+def _check_bias(b, channels, opname):
+    if b.data.ndim != 1 or b.data.shape[0] != channels:
+        raise ValueError(f"{opname}: bias of shape {b.data.shape} does not match "
+                         f"{channels} output channels")
+
+
+def _bias_grad(g, b, axes):
+    if not b.requires_grad:
+        return None
+    return np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=b.data.dtype)
+
+
 # convolution plumbing: one im2col/col2im pair drives conv2d forward and
 # both of its gradients, and the transposed conv is the same three maps
 # with the input/output roles exchanged
 
 def _im2col(x, kh, kw, s, p):
+    """Patches of x as (N, C*kh*kw, OH*OW), with OH and OW."""
     n, c, h, w = x.shape
     if p:
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -420,15 +449,12 @@ def _im2col(x, kh, kw, s, p):
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = x[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
-    return cols, oh, ow
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _conv_fwd(x, w, s, p):
-    n = x.shape[0]
-    f = w.shape[0]
-    cols, oh, ow = _im2col(x, w.shape[2], w.shape[3], s, p)
-    cols2 = cols.reshape(n, -1, oh * ow)
-    out = np.matmul(w.reshape(f, -1)[None], cols2)
+def _conv_fwd(cols, oh, ow, w):
+    n, f = cols.shape[0], w.shape[0]
+    out = np.matmul(w.reshape(f, -1)[None], cols)
     return out.reshape(n, f, oh, ow)
 
 
@@ -446,16 +472,26 @@ def _conv_dx(gy, w, s, p, h, w_in):
     return xp
 
 
-def _conv_dw(x, gy, kh, kw, s, p):
+def _conv_dw(cols, gy, w_shape):
     n, f = gy.shape[0], gy.shape[1]
-    cols, oh, ow = _im2col(x, kh, kw, s, p)
-    cols2 = cols.reshape(n, -1, oh * ow)
-    gw2 = np.matmul(gy.reshape(n, f, oh * ow), cols2.transpose(0, 2, 1)).sum(axis=0)
-    return gw2.reshape(f, x.shape[1], kh, kw)
+    gw2 = np.matmul(gy.reshape(n, f, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return gw2.reshape(w_shape)
+
+
+def _conv_bias(y, b, opname):
+    """Add the optional per-channel bias b in place to y (N, F, H, W); the
+    returned Tensors are the node's parents after x and w."""
+    if b is None:
+        return ()
+    b = _as_tensor(b)
+    _check_bias(b, y.shape[1], opname)
+    y += b.data[None, :, None, None]
+    return (b,)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
-    """2-D convolution, x (N,C,H,W) with w (F,C,kh,kw)."""
+    """2-D convolution, x (N,C,H,W) with w (F,C,kh,kw) and an optional
+    bias b (F,) added in the same node."""
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
@@ -463,21 +499,24 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv2d: channel mismatch")
     h, w_in = x.data.shape[2], x.data.shape[3]
     kh, kw = w.data.shape[2], w.data.shape[3]
-    y = _conv_fwd(x.data, w.data, stride, padding)
+    y = _conv_fwd(*_im2col(x.data, kh, kw, stride, padding), w.data)
+    bias = _conv_bias(y, b, "conv2d")
     def bwd(g):
         gx = _conv_dx(g, w.data, stride, padding, h, w_in) if x.requires_grad else None
-        gw = _conv_dw(x.data, g, kh, kw, stride, padding) if w.requires_grad else None
-        return gx, gw
-    out = _make(y, (x, w), bwd)
-    return out if b is None else bias_add(out, b)
+        gw = (_conv_dw(_im2col(x.data, kh, kw, stride, padding)[0], g, w.data.shape)
+              if w.requires_grad else None)
+        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
+    return _make(y, (x, w, *bias), bwd)
 
 
 def conv_transpose2d(x, w, b=None, stride=1, padding=0):
-    """Transposed convolution, x (N,C,H,W) with w (C,F,kh,kw).
+    """Transposed convolution, x (N,C,H,W) with w (C,F,kh,kw) and an
+    optional bias b (F,) added in the same node.
 
     Output spatial size is (H-1)*stride + kh - 2*padding.  This is exactly
     the adjoint of conv2d, so the three convolution maps are reused with
-    swapped roles.
+    swapped roles; backward builds the patches of its gradient once for
+    both the input and the weight gradient.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -490,12 +529,17 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
     if h_out <= 0 or w_out <= 0:
         raise ValueError("transposed kernel does not produce a positive output size")
     y = _conv_dx(x.data, w.data, stride, padding, h_out, w_out)
+    bias = _conv_bias(y, b, "conv_transpose2d")
     def bwd(g):
-        gx = _conv_fwd(g, w.data, stride, padding) if x.requires_grad else None
-        gw = _conv_dw(g, x.data, kh, kw, stride, padding) if w.requires_grad else None
-        return gx, gw
-    out = _make(y, (x, w), bwd)
-    return out if b is None else bias_add(out, b)
+        gx = gw = None
+        if x.requires_grad or w.requires_grad:
+            cols, oh, ow = _im2col(g, kh, kw, stride, padding)
+            if x.requires_grad:
+                gx = _conv_fwd(cols, oh, ow, w.data)
+            if w.requires_grad:
+                gw = _conv_dw(cols, x.data, w.data.shape)
+        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
+    return _make(y, (x, w, *bias), bwd)
 
 
 def max_pool2d(x, k):

@@ -79,7 +79,9 @@ def relative_pose(pose_a: RigidPose, pose_b: RigidPose) -> RigidPose:
 
 def quat_to_rotmat(q):
     """Unit quaternion (qx, qy, qz, qw), scalar last, to a rotation matrix."""
-    x, y, z, w = np.asarray(q, dtype=np.float64)
+    x, y, z, w = q = np.asarray(q, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise ValueError(f"quaternion must be finite, got {q.tolist()}")
     n = np.sqrt(x * x + y * y + z * z + w * w)
     if n < 1e-12:
         raise ValueError("zero quaternion")

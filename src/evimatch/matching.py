@@ -211,7 +211,7 @@ def _scalar_like(value, t):
 
 
 def _linear(x, p, name):
-    return ad.bias_add(ad.matmul(x, p[name + ".w"]), p[name + ".b"])
+    return ad.linear(x, p[name + ".w"], p[name + ".b"])
 
 
 def _mha(xq, xkv, p, base, heads):

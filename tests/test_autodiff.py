@@ -1,5 +1,7 @@
 """Forward semantics and gradient correctness of the reverse-mode core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,17 +86,52 @@ def test_grad_accumulates_across_reuse():
     assert x.grad[0] == pytest.approx(5.0)
 
 
-def test_backward_twice_doubles_leaf_gradients():
+def test_second_backward_raises_and_keeps_leaf_gradients():
     x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     h = ad.mul(x, 2.0)
     y = ad.sum_all(ad.mul(h, 3.0))
     y.backward()
-    once = x.grad.copy()
-    np.testing.assert_array_equal(once, [6.0, 6.0])
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
     assert h.grad is None and y.grad is None  # intermediates are released
-    y.backward()
-    np.testing.assert_array_equal(x.grad, 2 * once)
-    assert h.grad is None and y.grad is None
+    with pytest.raises(RuntimeError, match="consumed"):
+        y.backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
+def test_second_loss_sharing_a_node_raises():
+    x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    h = ad.mul(x, 2.0)
+    first, second = ad.sum_all(h), ad.sum_all(ad.mul(h, 3.0))
+    first.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    with pytest.raises(RuntimeError, match="consumed"):
+        second.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    assert second.grad is None  # raised before seeding the root
+
+
+def test_backward_frees_each_activation_once_consumed():
+    # the probe node's backward runs last; by then the eight 1 MiB
+    # activations above it must be gone, not merely freed on return
+    live_at_probe = []
+
+    def probe(g):
+        live_at_probe.append(tracemalloc.get_traced_memory()[0])
+        return (g,)
+
+    x = Tensor(np.ones(1 << 18, np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        h = ad._make(x.data.copy(), (x,), probe)
+        for _ in range(8):
+            h = ad.mul(h, 1.5)
+        y = ad.sum_all(h)
+        del h
+        y.backward()
+    finally:
+        tracemalloc.stop()
+    assert live_at_probe[0] < 4 * 2**20
+    np.testing.assert_allclose(x.grad, 1.5 ** 8)
 
 
 def test_backward_from_a_leaf_accumulates():
@@ -341,14 +378,6 @@ def test_grad_take_pairs():
     assert gradcheck(lambda x: ad.take_pairs(x, ij), [t64(3, 4)])
 
 
-def test_grad_bias_add_4d():
-    assert gradcheck(ad.bias_add, [t64(2, 3, 4, 4), t64(3)])
-
-
-def test_grad_bias_add_2d():
-    assert gradcheck(ad.bias_add, [t64(5, 3), t64(3)])
-
-
 def test_grad_layer_norm():
     assert gradcheck(ad.layer_norm, [t64(4, 6), t64(6, lo=0.5, hi=1.5), t64(6)])
 
@@ -368,6 +397,20 @@ def test_grad_conv_transpose2d():
                      [t64(1, 2, 4, 4), t64(2, 3, 4, 4)])
 
 
+def test_grad_conv2d_bias():
+    assert gradcheck(lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1),
+                     [t64(2, 2, 6, 6), t64(3, 2, 3, 3), t64(3)])
+
+
+def test_grad_conv_transpose2d_bias():
+    assert gradcheck(lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2, padding=1),
+                     [t64(1, 2, 4, 4), t64(2, 3, 4, 4), t64(3)])
+
+
+def test_grad_linear():
+    assert gradcheck(ad.linear, [t64(5, 4), t64(4, 3), t64(3)])
+
+
 def test_grad_max_pool2d():
     x = t64(1, 2, 4, 4)
     x += np.arange(32).reshape(x.shape) * 0.1  # break pooling ties
@@ -381,3 +424,75 @@ def test_gradcheck_catches_wrong_gradient():
         return ad._make(y.data, (x,), lambda g: (g,))
     with pytest.raises(AssertionError, match="gradient mismatch"):
         gradcheck(broken, [t64(3, lo=0.5, hi=1.0)])
+
+
+# -- biases folded into their conv/linear node ---------------------------------
+
+def bias_add_reference(x, b):
+    """The separate per-channel bias node the folded biases replaced:
+    (N,C,H,W)+(C,) or (M,D)+(D,), with the float64 channel-sum gradient."""
+    axes = (0, 2, 3) if x.data.ndim == 4 else (0,)
+    shape = (1, -1, 1, 1) if x.data.ndim == 4 else (1, -1)
+    def bwd(g):
+        return g, np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=b.data.dtype)
+    return ad._make(x.data + b.data.reshape(shape), (x, b), bwd)
+
+
+def folded_and_reference(fused, unbiased, shapes, seed):
+    """Output and input gradients of sum(fused(x, w, b) * g) and of the
+    same loss through bias_add_reference(unbiased(x, w), b)."""
+    r = np.random.default_rng(seed)
+    arrays = [r.normal(size=s).astype(np.float32) for s in shapes]
+    g, results = None, []
+    for build in (fused, lambda x, w, b: bias_add_reference(unbiased(x, w), b)):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = build(*leaves)
+        if g is None:
+            g = Tensor(r.normal(size=y.shape).astype(np.float32))
+        ad.sum_all(ad.mul(y, g)).backward()
+        results.append([y.data] + [t.grad for t in leaves])
+    return results
+
+
+@pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 0)])
+def test_conv2d_bias_bitwise_equals_bias_node(stride, padding):
+    got, want = folded_and_reference(
+        lambda x, w, b: ad.conv2d(x, w, b, stride=stride, padding=padding),
+        lambda x, w: ad.conv2d(x, w, stride=stride, padding=padding),
+        [(3, 4, 12, 12), (5, 4, 3, 3), (5,)], seed=stride + padding)
+    for a, b in zip(got, want):
+        assert_bitwise_equal(a, b)
+
+
+def test_conv_transpose2d_bias_bitwise_equals_bias_node():
+    got, want = folded_and_reference(
+        lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2, padding=1),
+        lambda x, w: ad.conv_transpose2d(x, w, stride=2, padding=1),
+        [(3, 6, 8, 8), (6, 4, 4, 4), (4,)], seed=7)
+    for a, b in zip(got, want):
+        assert_bitwise_equal(a, b)
+
+
+def test_linear_bitwise_equals_matmul_and_bias_node():
+    got, want = folded_and_reference(ad.linear, ad.matmul,
+                                     [(37, 24), (24, 16), (16,)], seed=3)
+    for a, b in zip(got, want):
+        assert_bitwise_equal(a, b)
+
+
+@pytest.mark.parametrize("op, x, w", [
+    (ad.conv2d, np.ones((1, 2, 4, 4)), np.ones((3, 2, 3, 3))),
+    (ad.conv_transpose2d, np.ones((1, 2, 4, 4)), np.ones((2, 3, 2, 2))),
+    (ad.linear, np.ones((4, 2)), np.ones((2, 3))),
+])
+def test_bias_must_match_output_channels(op, x, w):
+    for bad in (np.ones(2), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="does not match 3 output channels"):
+            op(Tensor(x), Tensor(w), Tensor(bad))
+
+
+def test_frozen_bias_gets_no_gradient():
+    x = Tensor(np.ones((1, 2, 4, 4), np.float32), requires_grad=True)
+    b = Tensor(np.ones(3, np.float32))
+    ad.sum_all(ad.conv2d(x, Tensor(np.ones((3, 2, 3, 3), np.float32)), b)).backward()
+    assert x.grad is not None and b.grad is None

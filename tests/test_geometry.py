@@ -1,5 +1,6 @@
 """Poses, quaternions, projection and the robust essential estimator."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,14 @@ def test_pose_and_intrinsics_reject_non_finite(bad):
         values = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, field: bad}
         with pytest.raises(ValueError, match="finite"):
             CameraIntrinsics(**values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quaternion_rejects_non_finite_without_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="quaternion must be finite"):
+            quat_to_rotmat([0.0, bad, 0.0, 1.0])
 
 
 def reference_bilinear(m, x, y):

@@ -363,6 +363,15 @@ def test_text_records_name_file_and_line(tmp_path, name, text, where):
         read(p)
 
 
+def test_poses_reject_infinite_quaternion_without_warning(tmp_path):
+    p = tmp_path / "poses.txt"
+    p.write_text("0 0 0 0 0 0 0 1\n5 0 0 0 0 inf 0 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"poses\.txt:2: expected"):
+            io.load_poses(p)
+
+
 def test_manifest_names_file_and_line(tmp_path):
     root = tmp_path / "ds"
     io.save_dataset(root, [tiny_sample(0.25, 1)],

@@ -156,6 +156,35 @@ def test_fit_trains_then_freezes_params():
     assert not ad.square(params["x"]).requires_grad
 
 
+def fit_peak(steps):
+    """tracemalloc peak of fit over `steps` single-item steps whose graph
+    is a chain of nine 1 MiB activations scaled by one scalar parameter."""
+    params = {"s": Tensor(np.float32(0.5))}
+    base = np.linspace(-1.0, 1.0, 1 << 18, dtype=np.float32)
+
+    def batch_loss(idx):
+        h = Tensor(base + np.float32(idx[0]))
+        for _ in range(8):
+            h = ad.mul(h, params["s"])
+        loss = ad.mean_all(h)
+        return loss, (float(loss.data),)
+
+    recipe = SimpleNamespace(lr=0.01, epochs=1, batch_size=1, seed=0)
+    tracemalloc.start()
+    try:
+        fit(params, steps, recipe, batch_loss, ("loss",))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_peak_does_not_grow_with_steps():
+    # each backward frees its graph, so no step's activations are still
+    # alive while the next step builds its own
+    fit_peak(1)  # the first run also imports numpy.random
+    assert fit_peak(3) <= 1.1 * fit_peak(1)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = {
         "w": Tensor(np.arange(12, dtype=np.float32).reshape(3, 4)),
