@@ -14,10 +14,10 @@ from .datagen import (Benchmark, LFDSample, Scene, Trajectory,
                       events_from_log_frames, generate_benchmark,
                       make_lfd_dataset, make_sample, make_scene, overlap_score,
                       render)
-from .distillation import (DistillConfig, LFDBatch, LFDLossReport, lfd_loss,
-                           loss_history_csv, train_extractor)
+from .distillation import (DistillConfig, lfd_loss, loss_history_csv,
+                           train_extractor)
 from .events import EventStream, accumulate_mask, load_events, save_events
-from .extractor import (DenseMaps, ExtractorConfig, KeypointSet, TeacherConfig,
+from .extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                         analytic_teacher, apply_event_mask, extract_keypoints,
                         forward_student, init_student, load_extractor,
                         load_teacher_checkpoint, save_extractor)

@@ -202,10 +202,23 @@ def _make_matcher(cfg):
     raise ValueError(f"unknown matcher {kind!r} (expected mnn or ca)")
 
 
-def _index_pairs(cfg, default):
+def _sample_index(i, n, source):
+    """i when it indexes one of n samples; else a ValueError naming source."""
+    if not 0 <= i < n:
+        raise ValueError(f"{source}: sample index {i} is out of range for {n} samples")
+    return i
+
+
+def _load_pairs(path, n_a, n_b):
+    """A pairs file's rows; each i must index n_a samples, each j n_b."""
+    return [(_sample_index(i, n_a, path), _sample_index(j, n_b, path), overlap)
+            for i, j, overlap in eio.load_pairs(path)]
+
+
+def _index_pairs(cfg, default, n_a, n_b):
     """(i, j) pairs from --pairs-file when one is given, else the default."""
     if cfg["pairs_file"]:
-        return [(i, j) for i, j, _ in eio.load_pairs(cfg["pairs_file"])]
+        return [(i, j) for i, j, _ in _load_pairs(cfg["pairs_file"], n_a, n_b)]
     return default
 
 
@@ -263,7 +276,8 @@ def cmd_train_extractor(out, cfg):
 def cmd_train_matcher(out, cfg):
     samples, intr, width, height = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
-    pairs = _index_pairs(cfg, [(i, i + 1) for i in range(len(samples) - 1)])
+    pairs = _index_pairs(cfg, [(i, i + 1) for i in range(len(samples) - 1)],
+                         len(samples), len(samples))
     if not pairs:
         raise ValueError("need at least two samples to form training pairs")
     examples = []
@@ -320,7 +334,8 @@ def cmd_match(out, cfg):
 
     files_a, files_b = kp_files(cfg["kp_a"]), kp_files(cfg["kp_b"])
     n = min(len(files_a), len(files_b))
-    pairs = _index_pairs(cfg, [(i, i) for i in range(n)])
+    pairs = _index_pairs(cfg, [(i, i) for i in range(n)],
+                         len(files_a), len(files_b))
     match_fn = _make_matcher(cfg)
     match_dir = os.path.join(out, "matches")
     os.makedirs(match_dir, exist_ok=True)
@@ -407,7 +422,8 @@ def cmd_eval(out, cfg):
         entries = _eval_keypoints(samples, cfg, params, config, match_fn,
                                   float(cfg["eps"]))
     else:
-        pairs = eio.load_pairs(os.path.join(cfg["data"], "pairs.txt"))
+        pairs = _load_pairs(os.path.join(cfg["data"], "pairs.txt"),
+                            len(samples), len(samples))
         entries = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))
@@ -419,10 +435,9 @@ def cmd_eval(out, cfg):
 def cmd_viz(out, cfg):
     samples, _, _, _ = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
-    ia = int(cfg["index_a"])
+    ia = _sample_index(int(cfg["index_a"]), len(samples), "--index-a")
     ib = int(cfg["index_b"])
-    if ib < 0:
-        ib = ia
+    ib = ia if ib == -1 else _sample_index(ib, len(samples), "--index-b")
     sa, sb = samples[ia], samples[ib]
     kp_a = _event_keypoints(sa, cfg, params, config)
     kp_b = _image_keypoints(sb, cfg)

@@ -10,7 +10,7 @@ student to hallucinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,36 +56,12 @@ class DistillConfig:
         return 2 if self.representation == "time_surface" else self.bins
 
 
-@dataclass
-class LFDBatch:
-    """One minibatch of aligned tensors, teacher targets and event masks.
+def lfd_loss(student, teacher, masks, config: DistillConfig):
+    """Masked distillation loss over one batch, as fit's (total, values).
 
-    All arrays are batched: inputs (N, C, H, W); teacher_feats at the
-    backbone stride; teacher_score (N, 1, H, W); teacher_desc (N, C_d,
-    H, W); masks (N, 1, H, W) with 1 where the events touched a pixel.
-    """
-
-    inputs: np.ndarray
-    teacher_feats: np.ndarray
-    teacher_score: np.ndarray
-    teacher_desc: np.ndarray
-    masks: np.ndarray
-
-
-@dataclass
-class LFDLossReport:
-    """Loss values for one batch; ``total`` keeps the differentiable node."""
-
-    l_feats: float
-    l_score: float
-    l_desc: float
-    l_total: float
-    total: Tensor = field(repr=False, default=None)
-
-
-def lfd_loss(student_feats, student_score, student_desc, batch: LFDBatch,
-             config: DistillConfig = DistillConfig()) -> LFDLossReport:
-    """Masked distillation loss over one batch.
+    student is forward_student_batch's (feats, score, desc) Tensors and
+    teacher the matching arrays; masks is (N, 1, H, W), 1 where the events
+    touched a pixel.  values holds l_feats, l_score, l_desc and l_total.
 
     The feature term is an unmasked mean over every latent cell; the score
     and descriptor terms average only over event-supported pixels, pooled
@@ -93,25 +69,27 @@ def lfd_loss(student_feats, student_score, student_desc, batch: LFDBatch,
     nothing through the masked terms (zero, not NaN).  Disabled terms
     are exactly zero and never enter the graph.
     """
-    mask = np.asarray(batch.masks, dtype=np.float32)
+    student_feats, student_score, student_desc = student
+    teacher_feats, teacher_score, teacher_desc = teacher
+    mask = np.asarray(masks, dtype=np.float32)
     mask_count = float(mask.sum(dtype=np.float64))
     empty = mask_count == 0.0
 
     terms = []
     l_feats = l_score = l_desc = 0.0
     if config.use_feats:
-        t = ad.mean_all(ad.square(ad.sub(student_feats, Tensor(batch.teacher_feats))))
+        t = ad.mean_all(ad.square(ad.sub(student_feats, Tensor(teacher_feats))))
         l_feats = float(t.data)
         terms.append(t)
     if config.use_score and not empty:
         t = ad.masked_mean(ad.square(ad.sub(student_score,
-                                            Tensor(batch.teacher_score))), mask)
+                                            Tensor(teacher_score))), mask)
         l_score = float(t.data)
         terms.append(t)
     if config.use_desc and not empty:
-        mc = np.broadcast_to(mask, batch.teacher_desc.shape)
+        mc = np.broadcast_to(mask, teacher_desc.shape)
         t = ad.masked_mean(ad.abs_(ad.sub(student_desc,
-                                          Tensor(batch.teacher_desc))), mc)
+                                          Tensor(teacher_desc))), mc)
         l_desc = float(t.data)
         terms.append(t)
 
@@ -121,7 +99,7 @@ def lfd_loss(student_feats, student_score, student_desc, batch: LFDBatch,
             total = ad.add(total, t)
     else:
         total = Tensor(np.float32(0.0))
-    return LFDLossReport(l_feats, l_score, l_desc, float(total.data), total)
+    return total, (l_feats, l_score, l_desc, float(total.data))
 
 
 def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
@@ -147,6 +125,23 @@ def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
             np.stack(descs), np.stack(masks))
 
 
+def _check_teacher_fit(student_config, config, tf, td, h, w):
+    """Raise ValueError naming the student field, and both values, that
+    makes an enabled loss term compare arrays of different shapes."""
+    latent, desc, s = (student_config.latent_dim, student_config.desc_dim,
+                       student_config.stride)
+    if config.use_feats and latent != tf.shape[1]:
+        raise ValueError(f"latent_dim is {latent} but the teacher's feats "
+                         f"have {tf.shape[1]} channels")
+    if config.use_feats and (h // s, w // s) != tf.shape[2:]:
+        raise ValueError(f"stride is {s}, giving {h // s}x{w // s} feats for "
+                         f"{h}x{w} inputs, but the teacher's feats are "
+                         f"{tf.shape[2]}x{tf.shape[3]}")
+    if config.use_desc and desc != td.shape[1]:
+        raise ValueError(f"desc_dim is {desc} but the teacher's desc has "
+                         f"{td.shape[1]} channels")
+
+
 def train_extractor(samples, config: DistillConfig,
                     student_config: ExtractorConfig, teacher=None, log=None):
     """Distill the event extractor; returns (params, history).
@@ -154,8 +149,10 @@ def train_extractor(samples, config: DistillConfig,
     Trains a fresh student (seeded by config.seed) with ``optim.fit`` on the
     LFD loss over at most config.n_pairs samples; fit's rows are the epoch
     means of l_feats, l_score, l_desc and l_total, and the params come back
-    frozen.  The teacher is evaluated once up front and never updated.  The
-    whole run is a pure function of the samples and the two configs.
+    frozen.  The teacher is evaluated once up front and never updated; a
+    student whose outputs an enabled term cannot compare with the teacher's
+    arrays is rejected before training.  The whole run is a pure function
+    of the samples and the two configs.
     """
     samples = list(samples)[:config.n_pairs]
     if not samples:
@@ -166,13 +163,12 @@ def train_extractor(samples, config: DistillConfig,
             f"{config.representation!r} representation yields {config.input_channels}")
 
     xs, tf, ts, td, ms = prepare_batch_arrays(samples, config, teacher)
+    _check_teacher_fit(student_config, config, tf, td, *xs.shape[2:])
     params = init_student(student_config, seed=config.seed)
 
     def batch_loss(idx):
-        feats, score, desc = forward_student_batch(xs[idx], params, student_config)
-        batch = LFDBatch(xs[idx], tf[idx], ts[idx], td[idx], ms[idx])
-        r = lfd_loss(feats, score, desc, batch, config)
-        return r.total, (r.l_feats, r.l_score, r.l_desc, r.l_total)
+        return lfd_loss(forward_student_batch(xs[idx], params, student_config),
+                        (tf[idx], ts[idx], td[idx]), ms[idx], config)
 
     history = fit(params, len(samples), config, batch_loss, _COLUMNS, log)
     return params, history

@@ -9,7 +9,9 @@ graph Tensors, and inference returns their arrays.  The teacher is
 analytic: Harris corner strength for the score, windowed oriented-gradient
 descriptors, and a fixed seeded lift of steerable gradient responses for
 the latent map.  It needs no training, which keeps the whole distillation
-pipeline self-contained.
+pipeline self-contained, and its shape is fixed by the module's TEACHER_*
+constants: 128 descriptor channels (8 orientations on a 4x4 tap grid) and
+128 latent channels at stride 4.
 
 Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k or threshold
@@ -28,8 +30,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import _bilinear
 from .optim import load_module, save_module
-
-TEACHER_PROJECTION_SEED = 7
 
 
 @dataclass
@@ -84,34 +84,6 @@ class ExtractorConfig:
         for p in self.pools:
             s *= p
         return s
-
-
-@dataclass(frozen=True)
-class TeacherConfig:
-    """Shape of the analytic image teacher's outputs.
-
-    The descriptor is ``orientations`` oriented-gradient energy channels
-    sampled on a ``grid`` x ``grid`` pattern of integer offsets around each
-    pixel, so orientations * grid**2 must equal desc_dim.
-    """
-
-    desc_dim: int = 128
-    latent_dim: int = 128
-    stride: int = 4
-    orientations: int = 8
-    grid: int = 4
-    tap_spacing: int = 2
-    harris_k: float = 0.04
-
-    def __post_init__(self):
-        if self.orientations * self.grid ** 2 != self.desc_dim:
-            raise ValueError("orientations * grid^2 must equal desc_dim")
-        if ((self.grid - 1) * self.tap_spacing) % 2 != 0:
-            raise ValueError("tap offsets must land on integer pixels")
-
-    def tap_offsets(self):
-        c = (self.grid - 1) * self.tap_spacing // 2
-        return np.arange(self.grid) * self.tap_spacing - c
 
 
 @dataclass
@@ -237,6 +209,15 @@ def forward_student(tensor, params, config: ExtractorConfig) -> DenseMaps:
 
 # -- analytic teacher ---------------------------------------------------
 
+# the teacher's fixed shape: 8 orientations on a 4x4 grid of taps 2 px apart
+# make 128 descriptor channels; 128 latent channels at stride 4
+TEACHER_ORIENTATIONS = 8
+TEACHER_TAPS = (-3, -1, 1, 3)
+TEACHER_LATENT_DIM = 128
+TEACHER_STRIDE = 4
+TEACHER_PROJECTION_SEED = 7
+HARRIS_K = 0.04
+
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
@@ -264,27 +245,28 @@ def _shift_clamped(img, dy, dx):
     return img[np.ix_(ys, xs)]
 
 
-def harris_score(img, k=0.04):
-    """Harris corner response, clipped at 0 and scaled to peak 1."""
+def harris_score(img):
+    """Harris corner response (k = HARRIS_K), clipped at 0 and scaled to peak 1."""
     iy, ix = np.gradient(img)
     sxx = _smooth(ix * ix)
     syy = _smooth(iy * iy)
     sxy = _smooth(ix * iy)
-    r = sxx * syy - sxy * sxy - k * (sxx + syy) ** 2
+    r = sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
     r = np.maximum(r, 0.0)
     peak = r.max()
     return r / peak if peak > 0 else r
 
 
-def analytic_teacher(image, config: TeacherConfig = TeacherConfig()) -> DenseMaps:
+def analytic_teacher(image) -> DenseMaps:
     """Dense maps for a grayscale image in [0, 1], no learning involved.
 
-    score: normalized Harris response.  desc: mean-centred oriented-gradient
-    energies tapped on a grid of offsets around each pixel, unit-normalized
-    per pixel.  feats: steerable gradient responses
-    of the stride-downsampled image lifted to latent_dim channels by a
-    fixed seeded projection, so the target latent space is reproducible
-    across runs.
+    score (1, H, W): normalized Harris response.  desc (128, H, W):
+    mean-centred energies of TEACHER_ORIENTATIONS gradient orientations,
+    each tapped at the TEACHER_TAPS x TEACHER_TAPS offsets around a pixel,
+    unit-normalized per pixel.  feats (TEACHER_LATENT_DIM, H/4, W/4):
+    steerable gradient responses of the TEACHER_STRIDE-downsampled image
+    lifted by a fixed seeded projection, so the target latent space is
+    reproducible across runs.  H and W must divide by TEACHER_STRIDE.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 3 and img.shape[0] == 1:
@@ -294,35 +276,33 @@ def analytic_teacher(image, config: TeacherConfig = TeacherConfig()) -> DenseMap
     if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
         raise ValueError("image values must lie in [0, 1]")
     h, w = img.shape
-    s = config.stride
+    s = TEACHER_STRIDE
     if h % s or w % s:
         raise ValueError(f"image dims ({h}, {w}) must be divisible by stride {s}")
 
-    score = harris_score(img, config.harris_k)[None]
+    score = harris_score(img)[None]
 
     iy, ix = np.gradient(img)
-    angles = 2.0 * np.pi * np.arange(config.orientations) / config.orientations
-    taps = config.tap_offsets()
-    desc = np.empty((config.desc_dim, h, w))
-    cell = config.grid ** 2
+    n_orient, grid = TEACHER_ORIENTATIONS, len(TEACHER_TAPS)
+    angles = 2.0 * np.pi * np.arange(n_orient) / n_orient
+    desc = np.empty((n_orient * grid ** 2, h, w))
     # absolute-value responses over [0, pi) keep the targets a polarity-free
     # function of edge geometry (event data cannot resolve gradient sign);
     # centring each pixel's vector before normalization spreads pairwise
     # cosines instead of crowding the positive orthant
-    desc_angles = np.pi * np.arange(config.orientations) / config.orientations
+    desc_angles = np.pi * np.arange(n_orient) / n_orient
     for o, th in enumerate(desc_angles):
         resp = _smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy))
-        for ti, dy in enumerate(taps):
-            for tj, dx in enumerate(taps):
-                desc[o * cell + ti * config.grid + tj] = _shift_clamped(resp, dy, dx)
+        for ti, dy in enumerate(TEACHER_TAPS):
+            for tj, dx in enumerate(TEACHER_TAPS):
+                desc[(o * grid + ti) * grid + tj] = _shift_clamped(resp, dy, dx)
     desc = normalize_desc(desc - desc.mean(axis=0, keepdims=True))
 
     small = img.reshape(h // s, s, w // s, s).mean(axis=(1, 3))
     gy, gx = np.gradient(small)
     base = np.stack([np.cos(th) * gx + np.sin(th) * gy for th in angles])
     proj = np.random.default_rng(TEACHER_PROJECTION_SEED).normal(
-        0.0, 1.0 / np.sqrt(config.orientations),
-        (config.latent_dim, config.orientations))
+        0.0, 1.0 / np.sqrt(n_orient), (TEACHER_LATENT_DIM, n_orient))
     feats = np.tensordot(proj, base, axes=1)
 
     return DenseMaps(feats.astype(np.float32), score.astype(np.float32),

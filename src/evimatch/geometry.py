@@ -251,9 +251,9 @@ def _sampson_sq(e, x1, x2):
     return num / den
 
 
-def _triangulate(r, t, x1, x2, cap=50):
+def _triangulate(r, t, x1, x2):
     """Linear triangulation; returns per-point depths in both views."""
-    n = min(len(x1), cap)
+    n = min(len(x1), 50)  # the first 50 matches decide the cheirality vote
     p2 = np.hstack([r, t.reshape(3, 1)])
     a = np.stack([
         x1[:n, 0, None] * np.array([0, 0, 1, 0.0]) - np.array([1, 0, 0, 0.0]),

@@ -427,21 +427,19 @@ class MatchTrainConfig:
             raise ValueError("lr, epochs and batch_size must be positive")
 
 
-def train_matcher(examples, matcher: CAMatcherParams | None = None,
-                  config: MatchTrainConfig = MatchTrainConfig(),
+def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),
                   ca_config: CAConfig = CAConfig(), log=None):
-    """Train the matcher on (kp_a, kp_b, GroundTruthMatches) triples.
+    """Train a fresh matcher on (kp_a, kp_b, GroundTruthMatches) triples.
 
-    Trains ``matcher`` (default: a fresh ca_config matcher seeded by
-    config.seed) with ``optim.fit``; each step averages the per-pair
-    losses of one minibatch.  Returns (matcher, history) with one (epoch,
-    mean loss) row per epoch; the matcher's params come back frozen.
+    The matcher is ``CAMatcherParams.create(ca_config, seed=config.seed)``,
+    trained with ``optim.fit``; each step averages the per-pair losses of
+    one minibatch.  Returns (matcher, history) with one (epoch, mean loss)
+    row per epoch; the matcher's params come back frozen.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples provided")
-    if matcher is None:
-        matcher = CAMatcherParams.create(ca_config, seed=config.seed)
+    matcher = CAMatcherParams.create(ca_config, seed=config.seed)
 
     def batch_loss(idx):
         losses = [nll_loss(*ca_scores(kp_a, kp_b, matcher), gt)

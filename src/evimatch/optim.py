@@ -34,16 +34,16 @@ def cosine_lr(lr0: float, progress: float) -> float:
 
 
 class Adam:
-    """Adam over a name -> Tensor parameter dict.
+    """Adam over a name -> Tensor parameter dict, on a cosine schedule.
 
-    When ``total_steps`` is given the learning rate follows the cosine
-    schedule with progress = completed_steps / total_steps, so the first
-    update runs at lr0 and the rate would hit zero just past the final
-    update.  Gradients are read from ``.grad`` and cleared after the step.
-    The moment decays (0.9, 0.999) and the denominator's 1e-8 are fixed.
+    The learning rate follows ``cosine_lr`` with progress =
+    completed_steps / total_steps, so the first update runs at lr0 and the
+    rate would hit zero just past the final update.  Gradients are read
+    from ``.grad`` and cleared after the step.  The moment decays (0.9,
+    0.999) and the denominator's 1e-8 are fixed.
     """
 
-    def __init__(self, params, lr, total_steps=None):
+    def __init__(self, params, lr, total_steps):
         self.params = params
         self.lr0 = float(lr)
         self.total_steps = total_steps
@@ -52,8 +52,6 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def current_lr(self):
-        if self.total_steps is None:
-            return self.lr0
         return cosine_lr(self.lr0, min(self.t / self.total_steps, 1.0))
 
     def step(self):

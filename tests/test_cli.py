@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -275,3 +276,85 @@ def test_unknown_matcher_and_missing_ckpt(dataset, tmp_path, capsys):
                "--matcher", "ca", "--out", str(tmp_path / "m2")])
     assert rc == 1
     assert "requires --matcher-ckpt" in capsys.readouterr().err
+
+
+# -- inputs the pipeline cannot use -------------------------------------------
+
+TINY_STUDENT = ["--channels", "4,4", "--pools", "2,2", "--score-head", "4,4",
+                "--desc-head", "4,4", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--desc-dim", "64"], "desc_dim is 64 but the teacher's desc has 128 channels"),
+    (["--latent-dim", "64"],
+     "latent_dim is 64 but the teacher's feats have 128 channels"),
+    (["--channels", "4,4,4,4", "--pools", "1,1,1,2", "--score-head", "4",
+      "--desc-head", "4"],
+     "stride is 2, giving 8x8 feats for 16x16 inputs, but the teacher's feats "
+     "are 4x4"),
+])
+def test_train_extractor_names_what_the_teacher_cannot_supervise(
+        dataset, tmp_path, capsys, flags, message):
+    out = tmp_path / "tx"
+    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT, *flags,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch train-extractor: error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_extractor_skips_the_latent_check_without_feats(dataset, tmp_path):
+    out = tmp_path / "tx"
+    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT,
+               "--latent-dim", "64", "--loss-terms", "score,desc",
+               "--out", str(out)])
+    assert rc == 0
+    assert (out / "student.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--index-a", "5"], "--index-a: sample index 5 is out of range for 2 samples"),
+    (["--index-a", "-1"], "--index-a: sample index -1 is out of range for 2 samples"),
+    (["--index-b", "2"], "--index-b: sample index 2 is out of range for 2 samples"),
+    (["--index-b", "-2"], "--index-b: sample index -2 is out of range for 2 samples"),
+])
+def test_viz_rejects_out_of_range_index(dataset, student_ckpt, tmp_path, capsys,
+                                        flags, message):
+    rc = main(["viz", "--data", dataset, "--extractor", student_ckpt, *flags,
+               "--out", str(tmp_path / "viz")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch viz: error: {message}\n"
+
+
+@pytest.mark.parametrize("row, bad", [("0 7 0.5", 7), ("0 -1 0.5", -1),
+                                      ("2 0 0.5", 2)])
+def test_pairs_files_reject_out_of_range_index(dataset, student_ckpt, tmp_path,
+                                               capsys, row, bad):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"1 0 0.5\n{row}\n")
+    want = f"{pairs}: sample index {bad} is out of range for 2 samples\n"
+
+    rc = main(["train-matcher", "--data", dataset, "--extractor", student_ckpt,
+               "--pairs-file", str(pairs), "--out", str(tmp_path / "tm")])
+    assert rc == 1
+    assert capsys.readouterr().err == "evimatch train-matcher: error: " + want
+
+    kp_dir = str(tmp_path / "kp" / "keypoints")
+    assert main(["extract", "--data", dataset, "--modality", "images",
+                 "--border", "2", "--nms", "2", "--k", "8",
+                 "--out", str(tmp_path / "kp")]) == 0
+    capsys.readouterr()
+    rc = main(["match", "--kp-a", kp_dir, "--kp-b", kp_dir, "--pairs-file",
+               str(pairs), "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert capsys.readouterr().err == "evimatch match: error: " + want
+
+    bench = tmp_path / "bench"
+    shutil.copytree(dataset, bench)
+    (bench / "pairs.txt").write_text(pairs.read_text())
+    rc = main(["eval", "--data", str(bench), "--mode", "rpe", "--extractor",
+               student_ckpt, "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"evimatch eval: error: {bench / 'pairs.txt'}: sample index {bad} "
+        "is out of range for 2 samples\n")

@@ -5,13 +5,11 @@ import pytest
 
 from evimatch.autodiff import Tensor
 from evimatch.datagen import LFDSample
-from evimatch.distillation import (DistillConfig, LFDBatch, lfd_loss,
-                                   loss_history_csv, prepare_batch_arrays,
-                                   train_extractor)
+from evimatch.distillation import (DistillConfig, lfd_loss, loss_history_csv,
+                                   prepare_batch_arrays, train_extractor)
 from evimatch.events import EventStream
-from evimatch.extractor import (ExtractorConfig, TeacherConfig,
-                                analytic_teacher, forward_student_batch,
-                                init_student)
+from evimatch.extractor import (DenseMaps, ExtractorConfig, analytic_teacher,
+                                forward_student_batch, init_student)
 from evimatch.geometry import RigidPose
 from evimatch.representations import build_representation
 
@@ -32,73 +30,67 @@ def test_input_channels_per_representation():
 
 
 def tiny_batch(mask_val=1.0):
+    """(student Tensors, teacher arrays, masks) for a 2-sample batch."""
     rng = np.random.default_rng(0)
     n, cd, h, w = 2, 3, 4, 4
-    batch = LFDBatch(
-        inputs=rng.normal(size=(n, 2, h, w)).astype(np.float32),
-        teacher_feats=rng.normal(size=(n, 2, 2, 2)).astype(np.float32),
-        teacher_score=rng.uniform(0, 1, (n, 1, h, w)).astype(np.float32),
-        teacher_desc=rng.normal(size=(n, cd, h, w)).astype(np.float32),
-        masks=np.full((n, 1, h, w), mask_val, np.float32),
-    )
+    teacher = (rng.normal(size=(n, 2, 2, 2)).astype(np.float32),
+               rng.uniform(0, 1, (n, 1, h, w)).astype(np.float32),
+               rng.normal(size=(n, cd, h, w)).astype(np.float32))
+    masks = np.full((n, 1, h, w), mask_val, np.float32)
     student = (
         Tensor(rng.normal(size=(n, 2, 2, 2)).astype(np.float32), requires_grad=True),
         Tensor(rng.uniform(0, 1, (n, 1, h, w)).astype(np.float32), requires_grad=True),
         Tensor(rng.normal(size=(n, cd, h, w)).astype(np.float32), requires_grad=True),
     )
-    return student, batch
+    return student, teacher, masks
 
 
 def test_lfd_loss_matches_hand_computation():
-    (sf, ss, sd), batch = tiny_batch()
-    rep = lfd_loss(sf, ss, sd, batch, DistillConfig())
-    l_feats = np.mean((sf.data - batch.teacher_feats) ** 2)
-    l_score = np.mean((ss.data - batch.teacher_score) ** 2)
-    l_desc = np.mean(np.abs(sd.data - batch.teacher_desc))
-    assert rep.l_feats == pytest.approx(l_feats, rel=1e-5)
-    assert rep.l_score == pytest.approx(l_score, rel=1e-5)
-    assert rep.l_desc == pytest.approx(l_desc, rel=1e-5)
-    assert rep.l_total == pytest.approx(l_feats + l_score + l_desc, rel=1e-5)
+    (sf, ss, sd), (tf, ts, td), masks = tiny_batch()
+    total, values = lfd_loss((sf, ss, sd), (tf, ts, td), masks, DistillConfig())
+    l_feats = np.mean((sf.data - tf) ** 2)
+    l_score = np.mean((ss.data - ts) ** 2)
+    l_desc = np.mean(np.abs(sd.data - td))
+    want = (l_feats, l_score, l_desc, l_feats + l_score + l_desc)
+    assert values == pytest.approx(want, rel=1e-5)
+    assert values[3] == float(total.data)
 
 
 def test_lfd_loss_mask_restricts_support():
-    (sf, ss, sd), batch = tiny_batch()
-    masks = np.zeros_like(batch.masks)
+    student, (tf, ts, td), masks = tiny_batch()
+    masks = np.zeros_like(masks)
     masks[0, 0, 1, 1] = 1.0  # a single supported pixel
-    batch = LFDBatch(batch.inputs, batch.teacher_feats, batch.teacher_score,
-                     batch.teacher_desc, masks)
-    rep = lfd_loss(sf, ss, sd, batch, DistillConfig())
-    want_score = (ss.data[0, 0, 1, 1] - batch.teacher_score[0, 0, 1, 1]) ** 2
-    want_desc = np.abs(sd.data[0, :, 1, 1] - batch.teacher_desc[0, :, 1, 1]).mean()
-    assert rep.l_score == pytest.approx(want_score, rel=1e-4)
-    assert rep.l_desc == pytest.approx(want_desc, rel=1e-4)
+    _, (_, l_score, l_desc, _) = lfd_loss(student, (tf, ts, td), masks,
+                                          DistillConfig())
+    _, ss, sd = student
+    want_score = (ss.data[0, 0, 1, 1] - ts[0, 0, 1, 1]) ** 2
+    want_desc = np.abs(sd.data[0, :, 1, 1] - td[0, :, 1, 1]).mean()
+    assert l_score == pytest.approx(want_score, rel=1e-4)
+    assert l_desc == pytest.approx(want_desc, rel=1e-4)
 
 
 def test_lfd_loss_empty_mask_flagged_not_nan():
-    (sf, ss, sd), batch = tiny_batch(mask_val=0.0)
-    rep = lfd_loss(sf, ss, sd, batch, DistillConfig())
-    assert rep.l_score == 0.0 and rep.l_desc == 0.0
-    assert np.isfinite(rep.l_total)
-    assert rep.l_total == pytest.approx(rep.l_feats)
+    _, (l_feats, l_score, l_desc, l_total) = lfd_loss(
+        *tiny_batch(mask_val=0.0), DistillConfig())
+    assert l_score == 0.0 and l_desc == 0.0
+    assert np.isfinite(l_total)
+    assert l_total == pytest.approx(l_feats)
 
 
 def test_lfd_loss_disabled_terms_are_zero():
-    (sf, ss, sd), batch = tiny_batch()
-    rep = lfd_loss(sf, ss, sd, batch,
-                   DistillConfig(use_feats=False, use_desc=False))
-    assert rep.l_feats == 0.0 and rep.l_desc == 0.0
-    assert rep.l_total == pytest.approx(rep.l_score)
+    _, (l_feats, l_score, l_desc, l_total) = lfd_loss(
+        *tiny_batch(), DistillConfig(use_feats=False, use_desc=False))
+    assert l_feats == 0.0 and l_desc == 0.0
+    assert l_total == pytest.approx(l_score)
 
 
 def test_lfd_loss_total_differentiable():
-    (sf, ss, sd), batch = tiny_batch()
-    rep = lfd_loss(sf, ss, sd, batch, DistillConfig())
-    rep.total.backward()
-    assert sf.grad is not None and ss.grad is not None and sd.grad is not None
+    student, teacher, masks = tiny_batch()
+    total, _ = lfd_loss(student, teacher, masks, DistillConfig())
+    total.backward()
+    assert all(t.grad is not None for t in student)
 
 
-SMALL_TEACHER = TeacherConfig(desc_dim=8, latent_dim=8, stride=4,
-                              orientations=8, grid=1, tap_spacing=2)
 STUDENT = ExtractorConfig(in_channels=4, channels=(6, 6), pools=(1, 2),
                           latent_dim=8, desc_dim=8, score_head=(6,),
                           desc_head=(6,))
@@ -127,11 +119,11 @@ def training_samples(n=4, size=16, seed=0):
 
 
 def small_teacher(image):
-    # stride-4 teacher shrunk to match the stride-2 student: crop feats
-    maps = analytic_teacher(image, SMALL_TEACHER)
-    h, w = np.asarray(image).shape
-    feats = np.repeat(np.repeat(maps.feats, 2, axis=1), 2, axis=2)
-    return type(maps)(feats[:, :h // 2, :w // 2], maps.score, maps.desc)
+    """The default teacher cut to the stride-2 student: 8 of its latent
+    channels upsampled 2x, and one descriptor channel per orientation."""
+    maps = analytic_teacher(image)
+    feats = np.repeat(np.repeat(maps.feats[:8], 2, axis=1), 2, axis=2)
+    return DenseMaps(feats, maps.score, maps.desc[::16])
 
 
 def test_prepare_batch_shapes():

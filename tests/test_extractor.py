@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
-                                TeacherConfig, analytic_teacher,
-                                apply_event_mask, extract_keypoints,
-                                forward_student, forward_student_batch,
-                                harris_score, init_student, load_extractor,
+                                analytic_teacher, apply_event_mask,
+                                extract_keypoints, forward_student,
+                                forward_student_batch, harris_score,
+                                init_student, load_extractor,
                                 load_teacher_checkpoint, nms_mask,
                                 normalize_desc, save_extractor)
 from evimatch.geometry import _bilinear
@@ -111,48 +111,39 @@ def _smooth_img(img):
     return np.clip(_smooth(img), 0.0, 1.0)
 
 
-SMALL_TEACHER = TeacherConfig(desc_dim=32, latent_dim=16, stride=4,
-                              orientations=8, grid=2, tap_spacing=2)
-
-
 def test_teacher_output_shapes():
-    maps = analytic_teacher(teacher_image(), SMALL_TEACHER)
-    assert maps.feats.shape == (16, 8, 8)
+    maps = analytic_teacher(teacher_image())
+    assert maps.feats.shape == (128, 8, 8)
     assert maps.score.shape == (1, 32, 32)
-    assert maps.desc.shape == (32, 32, 32)
+    assert maps.desc.shape == (128, 32, 32)
 
 
 def test_teacher_rejects_out_of_range_image():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        analytic_teacher(np.full((32, 32), 1.5), SMALL_TEACHER)
+        analytic_teacher(np.full((32, 32), 1.5))
 
 
 def test_teacher_rejects_indivisible_dims():
     with pytest.raises(ValueError, match="divisible"):
-        analytic_teacher(np.zeros((30, 32)), SMALL_TEACHER)
-
-
-def test_teacher_config_validates_desc_dim():
-    with pytest.raises(ValueError, match="desc_dim"):
-        TeacherConfig(desc_dim=100, orientations=8, grid=4)
+        analytic_teacher(np.zeros((30, 32)))
 
 
 def test_teacher_descriptors_unit_or_zero():
-    maps = analytic_teacher(teacher_image(1), SMALL_TEACHER)
+    maps = analytic_teacher(teacher_image(1))
     norms = np.sqrt((maps.desc.astype(np.float64) ** 2).sum(axis=0))
     ok = (np.abs(norms - 1.0) < 1e-5) | (norms < 1e-10)
     assert ok.all()
 
 
 def test_teacher_score_normalized():
-    maps = analytic_teacher(teacher_image(2), SMALL_TEACHER)
+    maps = analytic_teacher(teacher_image(2))
     assert maps.score.min() >= 0.0
     assert maps.score.max() == pytest.approx(1.0)
 
 
 def test_teacher_deterministic():
-    a = analytic_teacher(teacher_image(3), SMALL_TEACHER)
-    b = analytic_teacher(teacher_image(3), SMALL_TEACHER)
+    a = analytic_teacher(teacher_image(3))
+    b = analytic_teacher(teacher_image(3))
     np.testing.assert_array_equal(a.feats, b.feats)
     np.testing.assert_array_equal(a.desc, b.desc)
 

@@ -396,14 +396,14 @@ def test_train_matcher_deterministic():
 
 
 def test_train_matcher_trains_a_frozen_matcher():
-    # a loaded checkpoint is frozen; training it again still moves it
-    matcher = CAMatcherParams.create(CFG, seed=0)
-    frozen = CAMatcherParams(CFG, {k: Tensor(v.data.copy())
-                                   for k, v in matcher.params.items()})
-    train_matcher(make_examples(), matcher=frozen,
-                  config=MatchTrainConfig(lr=1e-3, epochs=1, batch_size=3))
-    assert not np.array_equal(frozen.params["in_proj.w"].data,
-                              matcher.params["in_proj.w"].data)
+    # create() makes frozen params; train_matcher's fresh matcher still moves
+    cfg = MatchTrainConfig(lr=1e-3, epochs=1, batch_size=3, seed=2)
+    start = CAMatcherParams.create(CFG, seed=2)
+    assert not any(p.requires_grad for p in start.params.values())
+    trained, _ = train_matcher(make_examples(), config=cfg, ca_config=CFG)
+    assert set(trained.params) == set(start.params)
+    assert not np.array_equal(trained.params["in_proj.w"].data,
+                              start.params["in_proj.w"].data)
 
 
 def test_train_matcher_empty_examples():
@@ -413,12 +413,11 @@ def test_train_matcher_empty_examples():
 
 def test_train_matcher_aborts_on_nonfinite():
     examples = make_examples(1)
-    matcher = CAMatcherParams.create(CFG, seed=0)
-    matcher.params["in_proj.w"].data[0, 0] = np.nan
+    examples[0][0].descriptors[0, 0] = np.nan
     with pytest.raises(RuntimeError, match="step 0"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            train_matcher(examples, matcher=matcher,
+            train_matcher(examples, ca_config=CFG,
                           config=MatchTrainConfig(epochs=1, batch_size=1))
 
 

@@ -38,7 +38,7 @@ def test_adam_first_step_matches_closed_form():
     p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
     g = np.array([0.3, -0.7], dtype=np.float32)
     p.grad = g.copy()
-    opt = Adam({"p": p}, lr=0.01)
+    opt = Adam({"p": p}, lr=0.01, total_steps=1)
     opt.step()
     expect = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     np.testing.assert_allclose(p.data, expect, rtol=1e-5)
@@ -48,7 +48,7 @@ def test_adam_skips_params_without_grad():
     p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     q = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     p.grad = np.full(2, 0.5, dtype=np.float32)
-    opt = Adam({"p": p, "q": q}, lr=0.1)
+    opt = Adam({"p": p, "q": q}, lr=0.1, total_steps=1)
     opt.step()
     assert not np.array_equal(p.data, np.ones(2))
     np.testing.assert_array_equal(q.data, np.ones(2))
@@ -57,7 +57,7 @@ def test_adam_skips_params_without_grad():
 def test_adam_clears_grads_after_step():
     p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     p.grad = np.ones(2, dtype=np.float32)
-    opt = Adam({"p": p}, lr=0.1)
+    opt = Adam({"p": p}, lr=0.1, total_steps=1)
     opt.step()
     assert p.grad is None
 
@@ -74,7 +74,7 @@ def test_adam_cosine_schedule_progress():
 
 def test_adam_converges_on_quadratic():
     p = Tensor(np.array([3.0, -2.0], dtype=np.float32), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
+    opt = Adam({"p": p}, lr=0.1, total_steps=300)
     for _ in range(300):
         loss = ad.sum_all(ad.square(p))
         loss.backward()

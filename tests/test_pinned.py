@@ -1,11 +1,11 @@
 """Outputs pinned to recorded values.
 
 Checkpoint bytes (fresh, and an extractor and a matcher after short
-training runs, with their loss CSVs and log lines), dataset bytes at the
-default 64x64 scene, essential-matrix RANSAC inlier masks and iteration
-counts, and the mutual-nearest matchers' outputs on inputs with ties were
-recorded once; any refactor of the code behind them must reproduce them
-exactly.
+training runs, with their loss CSVs and log lines), the analytic teacher's
+maps and dataset bytes at the default 64x64 scene, essential-matrix RANSAC
+inlier masks and iteration counts, and the mutual-nearest matchers' outputs
+on inputs with ties were recorded once; any refactor of the code behind
+them must reproduce them exactly.
 """
 
 import hashlib
@@ -16,11 +16,12 @@ import pytest
 
 from evimatch import geometry
 from evimatch import io as eio
-from evimatch.datagen import generate_benchmark, make_lfd_dataset, make_scene
+from evimatch.datagen import (generate_benchmark, make_lfd_dataset, make_scene,
+                              render)
 from evimatch.distillation import (DistillConfig, loss_history_csv,
                                    train_extractor)
-from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
-                                save_extractor)
+from evimatch.extractor import (ExtractorConfig, KeypointSet, analytic_teacher,
+                                init_student, save_extractor)
 from evimatch.geometry import (CameraIntrinsics, RigidPose,
                                estimate_essential_ransac, rotation_about)
 from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
@@ -134,6 +135,20 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
     assert log == [
         "epoch 0 l_feats=0.148088 l_score=0.108618 l_desc=0.089664 l_total=0.346370",
         "epoch 1 l_feats=0.100865 l_score=0.094940 l_desc=0.078953 l_total=0.274758"]
+
+
+# -- analytic teacher -------------------------------------------------------
+
+def test_analytic_teacher_map_bytes():
+    image, _ = render(make_scene(seed=3), 1.3)
+    maps = analytic_teacher(image)
+    digests = {name: hashlib.sha256(getattr(maps, name).tobytes()).hexdigest()
+               for name in ("feats", "score", "desc")}
+    assert digests == {
+        "feats": "64f35638090cf3b31e9bcb6de48dccab984b40f84c515e71a2b806e85684f7f5",
+        "score": "22f606aafb8c0d600f22a36c0f3c31e79f7e8faea6448031241b1944adf74a8c",
+        "desc": "e06ec1951e45e4a3e05ce4a13ae8f3e70e50b3b2e1c1bdc2b71ad10b1fb5bc00",
+    }
 
 
 # -- datasets ---------------------------------------------------------------

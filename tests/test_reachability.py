@@ -4,8 +4,10 @@ and property of its classes, has a caller.
 A definition counts as reached when its name appears as a Name, as an
 Attribute or as a ``from ... import`` alias anywhere in the package
 modules (``__init__.py`` excluded: re-exporting is not using) or in the
-benchmark harness under ``perfbench/``.  Dunder methods are exempt: the
-language calls them.  Tests do not count: code that only tests reach
+benchmark harness under ``perfbench/``.  Matching is by bare name, so a
+name shared by two definitions (methods of two classes, say) counts as
+reached for both as soon as either is used.  Dunder methods are exempt:
+the language calls them.  Tests do not count: code that only tests reach
 should move into the tests or go.
 """
 
