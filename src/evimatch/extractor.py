@@ -238,13 +238,6 @@ def _smooth(img):
     return _filter1d(_filter1d(img, _BINOMIAL5, 0), _BINOMIAL5, 1)
 
 
-def _shift_clamped(img, dy, dx):
-    h, w = img.shape
-    ys = np.clip(np.arange(h) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w) + dx, 0, w - 1)
-    return img[np.ix_(ys, xs)]
-
-
 def harris_score(img):
     """Harris corner response (k = HARRIS_K), clipped at 0 and scaled to peak 1."""
     iy, ix = np.gradient(img)
@@ -291,11 +284,16 @@ def analytic_teacher(image) -> DenseMaps:
     # centring each pixel's vector before normalization spreads pairwise
     # cosines instead of crowding the positive orthant
     desc_angles = np.pi * np.arange(n_orient) / n_orient
+    # the tap at (dy, dx) reads pixel (y + dy, x + dx), clamped to the
+    # image: a slice of the response edge-padded by the largest offset
+    r = max(abs(t) for t in TEACHER_TAPS)
     for o, th in enumerate(desc_angles):
-        resp = _smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy))
+        resp = np.pad(_smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy)), r,
+                      mode="edge")
         for ti, dy in enumerate(TEACHER_TAPS):
             for tj, dx in enumerate(TEACHER_TAPS):
-                desc[(o * grid + ti) * grid + tj] = _shift_clamped(resp, dy, dx)
+                desc[(o * grid + ti) * grid + tj] = resp[r + dy:r + dy + h,
+                                                         r + dx:r + dx + w]
     desc = normalize_desc(desc - desc.mean(axis=0, keepdims=True))
 
     small = img.reshape(h // s, s, w // s, s).mean(axis=(1, 3))

@@ -433,12 +433,24 @@ def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),
 
     The matcher is ``CAMatcherParams.create(ca_config, seed=config.seed)``,
     trained with ``optim.fit``; each step averages the per-pair losses of
-    one minibatch.  Returns (matcher, history) with one (epoch, mean loss)
-    row per epoch; the matcher's params come back frozen.
+    one minibatch.  A pair with no keypoints on one side has nothing to
+    attend to: such pairs are dropped with a RuntimeWarning that counts
+    them, and ValueError is raised if no pair is left.  Returns (matcher,
+    history) with one (epoch, mean loss) row per epoch; the matcher's
+    params come back frozen.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples provided")
+    usable = [ex for ex in examples
+              if len(_descriptors(ex[0])) and len(_descriptors(ex[1]))]
+    if len(usable) < len(examples):
+        warnings.warn(f"train_matcher: dropped {len(examples) - len(usable)} of "
+                      f"{len(examples)} pairs with no keypoints on one side",
+                      RuntimeWarning)
+    if not usable:
+        raise ValueError("no training pair has keypoints on both sides")
+    examples = usable
     matcher = CAMatcherParams.create(ca_config, seed=config.seed)
 
     def batch_loss(idx):

@@ -20,6 +20,7 @@ import typing
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 
 CKPT_MAGIC = b"CKPT"
@@ -86,31 +87,44 @@ def fit(params, n, recipe, batch_loss, columns, log=None):
     naming the epoch and the global step.  Column means accumulate in
     float64 in step order; ``log`` receives ``epoch E name=value ...`` per
     epoch.  params become trainable for the run and come back frozen, so
-    inference on the result records no graph.
+    inference on the result records no graph; that holds when a step
+    raises, too.
+
+    The run holds autodiff's recycling pool open (see the ``autodiff``
+    module docstring): an array that a pooled op kept and that nothing
+    references any more goes to a later op of the same shape and dtype,
+    so each step rewrites the arrays of the step before.  Whatever ``batch_loss`` or
+    its caller keeps (a Tensor, its array or a view of it) is never
+    reused.  The pool and its arrays are dropped when ``fit`` returns or
+    raises.
     """
     for p in params.values():
         p.requires_grad = True
-    rng = np.random.default_rng(recipe.seed)
-    steps_per_epoch = (n + recipe.batch_size - 1) // recipe.batch_size
-    opt = Adam(params, lr=recipe.lr, total_steps=recipe.epochs * steps_per_epoch)
-    history = []
-    for epoch in range(recipe.epochs):
-        perm = rng.permutation(n)
-        sums = np.zeros(len(columns))
-        for start in range(0, n, recipe.batch_size):
-            loss, values = batch_loss(perm[start:start + recipe.batch_size])
-            if not np.isfinite(loss.data):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {opt.t}; aborting")
-            loss.backward()
-            opt.step()
-            sums += values
-        history.append((epoch, *(sums / steps_per_epoch).tolist()))
-        if log is not None:
-            log(" ".join([f"epoch {epoch}"] + [
-                f"{c}={v:.6f}" for c, v in zip(columns, history[-1][1:])]))
-    for p in params.values():
-        p.requires_grad = False
+    try:
+        with ad._recycling():
+            rng = np.random.default_rng(recipe.seed)
+            steps_per_epoch = (n + recipe.batch_size - 1) // recipe.batch_size
+            opt = Adam(params, lr=recipe.lr,
+                       total_steps=recipe.epochs * steps_per_epoch)
+            history = []
+            for epoch in range(recipe.epochs):
+                perm = rng.permutation(n)
+                sums = np.zeros(len(columns))
+                for start in range(0, n, recipe.batch_size):
+                    loss, values = batch_loss(perm[start:start + recipe.batch_size])
+                    if not np.isfinite(loss.data):
+                        raise RuntimeError(
+                            f"non-finite loss at epoch {epoch}, step {opt.t}; aborting")
+                    loss.backward()
+                    opt.step()
+                    sums += values
+                history.append((epoch, *(sums / steps_per_epoch).tolist()))
+                if log is not None:
+                    log(" ".join([f"epoch {epoch}"] + [
+                        f"{c}={v:.6f}" for c, v in zip(columns, history[-1][1:])]))
+    finally:
+        for p in params.values():
+            p.requires_grad = False
     return history
 
 

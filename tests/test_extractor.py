@@ -141,6 +141,27 @@ def test_teacher_score_normalized():
     assert maps.score.max() == pytest.approx(1.0)
 
 
+def test_teacher_taps_read_clamped_neighbours():
+    # each descriptor channel is one orientation's response read at one tap
+    # offset with coordinates clamped to the image, rebuilt here by index
+    # gathers on an image small enough that every tap reaches a border
+    from evimatch.extractor import TEACHER_TAPS, _smooth
+    img = teacher_image(4)[:12, :20]
+    h, w = img.shape
+    iy, ix = np.gradient(img)
+    taps = []
+    for th in np.pi * np.arange(8) / 8:
+        resp = _smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy))
+        for dy in TEACHER_TAPS:
+            for dx in TEACHER_TAPS:
+                rows = np.clip(np.arange(h) + dy, 0, h - 1)
+                cols = np.clip(np.arange(w) + dx, 0, w - 1)
+                taps.append(resp[np.ix_(rows, cols)])
+    desc = np.stack(taps)
+    want = normalize_desc(desc - desc.mean(axis=0, keepdims=True)).astype(np.float32)
+    assert analytic_teacher(img).desc.tobytes() == want.tobytes()
+
+
 def test_teacher_deterministic():
     a = analytic_teacher(teacher_image(3))
     b = analytic_teacher(teacher_image(3))

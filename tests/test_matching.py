@@ -411,6 +411,34 @@ def test_train_matcher_empty_examples():
         train_matcher([], ca_config=CFG)
 
 
+def test_train_matcher_drops_pairs_with_an_empty_side():
+    # an empty side gives attention nothing to reduce over; such pairs are
+    # dropped and the rest train exactly as if handed in alone
+    examples = make_examples()
+    (kp_a, kp_b, _), empty = examples[0], KeypointSet.empty(CFG.desc_dim)
+    none = np.zeros(0, np.int64)
+    with_empty = [(empty, kp_b, GroundTruthMatches(np.zeros((0, 2)), none,
+                                                   np.arange(len(kp_b)))),
+                  *examples,
+                  (kp_a, empty, GroundTruthMatches(np.zeros((0, 2)),
+                                                   np.arange(len(kp_a)), none))]
+    cfg = MatchTrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=1)
+    with pytest.warns(RuntimeWarning, match="dropped 2 of 5 pairs"):
+        got, got_history = train_matcher(with_empty, config=cfg, ca_config=CFG)
+    want, want_history = train_matcher(examples, config=cfg, ca_config=CFG)
+    assert got_history == want_history
+    assert all(np.array_equal(got.params[k].data, want.params[k].data)
+               for k in want.params)
+
+
+def test_train_matcher_needs_a_pair_with_both_sides():
+    kp_a, _, gt = make_examples(1)[0]
+    empty = KeypointSet.empty(CFG.desc_dim)
+    with pytest.warns(RuntimeWarning, match="dropped 1 of 1"):
+        with pytest.raises(ValueError, match="keypoints on both sides"):
+            train_matcher([(kp_a, empty, gt)], ca_config=CFG)
+
+
 def test_train_matcher_aborts_on_nonfinite():
     examples = make_examples(1)
     examples[0][0].descriptors[0, 0] = np.nan

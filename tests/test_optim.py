@@ -146,6 +146,9 @@ def test_fit_abort_names_epoch_and_global_step():
         fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"))
     # the check runs before backward: the NaN never reached the parameter
     assert params["x"].grad is None and np.isfinite(params["x"].data).all()
+    # and the raise still re-froze the params and closed the pool
+    assert not params["x"].requires_grad
+    assert ad._pool is None
 
 
 def test_fit_trains_then_freezes_params():
@@ -154,6 +157,7 @@ def test_fit_trains_then_freezes_params():
     assert params["x"].data[0] != 0.0  # trained although handed in frozen
     assert not params["x"].requires_grad
     assert not ad.square(params["x"]).requires_grad
+    assert ad._pool is None
 
 
 def fit_peak(steps):
@@ -183,6 +187,76 @@ def test_fit_peak_does_not_grow_with_steps():
     # alive while the next step builds its own
     fit_peak(1)  # the first run also imports numpy.random
     assert fit_peak(3) <= 1.1 * fit_peak(1)
+
+
+def pooled_arrays():
+    return sum(len(held) for held in ad._pool.values())
+
+
+def mlp(kept=None, rows=lambda item: 16):
+    """fit's params and batch_loss for a step built from the pooled ops:
+    linear, relu, layer_norm, attention and add on (rows(item), 8) inputs
+    whose values differ per item.  kept(step, tensors) may hold on to any
+    of them; the returned list gets the pool's size after each forward."""
+    r = np.random.default_rng(0)
+    params = {"w": Tensor(r.normal(size=(8, 8)).astype(np.float32)),
+              "b": Tensor(np.zeros(8, np.float32)),
+              "g": Tensor(np.ones(8, np.float32))}
+    base = r.normal(size=(32, 8)).astype(np.float32)
+    steps = []
+
+    def batch_loss(idx):
+        x = Tensor(base[:rows(idx[0])] + np.float32(idx[0]))
+        h = ad.relu(ad.linear(x, params["w"], params["b"]))
+        n = ad.layer_norm(h, params["g"], params["b"])
+        y = ad.add(n, ad.attention(n, n, n, 2))
+        if kept is not None:
+            kept(len(steps), (h, n, y))
+        steps.append(pooled_arrays())
+        loss = ad.mean_all(ad.square(y))
+        return loss, (float(loss.data),)
+
+    return params, batch_loss, steps
+
+
+ONE_PER_STEP = SimpleNamespace(lr=0.01, epochs=1, batch_size=1, seed=0)
+
+
+def test_fit_steps_of_one_shape_reuse_the_pool():
+    params, batch_loss, steps = mlp()
+    fit(params, 4, ONE_PER_STEP, batch_loss, ("loss",))
+    # pool size after each step's forward: the first step fills the pool,
+    # and every later step of the same shapes allocates nothing new
+    assert steps[0] > 0
+    assert steps[1:] == [steps[0]] * 3
+    assert ad._pool is None
+
+
+def test_fit_steps_of_changing_shapes_hold_one_step_of_arrays():
+    # each step has its own row count; the arrays a new shape leaves idle
+    # are dropped, so the pool does not keep some for every shape seen
+    params, batch_loss, steps = mlp(rows=lambda item: 10 + item)
+    fit(params, 6, ONE_PER_STEP, batch_loss, ("loss",))
+    assert steps == [steps[0]] * 6
+
+
+def test_fit_never_recycles_what_a_step_keeps():
+    # a Tensor, a bare array and a view, each kept from step 0 while the
+    # later steps compute different values in arrays of the same shapes
+    kept = []
+
+    def keep(step, tensors):
+        if step == 0:
+            h, n, y = tensors
+            kept.extend([(y, y.data.copy()), (n.data, n.data.copy()),
+                         (h.data[1:, 2:], h.data[1:, 2:].copy())])
+
+    params, batch_loss, _ = mlp(keep)
+    fit(params, 4, ONE_PER_STEP, batch_loss, ("loss",))
+    assert len(kept) == 3
+    for held, copy in kept:
+        np.testing.assert_array_equal(held.data if isinstance(held, Tensor) else held,
+                                      copy)
 
 
 def test_checkpoint_roundtrip(tmp_path):
