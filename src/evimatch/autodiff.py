@@ -14,6 +14,12 @@ scalar-with-tensor and the per-channel biases of ``linear`` and the
 convolutions; everything else requires exact shape agreement, which keeps
 gradients trivially correct.
 
+The convolutions run one sample at a time: each sample's patches fill
+one reused (C*kh*kw, OH*OW) buffer, so a batch holds no more patch
+memory than a single sample, and the weight gradient adds the samples'
+products in sample order.  Every batch size, inference's N = 1
+included, takes this one path; an empty batch is rejected.
+
 ``backward`` consumes its graph.  It accumulates into leaves (tensors no
 op produced) and, node by node in reverse topological order, releases the
 node's gradient, its backward closure and its parent references once the
@@ -515,50 +521,67 @@ def _bias_grad(g, b, axes):
     return np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=b.data.dtype)
 
 
-# convolution plumbing: one im2col/col2im pair drives conv2d forward and
-# both of its gradients, and the transposed conv is the same three maps
-# with the input/output roles exchanged
+# convolution plumbing, one sample at a time: each sample's patches fill
+# one reused (C*kh*kw, OH*OW) buffer, and each product with them is the
+# 2-D BLAS call that a batched matmul makes for that sample.  conv2d and
+# its weight gradient are products with the patches of x, its input
+# gradient is the adjoint _conv_dx, and the transposed conv is the same
+# three maps with the input and output roles exchanged
 
-def _im2col(x, kh, kw, s, p):
-    """Patches of x as (N, C*kh*kw, OH*OW), with OH and OW."""
-    n, c, h, w = x.shape
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _patch_products(x, w, s, p, product=True, a=None):
+    """With P_n the patches of sample n of x (N, C, H, W) under w's kh x kw
+    kernel and w2 = w.reshape(len(w), -1): the (N, len(w), OH, OW) stack of
+    w2 @ P_n if ``product``, and the sum over n of a[n] @ P_n.T in w's
+    shape if a (N, len(w), OH, OW) is given; None for what is not asked.
+
+    The sum adds each sample's product into the first in sample order,
+    which is ``np.sum(axis=0)`` of the stacked products bit for bit.
+    """
+    n, c, h, w_in = x.shape
+    f, kh, kw = len(w), w.shape[2], w.shape[3]
     oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
+    ow = (w_in + 2 * p - kw) // s + 1
     if oh <= 0 or ow <= 0:
         raise ValueError("kernel does not fit the padded input")
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
-
-
-def _conv_fwd(cols, oh, ow, w):
-    n, f = cols.shape[0], w.shape[0]
-    out = np.matmul(w.reshape(f, -1)[None], cols)
-    return out.reshape(n, f, oh, ow)
+    xp = np.zeros((c, h + 2 * p, w_in + 2 * p), x.dtype)
+    cols = np.empty((c, kh, kw, oh, ow), x.dtype)
+    flat = cols.reshape(c * kh * kw, oh * ow)
+    y = np.empty((n, f, oh, ow), np.result_type(w, x)) if product else None
+    total = part = None
+    for k in range(n):
+        xp[:, p:p + h, p:p + w_in] = x[k]
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
+        if product:
+            np.matmul(w.reshape(f, -1), flat, out=y[k].reshape(f, -1))
+        if a is not None:
+            part = np.matmul(a[k].reshape(f, -1), flat.T, out=part)
+            if total is None:
+                total, part = part, None
+            else:
+                total += part
+    return y, None if total is None else total.reshape(w.shape)
 
 
 def _conv_dx(gy, w, s, p, h, w_in):
+    """The adjoint of conv2d over its input: gy (N, F, OH, OW) to
+    (N, C, h, w_in), scattering each sample's w2.T @ gy[n] back onto its
+    padded input."""
     n, f, oh, ow = gy.shape
     c, kh, kw = w.shape[1], w.shape[2], w.shape[3]
-    cols2 = np.matmul(w.reshape(f, -1).T[None], gy.reshape(n, f, oh * ow))
-    cols = cols2.reshape(n, c, kh, kw, oh, ow)
-    xp = np.zeros((n, c, h + 2 * p, w_in + 2 * p), dtype=gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += cols[:, :, i, j]
-    if p:
-        return np.ascontiguousarray(xp[:, :, p:p + h, p:p + w_in])
-    return xp
-
-
-def _conv_dw(cols, gy, w_shape):
-    n, f = gy.shape[0], gy.shape[1]
-    gw2 = np.matmul(gy.reshape(n, f, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    return gw2.reshape(w_shape)
+    w2t = w.reshape(f, -1).T
+    cols = np.empty((c, kh, kw, oh, ow), np.result_type(w, gy))
+    xp = np.empty((c, h + 2 * p, w_in + 2 * p), gy.dtype)
+    gx = np.empty((n, c, h, w_in), gy.dtype)
+    for k in range(n):
+        np.matmul(w2t, gy[k].reshape(f, -1), out=cols.reshape(c * kh * kw, -1))
+        xp.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += cols[:, i, j]
+        gx[k] = xp[:, p:p + h, p:p + w_in]
+    return gx
 
 
 def _conv_bias(y, b, opname):
@@ -580,13 +603,14 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv2d expects 4-D input and weight")
     if x.data.shape[1] != w.data.shape[1]:
         raise ValueError("conv2d: channel mismatch")
+    if len(x.data) == 0:
+        raise ValueError("conv2d: empty batch")
     h, w_in = x.data.shape[2], x.data.shape[3]
-    kh, kw = w.data.shape[2], w.data.shape[3]
-    y = _conv_fwd(*_im2col(x.data, kh, kw, stride, padding), w.data)
+    y = _patch_products(x.data, w.data, stride, padding)[0]
     bias = _conv_bias(y, b, "conv2d")
     def bwd(g):
         gx = _conv_dx(g, w.data, stride, padding, h, w_in) if x.requires_grad else None
-        gw = (_conv_dw(_im2col(x.data, kh, kw, stride, padding)[0], g, w.data.shape)
+        gw = (_patch_products(x.data, w.data, stride, padding, product=False, a=g)[1]
               if w.requires_grad else None)
         return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
     return _make(y, (x, w, *bias), bwd)
@@ -606,6 +630,8 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv_transpose2d expects 4-D input and weight")
     if x.data.shape[1] != w.data.shape[0]:
         raise ValueError("conv_transpose2d: channel mismatch")
+    if len(x.data) == 0:
+        raise ValueError("conv_transpose2d: empty batch")
     kh, kw = w.data.shape[2], w.data.shape[3]
     h_out = (x.data.shape[2] - 1) * stride + kh - 2 * padding
     w_out = (x.data.shape[3] - 1) * stride + kw - 2 * padding
@@ -616,11 +642,8 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
     def bwd(g):
         gx = gw = None
         if x.requires_grad or w.requires_grad:
-            cols, oh, ow = _im2col(g, kh, kw, stride, padding)
-            if x.requires_grad:
-                gx = _conv_fwd(cols, oh, ow, w.data)
-            if w.requires_grad:
-                gw = _conv_dw(cols, x.data, w.data.shape)
+            gx, gw = _patch_products(g, w.data, stride, padding, product=x.requires_grad,
+                                     a=x.data if w.requires_grad else None)
         return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
     return _make(y, (x, w, *bias), bwd)
 

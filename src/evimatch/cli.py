@@ -10,6 +10,7 @@ Failures exit nonzero with a one-line cause and remove partial outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import shutil
@@ -82,7 +83,7 @@ _CLEANUP = {
     "train-matcher": ["matcher.ckpt", "loss.csv", "config.txt"],
     "extract": ["keypoints", "config.txt"],
     "match": ["matches", "config.txt"],
-    "eval": ["report.txt", "report.csv", "config.txt"],
+    "eval": ["report.txt", "report.csv", "pairs.csv", "config.txt"],
     "viz": ["viz", "config.txt"],
 }
 
@@ -377,14 +378,17 @@ def _eval_keypoints(samples, cfg, params, config, match_fn, eps):
 
 
 def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
-    errors, inliers = [], []
+    """The rpe report entries, and one pairs.csv row per pair: indices,
+    keypoints per side, matches, inlier ratio, error in degrees and why
+    the pair failed ("ok" when it did not)."""
+    errors, inliers, rows = [], [], []
     failures = 0
     for ia, ib, _ in pairs:
         sa, sb = samples[ia], samples[ib]
         kp_a = _event_keypoints(sa, cfg, params, config)
         kp_b = _image_keypoints(sb, cfg)
         assignment = match_fn(kp_a, kp_b)
-        err = np.inf
+        err, inlier_ratio, reason = np.inf, np.nan, "fewer than 8 matches"
         if len(assignment) >= 8:
             try:
                 est = estimate_essential_ransac(
@@ -394,13 +398,15 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
                     seed=int(cfg["seed"]))
                 r_err, t_err = pose_angular_errors(
                     est, relative_pose(sa.pose, sb.pose))
-                err = max(r_err, t_err)
+                err, inlier_ratio, reason = max(r_err, t_err), est.inlier_ratio, "ok"
                 inliers.append(est.inlier_ratio)
-            except (EstimationFailed, ValueError):
-                pass
+            except (EstimationFailed, ValueError) as e:
+                reason = str(e)
         if not np.isfinite(err):
             failures += 1
         errors.append(err)
+        rows.append((ia, ib, len(kp_a), len(kp_b), len(assignment),
+                     f"{inlier_ratio:.6f}", f"{err:.6f}", reason))
     entries = [("n_pairs", None, float(len(pairs))),
                ("n_failed", None, float(failures))]
     for thr in _floats(cfg["rpe_thresholds"]):
@@ -408,7 +414,7 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
         entries.append(("rpe_auc", thr, rpe_auc(errors, thr)))
     if inliers:
         entries.append(("inlier_ratio", None, float(np.mean(inliers))))
-    return entries
+    return entries, rows
 
 
 def cmd_eval(out, cfg):
@@ -424,7 +430,12 @@ def cmd_eval(out, cfg):
     else:
         pairs = _load_pairs(os.path.join(cfg["data"], "pairs.txt"),
                             len(samples), len(samples))
-        entries = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
+        entries, rows = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
+        with open(os.path.join(out, "pairs.csv"), "w", newline="") as f:
+            table = csv.writer(f, lineterminator="\n")
+            table.writerow(("index_a", "index_b", "keypoints_a", "keypoints_b",
+                            "matches", "inlier_ratio", "error_deg", "reason"))
+            table.writerows(rows)
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))
     with open(os.path.join(out, "report.csv"), "w") as f:

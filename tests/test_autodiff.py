@@ -498,6 +498,97 @@ def test_frozen_bias_gets_no_gradient():
     assert x.grad is not None and b.grad is None
 
 
+# -- per-sample convolutions ---------------------------------------------------
+
+def batched_patches(x, kh, kw, s, p):
+    """The batch-wide (N, C*kh*kw, OH*OW) patch matrix the per-sample
+    convolutions replaced, with OH and OW."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    cols = np.empty((n, c, kh, kw, oh, ow), x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def batched_adjoint(gy, w, s, p, h, w_in):
+    """conv2d's batched input gradient: one matmul over the batch, then a
+    scatter-add of every sample's columns at once."""
+    n, f, oh, ow = gy.shape
+    c, kh, kw = w.shape[1:]
+    cols = np.matmul(w.reshape(f, -1).T[None], gy.reshape(n, f, oh * ow))
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    xp = np.zeros((n, c, h + 2 * p, w_in + 2 * p), gy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += cols[:, :, i, j]
+    return xp[:, :, p:p + h, p:p + w_in]
+
+
+def batched_conv2d(x, w, g, s, p):
+    n, f = len(x), len(w)
+    cols, oh, ow = batched_patches(x, w.shape[2], w.shape[3], s, p)
+    y = np.matmul(w.reshape(f, -1)[None], cols).reshape(n, f, oh, ow)
+    gx = batched_adjoint(g, w, s, p, x.shape[2], x.shape[3])
+    gw = np.matmul(g.reshape(n, f, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return y, gx, gw.reshape(w.shape)
+
+
+def batched_conv_transpose2d(x, w, g, s, p):
+    n, c = x.shape[:2]
+    y = batched_adjoint(x, w, s, p, g.shape[2], g.shape[3])
+    cols, oh, ow = batched_patches(g, w.shape[2], w.shape[3], s, p)
+    gx = np.matmul(w.reshape(c, -1)[None], cols).reshape(n, c, oh, ow)
+    gw = np.matmul(x.reshape(n, c, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return y, gx, gw.reshape(w.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
+@pytest.mark.parametrize("op, reference, w_shape", [
+    (ad.conv2d, batched_conv2d, (6, 5, 3, 3)),
+    (ad.conv_transpose2d, batched_conv_transpose2d, (5, 6, 3, 3)),
+])
+def test_conv_bitwise_equals_batched_formulation(op, reference, w_shape, n, dtype):
+    # the weight gradient must add the samples' products in sample order,
+    # as .sum(axis=0) does; pairwise or tree sums change bytes from N = 8
+    r = np.random.default_rng(n)
+    for stride in (1, 2):
+        for padding in (0, 1):
+            x = r.normal(size=(n, 5, 9, 7)).astype(dtype)
+            w = r.normal(size=w_shape).astype(dtype)
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            y = op(tx, tw, stride=stride, padding=padding)
+            g = r.normal(size=y.shape).astype(dtype)
+            ad.sum_all(ad.mul(y, Tensor(g))).backward()
+            for got, want in zip((y.data, tx.grad, tw.grad),
+                                 reference(x, w, g, stride, padding)):
+                assert_bitwise_equal(got, want)
+
+
+def test_conv2d_forward_holds_one_sample_of_patches():
+    # the batch-wide patch matrix of this call would be 8*576*1024 float32
+    x = Tensor(np.ones((8, 64, 32, 32), np.float32))
+    w = Tensor(np.ones((64, 64, 3, 3), np.float32))
+    tracemalloc.start()
+    try:
+        ad.conv2d(x, w, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 576 * 1024 * 4
+
+
+@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3)),
+                                         (ad.conv_transpose2d, (2, 3, 4, 4))])
+def test_conv_rejects_an_empty_batch(op, w_shape):
+    x = Tensor(np.ones((0, 2, 4, 4), np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match=f"{op.__name__}: empty batch"):
+        op(x, Tensor(np.ones(w_shape, np.float32), requires_grad=True))
+
+
 # -- recycling pool ---------------------------------------------------------
 
 POOLED = {

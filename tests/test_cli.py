@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, hashing, determinism, cleanup."""
 
+import csv
 import hashlib
 import os
 import shutil
@@ -7,9 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
-from evimatch import io as eio
+from evimatch import cli, io as eio
 from evimatch.cli import _eval_rpe, build_parser, main, output_dir, resolve_config
-from evimatch.extractor import ExtractorConfig, init_student, save_extractor
+from evimatch.extractor import (ExtractorConfig, init_student, load_extractor,
+                                save_extractor)
+from evimatch.geometry import EstimationFailed, PoseEstimate, relative_pose
 from evimatch.matching import Assignment
 
 TINY_SYNTH = ["--width", "16", "--height", "16", "--n", "2",
@@ -185,11 +188,60 @@ def test_eval_rpe_all_failures_score_zero(dataset):
                              latent_dim=4, desc_dim=8, score_head=(4,),
                              desc_head=(4,))
     pairs = [(0, 1, 0.5), (1, 0, 0.5)]
-    entries = _eval_rpe(samples, pairs, intr, cfg, init_student(config), config,
-                        lambda kp_a, kp_b: Assignment.empty())
+    entries, rows = _eval_rpe(samples, pairs, intr, cfg, init_student(config),
+                              config, lambda kp_a, kp_b: Assignment.empty())
     report = {(m, t): v for m, t, v in entries}
     assert report[("n_pairs", None)] == report[("n_failed", None)] == 2
     assert [report[("rpe_auc", t)] for t in (5.0, 10.0, 20.0)] == [0.0] * 3
+    assert [row[-1] for row in rows] == ["fewer than 8 matches"] * 2
+
+
+def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch):
+    # the estimator's outcome per pair: an exact pose, then the two errors
+    # _eval_rpe swallows
+    samples, intr, _, _ = eio.load_dataset(dataset)
+    outcomes = [relative_pose(samples[0].pose, samples[1].pose),
+                EstimationFailed("no model with 8 inliers after 9 iterations"),
+                ValueError("match arrays must have equal length")]
+
+    def estimate(*args, **kwargs):
+        got = outcomes.pop(0)
+        if isinstance(got, Exception):
+            raise got
+        return PoseEstimate(got.rotation, got.translation, np.ones(8, bool), 0.75)
+
+    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    cfg = resolve_config("eval", parse(
+        ["eval", "--data", dataset, "--mode", "rpe", "--extractor", student_ckpt,
+         "--border", "2", "--nms", "2", "--k", "16"]))
+    params, config = load_extractor(student_ckpt)
+    eight = Assignment(np.zeros((8, 2), np.int64), np.ones(8))
+    entries, rows = _eval_rpe(samples, [(0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)],
+                              intr, cfg, params, config, lambda kp_a, kp_b: eight)
+    assert [row[:2] + row[4:] for row in rows] == [
+        (0, 1, 8, "0.750000", "0.000000", "ok"),
+        (1, 0, 8, "nan", "inf", "no model with 8 inliers after 9 iterations"),
+        (1, 1, 8, "nan", "inf", "match arrays must have equal length"),
+    ]
+    assert dict(((m, t), v) for m, t, v in entries)[("n_failed", None)] == 2
+
+
+def test_eval_rpe_writes_pairs_csv_next_to_report(dataset, student_ckpt, tmp_path):
+    bench = tmp_path / "bench"
+    shutil.copytree(dataset, bench)
+    (bench / "pairs.txt").write_text("0 1 0.5\n1 0 0.5\n")
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(bench), "--mode", "rpe", "--extractor",
+               student_ckpt, "--border", "2", "--nms", "2", "--k", "16",
+               "--out", str(out)])
+    assert rc == 0
+    table = list(csv.reader((out / "pairs.csv").read_text().splitlines()))
+    assert table[0] == ["index_a", "index_b", "keypoints_a", "keypoints_b",
+                        "matches", "inlier_ratio", "error_deg", "reason"]
+    assert [row[:2] for row in table[1:]] == [["0", "1"], ["1", "0"]]
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[:3] == ["metric,threshold,value", "n_pairs,,2.000000",
+                          f"n_failed,,{sum(r[-1] != 'ok' for r in table[1:])}.000000"]
 
 
 # -- failure semantics ---------------------------------------------------------
