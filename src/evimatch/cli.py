@@ -5,6 +5,10 @@ echoes the fully resolved config into the output directory, and writes
 deterministic bytes for a fixed config + seed.  When --out is omitted the
 output directory is content-addressed by the hash of the resolved config.
 Failures exit nonzero with a one-line cause and remove partial outputs.
+``--help`` lists each flag's default.  Only ``train-extractor`` takes the
+event representation and bin count; later commands read them from the
+student checkpoint.  ``--matcher-ckpt`` selects the CA matcher, and
+without it ``match``, ``eval`` and ``viz`` use mutual nearest neighbour.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .matching import (CAConfig, MatchTrainConfig, ca_match,
                        mnn_match, save_matcher, train_matcher)
 from .metrics import (correct_matches, mma_mr, repeatability, report_csv,
                       report_text, rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
-from .representations import build_representation, time_surface
+from .representations import build_representation, channel_count, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
 # all values live as strings until conversion, so flags and config files
@@ -42,10 +46,7 @@ _SCENE_PARAMS = {
     "height_amplitude": "0.08", "motion_scale": "1.0", "duration": "4.0",
     "delta_t": "0.05", "contrast": "0.2", "dt_sim": "0.001",
 }
-_EXTRACT_PARAMS = {
-    "representation": "voxel", "bins": "16", "k": "512", "border": "4",
-    "nms": "4", "mask": "true",
-}
+_EXTRACT_PARAMS = {"k": "512", "border": "4", "nms": "4", "mask": "true"}
 _COMMAND_PARAMS = {
     "synth": dict(_SCENE_PARAMS, n="16"),
     "benchgen": dict(_SCENE_PARAMS, n_pairs="8", rpe_filter="false",
@@ -64,15 +65,14 @@ _COMMAND_PARAMS = {
                           layers="2", heads="4", pe_freqs="4", ffn_mult="2"),
     "extract": dict(_EXTRACT_PARAMS, data=None, modality=None, extractor="",
                     k="1024", threshold=""),
-    "match": {"kp_a": None, "kp_b": None, "pairs_file": "", "matcher": "mnn",
+    "match": {"kp_a": None, "kp_b": None, "pairs_file": "",
               "matcher_ckpt": "", "threshold": "0.1"},
     "eval": dict(_EXTRACT_PARAMS, data=None, mode=None, extractor=None,
-                 matcher="mnn", matcher_ckpt="", threshold="0.1",
-                 eps="3.0", ransac_px="1.0",
+                 matcher_ckpt="", threshold="0.1", eps="3.0", ransac_px="1.0",
                  rpe_thresholds="5,10,20", seed="0"),
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
-                index_b="-1", k="256", matcher="mnn", matcher_ckpt="",
-                threshold="0.1", eps="3.0"),
+                index_b="-1", k="256", matcher_ckpt="", threshold="0.1",
+                eps="3.0"),
 }
 _CLEANUP = {
     "synth": ["events", "images", "depth", "poses.txt", "intrinsics.txt",
@@ -111,14 +111,15 @@ def build_parser():
         description="event/image feature extraction and matching pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, params in _COMMAND_PARAMS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="key=value file; flags override it")
         p.add_argument("--out", default=None,
                        help="output directory (default: content-addressed)")
-        for name in params:
-            p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           default=None)
+        for name, default in params.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                           help=f"default: {default or 'none'}" if default is not None
+                           else "required")
     return parser
 
 
@@ -176,8 +177,8 @@ def _keypoints(maps, cfg, threshold):
 
 
 def _event_keypoints(sample, cfg, params, config, threshold=None):
-    rep = build_representation(sample.events, cfg["representation"],
-                               bins=int(cfg["bins"]))
+    rep = build_representation(sample.events, config.representation,
+                               bins=config.in_channels)
     maps = forward_student(rep, params, config)
     if _parse_bool(cfg["mask"], "mask"):
         maps = apply_event_mask(maps, accumulate_mask(sample.events))
@@ -190,17 +191,13 @@ def _image_keypoints(sample, cfg, teacher=None, threshold=None):
 
 
 def _make_matcher(cfg):
-    """Returns assignment_fn(kp_a, kp_b) for the configured matcher."""
-    kind = cfg["matcher"]
-    if kind == "mnn":
+    """Returns assignment_fn(kp_a, kp_b): the CA matcher --matcher-ckpt
+    names, or mutual nearest neighbour when it names none."""
+    if not cfg["matcher_ckpt"]:
         return mnn_match
-    if kind == "ca":
-        if not cfg["matcher_ckpt"]:
-            raise ValueError("--matcher ca requires --matcher-ckpt")
-        matcher = load_matcher(cfg["matcher_ckpt"])
-        thr = float(cfg["threshold"])
-        return lambda a, b: ca_match(a, b, matcher, threshold=thr)
-    raise ValueError(f"unknown matcher {kind!r} (expected mnn or ca)")
+    matcher = load_matcher(cfg["matcher_ckpt"])
+    thr = float(cfg["threshold"])
+    return lambda a, b: ca_match(a, b, matcher, threshold=thr)
 
 
 def _sample_index(i, n, source):
@@ -257,16 +254,16 @@ def cmd_train_extractor(out, cfg):
     if unknown:
         raise ValueError(f"unknown loss terms: {', '.join(sorted(unknown))}")
     dcfg = DistillConfig(
-        representation=cfg["representation"], bins=int(cfg["bins"]),
         lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch"]), n_pairs=int(cfg["pairs"]),
         seed=int(cfg["seed"]), use_feats="feats" in terms,
         use_score="score" in terms, use_desc="desc" in terms)
     student = ExtractorConfig(
-        in_channels=dcfg.input_channels,
+        in_channels=channel_count(cfg["representation"], int(cfg["bins"])),
         channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
         latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
-        score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]))
+        score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]),
+        representation=cfg["representation"])
     params, history = train_extractor(samples, dcfg, student, log=print)
     save_extractor(os.path.join(out, "student.ckpt"), params, student)
     with open(os.path.join(out, "loss.csv"), "w") as f:
@@ -380,9 +377,14 @@ def _eval_keypoints(samples, cfg, params, config, match_fn, eps):
 def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
     """The rpe report entries, and one pairs.csv row per pair: indices,
     keypoints per side, matches, inlier ratio, error in degrees and why
-    the pair failed ("ok" when it did not)."""
+    the pair failed ("ok" when it did not): fewer than 8 matches,
+    EstimationFailed, or a zero ground-truth baseline.  Malformed flags
+    fail before the first pair."""
+    ransac_px, seed = float(cfg["ransac_px"]), int(cfg["seed"])
+    if not 0 < ransac_px < np.inf:
+        raise ValueError(f"--ransac-px must be positive and finite, got {ransac_px}")
+    thresholds = _floats(cfg["rpe_thresholds"])
     errors, inliers, rows = [], [], []
-    failures = 0
     for ia, ib, _ in pairs:
         sa, sb = samples[ia], samples[ib]
         kp_a = _event_keypoints(sa, cfg, params, config)
@@ -394,22 +396,22 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
                 est = estimate_essential_ransac(
                     kp_a.positions[assignment.matches[:, 0]],
                     kp_b.positions[assignment.matches[:, 1]],
-                    intr, intr, threshold_px=float(cfg["ransac_px"]),
-                    seed=int(cfg["seed"]))
-                r_err, t_err = pose_angular_errors(
-                    est, relative_pose(sa.pose, sb.pose))
-                err, inlier_ratio, reason = max(r_err, t_err), est.inlier_ratio, "ok"
-                inliers.append(est.inlier_ratio)
-            except (EstimationFailed, ValueError) as e:
+                    intr, intr, threshold_px=ransac_px, seed=seed)
+            except EstimationFailed as e:
                 reason = str(e)
-        if not np.isfinite(err):
-            failures += 1
+            else:
+                try:  # a zero baseline leaves the translation error undefined
+                    err = max(pose_angular_errors(est, relative_pose(sa.pose, sb.pose)))
+                    inlier_ratio, reason = est.inlier_ratio, "ok"
+                    inliers.append(est.inlier_ratio)
+                except ValueError as e:
+                    reason = str(e)
         errors.append(err)
         rows.append((ia, ib, len(kp_a), len(kp_b), len(assignment),
                      f"{inlier_ratio:.6f}", f"{err:.6f}", reason))
     entries = [("n_pairs", None, float(len(pairs))),
-               ("n_failed", None, float(failures))]
-    for thr in _floats(cfg["rpe_thresholds"]):
+               ("n_failed", None, float(np.sum(~np.isfinite(errors))))]
+    for thr in thresholds:
         entries.append(("rpe_ratio", thr, rpe_ratio(errors, thr)))
         entries.append(("rpe_auc", thr, rpe_auc(errors, thr)))
     if inliers:

@@ -414,15 +414,13 @@ def _carry_grid(scene, depth, rel, stride=1):
 
 
 def _rpe_filter_ok(scene, sample_a, sample_b):
-    pts_a, pts_b, _ = _carry_grid(scene, sample_a.depth,
-                                  relative_pose(sample_a.pose, sample_b.pose),
-                                  stride=4)
+    gt = relative_pose(sample_a.pose, sample_b.pose)
+    pts_a, pts_b, _ = _carry_grid(scene, sample_a.depth, gt, stride=4)
     if len(pts_a) < 8:
         return False
     try:
         est = estimate_essential_ransac(pts_a, pts_b, scene.intrinsics,
                                         scene.intrinsics, seed=0)
-        gt = relative_pose(sample_a.pose, sample_b.pose)
         r_err, t_err = pose_angular_errors(est, gt)
     except (EstimationFailed, ValueError):
         return False

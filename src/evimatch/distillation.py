@@ -11,6 +11,7 @@ student to hallucinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,16 +23,14 @@ from .extractor import (ExtractorConfig, analytic_teacher,
 from .optim import fit, history_csv
 from .representations import build_representation
 
-_REPRESENTATIONS = ("voxel", "time_surface", "stack")
 _COLUMNS = ("l_feats", "l_score", "l_desc", "l_total")
 
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Training recipe for the event extractor."""
+    """Training recipe for the event extractor.  The student's input
+    representation belongs to its ``ExtractorConfig``."""
 
-    representation: str = "voxel"
-    bins: int = 16
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 8
@@ -42,18 +41,12 @@ class DistillConfig:
     use_desc: bool = True
 
     def __post_init__(self):
-        if self.representation not in _REPRESENTATIONS:
-            raise ValueError(f"unknown representation {self.representation!r}")
         if self.epochs <= 0 or self.batch_size <= 0 or self.n_pairs <= 0:
             raise ValueError("epochs, batch_size and n_pairs must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (self.use_feats or self.use_score or self.use_desc):
             raise ValueError("at least one loss term must be enabled")
-
-    @property
-    def input_channels(self):
-        return 2 if self.representation == "time_surface" else self.bins
 
 
 def lfd_loss(student, teacher, masks, config: DistillConfig):
@@ -93,29 +86,26 @@ def lfd_loss(student, teacher, masks, config: DistillConfig):
         l_desc = float(t.data)
         terms.append(t)
 
-    if terms:
-        total = terms[0]
-        for t in terms[1:]:
-            total = ad.add(total, t)
-    else:
-        total = Tensor(np.float32(0.0))
+    total = reduce(ad.add, terms) if terms else Tensor(np.float32(0.0))
     return total, (l_feats, l_score, l_desc, float(total.data))
 
 
-def prepare_batch_arrays(samples, config: DistillConfig, teacher=None):
+def prepare_batch_arrays(samples, student_config: ExtractorConfig, teacher=None):
     """Precompute inputs, teacher targets and masks for a sample list.
 
     samples are ``LFDSample``s; their event streams are assumed to already
-    be the observation windows.  teacher defaults to the analytic image
-    teacher.
+    be the observation windows.  Each input is the student's
+    representation with in_channels bins.  teacher defaults to the
+    analytic image teacher.
     """
     tf = analytic_teacher if teacher is None else teacher
     inputs, feats, scores, descs, masks = [], [], [], [], []
     for sample in samples:
         if not isinstance(sample.events, EventStream):
             raise TypeError("samples must carry EventStream windows")
-        inputs.append(build_representation(sample.events, config.representation,
-                                           bins=config.bins))
+        inputs.append(build_representation(sample.events,
+                                           student_config.representation,
+                                           bins=student_config.in_channels))
         maps = tf(sample.image)
         feats.append(np.asarray(maps.feats, dtype=np.float32))
         scores.append(np.asarray(maps.score, dtype=np.float32))
@@ -147,8 +137,9 @@ def train_extractor(samples, config: DistillConfig,
     """Distill the event extractor; returns (params, history).
 
     Trains a fresh student (seeded by config.seed) with ``optim.fit`` on the
-    LFD loss over at most config.n_pairs samples; fit's rows are the epoch
-    means of l_feats, l_score, l_desc and l_total, and the params come back
+    LFD loss over at most config.n_pairs samples, each read as the
+    representation student_config names.  fit's rows are the epoch means
+    of l_feats, l_score, l_desc and l_total, and the params come back
     frozen.  The teacher is evaluated once up front and never updated; a
     student whose outputs an enabled term cannot compare with the teacher's
     arrays is rejected before training.  The whole run is a pure function
@@ -157,12 +148,8 @@ def train_extractor(samples, config: DistillConfig,
     samples = list(samples)[:config.n_pairs]
     if not samples:
         raise ValueError("no training samples provided")
-    if student_config.in_channels != config.input_channels:
-        raise ValueError(
-            f"student expects {student_config.in_channels} input channels but the "
-            f"{config.representation!r} representation yields {config.input_channels}")
 
-    xs, tf, ts, td, ms = prepare_batch_arrays(samples, config, teacher)
+    xs, tf, ts, td, ms = prepare_batch_arrays(samples, student_config, teacher)
     _check_teacher_fit(student_config, config, tf, td, *xs.shape[2:])
     params = init_student(student_config, seed=config.seed)
 

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import _bilinear
 from .optim import load_module, save_module
+from .representations import channel_count
 
 
 @dataclass
@@ -55,6 +56,10 @@ class ExtractorConfig:
     back to full resolution with one stride-2 transposed conv per pooling
     stage (their widths given by score_head/desc_head), ending in a 1x1
     projection.
+
+    ``representation`` names the event tensor the student reads (one of
+    ``representations.KINDS``) with in_channels bins; the time surface
+    always has 2 channels.  Image extractors ignore it.
     """
 
     in_channels: int
@@ -64,6 +69,7 @@ class ExtractorConfig:
     desc_dim: int = 128
     score_head: tuple = (64, 32)
     desc_head: tuple = (128, 64)
+    representation: str = "voxel"
 
     def __post_init__(self):
         for name in ("in_channels", "channels", "latent_dim", "desc_dim",
@@ -77,13 +83,14 @@ class ExtractorConfig:
         ups = sum(1 for p in self.pools if p == 2)
         if len(self.score_head) != ups or len(self.desc_head) != ups:
             raise ValueError("head depth must match the number of pooling stages")
+        n = channel_count(self.representation, self.in_channels)
+        if n != self.in_channels:
+            raise ValueError(f"a {self.representation} input has {n} channels, "
+                             f"but in_channels is {self.in_channels}")
 
     @property
     def stride(self):
-        s = 1
-        for p in self.pools:
-            s *= p
-        return s
+        return math.prod(self.pools)
 
 
 @dataclass
@@ -425,8 +432,9 @@ def load_extractor(path):
 def load_teacher_checkpoint(path):
     """Load a frozen image extractor and return its forward closure.
 
-    The checkpoint must describe a 1-channel extractor; the closure maps a
-    grayscale image in [0, 1] to DenseMaps.
+    The checkpoint must describe a 1-channel extractor, whose representation
+    entry is ignored; the closure maps a grayscale image in [0, 1] to
+    DenseMaps.
     """
     params, config = load_extractor(path)
     if config.in_channels != 1:

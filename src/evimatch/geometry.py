@@ -357,8 +357,11 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     time in draw order (see ``_ransac``), with the same result as the
     one-sample loop.  ``iterations`` counts the hypotheses the adaptive
     stopping rule scored, not the samples drawn: an early stop may leave
-    up to ``_CHUNK - 1`` drawn samples unscored.
+    up to ``_CHUNK - 1`` drawn samples unscored.  A threshold_px that is
+    not positive and finite raises ValueError.
     """
+    if not 0 < threshold_px < np.inf:
+        raise ValueError(f"threshold_px must be positive and finite, got {threshold_px}")
     pts1, pts2 = _matched_points(pts1, pts2, 8)
     x1 = unproject_many(pts1, np.ones(len(pts1)), intr1)
     x2 = unproject_many(pts2, np.ones(len(pts2)), intr2)

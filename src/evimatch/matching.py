@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -405,12 +406,7 @@ def nll_loss(p, sigma_a, sigma_b, gt: GroundTruthMatches) -> Tensor:
     if saturated:
         warnings.warn("matching loss saturated: probabilities clamped at 1e-12",
                       RuntimeWarning)
-    if not terms:
-        return Tensor(np.float32(0.0))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+    return reduce(ad.add, terms) if terms else Tensor(np.float32(0.0))
 
 
 @dataclass(frozen=True)
@@ -456,9 +452,7 @@ def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),
     def batch_loss(idx):
         losses = [nll_loss(*ca_scores(kp_a, kp_b, matcher), gt)
                   for kp_a, kp_b, gt in (examples[i] for i in idx)]
-        total = losses[0]
-        for t in losses[1:]:
-            total = ad.add(total, t)
+        total = reduce(ad.add, losses)
         total = ad.mul(total, _scalar_like(1.0 / len(losses), total))
         return total, (float(total.data),)
 

@@ -142,12 +142,7 @@ def rpe_auc(errors, threshold: float) -> float:
 # -- reports ----------------------------------------------------------------
 
 def _fmt(value):
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.6f}"
+    return f"{float(value):.6f}"  # nan, inf and -inf print as such
 
 
 def report_text(entries) -> str:

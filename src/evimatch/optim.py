@@ -8,7 +8,8 @@ matcher) train through ``fit``; they differ only in the loss they hand it.
 A module checkpoint also embeds the config dataclass that built the
 parameters.  Each config field comes first, in field order, as a float32
 vector entry named ``__config__.<field>``: a tuple field holds its items,
-an int field one element.  The parameters follow in dict order.
+an int field one element, and a str field its UTF-8 bytes, one element
+each.  The parameters follow in dict order.
 """
 
 from __future__ import annotations
@@ -204,13 +205,13 @@ def load_checkpoint(path):
 def save_module(path, config, params):
     """Write params with their config dataclass embedded.
 
-    Config fields must be ints or tuples of ints.  Each is stored as the
-    float32 vector ``__config__.<field>`` (one element for an int), in
-    field order and ahead of the parameters, which keep their dict order.
+    Config fields must be ints, tuples of ints or strs.  Each is stored as
+    the float32 vector ``__config__.<field>`` (see the module docstring),
+    in field order and ahead of the parameters, which keep their dict order.
     """
-    blob = {_CONFIG_PREFIX + f.name: np.asarray(getattr(config, f.name),
-                                                np.float32).reshape(-1)
-            for f in dataclasses.fields(config)}
+    blob = {_CONFIG_PREFIX + k: np.asarray(list(v.encode()) if isinstance(v, str)
+                                           else v, np.float32).reshape(-1)
+            for k, v in dataclasses.asdict(config).items()}
     blob.update(params)
     save_checkpoint(path, blob)
 
@@ -221,9 +222,10 @@ def load_module(path, config_cls, param_shapes):
     ``param_shapes(config)`` gives the expected name -> shape dict without
     allocating anything, so a checkpoint that declares huge sizes costs no
     more than its own bytes before it is rejected.  A config entry that is
-    missing, non-finite, not integral or of the wrong length, a config the
-    dataclass rejects, and a missing, extra or mis-shaped parameter all
-    raise ValueError naming the file and the key.
+    missing, non-finite, not integral or of the wrong length, a str entry
+    that is not UTF-8 bytes, a config the dataclass rejects, and a missing,
+    extra or mis-shaped parameter all raise ValueError naming the file and
+    the key.
     """
     blob = load_checkpoint(path)
     hints = typing.get_type_hints(config_cls)
@@ -232,13 +234,17 @@ def load_module(path, config_cls, param_shapes):
         key = _CONFIG_PREFIX + f.name
         if key not in blob:
             raise ValueError(f"{path}: missing architecture entry {key}")
-        v = blob[key]
-        is_tuple = hints[f.name] is tuple
-        if v.ndim != 1 or (not is_tuple and len(v) != 1):
+        v, hint = blob[key], hints[f.name]
+        if v.ndim != 1 or (hint is int and len(v) != 1):
             raise ValueError(f"{path}: {key} has shape {v.shape}")
         if not np.isfinite(v).all() or (v != np.round(v)).any():
             raise ValueError(f"{path}: {key} must hold integers, got {v.tolist()}")
-        values[f.name] = tuple(int(x) for x in v) if is_tuple else int(v[0])
+        ints = [int(x) for x in v]
+        try:  # bytes() rejects values outside 0-255, decode() invalid UTF-8
+            values[f.name] = (bytes(ints).decode() if hint is str else
+                              tuple(ints) if hint is tuple else ints[0])
+        except ValueError:
+            raise ValueError(f"{path}: {key} must hold UTF-8 bytes, got {ints}") from None
     try:
         config = config_cls(**values)
     except ValueError as e:

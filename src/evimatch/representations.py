@@ -17,6 +17,8 @@ import numpy as np
 
 from .events import EventStream
 
+KINDS = ("voxel", "time_surface", "stack")
+
 
 def voxel_grid(stream: EventStream, bins: int = 16) -> np.ndarray:
     """Signed polarity mass splatted bilinearly over `bins` temporal slices.
@@ -117,15 +119,19 @@ def normalize_tensor(tensor) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def build_representation(stream: EventStream, kind: str, bins: int = 16) -> np.ndarray:
-    """Standardized (C, H, W) float32 grid of one window, by name:
-    'voxel', 'time_surface' or 'stack'."""
-    if kind == "voxel":
-        t = voxel_grid(stream, bins=bins)
-    elif kind == "time_surface":
-        t = time_surface(stream)
-    elif kind == "stack":
-        t = event_stack(stream, slices=bins)
-    else:
+def channel_count(kind: str, bins: int) -> int:
+    """Channel count of ``build_representation(stream, kind, bins)``: 2 for
+    the time surface, one per bin otherwise."""
+    if kind not in KINDS:
         raise ValueError(f"unknown representation kind {kind!r}")
-    return normalize_tensor(t)
+    return 2 if kind == "time_surface" else bins
+
+
+def build_representation(stream: EventStream, kind: str, bins: int = 16) -> np.ndarray:
+    """Standardized (C, H, W) float32 grid of one window, by name (one of
+    KINDS)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    if kind == "time_surface":
+        return normalize_tensor(time_surface(stream))
+    return normalize_tensor((voxel_grid if kind == "voxel" else event_stack)(stream, bins))

@@ -10,10 +10,16 @@ import pytest
 
 from evimatch import cli, io as eio
 from evimatch.cli import _eval_rpe, build_parser, main, output_dir, resolve_config
-from evimatch.extractor import (ExtractorConfig, init_student, load_extractor,
+from evimatch.events import accumulate_mask
+from evimatch.extractor import (ExtractorConfig, analytic_teacher,
+                                apply_event_mask, extract_keypoints,
+                                forward_student, init_student, load_extractor,
                                 save_extractor)
 from evimatch.geometry import EstimationFailed, PoseEstimate, relative_pose
-from evimatch.matching import Assignment
+from evimatch.matching import (Assignment, CAConfig, CAMatcherParams, ca_match,
+                               load_matcher, mnn_match, save_matcher)
+from evimatch.metrics import mma_mr, repeatability
+from evimatch.representations import build_representation
 
 TINY_SYNTH = ["--width", "16", "--height", "16", "--n", "2",
               "--duration", "1.0", "--dt-sim", "0.005", "--n-rects", "6"]
@@ -64,6 +70,18 @@ def test_missing_required_parameter():
     args = parse(["train-extractor"])
     with pytest.raises(ValueError, match="missing required parameters: --data"):
         resolve_config("train-extractor", args)
+
+
+def test_help_shows_each_default(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, help_ in (("--data DATA", "required"), ("--k K", "default: 512"),
+                        ("--matcher-ckpt MATCHER_CKPT", "default: none"),
+                        ("--ransac-px RANSAC_PX", "default: 1.0"),
+                        ("--rpe-thresholds RPE_THRESHOLDS", "default: 5,10,20")):
+        assert f"{flag} {help_}" in text
 
 
 # -- output directory addressing -------------------------------------------------
@@ -178,6 +196,75 @@ def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
     }
 
 
+def direct_keypoints(dataset, ckpt, kind, bins):
+    """Each sample's (event, image) keypoints at --border 2 --nms 2 --k 16,
+    computed without the CLI from the given representation."""
+    samples, _, _, _ = eio.load_dataset(dataset)
+    params, config = load_extractor(ckpt)
+    out = []
+    for s in samples:
+        maps = forward_student(build_representation(s.events, kind, bins=bins),
+                               params, config)
+        maps = apply_event_mask(maps, accumulate_mask(s.events))
+        out.append(tuple(extract_keypoints(m, border=2, nms_radius=2, k=16)
+                         for m in (maps, analytic_teacher(s.image))))
+    return out
+
+
+KP_FLAGS = ["--border", "2", "--nms", "2", "--k", "16"]
+
+
+def test_extract_and_eval_read_the_representation_from_the_student(dataset,
+                                                                   tmp_path):
+    config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=128, score_head=(4,),
+                             desc_head=(4,), representation="stack")
+    ckpt = str(tmp_path / "stack.ckpt")
+    save_extractor(ckpt, init_student(config, seed=2), config)
+    kps = direct_keypoints(dataset, ckpt, "stack", 16)
+    # a voxel reading of the same 16 channels gives other keypoints
+    assert any(not np.array_equal(a.positions, v.positions) for (a, _), (v, _)
+               in zip(kps, direct_keypoints(dataset, ckpt, "voxel", 16)))
+
+    flags = ["--data", dataset, "--extractor", ckpt, *KP_FLAGS]
+    assert main(["extract", "--modality", "events", *flags,
+                 "--out", str(tmp_path / "ex")]) == 0
+    for i, (kp_a, _) in enumerate(kps):
+        eio.save_keypoints(tmp_path / "want.txt", kp_a)
+        for suffix in ("", ".desc"):
+            got = tmp_path / "ex" / "keypoints" / f"{i:03d}.txt{suffix}"
+            assert got.read_bytes() == (tmp_path / f"want.txt{suffix}").read_bytes()
+
+    assert main(["eval", "--mode", "keypoints", *flags,
+                 "--out", str(tmp_path / "ev")]) == 0
+    report = (tmp_path / "ev" / "report.txt").read_text().splitlines()
+    rep = np.mean([repeatability(a, b, 3.0) for a, b in kps])
+    mr = np.mean([mma_mr(mnn_match(a, b), a, b, 3.0)[1] for a, b in kps])
+    assert f"repeatability@3={rep:.6f}" in report and f"mr={mr:.6f}" in report
+
+
+def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
+                                                       tmp_path):
+    ca = str(tmp_path / "ca.ckpt")
+    save_matcher(ca, CAMatcherParams.create(
+        CAConfig(desc_dim=128, dim=8, layers=1, heads=2, pe_freqs=2,
+                 ffn_mult=2, image_size=(16, 16)), seed=0))
+    matcher = load_matcher(ca)
+    kps = direct_keypoints(dataset, student_ckpt, "voxel", 16)
+    flags = ["--data", dataset, "--extractor", student_ckpt, *KP_FLAGS]
+    reports = {}
+    for name, extra, match_fn in (
+            ("mnn", [], mnn_match),
+            ("ca", ["--matcher-ckpt", ca],
+             lambda a, b: ca_match(a, b, matcher, threshold=0.1))):
+        assert main(["eval", "--mode", "keypoints", *flags, *extra,
+                     "--out", str(tmp_path / name)]) == 0
+        reports[name] = (tmp_path / name / "report.txt").read_text()
+        mr = np.mean([mma_mr(match_fn(a, b), a, b, 3.0)[1] for a, b in kps])
+        assert f"\nmr={mr:.6f}\n" in reports[name]
+    assert reports["ca"] != reports["mnn"]
+
+
 def test_eval_rpe_all_failures_score_zero(dataset):
     # a matcher that finds nothing: every pair fails, and the report says so
     samples, intr, _, _ = eio.load_dataset(dataset)
@@ -197,12 +284,12 @@ def test_eval_rpe_all_failures_score_zero(dataset):
 
 
 def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch):
-    # the estimator's outcome per pair: an exact pose, then the two errors
-    # _eval_rpe swallows
+    # the estimator's outcome per pair: an exact pose, a failed estimate,
+    # then a pose for a pair whose ground-truth baseline is zero
     samples, intr, _, _ = eio.load_dataset(dataset)
-    outcomes = [relative_pose(samples[0].pose, samples[1].pose),
-                EstimationFailed("no model with 8 inliers after 9 iterations"),
-                ValueError("match arrays must have equal length")]
+    exact = relative_pose(samples[0].pose, samples[1].pose)
+    outcomes = [exact, EstimationFailed("no model with 8 inliers after 9 iterations"),
+                exact]
 
     def estimate(*args, **kwargs):
         got = outcomes.pop(0)
@@ -221,9 +308,54 @@ def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch
     assert [row[:2] + row[4:] for row in rows] == [
         (0, 1, 8, "0.750000", "0.000000", "ok"),
         (1, 0, 8, "nan", "inf", "no model with 8 inliers after 9 iterations"),
-        (1, 1, 8, "nan", "inf", "match arrays must have equal length"),
+        (1, 1, 8, "nan", "inf",
+         "translation direction undefined for a zero-norm baseline"),
     ]
     assert dict(((m, t), v) for m, t, v in entries)[("n_failed", None)] == 2
+
+
+def test_eval_rpe_does_not_swallow_other_estimator_errors(dataset, student_ckpt,
+                                                          monkeypatch):
+    # only EstimationFailed and a zero baseline are a pair's failure
+    def estimate(*args, **kwargs):
+        raise ValueError("match arrays must have equal length")
+
+    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    samples, intr, _, _ = eio.load_dataset(dataset)
+    cfg = resolve_config("eval", parse(
+        ["eval", "--data", dataset, "--mode", "rpe", "--extractor", student_ckpt]))
+    params, config = load_extractor(student_ckpt)
+    eight = Assignment(np.zeros((8, 2), np.int64), np.ones(8))
+    with pytest.raises(ValueError, match="equal length"):
+        _eval_rpe(samples, [(0, 1, 0.5)], intr, cfg, params, config,
+                  lambda kp_a, kp_b: eight)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ransac-px", "abc"], "could not convert string to float: 'abc'"),
+    (["--ransac-px", "-1"], "--ransac-px must be positive and finite, got -1.0"),
+    (["--ransac-px", "0"], "--ransac-px must be positive and finite, got 0.0"),
+    (["--ransac-px", "nan"], "--ransac-px must be positive and finite, got nan"),
+    (["--seed", "x"], "invalid literal for int() with base 10: 'x'"),
+    (["--rpe-thresholds", "5,ten"], "could not convert string to float: 'ten'"),
+])
+def test_eval_rpe_rejects_bad_flags_before_the_first_pair(
+        dataset, student_ckpt, tmp_path, monkeypatch, capsys, flags, message):
+    # every pair reaches the estimator, which must never be called
+    calls = []
+    monkeypatch.setattr(cli, "estimate_essential_ransac",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "mnn_match", lambda kp_a, kp_b: Assignment(
+        np.zeros((8, 2), np.int64), np.ones(8)))
+    bench = tmp_path / "bench"
+    shutil.copytree(dataset, bench)
+    (bench / "pairs.txt").write_text("0 1 0.5\n")
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(bench), "--mode", "rpe", "--extractor",
+               student_ckpt, *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch eval: error: {message}\n"
+    assert calls == [] and not out.exists()
 
 
 def test_eval_rpe_writes_pairs_csv_next_to_report(dataset, student_ckpt, tmp_path):
@@ -315,19 +447,15 @@ def test_viz_aligned_pair_image_bytes(dataset, student_ckpt, tmp_path):
         "94d1cf232c9dd75ad49d2733cf2398e932094c5ca2f3eba7435682dc6fdf2a39")
 
 
-def test_unknown_matcher_and_missing_ckpt(dataset, tmp_path, capsys):
-    kp_out = str(tmp_path / "kp")
-    main(["extract", "--data", dataset, "--modality", "images",
-          "--border", "2", "--nms", "2", "--k", "8", "--out", kp_out])
-    kp_dir = os.path.join(kp_out, "keypoints")
-    rc = main(["match", "--kp-a", kp_dir, "--kp-b", kp_dir,
-               "--matcher", "bogus", "--out", str(tmp_path / "m1")])
-    assert rc == 1
-    assert "unknown matcher 'bogus'" in capsys.readouterr().err
-    rc = main(["match", "--kp-a", kp_dir, "--kp-b", kp_dir,
-               "--matcher", "ca", "--out", str(tmp_path / "m2")])
-    assert rc == 1
-    assert "requires --matcher-ckpt" in capsys.readouterr().err
+@pytest.mark.parametrize("command, flag", [
+    ("match", "--matcher"), ("eval", "--matcher"), ("viz", "--matcher"),
+    ("extract", "--representation"), ("eval", "--bins"), ("viz", "--rep")])
+def test_flags_a_checkpoint_fixes_are_gone(command, flag, capsys):
+    # nor does a prefix stand in for a longer flag such as --matcher-ckpt
+    with pytest.raises(SystemExit) as exit_:
+        parse([command, flag, "ca"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} ca" in capsys.readouterr().err
 
 
 # -- inputs the pipeline cannot use -------------------------------------------

@@ -1,5 +1,7 @@
 """Distillation loss masking and the extractor training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,18 +17,12 @@ from evimatch.representations import build_representation
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown representation"):
-        DistillConfig(representation="sae")
     with pytest.raises(ValueError, match="positive"):
         DistillConfig(epochs=0)
+    with pytest.raises(ValueError, match="positive"):
+        DistillConfig(lr=0.0)
     with pytest.raises(ValueError, match="loss term"):
         DistillConfig(use_feats=False, use_score=False, use_desc=False)
-
-
-def test_input_channels_per_representation():
-    assert DistillConfig(representation="voxel", bins=12).input_channels == 12
-    assert DistillConfig(representation="time_surface").input_channels == 2
-    assert DistillConfig(representation="stack", bins=6).input_channels == 6
 
 
 def tiny_batch(mask_val=1.0):
@@ -94,8 +90,7 @@ def test_lfd_loss_total_differentiable():
 STUDENT = ExtractorConfig(in_channels=4, channels=(6, 6), pools=(1, 2),
                           latent_dim=8, desc_dim=8, score_head=(6,),
                           desc_head=(6,))
-RECIPE = DistillConfig(representation="voxel", bins=4, lr=3e-3, epochs=4,
-                       batch_size=2, n_pairs=8, seed=0)
+RECIPE = DistillConfig(lr=3e-3, epochs=4, batch_size=2, n_pairs=8, seed=0)
 
 
 def lfd_sample(events, image):
@@ -127,7 +122,7 @@ def small_teacher(image):
 
 
 def test_prepare_batch_shapes():
-    xs, tf, ts, td, ms = prepare_batch_arrays(training_samples(), RECIPE,
+    xs, tf, ts, td, ms = prepare_batch_arrays(training_samples(), STUDENT,
                                               teacher=small_teacher)
     assert xs.shape == (4, 4, 16, 16)
     assert tf.shape == (4, 8, 8, 8)
@@ -140,7 +135,18 @@ def test_prepare_batch_shapes():
 def test_prepare_batch_rejects_non_stream():
     with pytest.raises(TypeError, match="EventStream"):
         prepare_batch_arrays([lfd_sample(np.zeros(3), np.zeros((16, 16)))],
-                             RECIPE)
+                             STUDENT)
+
+
+@pytest.mark.parametrize("kind, in_channels", [("voxel", 4), ("time_surface", 2),
+                                               ("stack", 6)])
+def test_prepare_batch_reads_the_students_representation(kind, in_channels):
+    student = dataclasses.replace(STUDENT, in_channels=in_channels,
+                                  representation=kind)
+    samples = training_samples(n=2)
+    xs = prepare_batch_arrays(samples, student, teacher=small_teacher)[0]
+    want = [build_representation(s.events, kind, bins=in_channels) for s in samples]
+    assert xs.tobytes() == np.stack(want).tobytes()
 
 
 def test_train_extractor_loss_decreases():
@@ -163,23 +169,13 @@ def test_train_extractor_deterministic():
 
 def test_train_extractor_returns_frozen_params():
     params, _ = train_extractor(
-        training_samples(), DistillConfig(representation="voxel", bins=4,
-                                          epochs=1, batch_size=4, seed=0),
+        training_samples(), DistillConfig(epochs=1, batch_size=4, seed=0),
         STUDENT, teacher=small_teacher)
     assert not any(p.requires_grad for p in params.values())
     events = training_samples(n=1)[0].events
     outs = forward_student_batch(build_representation(events, "voxel", bins=4)[None],
                                  params, STUDENT)
     assert not any(t.requires_grad for t in outs)
-
-
-def test_train_extractor_channel_mismatch():
-    bad = ExtractorConfig(in_channels=3, channels=(6, 6), pools=(1, 2),
-                          latent_dim=8, desc_dim=8, score_head=(6,),
-                          desc_head=(6,))
-    with pytest.raises(ValueError, match="input channels"):
-        train_extractor(training_samples(), RECIPE, student_config=bad,
-                        teacher=small_teacher)
 
 
 def test_train_extractor_empty_samples():

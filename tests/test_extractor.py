@@ -34,6 +34,16 @@ def test_config_rejects_bad_pool_factor():
                         score_head=(8,), desc_head=(8,))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(in_channels=3, representation="time_surface"),
+     "a time_surface input has 2 channels, but in_channels is 3"),
+    (dict(in_channels=16, representation="sae"), "unknown representation kind 'sae'"),
+])
+def test_config_rejects_a_representation_it_cannot_read(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExtractorConfig(**kwargs)
+
+
 def test_init_student_matches_declared_shapes():
     params = init_student(TINY, seed=0)
     shapes = {
@@ -329,6 +339,18 @@ def test_save_load_extractor_roundtrip(tmp_path):
     for k in params:
         np.testing.assert_array_equal(back[k].data, params[k].data)
         assert not back[k].requires_grad
+
+
+@pytest.mark.parametrize("representation, in_channels", [
+    ("voxel", 5), ("time_surface", 2), ("stack", 6)])
+def test_save_load_extractor_keeps_the_representation(tmp_path, representation,
+                                                      in_channels):
+    config = ExtractorConfig(in_channels=in_channels, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=8, score_head=(4,),
+                             desc_head=(4,), representation=representation)
+    path = tmp_path / "ex.ckpt"
+    save_extractor(path, init_student(config, seed=1), config)
+    assert load_extractor(path)[1] == config
 
 
 def test_load_extractor_missing_param(tmp_path):

@@ -244,6 +244,15 @@ def test_essential_ransac_needs_eight():
         estimate_essential_ransac(np.zeros((7, 2)), np.zeros((7, 2)), INTR, INTR)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, np.nan, np.inf])
+def test_essential_ransac_rejects_a_threshold_that_is_not_positive(threshold):
+    # a squared -1 would pass for +1, and 0 would run every iteration in vain
+    p1, p2, _ = make_two_view()
+    with pytest.raises(ValueError, match=f"threshold_px must be positive and "
+                                         f"finite, got {threshold}"):
+        estimate_essential_ransac(p1, p2, INTR, INTR, threshold_px=threshold)
+
+
 def test_essential_ransac_pure_rotation_degenerate():
     p1, p2, _ = make_two_view(angle=8.0, baseline=(0.0, 0.0, 0.0))
     with pytest.raises(DegenerateGeometry):

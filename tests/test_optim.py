@@ -329,6 +329,13 @@ def write_matcher(path):
     (write_extractor, "in_channels", [2.0, 2.0]),
     (write_extractor, "in_channels", [2.7]),
     (write_extractor, "desc_head", [4.5]),
+    (write_extractor, "representation", None),
+    (write_extractor, "representation", [118.5, 111.0]),
+    (write_extractor, "representation", [256.0]),
+    (write_extractor, "representation", [-1.0]),
+    (write_extractor, "representation", [255.0]),
+    (write_extractor, "representation", [[118.0, 111.0, 120.0, 101.0, 108.0]]),
+    (write_extractor, "representation", [115.0, 97.0, 101.0]),
     (write_matcher, "heads", None),
     (write_matcher, "heads", [0.0]),
     (write_matcher, "dim", [np.inf]),

@@ -29,6 +29,7 @@ from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                matcher_history_csv, mnn_match, save_matcher,
                                train_matcher)
 from evimatch.metrics import valid_pairs
+from evimatch.optim import save_checkpoint
 from test_geometry import reference_ransac
 
 INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
@@ -48,10 +49,10 @@ def mask_indices(mask):
 @pytest.mark.parametrize("config, digest", [
     (ExtractorConfig(in_channels=2, channels=(4, 4), pools=(1, 2), latent_dim=4,
                      desc_dim=8, score_head=(4,), desc_head=(4,)),
-     "ee7ee5df35c1efad1449c7a3ddeab4f54375b21bf8de5d4c57617e0a198c7180"),
+     "6e1098923f08ec04adfa9e6cb016377f05779d94bb4c402a3e60653836525fa7"),
     (ExtractorConfig(in_channels=1, channels=(4,), pools=(1,), latent_dim=4,
                      desc_dim=8, score_head=(), desc_head=()),
-     "015fc18c49f83983a3e31ac9f598c1994860db70b4acf2b6a7ab5aad0dfbb10c"),
+     "4f6385635a7ee49e9078d8e5f6edd11c430097ff1a7ae1f51047c053f556cd16"),
 ])
 def test_extractor_checkpoint_bytes(tmp_path, config, digest):
     path = tmp_path / "student.ckpt"
@@ -119,15 +120,18 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
     student = ExtractorConfig(in_channels=4, channels=(4, 8), pools=(2, 2),
                               latent_dim=128, desc_dim=128, score_head=(4, 4),
                               desc_head=(8, 8))
-    recipe = DistillConfig(representation="voxel", bins=4, lr=3e-3, epochs=2,
-                           batch_size=2, seed=0)
+    recipe = DistillConfig(lr=3e-3, epochs=2, batch_size=2, seed=0)
     log = []
     params, history = train_extractor(samples, recipe, student_config=student,
                                       log=log.append)
     path = tmp_path / "student.ckpt"
     save_extractor(path, params, student)
-    assert sha256(path) == ("62afc289fb74417f3f1f0cddd0441baf8e9dba4c"
-                            "dea84d16deb43868b2e6c7c2")
+    assert sha256(path) == ("6d778be8087f272a24eee2c300dcf062cbe1f588"
+                            "8e3a9a80509a9c203ad4b0b2")
+    # the parameters alone, without the config entries
+    save_checkpoint(path, params)
+    assert sha256(path) == ("ce9260655c031d395c1ebecd30cbebe38f09b076"
+                            "ff0fbe33478acc0a51b5a341")
     assert loss_history_csv(history) == (
         "epoch,l_feats,l_score,l_desc,l_total\n"
         "0,0.14808773,0.10861790,0.08966396,0.34636959\n"

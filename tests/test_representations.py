@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch.events import EventStream
-from evimatch.representations import (build_representation, event_stack,
+from evimatch.representations import (KINDS, build_representation,
+                                      channel_count, event_stack,
                                       normalize_tensor, time_surface,
                                       voxel_grid)
 
@@ -151,6 +152,15 @@ def test_build_representation_dispatch():
         assert rep.shape == (channels, 6, 8) and rep.dtype == np.float32
     with pytest.raises(ValueError, match="unknown representation"):
         build_representation(s, "histogram")
+
+
+def test_channel_count_per_kind():
+    s = stream_from([(0, 0, 0.0, 1), (1, 1, 1.0, -1)])
+    for kind in KINDS:
+        assert channel_count(kind, 5) == len(build_representation(s, kind, bins=5))
+    assert channel_count("time_surface", 5) == 2
+    with pytest.raises(ValueError, match="unknown representation kind 'sae'"):
+        channel_count("sae", 5)
 
 
 def test_build_representation_standardize_flag():
