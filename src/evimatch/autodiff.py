@@ -26,86 +26,16 @@ node's gradient, its backward closure and its parent references once the
 node has propagated, so each activation is freed as soon as the last
 backward that needs it has run.  A later ``backward`` that reaches a
 consumed node raises instead of accumulating again.
-
-While ``optim.fit`` runs, ``linear``, ``attention``, ``layer_norm``,
-``relu`` and ``add`` take the arrays they keep (their outputs, the
-attention probabilities, the normalized input of ``layer_norm`` and the
-mask of ``relu``) from a recycling pool, so each training step rewrites
-the pages of the step before instead of faulting fresh ones in.  The
-pool lives from the start of ``fit`` until it returns or raises.  An
-array in the pool is handed out again only when its CPython reference
-count shows that nothing else refers to it: a live Tensor, a backward
-closure, a caller's variable or a numpy view (which refers to its base)
-all keep it from reuse, so whatever a step keeps keeps its bytes.  A
-step that asks for shapes the step before did not leave idle drops the
-idle arrays, so a run whose shapes change holds about one step's arrays.
-Outside ``fit`` every op allocates as usual.  Reuse changes no
-arithmetic: each op writes the same values into the array it is given.
-The other ops allocate fresh arrays, because an idle pooled array still
-takes memory while backward runs: pooling ``sub`` would hold the
-distillation loss's full-resolution map differences through the
-extractor's backward peak.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 
 import numpy as np
 
 
 _CONSUMED = object()  # the _bwd of a node whose graph a backward has freed
-
-# (shape, dtype) -> arrays, while a _recycling() block runs; None outside
-_pool = None
-# set by each backward: arrays its graph kept may now sit idle in the pool
-_backward_ran = False
-# sys.getrefcount of a pooled array that nothing else refers to, read
-# while a loop or comprehension visits it: the pool's list, the loop
-# variable, the call
-_FREE_REFS = 3
-
-
-@contextlib.contextmanager
-def _recycling():
-    """Recycle the arrays ops allocate through ``_empty`` until the block
-    exits; the pool and every array it holds are dropped on exit."""
-    global _pool
-    _pool = {}
-    try:
-        yield
-    finally:
-        _pool = None
-
-
-def _empty(shape, dtype):
-    """An uninitialized array of shape and dtype: inside ``_recycling``,
-    one the pool holds and nothing else references, else a new one that
-    the pool keeps.
-
-    The first allocation after a backward means a step has asked for a
-    shape the step before did not leave idle, so the arrays still idle
-    are dropped first: a run whose steps change shape holds about one
-    step's arrays, not some for every shape it has seen.  Steps of one
-    shape never allocate after the first.
-    """
-    global _backward_ran
-    if _pool is None:
-        return np.empty(shape, dtype)
-    held = _pool.setdefault((tuple(shape), np.dtype(dtype)), [])
-    for arr in held:
-        if sys.getrefcount(arr) == _FREE_REFS:
-            return arr
-    if _backward_ran:
-        for arrs in _pool.values():
-            arrs[:] = [a for a in arrs if sys.getrefcount(a) != _FREE_REFS]
-        _backward_ran = False
-    arr = np.empty(shape, dtype)
-    held.append(arr)
-    return arr
-
 
 class Tensor:
     """An ndarray node in a reverse-mode graph."""
@@ -142,7 +72,6 @@ class Tensor:
         again, or a second loss that shares a node with the first) raises
         RuntimeError before any gradient is accumulated.
         """
-        global _backward_ran
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         topo = []
@@ -188,7 +117,6 @@ class Tensor:
                         p.grad = p.grad + g
             node._parents = ()
             node._bwd = _CONSUMED
-        _backward_ran = True
 
 
 def _make(data, parents, bwd):
@@ -224,9 +152,7 @@ def add(a, b):
     _check_shapes(a, b, "add")
     def bwd(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-    y = np.add(a.data, b.data, out=_empty(
-        np.broadcast_shapes(a.data.shape, b.data.shape), np.result_type(a.data, b.data)))
-    return _make(y, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
@@ -276,8 +202,7 @@ def linear(x, w, b):
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError("linear expects 2-D input and weight")
     _check_bias(b, w.data.shape[1], "linear")
-    y = np.matmul(x.data, w.data, out=_empty(
-        (x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data)))
+    y = x.data @ w.data
     y += b.data
     def bwd(g):
         gx = g @ w.data.T if x.requires_grad else None
@@ -297,10 +222,10 @@ def transpose(a):
 
 def relu(a):
     a = _as_tensor(a)
-    keep = np.greater(a.data, 0, out=_empty(a.data.shape, bool))
+    keep = a.data > 0
     # np.where(keep, a, 0) bit for bit: fmax maps NaN to 0, and adding 0
     # turns the -0.0 that fmax may keep into +0.0
-    y = np.fmax(a.data, 0, out=_empty(a.data.shape, a.data.dtype))
+    y = np.fmax(a.data, 0)
     y += 0
     def bwd(g):
         return (g * keep,)
@@ -432,13 +357,11 @@ def layer_norm(x, gamma, beta):
     1e-5 is added to the variance before the square root."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     # x - mu becomes xhat in place
-    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True),
-                       out=_empty(x.data.shape, x.data.dtype))
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
-    y = np.multiply(xhat, gamma.data, out=_empty(
-        xhat.shape, np.result_type(xhat, gamma.data, beta.data)))
+    y = xhat * gamma.data
     y += beta.data
     def bwd(g):
         dxhat = g * gamma.data
@@ -486,15 +409,12 @@ def attention(q, k, v, heads):
         return np.ascontiguousarray(k.data.reshape(-1, heads, dh).transpose(1, 2, 0))
 
     # softmax in place, in the order scale, subtract the row max, exp, divide
-    p = np.matmul(split(q.data), k_t(), out=_empty(
-        (heads, len(q.data), len(k.data)), np.result_type(q.data, k.data)))
+    p = np.matmul(split(q.data), k_t())
     p *= scale
     p -= p.max(axis=2, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=2, keepdims=True)
-    o = np.matmul(p, split(v.data))
-    y = _empty((o.shape[1], d), o.dtype)
-    y.reshape(o.shape[1], heads, dh)[...] = o.transpose(1, 0, 2)
+    y = merge(np.matmul(p, split(v.data)))
 
     def bwd(g):
         gh = split(g)

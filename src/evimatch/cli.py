@@ -381,9 +381,11 @@ def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
     EstimationFailed, or a zero ground-truth baseline.  Malformed flags
     fail before the first pair."""
     ransac_px, seed = float(cfg["ransac_px"]), int(cfg["seed"])
-    if not 0 < ransac_px < np.inf:
-        raise ValueError(f"--ransac-px must be positive and finite, got {ransac_px}")
     thresholds = _floats(cfg["rpe_thresholds"])
+    for flag, values in (("--ransac-px", (ransac_px,)), ("--rpe-thresholds", thresholds)):
+        for v in values:
+            if not 0 < v < np.inf:
+                raise ValueError(f"{flag} must be positive and finite, got {v}")
     errors, inliers, rows = [], [], []
     for ia, ib, _ in pairs:
         sa, sb = samples[ia], samples[ib]

@@ -421,8 +421,11 @@ def _rpe_filter_ok(scene, sample_a, sample_b):
     try:
         est = estimate_essential_ransac(pts_a, pts_b, scene.intrinsics,
                                         scene.intrinsics, seed=0)
+    except EstimationFailed:
+        return False
+    try:  # a zero baseline leaves the translation error undefined
         r_err, t_err = pose_angular_errors(est, gt)
-    except (EstimationFailed, ValueError):
+    except ValueError:
         return False
     return r_err < 1.0 and t_err < 1.0 and est.inlier_ratio > 0.9
 

@@ -10,31 +10,15 @@ a crash-free evaluation can still report every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .extractor import _descriptors, _positions
 from .matching import Assignment, _mutual_nearest
 
 
-@dataclass
-class ValidPairSet:
-    """Mutually nearest keypoint pairs within the pixel tolerance."""
-
-    pairs: np.ndarray  # (V, 2) int64: (index_a, index_b)
-    distances: np.ndarray  # (V,) pixel distances
-
-    def __post_init__(self):
-        self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        self.distances = np.asarray(self.distances, dtype=np.float64).reshape(-1)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def valid_pairs(kp_a, kp_b, eps: float = 3.0) -> ValidPairSet:
-    """Ground-truth correspondences between two aligned keypoint sets.
+def valid_pairs(kp_a, kp_b, eps: float = 3.0) -> np.ndarray:
+    """Ground-truth correspondences between two aligned keypoint sets, as
+    (V, 2) int64 rows (index_a, index_b).
 
     A pair is valid iff the two keypoints are mutual nearest neighbors in
     pixel distance and at most eps pixels apart.
@@ -44,12 +28,11 @@ def valid_pairs(kp_a, kp_b, eps: float = 3.0) -> ValidPairSet:
     pa = _positions(kp_a)
     pb = _positions(kp_b)
     if len(pa) == 0 or len(pb) == 0:
-        return ValidPairSet(np.zeros((0, 2), np.int64), np.zeros(0))
+        return np.zeros((0, 2), np.int64)
     d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
     rows, cols = _mutual_nearest(d)
-    dist = d[rows, cols]
-    keep = dist <= eps
-    return ValidPairSet(np.stack([rows[keep], cols[keep]], axis=1), dist[keep])
+    keep = d[rows, cols] <= eps
+    return np.stack([rows[keep], cols[keep]], axis=1).astype(np.int64)
 
 
 def repeatability(kp_a, kp_b, eps: float = 3.0) -> float:
@@ -61,16 +44,17 @@ def repeatability(kp_a, kp_b, eps: float = 3.0) -> float:
     return 2.0 * len(v) / (na + nb)
 
 
-def vdd_vda(pairs: ValidPairSet, kp_a, kp_b):
-    """Descriptor distance (L2) and angle (degrees) over valid pairs.
+def vdd_vda(pairs, kp_a, kp_b):
+    """Descriptor distance (L2) and angle (degrees) over the (V, 2) index
+    rows of valid pairs.
 
     Both are means over the pair set; with no valid pairs the statistics
     do not exist and asking for them is an error, not a zero.
     """
     if len(pairs) == 0:
         raise ValueError("descriptor distances are undefined without valid pairs")
-    da = _descriptors(kp_a)[pairs.pairs[:, 0]]
-    db = _descriptors(kp_b)[pairs.pairs[:, 1]]
+    da = _descriptors(kp_a)[pairs[:, 0]]
+    db = _descriptors(kp_b)[pairs[:, 1]]
     vdd = float(np.sqrt(((da - db) ** 2).sum(axis=1)).mean())
     dots = np.clip((da * db).sum(axis=1), -1.0, 1.0)
     vda = float(np.degrees(np.arccos(dots)).mean())

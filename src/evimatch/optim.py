@@ -14,14 +14,15 @@ each.  The parameters follow in dict order.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
+import os
 import struct
 import typing
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 
 CKPT_MAGIC = b"CKPT"
@@ -76,6 +77,18 @@ class Adam:
             p.grad = None
 
 
+def _keep_freed_memory():
+    """Make glibc keep the memory a training step frees for the next one:
+    trim the heap top only once 1 GiB is free there, and serve blocks up
+    to 32 MiB (its largest mmap threshold) from the heap rather than from
+    mmaps that are unmapped on free.  Does nothing without ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def fit(params, n, recipe, batch_loss, columns, log=None):
     """Train params on n items; returns one (epoch, *column means) row per epoch.
 
@@ -91,38 +104,38 @@ def fit(params, n, recipe, batch_loss, columns, log=None):
     inference on the result records no graph; that holds when a step
     raises, too.
 
-    The run holds autodiff's recycling pool open (see the ``autodiff``
-    module docstring): an array that a pooled op kept and that nothing
-    references any more goes to a later op of the same shape and dtype,
-    so each step rewrites the arrays of the step before.  Whatever ``batch_loss`` or
-    its caller keeps (a Tensor, its array or a view of it) is never
-    reused.  The pool and its arrays are dropped when ``fit`` returns or
-    raises.
+    Before the first step, ``fit`` sets glibc's allocator to keep freed
+    memory (see ``_keep_freed_memory``), so each step reuses the pages the
+    step before freed instead of faulting fresh ones in.  The setting
+    stays for the rest of the process: glibc has no getter for the
+    thresholds it adjusts on its own, so they cannot be restored.  Where
+    the C library has no ``mallopt`` nothing is set; only page faults
+    depend on it, never a value.
     """
     for p in params.values():
         p.requires_grad = True
+    _keep_freed_memory()
     try:
-        with ad._recycling():
-            rng = np.random.default_rng(recipe.seed)
-            steps_per_epoch = (n + recipe.batch_size - 1) // recipe.batch_size
-            opt = Adam(params, lr=recipe.lr,
-                       total_steps=recipe.epochs * steps_per_epoch)
-            history = []
-            for epoch in range(recipe.epochs):
-                perm = rng.permutation(n)
-                sums = np.zeros(len(columns))
-                for start in range(0, n, recipe.batch_size):
-                    loss, values = batch_loss(perm[start:start + recipe.batch_size])
-                    if not np.isfinite(loss.data):
-                        raise RuntimeError(
-                            f"non-finite loss at epoch {epoch}, step {opt.t}; aborting")
-                    loss.backward()
-                    opt.step()
-                    sums += values
-                history.append((epoch, *(sums / steps_per_epoch).tolist()))
-                if log is not None:
-                    log(" ".join([f"epoch {epoch}"] + [
-                        f"{c}={v:.6f}" for c, v in zip(columns, history[-1][1:])]))
+        rng = np.random.default_rng(recipe.seed)
+        steps_per_epoch = (n + recipe.batch_size - 1) // recipe.batch_size
+        opt = Adam(params, lr=recipe.lr,
+                   total_steps=recipe.epochs * steps_per_epoch)
+        history = []
+        for epoch in range(recipe.epochs):
+            perm = rng.permutation(n)
+            sums = np.zeros(len(columns))
+            for start in range(0, n, recipe.batch_size):
+                loss, values = batch_loss(perm[start:start + recipe.batch_size])
+                if not np.isfinite(loss.data):
+                    raise RuntimeError(
+                        f"non-finite loss at epoch {epoch}, step {opt.t}; aborting")
+                loss.backward()
+                opt.step()
+                sums += values
+            history.append((epoch, *(sums / steps_per_epoch).tolist()))
+            if log is not None:
+                log(" ".join([f"epoch {epoch}"] + [
+                    f"{c}={v:.6f}" for c, v in zip(columns, history[-1][1:])]))
     finally:
         for p in params.values():
             p.requires_grad = False

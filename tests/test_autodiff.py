@@ -589,55 +589,7 @@ def test_conv_rejects_an_empty_batch(op, w_shape):
         op(x, Tensor(np.ones(w_shape, np.float32), requires_grad=True))
 
 
-# -- recycling pool ---------------------------------------------------------
-
-POOLED = {
-    "linear": (ad.linear, [(37, 24), (24, 16), (16,)]),
-    "attention": (lambda q, k, v: ad.attention(q, k, v, 4), [(37, 16), (53, 16), (53, 16)]),
-    "layer_norm": (ad.layer_norm, [(37, 24), (24,), (24,)]),
-    "relu": (ad.relu, [(37, 24)]),
-    "add": (ad.add, [(37, 24), (37, 24)]),
-    "add_scalar": (ad.add, [(37, 24), ()]),
-}
-
-
-def op_bytes(fn, arrays, g):
-    """Output and input-gradient bytes of fn on fresh trainable leaves."""
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    y = fn(*leaves)
-    ad.sum_all(ad.mul(y, Tensor(g))).backward()
-    return [y.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
-
-
-def pooled_arrays():
-    return sum(len(held) for held in ad._pool.values())
-
-
-def poison_pool():
-    # a function, so no loop variable outlives it to pin a pooled array
-    for held in ad._pool.values():
-        for arr in held:
-            arr.fill(True if arr.dtype == bool else np.nan)
-
-
-@pytest.mark.parametrize("name", sorted(POOLED))
-def test_pooled_op_bitwise_equal_inside_and_outside_pool(name):
-    fn, shapes = POOLED[name]
-    r = np.random.default_rng(len(name))
-    arrays = [r.normal(size=s).astype(np.float32) for s in shapes]
-    g = r.normal(size=fn(*arrays).shape).astype(np.float32)
-    want = op_bytes(fn, arrays, g)
-    assert ad._pool is None
-    with ad._recycling():
-        assert op_bytes(fn, arrays, g) == want
-        held = pooled_arrays()
-        assert held > 0
-        # the second call gets the same arrays back, stale and now garbage
-        poison_pool()
-        assert op_bytes(fn, arrays, g) == want
-        assert pooled_arrays() == held
-    assert ad._pool is None
-
+# -- relu -------------------------------------------------------------------
 
 def test_relu_output_bitwise_equals_where():
     # signed zeros, NaN, infinities and subnormals are where fmax-based

@@ -338,13 +338,17 @@ def test_eval_rpe_does_not_swallow_other_estimator_errors(dataset, student_ckpt,
     (["--ransac-px", "nan"], "--ransac-px must be positive and finite, got nan"),
     (["--seed", "x"], "invalid literal for int() with base 10: 'x'"),
     (["--rpe-thresholds", "5,ten"], "could not convert string to float: 'ten'"),
+    (["--rpe-thresholds", "0,5"], "--rpe-thresholds must be positive and finite, got 0.0"),
+    (["--rpe-thresholds", "5,-1"], "--rpe-thresholds must be positive and finite, got -1.0"),
+    (["--rpe-thresholds", "5,inf"], "--rpe-thresholds must be positive and finite, got inf"),
 ])
 def test_eval_rpe_rejects_bad_flags_before_the_first_pair(
         dataset, student_ckpt, tmp_path, monkeypatch, capsys, flags, message):
     # every pair reaches the estimator, which must never be called
-    calls = []
-    monkeypatch.setattr(cli, "estimate_essential_ransac",
-                        lambda *a, **k: calls.append(a))
+    def estimate(*args, **kwargs):
+        pytest.fail("the estimator ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
     monkeypatch.setattr(cli, "mnn_match", lambda kp_a, kp_b: Assignment(
         np.zeros((8, 2), np.int64), np.ones(8)))
     bench = tmp_path / "bench"
@@ -355,7 +359,7 @@ def test_eval_rpe_rejects_bad_flags_before_the_first_pair(
                student_ckpt, *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"evimatch eval: error: {message}\n"
-    assert calls == [] and not out.exists()
+    assert not out.exists()
 
 
 def test_eval_rpe_writes_pairs_csv_next_to_report(dataset, student_ckpt, tmp_path):

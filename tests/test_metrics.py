@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from evimatch.extractor import KeypointSet
 from evimatch.matching import Assignment
-from evimatch.metrics import (ValidPairSet, correct_matches, mma_mr,
-                              repeatability, report_csv, report_text, rpe_auc,
-                              rpe_ratio, valid_pairs, vdd_vda)
+from evimatch.metrics import (correct_matches, mma_mr, repeatability,
+                              report_csv, report_text, rpe_auc, rpe_ratio,
+                              valid_pairs, vdd_vda)
 
 
 def kp_at(positions, desc=None):
@@ -26,8 +26,8 @@ def test_valid_pairs_identity_homography():
     a = kp_at([[5.0, 5.0], [20.0, 10.0]])
     b = kp_at([[5.5, 5.0], [20.0, 10.5], [40.0, 40.0]])
     v = valid_pairs(a, b, eps=1.0)
-    np.testing.assert_array_equal(v.pairs, [[0, 0], [1, 1]])
-    np.testing.assert_allclose(v.distances, [0.5, 0.5])
+    np.testing.assert_array_equal(v, [[0, 0], [1, 1]])
+    assert v.dtype == np.int64
 
 
 def test_valid_pairs_respects_eps():
@@ -42,7 +42,7 @@ def test_valid_pairs_mutual_only():
     a = kp_at([[0.0, 0.0], [1.0, 0.0]])
     b = kp_at([[0.9, 0.0]])
     v = valid_pairs(a, b, eps=2.0)
-    np.testing.assert_array_equal(v.pairs, [[1, 0]])
+    np.testing.assert_array_equal(v, [[1, 0]])
 
 
 def test_repeatability_value_and_errors():
@@ -59,16 +59,14 @@ def test_vdd_vda_hand_values():
     db = np.array([[0.0, 1.0], [0.0, 1.0]], np.float32)
     a = kp_at([[0.0, 0.0], [5.0, 5.0]], da)
     b = kp_at([[0.0, 0.0], [5.0, 5.0]], db)
-    pairs = ValidPairSet(np.array([[0, 0], [1, 1]]), np.zeros(2))
-    vdd, vda = vdd_vda(pairs, a, b)
+    vdd, vda = vdd_vda(np.array([[0, 0], [1, 1]]), a, b)
     assert vdd == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-6)
     assert vda == pytest.approx(45.0, rel=1e-6)
 
 
 def test_vdd_vda_empty_raises():
-    pairs = ValidPairSet(np.zeros((0, 2), np.int64), np.zeros(0))
     with pytest.raises(ValueError, match="undefined"):
-        vdd_vda(pairs, kp_at([[0, 0]]), kp_at([[0, 0]]))
+        vdd_vda(np.zeros((0, 2), np.int64), kp_at([[0, 0]]), kp_at([[0, 0]]))
 
 
 def test_mma_mr_values():

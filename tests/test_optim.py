@@ -1,5 +1,8 @@
 """Cosine schedule, Adam updates and the binary checkpoint format."""
 
+import ctypes
+import itertools
+import os
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import evimatch.autodiff as ad
+import evimatch.optim as optim
 from evimatch.autodiff import Tensor
 from evimatch.extractor import (ExtractorConfig, init_student, load_extractor,
                                 save_extractor)
@@ -146,9 +150,8 @@ def test_fit_abort_names_epoch_and_global_step():
         fit(params, len(TARGETS), RECIPE, batch_loss, ("loss", "size"))
     # the check runs before backward: the NaN never reached the parameter
     assert params["x"].grad is None and np.isfinite(params["x"].data).all()
-    # and the raise still re-froze the params and closed the pool
+    # and the raise still re-froze the params
     assert not params["x"].requires_grad
-    assert ad._pool is None
 
 
 def test_fit_trains_then_freezes_params():
@@ -157,7 +160,6 @@ def test_fit_trains_then_freezes_params():
     assert params["x"].data[0] != 0.0  # trained although handed in frozen
     assert not params["x"].requires_grad
     assert not ad.square(params["x"]).requires_grad
-    assert ad._pool is None
 
 
 def fit_peak(steps):
@@ -189,55 +191,32 @@ def test_fit_peak_does_not_grow_with_steps():
     assert fit_peak(3) <= 1.1 * fit_peak(1)
 
 
-def pooled_arrays():
-    return sum(len(held) for held in ad._pool.values())
-
-
-def mlp(kept=None, rows=lambda item: 16):
-    """fit's params and batch_loss for a step built from the pooled ops:
-    linear, relu, layer_norm, attention and add on (rows(item), 8) inputs
-    whose values differ per item.  kept(step, tensors) may hold on to any
-    of them; the returned list gets the pool's size after each forward."""
+def mlp(each_step=lambda step, tensors: None, shape=(16, 8), heads=2):
+    """fit's params and batch_loss for a step of linear, relu, layer_norm,
+    attention and add on inputs of the given (rows, width) shape whose
+    values differ per item; each_step(step, (h, n, y)) sees each step's
+    activations after its forward."""
     r = np.random.default_rng(0)
-    params = {"w": Tensor(r.normal(size=(8, 8)).astype(np.float32)),
-              "b": Tensor(np.zeros(8, np.float32)),
-              "g": Tensor(np.ones(8, np.float32))}
-    base = r.normal(size=(32, 8)).astype(np.float32)
-    steps = []
+    width = shape[1]
+    params = {"w": Tensor(r.normal(size=(width, width)).astype(np.float32)),
+              "b": Tensor(np.zeros(width, np.float32)),
+              "g": Tensor(np.ones(width, np.float32))}
+    base = r.normal(size=shape).astype(np.float32)
+    steps = itertools.count()
 
     def batch_loss(idx):
-        x = Tensor(base[:rows(idx[0])] + np.float32(idx[0]))
+        x = Tensor(base + np.float32(idx[0]))
         h = ad.relu(ad.linear(x, params["w"], params["b"]))
         n = ad.layer_norm(h, params["g"], params["b"])
-        y = ad.add(n, ad.attention(n, n, n, 2))
-        if kept is not None:
-            kept(len(steps), (h, n, y))
-        steps.append(pooled_arrays())
+        y = ad.add(n, ad.attention(n, n, n, heads))
+        each_step(next(steps), (h, n, y))
         loss = ad.mean_all(ad.square(y))
         return loss, (float(loss.data),)
 
-    return params, batch_loss, steps
+    return params, batch_loss
 
 
 ONE_PER_STEP = SimpleNamespace(lr=0.01, epochs=1, batch_size=1, seed=0)
-
-
-def test_fit_steps_of_one_shape_reuse_the_pool():
-    params, batch_loss, steps = mlp()
-    fit(params, 4, ONE_PER_STEP, batch_loss, ("loss",))
-    # pool size after each step's forward: the first step fills the pool,
-    # and every later step of the same shapes allocates nothing new
-    assert steps[0] > 0
-    assert steps[1:] == [steps[0]] * 3
-    assert ad._pool is None
-
-
-def test_fit_steps_of_changing_shapes_hold_one_step_of_arrays():
-    # each step has its own row count; the arrays a new shape leaves idle
-    # are dropped, so the pool does not keep some for every shape seen
-    params, batch_loss, steps = mlp(rows=lambda item: 10 + item)
-    fit(params, 6, ONE_PER_STEP, batch_loss, ("loss",))
-    assert steps == [steps[0]] * 6
 
 
 def test_fit_never_recycles_what_a_step_keeps():
@@ -251,12 +230,47 @@ def test_fit_never_recycles_what_a_step_keeps():
             kept.extend([(y, y.data.copy()), (n.data, n.data.copy()),
                          (h.data[1:, 2:], h.data[1:, 2:].copy())])
 
-    params, batch_loss, _ = mlp(keep)
+    params, batch_loss = mlp(keep)
     fit(params, 4, ONE_PER_STEP, batch_loss, ("loss",))
     assert len(kept) == 3
     for held, copy in kept:
         np.testing.assert_array_equal(held.data if isinstance(held, Tensor) else held,
                                       copy)
+
+
+HAS_MALLOPT = os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
+def test_fit_steps_reuse_the_pages_freed_before():
+    # glibc left to itself trims or unmaps each step's freed activations
+    # (16 MiB of attention probabilities here) and faults them back in on
+    # the next step, over a thousand pages per step
+    import resource
+
+    faults = []
+    params, batch_loss = mlp(
+        lambda step, tensors: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt),
+        shape=(1024, 256), heads=4)
+    fit(params, 6, ONE_PER_STEP, batch_loss, ("loss",))
+    # faults from one step's forward to the next; the first span also
+    # holds the first backward, whose arrays the heap grows to hold
+    per_step = np.diff(faults)
+    assert len(per_step) == 5 and (per_step[1:] < 100).all(), per_step
+
+
+def test_fit_results_do_not_depend_on_mallopt(monkeypatch):
+    def run():
+        params, batch_loss = mlp()
+        history = fit(params, 4, ONE_PER_STEP, batch_loss, ("loss",))
+        return [p.data.tobytes() for p in params.values()], history
+
+    want = run()
+    opened = []
+    monkeypatch.setattr(optim, "ctypes", SimpleNamespace(
+        CDLL=lambda name: opened.append(name) or SimpleNamespace()))
+    assert run() == want
+    assert opened == ([None] if os.name == "posix" else [])
 
 
 def test_checkpoint_roundtrip(tmp_path):

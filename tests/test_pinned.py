@@ -320,5 +320,4 @@ def test_valid_pairs_ties_and_inclusive_bound():
                    [30.0, 10.0], [43.5, 30.0]])
     v = valid_pairs(pa + [0.5, 0.0], pb, eps=3.0)
     # a[3] lands exactly eps from b[5]: the bound is inclusive
-    assert v.pairs.tolist() == [[0, 1], [1, 2], [2, 3], [3, 5]]
-    np.testing.assert_allclose(v.distances, [0.5, 2.5, 0.5, 3.0], rtol=1e-12)
+    assert v.tolist() == [[0, 1], [1, 2], [2, 3], [3, 5]]

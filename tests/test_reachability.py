@@ -1,14 +1,16 @@
-"""Every top-level function and class in the package, and every method
-and property of its classes, has a caller.
+"""Every top-level function, class and assigned name (constants and
+private globals) in the package, and every method and property of its
+classes, has a reader.
 
-A definition counts as reached when its name appears as a Name, as an
-Attribute or as a ``from ... import`` alias anywhere in the package
+A definition counts as reached when its name is read as a Name, appears
+as an Attribute or as a ``from ... import`` alias anywhere in the package
 modules (``__init__.py`` excluded: re-exporting is not using) or in the
 benchmark harness under ``perfbench/``.  Matching is by bare name, so a
 name shared by two definitions (methods of two classes, say) counts as
-reached for both as soon as either is used.  Dunder methods are exempt:
-the language calls them.  Tests do not count: code that only tests reach
-should move into the tests or go.
+reached for both as soon as either is used.  An assignment to a name
+does not read it.  Dunder names are exempt: the language reads them.
+Tests do not count: code that only tests reach should move into the
+tests or go.
 """
 
 import ast
@@ -26,7 +28,7 @@ def _referenced_names():
     names = set()
     for path in _modules() + sorted((ROOT / "perfbench").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -36,11 +38,18 @@ def _referenced_names():
 
 
 def _definitions():
-    """(qualified name, name) of each top-level definition, then of each
-    non-dunder method or property of a top-level class."""
+    """(qualified name, name) of each top-level definition and assigned
+    non-dunder name, then of each non-dunder method or property of a
+    top-level class."""
     tops, members = [], []
     for path in _modules():
         for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                tops += [(f"{path.stem}.{t.id}", t.id)
+                         for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                         and not t.id.startswith("__")]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             tops.append((f"{path.stem}.{node.name}", node.name))
@@ -59,7 +68,7 @@ def _unreached(defs):
 
 def test_every_top_level_definition_is_referenced():
     unreached = _unreached(_definitions()[0])
-    assert not unreached, "no caller outside the tests: " + ", ".join(unreached)
+    assert not unreached, "no reader outside the tests: " + ", ".join(unreached)
 
 
 def test_every_method_and_property_is_referenced():
