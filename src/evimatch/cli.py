@@ -9,6 +9,10 @@ Failures exit nonzero with a one-line cause and remove partial outputs.
 event representation and bin count; later commands read them from the
 student checkpoint.  ``--matcher-ckpt`` selects the CA matcher, and
 without it ``match``, ``eval`` and ``viz`` use mutual nearest neighbour.
+Keypoint ground truth is ``gt_assignment``'s depth reprojection between
+the two samples' poses: ``eval --mode keypoints`` scores each sample's
+events against its own image (equal poses), and ``viz`` colours the
+matches of any two samples by it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .matching import (CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
 from .metrics import (correct_matches, mma_mr, repeatability, report_csv,
-                      report_text, rpe_auc, rpe_ratio, valid_pairs, vdd_vda)
+                      report_text, rpe_auc, rpe_ratio, vdd_vda)
 from .representations import build_representation, channel_count, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
@@ -248,6 +252,10 @@ def cmd_benchgen(out, cfg):
 
 
 def cmd_train_extractor(out, cfg):
+    if (cfg["representation"] == "time_surface"
+            and cfg["bins"] != _COMMAND_PARAMS["train-extractor"]["bins"]):
+        raise ValueError(f"--bins {cfg['bins']} does not apply to a time_surface "
+                         "representation, which has no bins")
     samples, _, _, _ = eio.load_dataset(cfg["data"])
     terms = set(t.strip() for t in cfg["loss_terms"].split(",") if t.strip())
     unknown = terms - {"feats", "score", "desc"}
@@ -346,19 +354,22 @@ def cmd_match(out, cfg):
     print(f"wrote {len(pairs)} match dumps to {match_dir}")
 
 
-def _eval_keypoints(samples, cfg, params, config, match_fn, eps):
+def _eval_keypoints(samples, intr, cfg, params, config, match_fn, eps):
+    """Each sample's event keypoints against its own image's, scored on
+    their ground truth at equal poses."""
     reps, vdds, vdas, mmas, mrs = [], [], [], [], []
     for sample in samples:
         kp_a = _event_keypoints(sample, cfg, params, config)
         kp_b = _image_keypoints(sample, cfg)
+        gt = gt_assignment(kp_a, kp_b, sample.depth, sample.depth, intr, intr,
+                           sample.pose, sample.pose, eps_px=eps)
         if len(kp_a) + len(kp_b) > 0:
-            reps.append(repeatability(kp_a, kp_b, eps))
-        pairs = valid_pairs(kp_a, kp_b, eps)
-        if len(pairs):
-            vdd, vda = vdd_vda(pairs, kp_a, kp_b)
+            reps.append(repeatability(gt))
+        if len(gt.matches):
+            vdd, vda = vdd_vda(gt, kp_a, kp_b)
             vdds.append(vdd)
             vdas.append(vda)
-        mma, mr = mma_mr(match_fn(kp_a, kp_b), kp_a, kp_b, eps)
+        mma, mr = mma_mr(match_fn(kp_a, kp_b), gt)
         mrs.append(mr)
         if mma is not None:
             mmas.append(mma)
@@ -429,7 +440,7 @@ def cmd_eval(out, cfg):
     params, config = load_extractor(cfg["extractor"])
     match_fn = _make_matcher(cfg)
     if mode == "keypoints":
-        entries = _eval_keypoints(samples, cfg, params, config, match_fn,
+        entries = _eval_keypoints(samples, intr, cfg, params, config, match_fn,
                                   float(cfg["eps"]))
     else:
         pairs = _load_pairs(os.path.join(cfg["data"], "pairs.txt"),
@@ -448,7 +459,7 @@ def cmd_eval(out, cfg):
 
 
 def cmd_viz(out, cfg):
-    samples, _, _, _ = eio.load_dataset(cfg["data"])
+    samples, intr, _, _ = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
     ia = _sample_index(int(cfg["index_a"]), len(samples), "--index-a")
     ib = int(cfg["index_b"])
@@ -457,10 +468,9 @@ def cmd_viz(out, cfg):
     kp_a = _event_keypoints(sa, cfg, params, config)
     kp_b = _image_keypoints(sb, cfg)
     assignment = _make_matcher(cfg)(kp_a, kp_b)
-    correct = None
-    if ia == ib and len(assignment):
-        # aligned pair: the ground-truth warp is the identity
-        correct = correct_matches(assignment.matches, kp_a, kp_b, float(cfg["eps"]))
+    gt = gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
+                       sa.pose, sb.pose, eps_px=float(cfg["eps"]))
+    correct = correct_matches(assignment.matches, gt)
     surface = time_surface(sa.events).max(axis=0)
     canvas = eio.make_match_image(surface, sb.image, kp_a, kp_b, assignment,
                                   correct)

@@ -117,20 +117,6 @@ class KeypointSet:
                    np.zeros(0, np.float32))
 
 
-def _positions(kp):
-    """(K, 2) float64 positions of a KeypointSet or a plain array."""
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.positions, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64).reshape(-1, 2)
-
-
-def _descriptors(kp):
-    """(K, C) float64 descriptors of a KeypointSet or a plain array."""
-    if isinstance(kp, KeypointSet):
-        return np.asarray(kp.descriptors, dtype=np.float64)
-    return np.asarray(kp, dtype=np.float64)
-
-
 # -- student ------------------------------------------------------------
 
 def _student_layout(config: ExtractorConfig):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import LFDSample
 from .events import load_events, save_events
-from .extractor import KeypointSet, _positions
+from .extractor import KeypointSet
 from .geometry import CameraIntrinsics, RigidPose, quat_to_rotmat, rotmat_to_quat
 from .matching import Assignment
 
@@ -336,17 +336,16 @@ def _draw_dot(img, x, y, color):
 
 GREEN = (40, 200, 40)
 RED = (220, 50, 50)
-YELLOW = (230, 200, 40)
 DOT = (90, 140, 230)
 
 
 def make_match_image(image_a, image_b, kp_a, kp_b, assignment: Assignment,
-                     correct=None):
+                     correct):
     """Side-by-side match visualization as an (H, W_a + 8 + W_b, 3) uint8
     array: the two images with an 8-pixel black gap between them.
 
-    Lines are green for correct matches, red for incorrect ones, and
-    yellow when no ground truth is available (correct is None).
+    Lines are green for the matches whose ``correct`` flag is set and red
+    for the others.
     """
     a = np.asarray(image_a, dtype=np.float64)
     b = np.asarray(image_b, dtype=np.float64)
@@ -356,18 +355,14 @@ def make_match_image(image_a, image_b, kp_a, kp_b, assignment: Assignment,
     canvas = np.zeros((h, wa + gap + wb, 3), dtype=np.uint8)
     canvas[:a.shape[0], :wa] = np.round(np.clip(a, 0, 1) * 255)[..., None]
     canvas[:b.shape[0], wa + gap:] = np.round(np.clip(b, 0, 1) * 255)[..., None]
-    pa, pb = _positions(kp_a), _positions(kp_b)
+    pa, pb = kp_a.positions, kp_b.positions
     for x, y in pa:
         _draw_dot(canvas, x, y, DOT)
     for x, y in pb:
         _draw_dot(canvas, x + wa + gap, y, DOT)
-    if correct is not None and len(correct) != len(assignment):
+    if len(correct) != len(assignment):
         raise ValueError("correctness flags must align with the matches")
-    for m, (i, j) in enumerate(assignment.matches):
-        if correct is None:
-            color = YELLOW
-        else:
-            color = GREEN if correct[m] else RED
+    for (i, j), ok in zip(assignment.matches, correct):
         _draw_line(canvas, pa[i, 0], pa[i, 1],
-                   pb[j, 0] + wa + gap, pb[j, 1], color)
+                   pb[j, 0] + wa + gap, pb[j, 1], GREEN if ok else RED)
     return canvas

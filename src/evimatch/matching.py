@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .extractor import _descriptors, _positions
 from .geometry import (CameraIntrinsics, RigidPose, _bilinear, relative_pose,
                        reproject_many)
 from .optim import fit, history_csv, load_module, save_module
@@ -95,11 +94,9 @@ def mnn_match(kp_a, kp_b) -> Assignment:
     strict mutual argmaxes of that matrix.  Swapping the inputs transposes
     the result exactly.
     """
-    da = _descriptors(kp_a)
-    db = _descriptors(kp_b)
-    if len(da) == 0 or len(db) == 0:
+    if len(kp_a) == 0 or len(kp_b) == 0:
         return Assignment.empty()
-    s = da @ db.T
+    s = kp_a.descriptors.astype(np.float64) @ kp_b.descriptors.astype(np.float64).T
     log_p = _log_softmax(s, axis=1) + _log_softmax(s, axis=0)
     rows, cols = _mutual_nearest(-log_p)
     return Assignment(np.stack([rows, cols], axis=1), np.exp(log_p[rows, cols]))
@@ -248,8 +245,7 @@ def ca_forward(kp_a, kp_b, matcher: CAMatcherParams):
     operator commutes with swapping the two sets.
     """
     cfg, p = matcher.config, matcher.params
-    da, db = _descriptors(kp_a), _descriptors(kp_b)
-    pa, pb = _positions(kp_a), _positions(kp_b)
+    da, db = kp_a.descriptors, kp_b.descriptors
     dtype = p["in_proj.w"].data.dtype
     if da.shape[1] != cfg.desc_dim or db.shape[1] != cfg.desc_dim:
         raise ValueError(
@@ -261,7 +257,7 @@ def ca_forward(kp_a, kp_b, matcher: CAMatcherParams):
         pe = _linear(Tensor(fourier_encoding(pos, cfg).astype(dtype)), p, "pe_proj")
         return ad.add(x, pe)
 
-    xa, xb = embed(da, pa), embed(db, pb)
+    xa, xb = embed(da, kp_a.positions), embed(db, kp_b.positions)
     for layer in range(cfg.layers):
         sb = f"layers.{layer}.self"
         xa = _attn_unit(xa, xa, p, sb, cfg.heads)
@@ -323,7 +319,7 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
 def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
              threshold: float = 0.1) -> Assignment:
     """Forward pass plus hard assignment with the learned temperature."""
-    if len(_descriptors(kp_a)) == 0 or len(_descriptors(kp_b)) == 0:
+    if len(kp_a) == 0 or len(kp_b) == 0:
         return Assignment.empty()
     xa, sa, xb, sb = (t.data for t in ca_forward(kp_a, kp_b, matcher))
     scale = float(np.exp(matcher.params["logit_scale"].data))
@@ -345,7 +341,9 @@ def gt_assignment(kp_a, kp_b, depth_a, depth_b,
     eps_px^2; all other indices are reported unmatched.  Swapping the two
     views swaps the roles exactly.
     """
-    pa, pb = _positions(kp_a), _positions(kp_b)
+    if not eps_px >= 0:
+        raise ValueError(f"eps_px must be non-negative, got {eps_px}")
+    pa, pb = kp_a.positions, kp_b.positions
     na, nb = len(pa), len(pb)
     if na == 0 or nb == 0:
         return GroundTruthMatches(np.zeros((0, 2), np.int64),
@@ -438,8 +436,7 @@ def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples provided")
-    usable = [ex for ex in examples
-              if len(_descriptors(ex[0])) and len(_descriptors(ex[1]))]
+    usable = [ex for ex in examples if len(ex[0]) and len(ex[1])]
     if len(usable) < len(examples):
         warnings.warn(f"train_matcher: dropped {len(examples) - len(usable)} of "
                       f"{len(examples)} pairs with no keypoints on one side",

@@ -1,8 +1,9 @@
 """Evaluation metrics for cross-modal detection, matching and estimation.
 
 The keypoint metrics (repeatability, descriptor distances, matching
-accuracy) compare two keypoint sets extracted at the same time from aligned
-views, so a correspondence is plain pixel distance between the sets.  The
+accuracy) read one ``GroundTruthMatches`` per view pair, the reprojection
+ground truth of ``matching.gt_assignment``: two keypoints correspond iff
+they form one of its rows, and its partition gives each set's size.  The
 estimation metrics aggregate per-pair errors into a threshold ratio and the
 area under the truncated recall curve; failed estimations enter as +inf so
 a crash-free evaluation can still report every pair.
@@ -12,76 +13,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extractor import _descriptors, _positions
-from .matching import Assignment, _mutual_nearest
+from .matching import Assignment, GroundTruthMatches
 
 
-def valid_pairs(kp_a, kp_b, eps: float = 3.0) -> np.ndarray:
-    """Ground-truth correspondences between two aligned keypoint sets, as
-    (V, 2) int64 rows (index_a, index_b).
-
-    A pair is valid iff the two keypoints are mutual nearest neighbors in
-    pixel distance and at most eps pixels apart.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    pa = _positions(kp_a)
-    pb = _positions(kp_b)
-    if len(pa) == 0 or len(pb) == 0:
-        return np.zeros((0, 2), np.int64)
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
-    rows, cols = _mutual_nearest(d)
-    keep = d[rows, cols] <= eps
-    return np.stack([rows[keep], cols[keep]], axis=1).astype(np.int64)
+def _set_sizes(gt: GroundTruthMatches):
+    """(|A|, |B|): every index is either matched or unmatched, once."""
+    return (len(gt.matches) + len(gt.unmatched_a),
+            len(gt.matches) + len(gt.unmatched_b))
 
 
-def repeatability(kp_a, kp_b, eps: float = 3.0) -> float:
-    """Fraction of keypoints that have a valid partner in the other view."""
-    na, nb = len(_positions(kp_a)), len(_positions(kp_b))
+def repeatability(gt: GroundTruthMatches) -> float:
+    """Fraction of keypoints that have a ground-truth partner in the other
+    view."""
+    na, nb = _set_sizes(gt)
     if na + nb == 0:
         raise ValueError("repeatability is undefined with no keypoints at all")
-    v = valid_pairs(kp_a, kp_b, eps)
-    return 2.0 * len(v) / (na + nb)
+    return 2.0 * len(gt.matches) / (na + nb)
 
 
-def vdd_vda(pairs, kp_a, kp_b):
-    """Descriptor distance (L2) and angle (degrees) over the (V, 2) index
-    rows of valid pairs.
+def vdd_vda(gt: GroundTruthMatches, kp_a, kp_b):
+    """Descriptor distance (L2) and angle (degrees) over the ground-truth
+    pairs.
 
-    Both are means over the pair set; with no valid pairs the statistics
-    do not exist and asking for them is an error, not a zero.
+    Both are means over the pair set; with no pairs the statistics do not
+    exist and asking for them is an error, not a zero.
     """
-    if len(pairs) == 0:
-        raise ValueError("descriptor distances are undefined without valid pairs")
-    da = _descriptors(kp_a)[pairs[:, 0]]
-    db = _descriptors(kp_b)[pairs[:, 1]]
+    if len(gt.matches) == 0:
+        raise ValueError("descriptor distances are undefined without ground-truth pairs")
+    da = kp_a.descriptors[gt.matches[:, 0]].astype(np.float64)
+    db = kp_b.descriptors[gt.matches[:, 1]].astype(np.float64)
     vdd = float(np.sqrt(((da - db) ** 2).sum(axis=1)).mean())
     dots = np.clip((da * db).sum(axis=1), -1.0, 1.0)
     vda = float(np.degrees(np.arccos(dots)).mean())
     return vdd, vda
 
 
-def correct_matches(matches, kp_a, kp_b, eps: float):
-    """Per (M, 2) match row, whether its two keypoints lie at most eps
-    pixels apart."""
-    pa, pb = _positions(kp_a), _positions(kp_b)
-    d = np.sqrt(((pa[matches[:, 0]] - pb[matches[:, 1]]) ** 2).sum(axis=1))
-    return d <= eps
+def correct_matches(matches, gt: GroundTruthMatches):
+    """Per (M, 2) match row, whether it is a row of gt.matches."""
+    return (matches[:, None, :] == gt.matches[None, :, :]).all(axis=2).any(axis=1)
 
 
-def mma_mr(assignment: Assignment, kp_a, kp_b, eps: float = 3.0):
+def mma_mr(assignment: Assignment, gt: GroundTruthMatches):
     """Mean matching accuracy and matching ratio of a hard assignment.
 
-    MMA is the fraction of matches whose pixel distance is at most eps;
-    with zero matches it is absent (None), never a fake zero.  MR is the
-    match count over min(|A|, |B|), and 0 when either set is empty.
+    MMA is the fraction of matches that are ground-truth pairs; with zero
+    matches it is absent (None), never a fake zero.  MR is the match count
+    over min(|A|, |B|), and 0 when either set is empty.
     """
     matches = assignment.matches
-    denom = min(len(_positions(kp_a)), len(_positions(kp_b)))
+    denom = min(_set_sizes(gt))
     mr = float(len(matches)) / denom if denom > 0 else 0.0
     if len(matches) == 0:
         return None, mr
-    return float(correct_matches(matches, kp_a, kp_b, eps).mean()), mr
+    return float(correct_matches(matches, gt).mean()), mr
 
 
 # -- error aggregation ----------------------------------------------------

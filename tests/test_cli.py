@@ -17,7 +17,8 @@ from evimatch.extractor import (ExtractorConfig, analytic_teacher,
                                 save_extractor)
 from evimatch.geometry import EstimationFailed, PoseEstimate, relative_pose
 from evimatch.matching import (Assignment, CAConfig, CAMatcherParams, ca_match,
-                               load_matcher, mnn_match, save_matcher)
+                               gt_assignment, load_matcher, mnn_match,
+                               save_matcher)
 from evimatch.metrics import mma_mr, repeatability
 from evimatch.representations import build_representation
 
@@ -211,6 +212,13 @@ def direct_keypoints(dataset, ckpt, kind, bins):
     return out
 
 
+def direct_gts(dataset, kps):
+    """Each sample's ground truth between its (event, image) keypoints."""
+    samples, intr, _, _ = eio.load_dataset(dataset)
+    return [gt_assignment(a, b, s.depth, s.depth, intr, intr, s.pose, s.pose)
+            for s, (a, b) in zip(samples, kps)]
+
+
 KP_FLAGS = ["--border", "2", "--nms", "2", "--k", "16"]
 
 
@@ -238,8 +246,9 @@ def test_extract_and_eval_read_the_representation_from_the_student(dataset,
     assert main(["eval", "--mode", "keypoints", *flags,
                  "--out", str(tmp_path / "ev")]) == 0
     report = (tmp_path / "ev" / "report.txt").read_text().splitlines()
-    rep = np.mean([repeatability(a, b, 3.0) for a, b in kps])
-    mr = np.mean([mma_mr(mnn_match(a, b), a, b, 3.0)[1] for a, b in kps])
+    gts = direct_gts(dataset, kps)
+    rep = np.mean([repeatability(gt) for gt in gts])
+    mr = np.mean([mma_mr(mnn_match(a, b), gt)[1] for (a, b), gt in zip(kps, gts)])
     assert f"repeatability@3={rep:.6f}" in report and f"mr={mr:.6f}" in report
 
 
@@ -251,6 +260,7 @@ def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
                  ffn_mult=2, image_size=(16, 16)), seed=0))
     matcher = load_matcher(ca)
     kps = direct_keypoints(dataset, student_ckpt, "voxel", 16)
+    gts = direct_gts(dataset, kps)
     flags = ["--data", dataset, "--extractor", student_ckpt, *KP_FLAGS]
     reports = {}
     for name, extra, match_fn in (
@@ -260,7 +270,7 @@ def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
         assert main(["eval", "--mode", "keypoints", *flags, *extra,
                      "--out", str(tmp_path / name)]) == 0
         reports[name] = (tmp_path / name / "report.txt").read_text()
-        mr = np.mean([mma_mr(match_fn(a, b), a, b, 3.0)[1] for a, b in kps])
+        mr = np.mean([mma_mr(match_fn(a, b), gt)[1] for (a, b), gt in zip(kps, gts)])
         assert f"\nmr={mr:.6f}\n" in reports[name]
     assert reports["ca"] != reports["mnn"]
 
@@ -451,6 +461,20 @@ def test_viz_aligned_pair_image_bytes(dataset, student_ckpt, tmp_path):
         "94d1cf232c9dd75ad49d2733cf2398e932094c5ca2f3eba7435682dc6fdf2a39")
 
 
+def test_viz_cross_view_colours_matches_by_the_ground_truth(dataset, student_ckpt,
+                                                            tmp_path):
+    out = tmp_path / "viz"
+    rc = main(["viz", "--data", dataset, "--extractor", student_ckpt,
+               "--index-a", "0", "--index-b", "1", *KP_FLAGS, "--out", str(out)])
+    assert rc == 0
+    ppm = (out / "viz" / "match_000_001.ppm").read_bytes()
+    assert ppm.startswith(b"P6\n40 16\n255\n")
+    colours = set(map(tuple, np.frombuffer(ppm[-40 * 16 * 3:], np.uint8)
+                      .reshape(-1, 3).tolist()))
+    assert {eio.GREEN, eio.RED} & colours
+    assert (230, 200, 40) not in colours  # yellow: a match left unjudged
+
+
 @pytest.mark.parametrize("command, flag", [
     ("match", "--matcher"), ("eval", "--matcher"), ("viz", "--matcher"),
     ("extract", "--representation"), ("eval", "--bins"), ("viz", "--rep")])
@@ -484,6 +508,18 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"evimatch train-extractor: error: {message}\n"
+    assert not out.exists()
+
+
+def test_train_extractor_rejects_bins_for_a_time_surface(dataset, tmp_path, capsys):
+    out = tmp_path / "tx"
+    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT,
+               "--representation", "time_surface", "--bins", "8",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", (
+        "evimatch train-extractor: error: --bins 8 does not apply to a "
+        "time_surface representation, which has no bins\n"))
     assert not out.exists()
 
 

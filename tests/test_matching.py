@@ -253,6 +253,16 @@ def test_gt_assignment_empty_side():
     assert len(gt.matches) == 0 and len(gt.unmatched_b) == 3
 
 
+
+@pytest.mark.parametrize("eps", [-3.0, float("nan")])
+def test_gt_assignment_rejects_a_negative_bound(eps):
+    # a squared bound would otherwise accept -3 as if it were 3
+    kp = random_kp(3)
+    with pytest.raises(ValueError, match="eps_px must be non-negative"):
+        gt_assignment(kp, kp, flat_depth(), flat_depth(), INTR, INTR,
+                      IDENTITY, IDENTITY, eps_px=eps)
+
+
 # -- matching loss ----------------------------------------------------------
 
 def test_nll_loss_hand_computed():

@@ -1,15 +1,19 @@
 """Keypoint/matching quality measures and pose-error aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evimatch.extractor import KeypointSet
-from evimatch.matching import Assignment
+from evimatch.datagen import make_scene, render
+from evimatch.extractor import KeypointSet, analytic_teacher, extract_keypoints
+from evimatch.geometry import RigidPose, rotation_about
+from evimatch.matching import Assignment, GroundTruthMatches, gt_assignment
 from evimatch.metrics import (correct_matches, mma_mr, repeatability,
                               report_csv, report_text, rpe_auc, rpe_ratio,
-                              valid_pairs, vdd_vda)
+                              vdd_vda)
 
 
 def kp_at(positions, desc=None):
@@ -22,36 +26,20 @@ def kp_at(positions, desc=None):
     return KeypointSet(pos, np.asarray(desc, np.float32), np.ones(k, np.float32))
 
 
-def test_valid_pairs_identity_homography():
-    a = kp_at([[5.0, 5.0], [20.0, 10.0]])
-    b = kp_at([[5.5, 5.0], [20.0, 10.5], [40.0, 40.0]])
-    v = valid_pairs(a, b, eps=1.0)
-    np.testing.assert_array_equal(v, [[0, 0], [1, 1]])
-    assert v.dtype == np.int64
-
-
-def test_valid_pairs_respects_eps():
-    a = kp_at([[5.0, 5.0]])
-    b = kp_at([[9.0, 5.0]])
-    assert len(valid_pairs(a, b, eps=3.0)) == 0
-    assert len(valid_pairs(a, b, eps=4.0)) == 1
-
-
-def test_valid_pairs_mutual_only():
-    # two a-points nearest to the same b-point: only the mutual one stays
-    a = kp_at([[0.0, 0.0], [1.0, 0.0]])
-    b = kp_at([[0.9, 0.0]])
-    v = valid_pairs(a, b, eps=2.0)
-    np.testing.assert_array_equal(v, [[1, 0]])
+def gt_of(matches, na, nb):
+    """The GroundTruthMatches of sets of na and nb keypoints whose pairs
+    are the given rows."""
+    m = np.asarray(matches, np.int64).reshape(-1, 2)
+    return GroundTruthMatches(m, np.setdiff1d(np.arange(na), m[:, 0]),
+                              np.setdiff1d(np.arange(nb), m[:, 1]))
 
 
 def test_repeatability_value_and_errors():
-    a = kp_at([[5.0, 5.0], [30.0, 30.0]])
-    b = kp_at([[5.0, 5.0], [90.0, 90.0], [50.0, 10.0]])
-    # one valid pair out of 5 keypoints -> 2*1/5
-    assert repeatability(a, b, eps=1.0) == pytest.approx(0.4)
+    # one pair out of 2 + 3 keypoints -> 2*1/5
+    assert repeatability(gt_of([[0, 0]], 2, 3)) == pytest.approx(0.4)
+    assert repeatability(gt_of([], 0, 3)) == 0.0
     with pytest.raises(ValueError, match="undefined"):
-        repeatability(kp_at(np.zeros((0, 2))), kp_at(np.zeros((0, 2))))
+        repeatability(gt_of([], 0, 0))
 
 
 def test_vdd_vda_hand_values():
@@ -59,37 +47,37 @@ def test_vdd_vda_hand_values():
     db = np.array([[0.0, 1.0], [0.0, 1.0]], np.float32)
     a = kp_at([[0.0, 0.0], [5.0, 5.0]], da)
     b = kp_at([[0.0, 0.0], [5.0, 5.0]], db)
-    vdd, vda = vdd_vda(np.array([[0, 0], [1, 1]]), a, b)
+    vdd, vda = vdd_vda(gt_of([[0, 0], [1, 1]], 2, 2), a, b)
     assert vdd == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-6)
     assert vda == pytest.approx(45.0, rel=1e-6)
 
 
 def test_vdd_vda_empty_raises():
     with pytest.raises(ValueError, match="undefined"):
-        vdd_vda(np.zeros((0, 2), np.int64), kp_at([[0, 0]]), kp_at([[0, 0]]))
+        vdd_vda(gt_of([], 1, 1), kp_at([[0, 0]]), kp_at([[0, 0]]))
 
 
 def test_mma_mr_values():
-    a = kp_at([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
-    b = kp_at([[0.0, 0.0], [10.0, 0.0], [99.0, 0.0]])
     matches = Assignment(np.array([[0, 0], [1, 1], [2, 2]]), np.ones(3))
-    mma, mr = mma_mr(matches, a, b, eps=3.0)
+    mma, mr = mma_mr(matches, gt_of([[0, 0], [1, 1]], 3, 4))
     assert mma == pytest.approx(2.0 / 3.0)
     assert mr == pytest.approx(1.0)
 
 
-def test_correct_matches_bound_is_inclusive():
-    a = kp_at([[0.0, 0.0], [10.0, 0.0]])
-    b = kp_at([[3.0, 0.0], [13.5, 0.0]])
-    matches = np.array([[0, 0], [1, 1]])
-    assert correct_matches(matches, a, b, eps=3.0).tolist() == [True, False]
+def test_correct_matches_is_membership_in_the_ground_truth():
+    # a match is correct iff it is a ground-truth row, whatever the pixels
+    gt = gt_of([[0, 1], [2, 0]], 3, 3)
+    matches = np.array([[0, 1], [1, 1], [2, 2], [2, 0]])
+    assert correct_matches(matches, gt).tolist() == [True, False, False, True]
+    assert correct_matches(np.zeros((0, 2), np.int64), gt).tolist() == []
+    assert correct_matches(matches, gt_of([], 3, 3)).tolist() == [False] * 4
 
 
 def test_mma_absent_with_no_matches():
-    a, b = kp_at([[0.0, 0.0]]), kp_at([[0.0, 0.0]])
-    mma, mr = mma_mr(Assignment.empty(), a, b)
+    mma, mr = mma_mr(Assignment.empty(), gt_of([[0, 0]], 1, 1))
     assert mma is None
     assert mr == 0.0
+    assert mma_mr(Assignment.empty(), gt_of([], 0, 3)) == (None, 0.0)
 
 
 def test_rpe_ratio_counts_failures_in_denominator():
@@ -176,3 +164,43 @@ def test_report_csv_format():
     text = report_csv([("rep", None, 0.5), ("rpe_auc", 10.0, np.nan)])
     assert text.splitlines() == ["metric,threshold,value", "rep,,0.500000",
                                  "rpe_auc,10,nan"]
+
+
+# -- ground truth that sees geometry ----------------------------------------
+
+# (t_a, t_b) of four view pairs of the default seed-0 scene with overlap
+# scores 0.51-0.78, the range benchgen samples
+GATE_TIMES = [(2.5660, 1.1157), (3.2624, 3.6554), (2.4462, 2.9315),
+              (3.2726, 0.0608)]
+
+
+def test_repeatability_drops_under_a_geometric_error():
+    # the teacher on both views is the oracle; a wrong pose or focal length
+    # for view b must cost it most of its ground-truth pairs
+    scene = make_scene(seed=0)
+    intr = scene.intrinsics
+    views = []
+    for t_a, t_b in GATE_TIMES:
+        (img_a, depth_a), (img_b, depth_b) = render(scene, t_a), render(scene, t_b)
+        kp_a, kp_b = (extract_keypoints(analytic_teacher(img), border=4,
+                                        nms_radius=4, k=512)
+                      for img in (img_a, img_b))
+        views.append((kp_a, kp_b, depth_a, depth_b, scene.trajectory.pose(t_a),
+                      scene.trajectory.pose(t_b)))
+
+    def oracle(turn_axis=None, intr_b=intr):
+        scores = []
+        for kp_a, kp_b, depth_a, depth_b, pose_a, pose_b in views:
+            if turn_axis is not None:  # 5 degrees about b's own centre: QR, Qt
+                q = rotation_about(turn_axis, 5.0)
+                pose_b = RigidPose(q @ pose_b.rotation, q @ pose_b.translation)
+            scores.append(repeatability(gt_assignment(
+                kp_a, kp_b, depth_a, depth_b, intr, intr_b, pose_a, pose_b)))
+        return np.mean(scores)
+
+    true = oracle()
+    assert true > 0.5
+    assert oracle(turn_axis=[0, 1, 0]) < true / 4
+    assert oracle(turn_axis=[1, 0, 0]) < true / 4
+    wrong_focal = dataclasses.replace(intr, fx=1.1 * intr.fx, fy=1.1 * intr.fy)
+    assert oracle(intr_b=wrong_focal) < true - 0.1

@@ -3,9 +3,10 @@
 Checkpoint bytes (fresh, and an extractor and a matcher after short
 training runs, with their loss CSVs and log lines), the analytic teacher's
 maps and dataset bytes at the default 64x64 scene, essential-matrix RANSAC
-inlier masks and iteration counts, and the mutual-nearest matchers' outputs
-on inputs with ties were recorded once; any refactor of the code behind
-them must reproduce them exactly.
+inlier masks and iteration counts, the mutual-nearest matchers' outputs
+on inputs with ties, and every output directory of a 32x32 run of each CLI
+command were recorded once; any refactor of the code behind them must
+reproduce them exactly.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from evimatch import geometry
+from evimatch import cli, geometry
 from evimatch import io as eio
 from evimatch.datagen import (generate_benchmark, make_lfd_dataset, make_scene,
                               render)
@@ -28,7 +29,6 @@ from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                MatchTrainConfig, ca_assignment, gt_assignment,
                                matcher_history_csv, mnn_match, save_matcher,
                                train_matcher)
-from evimatch.metrics import valid_pairs
 from evimatch.optim import save_checkpoint
 from test_geometry import reference_ransac
 
@@ -200,6 +200,69 @@ def test_benchgen_dataset_bytes(tmp_path):
                            bench.pairs) == BENCH_DIGESTS
 
 
+# -- the CLI pipeline -------------------------------------------------------
+
+PIPE_SCENE = ["--width", "32", "--height", "32", "--duration", "1.0",
+              "--dt-sim", "0.005", "--n-rects", "6"]
+PIPE_KP = ["--border", "2", "--nms", "2", "--k", "16"]
+PIPE_STUDENT = "student/student.ckpt"
+PIPE_MATCHER = "matcher/matcher.ckpt"
+PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
+    # every mutual pair (--threshold 0), so the match dumps are not empty
+    ["synth", *PIPE_SCENE, "--n", "4", "--out", "synth"],
+    ["benchgen", *PIPE_SCENE, "--n-pairs", "2", "--out", "bench"],
+    ["train-extractor", "--data", "synth", "--channels", "4,4", "--pools", "2,2",
+     "--score-head", "4,4", "--desc-head", "4,4", "--epochs", "1", "--pairs", "8",
+     "--out", "student"],
+    ["train-matcher", "--data", "synth", "--extractor", PIPE_STUDENT, *PIPE_KP,
+     "--dim", "8", "--layers", "1", "--heads", "2", "--pe-freqs", "2",
+     "--epochs", "1", "--out", "matcher"],
+    ["extract", "--data", "bench", "--modality", "events",
+     "--extractor", PIPE_STUDENT, *PIPE_KP, "--out", "kp_events"],
+    ["extract", "--data", "bench", "--modality", "images", *PIPE_KP,
+     "--out", "kp_images"],
+    ["match", "--kp-a", "kp_events/keypoints", "--kp-b", "kp_images/keypoints",
+     "--pairs-file", "bench/pairs.txt", "--matcher-ckpt", PIPE_MATCHER,
+     "--threshold", "0", "--out", "matches"],
+    ["eval", "--data", "synth", "--mode", "keypoints", "--extractor", PIPE_STUDENT,
+     *PIPE_KP, "--out", "eval_keypoints"],
+    ["eval", "--data", "bench", "--mode", "rpe", "--extractor", PIPE_STUDENT,
+     "--matcher-ckpt", PIPE_MATCHER, "--threshold", "0", *PIPE_KP,
+     "--out", "eval_rpe"],
+    ["viz", "--data", "bench", "--extractor", PIPE_STUDENT, "--index-a", "0",
+     "--index-b", "1", *PIPE_KP, "--out", "viz"],
+]
+
+PIPELINE_DIGESTS = {
+    "synth": "948cbfe3c0cc33ea7a94fbbf4c6e64827ff76b1fb94c52a853eb07579e31c12c",
+    "bench": "1885bc66ca644163c8870f0cad476f185a8832cf397a3fddded4a0c4f662d07a",
+    "student": "1cba5ab509a5a1a1f8c2740b4211cb621ea4f4abed7abe94cef635a91304a281",
+    "matcher": "554ccdb865e460a970df8b070e6a0b56cfe64693bf7b4a75803068f4e3dfe18c",
+    "kp_events": "ccb3763f81f524779a006d37ad318ca3b207a3a714f606602b6e5221a5d13ef1",
+    "kp_images": "d2d43057ba644cd73ad7f9c300f37f6edccaf9d63cb7d07860522c6ba2501ed2",
+    "matches": "fb5f8ea0e20ad3fda02ff31f900bc84e0e69607094cd89cab731633b035b5283",
+    "eval_keypoints": "e99b8f84afefa97c7d701c9de93e320d5c245d36321023808d2c0612f786a44b",
+    "eval_rpe": "fe552778486652c373a666d318f93d4e479d786b5cc55d42eaf0809b292be727",
+    "viz": "4a6d023d3529013da6d05c9a22a50be57d0b739cfb2395214e6d585c92722b1b",
+}
+
+
+def test_pipeline_output_bytes(tmp_path, monkeypatch):
+    # each output directory's digest covers the sha256 of every file in it,
+    # config.txt included (relative paths keep it independent of tmp_path)
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for argv in PIPELINE:
+        assert cli.main(argv) == 0, argv
+        out = argv[-1]
+        files = sorted(os.path.relpath(os.path.join(base, name), out)
+                       for base, _, names in os.walk(out) for name in names)
+        listing = "".join(f"{name} {sha256(os.path.join(out, name))}\n"
+                          for name in files)
+        digests[out] = hashlib.sha256(listing.encode()).hexdigest()
+    assert digests == PIPELINE_DIGESTS
+
+
 # -- RANSAC -----------------------------------------------------------------
 
 class CountingRng:
@@ -277,13 +340,25 @@ def test_essential_ransac_masks_and_iterations(monkeypatch, n_in, n_out, max_ite
 
 # -- mutual nearest neighbours ----------------------------------------------
 
+def keypoints(positions=None, descriptors=None):
+    """A KeypointSet holding exactly the given float64 positions or
+    descriptors; the constructor would round descriptors to float32, and
+    these outputs were pinned on the float64 values."""
+    k = len(positions if positions is not None else descriptors)
+    kp = KeypointSet(np.zeros((k, 2)) if positions is None else positions,
+                     np.zeros((k, 1)), np.zeros(k))
+    if descriptors is not None:
+        kp.descriptors = descriptors
+    return kp
+
+
 def test_mnn_match_ties():
     # b holds a duplicated row, so a's best column ties between 1 and 3
     da = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                    [0.6, 0.8, 0.0]])
     db = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8],
                    [1.0, 0.0, 0.0]])
-    out = mnn_match(da, db)
+    out = mnn_match(keypoints(descriptors=da), keypoints(descriptors=db))
     assert out.matches.tolist() == [[0, 1], [2, 0]]
     np.testing.assert_allclose(out.scores, [0.1519190767201205, 0.18609074776705928],
                                rtol=1e-12)
@@ -307,17 +382,9 @@ def test_gt_assignment_ties_and_strict_bound():
                    [30.0, 10.0], [41.0, 31.0]])
     depth = np.full((48, 64), 4.0)
     pose = RigidPose(np.eye(3), np.zeros(3))
-    gt = gt_assignment(pa, pb, depth, depth, INTR, INTR, pose, pose, eps_px=3.0)
+    gt = gt_assignment(keypoints(pa), keypoints(pb), depth, depth, INTR, INTR,
+                       pose, pose, eps_px=3.0)
     # a[1] sits exactly eps_px from its nearest b: the bound is strict
     assert gt.matches.tolist() == [[0, 0], [2, 3], [3, 5]]
     assert gt.unmatched_a.tolist() == [1]
     assert gt.unmatched_b.tolist() == [1, 2, 4]
-
-
-def test_valid_pairs_ties_and_inclusive_bound():
-    pa = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 10.0], [40.0, 30.0]])
-    pb = np.array([[9.0, 10.0], [11.0, 10.0], [23.0, 20.0], [30.0, 10.0],
-                   [30.0, 10.0], [43.5, 30.0]])
-    v = valid_pairs(pa + [0.5, 0.0], pb, eps=3.0)
-    # a[3] lands exactly eps from b[5]: the bound is inclusive
-    assert v.tolist() == [[0, 1], [1, 2], [2, 3], [3, 5]]
