@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps an ndarray plus an optional backward closure; ops build the
+A Tensor wraps an ndarray plus an optional graph node; ops build the
 graph lazily and ``backward`` walks it in reverse topological order.  The
 op set is deliberately small: exactly what a convolutional extractor, an
 attention matcher and their losses need.  Elementwise and reduction ops,
@@ -20,6 +20,10 @@ memory than a single sample, and the weight gradient adds the samples'
 products in sample order.  Every batch size, inference's N = 1
 included, takes this one path; an empty batch is rejected.
 
+Ops link small graph nodes (gradient, parents, backward closure, dtype),
+not Tensors; a leaf is its own node.  A node pins a parent's data only if
+its backward reads it, and then only what it reads: relu keeps its mask.
+
 ``backward`` consumes its graph.  It accumulates into leaves (tensors no
 op produced) and, node by node in reverse topological order, releases the
 node's gradient, its backward closure and its parent references once the
@@ -37,10 +41,23 @@ import numpy as np
 
 _CONSUMED = object()  # the _bwd of a node whose graph a backward has freed
 
-class Tensor:
-    """An ndarray node in a reverse-mode graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd")
+class _Node:
+    """An op output's place in the graph, without its data."""
+
+    __slots__ = ("grad", "_parents", "_bwd", "_dtype")
+    requires_grad = True
+
+    def __init__(self, parents, bwd, dtype):
+        self.grad, self._parents, self._bwd, self._dtype = None, parents, bwd, dtype
+
+
+class Tensor:
+    """An ndarray, with its graph node if an op recorded one."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
+    _parents, _bwd = (), None  # a leaf is its own node
+    _dtype = property(lambda self: self.data.dtype)
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -50,8 +67,7 @@ class Tensor:
         self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._bwd = None
+        self._node = None
 
     @property
     def shape(self):
@@ -65,7 +81,7 @@ class Tensor:
         consuming the graph on the way.
 
         Leaves add to whatever ``.grad`` they already hold.  Once a node's
-        backward has run, its ``.grad``, backward closure and parent
+        backward has run, its gradient, backward closure and parent
         references are dropped and it is marked consumed, so no activation
         outlives the last backward that reads it.  A graph therefore
         supports one backward: reaching a consumed node (the same root
@@ -74,9 +90,8 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        root = self if self._node is None else self._node
+        topo, seen, stack = [], set(), [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -95,7 +110,7 @@ class Tensor:
         # a leaf root accumulates like any leaf; an intermediate root holds
         # no gradient here, since every backward releases them
         seed = np.ones_like(self.data)
-        self.grad = seed if self.grad is None else self.grad + seed
+        root.grad = seed if root.grad is None else root.grad + seed
         # popping keeps the order list from holding nodes already consumed
         while topo:
             node = topo.pop()
@@ -107,8 +122,8 @@ class Tensor:
                 for p, g in zip(node._parents, grads):
                     if g is None or not p.requires_grad:
                         continue
-                    if g.dtype != p.data.dtype:
-                        g = g.astype(p.data.dtype)
+                    if g.dtype != p._dtype:
+                        g = g.astype(p._dtype)
                     if p.grad is None:
                         p.grad = g
                     else:
@@ -123,8 +138,7 @@ def _make(data, parents, bwd):
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bwd = bwd
+        out._node = _Node(tuple(p._node or p for p in parents), bwd, out.data.dtype)
     return out
 
 
@@ -150,26 +164,28 @@ def _check_shapes(a, b, opname):
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_shapes(a, b, "add")
+    sa, sb = a.data.shape, b.data.shape
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_shapes(a, b, "sub")
+    sa, sb = a.data.shape, b.data.shape
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     _check_shapes(a, b, "mul")
+    x, y = a.data, b.data
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
-    return _make(a.data * b.data, (a, b), bwd)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+    return _make(x * y, (a, b), bwd)
 
 
 def neg(a):
@@ -178,18 +194,20 @@ def neg(a):
 
 def square(a):
     a = _as_tensor(a)
+    x = a.data
     def bwd(g):
-        return (g * (2.0 * a.data),)
-    return _make(a.data * a.data, (a,), bwd)
+        return (g * (2.0 * x),)
+    return _make(x * x, (a,), bwd)
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
+    x, y = a.data, b.data
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
-    return _make(a.data @ b.data, (a, b), bwd)
+        return g @ y.T, x.T @ g
+    return _make(x @ y, (a, b), bwd)
 
 
 def linear(x, w, b):
@@ -204,10 +222,12 @@ def linear(x, w, b):
     _check_bias(b, w.data.shape[1], "linear")
     y = x.data @ w.data
     y += b.data
+    xd, wd = (x.data if w.requires_grad else None), (w.data if x.requires_grad else None)
+    b_dtype = b.data.dtype if b.requires_grad else None
     def bwd(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g if w.requires_grad else None
-        return gx, gw, _bias_grad(g, b, (0,))
+        gx = None if wd is None else g @ wd.T
+        gw = None if xd is None else xd.T @ g
+        return gx, gw, _bias_grad(g, b_dtype, (0,))
     return _make(y, (x, w, b), bwd)
 
 
@@ -235,9 +255,8 @@ def relu(a):
 def sigmoid(a):
     a = _as_tensor(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = y.astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
     def bwd(g):
         return (g * y * (1.0 - y),)
     return _make(y, (a,), bwd)
@@ -253,15 +272,18 @@ def exp(a):
 
 def log(a):
     a = _as_tensor(a)
+    x = a.data
     def bwd(g):
-        return (g / a.data,)
-    return _make(np.log(a.data), (a,), bwd)
+        return (g / x,)
+    return _make(np.log(x), (a,), bwd)
 
 
 def abs_(a):
     a = _as_tensor(a)
+    # backward reads only the sign: -1, +-0, 1 or NaN, all exact in float16
+    sign = np.sign(a.data, out=np.empty(a.data.shape, np.float16), casting="same_kind")
     def bwd(g):
-        return (g * np.sign(a.data),)
+        return (g * sign,)
     return _make(np.abs(a.data), (a,), bwd)
 
 
@@ -287,18 +309,19 @@ def softmax(a, axis):
 
 def sum_all(a):
     a = _as_tensor(a)
-    val = np.asarray(a.data.sum(dtype=np.float64), dtype=a.data.dtype)
+    shape, dtype = a.data.shape, a.data.dtype
+    val = np.asarray(a.data.sum(dtype=np.float64), dtype=dtype)
     def bwd(g):
-        return (np.full(a.data.shape, g.reshape(()), dtype=a.data.dtype),)
+        return (np.full(shape, g.reshape(()), dtype=dtype),)
     return _make(val, (a,), bwd)
 
 
 def mean_all(a):
     a = _as_tensor(a)
-    n = a.data.size
-    val = np.asarray(a.data.sum(dtype=np.float64) / n, dtype=a.data.dtype)
+    n, shape, dtype = a.data.size, a.data.shape, a.data.dtype
+    val = np.asarray(a.data.sum(dtype=np.float64) / n, dtype=dtype)
     def bwd(g):
-        return (np.full(a.data.shape, g.reshape(()) / n, dtype=a.data.dtype),)
+        return (np.full(shape, g.reshape(()) / n, dtype=dtype),)
     return _make(val, (a,), bwd)
 
 
@@ -332,9 +355,9 @@ def l2_normalize(a, axis):
 def take_rows(a, idx):
     """Gather rows of a 2-D tensor; duplicate indices accumulate in backward."""
     a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx, shape = np.asarray(idx, dtype=np.int64), a.data.shape
     def bwd(g):
-        out = np.zeros(a.data.shape, dtype=g.dtype)
+        out = np.zeros(shape, dtype=g.dtype)
         np.add.at(out, idx, g)
         return (out,)
     return _make(a.data[idx], (a,), bwd)
@@ -344,9 +367,9 @@ def take_pairs(a, ij):
     """Gather entries a[i, j] for rows (i, j) of ij; returns a 1-D tensor."""
     a = _as_tensor(a)
     ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
-    ii, jj = ij[:, 0], ij[:, 1]
+    ii, jj, shape = ij[:, 0], ij[:, 1], a.data.shape
     def bwd(g):
-        out = np.zeros(a.data.shape, dtype=g.dtype)
+        out = np.zeros(shape, dtype=g.dtype)
         np.add.at(out, (ii, jj), g)
         return (out,)
     return _make(a.data[ii, jj], (a,), bwd)
@@ -363,14 +386,14 @@ def layer_norm(x, gamma, beta):
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
+    gd, red, beta_dtype = gamma.data, tuple(range(x.data.ndim - 1)), beta.data.dtype
     def bwd(g):
-        dxhat = g * gamma.data
+        dxhat = g * gd
         gi = dxhat * inv
         gx = gi - gi.mean(axis=-1, keepdims=True) \
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True) * inv
-        red = tuple(range(x.data.ndim - 1))
-        ggamma = np.asarray((g * xhat).sum(axis=red, dtype=np.float64), dtype=gamma.data.dtype)
-        gbeta = np.asarray(g.sum(axis=red, dtype=np.float64), dtype=beta.data.dtype)
+        ggamma = np.asarray((g * xhat).sum(axis=red, dtype=np.float64), dtype=gd.dtype)
+        gbeta = np.asarray(g.sum(axis=red, dtype=np.float64), dtype=beta_dtype)
         return gx, ggamma, gbeta
     return _make(y, (x, gamma, beta), bwd)
 
@@ -396,6 +419,7 @@ def attention(q, k, v, heads):
         raise ValueError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    qd, kd, vd = q.data, k.data, v.data
 
     # each head's block is made contiguous, and k's is stored transposed,
     # so every per-head matmul sees the operand layouts a 2-D one would
@@ -406,25 +430,25 @@ def attention(q, k, v, heads):
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     def k_t():  # (heads, d_h, M)
-        return np.ascontiguousarray(k.data.reshape(-1, heads, dh).transpose(1, 2, 0))
+        return np.ascontiguousarray(kd.reshape(-1, heads, dh).transpose(1, 2, 0))
 
     # softmax in place, in the order scale, subtract the row max, exp, divide
-    p = np.matmul(split(q.data), k_t())
+    p = np.matmul(split(qd), k_t())
     p *= scale
     p -= p.max(axis=2, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=2, keepdims=True)
-    y = merge(np.matmul(p, split(v.data)))
+    y = merge(np.matmul(p, split(vd)))
 
     def bwd(g):
         gh = split(g)
         gv = merge(np.matmul(p.transpose(0, 2, 1), gh))
-        gs = np.matmul(gh, split(v.data).transpose(0, 2, 1))
+        gs = np.matmul(gh, split(vd).transpose(0, 2, 1))
         gs -= (gs * p).sum(axis=2, keepdims=True)
         gs *= p
         gs *= scale
         gq = merge(np.matmul(gs, k_t().transpose(0, 2, 1)))
-        gk = merge(np.matmul(split(q.data).transpose(0, 2, 1), gs).transpose(0, 2, 1))
+        gk = merge(np.matmul(split(qd).transpose(0, 2, 1), gs).transpose(0, 2, 1))
         return gq, gk, gv
     return _make(y, (q, k, v), bwd)
 
@@ -435,10 +459,10 @@ def _check_bias(b, channels, opname):
                          f"{channels} output channels")
 
 
-def _bias_grad(g, b, axes):
-    if not b.requires_grad:
+def _bias_grad(g, dtype, axes):
+    if dtype is None:
         return None
-    return np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=b.data.dtype)
+    return np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=dtype)
 
 
 # convolution plumbing, one sample at a time: each sample's patches fill
@@ -528,11 +552,13 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     h, w_in = x.data.shape[2], x.data.shape[3]
     y = _patch_products(x.data, w.data, stride, padding)[0]
     bias = _conv_bias(y, b, "conv2d")
+    xd, wd, x_grad = (x.data if w.requires_grad else None), w.data, x.requires_grad
+    b_dtypes = [t.data.dtype if t.requires_grad else None for t in bias]
     def bwd(g):
-        gx = _conv_dx(g, w.data, stride, padding, h, w_in) if x.requires_grad else None
-        gw = (_patch_products(x.data, w.data, stride, padding, product=False, a=g)[1]
-              if w.requires_grad else None)
-        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
+        gx = _conv_dx(g, wd, stride, padding, h, w_in) if x_grad else None
+        gw = (_patch_products(xd, wd, stride, padding, product=False, a=g)[1]
+              if xd is not None else None)
+        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in b_dtypes))
     return _make(y, (x, w, *bias), bwd)
 
 
@@ -559,12 +585,13 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("transposed kernel does not produce a positive output size")
     y = _conv_dx(x.data, w.data, stride, padding, h_out, w_out)
     bias = _conv_bias(y, b, "conv_transpose2d")
+    xd, wd, x_grad = (x.data if w.requires_grad else None), w.data, x.requires_grad
+    b_dtypes = [t.data.dtype if t.requires_grad else None for t in bias]
     def bwd(g):
         gx = gw = None
-        if x.requires_grad or w.requires_grad:
-            gx, gw = _patch_products(g, w.data, stride, padding, product=x.requires_grad,
-                                     a=x.data if w.requires_grad else None)
-        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in bias))
+        if x_grad or xd is not None:
+            gx, gw = _patch_products(g, wd, stride, padding, product=x_grad, a=xd)
+        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in b_dtypes))
     return _make(y, (x, w, *bias), bwd)
 
 
@@ -572,16 +599,19 @@ def max_pool2d(x, k):
     """Non-overlapping k x k max pooling; H and W must divide by k.
 
     Ties inside a window route the gradient to the first element in
-    row-major order, which keeps backward deterministic.
+    row-major order, which keeps backward deterministic.  Backward keeps
+    only each window's argmax, as uint8, so a window holds at most 256.
     """
     x = _as_tensor(x)
     n, c, h, w = x.data.shape
     if h % k or w % k:
         raise ValueError(f"pooling window {k} must divide spatial dims ({h}, {w})")
+    if k * k > 256:
+        raise ValueError(f"pooling window {k} has more than 256 elements")
     oh, ow = h // k, w // k
     xr = x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(
         n, c, oh, ow, k * k)
-    idx = xr.argmax(axis=-1)
+    idx = xr.argmax(axis=-1).astype(np.uint8)
     y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     def bwd(g):
         gr = np.zeros((n, c, oh, ow, k * k), dtype=g.dtype)

@@ -1,6 +1,7 @@
 """Forward semantics and gradient correctness of the reverse-mode core."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -167,6 +168,66 @@ def test_scalar_broadcast_gradient_collects_sum():
     y.backward()
     assert s.grad.shape == ()
     assert float(s.grad) == pytest.approx(6.0)
+
+
+# -- what the graph keeps alive -----------------------------------------------
+
+def const32(*shape, seed):
+    return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+
+
+def conv_with_trainable_weight(h):
+    return ad.conv2d(h, Tensor(const32(3, 2, 3, 3, seed=5), requires_grad=True),
+                     padding=1)
+
+
+# (op on the parent h, h's shape, whether backward reads h's data)
+RETENTION = [
+    pytest.param(lambda h: ad.add(h, Tensor(const32(3, 4, seed=1))), (3, 4), False, id="add"),
+    pytest.param(lambda h: ad.sub(Tensor(const32(3, 4, seed=1)), h), (3, 4), False, id="sub"),
+    pytest.param(ad.transpose, (3, 4), False, id="transpose"),
+    pytest.param(ad.relu, (3, 4), False, id="relu"),
+    pytest.param(ad.sigmoid, (3, 4), False, id="sigmoid"),
+    pytest.param(ad.exp, (3, 4), False, id="exp"),
+    pytest.param(ad.abs_, (3, 4), False, id="abs"),
+    pytest.param(lambda h: ad.clamp_min(h, 0.0), (3, 4), False, id="clamp_min"),
+    pytest.param(lambda h: ad.softmax(h, axis=1), (3, 4), False, id="softmax"),
+    pytest.param(ad.sum_all, (3, 4), False, id="sum_all"),
+    pytest.param(ad.mean_all, (3, 4), False, id="mean_all"),
+    pytest.param(lambda h: ad.masked_mean(h, np.eye(3, 4)), (3, 4), False, id="masked_mean"),
+    pytest.param(lambda h: ad.l2_normalize(h, axis=1), (3, 4), False, id="l2_normalize"),
+    pytest.param(lambda h: ad.take_rows(h, [2, 0, 2]), (3, 4), False, id="take_rows"),
+    pytest.param(lambda h: ad.take_pairs(h, [[0, 1], [2, 3], [0, 1]]), (3, 4), False,
+                 id="take_pairs"),
+    pytest.param(lambda h: ad.layer_norm(h, Tensor(const32(4, seed=2)),
+                                         Tensor(const32(4, seed=3))), (3, 4), False,
+                 id="layer_norm"),
+    pytest.param(lambda h: ad.max_pool2d(h, 2), (1, 2, 4, 4), False, id="max_pool2d"),
+    pytest.param(conv_with_trainable_weight, (1, 2, 5, 5), True, id="conv2d"),
+]
+
+
+@pytest.mark.parametrize("op, shape, reads_parent", RETENTION)
+def test_graph_keeps_a_parent_array_only_if_backward_reads_it(op, shape, reads_parent):
+    data = const32(*shape, seed=0)
+    x = Tensor(data, requires_grad=True)
+    h = ad.mul(x, np.float32(1.5))  # a parent that no caller holds
+    parent = weakref.ref(h.data)
+    y = op(h)
+    del h
+    assert (parent() is not None) == reads_parent
+    g = Tensor(const32(*y.shape, seed=4))
+    ad.sum_all(ad.mul(y, g)).backward()
+    assert parent() is None
+    # the same op on a leaf with h's data, whose caller keeps it
+    leaf = Tensor(data * np.float32(1.5), requires_grad=True)
+    ad.sum_all(ad.mul(op(leaf), g)).backward()
+    assert_bitwise_equal(x.grad, leaf.grad * np.float32(1.5))
+
+
+def test_max_pool_rejects_windows_over_256():
+    with pytest.raises(ValueError, match="more than 256"):
+        ad.max_pool2d(Tensor(np.ones((1, 1, 17, 17), np.float32)), 17)
 
 
 # -- forward semantics spot checks ----------------------------------------
@@ -591,12 +652,24 @@ def test_conv_rejects_an_empty_batch(op, w_shape):
 
 # -- relu -------------------------------------------------------------------
 
+# signed zeros, NaN, infinities and subnormals: where rewritten elementwise
+# formulations usually differ from the plain ones
+SPECIAL = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45,
+           1e-40, 2.5, -2.5, np.finfo(np.float32).max]
+
+
 def test_relu_output_bitwise_equals_where():
-    # signed zeros, NaN, infinities and subnormals are where fmax-based
-    # formulations usually differ from np.where(x > 0, x, 0)
-    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45,
-               1e-40, 2.5, -2.5, np.finfo(np.float32).max]
     for dtype in (np.float32, np.float64):
-        x = np.tile(np.array(special, dtype), 7)
+        x = np.tile(np.array(SPECIAL, dtype), 7)
         want = np.where(x > 0, x, 0)
         assert_bitwise_equal(ad.relu(Tensor(x)).data, want)
+
+
+def test_abs_gradient_bitwise_equals_sign():
+    for dtype in (np.float32, np.float64):
+        x = np.tile(np.array(SPECIAL, dtype), 7)
+        g = np.random.default_rng(0).normal(size=x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN in the loss
+            ad.sum_all(ad.mul(ad.abs_(t), Tensor(g))).backward()
+        assert_bitwise_equal(t.grad, g * np.sign(x))
