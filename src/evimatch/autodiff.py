@@ -23,6 +23,8 @@ included, takes this one path; an empty batch is rejected.
 Ops link small graph nodes (gradient, parents, backward closure, dtype),
 not Tensors; a leaf is its own node.  A node pins a parent's data only if
 its backward reads it, and then only what it reads: relu keeps its mask.
+An op whose parents want no gradient computes its output only: relu,
+abs_ and clamp_min build no mask or sign, and max_pool2d no argmax.
 
 ``backward`` consumes its graph.  It accumulates into leaves (tensors no
 op produced) and, node by node in reverse topological order, releases the
@@ -242,7 +244,7 @@ def transpose(a):
 
 def relu(a):
     a = _as_tensor(a)
-    keep = a.data > 0
+    keep = a.data > 0 if a.requires_grad else None
     # np.where(keep, a, 0) bit for bit: fmax maps NaN to 0, and adding 0
     # turns the -0.0 that fmax may keep into +0.0
     y = np.fmax(a.data, 0)
@@ -281,7 +283,8 @@ def log(a):
 def abs_(a):
     a = _as_tensor(a)
     # backward reads only the sign: -1, +-0, 1 or NaN, all exact in float16
-    sign = np.sign(a.data, out=np.empty(a.data.shape, np.float16), casting="same_kind")
+    sign = (np.sign(a.data, out=np.empty(a.data.shape, np.float16), casting="same_kind")
+            if a.requires_grad else None)
     def bwd(g):
         return (g * sign,)
     return _make(np.abs(a.data), (a,), bwd)
@@ -290,7 +293,7 @@ def abs_(a):
 def clamp_min(a, floor):
     """Elementwise maximum with a constant; gradient is zero where clamped."""
     a = _as_tensor(a)
-    keep = a.data >= floor
+    keep = a.data >= floor if a.requires_grad else None
     def bwd(g):
         return (g * keep,)
     return _make(np.maximum(a.data, floor), (a,), bwd)
@@ -493,10 +496,13 @@ def _patch_products(x, w, s, p, product=True, a=None):
     y = np.empty((n, f, oh, ow), np.result_type(w, x)) if product else None
     total = part = None
     for k in range(n):
-        xp[:, p:p + h, p:p + w_in] = x[k]
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
+        if kh == kw == s == 1 and p == 0:  # the patch matrix is the sample
+            flat = x[k].reshape(c, -1)
+        else:
+            xp[:, p:p + h, p:p + w_in] = x[k]
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, i, j] = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
         if product:
             np.matmul(w.reshape(f, -1), flat, out=y[k].reshape(f, -1))
         if a is not None:
@@ -528,6 +534,12 @@ def _conv_dx(gy, w, s, p, h, w_in):
     return gx
 
 
+def _check_conv_args(stride, padding, opname):
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if value < low:
+            raise ValueError(f"{opname}: {name} {value} must be at least {low}")
+
+
 def _conv_bias(y, b, opname):
     """Add the optional per-channel bias b in place to y (N, F, H, W); the
     returned Tensors are the node's parents after x and w."""
@@ -549,6 +561,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv2d: channel mismatch")
     if len(x.data) == 0:
         raise ValueError("conv2d: empty batch")
+    _check_conv_args(stride, padding, "conv2d")
     h, w_in = x.data.shape[2], x.data.shape[3]
     y = _patch_products(x.data, w.data, stride, padding)[0]
     bias = _conv_bias(y, b, "conv2d")
@@ -578,6 +591,7 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv_transpose2d: channel mismatch")
     if len(x.data) == 0:
         raise ValueError("conv_transpose2d: empty batch")
+    _check_conv_args(stride, padding, "conv_transpose2d")
     kh, kw = w.data.shape[2], w.data.shape[3]
     h_out = (x.data.shape[2] - 1) * stride + kh - 2 * padding
     w_out = (x.data.shape[3] - 1) * stride + kw - 2 * padding
@@ -598,19 +612,30 @@ def conv_transpose2d(x, w, b=None, stride=1, padding=0):
 def max_pool2d(x, k):
     """Non-overlapping k x k max pooling; H and W must divide by k.
 
-    Ties inside a window route the gradient to the first element in
-    row-major order, which keeps backward deterministic.  Backward keeps
-    only each window's argmax, as uint8, so a window holds at most 256.
+    Each output is its window's value at the first argmax in row-major
+    order, NaN payloads and signed-zero ties included, and backward routes
+    the gradient there; it keeps that argmax, as uint8, so a window holds
+    at most 256.  With no gradient wanted there is no argmax: a running
+    maximum over the k*k strided window views gives the same bytes.
     """
     x = _as_tensor(x)
+    if k < 1:
+        raise ValueError(f"max_pool2d: window {k} must be at least 1")
     n, c, h, w = x.data.shape
     if h % k or w % k:
         raise ValueError(f"pooling window {k} must divide spatial dims ({h}, {w})")
     if k * k > 256:
         raise ValueError(f"pooling window {k} has more than 256 elements")
     oh, ow = h // k, w // k
-    xr = x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        n, c, oh, ow, k * k)
+    x6 = x.data.reshape(n, c, oh, k, ow, k)
+    if not x.requires_grad:
+        # np.maximum keeps its second argument on ties, the first of two NaNs
+        y = x6[:, :, :, 0, :, 0].copy()
+        for q in range(1, k * k):
+            np.maximum(x6[:, :, :, q // k, :, q % k], y, out=y)
+        if not np.isnan(y).any():
+            return Tensor(y)
+    xr = x6.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, k * k)
     idx = xr.argmax(axis=-1).astype(np.uint8)
     y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     def bwd(g):
@@ -619,4 +644,3 @@ def max_pool2d(x, k):
         gx = gr.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
         return (np.ascontiguousarray(gx),)
     return _make(np.ascontiguousarray(y), (x,), bwd)
-

@@ -16,7 +16,7 @@ constants: 128 descriptor channels (8 orientations on a 4x4 tap grid) and
 Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k or threshold
 selection, and bilinear descriptor sampling from the unit-normalized map
-through the sampler in ``geometry``.
+through the sampler in ``geometry``, normalizing only the pixels it reads.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import _bilinear
+from .geometry import _bilinear_taps, _blend
 from .optim import load_module, save_module
 from .representations import channel_count
 
@@ -375,7 +375,7 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     if score.ndim == 3:
         score = score[0]
     h, w = score.shape
-    desc_map = normalize_desc(maps.desc)
+    desc = np.asarray(maps.desc)
 
     s = score.copy()
     if border > 0:
@@ -392,9 +392,15 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     else:
         order = order[:k]
     if len(order) == 0:
-        return KeypointSet.empty(desc_map.shape[0])
+        return KeypointSet.empty(desc.shape[0])
     pos = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
-    descs = normalize_desc(_bilinear(desc_map, pos[:, 0], pos[:, 1])).T
+    # normalize only the pixels the sampler reads: np.take keeps the map's
+    # layout, so each norm adds the channels in a whole-map norm's order
+    # and the bytes equal those of sampling the normalized map
+    taps, weights = _bilinear_taps(*desc.shape[1:], pos[:, 0], pos[:, 1])
+    pix, inv = np.unique(np.concatenate(taps), return_inverse=True)
+    unit = normalize_desc(np.take(desc.reshape(len(desc), -1), pix, axis=1))
+    descs = normalize_desc(_blend(unit, np.split(inv, 4), weights)).T
     return KeypointSet(pos, descs, vals[order].astype(np.float32))
 
 

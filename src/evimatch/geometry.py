@@ -163,6 +163,12 @@ def _bilinear(m, x, y):
     wide or high is constant along that axis.
     """
     h, w = m.shape[-2:]
+    return _blend(m.reshape(m.shape[:-2] + (h * w,)), *_bilinear_taps(h, w, x, y))
+
+
+def _bilinear_taps(h, w, x, y):
+    """The flat indices into h * w of the four corners ``_bilinear`` reads
+    from an (h, w) map, and the weights ``_blend`` gives them."""
     px = np.clip(x, 0.0, w - 1.0)
     py = np.clip(y, 0.0, h - 1.0)
     # truncation is floor on clamped coordinates; the last pixel row and
@@ -171,18 +177,21 @@ def _bilinear(m, x, y):
     y0 = np.minimum(py.astype(np.int64), max(h - 2, 0))
     fx = px - x0
     fy = py - y0
-    ex = 1 - fx
-    ey = 1 - fy
-    # one flat index for the four corners: cheaper than four 2-D fancy
-    # indexes; a map without leading axes is indexed bare, since an
-    # ellipsis doubles the time of its gathers in render's solver loop
-    g = m.reshape(m.shape[:-2] + (h * w,))
-    lead = (Ellipsis,) * (m.ndim > 2)
     k = y0 * w + x0
     dx = 1 if w > 1 else 0
     dy = w if h > 1 else 0
-    return (g[lead + (k,)] * ex * ey + g[lead + (k + dx,)] * fx * ey
-            + g[lead + (k + dy,)] * ex * fy + g[lead + (k + dy + dx,)] * fx * fy)
+    return (k, k + dx, k + dy, k + dy + dx), (1 - fx, fx, 1 - fy, fy)
+
+
+def _blend(g, taps, weights):
+    """Blend the corners at flat indices ``taps`` on the last axis of g."""
+    # one flat index per corner: cheaper than four 2-D fancy indexes; a
+    # map without leading axes is indexed bare, since an ellipsis doubles
+    # the time of its gathers in render's solver loop
+    lead = (Ellipsis,) * (g.ndim > 1)
+    g0, g1, g2, g3 = (g[lead + (t,)] for t in taps)
+    ex, fx, ey, fy = weights
+    return g0 * ex * ey + g1 * fx * ey + g2 * ex * fy + g3 * fx * fy
 
 
 def reproject_many(pixels, depths, intr_src, intr_dst, rel: RigidPose):

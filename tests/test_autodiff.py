@@ -230,6 +230,34 @@ def test_max_pool_rejects_windows_over_256():
         ad.max_pool2d(Tensor(np.ones((1, 1, 17, 17), np.float32)), 17)
 
 
+def ones(*shape):
+    return Tensor(np.ones(shape, np.float32))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ad.max_pool2d(ones(1, 2, 4, 4), 0),
+                 "max_pool2d: window 0 must be at least 1", id="pool-window-0"),
+    pytest.param(lambda: ad.max_pool2d(ones(1, 2, 4, 4), -2),
+                 "max_pool2d: window -2 must be at least 1", id="pool-window-negative"),
+    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 3, 3), stride=0),
+                 "conv2d: stride 0 must be at least 1", id="conv-stride-0"),
+    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 1, 1), padding=-1),
+                 "conv2d: padding -1 must be at least 0", id="conv-padding-negative"),
+    pytest.param(lambda: ad.conv_transpose2d(ones(1, 2, 4, 4), ones(2, 3, 4, 4), stride=0),
+                 "conv_transpose2d: stride 0 must be at least 1", id="transpose-stride-0"),
+    # on (1, 2, 4, 4) this once returned a (1, 3, 12, 12) broadcast of one
+    # value per channel
+    pytest.param(lambda: ad.conv_transpose2d(ones(1, 2, 4, 4), ones(2, 3, 4, 4), stride=2,
+                                             padding=-1),
+                 "conv_transpose2d: padding -1 must be at least 0",
+                 id="transpose-padding-negative"),
+])
+def test_conv_and_pool_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # -- forward semantics spot checks ----------------------------------------
 
 def test_matmul_matches_numpy():
@@ -611,6 +639,9 @@ def batched_conv_transpose2d(x, w, g, s, p):
 @pytest.mark.parametrize("op, reference, w_shape", [
     (ad.conv2d, batched_conv2d, (6, 5, 3, 3)),
     (ad.conv_transpose2d, batched_conv_transpose2d, (5, 6, 3, 3)),
+    # at stride 1 and padding 0 a 1x1 kernel's patch matrix is the sample
+    (ad.conv2d, batched_conv2d, (6, 5, 1, 1)),
+    (ad.conv_transpose2d, batched_conv_transpose2d, (5, 6, 1, 1)),
 ])
 def test_conv_bitwise_equals_batched_formulation(op, reference, w_shape, n, dtype):
     # the weight gradient must add the samples' products in sample order,
@@ -673,3 +704,70 @@ def test_abs_gradient_bitwise_equals_sign():
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN in the loss
             ad.sum_all(ad.mul(ad.abs_(t), Tensor(g))).backward()
         assert_bitwise_equal(t.grad, g * np.sign(x))
+
+
+# -- no-grad forward ----------------------------------------------------------
+
+def special_windows(k, dtype, with_nan):
+    """A (1, C, 2k, 3k) input whose k x k windows put a -0.0/+0.0 tie
+    above negative values at every ordered pair of window positions and,
+    if with_nan, a nan/-nan pair likewise; more windows draw from SPECIAL."""
+    r = np.random.default_rng(k)
+    values = np.array(SPECIAL, dtype)
+    negative = values[values < 0]
+    wins = []
+    for a, b in [(-0.0, 0.0)] + [(np.nan, -np.nan)] * with_nan:
+        for q in range(k * k):
+            for p in range(k * k):
+                if p != q:
+                    win = r.choice(negative, k * k)
+                    win[q], win[p] = a, b
+                    wins.append(win)
+    drawn = values if with_nan else values[~np.isnan(values)]
+    wins.extend(r.choice(drawn, (6 - len(wins) % 6 + 12, k * k)))
+    c = len(wins) // 6
+    return np.array(wins, dtype).reshape(1, c, 2, 3, k, k).transpose(
+        0, 1, 2, 4, 3, 5).reshape(1, c, 2 * k, 3 * k)
+
+
+def pool_reference(k):
+    """max_pool2d as an argmax and take-along gather, with its gradient."""
+    def reference(x, g):
+        n, c, h, w = x.shape
+        xr = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+            n, c, h // k, w // k, k * k)
+        idx = xr.argmax(axis=-1)[..., None]
+        gr = np.zeros(xr.shape, g.dtype)
+        np.put_along_axis(gr, idx, g[..., None], axis=-1)
+        gx = gr.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
+        return np.take_along_axis(xr, idx, axis=-1)[..., 0], gx.reshape(x.shape)
+    return reference
+
+
+# (op, its output and input gradient from numpy, pooling window of the input)
+NO_GRAD = [
+    pytest.param(ad.relu, lambda x, g: (np.where(x > 0, x, 0), g * (x > 0)), 2, id="relu"),
+    pytest.param(ad.abs_, lambda x, g: (np.abs(x), g * np.sign(x)), 2, id="abs"),
+    pytest.param(lambda t: ad.clamp_min(t, 0.0),
+                 lambda x, g: (np.maximum(x, 0.0), g * (x >= 0.0)), 2, id="clamp_min"),
+    pytest.param(lambda t: ad.max_pool2d(t, 2), pool_reference(2), 2, id="max_pool2d-2"),
+    pytest.param(lambda t: ad.max_pool2d(t, 4), pool_reference(4), 4, id="max_pool2d-4"),
+]
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, reference, k", NO_GRAD)
+def test_no_grad_output_bitwise_equals_grad_path(op, reference, k, dtype, with_nan):
+    x = special_windows(k, dtype, with_nan)
+    frozen = op(Tensor(x))
+    assert frozen._node is None
+    leaf = Tensor(x, requires_grad=True)
+    y = op(leaf)
+    assert_bitwise_equal(frozen.data, y.data)
+    g = np.random.default_rng(1).normal(size=y.shape).astype(dtype)
+    want_y, want_g = reference(x, g)
+    assert_bitwise_equal(y.data, want_y.astype(dtype))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN in the loss
+        ad.sum_all(ad.mul(y, Tensor(g))).backward()
+    assert_bitwise_equal(leaf.grad, want_g.astype(dtype))

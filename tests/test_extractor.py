@@ -329,6 +329,44 @@ def test_normalize_desc_renormalizes_sampled_block():
                                1.0, atol=1e-12)
 
 
+def reference_descriptors(maps, positions):
+    """Descriptors sampled from the whole unit-normalized map, as stored."""
+    unit = normalize_desc(maps.desc)
+    return normalize_desc(_bilinear(unit, positions[:, 0], positions[:, 1])).T.astype(
+        np.float32)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("border, k, threshold", [
+    (0, 1024, None), (0, None, 0.3), (0, 1, None), (3, 1024, None), (2, None, 0.6)])
+def test_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(
+        seed, border, k, threshold):
+    r = np.random.default_rng(seed)
+    desc = r.standard_normal((32, 13, 11)).astype(np.float32)
+    desc[:, r.random((13, 11)) < 0.2] = 0.0
+    score = r.random((1, 13, 11)).astype(np.float32)
+    # corner maxima: at border 0 keypoints sit on the last row and column,
+    # where the sampler puts weight 1 on the far corner of the cell before
+    score[0, [0, 0, -1, -1], [0, -1, 0, -1]] = [1.5, 1.6, 1.7, 1.8]
+    maps = DenseMaps(np.zeros((8, 3, 3), np.float32), score, desc)
+    kp = extract_keypoints(maps, border=border, nms_radius=1, k=k, threshold=threshold)
+    assert len(kp) > 0
+    if border == 0 and k != 1:
+        assert kp.positions[:, 0].max() == 10 and kp.positions[:, 1].max() == 12
+    assert kp.descriptors.tobytes() == reference_descriptors(maps, kp.positions).tobytes()
+
+
+@pytest.mark.parametrize("border", [0, 4])
+def test_teacher_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(border):
+    yy, xx = np.mgrid[0:32, 0:32]
+    img = 0.5 + 0.25 * np.sin(xx / 2.3) * np.cos(yy / 3.1) + 0.2 * ((xx > 20) & (yy < 12))
+    maps = analytic_teacher(img)
+    for kwargs in (dict(k=1024), dict(threshold=0.05)):
+        kp = extract_keypoints(maps, border=border, nms_radius=2, **kwargs)
+        assert len(kp) > 1
+        assert kp.descriptors.tobytes() == reference_descriptors(maps, kp.positions).tobytes()
+
+
 def test_save_load_extractor_roundtrip(tmp_path):
     params = init_student(TINY, seed=1)
     path = tmp_path / "ex.ckpt"
