@@ -4,7 +4,8 @@ Every command resolves its parameters as flags > config file > defaults,
 echoes the fully resolved config into the output directory, and writes
 deterministic bytes for a fixed config + seed.  When --out is omitted the
 output directory is content-addressed by the hash of the resolved config.
-Failures exit nonzero with a one-line cause and remove partial outputs.
+Only a run that succeeds changes --out, and it replaces whole entries.
+Failures exit nonzero with a one-line cause and leave --out untouched.
 ``--help`` lists each flag's default.  Only ``train-extractor`` takes the
 event representation and bin count; later commands read them from the
 student checkpoint.  ``--matcher-ckpt`` selects the CA matcher, and
@@ -23,6 +24,7 @@ import hashlib
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -77,18 +79,6 @@ _COMMAND_PARAMS = {
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
                 index_b="-1", k="256", matcher_ckpt="", threshold="0.1",
                 eps="3.0"),
-}
-_CLEANUP = {
-    "synth": ["events", "images", "depth", "poses.txt", "intrinsics.txt",
-              "manifest.txt", "config.txt"],
-    "benchgen": ["events", "images", "depth", "poses.txt", "intrinsics.txt",
-                 "manifest.txt", "pairs.txt", "config.txt"],
-    "train-extractor": ["student.ckpt", "loss.csv", "config.txt"],
-    "train-matcher": ["matcher.ckpt", "loss.csv", "config.txt"],
-    "extract": ["keypoints", "config.txt"],
-    "match": ["matches", "config.txt"],
-    "eval": ["report.txt", "report.csv", "pairs.csv", "config.txt"],
-    "viz": ["viz", "config.txt"],
 }
 
 
@@ -233,7 +223,7 @@ def cmd_synth(out, cfg):
                                contrast=float(cfg["contrast"]),
                                dt_sim=float(cfg["dt_sim"]))
     eio.save_dataset(out, samples, scene.intrinsics, scene.width, scene.height)
-    print(f"wrote {len(samples)} samples to {out}")
+    return f"wrote {len(samples)} samples to {out}"
 
 
 def cmd_benchgen(out, cfg):
@@ -248,7 +238,7 @@ def cmd_benchgen(out, cfg):
     eio.save_dataset(out, bench.samples, scene.intrinsics,
                      scene.width, scene.height)
     eio.save_pairs(os.path.join(out, "pairs.txt"), bench.pairs)
-    print(f"wrote {len(bench.pairs)} benchmark pairs to {out}")
+    return f"wrote {len(bench.pairs)} benchmark pairs to {out}"
 
 
 def cmd_train_extractor(out, cfg):
@@ -276,7 +266,7 @@ def cmd_train_extractor(out, cfg):
     save_extractor(os.path.join(out, "student.ckpt"), params, student)
     with open(os.path.join(out, "loss.csv"), "w") as f:
         f.write(loss_history_csv(history))
-    print(f"wrote student checkpoint to {out}")
+    return f"wrote student checkpoint to {out}"
 
 
 def cmd_train_matcher(out, cfg):
@@ -306,7 +296,7 @@ def cmd_train_matcher(out, cfg):
     save_matcher(os.path.join(out, "matcher.ckpt"), matcher)
     with open(os.path.join(out, "loss.csv"), "w") as f:
         f.write(matcher_history_csv(history))
-    print(f"wrote matcher checkpoint to {out}")
+    return f"wrote matcher checkpoint to {out}"
 
 
 def cmd_extract(out, cfg):
@@ -330,7 +320,7 @@ def cmd_extract(out, cfg):
         else:
             kp = _image_keypoints(sample, cfg, teacher, threshold)
         eio.save_keypoints(os.path.join(kp_dir, f"{i:03d}.txt"), kp)
-    print(f"wrote {len(samples)} keypoint dumps to {kp_dir}")
+    return f"wrote {len(samples)} keypoint dumps to {kp_dir}"
 
 
 def cmd_match(out, cfg):
@@ -351,7 +341,7 @@ def cmd_match(out, cfg):
         assignment = match_fn(kp_a, kp_b)
         eio.save_matches(os.path.join(match_dir, f"{ia:03d}_{ib:03d}.txt"),
                          assignment)
-    print(f"wrote {len(pairs)} match dumps to {match_dir}")
+    return f"wrote {len(pairs)} match dumps to {match_dir}"
 
 
 def _eval_keypoints(samples, intr, cfg, params, config, match_fn, eps):
@@ -455,7 +445,7 @@ def cmd_eval(out, cfg):
         f.write(report_text(entries))
     with open(os.path.join(out, "report.csv"), "w") as f:
         f.write(report_csv(entries))
-    print(report_text(entries), end="")
+    return report_text(entries).rstrip("\n")
 
 
 def cmd_viz(out, cfg):
@@ -478,7 +468,7 @@ def cmd_viz(out, cfg):
     os.makedirs(viz_dir, exist_ok=True)
     path = os.path.join(viz_dir, f"match_{ia:03d}_{ib:03d}.ppm")
     eio.save_ppm(path, canvas)
-    print(f"wrote {path}")
+    return f"wrote {path}"
 
 
 _COMMANDS = {
@@ -493,36 +483,42 @@ _COMMANDS = {
 }
 
 
-def _cleanup(out, command, created_dir):
-    if created_dir:
-        shutil.rmtree(out, ignore_errors=True)
-        return
-    for name in _CLEANUP[command]:
-        path = os.path.join(out, name)
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-        elif os.path.exists(path):
-            os.remove(path)
+def _commit(stage, out):
+    """Moves each entry of stage into out, replacing any of the same name."""
+    os.makedirs(out, exist_ok=True)
+    for name in os.listdir(stage):
+        target = os.path.join(out, name)
+        if os.path.isdir(target) and not os.path.islink(target):
+            shutil.rmtree(target)
+        elif os.path.lexists(target):
+            os.remove(target)
+        os.replace(os.path.join(stage, name), target)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
+    stage = None
     try:
         resolved = resolve_config(command, args)
         out = output_dir(command, resolved, args.out)
+        if os.path.lexists(out) and not os.path.isdir(out):
+            raise NotADirectoryError(f"--out {out} is not a directory")
+        # staged beside out's real path, so the commit renames on one filesystem
+        parent, name = os.path.split(os.path.realpath(out))
+        os.makedirs(parent, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+        _echo_config(stage, command, resolved)
+        summary = _COMMANDS[command](stage, resolved)
+        _commit(stage, out)
     except Exception as e:
         print(f"evimatch {command}: error: {e}", file=sys.stderr)
         return 1
-    created_dir = not os.path.isdir(out)
-    try:
-        os.makedirs(out, exist_ok=True)
-        _echo_config(out, command, resolved)
-        _COMMANDS[command](out, resolved)
-    except Exception as e:
-        _cleanup(out, command, created_dir)
-        print(f"evimatch {command}: error: {e}", file=sys.stderr)
-        return 1
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+    # the command named its outputs under stage, whose entries are now in out
+    print(summary.replace(stage, out))
     return 0
 
 

@@ -283,8 +283,14 @@ def load_dataset(root):
         raise ValueError(f"{root}: poses.txt and manifest.txt disagree")
     samples = []
     for i, t_us in enumerate(times_us):
-        events = load_events(os.path.join(root, "events", f"{i:03d}.evt"))
-        image = load_pgm(os.path.join(root, "images", f"{i:03d}.pgm"))
+        evt_path = os.path.join(root, "events", f"{i:03d}.evt")
+        pgm_path = os.path.join(root, "images", f"{i:03d}.pgm")
+        events, image = load_events(evt_path), load_pgm(pgm_path)
+        for path, (w, h) in ((evt_path, (events.width, events.height)),
+                             (pgm_path, image.shape[::-1])):
+            if (w, h) != (width, height):
+                raise ValueError(f"{path}: size {w}x{h} differs from the "
+                                 f"{width}x{height} of intrinsics.txt")
         depth = load_depth(os.path.join(root, "depth", f"{i:03d}.f32"),
                            width, height)
         samples.append(LFDSample(t_us / 1e6, events, image, depth, poses[i]))

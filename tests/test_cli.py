@@ -1,4 +1,5 @@
-"""Command-line behavior: config resolution, hashing, determinism, cleanup."""
+"""Command-line behavior: config resolution, hashing, determinism, what
+reaches --out."""
 
 import csv
 import hashlib
@@ -410,8 +411,98 @@ def test_failure_preserves_preexisting_dir(tmp_path):
     rc = main(["synth", *TINY_SYNTH, "--n", "0", "--out", str(out)])
     assert rc == 1
     assert sentinel.read_text() == "precious\n"
-    # partial outputs of the failed run are gone
+    # no output of the failed run reaches --out
     assert not (out / "config.txt").exists()
+
+
+def test_rerun_replaces_stale_dumps(dataset, tmp_path):
+    four = str(tmp_path / "four")
+    assert main(["synth", *TINY_SYNTH, "--n", "4", "--out", four]) == 0
+    kp = tmp_path / "kp"
+    for data in (four, dataset):
+        assert main(["extract", "--data", data, "--modality", "images",
+                     *KP_FLAGS, "--out", str(kp)]) == 0
+    assert sorted(os.listdir(kp / "keypoints")) == [
+        "000.txt", "000.txt.desc", "001.txt", "001.txt.desc"]
+    assert f"data={dataset}\n" in (kp / "config.txt").read_text()
+
+
+@pytest.mark.parametrize("flags", [["--width", "abc"], ["--n", "0"]],
+                         ids=["bad-value", "fails-in-command"])
+def test_failed_rerun_leaves_out_byte_identical(dataset, tmp_path, flags):
+    out = tmp_path / "ds"
+    shutil.copytree(dataset, out)
+    before = tree_bytes(out)
+    assert main(["synth", *TINY_SYNTH, *flags, "--out", str(out)]) == 1
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["ds"]  # no staging directory is left
+
+
+def test_interrupt_leaves_out_untouched(dataset, tmp_path, monkeypatch):
+    def interrupted(out, cfg):
+        with open(os.path.join(out, "poses.txt"), "w") as f:
+            f.write("half\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", interrupted)
+    out = tmp_path / "ds"
+    shutil.copytree(dataset, out)
+    before = tree_bytes(out)
+    with pytest.raises(KeyboardInterrupt):
+        main(["synth", *TINY_SYNTH, "--out", str(out)])
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["ds"]
+
+
+def test_out_may_be_the_working_directory(dataset, tmp_path, monkeypatch, capsys):
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["synth", *TINY_SYNTH, "--out", "."]) == 0
+    assert capsys.readouterr().out == "wrote 2 samples to .\n"
+    assert tree_bytes(here) == tree_bytes(dataset)
+    assert os.listdir(tmp_path) == ["here"]
+
+
+def test_out_may_be_a_symlink(dataset, tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    assert main(["synth", *TINY_SYNTH, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert tree_bytes(real) == tree_bytes(dataset)
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_out_that_is_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._COMMANDS, "synth", None)  # never called
+    out = tmp_path / "taken"
+    out.write_text("mine\n")
+    assert main(["synth", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"evimatch synth: error: --out {out} is not a directory\n")
+    assert out.read_text() == "mine\n"
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_summaries_name_the_final_out(dataset, student_ckpt, tmp_path,
+                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = [  # none names the staging directory the command wrote into
+        (["extract", "--data", dataset, "--modality", "images", *KP_FLAGS,
+          "--out", "kp"], "wrote 2 keypoint dumps to kp/keypoints\n"),
+        (["match", "--kp-a", "kp/keypoints", "--kp-b", "kp/keypoints",
+          "--out", "m"], "wrote 2 match dumps to m/matches\n"),
+        (["viz", "--data", dataset, "--extractor", student_ckpt, *KP_FLAGS,
+          "--out", "v"], "wrote v/viz/match_000_000.ppm\n"),
+    ]
+    for argv, printed in runs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == printed
+    assert main(["eval", "--data", dataset, "--mode", "keypoints", "--extractor",
+                 student_ckpt, *KP_FLAGS, "--out", "e"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "e" / "report.txt").read_text()
 
 
 def test_bad_flag_value_fails_before_output(tmp_path, monkeypatch, capsys):

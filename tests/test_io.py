@@ -258,6 +258,22 @@ def test_dataset_manifest_pose_disagreement(tmp_path):
         io.load_dataset(root)
 
 
+@pytest.mark.parametrize("name, write, size", [
+    ("images/001.pgm", lambda p: io.save_pgm(p, quantized_image(3, 4)), "4x3"),
+    ("events/000.evt", lambda p: save_events(p, EventStream(
+        [0, 9], [0, 6], [0.1, 0.2], [1, -1], 10, 7)), "10x7"),
+], ids=["image", "events"])
+def test_dataset_rejects_a_frame_of_another_size(tmp_path, name, write, size):
+    root = tmp_path / "ds"
+    io.save_dataset(root, [tiny_sample(0.25, 1), tiny_sample(0.5, 2)],
+                    CameraIntrinsics(6.4, 6.4, 3.5, 2.5), 8, 6)
+    write(root / name)
+    with pytest.raises(ValueError) as e:
+        io.load_dataset(root)
+    assert str(e.value) == (f"{root / name}: size {size} differs from the 8x6 "
+                            "of intrinsics.txt")
+
+
 def test_pairs_roundtrip(tmp_path):
     pairs = [(0, 1, 0.62), (2, 3, 0.41)]
     p = tmp_path / "pairs.txt"

@@ -260,6 +260,7 @@ def test_pipeline_output_bytes(tmp_path, monkeypatch):
         listing = "".join(f"{name} {sha256(os.path.join(out, name))}\n"
                           for name in files)
         digests[out] = hashlib.sha256(listing.encode()).hexdigest()
+    assert sorted(os.listdir(tmp_path)) == sorted(PIPELINE_DIGESTS)
     assert digests == PIPELINE_DIGESTS
 
 
