@@ -484,14 +484,12 @@ _COMMANDS = {
 
 
 def _commit(stage, out):
-    """Moves each entry of stage into out, replacing any of the same name."""
+    """Renames each entry of stage into out; one it replaces moves to stage."""
     os.makedirs(out, exist_ok=True)
     for name in os.listdir(stage):
         target = os.path.join(out, name)
-        if os.path.isdir(target) and not os.path.islink(target):
-            shutil.rmtree(target)
-        elif os.path.lexists(target):
-            os.remove(target)
+        if os.path.lexists(target):
+            os.replace(target, os.path.join(stage, f".old-{name}"))
         os.replace(os.path.join(stage, name), target)
 
 
@@ -504,15 +502,18 @@ def main(argv=None) -> int:
         out = output_dir(command, resolved, args.out)
         if os.path.lexists(out) and not os.path.isdir(out):
             raise NotADirectoryError(f"--out {out} is not a directory")
-        # staged beside out's real path, so the commit renames on one filesystem
-        parent, name = os.path.split(os.path.realpath(out))
-        os.makedirs(parent, exist_ok=True)
-        stage = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+        # inside an existing out, else beside it: either way on out's
+        # filesystem and writable wherever out is
+        real = os.path.realpath(out)
+        where = real if os.path.isdir(real) else os.path.dirname(real)
+        os.makedirs(where, exist_ok=True)
+        stage = tempfile.mkdtemp(prefix=".evimatch-", dir=where)
         _echo_config(stage, command, resolved)
         summary = _COMMANDS[command](stage, resolved)
         _commit(stage, out)
     except Exception as e:
-        print(f"evimatch {command}: error: {e}", file=sys.stderr)
+        cause = str(e) if stage is None else str(e).replace(stage, out)
+        print(f"evimatch {command}: error: {cause}", file=sys.stderr)
         return 1
     finally:
         if stage is not None:

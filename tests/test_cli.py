@@ -32,9 +32,11 @@ def parse(argv):
 
 
 def tree_bytes(root):
-    """Relative path -> file bytes for a whole directory tree."""
+    """Relative path -> file bytes (None for a directory) for a whole tree."""
     out = {}
-    for base, _, names in os.walk(root):
+    for base, dirs, names in os.walk(root):
+        for name in dirs:
+            out[os.path.relpath(os.path.join(base, name), root)] = None
         for name in names:
             p = os.path.join(base, name)
             with open(p, "rb") as f:
@@ -403,16 +405,15 @@ def test_failure_removes_created_dir(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_failure_preserves_preexisting_dir(tmp_path):
-    out = tmp_path / "mine"
-    out.mkdir()
-    sentinel = out / "keep.txt"
-    sentinel.write_text("precious\n")
-    rc = main(["synth", *TINY_SYNTH, "--n", "0", "--out", str(out)])
-    assert rc == 1
-    assert sentinel.read_text() == "precious\n"
-    # no output of the failed run reaches --out
-    assert not (out / "config.txt").exists()
+@pytest.mark.parametrize("flags", [["--width", "abc"], ["--n", "0"]],
+                         ids=["bad-value", "fails-in-command"])
+def test_failure_preserves_preexisting_dir(dataset, tmp_path, flags):
+    out = tmp_path / "ds"
+    shutil.copytree(dataset, out)
+    before = tree_bytes(out)
+    assert main(["synth", *TINY_SYNTH, *flags, "--out", str(out)]) == 1
+    assert tree_bytes(out) == before  # no staging entry is left inside
+    assert os.listdir(tmp_path) == ["ds"]  # nor beside
 
 
 def test_rerun_replaces_stale_dumps(dataset, tmp_path):
@@ -425,17 +426,6 @@ def test_rerun_replaces_stale_dumps(dataset, tmp_path):
     assert sorted(os.listdir(kp / "keypoints")) == [
         "000.txt", "000.txt.desc", "001.txt", "001.txt.desc"]
     assert f"data={dataset}\n" in (kp / "config.txt").read_text()
-
-
-@pytest.mark.parametrize("flags", [["--width", "abc"], ["--n", "0"]],
-                         ids=["bad-value", "fails-in-command"])
-def test_failed_rerun_leaves_out_byte_identical(dataset, tmp_path, flags):
-    out = tmp_path / "ds"
-    shutil.copytree(dataset, out)
-    before = tree_bytes(out)
-    assert main(["synth", *TINY_SYNTH, *flags, "--out", str(out)]) == 1
-    assert tree_bytes(out) == before
-    assert os.listdir(tmp_path) == ["ds"]  # no staging directory is left
 
 
 def test_interrupt_leaves_out_untouched(dataset, tmp_path, monkeypatch):
@@ -473,6 +463,35 @@ def test_out_may_be_a_symlink(dataset, tmp_path):
     assert link.is_symlink()
     assert tree_bytes(real) == tree_bytes(dataset)
     assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+
+
+def test_out_may_sit_in_a_read_only_directory(dataset, tmp_path):
+    locked = tmp_path / "locked"
+    out = locked / "ds"
+    out.mkdir(parents=True)
+    locked.chmod(0o555)
+    try:
+        if os.access(locked, os.W_OK):
+            pytest.skip("this user writes into read-only directories (root)")
+        assert main(["synth", *TINY_SYNTH, "--out", str(out)]) == 0
+    finally:
+        locked.chmod(0o755)
+    assert tree_bytes(out) == tree_bytes(dataset)
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_errors_name_the_final_out(tmp_path, monkeypatch, capsys, exists):
+    def fails_writing(out, cfg):
+        open(os.path.join(out, "missing", "000.txt"), "w")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", fails_writing)
+    out = tmp_path / "ds"
+    if exists:
+        out.mkdir()
+    assert main(["synth", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "evimatch synth: error: [Errno 2] No such file or directory: "
+        f"'{out / 'missing' / '000.txt'}'\n")
 
 
 def test_out_that_is_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys):
