@@ -20,7 +20,7 @@ from .events import EventStream, accumulate_mask, load_events, save_events
 from .extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                         analytic_teacher, apply_event_mask, extract_keypoints,
                         forward_student, init_student, load_extractor,
-                        load_teacher_checkpoint, save_extractor)
+                        save_extractor)
 from .geometry import (CameraIntrinsics, DegenerateGeometry, EstimationFailed,
                        PoseEstimate, RigidPose, estimate_essential_ransac,
                        pose_angular_errors, relative_pose)

@@ -8,12 +8,13 @@ Only a run that succeeds changes --out, and it replaces whole entries.
 Failures exit nonzero with a one-line cause and leave --out untouched.
 ``--help`` lists each flag's default.  Only ``train-extractor`` takes the
 event representation and bin count; later commands read them from the
-student checkpoint.  ``--matcher-ckpt`` selects the CA matcher, and
-without it ``match``, ``eval`` and ``viz`` use mutual nearest neighbour.
-Keypoint ground truth is ``gt_assignment``'s depth reprojection between
-the two samples' poses: ``eval --mode keypoints`` scores each sample's
-events against its own image (equal poses), and ``viz`` colours the
-matches of any two samples by it.
+student checkpoint.  ``--extractor`` always names that event student, and
+image keypoints always come from the analytic teacher.  ``--matcher-ckpt``
+selects the CA matcher, and without it ``match``, ``eval`` and ``viz`` use
+mutual nearest neighbour.  Keypoint ground truth is ``gt_assignment``'s
+depth reprojection between the two samples' poses: ``eval --mode
+keypoints`` scores each sample's events against its own image (equal
+poses), and ``viz`` colours the matches of any two samples by it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .distillation import (DistillConfig, loss_history_csv, train_extractor)
 from .events import accumulate_mask
 from .extractor import (ExtractorConfig, analytic_teacher, apply_event_mask,
                         extract_keypoints, forward_student, load_extractor,
-                        load_teacher_checkpoint, save_extractor)
+                        save_extractor)
 from .geometry import (EstimationFailed, estimate_essential_ransac,
                        pose_angular_errors, relative_pose)
 from .matching import (CAConfig, MatchTrainConfig, ca_match,
@@ -146,12 +148,6 @@ def output_dir(command, resolved, out_flag):
     return f"evimatch-{command}-{digest[:12]}"
 
 
-def _echo_config(out, command, resolved):
-    with open(os.path.join(out, "config.txt"), "w") as f:
-        f.write(f"command={command}\n")
-        f.write(eio.format_config(resolved))
-
-
 # -- shared pipeline pieces -------------------------------------------------
 
 def _scene_from(cfg):
@@ -179,9 +175,16 @@ def _event_keypoints(sample, cfg, params, config, threshold=None):
     return _keypoints(maps, cfg, threshold)
 
 
-def _image_keypoints(sample, cfg, teacher=None, threshold=None):
-    maps = analytic_teacher(sample.image) if teacher is None else teacher(sample.image)
-    return _keypoints(maps, cfg, threshold)
+def _image_keypoints(sample, cfg, threshold=None):
+    return _keypoints(analytic_teacher(sample.image), cfg, threshold)
+
+
+def _views(sa, sb, intr, cfg, params, config, eps):
+    """sa's event keypoints, sb's image keypoints and their ground truth."""
+    kp_a = _event_keypoints(sa, cfg, params, config)
+    kp_b = _image_keypoints(sb, cfg)
+    return kp_a, kp_b, gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
+                                     sa.pose, sb.pose, eps_px=eps)
 
 
 def _make_matcher(cfg):
@@ -228,13 +231,18 @@ def cmd_synth(out, cfg):
 
 def cmd_benchgen(out, cfg):
     scene = _scene_from(cfg)
-    max_attempts = int(cfg["max_attempts"]) or None
-    bench = generate_benchmark(
-        scene, int(cfg["n_pairs"]), float(cfg["delta_t"]),
-        seed=int(cfg["seed"]), rpe_filter=_parse_bool(cfg["rpe_filter"], "rpe_filter"),
-        overlap_range=(float(cfg["overlap_lo"]), float(cfg["overlap_hi"])),
-        max_attempts=max_attempts, contrast=float(cfg["contrast"]),
-        dt_sim=float(cfg["dt_sim"]))
+    lo, hi = float(cfg["overlap_lo"]), float(cfg["overlap_hi"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bench = generate_benchmark(
+            scene, int(cfg["n_pairs"]), float(cfg["delta_t"]),
+            seed=int(cfg["seed"]), rpe_filter=_parse_bool(cfg["rpe_filter"], "rpe_filter"),
+            overlap_range=(lo, hi), max_attempts=int(cfg["max_attempts"]) or None,
+            contrast=float(cfg["contrast"]), dt_sim=float(cfg["dt_sim"]))
+    if not bench.pairs:  # the last warning is the budget's: it counts the attempts
+        raise ValueError(f"no pair with overlap in [{lo}, {hi}]: {caught[-1].message}")
+    for w in caught:  # a partial benchmark keeps its warnings
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     eio.save_dataset(out, bench.samples, scene.intrinsics,
                      scene.width, scene.height)
     eio.save_pairs(os.path.join(out, "pairs.txt"), bench.pairs)
@@ -276,14 +284,8 @@ def cmd_train_matcher(out, cfg):
                          len(samples), len(samples))
     if not pairs:
         raise ValueError("need at least two samples to form training pairs")
-    examples = []
-    for ia, ib in pairs:
-        sa, sb = samples[ia], samples[ib]
-        kp_a = _event_keypoints(sa, cfg, params, config)
-        kp_b = _image_keypoints(sb, cfg)
-        gt = gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
-                           sa.pose, sb.pose, eps_px=float(cfg["eps_px"]))
-        examples.append((kp_a, kp_b, gt))
+    examples = [_views(samples[ia], samples[ib], intr, cfg, params, config,
+                       float(cfg["eps_px"])) for ia, ib in pairs]
     ca_config = CAConfig(desc_dim=config.desc_dim, dim=int(cfg["dim"]),
                          layers=int(cfg["layers"]), heads=int(cfg["heads"]),
                          pe_freqs=int(cfg["pe_freqs"]),
@@ -300,25 +302,23 @@ def cmd_train_matcher(out, cfg):
 
 
 def cmd_extract(out, cfg):
-    samples, _, _, _ = eio.load_dataset(cfg["data"])
     modality = cfg["modality"]
     if modality not in ("events", "images"):
         raise ValueError(f"modality must be events or images, got {modality!r}")
+    if modality == "events" and not cfg["extractor"]:
+        raise ValueError("extracting from events requires --extractor")
+    if modality == "images" and cfg["extractor"]:
+        raise ValueError("images use the analytic teacher, not --extractor")
+    samples, _, _, _ = eio.load_dataset(cfg["data"])
     threshold = float(cfg["threshold"]) if cfg["threshold"] else None
     kp_dir = os.path.join(out, "keypoints")
     os.makedirs(kp_dir, exist_ok=True)
-    params = config = teacher = None
     if modality == "events":
-        if not cfg["extractor"]:
-            raise ValueError("extracting from events requires --extractor")
         params, config = load_extractor(cfg["extractor"])
-    elif cfg["extractor"]:
-        teacher = load_teacher_checkpoint(cfg["extractor"])
-    for i, sample in enumerate(samples):
-        if modality == "events":
-            kp = _event_keypoints(sample, cfg, params, config, threshold)
-        else:
-            kp = _image_keypoints(sample, cfg, teacher, threshold)
+        kps = (_event_keypoints(s, cfg, params, config, threshold) for s in samples)
+    else:
+        kps = (_image_keypoints(s, cfg, threshold) for s in samples)
+    for i, kp in enumerate(kps):
         eio.save_keypoints(os.path.join(kp_dir, f"{i:03d}.txt"), kp)
     return f"wrote {len(samples)} keypoint dumps to {kp_dir}"
 
@@ -349,10 +349,7 @@ def _eval_keypoints(samples, intr, cfg, params, config, match_fn, eps):
     their ground truth at equal poses."""
     reps, vdds, vdas, mmas, mrs = [], [], [], [], []
     for sample in samples:
-        kp_a = _event_keypoints(sample, cfg, params, config)
-        kp_b = _image_keypoints(sample, cfg)
-        gt = gt_assignment(kp_a, kp_b, sample.depth, sample.depth, intr, intr,
-                           sample.pose, sample.pose, eps_px=eps)
+        kp_a, kp_b, gt = _views(sample, sample, intr, cfg, params, config, eps)
         if len(kp_a) + len(kp_b) > 0:
             reps.append(repeatability(gt))
         if len(gt.matches):
@@ -455,11 +452,8 @@ def cmd_viz(out, cfg):
     ib = int(cfg["index_b"])
     ib = ia if ib == -1 else _sample_index(ib, len(samples), "--index-b")
     sa, sb = samples[ia], samples[ib]
-    kp_a = _event_keypoints(sa, cfg, params, config)
-    kp_b = _image_keypoints(sb, cfg)
+    kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config, float(cfg["eps"]))
     assignment = _make_matcher(cfg)(kp_a, kp_b)
-    gt = gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
-                       sa.pose, sb.pose, eps_px=float(cfg["eps"]))
     correct = correct_matches(assignment.matches, gt)
     surface = time_surface(sa.events).max(axis=0)
     canvas = eio.make_match_image(surface, sb.image, kp_a, kp_b, assignment,
@@ -499,6 +493,8 @@ def main(argv=None) -> int:
     stage = None
     try:
         resolved = resolve_config(command, args)
+        if args.out == "":
+            raise ValueError("--out must not be empty")
         out = output_dir(command, resolved, args.out)
         if os.path.lexists(out) and not os.path.isdir(out):
             raise NotADirectoryError(f"--out {out} is not a directory")
@@ -508,7 +504,9 @@ def main(argv=None) -> int:
         where = real if os.path.isdir(real) else os.path.dirname(real)
         os.makedirs(where, exist_ok=True)
         stage = tempfile.mkdtemp(prefix=".evimatch-", dir=where)
-        _echo_config(stage, command, resolved)
+        with open(os.path.join(stage, "config.txt"), "w") as f:
+            f.write(f"command={command}\n")
+            f.write(eio.format_config(resolved))
         summary = _COMMANDS[command](stage, resolved)
         _commit(stage, out)
     except Exception as e:

@@ -92,6 +92,8 @@ def make_scene(seed: int = 0, width: int = 64, height: int = 64,
     motion_scale multiplies every trajectory amplitude; 0 freezes the
     camera.  height_amplitude 0 degrades the surface to a plane.
     """
+    if not np.isfinite(height_amplitude):
+        raise ValueError(f"height_amplitude must be finite, got {height_amplitude}")
     rng = np.random.default_rng(seed)
     extent = 1.6
     texture_grid = rng.uniform(0.3, 0.7, (9, 9))
@@ -260,8 +262,8 @@ def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
     times = np.asarray(times, dtype=np.float64)
     if frames.ndim != 3 or len(frames) != len(times):
         raise ValueError("expected (T, H, W) frames aligned with T times")
-    if contrast <= 0:
-        raise ValueError("contrast threshold must be positive")
+    if not 0 < contrast < np.inf:
+        raise ValueError(f"contrast must be positive and finite, got {contrast}")
     h, w = frames.shape[1:]
     yy, xx = np.mgrid[0:h, 0:w]
     xx = xx.ravel()
@@ -317,8 +319,8 @@ def _simulate(scene, t_start, t_end, contrast, dt_sim):
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    if dt_sim <= 0:
-        raise ValueError("dt_sim must be positive")
+    if not 0 < dt_sim < np.inf:
+        raise ValueError(f"dt_sim must be positive and finite, got {dt_sim}")
     n_steps = max(int(np.ceil((t_end - t_start) / dt_sim)), 1)
     times = np.linspace(t_start, t_end, n_steps + 1)
     frames = []

@@ -43,8 +43,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.n_pairs <= 0:
             raise ValueError("epochs, batch_size and n_pairs must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (self.use_feats or self.use_score or self.use_desc):
             raise ValueError("at least one loss term must be enabled")
 

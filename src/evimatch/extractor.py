@@ -419,26 +419,3 @@ def load_extractor(path):
     """
     return load_module(path, ExtractorConfig,
                        lambda c: {n: s for n, s, _ in _student_layout(c)})
-
-
-def load_teacher_checkpoint(path):
-    """Load a frozen image extractor and return its forward closure.
-
-    The checkpoint must describe a 1-channel extractor, whose representation
-    entry is ignored; the closure maps a grayscale image in [0, 1] to
-    DenseMaps.
-    """
-    params, config = load_extractor(path)
-    if config.in_channels != 1:
-        raise ValueError(
-            f"{path}: teacher must take 1 input channel, got {config.in_channels}")
-
-    def teacher(image):
-        img = np.asarray(image, dtype=np.float32)
-        if img.ndim == 2:
-            img = img[None]
-        if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
-            raise ValueError("image values must lie in [0, 1]")
-        return forward_student(img, params, config)
-
-    return teacher

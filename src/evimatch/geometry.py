@@ -283,6 +283,8 @@ def _triangulate(r, t, x1, x2):
 _CHUNK = 256
 # probability that RANSAC's iteration budget includes one all-inlier sample
 _CONFIDENCE = 0.999
+# hypotheses RANSAC scores at most
+_MAX_ITERS = 2000
 
 
 def _ransac_iters_needed(inlier_ratio, sample_size):
@@ -351,7 +353,7 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
 
 def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
                               intr2: CameraIntrinsics, threshold_px: float = 1.0,
-                              max_iters: int = 2000, seed: int = 0) -> PoseEstimate:
+                              seed: int = 0) -> PoseEstimate:
     """Recover the relative pose (view 1 to view 2) from pixel matches.
 
     Normalized 8-point algorithm inside a uniform-sampling RANSAC loop.
@@ -365,9 +367,9 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     Samples are drawn and fitted a chunk at a time and scored one at a
     time in draw order (see ``_ransac``), with the same result as the
     one-sample loop.  ``iterations`` counts the hypotheses the adaptive
-    stopping rule scored, not the samples drawn: an early stop may leave
-    up to ``_CHUNK - 1`` drawn samples unscored.  A threshold_px that is
-    not positive and finite raises ValueError.
+    stopping rule scored, at most ``_MAX_ITERS``, not the samples drawn: an
+    early stop may leave up to ``_CHUNK - 1`` drawn samples unscored.  A
+    threshold_px that is not positive and finite raises ValueError.
     """
     if not 0 < threshold_px < np.inf:
         raise ValueError(f"threshold_px must be positive and finite, got {threshold_px}")
@@ -379,7 +381,7 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
     best_mask, it = _ransac(
         len(pts1), 8, lambda idx: _eight_point(x1[idx], x2[idx])[0],
-        lambda e: _sampson_sq(e, x1, x2), thr_sq, max_iters, seed)
+        lambda e: _sampson_sq(e, x1, x2), thr_sq, _MAX_ITERS, seed)
 
     e, sv = _eight_point(x1[best_mask], x2[best_mask])
     # a unique solution needs the 8th singular value well above noise level;

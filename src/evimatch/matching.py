@@ -417,8 +417,10 @@ class MatchTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("lr, epochs and batch_size must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
 
 
 def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),

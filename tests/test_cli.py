@@ -505,6 +505,14 @@ def test_out_that_is_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys)
     assert os.listdir(tmp_path) == ["taken"]
 
 
+def test_empty_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._COMMANDS, "synth", None)  # never called
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", ""]) == 1
+    assert capsys.readouterr().err == "evimatch synth: error: --out must not be empty\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_summaries_name_the_final_out(dataset, student_ckpt, tmp_path,
                                       monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -537,6 +545,23 @@ def test_bad_modality_message(dataset, tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "modality must be events or images" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--modality", "images", "--extractor", "CKPT"],
+     "images use the analytic teacher, not --extractor"),
+    (["--modality", "events"], "extracting from events requires --extractor"),
+])
+def test_extract_rejects_an_extractor_flag_that_does_not_fit_the_modality(
+        student_ckpt, tmp_path, capsys, flags, message):
+    # --data does not exist: the flags are checked before it is read
+    out = tmp_path / "kp"
+    rc = main(["extract", "--data", str(tmp_path / "missing"),
+               *[{"CKPT": student_ckpt}.get(f, f) for f in flags],
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch extract: error: {message}\n"
+    assert not out.exists()
 
 
 def test_eval_unknown_mode_fails_and_cleans_up(dataset, student_ckpt, tmp_path,
@@ -619,6 +644,50 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(
     assert rc == 1
     assert capsys.readouterr().err == f"evimatch train-extractor: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", *TINY_SYNTH, "--contrast", "nan"],
+     "contrast must be positive and finite, got nan"),
+    (["synth", *TINY_SYNTH, "--contrast", "inf"],
+     "contrast must be positive and finite, got inf"),
+    (["synth", *TINY_SYNTH, "--dt-sim", "nan"],
+     "dt_sim must be positive and finite, got nan"),
+    (["synth", *TINY_SYNTH, "--height-amplitude", "nan"],
+     "height_amplitude must be finite, got nan"),
+    (["train-extractor", "--data", "DATA", *TINY_STUDENT, "--lr", "nan"],
+     "lr must be positive and finite, got nan"),
+    (["train-matcher", "--data", "DATA", "--extractor", "CKPT", *KP_FLAGS,
+      "--lr", "nan"], "lr must be positive and finite, got nan"),
+])
+def test_non_finite_values_fail_by_name(dataset, student_ckpt, tmp_path, capsys,
+                                        argv, message):
+    paths = {"DATA": dataset, "CKPT": student_ckpt}
+    out = tmp_path / "out"
+    rc = main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
+BENCH_SCENE = ["--width", "16", "--height", "16", "--duration", "1.0",
+               "--dt-sim", "0.005", "--n-rects", "6", "--max-attempts", "1"]
+
+
+def test_benchgen_fails_when_no_pair_is_accepted(tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc = main(["benchgen", *BENCH_SCENE, "--n-pairs", "1", "--overlap-lo", "0.99",
+               "--overlap-hi", "1.0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "evimatch benchgen: error: no pair with overlap in [0.99, 1.0]: benchmark "
+        "budget exhausted: produced 0 of 1 requested pairs in 1 attempts\n")
+    assert not out.exists()
+    # a partial benchmark is written, and warns as generate_benchmark does
+    with pytest.warns(UserWarning, match="produced 1 of 2 requested pairs"):
+        rc = main(["benchgen", *BENCH_SCENE, "--n-pairs", "2", "--out", str(out)])
+    assert rc == 0
+    assert len(eio.load_pairs(out / "pairs.txt")) == 1
 
 
 def test_train_extractor_rejects_bins_for_a_time_surface(dataset, tmp_path, capsys):

@@ -7,8 +7,7 @@ from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 analytic_teacher, apply_event_mask,
                                 extract_keypoints, forward_student,
                                 forward_student_batch, harris_score,
-                                init_student, load_extractor,
-                                load_teacher_checkpoint, nms_mask,
+                                init_student, load_extractor, nms_mask,
                                 normalize_desc, save_extractor)
 from evimatch.geometry import _bilinear
 
@@ -409,24 +408,3 @@ def test_load_extractor_requires_architecture(tmp_path):
     save_checkpoint(path, {"w": np.ones(3, np.float32)})
     with pytest.raises(ValueError, match="architecture"):
         load_extractor(path)
-
-
-def test_teacher_checkpoint_closure(tmp_path):
-    cfg = ExtractorConfig(in_channels=1, channels=(4, 4), pools=(1, 2),
-                          latent_dim=4, desc_dim=8, score_head=(4,),
-                          desc_head=(4,))
-    path = tmp_path / "teacher.ckpt"
-    save_extractor(path, init_student(cfg, seed=2), cfg)
-    teacher = load_teacher_checkpoint(path)
-    maps = teacher(np.full((16, 16), 0.5, np.float32))
-    assert maps.score.shape == (1, 16, 16)
-    assert type(maps.score) is np.ndarray
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        teacher(np.full((16, 16), 2.0, np.float32))
-
-
-def test_teacher_checkpoint_rejects_multichannel(tmp_path):
-    path = tmp_path / "ev.ckpt"
-    save_extractor(path, init_student(TINY, seed=0), TINY)
-    with pytest.raises(ValueError, match="1 input channel"):
-        load_teacher_checkpoint(path)

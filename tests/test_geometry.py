@@ -369,12 +369,12 @@ def test_chunked_ransac_equals_one_sample_loop(n, share, seed, max_iters, coinci
     p1, p2 = noisy_two_view(n, share, seed, coincide)
 
     def estimate():
-        return estimate_essential_ransac(p1, p2, INTR, INTR, max_iters=max_iters,
-                                         seed=seed)
+        return estimate_essential_ransac(p1, p2, INTR, INTR, seed=seed)
 
-    chunked = outcome(estimate)
-    with mock.patch.object(geometry, "_ransac", reference_ransac):
-        assert outcome(estimate) == chunked
+    with mock.patch.object(geometry, "_MAX_ITERS", max_iters):
+        chunked = outcome(estimate)
+        with mock.patch.object(geometry, "_ransac", reference_ransac):
+            assert outcome(estimate) == chunked
 
     # a batched fit, and each model's score, are bitwise those of the
     # single-sample code
@@ -393,11 +393,11 @@ def test_chunked_ransac_equals_one_sample_loop(n, share, seed, max_iters, coinci
 
 
 @pytest.mark.parametrize("n, share, max_iters", CHUNK_EDGES)
-def test_chunk_edge_examples_reach_their_edge(n, share, max_iters):
+def test_chunk_edge_examples_reach_their_edge(monkeypatch, n, share, max_iters):
     # the explicit examples above stop where their comment says they do
     p1, p2 = noisy_two_view(n, share, seed=0)
-    it = estimate_essential_ransac(p1, p2, INTR, INTR, max_iters=max_iters,
-                                   seed=0).iterations
+    monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
+    it = estimate_essential_ransac(p1, p2, INTR, INTR, seed=0).iterations
     assert it % _CHUNK != 0
     if max_iters < 2000:
         assert it == max_iters > _CHUNK

@@ -316,10 +316,11 @@ def two_view_matches(n_in, n_out, seed):
 def test_essential_ransac_masks_and_iterations(monkeypatch, n_in, n_out, max_iters,
                                                inliers, iterations):
     p1, p2 = two_view_matches(n_in, n_out, seed=n_in)
+    monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
 
     def estimate():
         return estimate_essential_ransac(p1, p2, INTR, INTR, threshold_px=1.0,
-                                         max_iters=max_iters, seed=3)
+                                         seed=3)
 
     est, draws = recorded_draws(monkeypatch, estimate)
     with monkeypatch.context() as m:
