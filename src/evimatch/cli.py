@@ -12,9 +12,15 @@ student checkpoint.  ``--extractor`` always names that event student, and
 image keypoints always come from the analytic teacher.  ``--matcher-ckpt``
 selects the CA matcher, and without it ``match``, ``eval`` and ``viz`` use
 mutual nearest neighbour.  Keypoint ground truth is ``gt_assignment``'s
-depth reprojection between the two samples' poses: ``eval --mode
-keypoints`` scores each sample's events against its own image (equal
-poses), and ``viz`` colours the matches of any two samples by it.
+depth reprojection between two samples' poses, and ``viz`` colours the
+matches of any two samples by it.  ``eval`` runs one loop over view pairs
+(a, b): sample a's event keypoints against sample b's image keypoints, one
+ground truth and one matching per pair, scored for repeatability, VDD/VDA,
+MMA and MR, then for the relative pose RANSAC estimates from the matches.
+``--mode`` only picks the pairs: ``rpe`` reads ``<data>/pairs.txt`` and
+``keypoints`` pairs each sample with itself.  A pair whose ground-truth
+baseline is zero, as every ``keypoints`` pair's is, fails its pose before
+RANSAC runs.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .events import accumulate_mask
 from .extractor import (ExtractorConfig, analytic_teacher, apply_event_mask,
                         extract_keypoints, forward_student, load_extractor,
                         save_extractor)
-from .geometry import (EstimationFailed, estimate_essential_ransac,
+from .geometry import (EstimationFailed, baseline_norm, estimate_essential_ransac,
                        pose_angular_errors, relative_pose)
 from .matching import (CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
@@ -57,8 +63,8 @@ _SCENE_PARAMS = {
 _EXTRACT_PARAMS = {"k": "512", "border": "4", "nms": "4", "mask": "true"}
 _COMMAND_PARAMS = {
     "synth": dict(_SCENE_PARAMS, n="16"),
-    "benchgen": dict(_SCENE_PARAMS, n_pairs="8", rpe_filter="false",
-                     overlap_lo="0.4", overlap_hi="0.8", max_attempts="0"),
+    "benchgen": dict(_SCENE_PARAMS, n_pairs="8", overlap_lo="0.4",
+                     overlap_hi="0.8", max_attempts="0"),
     "train-extractor": {
         "data": None, "representation": "voxel", "bins": "16",
         "lr": "0.001", "epochs": "50", "batch": "8",
@@ -236,8 +242,8 @@ def cmd_benchgen(out, cfg):
         warnings.simplefilter("always")
         bench = generate_benchmark(
             scene, int(cfg["n_pairs"]), float(cfg["delta_t"]),
-            seed=int(cfg["seed"]), rpe_filter=_parse_bool(cfg["rpe_filter"], "rpe_filter"),
-            overlap_range=(lo, hi), max_attempts=int(cfg["max_attempts"]) or None,
+            seed=int(cfg["seed"]), overlap_range=(lo, hi),
+            max_attempts=int(cfg["max_attempts"]) or None,
             contrast=float(cfg["contrast"]), dt_sim=float(cfg["dt_sim"]))
     if not bench.pairs:  # the last warning is the budget's: it counts the attempts
         raise ValueError(f"no pair with overlap in [{lo}, {hi}]: {caught[-1].message}")
@@ -344,23 +350,64 @@ def cmd_match(out, cfg):
     return f"wrote {len(pairs)} match dumps to {match_dir}"
 
 
-def _eval_keypoints(samples, intr, cfg, params, config, match_fn, eps):
-    """Each sample's event keypoints against its own image's, scored on
-    their ground truth at equal poses."""
-    reps, vdds, vdas, mmas, mrs = [], [], [], [], []
-    for sample in samples:
-        kp_a, kp_b, gt = _views(sample, sample, intr, cfg, params, config, eps)
+def _pose_error(pts_a, pts_b, gt_pose, intr, ransac_px, seed):
+    """(rotation, translation) error in degrees, inlier ratio and "ok"; or
+    (inf, inf), nan and why the pair failed.  A zero ground-truth baseline
+    fails before the estimator runs, then fewer than 8 matches, then
+    EstimationFailed."""
+    failed = (np.inf, np.inf), np.nan
+    try:
+        baseline_norm(gt_pose.translation)
+    except ValueError as e:
+        return *failed, str(e)
+    if len(pts_a) < 8:
+        return *failed, "fewer than 8 matches"
+    try:
+        est = estimate_essential_ransac(pts_a, pts_b, intr, intr,
+                                        threshold_px=ransac_px, seed=seed)
+    except EstimationFailed as e:
+        return *failed, str(e)
+    return pose_angular_errors(est, gt_pose), est.inlier_ratio, "ok"
+
+
+def _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn):
+    """Scores each (ia, ib) pair once: sa's event keypoints against sb's
+    image keypoints on their ground truth, then the relative pose their
+    matches give.  Returns the report entries and one pairs.csv row per
+    pair.  A keypoint metric enters its mean only on pairs where it is
+    defined.  Malformed flags fail before the first pair."""
+    eps, ransac_px, seed = float(cfg["eps"]), float(cfg["ransac_px"]), int(cfg["seed"])
+    thresholds = _floats(cfg["rpe_thresholds"])
+    for flag, values in (("--ransac-px", (ransac_px,)), ("--rpe-thresholds", thresholds)):
+        for v in values:
+            if not 0 < v < np.inf:
+                raise ValueError(f"{flag} must be positive and finite, got {v}")
+    reps, vdds, vdas, mmas, mrs, errors, inliers, rows = ([] for _ in range(8))
+    for ia, ib in pairs:
+        sa, sb = samples[ia], samples[ib]
+        kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config, eps)
         if len(kp_a) + len(kp_b) > 0:
             reps.append(repeatability(gt))
         if len(gt.matches):
             vdd, vda = vdd_vda(gt, kp_a, kp_b)
             vdds.append(vdd)
             vdas.append(vda)
-        mma, mr = mma_mr(match_fn(kp_a, kp_b), gt)
+        assignment = match_fn(kp_a, kp_b)
+        mma, mr = mma_mr(assignment, gt)
         mrs.append(mr)
         if mma is not None:
             mmas.append(mma)
-    entries = [("n_samples", None, float(len(samples)))]
+        (r_err, t_err), inlier_ratio, reason = _pose_error(
+            kp_a.positions[assignment.matches[:, 0]],
+            kp_b.positions[assignment.matches[:, 1]],
+            relative_pose(sa.pose, sb.pose), intr, ransac_px, seed)
+        errors.append(max(r_err, t_err))
+        if reason == "ok":
+            inliers.append(inlier_ratio)
+        rows.append((ia, ib, len(kp_a), len(kp_b), len(gt.matches), len(assignment),
+                     int(correct_matches(assignment.matches, gt).sum()),
+                     f"{inlier_ratio:.6f}", f"{r_err:.6f}", f"{t_err:.6f}", reason))
+    entries = [("n_pairs", None, float(len(pairs)))]
     if reps:
         entries.append(("repeatability", eps, float(np.mean(reps))))
     if vdds:
@@ -368,49 +415,8 @@ def _eval_keypoints(samples, intr, cfg, params, config, match_fn, eps):
         entries.append(("vda", None, float(np.mean(vdas))))
     if mmas:
         entries.append(("mma", eps, float(np.mean(mmas))))
-    entries.append(("mr", None, float(np.mean(mrs)) if mrs else 0.0))
-    return entries
-
-
-def _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn):
-    """The rpe report entries, and one pairs.csv row per pair: indices,
-    keypoints per side, matches, inlier ratio, error in degrees and why
-    the pair failed ("ok" when it did not): fewer than 8 matches,
-    EstimationFailed, or a zero ground-truth baseline.  Malformed flags
-    fail before the first pair."""
-    ransac_px, seed = float(cfg["ransac_px"]), int(cfg["seed"])
-    thresholds = _floats(cfg["rpe_thresholds"])
-    for flag, values in (("--ransac-px", (ransac_px,)), ("--rpe-thresholds", thresholds)):
-        for v in values:
-            if not 0 < v < np.inf:
-                raise ValueError(f"{flag} must be positive and finite, got {v}")
-    errors, inliers, rows = [], [], []
-    for ia, ib, _ in pairs:
-        sa, sb = samples[ia], samples[ib]
-        kp_a = _event_keypoints(sa, cfg, params, config)
-        kp_b = _image_keypoints(sb, cfg)
-        assignment = match_fn(kp_a, kp_b)
-        err, inlier_ratio, reason = np.inf, np.nan, "fewer than 8 matches"
-        if len(assignment) >= 8:
-            try:
-                est = estimate_essential_ransac(
-                    kp_a.positions[assignment.matches[:, 0]],
-                    kp_b.positions[assignment.matches[:, 1]],
-                    intr, intr, threshold_px=ransac_px, seed=seed)
-            except EstimationFailed as e:
-                reason = str(e)
-            else:
-                try:  # a zero baseline leaves the translation error undefined
-                    err = max(pose_angular_errors(est, relative_pose(sa.pose, sb.pose)))
-                    inlier_ratio, reason = est.inlier_ratio, "ok"
-                    inliers.append(est.inlier_ratio)
-                except ValueError as e:
-                    reason = str(e)
-        errors.append(err)
-        rows.append((ia, ib, len(kp_a), len(kp_b), len(assignment),
-                     f"{inlier_ratio:.6f}", f"{err:.6f}", reason))
-    entries = [("n_pairs", None, float(len(pairs))),
-               ("n_failed", None, float(np.sum(~np.isfinite(errors))))]
+    entries.append(("mr", None, float(np.mean(mrs))))
+    entries.append(("n_failed", None, float(np.sum(~np.isfinite(errors)))))
     for thr in thresholds:
         entries.append(("rpe_ratio", thr, rpe_ratio(errors, thr)))
         entries.append(("rpe_auc", thr, rpe_auc(errors, thr)))
@@ -426,18 +432,20 @@ def cmd_eval(out, cfg):
     samples, intr, _, _ = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
     match_fn = _make_matcher(cfg)
-    if mode == "keypoints":
-        entries = _eval_keypoints(samples, intr, cfg, params, config, match_fn,
-                                  float(cfg["eps"]))
+    if mode == "keypoints":  # each sample's events against its own image
+        source, pairs = cfg["data"], [(i, i) for i in range(len(samples))]
     else:
-        pairs = _load_pairs(os.path.join(cfg["data"], "pairs.txt"),
-                            len(samples), len(samples))
-        entries, rows = _eval_rpe(samples, pairs, intr, cfg, params, config, match_fn)
-        with open(os.path.join(out, "pairs.csv"), "w", newline="") as f:
-            table = csv.writer(f, lineterminator="\n")
-            table.writerow(("index_a", "index_b", "keypoints_a", "keypoints_b",
-                            "matches", "inlier_ratio", "error_deg", "reason"))
-            table.writerows(rows)
+        source = os.path.join(cfg["data"], "pairs.txt")
+        pairs = [(i, j) for i, j, _ in _load_pairs(source, len(samples), len(samples))]
+    if not pairs:
+        raise ValueError(f"{source}: no pairs to evaluate")
+    entries, rows = _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn)
+    with open(os.path.join(out, "pairs.csv"), "w", newline="") as f:
+        table = csv.writer(f, lineterminator="\n")
+        table.writerow(("index_a", "index_b", "keypoints_a", "keypoints_b", "gt_pairs",
+                        "matches", "correct", "inlier_ratio", "rotation_deg",
+                        "translation_deg", "reason"))
+        table.writerows(rows)
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))
     with open(os.path.join(out, "report.csv"), "w") as f:

@@ -11,8 +11,8 @@ smooth random field with hard-edged rectangles at random orientations so
 both gradients and distinctive corners exist; the heightfield keeps the
 scene non-planar, which two-view essential-matrix estimation needs.  Both
 coarse fields are read through the bilinear sampler in ``geometry``.
-Co-visibility scores and the exact matches of the rpe filter come from one
-reprojection of a pixel grid with its rendered depth.
+Co-visibility scores come from a reprojection of the pixel grid with its
+rendered depth.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventStream
-from .geometry import (CameraIntrinsics, EstimationFailed, RigidPose,
-                       _bilinear, estimate_essential_ransac,
-                       pose_angular_errors, project_many, relative_pose,
-                       rotation_about, unproject_many)
+from .geometry import (CameraIntrinsics, RigidPose, _bilinear, project_many,
+                       relative_pose, rotation_about, unproject_many)
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,10 @@ def make_scene(seed: int = 0, width: int = 64, height: int = 64,
     motion_scale multiplies every trajectory amplitude; 0 freezes the
     camera.  height_amplitude 0 degrades the surface to a plane.
     """
-    if not np.isfinite(height_amplitude):
-        raise ValueError(f"height_amplitude must be finite, got {height_amplitude}")
+    for name, value in (("height_amplitude", height_amplitude),
+                        ("motion_scale", motion_scale), ("duration", duration)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(seed)
     extent = 1.6
     texture_grid = rng.uniform(0.3, 0.7, (9, 9))
@@ -373,14 +373,21 @@ def make_sample(scene: Scene, t: float, delta_t: float = 0.05,
     return LFDSample(float(t), events, image, depth, scene.trajectory.pose(t))
 
 
+def _frame_times(rng, scene, delta_t, size):
+    """size times in [delta_t, duration]: each has a whole event window."""
+    if not 0 < delta_t < scene.duration:
+        raise ValueError(f"delta_t must be positive and below the duration "
+                         f"{scene.duration}, got {delta_t}")
+    return rng.uniform(delta_t, scene.duration, size)
+
+
 def make_lfd_dataset(scene: Scene, n: int, delta_t: float = 0.05,
                      seed: int = 0, contrast: float = 0.2,
                      dt_sim: float = 1e-3):
     """n aligned samples at random times, sorted chronologically."""
     if n <= 0:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    times = np.sort(rng.uniform(delta_t, scene.duration, n))
+    times = np.sort(_frame_times(np.random.default_rng(seed), scene, delta_t, n))
     return [make_sample(scene, t, delta_t, contrast, dt_sim) for t in times]
 
 
@@ -395,8 +402,8 @@ class Benchmark:
     pairs: list = field(default_factory=list)
 
 
-def _carry_grid(scene, depth, rel, stride=1):
-    """Carry the pixels of a stride grid into another view with their depth.
+def _carry_grid(scene, depth, rel):
+    """Carry every pixel into another view with its depth.
 
     rel maps the depth map's camera frame into the other view.  Returns
     the (N, 2) grid pixels with positive depth that land in frame in front
@@ -404,10 +411,10 @@ def _carry_grid(scene, depth, rel, stride=1):
     camera-frame depths in the other view.
     """
     h, w = depth.shape
-    xs, ys = np.meshgrid(np.arange(0, w, stride, dtype=np.float64),
-                         np.arange(0, h, stride, dtype=np.float64))
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
     px = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    d = depth[::stride, ::stride].ravel()
+    d = depth.ravel()
     pts = rel.apply(unproject_many(px, d, scene.intrinsics))
     proj, valid = project_many(pts, scene.intrinsics)
     inside = (valid & (d > 0) & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
@@ -415,35 +422,14 @@ def _carry_grid(scene, depth, rel, stride=1):
     return px[inside], proj[inside], pts[inside, 2]
 
 
-def _rpe_filter_ok(scene, sample_a, sample_b):
-    gt = relative_pose(sample_a.pose, sample_b.pose)
-    pts_a, pts_b, _ = _carry_grid(scene, sample_a.depth, gt, stride=4)
-    if len(pts_a) < 8:
-        return False
-    try:
-        est = estimate_essential_ransac(pts_a, pts_b, scene.intrinsics,
-                                        scene.intrinsics, seed=0)
-    except EstimationFailed:
-        return False
-    try:  # a zero baseline leaves the translation error undefined
-        r_err, t_err = pose_angular_errors(est, gt)
-    except ValueError:
-        return False
-    return r_err < 1.0 and t_err < 1.0 and est.inlier_ratio > 0.9
-
-
 def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
-                       seed: int = 0, rpe_filter: bool = False,
-                       overlap_range=(0.4, 0.8), max_attempts=None,
+                       seed: int = 0, overlap_range=(0.4, 0.8), max_attempts=None,
                        contrast: float = 0.2, dt_sim: float = 1e-3) -> Benchmark:
     """Rejection-sample evaluation pairs with moderate co-visibility.
 
     Candidate time pairs are accepted when their overlap score falls inside
-    overlap_range; with rpe_filter, additionally only when two-view pose
-    estimation on reprojection-exact matches recovers the ground-truth
-    relative pose to 1 degree with inlier ratio above 0.9 (this discards
-    near-degenerate geometry).  If the attempt budget runs out a partial
-    benchmark is returned with a warning.
+    overlap_range.  If the attempt budget runs out a partial benchmark is
+    returned with a warning.
     """
     if n_pairs <= 0:
         raise ValueError("n_pairs must be positive")
@@ -457,14 +443,12 @@ def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
     attempts = 0
     while len(bench.pairs) < n_pairs and attempts < max_attempts:
         attempts += 1
-        t_a, t_b = rng.uniform(delta_t, scene.duration, 2)
+        t_a, t_b = _frame_times(rng, scene, delta_t, 2)
         score = overlap_score(scene, t_a, t_b)
         if not (lo <= score <= hi):
             continue
         sample_a = make_sample(scene, t_a, delta_t, contrast, dt_sim)
         sample_b = make_sample(scene, t_b, delta_t, contrast, dt_sim)
-        if rpe_filter and not _rpe_filter_ok(scene, sample_a, sample_b):
-            continue
         i = len(bench.samples)
         bench.samples.extend([sample_a, sample_b])
         bench.pairs.append((i, i + 1, float(score)))

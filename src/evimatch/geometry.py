@@ -434,22 +434,28 @@ def _hartley_normalization(pts):
     return t
 
 
+def baseline_norm(translation) -> float:
+    """|translation|; a ValueError when it is (near-)zero, which leaves the
+    direction undefined."""
+    n = float(np.linalg.norm(translation))
+    if n < 1e-12:
+        raise ValueError("translation direction undefined for a zero-norm baseline")
+    return n
+
+
 def pose_angular_errors(estimate: PoseEstimate, gt: RigidPose):
     """Angular rotation and translation errors in degrees.
 
     The rotation error is the geodesic angle between estimate and ground
     truth.  The translation error compares directions only and absorbs the
     sign (an essential matrix cannot tell t from -t), so it lies in
-    [0, 90].  Either translation having (near-)zero norm is an error: the
-    direction is undefined then.
+    [0, 90].  Either translation failing ``baseline_norm`` is an error.
     """
     r, t = estimate.rotation, estimate.translation
     cos_r = (np.trace(r.T @ gt.rotation) - 1.0) / 2.0
     r_err = np.degrees(np.arccos(np.clip(cos_r, -1.0, 1.0)))
-    tn = np.linalg.norm(t)
-    gn = np.linalg.norm(gt.translation)
-    if tn < 1e-12 or gn < 1e-12:
-        raise ValueError("translation direction undefined for a zero-norm baseline")
+    tn = baseline_norm(t)
+    gn = baseline_norm(gt.translation)
     cos_t = abs(float(t @ gt.translation) / (tn * gn))
     t_err = np.degrees(np.arccos(np.clip(cos_t, 0.0, 1.0)))
     return float(r_err), float(t_err)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from evimatch import cli, io as eio
-from evimatch.cli import _eval_rpe, build_parser, main, output_dir, resolve_config
+from evimatch.cli import _eval_pairs, build_parser, main, output_dir, resolve_config
 from evimatch.events import accumulate_mask
 from evimatch.extractor import (ExtractorConfig, analytic_teacher,
                                 apply_event_mask, extract_keypoints,
                                 forward_student, init_student, load_extractor,
                                 save_extractor)
-from evimatch.geometry import EstimationFailed, PoseEstimate, relative_pose
+from evimatch.geometry import (EstimationFailed, PoseEstimate, RigidPose,
+                               relative_pose, rotation_about)
 from evimatch.matching import (Assignment, CAConfig, CAMatcherParams, ca_match,
                                gt_assignment, load_matcher, mnn_match,
                                save_matcher)
@@ -188,15 +189,19 @@ def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
                "--k", "16", "--out", str(out)])
     assert rc == 0
     assert (out / "report.txt").read_text() == (
-        "n_samples=2.000000\nrepeatability@3=0.400000\nvdd=1.357714\n"
-        "vda=85.521653\nmma@3=0.250000\nmr=1.000000\n")
+        "n_pairs=2.000000\nrepeatability@3=0.400000\nvdd=1.357714\n"
+        "vda=85.521653\nmma@3=0.250000\nmr=1.000000\nn_failed=2.000000\n"
+        "rpe_ratio@5=0.000000\nrpe_auc@5=0.000000\nrpe_ratio@10=0.000000\n"
+        "rpe_auc@10=0.000000\nrpe_ratio@20=0.000000\nrpe_auc@20=0.000000\n")
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("report.csv", "report.txt")}
+               for name in ("pairs.csv", "report.csv", "report.txt")}
     assert digests == {
-        "report.csv": ("e3a93764fd0976f91cc44ec1a7d4c157"
-                       "78e13abe6eb188b58241f65a7b49b155"),
-        "report.txt": ("30ec6fd4225fda45636605c82eedeb50"
-                       "64ad45f8c228df5dc1850fef78d57735"),
+        "pairs.csv": ("cdd07301fc4550f1043933531d400906"
+                      "89b94a8328f4230c927e9a5949d58773"),
+        "report.csv": ("045015a184a55ea33019b465e348f03d"
+                       "c366e328063bf2ceab9f5c44dc36cd69"),
+        "report.txt": ("65614b6e58ae7c5dc5bbe759297a4000"
+                       "803dea92ef1e760a7b2da04a70e165fb"),
     }
 
 
@@ -278,31 +283,28 @@ def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
     assert reports["ca"] != reports["mnn"]
 
 
-def test_eval_rpe_all_failures_score_zero(dataset):
+def test_eval_rpe_all_failures_score_zero(dataset, student_ckpt):
     # a matcher that finds nothing: every pair fails, and the report says so
     samples, intr, _, _ = eio.load_dataset(dataset)
     cfg = resolve_config("eval", parse(
-        ["eval", "--data", dataset, "--mode", "rpe", "--extractor", "unused",
+        ["eval", "--data", dataset, "--mode", "rpe", "--extractor", student_ckpt,
          "--border", "2", "--nms", "2", "--k", "16"]))
-    config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
-                             latent_dim=4, desc_dim=8, score_head=(4,),
-                             desc_head=(4,))
-    pairs = [(0, 1, 0.5), (1, 0, 0.5)]
-    entries, rows = _eval_rpe(samples, pairs, intr, cfg, init_student(config),
-                              config, lambda kp_a, kp_b: Assignment.empty())
+    params, config = load_extractor(student_ckpt)
+    entries, rows = _eval_pairs(samples, [(0, 1), (1, 0)], intr, cfg, params,
+                                config, lambda kp_a, kp_b: Assignment.empty())
     report = {(m, t): v for m, t, v in entries}
     assert report[("n_pairs", None)] == report[("n_failed", None)] == 2
     assert [report[("rpe_auc", t)] for t in (5.0, 10.0, 20.0)] == [0.0] * 3
+    assert ("mma", 3.0) not in report and report[("mr", None)] == 0.0
     assert [row[-1] for row in rows] == ["fewer than 8 matches"] * 2
 
 
 def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch):
-    # the estimator's outcome per pair: an exact pose, a failed estimate,
-    # then a pose for a pair whose ground-truth baseline is zero
+    # the estimator's outcome per pair: an exact pose, then a failed
+    # estimate; a pair whose ground-truth baseline is zero never reaches it
     samples, intr, _, _ = eio.load_dataset(dataset)
     exact = relative_pose(samples[0].pose, samples[1].pose)
-    outcomes = [exact, EstimationFailed("no model with 8 inliers after 9 iterations"),
-                exact]
+    outcomes = [exact, EstimationFailed("no model with 8 inliers after 9 iterations")]
 
     def estimate(*args, **kwargs):
         got = outcomes.pop(0)
@@ -316,15 +318,17 @@ def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch
          "--border", "2", "--nms", "2", "--k", "16"]))
     params, config = load_extractor(student_ckpt)
     eight = Assignment(np.zeros((8, 2), np.int64), np.ones(8))
-    entries, rows = _eval_rpe(samples, [(0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)],
-                              intr, cfg, params, config, lambda kp_a, kp_b: eight)
-    assert [row[:2] + row[4:] for row in rows] == [
-        (0, 1, 8, "0.750000", "0.000000", "ok"),
-        (1, 0, 8, "nan", "inf", "no model with 8 inliers after 9 iterations"),
-        (1, 1, 8, "nan", "inf",
+    entries, rows = _eval_pairs(samples, [(0, 1), (1, 0), (1, 1)], intr, cfg,
+                                params, config, lambda kp_a, kp_b: eight)
+    assert outcomes == []
+    assert [row[:2] + row[5:6] + row[7:] for row in rows] == [
+        (0, 1, 8, "0.750000", "0.000000", "0.000000", "ok"),
+        (1, 0, 8, "nan", "inf", "inf", "no model with 8 inliers after 9 iterations"),
+        (1, 1, 8, "nan", "inf", "inf",
          "translation direction undefined for a zero-norm baseline"),
     ]
-    assert dict(((m, t), v) for m, t, v in entries)[("n_failed", None)] == 2
+    report = dict(((m, t), v) for m, t, v in entries)
+    assert report[("n_failed", None)] == 2 and report[("inlier_ratio", None)] == 0.75
 
 
 def test_eval_rpe_does_not_swallow_other_estimator_errors(dataset, student_ckpt,
@@ -340,8 +344,79 @@ def test_eval_rpe_does_not_swallow_other_estimator_errors(dataset, student_ckpt,
     params, config = load_extractor(student_ckpt)
     eight = Assignment(np.zeros((8, 2), np.int64), np.ones(8))
     with pytest.raises(ValueError, match="equal length"):
-        _eval_rpe(samples, [(0, 1, 0.5)], intr, cfg, params, config,
-                  lambda kp_a, kp_b: eight)
+        _eval_pairs(samples, [(0, 1)], intr, cfg, params, config,
+                    lambda kp_a, kp_b: eight)
+
+
+def test_eval_keypoints_never_runs_the_estimator(dataset, student_ckpt, tmp_path,
+                                                 monkeypatch):
+    # each sample against itself has a zero baseline: no pose to estimate
+    def estimate(*args, **kwargs):
+        pytest.fail("the estimator ran on a zero-baseline pair")
+
+    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    monkeypatch.setattr(cli, "mnn_match", lambda kp_a, kp_b: Assignment(
+        np.zeros((8, 2), np.int64), np.ones(8)))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", dataset, "--mode", "keypoints", "--extractor",
+                 student_ckpt, *KP_FLAGS, "--out", str(out)]) == 0
+    table = list(csv.reader((out / "pairs.csv").read_text().splitlines()))
+    assert [row[:2] + row[-1:] for row in table[1:]] == [
+        [i, i, "translation direction undefined for a zero-norm baseline"]
+        for i in ("0", "1")]
+
+
+def test_eval_rpe_fails_on_an_empty_pairs_file(dataset, student_ckpt, tmp_path,
+                                               monkeypatch, capsys):
+    def views(*args, **kwargs):
+        pytest.fail("a keypoint was extracted before the pairs were checked")
+
+    monkeypatch.setattr(cli, "_views", views)
+    bench = tmp_path / "bench"
+    shutil.copytree(dataset, bench)
+    (bench / "pairs.txt").write_text("# idx_events idx_image overlap\n")
+    out = tmp_path / "ev"
+    rc = main(["eval", "--data", str(bench), "--mode", "rpe", "--extractor",
+               student_ckpt, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"evimatch eval: error: {bench / 'pairs.txt'}: no pairs to evaluate\n")
+    assert not out.exists()
+
+
+def turn_view_b(src, dst, axis):
+    """A copy of the benchmark src whose view b of each pair is turned 5
+    degrees about its own centre in poses.txt: QR, Qt."""
+    shutil.copytree(src, dst)
+    times, poses = eio.load_poses(src / "poses.txt")
+    q = rotation_about(axis, 5.0)
+    for _, ib, _ in eio.load_pairs(src / "pairs.txt"):
+        poses[ib] = RigidPose(q @ poses[ib].rotation, q @ poses[ib].translation)
+    eio.save_poses(dst / "poses.txt", times, poses)
+
+
+def test_eval_rpe_repeatability_sees_a_geometric_error_in_view_b(student_ckpt,
+                                                                  tmp_path):
+    # the ground truth of a cross-view pair reads view b's pose: a 5 degree
+    # error there (about 4.5 px at 64x64) must cost most ground-truth pairs.
+    # The untrained student's repeatability fell from 0.275 to 0.053 (y) and
+    # 0.099 (x) when this test was written.
+    bench = tmp_path / "bench"
+    assert main(["benchgen", "--n-pairs", "4", "--seed", "3", "--dt-sim", "0.025",
+                 "--out", str(bench)]) == 0
+
+    def repeatability_row(data):
+        out = tmp_path / "ev"
+        assert main(["eval", "--data", str(data), "--mode", "rpe", "--extractor",
+                     student_ckpt, "--out", str(out)]) == 0
+        report = eio.parse_config((out / "report.txt").read_text())
+        return float(report["repeatability@3"])
+
+    true = repeatability_row(bench)
+    for axis in ([0, 1, 0], [1, 0, 0]):
+        turned = tmp_path / f"turned{axis}"
+        turn_view_b(bench, turned, axis)
+        assert repeatability_row(turned) < true / 2
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -386,11 +461,12 @@ def test_eval_rpe_writes_pairs_csv_next_to_report(dataset, student_ckpt, tmp_pat
     assert rc == 0
     table = list(csv.reader((out / "pairs.csv").read_text().splitlines()))
     assert table[0] == ["index_a", "index_b", "keypoints_a", "keypoints_b",
-                        "matches", "inlier_ratio", "error_deg", "reason"]
+                        "gt_pairs", "matches", "correct", "inlier_ratio",
+                        "rotation_deg", "translation_deg", "reason"]
     assert [row[:2] for row in table[1:]] == [["0", "1"], ["1", "0"]]
     report = (out / "report.csv").read_text().splitlines()
-    assert report[:3] == ["metric,threshold,value", "n_pairs,,2.000000",
-                          f"n_failed,,{sum(r[-1] != 'ok' for r in table[1:])}.000000"]
+    assert report[0:2] == ["metric,threshold,value", "n_pairs,,2.000000"]
+    assert f"n_failed,,{sum(r[-1] != 'ok' for r in table[1:])}.000000" in report
 
 
 # -- failure semantics ---------------------------------------------------------
@@ -655,6 +731,15 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(
      "dt_sim must be positive and finite, got nan"),
     (["synth", *TINY_SYNTH, "--height-amplitude", "nan"],
      "height_amplitude must be finite, got nan"),
+    (["synth", *TINY_SYNTH, "--motion-scale", "nan"],
+     "motion_scale must be finite, got nan"),
+    (["synth", *TINY_SYNTH, "--duration", "nan"], "duration must be finite, got nan"),
+    (["synth", *TINY_SYNTH, "--delta-t", "nan"],
+     "delta_t must be positive and below the duration 1.0, got nan"),
+    (["benchgen", "--delta-t", "inf"],
+     "delta_t must be positive and below the duration 4.0, got inf"),
+    (["synth", *TINY_SYNTH, "--duration", "0.01"],
+     "delta_t must be positive and below the duration 0.01, got 0.05"),
     (["train-extractor", "--data", "DATA", *TINY_STUDENT, "--lr", "nan"],
      "lr must be positive and finite, got nan"),
     (["train-matcher", "--data", "DATA", "--extractor", "CKPT", *KP_FLAGS,

@@ -11,7 +11,7 @@ from evimatch.datagen import (_illinois, events_from_log_frames,
                               make_scene, overlap_score, render, surface_height,
                               surface_texture)
 from evimatch.events import EventStream
-from evimatch.geometry import EstimationFailed, PoseEstimate, relative_pose
+from evimatch.geometry import relative_pose
 
 SCENE = make_scene(seed=0, width=32, height=32)
 
@@ -367,36 +367,6 @@ def test_generate_benchmark_budget_warning():
                                    overlap_range=(0.0, 1e-6),
                                    max_attempts=5)
     assert len(bench.pairs) < 2
-
-
-def test_rpe_filter_lets_other_estimator_errors_through(monkeypatch):
-    def estimate(*args, **kwargs):
-        raise ValueError("boom")
-
-    monkeypatch.setattr(datagen, "estimate_essential_ransac", estimate)
-    with pytest.raises(ValueError, match="boom"):
-        generate_benchmark(SCENE, 1, seed=3, dt_sim=4e-3, rpe_filter=True)
-
-
-@pytest.mark.parametrize("outcome", [
-    EstimationFailed("no model with 8 inliers"),
-    # a zero translation leaves pose_angular_errors nothing to compare
-    PoseEstimate(np.eye(3), np.zeros(3), np.ones(8, bool), 1.0),
-])
-def test_rpe_filter_rejects_a_failed_estimate(monkeypatch, outcome):
-    calls = []
-
-    def estimate(*args, **kwargs):
-        calls.append(args)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr(datagen, "estimate_essential_ransac", estimate)
-    with pytest.warns(UserWarning, match="budget exhausted"):
-        bench = generate_benchmark(SCENE, 1, seed=3, dt_sim=4e-3, rpe_filter=True,
-                                   max_attempts=4)
-    assert calls and bench.pairs == [] and bench.samples == []
 
 
 def test_generate_benchmark_validation():

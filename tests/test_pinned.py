@@ -235,14 +235,14 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
 
 PIPELINE_DIGESTS = {
     "synth": "948cbfe3c0cc33ea7a94fbbf4c6e64827ff76b1fb94c52a853eb07579e31c12c",
-    "bench": "1885bc66ca644163c8870f0cad476f185a8832cf397a3fddded4a0c4f662d07a",
+    "bench": "071300b26a762eb6a013583d417423ffd711c504e7e42d2cfff5cb518ec00318",
     "student": "1cba5ab509a5a1a1f8c2740b4211cb621ea4f4abed7abe94cef635a91304a281",
     "matcher": "554ccdb865e460a970df8b070e6a0b56cfe64693bf7b4a75803068f4e3dfe18c",
     "kp_events": "ccb3763f81f524779a006d37ad318ca3b207a3a714f606602b6e5221a5d13ef1",
     "kp_images": "d2d43057ba644cd73ad7f9c300f37f6edccaf9d63cb7d07860522c6ba2501ed2",
     "matches": "fb5f8ea0e20ad3fda02ff31f900bc84e0e69607094cd89cab731633b035b5283",
-    "eval_keypoints": "e99b8f84afefa97c7d701c9de93e320d5c245d36321023808d2c0612f786a44b",
-    "eval_rpe": "fe552778486652c373a666d318f93d4e479d786b5cc55d42eaf0809b292be727",
+    "eval_keypoints": "a35d405fcc38550487ff05cf891d728d3649a17839a667f6a13b9ec9b49e5ff0",
+    "eval_rpe": "fb2f2acf32d39cc8c86cefbd0b9904cedc906f60ffbc9419466e677fb553eecc",
     "viz": "4a6d023d3529013da6d05c9a22a50be57d0b739cfb2395214e6d585c92722b1b",
 }
 
