@@ -2,23 +2,23 @@
 
 A Tensor wraps an ndarray plus an optional graph node; ops build the
 graph lazily and ``backward`` walks it in reverse topological order.  The
-op set is deliberately small: exactly what a convolutional extractor, an
-attention matcher and their losses need.  Elementwise and reduction ops,
-2-D matmul and transpose, an affine ``linear`` layer, row and pair
-gathers, layer norm, the convolutions (each with its optional bias folded
-into the same node) and pooling, and one fused multi-head ``attention``
-node that keeps only its probabilities for backward.  Storage is float32
-(float64 is accepted for numerical checking); explicit reductions
-accumulate in float64 before casting back.  Broadcasting is limited to
-scalar-with-tensor and the per-channel biases of ``linear`` and the
-convolutions; everything else requires exact shape agreement, which keeps
-gradients trivially correct.
+op set is deliberately small: exactly what a convolutional extractor whose
+heads stay at the backbone stride, an attention matcher and their losses
+need.  Elementwise and reduction ops, 2-D matmul and transpose, an affine
+``linear`` layer, row and pair gathers, layer norm, a 2-D convolution
+(its optional bias folded into the same node) and pooling, and one fused
+multi-head ``attention`` node that keeps only its probabilities for
+backward.  Storage is float32 (float64 is accepted for numerical
+checking); explicit reductions accumulate in float64 before casting back.
+Broadcasting is limited to scalar-with-tensor and the per-channel biases
+of ``linear`` and ``conv2d``; everything else requires exact shape
+agreement, which keeps gradients trivially correct.
 
-The convolutions run one sample at a time: each sample's patches fill
-one reused (C*kh*kw, OH*OW) buffer, so a batch holds no more patch
-memory than a single sample, and the weight gradient adds the samples'
-products in sample order.  Every batch size, inference's N = 1
-included, takes this one path; an empty batch is rejected.
+``conv2d`` runs one sample at a time: each sample's patches fill one
+reused (C*kh*kw, OH*OW) buffer, so a batch holds no more patch memory
+than a single sample, and the weight gradient adds the samples' products
+in sample order.  Every batch size, inference's N = 1 included, takes
+this one path; an empty batch is rejected.
 
 Ops link small graph nodes (gradient, parents, backward closure, dtype),
 not Tensors; a leaf is its own node.  A node pins a parent's data only if
@@ -471,15 +471,14 @@ def _bias_grad(g, dtype, axes):
 # convolution plumbing, one sample at a time: each sample's patches fill
 # one reused (C*kh*kw, OH*OW) buffer, and each product with them is the
 # 2-D BLAS call that a batched matmul makes for that sample.  conv2d and
-# its weight gradient are products with the patches of x, its input
-# gradient is the adjoint _conv_dx, and the transposed conv is the same
-# three maps with the input and output roles exchanged
+# its weight gradient are products with the patches of x, and its input
+# gradient is the adjoint _conv_dx
 
-def _patch_products(x, w, s, p, product=True, a=None):
+def _patch_products(x, w, s, p, a=None):
     """With P_n the patches of sample n of x (N, C, H, W) under w's kh x kw
     kernel and w2 = w.reshape(len(w), -1): the (N, len(w), OH, OW) stack of
-    w2 @ P_n if ``product``, and the sum over n of a[n] @ P_n.T in w's
-    shape if a (N, len(w), OH, OW) is given; None for what is not asked.
+    w2 @ P_n, or, if a (N, len(w), OH, OW) is given, the sum over n of
+    a[n] @ P_n.T in w's shape.
 
     The sum adds each sample's product into the first in sample order,
     which is ``np.sum(axis=0)`` of the stacked products bit for bit.
@@ -493,7 +492,7 @@ def _patch_products(x, w, s, p, product=True, a=None):
     xp = np.zeros((c, h + 2 * p, w_in + 2 * p), x.dtype)
     cols = np.empty((c, kh, kw, oh, ow), x.dtype)
     flat = cols.reshape(c * kh * kw, oh * ow)
-    y = np.empty((n, f, oh, ow), np.result_type(w, x)) if product else None
+    y = np.empty((n, f, oh, ow), np.result_type(w, x)) if a is None else None
     total = part = None
     for k in range(n):
         if kh == kw == s == 1 and p == 0:  # the patch matrix is the sample
@@ -503,15 +502,15 @@ def _patch_products(x, w, s, p, product=True, a=None):
             for i in range(kh):
                 for j in range(kw):
                     cols[:, i, j] = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
-        if product:
+        if a is None:
             np.matmul(w.reshape(f, -1), flat, out=y[k].reshape(f, -1))
-        if a is not None:
-            part = np.matmul(a[k].reshape(f, -1), flat.T, out=part)
-            if total is None:
-                total, part = part, None
-            else:
-                total += part
-    return y, None if total is None else total.reshape(w.shape)
+            continue
+        part = np.matmul(a[k].reshape(f, -1), flat.T, out=part)
+        if total is None:
+            total, part = part, None
+        else:
+            total += part
+    return y if a is None else total.reshape(w.shape)
 
 
 def _conv_dx(gy, w, s, p, h, w_in):
@@ -521,7 +520,7 @@ def _conv_dx(gy, w, s, p, h, w_in):
     n, f, oh, ow = gy.shape
     c, kh, kw = w.shape[1], w.shape[2], w.shape[3]
     w2t = w.reshape(f, -1).T
-    cols = np.empty((c, kh, kw, oh, ow), np.result_type(w, gy))
+    cols = np.empty((c, kh, kw, oh, ow), gy.dtype)
     xp = np.empty((c, h + 2 * p, w_in + 2 * p), gy.dtype)
     gx = np.empty((n, c, h, w_in), gy.dtype)
     for k in range(n):
@@ -534,23 +533,6 @@ def _conv_dx(gy, w, s, p, h, w_in):
     return gx
 
 
-def _check_conv_args(stride, padding, opname):
-    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
-        if value < low:
-            raise ValueError(f"{opname}: {name} {value} must be at least {low}")
-
-
-def _conv_bias(y, b, opname):
-    """Add the optional per-channel bias b in place to y (N, F, H, W); the
-    returned Tensors are the node's parents after x and w."""
-    if b is None:
-        return ()
-    b = _as_tensor(b)
-    _check_bias(b, y.shape[1], opname)
-    y += b.data[None, :, None, None]
-    return (b,)
-
-
 def conv2d(x, w, b=None, stride=1, padding=0):
     """2-D convolution, x (N,C,H,W) with w (F,C,kh,kw) and an optional
     bias b (F,) added in the same node."""
@@ -561,50 +543,21 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         raise ValueError("conv2d: channel mismatch")
     if len(x.data) == 0:
         raise ValueError("conv2d: empty batch")
-    _check_conv_args(stride, padding, "conv2d")
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if value < low:
+            raise ValueError(f"conv2d: {name} {value} must be at least {low}")
     h, w_in = x.data.shape[2], x.data.shape[3]
-    y = _patch_products(x.data, w.data, stride, padding)[0]
-    bias = _conv_bias(y, b, "conv2d")
+    y = _patch_products(x.data, w.data, stride, padding)
+    bias = ()  # the node's parents after x and w
+    if b is not None:
+        bias = (_as_tensor(b),)
+        _check_bias(bias[0], y.shape[1], "conv2d")
+        y += bias[0].data[None, :, None, None]
     xd, wd, x_grad = (x.data if w.requires_grad else None), w.data, x.requires_grad
     b_dtypes = [t.data.dtype if t.requires_grad else None for t in bias]
     def bwd(g):
         gx = _conv_dx(g, wd, stride, padding, h, w_in) if x_grad else None
-        gw = (_patch_products(xd, wd, stride, padding, product=False, a=g)[1]
-              if xd is not None else None)
-        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in b_dtypes))
-    return _make(y, (x, w, *bias), bwd)
-
-
-def conv_transpose2d(x, w, b=None, stride=1, padding=0):
-    """Transposed convolution, x (N,C,H,W) with w (C,F,kh,kw) and an
-    optional bias b (F,) added in the same node.
-
-    Output spatial size is (H-1)*stride + kh - 2*padding.  This is exactly
-    the adjoint of conv2d, so the three convolution maps are reused with
-    swapped roles; backward builds the patches of its gradient once for
-    both the input and the weight gradient.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ValueError("conv_transpose2d expects 4-D input and weight")
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ValueError("conv_transpose2d: channel mismatch")
-    if len(x.data) == 0:
-        raise ValueError("conv_transpose2d: empty batch")
-    _check_conv_args(stride, padding, "conv_transpose2d")
-    kh, kw = w.data.shape[2], w.data.shape[3]
-    h_out = (x.data.shape[2] - 1) * stride + kh - 2 * padding
-    w_out = (x.data.shape[3] - 1) * stride + kw - 2 * padding
-    if h_out <= 0 or w_out <= 0:
-        raise ValueError("transposed kernel does not produce a positive output size")
-    y = _conv_dx(x.data, w.data, stride, padding, h_out, w_out)
-    bias = _conv_bias(y, b, "conv_transpose2d")
-    xd, wd, x_grad = (x.data if w.requires_grad else None), w.data, x.requires_grad
-    b_dtypes = [t.data.dtype if t.requires_grad else None for t in bias]
-    def bwd(g):
-        gx = gw = None
-        if x_grad or xd is not None:
-            gx, gw = _patch_products(g, wd, stride, padding, product=x_grad, a=xd)
+        gw = _patch_products(xd, wd, stride, padding, a=g) if xd is not None else None
         return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in b_dtypes))
     return _make(y, (x, w, *bias), bwd)
 

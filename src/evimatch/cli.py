@@ -8,10 +8,10 @@ Only a run that succeeds changes --out, and it replaces whole entries.
 Failures exit nonzero with a one-line cause and leave --out untouched.
 ``--help`` lists each flag's default.  Only ``train-extractor`` takes the
 event representation and bin count; later commands read them from the
-student checkpoint.  ``--extractor`` always names that event student, and
-image keypoints always come from the analytic teacher.  ``--matcher-ckpt``
-selects the CA matcher, and without it ``match``, ``eval`` and ``viz`` use
-mutual nearest neighbour.  Keypoint ground truth is ``gt_assignment``'s
+student checkpoint.  ``--extractor`` always names that event student, whose
+score is always gated by the event mask, and image keypoints always come
+from the analytic teacher.  ``--matcher-ckpt`` selects the CA matcher, and
+without it ``match``, ``eval`` and ``viz`` use mutual nearest neighbour.  Keypoint ground truth is ``gt_assignment``'s
 depth reprojection between two samples' poses, and ``viz`` colours the
 matches of any two samples by it.  ``eval`` runs one loop over view pairs
 (a, b): sample a's event keypoints against sample b's image keypoints, one
@@ -60,7 +60,7 @@ _SCENE_PARAMS = {
     "height_amplitude": "0.08", "motion_scale": "1.0", "duration": "4.0",
     "delta_t": "0.05", "contrast": "0.2", "dt_sim": "0.001",
 }
-_EXTRACT_PARAMS = {"k": "512", "border": "4", "nms": "4", "mask": "true"}
+_EXTRACT_PARAMS = {"k": "512", "border": "4", "nms": "4"}
 _COMMAND_PARAMS = {
     "synth": dict(_SCENE_PARAMS, n="16"),
     "benchgen": dict(_SCENE_PARAMS, n_pairs="8", overlap_lo="0.4",
@@ -71,7 +71,6 @@ _COMMAND_PARAMS = {
         "pairs": "512", "seed": "0", "loss_terms": "feats,score,desc",
         "channels": "64,64,128,128", "pools": "1,2,1,2",
         "latent_dim": "128", "desc_dim": "128",
-        "score_head": "64,32", "desc_head": "128,64",
     },
     "train-matcher": dict(_EXTRACT_PARAMS, data=None, extractor=None,
                           pairs_file="", k="256", eps_px="3.0", lr="0.0001",
@@ -88,15 +87,6 @@ _COMMAND_PARAMS = {
                 index_b="-1", k="256", matcher_ckpt="", threshold="0.1",
                 eps="3.0"),
 }
-
-
-def _parse_bool(v, key):
-    s = str(v).strip().lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{key} must be a boolean, got {v!r}")
 
 
 def _ints(v):
@@ -176,9 +166,8 @@ def _event_keypoints(sample, cfg, params, config, threshold=None):
     rep = build_representation(sample.events, config.representation,
                                bins=config.in_channels)
     maps = forward_student(rep, params, config)
-    if _parse_bool(cfg["mask"], "mask"):
-        maps = apply_event_mask(maps, accumulate_mask(sample.events))
-    return _keypoints(maps, cfg, threshold)
+    return _keypoints(apply_event_mask(maps, accumulate_mask(sample.events)), cfg,
+                      threshold)
 
 
 def _image_keypoints(sample, cfg, threshold=None):
@@ -274,7 +263,6 @@ def cmd_train_extractor(out, cfg):
         in_channels=channel_count(cfg["representation"], int(cfg["bins"])),
         channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
         latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
-        score_head=_ints(cfg["score_head"]), desc_head=_ints(cfg["desc_head"]),
         representation=cfg["representation"])
     params, history = train_extractor(samples, dcfg, student, log=print)
     save_extractor(os.path.join(out, "student.ckpt"), params, student)

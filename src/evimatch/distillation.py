@@ -1,11 +1,13 @@
 """Cross-modal distillation of the event extractor from an image teacher.
 
 The student sees only the event tensor; the teacher sees only the aligned
-grayscale frame.  Three losses tie them together: a dense L2 on the latent
-feature maps, an event-masked L2 on the score maps, and an event-masked L1
-on the descriptor maps.  Masking matters because event tensors are silent
-away from moving edges, so forcing agreement there would only teach the
-student to hallucinate.
+grayscale frame.  Three losses tie them together, all at the student's
+backbone stride s: a dense L2 on the latent feature maps, an event-masked
+L2 on the score maps in s x s cell layout, and an L1 on the descriptor maps
+over the cells that hold an event, against the teacher's descriptors
+averaged over each cell and re-normalized.  Masking matters because event
+tensors are silent away from moving edges, so forcing agreement there
+would only teach the student to hallucinate.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .events import EventStream, accumulate_mask
-from .extractor import (ExtractorConfig, analytic_teacher,
-                        forward_student_batch, init_student)
+from .extractor import (ExtractorConfig, analytic_teacher, forward_student_batch,
+                        init_student, normalize_desc, pixels_to_cells)
 from .optim import fit, history_csv
 from .representations import build_representation
 
@@ -53,14 +55,16 @@ def lfd_loss(student, teacher, masks, config: DistillConfig):
     """Masked distillation loss over one batch, as fit's (total, values).
 
     student is forward_student_batch's (feats, score, desc) Tensors and
-    teacher the matching arrays; masks is (N, 1, H, W), 1 where the events
-    touched a pixel.  values holds l_feats, l_score, l_desc and l_total.
+    teacher the matching arrays from ``prepare_batch_arrays``; masks is
+    (N, s*s, H/s, W/s), 1 where the events touched a pixel, in the score's
+    cell layout.  values holds l_feats, l_score, l_desc and l_total.
 
     The feature term is an unmasked mean over every latent cell; the score
-    and descriptor terms average only over event-supported pixels, pooled
-    across the whole batch.  A batch whose masks are all zero contributes
-    nothing through the masked terms (zero, not NaN).  Disabled terms
-    are exactly zero and never enter the graph.
+    term averages over event-supported pixels and the descriptor term over
+    cells that hold an event, each pooled across the whole batch.  A batch
+    whose masks are all zero contributes nothing through the masked terms
+    (zero, not NaN).  Disabled terms are exactly zero and never enter the
+    graph.
     """
     student_feats, student_score, student_desc = student
     teacher_feats, teacher_score, teacher_desc = teacher
@@ -80,7 +84,7 @@ def lfd_loss(student, teacher, masks, config: DistillConfig):
         l_score = float(t.data)
         terms.append(t)
     if config.use_desc and not empty:
-        mc = np.broadcast_to(mask, teacher_desc.shape)
+        mc = np.broadcast_to(mask.max(axis=1, keepdims=True), teacher_desc.shape)
         t = ad.masked_mean(ad.abs_(ad.sub(student_desc,
                                           Tensor(teacher_desc))), mc)
         l_desc = float(t.data)
@@ -96,9 +100,12 @@ def prepare_batch_arrays(samples, student_config: ExtractorConfig, teacher=None)
     samples are ``LFDSample``s; their event streams are assumed to already
     be the observation windows.  Each input is the student's
     representation with in_channels bins.  teacher defaults to the
-    analytic image teacher.
+    analytic image teacher.  At the student's stride s, the teacher's
+    score and the event masks come in (s*s, H/s, W/s) cells, and its
+    descriptors averaged over each s x s cell and re-normalized.
     """
     tf = analytic_teacher if teacher is None else teacher
+    s = student_config.stride
     inputs, feats, scores, descs, masks = [], [], [], [], []
     for sample in samples:
         if not isinstance(sample.events, EventStream):
@@ -108,9 +115,12 @@ def prepare_batch_arrays(samples, student_config: ExtractorConfig, teacher=None)
                                            bins=student_config.in_channels))
         maps = tf(sample.image)
         feats.append(np.asarray(maps.feats, dtype=np.float32))
-        scores.append(np.asarray(maps.score, dtype=np.float32))
-        descs.append(np.asarray(maps.desc, dtype=np.float32))
-        masks.append(accumulate_mask(sample.events)[None].astype(np.float32))
+        scores.append(pixels_to_cells(np.asarray(maps.score, np.float32)[None], s)[0])
+        c, h, w = maps.desc.shape
+        descs.append(normalize_desc(np.asarray(maps.desc, np.float64).reshape(
+            c, h // s, s, w // s, s).mean(axis=(2, 4))).astype(np.float32))
+        masks.append(pixels_to_cells(
+            accumulate_mask(sample.events)[None, None].astype(np.float32), s)[0])
     return (np.stack(inputs), np.stack(feats), np.stack(scores),
             np.stack(descs), np.stack(masks))
 

@@ -2,21 +2,26 @@
 
 Two extractors produce the same kind of output: dense feature maps holding a
 latent map at the backbone stride, a full-resolution detection score map,
-and a full-resolution descriptor map, all plain arrays.  The student is a
-small VGG-style convolutional net over event tensors, built on the autodiff
-engine so it can be distilled: training runs the batched forward pass on
-graph Tensors, and inference returns their arrays.  The teacher is
-analytic: Harris corner strength for the score, windowed oriented-gradient
-descriptors, and a fixed seeded lift of steerable gradient responses for
-the latent map.  It needs no training, which keeps the whole distillation
-pipeline self-contained, and its shape is fixed by the module's TEACHER_*
-constants: 128 descriptor channels (8 orientations on a 4x4 tap grid) and
-128 latent channels at stride 4.
+and a descriptor map at the extractor's stride, all plain arrays.  The
+student is a small VGG-style convolutional net over event tensors, built on
+the autodiff engine so it can be distilled: training runs the batched
+forward pass on graph Tensors, and inference returns their arrays.  Its
+heads follow SuperPoint (DeTone et al., arXiv:1712.07629): each is a 3x3
+conv plus ReLU and a 1x1 projection at the backbone stride s, the score
+head's s*s channels being the pixels of each s x s cell (``cells_to_pixels``
+lays them out).  The teacher is analytic: Harris corner strength for the
+score, windowed oriented-gradient descriptors at full resolution, and a
+fixed seeded lift of steerable gradient responses for the latent map.  It
+needs no training, which keeps the whole distillation pipeline
+self-contained, and its shape is fixed by the module's TEACHER_* constants:
+128 descriptor channels (8 orientations on a 4x4 tap grid) and 128 latent
+channels at stride 4.
 
 Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k or threshold
-selection, and bilinear descriptor sampling from the unit-normalized map
-through the sampler in ``geometry``, normalizing only the pixels it reads.
+selection, and bilinear descriptor sampling from the unit-normalized map,
+at any stride, through the sampler in ``geometry``, normalizing only the
+pixels it reads.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class DenseMaps:
     """Dense extractor outputs: latent features, score map, descriptor map.
 
     feats is (C', H/s, W/s) for backbone stride s; score is (1, H, W);
-    desc is (C_d, H, W); all three are float32 arrays.
+    desc is (C_d, H/t, W/t) at the extractor's stride t: 1 for the
+    teacher, ``config.stride`` for the student.  All three are float32.
     """
 
     feats: np.ndarray
@@ -52,10 +58,10 @@ class ExtractorConfig:
 
     ``channels``/``pools`` describe the backbone: each block is a 3x3 conv
     plus ReLU, followed by 2x2 max pooling where pools is 2.  The product
-    of pools is the backbone stride; the score and descriptor heads climb
-    back to full resolution with one stride-2 transposed conv per pooling
-    stage (their widths given by score_head/desc_head), ending in a 1x1
-    projection.
+    of pools is the backbone stride s.  The score and descriptor heads
+    stay at that stride: each is a 3x3 conv plus ReLU as wide as the last
+    backbone block, then a 1x1 projection to s*s score cells or to
+    desc_dim descriptor channels.
 
     ``representation`` names the event tensor the student reads (one of
     ``representations.KINDS``) with in_channels bins; the time surface
@@ -67,22 +73,16 @@ class ExtractorConfig:
     pools: tuple = (1, 2, 1, 2)
     latent_dim: int = 128
     desc_dim: int = 128
-    score_head: tuple = (64, 32)
-    desc_head: tuple = (128, 64)
     representation: str = "voxel"
 
     def __post_init__(self):
-        for name in ("in_channels", "channels", "latent_dim", "desc_dim",
-                     "score_head", "desc_head"):
+        for name in ("in_channels", "channels", "latent_dim", "desc_dim"):
             if min(np.atleast_1d(getattr(self, name)), default=1) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if len(self.channels) != len(self.pools):
             raise ValueError("channels and pools must have equal length")
         if any(p not in (1, 2) for p in self.pools):
             raise ValueError("pool factors must be 1 or 2")
-        ups = sum(1 for p in self.pools if p == 2)
-        if len(self.score_head) != ups or len(self.desc_head) != ups:
-            raise ValueError("head depth must match the number of pooling stages")
         n = channel_count(self.representation, self.in_channels)
         if n != self.in_channels:
             raise ValueError(f"a {self.representation} input has {n} channels, "
@@ -127,9 +127,8 @@ def _student_layout(config: ExtractorConfig):
     """
     layout = []
 
-    def conv(name, c_out, c_in, k, transposed=False):
-        shape = (c_in, c_out, k, k) if transposed else (c_out, c_in, k, k)
-        layout.extend([(name + ".w", shape, c_in * k * k),
+    def conv(name, c_out, c_in, k):
+        layout.extend([(name + ".w", (c_out, c_in, k, k), c_in * k * k),
                        (name + ".b", (c_out,), 0)])
 
     c_in = config.in_channels
@@ -137,13 +136,9 @@ def _student_layout(config: ExtractorConfig):
         conv(f"backbone.{i}", c_out, c_in, 3)
         c_in = c_out
     conv("latent", config.latent_dim, c_in, 1)
-    for head, widths, out_dim in (("score", config.score_head, 1),
-                                  ("desc", config.desc_head, config.desc_dim)):
-        c = c_in
-        for i, width in enumerate(widths):
-            conv(f"{head}.{i}", width, c, 4, transposed=True)
-            c = width
-        conv(f"{head}.out", out_dim, c, 1)
+    for head, out_dim in (("score", config.stride ** 2), ("desc", config.desc_dim)):
+        conv(f"{head}.0", c_in, c_in, 3)
+        conv(f"{head}.out", out_dim, c_in, 1)
     return layout
 
 
@@ -160,7 +155,8 @@ def init_student(config: ExtractorConfig, seed: int = 0):
 
 
 def forward_student_batch(x, params, config: ExtractorConfig):
-    """Batched forward pass: (N, C, H, W) array -> (feats, score, desc) Tensors.
+    """Batched forward pass: (N, C, H, W) array -> (feats, score, desc) Tensors,
+    all at the backbone stride s; score holds (N, s*s, H/s, W/s) cells.
 
     The graph is recorded only when the parameters require gradients.
     """
@@ -175,29 +171,43 @@ def forward_student_batch(x, params, config: ExtractorConfig):
         if pool == 2:
             h = ad.max_pool2d(h, 2)
     feats = ad.conv2d(h, params["latent.w"], params["latent.b"])
-    outs = []
-    for head, widths in (("score", config.score_head), ("desc", config.desc_head)):
-        t = h
-        for i in range(len(widths)):
-            t = ad.relu(ad.conv_transpose2d(t, params[f"{head}.{i}.w"],
-                                            params[f"{head}.{i}.b"],
-                                            stride=2, padding=1))
-        outs.append(ad.conv2d(t, params[f"{head}.out.w"], params[f"{head}.out.b"]))
-    score, desc = outs
+    heads = []
+    for head in ("score", "desc"):
+        t = ad.relu(ad.conv2d(h, params[f"{head}.0.w"], params[f"{head}.0.b"], padding=1))
+        heads.append(ad.conv2d(t, params[f"{head}.out.w"], params[f"{head}.out.b"]))
+    score, desc = heads
     return feats, score, desc
 
 
 def forward_student(tensor, params, config: ExtractorConfig) -> DenseMaps:
     """Run the student on one (C, H, W) event representation, for inference.
 
-    Returns DenseMaps of arrays.  Training goes through
-    ``forward_student_batch``, whose Tensors carry the graph.
+    Returns DenseMaps of arrays, the score back in (1, H, W) pixels.
+    Training goes through ``forward_student_batch``, whose Tensors carry
+    the graph.
     """
     data = np.asarray(tensor)
     if data.ndim != 3:
         raise ValueError(f"expected a (C, H, W) input, got shape {data.shape}")
     feats, score, desc = forward_student_batch(data[None], params, config)
-    return DenseMaps(feats.data[0], score.data[0], desc.data[0])
+    return DenseMaps(feats.data[0], cells_to_pixels(score.data, config.stride)[0],
+                     desc.data[0])
+
+
+def pixels_to_cells(x, s):
+    """(N, 1, H, W) pixels -> (N, s*s, H/s, W/s) cells: channel k of cell
+    (i, j) is pixel (s*i + k // s, s*j + k % s)."""
+    n, _, h, w = x.shape
+    if h % s or w % s:
+        raise ValueError(f"a {h}x{w} map does not divide into {s}x{s} cells")
+    return x.reshape(n, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3).reshape(
+        n, s * s, h // s, w // s)
+
+
+def cells_to_pixels(x, s):
+    """The inverse of ``pixels_to_cells``."""
+    n, _, h, w = x.shape
+    return x.reshape(n, s, s, h, w).transpose(0, 3, 1, 4, 2).reshape(n, 1, h * s, w * s)
 
 
 # -- analytic teacher ---------------------------------------------------
@@ -365,7 +375,9 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     become keypoints, so a fully masked score map yields an empty set.
     Returned keypoints are ordered by descending score (ties by row-major
     index).  Descriptors are bilinearly sampled from the unit-normalized
-    descriptor map and re-normalized.
+    descriptor map and re-normalized; pixel (x, y) of the score map reads
+    an (h_d, w_d) descriptor map at ((x + 0.5) w_d/W - 0.5,
+    (y + 0.5) h_d/H - 0.5), which is (x, y) at full resolution.
     """
     if border < 0 or nms_radius < 0:
         raise ValueError("border and nms_radius must be non-negative")
@@ -397,7 +409,8 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     # normalize only the pixels the sampler reads: np.take keeps the map's
     # layout, so each norm adds the channels in a whole-map norm's order
     # and the bytes equal those of sampling the normalized map
-    taps, weights = _bilinear_taps(*desc.shape[1:], pos[:, 0], pos[:, 1])
+    at = (pos + 0.5) * (desc.shape[2] / w, desc.shape[1] / h) - 0.5
+    taps, weights = _bilinear_taps(*desc.shape[1:], at[:, 0], at[:, 1])
     pix, inv = np.unique(np.concatenate(taps), return_inverse=True)
     unit = normalize_desc(np.take(desc.reshape(len(desc), -1), pix, axis=1))
     descs = normalize_desc(_blend(unit, np.split(inv, 4), weights)).T

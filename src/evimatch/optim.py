@@ -235,13 +235,17 @@ def load_module(path, config_cls, param_shapes):
     ``param_shapes(config)`` gives the expected name -> shape dict without
     allocating anything, so a checkpoint that declares huge sizes costs no
     more than its own bytes before it is rejected.  A config entry that is
-    missing, non-finite, not integral or of the wrong length, a str entry
-    that is not UTF-8 bytes, a config the dataclass rejects, and a missing,
-    extra or mis-shaped parameter all raise ValueError naming the file and
-    the key.
+    missing, unknown to the dataclass, non-finite, not integral or of the
+    wrong length, a str entry that is not UTF-8 bytes, a config the
+    dataclass rejects, and a missing, extra or mis-shaped parameter all
+    raise ValueError naming the file and the key.
     """
     blob = load_checkpoint(path)
     hints = typing.get_type_hints(config_cls)
+    unknown = sorted(k for k in blob if k.startswith(_CONFIG_PREFIX)
+                     and k[len(_CONFIG_PREFIX):] not in hints)
+    if unknown:
+        raise ValueError(f"{path}: unexpected architecture entry {unknown[0]}")
     values = {}
     for f in dataclasses.fields(config_cls):
         key = _CONFIG_PREFIX + f.name

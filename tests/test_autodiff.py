@@ -243,14 +243,6 @@ def ones(*shape):
                  "conv2d: stride 0 must be at least 1", id="conv-stride-0"),
     pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 1, 1), padding=-1),
                  "conv2d: padding -1 must be at least 0", id="conv-padding-negative"),
-    pytest.param(lambda: ad.conv_transpose2d(ones(1, 2, 4, 4), ones(2, 3, 4, 4), stride=0),
-                 "conv_transpose2d: stride 0 must be at least 1", id="transpose-stride-0"),
-    # on (1, 2, 4, 4) this once returned a (1, 3, 12, 12) broadcast of one
-    # value per channel
-    pytest.param(lambda: ad.conv_transpose2d(ones(1, 2, 4, 4), ones(2, 3, 4, 4), stride=2,
-                                             padding=-1),
-                 "conv_transpose2d: padding -1 must be at least 0",
-                 id="transpose-padding-negative"),
 ])
 def test_conv_and_pool_reject_bad_arguments(call, message):
     with pytest.raises(ValueError) as info:
@@ -308,12 +300,6 @@ def test_conv2d_identity_kernel():
     w[0, 0, 1, 1] = 1.0
     y = ad.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
     np.testing.assert_allclose(y.data, x, atol=1e-6)
-
-
-def test_conv_transpose_doubles_spatial_size():
-    y = ad.conv_transpose2d(Tensor(t64(1, 2, 4, 4)), Tensor(t64(2, 3, 4, 4)),
-                            stride=2, padding=1)
-    assert y.data.shape == (1, 3, 8, 8)
 
 
 # -- gradient checks, one per op ------------------------------------------
@@ -481,19 +467,9 @@ def test_grad_conv2d_strided():
                      [t64(1, 2, 8, 8), t64(3, 2, 3, 3)])
 
 
-def test_grad_conv_transpose2d():
-    assert gradcheck(lambda x, w: ad.conv_transpose2d(x, w, stride=2, padding=1),
-                     [t64(1, 2, 4, 4), t64(2, 3, 4, 4)])
-
-
 def test_grad_conv2d_bias():
     assert gradcheck(lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1),
                      [t64(2, 2, 6, 6), t64(3, 2, 3, 3), t64(3)])
-
-
-def test_grad_conv_transpose2d_bias():
-    assert gradcheck(lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2, padding=1),
-                     [t64(1, 2, 4, 4), t64(2, 3, 4, 4), t64(3)])
 
 
 def test_grad_linear():
@@ -553,15 +529,6 @@ def test_conv2d_bias_bitwise_equals_bias_node(stride, padding):
         assert_bitwise_equal(a, b)
 
 
-def test_conv_transpose2d_bias_bitwise_equals_bias_node():
-    got, want = folded_and_reference(
-        lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2, padding=1),
-        lambda x, w: ad.conv_transpose2d(x, w, stride=2, padding=1),
-        [(3, 6, 8, 8), (6, 4, 4, 4), (4,)], seed=7)
-    for a, b in zip(got, want):
-        assert_bitwise_equal(a, b)
-
-
 def test_linear_bitwise_equals_matmul_and_bias_node():
     got, want = folded_and_reference(ad.linear, ad.matmul,
                                      [(37, 24), (24, 16), (16,)], seed=3)
@@ -571,7 +538,6 @@ def test_linear_bitwise_equals_matmul_and_bias_node():
 
 @pytest.mark.parametrize("op, x, w", [
     (ad.conv2d, np.ones((1, 2, 4, 4)), np.ones((3, 2, 3, 3))),
-    (ad.conv_transpose2d, np.ones((1, 2, 4, 4)), np.ones((2, 3, 2, 2))),
     (ad.linear, np.ones((4, 2)), np.ones((2, 3))),
 ])
 def test_bias_must_match_output_channels(op, x, w):
@@ -625,23 +591,12 @@ def batched_conv2d(x, w, g, s, p):
     return y, gx, gw.reshape(w.shape)
 
 
-def batched_conv_transpose2d(x, w, g, s, p):
-    n, c = x.shape[:2]
-    y = batched_adjoint(x, w, s, p, g.shape[2], g.shape[3])
-    cols, oh, ow = batched_patches(g, w.shape[2], w.shape[3], s, p)
-    gx = np.matmul(w.reshape(c, -1)[None], cols).reshape(n, c, oh, ow)
-    gw = np.matmul(x.reshape(n, c, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    return y, gx, gw.reshape(w.shape)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
 @pytest.mark.parametrize("op, reference, w_shape", [
     (ad.conv2d, batched_conv2d, (6, 5, 3, 3)),
-    (ad.conv_transpose2d, batched_conv_transpose2d, (5, 6, 3, 3)),
     # at stride 1 and padding 0 a 1x1 kernel's patch matrix is the sample
     (ad.conv2d, batched_conv2d, (6, 5, 1, 1)),
-    (ad.conv_transpose2d, batched_conv_transpose2d, (5, 6, 1, 1)),
 ])
 def test_conv_bitwise_equals_batched_formulation(op, reference, w_shape, n, dtype):
     # the weight gradient must add the samples' products in sample order,
@@ -673,8 +628,7 @@ def test_conv2d_forward_holds_one_sample_of_patches():
     assert peak < 8 * 576 * 1024 * 4
 
 
-@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3)),
-                                         (ad.conv_transpose2d, (2, 3, 4, 4))])
+@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3))])
 def test_conv_rejects_an_empty_batch(op, w_shape):
     x = Tensor(np.ones((0, 2, 4, 4), np.float32), requires_grad=True)
     with pytest.raises(ValueError, match=f"{op.__name__}: empty batch"):

@@ -175,8 +175,7 @@ def test_extract_threshold_mode(dataset, tmp_path):
 def student_ckpt(tmp_path_factory):
     """A seeded, untrained student whose descriptors match the teacher's."""
     config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
-                             latent_dim=4, desc_dim=128, score_head=(4,),
-                             desc_head=(4,))
+                             latent_dim=4, desc_dim=128)
     path = str(tmp_path_factory.mktemp("ckpt") / "student.ckpt")
     save_extractor(path, init_student(config, seed=2), config)
     return path
@@ -189,19 +188,19 @@ def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
                "--k", "16", "--out", str(out)])
     assert rc == 0
     assert (out / "report.txt").read_text() == (
-        "n_pairs=2.000000\nrepeatability@3=0.400000\nvdd=1.357714\n"
-        "vda=85.521653\nmma@3=0.250000\nmr=1.000000\nn_failed=2.000000\n"
+        "n_pairs=2.000000\nrepeatability@3=0.250000\nvdd=1.442742\n"
+        "vda=92.335618\nmma@3=0.000000\nmr=0.750000\nn_failed=2.000000\n"
         "rpe_ratio@5=0.000000\nrpe_auc@5=0.000000\nrpe_ratio@10=0.000000\n"
         "rpe_auc@10=0.000000\nrpe_ratio@20=0.000000\nrpe_auc@20=0.000000\n")
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("pairs.csv", "report.csv", "report.txt")}
     assert digests == {
-        "pairs.csv": ("cdd07301fc4550f1043933531d400906"
-                      "89b94a8328f4230c927e9a5949d58773"),
-        "report.csv": ("045015a184a55ea33019b465e348f03d"
-                       "c366e328063bf2ceab9f5c44dc36cd69"),
-        "report.txt": ("65614b6e58ae7c5dc5bbe759297a4000"
-                       "803dea92ef1e760a7b2da04a70e165fb"),
+        "pairs.csv": ("3dc5b0fffcee21aca31043e897c0e521"
+                      "4d0565445f37079c92b994c951e90b86"),
+        "report.csv": ("48abead87e0a5d48200c60b33f2626b0"
+                       "0cfd2c484b3e756ee9d61aa83e58c69f"),
+        "report.txt": ("38da45c5f9b88c26d1567592a9503bc4"
+                       "6d96c67c3ea7454580714bb6ba0f1b33"),
     }
 
 
@@ -233,8 +232,7 @@ KP_FLAGS = ["--border", "2", "--nms", "2", "--k", "16"]
 def test_extract_and_eval_read_the_representation_from_the_student(dataset,
                                                                    tmp_path):
     config = ExtractorConfig(in_channels=16, channels=(4,), pools=(2,),
-                             latent_dim=4, desc_dim=128, score_head=(4,),
-                             desc_head=(4,), representation="stack")
+                             latent_dim=4, desc_dim=128, representation="stack")
     ckpt = str(tmp_path / "stack.ckpt")
     save_extractor(ckpt, init_student(config, seed=2), config)
     kps = direct_keypoints(dataset, ckpt, "stack", 16)
@@ -661,7 +659,8 @@ def test_eval_checks_mode_before_loading(tmp_path, capsys):
 
 
 def test_viz_aligned_pair_image_bytes(dataset, student_ckpt, tmp_path):
-    # sample 1 against itself draws both correct and incorrect matches
+    # sample 1 against itself: one keypoint, matched but not to its
+    # ground-truth partner
     out = tmp_path / "viz"
     rc = main(["viz", "--data", dataset, "--extractor", student_ckpt,
                "--index-a", "1", "--border", "2", "--nms", "2", "--k", "16",
@@ -669,7 +668,7 @@ def test_viz_aligned_pair_image_bytes(dataset, student_ckpt, tmp_path):
     assert rc == 0
     ppm = (out / "viz" / "match_001_001.ppm").read_bytes()
     assert hashlib.sha256(ppm).hexdigest() == (
-        "94d1cf232c9dd75ad49d2733cf2398e932094c5ca2f3eba7435682dc6fdf2a39")
+        "1223d089b5bbcb39a88574380b46c1a3671cf54aca83085c4e46ea02234da491")
 
 
 def test_viz_cross_view_colours_matches_by_the_ground_truth(dataset, student_ckpt,
@@ -697,18 +696,33 @@ def test_flags_a_checkpoint_fixes_are_gone(command, flag, capsys):
     assert f"unrecognized arguments: {flag} ca" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train-extractor", "--score-head"), ("train-extractor", "--desc-head"),
+    ("train-matcher", "--mask"), ("extract", "--mask"), ("eval", "--mask"),
+    ("viz", "--mask")])
+def test_head_widths_and_the_mask_switch_are_gone(command, flag, capsys):
+    # the heads are as wide as the last backbone block, and event keypoints
+    # are always gated by the event mask
+    with pytest.raises(SystemExit) as exit_:
+        parse([command, flag, "1"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_settable_values():
+    assert sum(len(params) for params in cli._COMMAND_PARAMS.values()) == 88
+
+
 # -- inputs the pipeline cannot use -------------------------------------------
 
-TINY_STUDENT = ["--channels", "4,4", "--pools", "2,2", "--score-head", "4,4",
-                "--desc-head", "4,4", "--epochs", "1"]
+TINY_STUDENT = ["--channels", "4,4", "--pools", "2,2", "--epochs", "1"]
 
 
 @pytest.mark.parametrize("flags, message", [
     (["--desc-dim", "64"], "desc_dim is 64 but the teacher's desc has 128 channels"),
     (["--latent-dim", "64"],
      "latent_dim is 64 but the teacher's feats have 128 channels"),
-    (["--channels", "4,4,4,4", "--pools", "1,1,1,2", "--score-head", "4",
-      "--desc-head", "4"],
+    (["--channels", "4,4,4,4", "--pools", "1,1,1,2"],
      "stride is 2, giving 8x8 feats for 16x16 inputs, but the teacher's feats "
      "are 4x4"),
 ])

@@ -10,9 +10,10 @@ from evimatch.autodiff import Tensor
 from evimatch.datagen import LFDSample
 from evimatch.distillation import (DistillConfig, lfd_loss, loss_history_csv,
                                    prepare_batch_arrays, train_extractor)
-from evimatch.events import EventStream
+from evimatch.events import EventStream, accumulate_mask
 from evimatch.extractor import (DenseMaps, ExtractorConfig, analytic_teacher,
-                                forward_student_batch, init_student)
+                                cells_to_pixels, forward_student_batch,
+                                init_student, normalize_desc, pixels_to_cells)
 from evimatch.geometry import RigidPose
 from evimatch.representations import build_representation
 
@@ -27,16 +28,17 @@ def test_config_validation():
 
 
 def tiny_batch(mask_val=1.0):
-    """(student Tensors, teacher arrays, masks) for a 2-sample batch."""
+    """(student Tensors, teacher arrays, masks) for a 2-sample batch of
+    4x4 frames at stride 2: scores and masks in 2x2 cells of 4 pixels."""
     rng = np.random.default_rng(0)
-    n, cd, h, w = 2, 3, 4, 4
-    teacher = (rng.normal(size=(n, 2, 2, 2)).astype(np.float32),
-               rng.uniform(0, 1, (n, 1, h, w)).astype(np.float32),
+    n, cd, h, w = 2, 3, 2, 2
+    teacher = (rng.normal(size=(n, 2, h, w)).astype(np.float32),
+               rng.uniform(0, 1, (n, 4, h, w)).astype(np.float32),
                rng.normal(size=(n, cd, h, w)).astype(np.float32))
-    masks = np.full((n, 1, h, w), mask_val, np.float32)
+    masks = np.full((n, 4, h, w), mask_val, np.float32)
     student = (
-        Tensor(rng.normal(size=(n, 2, 2, 2)).astype(np.float32), requires_grad=True),
-        Tensor(rng.uniform(0, 1, (n, 1, h, w)).astype(np.float32), requires_grad=True),
+        Tensor(rng.normal(size=(n, 2, h, w)).astype(np.float32), requires_grad=True),
+        Tensor(rng.uniform(0, 1, (n, 4, h, w)).astype(np.float32), requires_grad=True),
         Tensor(rng.normal(size=(n, cd, h, w)).astype(np.float32), requires_grad=True),
     )
     return student, teacher, masks
@@ -56,12 +58,12 @@ def test_lfd_loss_matches_hand_computation():
 def test_lfd_loss_mask_restricts_support():
     student, (tf, ts, td), masks = tiny_batch()
     masks = np.zeros_like(masks)
-    masks[0, 0, 1, 1] = 1.0  # a single supported pixel
+    masks[0, 3, 1, 0] = 1.0  # a single supported pixel, in cell (1, 0)
     _, (_, l_score, l_desc, _) = lfd_loss(student, (tf, ts, td), masks,
                                           DistillConfig())
     _, ss, sd = student
-    want_score = (ss.data[0, 0, 1, 1] - ts[0, 0, 1, 1]) ** 2
-    want_desc = np.abs(sd.data[0, :, 1, 1] - td[0, :, 1, 1]).mean()
+    want_score = (ss.data[0, 3, 1, 0] - ts[0, 3, 1, 0]) ** 2
+    want_desc = np.abs(sd.data[0, :, 1, 0] - td[0, :, 1, 0]).mean()
     assert l_score == pytest.approx(want_score, rel=1e-4)
     assert l_desc == pytest.approx(want_desc, rel=1e-4)
 
@@ -91,7 +93,8 @@ def test_lfd_loss_total_differentiable():
 def test_default_student_step_memory():
     # forward, LFD loss and backward of the default student at N = 2 and
     # 64x64 peaked at 43.5 MiB while the graph pinned every activation;
-    # keeping only what each backward reads brings it to about 28 MiB
+    # keeping only what each backward reads brought it to about 28 MiB,
+    # and heads at the backbone stride to about 19 MiB
     config = ExtractorConfig(in_channels=16)
     params = init_student(config)
     for p in params.values():
@@ -99,9 +102,9 @@ def test_default_student_step_memory():
     r = np.random.default_rng(0)
     x = r.normal(size=(2, 16, 64, 64)).astype(np.float32)
     teacher = (r.normal(size=(2, 128, 16, 16)).astype(np.float32),
-               r.uniform(size=(2, 1, 64, 64)).astype(np.float32),
-               r.normal(size=(2, 128, 64, 64)).astype(np.float32))
-    masks = (r.uniform(size=(2, 1, 64, 64)) < 0.3).astype(np.float32)
+               r.uniform(size=(2, 16, 16, 16)).astype(np.float32),
+               r.normal(size=(2, 128, 16, 16)).astype(np.float32))
+    masks = (r.uniform(size=(2, 16, 16, 16)) < 0.3).astype(np.float32)
     tracemalloc.start()
     try:
         total, _ = lfd_loss(forward_student_batch(x, params, config), teacher,
@@ -115,8 +118,7 @@ def test_default_student_step_memory():
 
 
 STUDENT = ExtractorConfig(in_channels=4, channels=(6, 6), pools=(1, 2),
-                          latent_dim=8, desc_dim=8, score_head=(6,),
-                          desc_head=(6,))
+                          latent_dim=8, desc_dim=8)
 RECIPE = DistillConfig(lr=3e-3, epochs=4, batch_size=2, n_pairs=8, seed=0)
 
 
@@ -153,10 +155,37 @@ def test_prepare_batch_shapes():
                                               teacher=small_teacher)
     assert xs.shape == (4, 4, 16, 16)
     assert tf.shape == (4, 8, 8, 8)
-    assert ts.shape == (4, 1, 16, 16)
-    assert td.shape == (4, 8, 16, 16)
-    assert ms.shape == (4, 1, 16, 16)
+    assert ts.shape == (4, 4, 8, 8)
+    assert td.shape == (4, 8, 8, 8)
+    assert ms.shape == (4, 4, 8, 8)
     assert set(np.unique(ms)) <= {0.0, 1.0}
+
+
+def test_prepare_batch_targets_in_cells():
+    samples = training_samples()
+    _, _, ts, td, ms = prepare_batch_arrays(samples, STUDENT, teacher=small_teacher)
+    for i, s in enumerate(samples):
+        maps = small_teacher(s.image)
+        assert cells_to_pixels(ts[i:i + 1], 2)[0].tobytes() == maps.score.tobytes()
+        mask = accumulate_mask(s.events).astype(np.float32)
+        assert cells_to_pixels(ms[i:i + 1], 2)[0, 0].tobytes() == mask.tobytes()
+        # the mean of each 2x2 cell's unit descriptors, re-normalized
+        mean = maps.desc.astype(np.float64).reshape(8, 8, 2, 8, 2).mean(axis=(2, 4))
+        np.testing.assert_allclose(td[i], normalize_desc(mean), atol=1e-6)
+        np.testing.assert_allclose(np.linalg.norm(td[i], axis=0), 1.0, atol=1e-5)
+
+
+def test_lfd_score_term_is_zero_on_the_teacher_score_in_cells():
+    # a student whose score cells, decoded to pixels, are the teacher's
+    # score costs nothing; one shifted by a pixel does
+    samples = training_samples()
+    _, tf, ts, td, ms = prepare_batch_arrays(samples, STUDENT, teacher=small_teacher)
+    pixels = np.stack([small_teacher(s.image).score for s in samples])
+    for shift, zero in ((0, True), (1, False)):
+        score = pixels_to_cells(np.roll(pixels, shift, axis=3), 2)
+        student = (Tensor(tf), Tensor(score), Tensor(td))
+        _, (_, l_score, _, _) = lfd_loss(student, (tf, ts, td), ms, RECIPE)
+        assert (l_score == 0.0) == zero
 
 
 def test_prepare_batch_rejects_non_stream():

@@ -5,15 +5,15 @@ import pytest
 
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 analytic_teacher, apply_event_mask,
-                                extract_keypoints, forward_student,
-                                forward_student_batch, harris_score,
-                                init_student, load_extractor, nms_mask,
-                                normalize_desc, save_extractor)
+                                cells_to_pixels, extract_keypoints,
+                                forward_student, forward_student_batch,
+                                harris_score, init_student, load_extractor,
+                                nms_mask, normalize_desc, pixels_to_cells,
+                                save_extractor)
 from evimatch.geometry import _bilinear
 
 TINY = ExtractorConfig(in_channels=2, channels=(8, 8), pools=(1, 2),
-                       latent_dim=8, desc_dim=16, score_head=(8,),
-                       desc_head=(8,))
+                       latent_dim=8, desc_dim=16)
 
 
 def test_config_stride_is_pool_product():
@@ -21,16 +21,9 @@ def test_config_stride_is_pool_product():
     assert ExtractorConfig(in_channels=1).stride == 4
 
 
-def test_config_rejects_mismatched_heads():
-    with pytest.raises(ValueError, match="head depth"):
-        ExtractorConfig(in_channels=1, channels=(8, 8), pools=(2, 2),
-                        score_head=(8,), desc_head=(8, 8))
-
-
 def test_config_rejects_bad_pool_factor():
     with pytest.raises(ValueError, match="pool factors"):
-        ExtractorConfig(in_channels=1, channels=(8,), pools=(3,),
-                        score_head=(8,), desc_head=(8,))
+        ExtractorConfig(in_channels=1, channels=(8,), pools=(3,))
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -49,9 +42,9 @@ def test_init_student_matches_declared_shapes():
         "backbone.0.w": (8, 2, 3, 3), "backbone.0.b": (8,),
         "backbone.1.w": (8, 8, 3, 3), "backbone.1.b": (8,),
         "latent.w": (8, 8, 1, 1), "latent.b": (8,),
-        "score.0.w": (8, 8, 4, 4), "score.0.b": (8,),
-        "score.out.w": (1, 8, 1, 1), "score.out.b": (1,),
-        "desc.0.w": (8, 8, 4, 4), "desc.0.b": (8,),
+        "score.0.w": (8, 8, 3, 3), "score.0.b": (8,),
+        "score.out.w": (4, 8, 1, 1), "score.out.b": (4,),
+        "desc.0.w": (8, 8, 3, 3), "desc.0.b": (8,),
         "desc.out.w": (16, 8, 1, 1), "desc.out.b": (16,),
     }
     assert list(params) == list(shapes)
@@ -73,7 +66,29 @@ def test_forward_student_output_shapes():
     maps = forward_student(np.zeros((2, 16, 24), np.float32), params, TINY)
     assert maps.feats.shape == (8, 8, 12)
     assert maps.score.shape == (1, 16, 24)
-    assert maps.desc.shape == (16, 16, 24)
+    assert maps.desc.shape == (16, 8, 12)
+
+
+def test_default_student_size():
+    params = init_student(ExtractorConfig(in_channels=16))
+    assert sum(p.data.size for p in params.values()) == 597_904
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_cell_layout_inverts_and_places_each_pixel(s):
+    x = np.random.default_rng(s).normal(size=(3, 1, 4 * s, 2 * s)).astype(np.float32)
+    cells = pixels_to_cells(x, s)
+    assert cells.shape == (3, s * s, 4, 2)
+    assert cells_to_pixels(cells, s).tobytes() == x.tobytes()
+    for k in range(s * s):
+        for i in range(4):
+            for j in range(2):
+                assert (cells[:, k, i, j] == x[:, 0, s * i + k // s, s * j + k % s]).all()
+
+
+def test_cells_reject_a_map_that_does_not_divide():
+    with pytest.raises(ValueError, match="a 6x8 map does not divide into 4x4 cells"):
+        pixels_to_cells(np.zeros((1, 1, 6, 8)), 4)
 
 
 def test_forward_student_rejects_wrong_channels():
@@ -93,7 +108,7 @@ def test_forward_student_graph_only_when_trainable():
         p.requires_grad = True
     feats, score, desc = forward_student_batch(x[None], params, TINY)
     assert feats.requires_grad and score.requires_grad and desc.requires_grad
-    np.testing.assert_array_equal(score.data[0], maps.score)
+    np.testing.assert_array_equal(cells_to_pixels(score.data, TINY.stride)[0], maps.score)
 
 
 def test_harris_flat_image_is_zero():
@@ -329,10 +344,27 @@ def test_normalize_desc_renormalizes_sampled_block():
 
 
 def reference_descriptors(maps, positions):
-    """Descriptors sampled from the whole unit-normalized map, as stored."""
+    """Descriptors sampled from the whole unit-normalized map, as stored,
+    at the positions mapped onto the descriptor map's grid."""
     unit = normalize_desc(maps.desc)
-    return normalize_desc(_bilinear(unit, positions[:, 0], positions[:, 1])).T.astype(
-        np.float32)
+    (h, w), (hd, wd) = maps.score.shape[1:], maps.desc.shape[1:]
+    x = (positions[:, 0] + 0.5) * wd / w - 0.5
+    y = (positions[:, 1] + 0.5) * hd / h - 0.5
+    return normalize_desc(_bilinear(unit, x, y)).T.astype(np.float32)
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_keypoint_descriptors_at_the_stride_sample_the_mapped_coordinates(s):
+    r = np.random.default_rng(s)
+    score = r.random((1, 32, 24)).astype(np.float32)
+    desc = r.standard_normal((16, 32 // s, 24 // s)).astype(np.float32)
+    maps = DenseMaps(np.zeros((4, 8, 6), np.float32), score, desc)
+    kp = extract_keypoints(maps, border=0, nms_radius=2, k=1024)
+    assert len(kp) > 10
+    x, y = kp.positions.T
+    want = normalize_desc(_bilinear(normalize_desc(desc), (x + 0.5) / s - 0.5,
+                                    (y + 0.5) / s - 0.5)).T.astype(np.float32)
+    assert kp.descriptors.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -383,8 +415,7 @@ def test_save_load_extractor_roundtrip(tmp_path):
 def test_save_load_extractor_keeps_the_representation(tmp_path, representation,
                                                       in_channels):
     config = ExtractorConfig(in_channels=in_channels, channels=(4,), pools=(2,),
-                             latent_dim=4, desc_dim=8, score_head=(4,),
-                             desc_head=(4,), representation=representation)
+                             latent_dim=4, desc_dim=8, representation=representation)
     path = tmp_path / "ex.ckpt"
     save_extractor(path, init_student(config, seed=1), config)
     assert load_extractor(path)[1] == config

@@ -424,7 +424,7 @@ def valid_files(tmp_path_factory):
     io.save_dataset(d / "ds", [sample], intr, 8, 6)
     save_events(d / "ev.evt", sample.events)
     config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,), latent_dim=4,
-                             desc_dim=8, score_head=(4,), desc_head=(4,))
+                             desc_dim=8)
     save_extractor(d / "net.ckpt", init_student(config), config)
     io.save_keypoints(d / "kp.txt", random_keypoints(k=3, c=4))
     io.save_pairs(d / "pairs.txt", [(0, 1, 0.62), (2, 3, 0.41)])

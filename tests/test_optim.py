@@ -321,8 +321,7 @@ def test_checkpoint_trailing_bytes(tmp_path):
 
 def write_extractor(path):
     config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,),
-                             latent_dim=4, desc_dim=8, score_head=(4,),
-                             desc_head=(4,))
+                             latent_dim=4, desc_dim=8)
     save_extractor(path, init_student(config), config)
     return load_extractor
 
@@ -342,7 +341,7 @@ def write_matcher(path):
     (write_extractor, "in_channels", []),
     (write_extractor, "in_channels", [2.0, 2.0]),
     (write_extractor, "in_channels", [2.7]),
-    (write_extractor, "desc_head", [4.5]),
+    (write_extractor, "channels", [4.5]),
     (write_extractor, "representation", None),
     (write_extractor, "representation", [118.5, 111.0]),
     (write_extractor, "representation", [256.0]),
@@ -369,6 +368,27 @@ def test_malformed_config_entry_names_file_and_key(tmp_path, write, key, value):
     save_checkpoint(path, blob)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + key):
         load(path)
+
+
+def test_student_checkpoint_with_head_widths_is_refused(tmp_path):
+    # the layout whose heads climbed back to full resolution: head widths in
+    # the config, a transposed 4x4 kernel and a 1-channel score per head
+    config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,),
+                             latent_dim=4, desc_dim=8)
+    path = tmp_path / "old.ckpt"
+    save_extractor(path, init_student(config), config)
+    old = {}
+    for key, value in load_checkpoint(path).items():
+        if key == "__config__.representation":
+            old["__config__.score_head"] = np.array([4.0], np.float32)
+            old["__config__.desc_head"] = np.array([4.0], np.float32)
+        old[key] = value
+    old["score.0.w"] = old["desc.0.w"] = np.zeros((4, 4, 4, 4), np.float32)
+    old["score.out.w"], old["score.out.b"] = np.zeros((1, 4, 1, 1)), np.zeros(1)
+    save_checkpoint(path, old)
+    with pytest.raises(ValueError) as info:
+        load_extractor(path)
+    assert str(info.value) == f"{path}: unexpected architecture entry __config__.desc_head"
 
 
 @pytest.mark.parametrize("write, key", [(write_extractor, "in_channels"),

@@ -48,11 +48,11 @@ def mask_indices(mask):
 
 @pytest.mark.parametrize("config, digest", [
     (ExtractorConfig(in_channels=2, channels=(4, 4), pools=(1, 2), latent_dim=4,
-                     desc_dim=8, score_head=(4,), desc_head=(4,)),
-     "6e1098923f08ec04adfa9e6cb016377f05779d94bb4c402a3e60653836525fa7"),
+                     desc_dim=8),
+     "6406c901d9466b162b1ccfb4b9fe828b79aa42b20721700df9c85ec8818bbbc8"),
     (ExtractorConfig(in_channels=1, channels=(4,), pools=(1,), latent_dim=4,
-                     desc_dim=8, score_head=(), desc_head=()),
-     "4f6385635a7ee49e9078d8e5f6edd11c430097ff1a7ae1f51047c053f556cd16"),
+                     desc_dim=8),
+     "49822318cb478206837affa7449fbfb0ed4d61012739a07f625db2559a922457"),
 ])
 def test_extractor_checkpoint_bytes(tmp_path, config, digest):
     path = tmp_path / "student.ckpt"
@@ -118,27 +118,26 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
     scene = make_scene(seed=3, width=32, height=24)
     samples = make_lfd_dataset(scene, 3, seed=3, dt_sim=0.01)
     student = ExtractorConfig(in_channels=4, channels=(4, 8), pools=(2, 2),
-                              latent_dim=128, desc_dim=128, score_head=(4, 4),
-                              desc_head=(8, 8))
+                              latent_dim=128, desc_dim=128)
     recipe = DistillConfig(lr=3e-3, epochs=2, batch_size=2, seed=0)
     log = []
     params, history = train_extractor(samples, recipe, student_config=student,
                                       log=log.append)
     path = tmp_path / "student.ckpt"
     save_extractor(path, params, student)
-    assert sha256(path) == ("6d778be8087f272a24eee2c300dcf062cbe1f588"
-                            "8e3a9a80509a9c203ad4b0b2")
+    assert sha256(path) == ("db2b6880c8eba50c793881127e496d588f53c6ac"
+                            "203fbdfce7c05149411191de")
     # the parameters alone, without the config entries
     save_checkpoint(path, params)
-    assert sha256(path) == ("ce9260655c031d395c1ebecd30cbebe38f09b076"
-                            "ff0fbe33478acc0a51b5a341")
+    assert sha256(path) == ("e1774ba71c6630fa2b16218f6dbeee1bb7aa7483"
+                            "8a17e6a1b50886202271fb78")
     assert loss_history_csv(history) == (
         "epoch,l_feats,l_score,l_desc,l_total\n"
-        "0,0.14808773,0.10861790,0.08966396,0.34636959\n"
-        "1,0.10086456,0.09494041,0.07895313,0.27475809\n")
+        "0,0.15050342,0.12279268,0.18915814,0.46245424\n"
+        "1,0.10612148,0.09172437,0.14366337,0.34150922\n")
     assert log == [
-        "epoch 0 l_feats=0.148088 l_score=0.108618 l_desc=0.089664 l_total=0.346370",
-        "epoch 1 l_feats=0.100865 l_score=0.094940 l_desc=0.078953 l_total=0.274758"]
+        "epoch 0 l_feats=0.150503 l_score=0.122793 l_desc=0.189158 l_total=0.462454",
+        "epoch 1 l_feats=0.106121 l_score=0.091724 l_desc=0.143663 l_total=0.341509"]
 
 
 # -- analytic teacher -------------------------------------------------------
@@ -212,8 +211,7 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
     ["synth", *PIPE_SCENE, "--n", "4", "--out", "synth"],
     ["benchgen", *PIPE_SCENE, "--n-pairs", "2", "--out", "bench"],
     ["train-extractor", "--data", "synth", "--channels", "4,4", "--pools", "2,2",
-     "--score-head", "4,4", "--desc-head", "4,4", "--epochs", "1", "--pairs", "8",
-     "--out", "student"],
+     "--epochs", "1", "--pairs", "8", "--out", "student"],
     ["train-matcher", "--data", "synth", "--extractor", PIPE_STUDENT, *PIPE_KP,
      "--dim", "8", "--layers", "1", "--heads", "2", "--pe-freqs", "2",
      "--epochs", "1", "--out", "matcher"],
@@ -236,14 +234,14 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
 PIPELINE_DIGESTS = {
     "synth": "948cbfe3c0cc33ea7a94fbbf4c6e64827ff76b1fb94c52a853eb07579e31c12c",
     "bench": "071300b26a762eb6a013583d417423ffd711c504e7e42d2cfff5cb518ec00318",
-    "student": "1cba5ab509a5a1a1f8c2740b4211cb621ea4f4abed7abe94cef635a91304a281",
-    "matcher": "554ccdb865e460a970df8b070e6a0b56cfe64693bf7b4a75803068f4e3dfe18c",
-    "kp_events": "ccb3763f81f524779a006d37ad318ca3b207a3a714f606602b6e5221a5d13ef1",
-    "kp_images": "d2d43057ba644cd73ad7f9c300f37f6edccaf9d63cb7d07860522c6ba2501ed2",
-    "matches": "fb5f8ea0e20ad3fda02ff31f900bc84e0e69607094cd89cab731633b035b5283",
-    "eval_keypoints": "a35d405fcc38550487ff05cf891d728d3649a17839a667f6a13b9ec9b49e5ff0",
-    "eval_rpe": "fb2f2acf32d39cc8c86cefbd0b9904cedc906f60ffbc9419466e677fb553eecc",
-    "viz": "4a6d023d3529013da6d05c9a22a50be57d0b739cfb2395214e6d585c92722b1b",
+    "student": "ad18194b892ca69020fd41907ef1f6adc6a1c1d45e6304451964a34fe79f1b8f",
+    "matcher": "c701617767bc52e7b124ef2b8418bb09306f8c2eed5a8ca6e8d0c9da6a9e1abd",
+    "kp_events": "59bd8d934bb061908d695549e3836b09d2a6a27c1a8e75cf03599fe7b6247a02",
+    "kp_images": "8c4b74d7f49ab059f90b206a8f65fe87c069433a5f3168a9aa96418c4fad69e3",
+    "matches": "a2e92599dc57a05890cf07d6729e139846b3633ed01204bdf1bc69a5c0f67a5d",
+    "eval_keypoints": "b8d00b824ba85f92af6bbb98be38c9ba0cf525d80749d78263195b9501d86c3a",
+    "eval_rpe": "bb913f8991d70c1ff64c3ead35061bcda337471e6f501b0dd03aa064f983a7da",
+    "viz": "6a28aabd606095b4e004f162dbee96ccc1f176f95ec8803f6179a9d7ccfd8ad2",
 }
 
 
