@@ -472,6 +472,12 @@ def test_grad_conv2d_bias():
                      [t64(2, 2, 6, 6), t64(3, 2, 3, 3), t64(3)])
 
 
+def test_grad_conv2d_1x1_bias():
+    # the student heads' 1x1 projections
+    assert gradcheck(lambda x, w, b: ad.conv2d(x, w, b),
+                     [t64(2, 4, 3, 5), t64(6, 4, 1, 1), t64(6)])
+
+
 def test_grad_linear():
     assert gradcheck(ad.linear, [t64(5, 4), t64(4, 3), t64(3)])
 
@@ -525,6 +531,14 @@ def test_conv2d_bias_bitwise_equals_bias_node(stride, padding):
         lambda x, w, b: ad.conv2d(x, w, b, stride=stride, padding=padding),
         lambda x, w: ad.conv2d(x, w, stride=stride, padding=padding),
         [(3, 4, 12, 12), (5, 4, 3, 3), (5,)], seed=stride + padding)
+    for a, b in zip(got, want):
+        assert_bitwise_equal(a, b)
+
+
+def test_conv2d_1x1_bias_bitwise_equals_bias_node():
+    got, want = folded_and_reference(
+        lambda x, w, b: ad.conv2d(x, w, b), lambda x, w: ad.conv2d(x, w),
+        [(3, 6, 8, 8), (4, 6, 1, 1), (4,)], seed=7)
     for a, b in zip(got, want):
         assert_bitwise_equal(a, b)
 
@@ -628,7 +642,8 @@ def test_conv2d_forward_holds_one_sample_of_patches():
     assert peak < 8 * 576 * 1024 * 4
 
 
-@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3))])
+@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3)),
+                                         (ad.conv2d, (3, 2, 1, 1))])
 def test_conv_rejects_an_empty_batch(op, w_shape):
     x = Tensor(np.ones((0, 2, 4, 4), np.float32), requires_grad=True)
     with pytest.raises(ValueError, match=f"{op.__name__}: empty batch"):

@@ -68,6 +68,23 @@ def test_lfd_loss_mask_restricts_support():
     assert l_desc == pytest.approx(want_desc, rel=1e-4)
 
 
+@pytest.mark.parametrize("cell, holds_event", [((1, 0), True), ((0, 1), False)])
+def test_lfd_desc_term_covers_cells_that_hold_an_event(cell, holds_event):
+    # one event pixel, channel 2 of cell (1, 0): the descriptor term reads
+    # that cell's whole descriptor and no other cell's
+    (sf, ss, _), (tf, ts, td), masks = tiny_batch()
+    masks = np.zeros_like(masks)
+    masks[0, 2, 1, 0] = 1.0
+    desc = td.copy()
+    desc[0, :, cell[0], cell[1]] += 1.0
+    _, (_, _, l_desc, _) = lfd_loss((sf, ss, Tensor(desc)), (tf, ts, td), masks,
+                                    DistillConfig())
+    if holds_event:
+        assert l_desc == pytest.approx(1.0, rel=1e-5)
+    else:
+        assert l_desc == 0.0
+
+
 def test_lfd_loss_empty_mask_flagged_not_nan():
     _, (l_feats, l_score, l_desc, l_total) = lfd_loss(
         *tiny_batch(mask_val=0.0), DistillConfig())
@@ -186,6 +203,18 @@ def test_lfd_score_term_is_zero_on_the_teacher_score_in_cells():
         student = (Tensor(tf), Tensor(score), Tensor(td))
         _, (_, l_score, _, _) = lfd_loss(student, (tf, ts, td), ms, RECIPE)
         assert (l_score == 0.0) == zero
+
+
+def test_prepare_batch_rejects_a_frame_the_stride_does_not_divide():
+    student = dataclasses.replace(STUDENT, channels=(6, 6, 6), pools=(1, 2, 2))
+
+    def teacher(image):
+        return DenseMaps(np.zeros((8, 4, 4), np.float32),
+                         np.zeros((1, 18, 18), np.float32),
+                         np.zeros((8, 18, 18), np.float32))
+
+    with pytest.raises(ValueError, match="a 18x18 map does not divide into 4x4 cells"):
+        prepare_batch_arrays(training_samples(n=1, size=18), student, teacher=teacher)
 
 
 def test_prepare_batch_rejects_non_stream():

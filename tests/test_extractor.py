@@ -69,6 +69,25 @@ def test_forward_student_output_shapes():
     assert maps.desc.shape == (16, 8, 12)
 
 
+@pytest.mark.parametrize("pools", [(1,), (2,), (2, 2), (2, 2, 2)])
+def test_student_heads_sit_at_the_backbone_stride(pools):
+    # the score head's s*s channels decode to one pixel each; the
+    # descriptor map stays at the stride
+    config = ExtractorConfig(in_channels=2, channels=(4,) * len(pools), pools=pools,
+                             latent_dim=4, desc_dim=8)
+    s = config.stride
+    params = init_student(config, seed=1)
+    assert params["score.0.w"].data.shape == params["desc.0.w"].data.shape == (4, 4, 3, 3)
+    assert params["score.out.w"].data.shape == (s * s, 4, 1, 1)
+    x = np.random.default_rng(s).normal(size=(2, 16, 24)).astype(np.float32)
+    _, score, desc = forward_student_batch(x[None], params, config)
+    assert score.shape == (1, s * s, 16 // s, 24 // s)
+    assert desc.shape == (1, 8, 16 // s, 24 // s)
+    maps = forward_student(x, params, config)
+    assert maps.score.tobytes() == cells_to_pixels(score.data, s)[0].tobytes()
+    assert maps.desc.tobytes() == desc.data[0].tobytes()
+
+
 def test_default_student_size():
     params = init_student(ExtractorConfig(in_channels=16))
     assert sum(p.data.size for p in params.values()) == 597_904
@@ -353,7 +372,7 @@ def reference_descriptors(maps, positions):
     return normalize_desc(_bilinear(unit, x, y)).T.astype(np.float32)
 
 
-@pytest.mark.parametrize("s", [2, 4])
+@pytest.mark.parametrize("s", [1, 2, 4, 8])
 def test_keypoint_descriptors_at_the_stride_sample_the_mapped_coordinates(s):
     r = np.random.default_rng(s)
     score = r.random((1, 32, 24)).astype(np.float32)

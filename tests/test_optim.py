@@ -355,6 +355,10 @@ def write_matcher(path):
     (write_matcher, "dim", []),
     (write_matcher, "heads", [2.5]),
     (write_matcher, "image_size", [64.0]),
+    # entries the dataclass has no field for
+    (write_extractor, "score_head", [4.0]),
+    (write_extractor, "desc_head", [4.0]),
+    (write_matcher, "mask", [1.0]),
 ])
 def test_malformed_config_entry_names_file_and_key(tmp_path, write, key, value):
     # value None drops the entry
