@@ -40,9 +40,9 @@ from . import io as eio
 from .datagen import generate_benchmark, make_lfd_dataset, make_scene
 from .distillation import (DistillConfig, loss_history_csv, train_extractor)
 from .events import accumulate_mask
-from .extractor import (ExtractorConfig, analytic_teacher, apply_event_mask,
-                        extract_keypoints, forward_student, load_extractor,
-                        save_extractor)
+from .extractor import (ExtractorConfig, apply_event_mask, extract_keypoints,
+                        forward_student, load_extractor, save_extractor,
+                        teacher_keypoints)
 from .geometry import (EstimationFailed, baseline_norm, estimate_essential_ransac,
                        pose_angular_errors, relative_pose)
 from .matching import (CAConfig, MatchTrainConfig, ca_match,
@@ -154,24 +154,24 @@ def _scene_from(cfg):
                       duration=float(cfg["duration"]))
 
 
-def _keypoints(maps, cfg, threshold):
+def _keypoints(extract, source, cfg, threshold):
     """The top --k keypoints, or all above threshold when one is given."""
-    return extract_keypoints(maps, border=int(cfg["border"]),
-                             nms_radius=int(cfg["nms"]),
-                             k=None if threshold is not None else int(cfg["k"]),
-                             threshold=threshold)
+    return extract(source, border=int(cfg["border"]), nms_radius=int(cfg["nms"]),
+                   k=None if threshold is not None else int(cfg["k"]),
+                   threshold=threshold)
 
 
 def _event_keypoints(sample, cfg, params, config, threshold=None):
     rep = build_representation(sample.events, config.representation,
                                bins=config.in_channels)
     maps = forward_student(rep, params, config)
-    return _keypoints(apply_event_mask(maps, accumulate_mask(sample.events)), cfg,
+    return _keypoints(extract_keypoints,
+                      apply_event_mask(maps, accumulate_mask(sample.events)), cfg,
                       threshold)
 
 
 def _image_keypoints(sample, cfg, threshold=None):
-    return _keypoints(analytic_teacher(sample.image), cfg, threshold)
+    return _keypoints(teacher_keypoints, sample.image, cfg, threshold)
 
 
 def _views(sa, sb, intr, cfg, params, config, eps):

@@ -15,7 +15,11 @@ fixed seeded lift of steerable gradient responses for the latent map.  It
 needs no training, which keeps the whole distillation pipeline
 self-contained, and its shape is fixed by the module's TEACHER_* constants:
 128 descriptor channels (8 orientations on a 4x4 tap grid) and 128 latent
-channels at stride 4.
+channels at stride 4.  One function computes its unit descriptors at any
+set of pixels: training reads them at every pixel as ``analytic_teacher``'s
+full maps, while image keypoints (``teacher_keypoints``) are selected on
+the Harris score first and compute descriptors only at the pixels the
+sampler reads, with the same bytes.
 
 Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k or threshold
@@ -26,6 +30,7 @@ pixels it reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,7 +224,10 @@ TEACHER_TAPS = (-3, -1, 1, 3)
 TEACHER_LATENT_DIM = 128
 TEACHER_STRIDE = 4
 TEACHER_PROJECTION_SEED = 7
+TEACHER_DESC_DIM = TEACHER_ORIENTATIONS * len(TEACHER_TAPS) ** 2
 HARRIS_K = 0.04
+# a tap reads its response edge-padded by the largest offset
+_TAP_PAD = max(abs(t) for t in TEACHER_TAPS)
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -241,9 +249,21 @@ def _smooth(img):
     return _filter1d(_filter1d(img, _BINOMIAL5, 0), _BINOMIAL5, 1)
 
 
-def harris_score(img):
-    """Harris corner response (k = HARRIS_K), clipped at 0 and scaled to peak 1."""
-    iy, ix = np.gradient(img)
+@functools.cache
+def _teacher_projection():
+    """The latent lift, a fixed function of TEACHER_PROJECTION_SEED, drawn
+    once and read-only.  It is drawn on first use, not at import: that
+    would import numpy.random, about 15 ms, into every process."""
+    proj = np.random.default_rng(TEACHER_PROJECTION_SEED).normal(
+        0.0, 1.0 / np.sqrt(TEACHER_ORIENTATIONS),
+        (TEACHER_LATENT_DIM, TEACHER_ORIENTATIONS))
+    proj.flags.writeable = False
+    return proj
+
+
+def harris_score(iy, ix):
+    """Harris corner response (k = HARRIS_K) from an image's ``np.gradient``,
+    clipped at 0 and scaled to peak 1."""
     sxx = _smooth(ix * ix)
     syy = _smooth(iy * iy)
     sxy = _smooth(ix * iy)
@@ -253,61 +273,97 @@ def harris_score(img):
     return r / peak if peak > 0 else r
 
 
+def _teacher_input(image):
+    """The checked (H, W) float64 image and its gradients (iy, ix)."""
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim == 3 and img.shape[0] == 1:
+        img = img[0]
+    if img.ndim != 2:
+        raise ValueError(f"expected a grayscale image, got shape {img.shape}")
+    # written so that NaN, which compares False, fails too
+    if not (img.min() >= -1e-6 and img.max() <= 1.0 + 1e-6):
+        raise ValueError("image values must be finite and lie in [0, 1]")
+    h, w = img.shape
+    s = TEACHER_STRIDE
+    if h % s or w % s:
+        raise ValueError(f"image dims ({h}, {w}) must be divisible by stride {s}")
+    return (img, *np.gradient(img))
+
+
+def _teacher_responses(iy, ix):
+    """(TEACHER_ORIENTATIONS, H + 2r, W + 2r): each orientation's smoothed
+    absolute gradient response, edge-padded by r = _TAP_PAD."""
+    # absolute-value responses over [0, pi) keep the targets a polarity-free
+    # function of edge geometry (event data cannot resolve gradient sign)
+    return np.stack([np.pad(_smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy)),
+                            _TAP_PAD, mode="edge")
+                     for th in np.pi * np.arange(TEACHER_ORIENTATIONS)
+                     / TEACHER_ORIENTATIONS])
+
+
+def _teacher_columns(resp, pix):
+    """The teacher's unit descriptors at flat pixel indices ``pix`` of the
+    image whose ``_teacher_responses`` are ``resp``: (TEACHER_DESC_DIM,
+    len(pix)) float32.
+
+    Channel (o * 4 + i) * 4 + j reads orientation o at pixel (y + dy_i,
+    x + dx_j) for TEACHER_TAPS dy_i, dx_j, clamped to the image.  Each
+    column is centred and unit-normalized on its own, so the columns equal
+    the same pixels of the full map bit for bit.
+    """
+    n, _, wp = resp.shape
+    taps = _TAP_PAD + np.array(TEACHER_TAPS)
+    offsets = (taps[:, None] * wp + taps[None, :]).reshape(-1, 1)
+    y, x = np.divmod(np.asarray(pix, dtype=np.int64), wp - 2 * _TAP_PAD)
+    # numpy sums axis 0 of a C-ordered block in order, as over the whole
+    # map, unless the block is a lone column, which it sums pairwise: two
+    # copies of a lone pixel keep the order
+    at = y * wp + x if len(y) != 1 else np.repeat(y * wp + x, 2)
+    desc = np.take(resp.reshape(n, -1), offsets + at, axis=1).reshape(-1, len(at))
+    # centring each pixel's vector before normalization spreads pairwise
+    # cosines instead of crowding the positive orthant
+    desc -= desc.mean(axis=0, keepdims=True)
+    return normalize_desc(desc)[:, :len(y)].astype(np.float32)
+
+
 def analytic_teacher(image) -> DenseMaps:
     """Dense maps for a grayscale image in [0, 1], no learning involved.
 
     score (1, H, W): normalized Harris response.  desc (128, H, W):
     mean-centred energies of TEACHER_ORIENTATIONS gradient orientations,
     each tapped at the TEACHER_TAPS x TEACHER_TAPS offsets around a pixel,
-    unit-normalized per pixel.  feats (TEACHER_LATENT_DIM, H/4, W/4):
-    steerable gradient responses of the TEACHER_STRIDE-downsampled image
-    lifted by a fixed seeded projection, so the target latent space is
-    reproducible across runs.  H and W must divide by TEACHER_STRIDE.
+    unit-normalized per pixel (``_teacher_columns`` at every pixel).  feats
+    (TEACHER_LATENT_DIM, H/4, W/4): steerable gradient responses of the
+    TEACHER_STRIDE-downsampled image lifted by a fixed seeded projection,
+    so the target latent space is reproducible across runs.  H and W must
+    divide by TEACHER_STRIDE.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
-    if img.ndim != 2:
-        raise ValueError(f"expected a grayscale image, got shape {img.shape}")
-    if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
-        raise ValueError("image values must lie in [0, 1]")
+    img, iy, ix = _teacher_input(image)
     h, w = img.shape
+    score = harris_score(iy, ix)[None]
+    desc = _teacher_columns(_teacher_responses(iy, ix), np.arange(h * w)).reshape(-1, h, w)
+
     s = TEACHER_STRIDE
-    if h % s or w % s:
-        raise ValueError(f"image dims ({h}, {w}) must be divisible by stride {s}")
-
-    score = harris_score(img)[None]
-
-    iy, ix = np.gradient(img)
-    n_orient, grid = TEACHER_ORIENTATIONS, len(TEACHER_TAPS)
-    angles = 2.0 * np.pi * np.arange(n_orient) / n_orient
-    desc = np.empty((n_orient * grid ** 2, h, w))
-    # absolute-value responses over [0, pi) keep the targets a polarity-free
-    # function of edge geometry (event data cannot resolve gradient sign);
-    # centring each pixel's vector before normalization spreads pairwise
-    # cosines instead of crowding the positive orthant
-    desc_angles = np.pi * np.arange(n_orient) / n_orient
-    # the tap at (dy, dx) reads pixel (y + dy, x + dx), clamped to the
-    # image: a slice of the response edge-padded by the largest offset
-    r = max(abs(t) for t in TEACHER_TAPS)
-    for o, th in enumerate(desc_angles):
-        resp = np.pad(_smooth(np.abs(np.cos(th) * ix + np.sin(th) * iy)), r,
-                      mode="edge")
-        for ti, dy in enumerate(TEACHER_TAPS):
-            for tj, dx in enumerate(TEACHER_TAPS):
-                desc[(o * grid + ti) * grid + tj] = resp[r + dy:r + dy + h,
-                                                         r + dx:r + dx + w]
-    desc = normalize_desc(desc - desc.mean(axis=0, keepdims=True))
-
     small = img.reshape(h // s, s, w // s, s).mean(axis=(1, 3))
     gy, gx = np.gradient(small)
+    angles = 2.0 * np.pi * np.arange(TEACHER_ORIENTATIONS) / TEACHER_ORIENTATIONS
     base = np.stack([np.cos(th) * gx + np.sin(th) * gy for th in angles])
-    proj = np.random.default_rng(TEACHER_PROJECTION_SEED).normal(
-        0.0, 1.0 / np.sqrt(n_orient), (TEACHER_LATENT_DIM, n_orient))
-    feats = np.tensordot(proj, base, axes=1)
+    feats = np.tensordot(_teacher_projection(), base, axes=1)
 
-    return DenseMaps(feats.astype(np.float32), score.astype(np.float32),
-                     desc.astype(np.float32))
+    return DenseMaps(feats.astype(np.float32), score.astype(np.float32), desc)
+
+
+def teacher_keypoints(image, border: int = 4, nms_radius: int = 4,
+                      k: int | None = 1024, threshold: float | None = None) -> KeypointSet:
+    """``extract_keypoints(analytic_teacher(image), ...)``, bit for bit,
+    without the full maps: keypoints are selected on the Harris score
+    first, and descriptors are computed only at the pixels the sampler
+    reads from them."""
+    img, iy, ix = _teacher_input(image)
+    return _keypoints(harris_score(iy, ix).astype(np.float32),
+                      (TEACHER_DESC_DIM,) + img.shape,
+                      lambda pix: _teacher_columns(_teacher_responses(iy, ix), pix),
+                      border, nms_radius, k, threshold)
 
 
 def normalize_desc(desc_map):
@@ -379,15 +435,26 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     an (h_d, w_d) descriptor map at ((x + 0.5) w_d/W - 0.5,
     (y + 0.5) h_d/H - 0.5), which is (x, y) at full resolution.
     """
+    desc = np.asarray(maps.desc)
+    # np.take keeps the map's layout, so each norm adds the channels in a
+    # whole-map norm's order
+    return _keypoints(maps.score, desc.shape,
+                      lambda pix: np.take(desc.reshape(len(desc), -1), pix, axis=1),
+                      border, nms_radius, k, threshold)
+
+
+def _keypoints(score, desc_shape, columns, border, nms_radius, k, threshold):
+    """``extract_keypoints`` on a score map, for a (C_d, h_d, w_d)
+    descriptor map given by ``columns(pix)``: its (C_d, len(pix)) columns
+    at the flat pixel indices pix, read only where the sampler reads."""
     if border < 0 or nms_radius < 0:
         raise ValueError("border and nms_radius must be non-negative")
     if threshold is None and (k is None or k <= 0):
         raise ValueError(f"k must be positive, got {k}")
-    score = np.asarray(maps.score, dtype=np.float64)
+    score = np.asarray(score, dtype=np.float64)
     if score.ndim == 3:
         score = score[0]
     h, w = score.shape
-    desc = np.asarray(maps.desc)
 
     s = score.copy()
     if border > 0:
@@ -404,15 +471,15 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     else:
         order = order[:k]
     if len(order) == 0:
-        return KeypointSet.empty(desc.shape[0])
+        return KeypointSet.empty(desc_shape[0])
     pos = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
-    # normalize only the pixels the sampler reads: np.take keeps the map's
-    # layout, so each norm adds the channels in a whole-map norm's order
-    # and the bytes equal those of sampling the normalized map
-    at = (pos + 0.5) * (desc.shape[2] / w, desc.shape[1] / h) - 0.5
-    taps, weights = _bilinear_taps(*desc.shape[1:], at[:, 0], at[:, 1])
+    # normalize only the pixels the sampler reads: the bytes equal those of
+    # sampling the normalized map
+    h_d, w_d = desc_shape[1:]
+    at = (pos + 0.5) * (w_d / w, h_d / h) - 0.5
+    taps, weights = _bilinear_taps(h_d, w_d, at[:, 0], at[:, 1])
     pix, inv = np.unique(np.concatenate(taps), return_inverse=True)
-    unit = normalize_desc(np.take(desc.reshape(len(desc), -1), pix, axis=1))
+    unit = normalize_desc(columns(pix))
     descs = normalize_desc(_blend(unit, np.split(inv, 4), weights)).T
     return KeypointSet(pos, descs, vals[order].astype(np.float32))
 

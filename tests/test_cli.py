@@ -5,12 +5,15 @@ import csv
 import hashlib
 import os
 import shutil
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from evimatch import cli, io as eio
 from evimatch.cli import _eval_pairs, build_parser, main, output_dir, resolve_config
+from evimatch.datagen import make_scene, render
 from evimatch.events import accumulate_mask
 from evimatch.extractor import (ExtractorConfig, analytic_teacher,
                                 apply_event_mask, extract_keypoints,
@@ -224,6 +227,22 @@ def direct_gts(dataset, kps):
     samples, intr, _, _ = eio.load_dataset(dataset)
     return [gt_assignment(a, b, s.depth, s.depth, intr, intr, s.pose, s.pose)
             for s, (a, b) in zip(samples, kps)]
+
+
+def test_image_keypoints_build_no_full_descriptor_map():
+    # the teacher's full (128, 64, 64) float64 map alone is 4 MiB; image
+    # keypoints compute descriptors only where the sampler reads
+    image, _ = render(make_scene(seed=2), 1.1)
+    cfg = resolve_config("eval", parse(["eval", "--data", "d", "--mode", "keypoints",
+                                        "--extractor", "e"]))
+    tracemalloc.start()
+    try:
+        kp = cli._image_keypoints(SimpleNamespace(image=image), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kp) > 0
+    assert peak < 2 * 2**20
 
 
 KP_FLAGS = ["--border", "2", "--nms", "2", "--k", "16"]

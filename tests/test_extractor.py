@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from evimatch.datagen import make_scene, render
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
                                 analytic_teacher, apply_event_mask,
                                 cells_to_pixels, extract_keypoints,
                                 forward_student, forward_student_batch,
                                 harris_score, init_student, load_extractor,
                                 nms_mask, normalize_desc, pixels_to_cells,
-                                save_extractor)
+                                save_extractor, teacher_keypoints)
 from evimatch.geometry import _bilinear
 
 TINY = ExtractorConfig(in_channels=2, channels=(8, 8), pools=(1, 2),
@@ -131,13 +132,13 @@ def test_forward_student_graph_only_when_trainable():
 
 
 def test_harris_flat_image_is_zero():
-    assert harris_score(np.full((16, 16), 0.5)).max() == 0.0
+    assert harris_score(*np.gradient(np.full((16, 16), 0.5))).max() == 0.0
 
 
 def test_harris_peaks_at_corner():
     img = np.zeros((32, 32))
     img[16:, 16:] = 1.0  # a single L corner at (16, 16)
-    s = harris_score(img)
+    s = harris_score(*np.gradient(img))
     assert s.max() == 1.0
     y, x = np.unravel_index(s.argmax(), s.shape)
     assert abs(x - 16) <= 2 and abs(y - 16) <= 2
@@ -203,6 +204,82 @@ def test_teacher_taps_read_clamped_neighbours():
     desc = np.stack(taps)
     want = normalize_desc(desc - desc.mean(axis=0, keepdims=True)).astype(np.float32)
     assert analytic_teacher(img).desc.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("teacher", [analytic_teacher, teacher_keypoints])
+def test_teacher_rejects_non_finite_image(teacher, bad):
+    img = teacher_image(5)
+    img[7, 9] = bad
+    with pytest.raises(ValueError, match="finite"):
+        teacher(img)
+
+
+def teacher_columns(img, pix):
+    from evimatch.extractor import _teacher_columns, _teacher_input, _teacher_responses
+    _, iy, ix = _teacher_input(img)
+    return _teacher_columns(_teacher_responses(iy, ix), pix)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 84, 32 * 32])
+def test_teacher_columns_equal_the_full_map(size):
+    # numpy reduces a lone (128, 1) column pairwise and wider blocks in
+    # order, so size 1 is where a gather could part from the full map
+    img = teacher_image(6)
+    full = analytic_teacher(img).desc.reshape(128, -1)
+    r = np.random.default_rng(size)
+    for pix in (r.choice(32 * 32, size, replace=False), np.arange(size)[::-1]):
+        cols = teacher_columns(img, pix)
+        assert cols.dtype == np.float32 and cols.shape == (128, size)
+        assert cols.tobytes() == np.ascontiguousarray(full[:, pix]).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_teacher_columns_keep_the_summation_order(size):
+    # responses with a large common offset: centring cancels all but their
+    # last digits, so a sum taken in another order shows in float32
+    from evimatch.extractor import _teacher_columns
+    resp = 1e3 + 1e-6 * np.random.default_rng(size).random((8, 16, 16))
+    full = _teacher_columns(resp, np.arange(100))  # a 10x10 image, padded by 3
+    for start in range(0, 100 - size + 1, size):
+        pix = np.arange(start, start + size)
+        assert _teacher_columns(resp, pix).tobytes() == \
+            np.ascontiguousarray(full[:, pix]).tobytes()
+
+
+def test_teacher_columns_at_clamped_taps_and_on_a_constant_image():
+    img = teacher_image(7)[:16, :24]
+    h, w = img.shape
+    full = analytic_teacher(img).desc.reshape(128, -1)
+    corners = np.array([0, w - 1, (h - 1) * w, h * w - 1])
+    edges = np.concatenate([np.arange(3 * w), np.arange(h) * w + w - 2])
+    for pix in (corners, edges, corners[1:2]):
+        assert teacher_columns(img, pix).tobytes() == \
+            np.ascontiguousarray(full[:, pix]).tobytes()
+    flat = np.full((16, 16), 0.25)
+    assert not analytic_teacher(flat).desc.any()
+    for pix in (np.array([5]), np.arange(16 * 16)):
+        assert not teacher_columns(flat, pix).any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kwargs", [
+    dict(border=4, nms_radius=4, k=1024), dict(border=0, nms_radius=1, k=1024),
+    dict(border=2, nms_radius=2, k=1), dict(border=3, nms_radius=2, threshold=0.05)])
+def test_teacher_keypoints_equal_extracting_the_full_maps(seed, kwargs):
+    img = render(make_scene(seed=seed, width=32, height=32), 0.7)[0]
+    got = teacher_keypoints(img, **kwargs)
+    want = extract_keypoints(analytic_teacher(img), **kwargs)
+    assert len(got) > 0
+    for name in ("positions", "descriptors", "scores"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_teacher_keypoints_of_a_flat_image_are_empty():
+    kp = teacher_keypoints(np.full((16, 16), 0.5))
+    assert len(kp) == 0 and kp.descriptors.shape == (0, 128)
+    with pytest.raises(ValueError, match="k must be positive"):
+        teacher_keypoints(teacher_image(), k=0)
 
 
 def test_teacher_deterministic():
