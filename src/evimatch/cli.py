@@ -32,7 +32,6 @@ import os
 import shutil
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -226,18 +225,11 @@ def cmd_synth(out, cfg):
 
 def cmd_benchgen(out, cfg):
     scene = _scene_from(cfg)
-    lo, hi = float(cfg["overlap_lo"]), float(cfg["overlap_hi"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bench = generate_benchmark(
-            scene, int(cfg["n_pairs"]), float(cfg["delta_t"]),
-            seed=int(cfg["seed"]), overlap_range=(lo, hi),
-            max_attempts=int(cfg["max_attempts"]) or None,
-            contrast=float(cfg["contrast"]), dt_sim=float(cfg["dt_sim"]))
-    if not bench.pairs:  # the last warning is the budget's: it counts the attempts
-        raise ValueError(f"no pair with overlap in [{lo}, {hi}]: {caught[-1].message}")
-    for w in caught:  # a partial benchmark keeps its warnings
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    bench = generate_benchmark(
+        scene, int(cfg["n_pairs"]), float(cfg["delta_t"]), seed=int(cfg["seed"]),
+        overlap_range=(float(cfg["overlap_lo"]), float(cfg["overlap_hi"])),
+        max_attempts=int(cfg["max_attempts"]) or None,
+        contrast=float(cfg["contrast"]), dt_sim=float(cfg["dt_sim"]))
     eio.save_dataset(out, bench.samples, scene.intrinsics,
                      scene.width, scene.height)
     eio.save_pairs(os.path.join(out, "pairs.txt"), bench.pairs)

@@ -250,13 +250,18 @@ def render(scene: Scene, t: float):
 def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
     """Contrast-threshold events from densely sampled log-intensity frames.
 
-    The stream's window runs from the first to the last sample time.  Each
-    pixel keeps a quantized reference level; when the linearly
+    Each pixel keeps a quantized reference level; when the linearly
     interpolated signal between consecutive samples moves n full contrast
     steps away from it, n events fire at the interpolated crossing times
     and the reference moves by n steps.  A monotone step of exactly 2C
     therefore yields exactly 2 events, and reversing the signal flips the
     polarity of the next events.
+
+    Events are sorted stably by crossing time, then stamped in whole
+    microseconds, as EVT1 stores them, so ``load_events`` returns this
+    stream unchanged.  The stream stores no window: the representations
+    take it from the first and last event, which lie inside
+    [times[0], times[-1]].
     """
     frames = np.asarray(log_frames, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -299,13 +304,13 @@ def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
         ps = np.concatenate(ev_p)
         order = np.argsort(ts, kind="stable")
         x, y, ts, ps = x[order], y[order], ts[order], ps[order]
+        ts = np.round(ts * 1e6) * 1e-6
     else:
         x = np.zeros(0, np.int64)
         y = np.zeros(0, np.int64)
         ts = np.zeros(0)
         ps = np.zeros(0, np.int8)
-    return EventStream(x, y, ts, ps, width=w, height=h,
-                       t_start=float(times[0]), t_end=float(times[-1]))
+    return EventStream(x, y, ts, ps, width=w, height=h)
 
 
 def _simulate(scene, t_start, t_end, contrast, dt_sim):
@@ -343,10 +348,20 @@ def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
     _, depth_b = render(scene, t_b)
     pose_a = scene.trajectory.pose(t_a)
     pose_b = scene.trajectory.pose(t_b)
+    h, w = depth_a.shape
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
     def direction(depth_src, depth_dst, rel):
-        h, w = depth_src.shape
-        _, proj, z = _carry_grid(scene, depth_src, rel)
+        # pixels with positive depth that land in frame in front of the
+        # other camera, their reprojections and their depths there
+        d = depth_src.ravel()
+        pts = rel.apply(unproject_many(grid, d, scene.intrinsics))
+        proj, valid = project_many(pts, scene.intrinsics)
+        inside = (valid & (d > 0) & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
+                  & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
+        proj, z = proj[inside], pts[inside, 2]
         ix = np.clip(np.round(proj[:, 0]).astype(np.int64), 0, w - 1)
         iy = np.clip(np.round(proj[:, 1]).astype(np.int64), 0, h - 1)
         observed = depth_dst[iy, ix]
@@ -402,26 +417,6 @@ class Benchmark:
     pairs: list = field(default_factory=list)
 
 
-def _carry_grid(scene, depth, rel):
-    """Carry every pixel into another view with its depth.
-
-    rel maps the depth map's camera frame into the other view.  Returns
-    the (N, 2) grid pixels with positive depth that land in frame in front
-    of the other camera, their (N, 2) reprojections and their (N,)
-    camera-frame depths in the other view.
-    """
-    h, w = depth.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    px = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    d = depth.ravel()
-    pts = rel.apply(unproject_many(px, d, scene.intrinsics))
-    proj, valid = project_many(pts, scene.intrinsics)
-    inside = (valid & (d > 0) & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
-              & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
-    return px[inside], proj[inside], pts[inside, 2]
-
-
 def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
                        seed: int = 0, overlap_range=(0.4, 0.8), max_attempts=None,
                        contrast: float = 0.2, dt_sim: float = 1e-3) -> Benchmark:
@@ -429,7 +424,7 @@ def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
 
     Candidate time pairs are accepted when their overlap score falls inside
     overlap_range.  If the attempt budget runs out a partial benchmark is
-    returned with a warning.
+    returned with a warning; with no pair at all, ValueError is raised.
     """
     if n_pairs <= 0:
         raise ValueError("n_pairs must be positive")
@@ -453,7 +448,9 @@ def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
         bench.samples.extend([sample_a, sample_b])
         bench.pairs.append((i, i + 1, float(score)))
     if len(bench.pairs) < n_pairs:
-        warnings.warn(
-            f"benchmark budget exhausted: produced {len(bench.pairs)} of "
-            f"{n_pairs} requested pairs in {attempts} attempts")
+        exhausted = (f"benchmark budget exhausted: produced {len(bench.pairs)} of "
+                     f"{n_pairs} requested pairs in {attempts} attempts")
+        if not bench.pairs:
+            raise ValueError(f"no pair with overlap in [{lo}, {hi}]: {exhausted}")
+        warnings.warn(exhausted)
     return bench

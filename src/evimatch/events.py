@@ -1,18 +1,19 @@
 """Event streams from event cameras and their one file format, EVT1.
 
 An event is a tuple (x, y, t, p): pixel coordinates, timestamp in seconds,
-and polarity +1/-1 for a brightness increase/decrease.  Streams keep events
-sorted by timestamp and know the sensor resolution and the closed interval
-[t_start, t_end] they cover, which is how fixed-duration slices are fed to
-the tensor representations.  ``save_events``/``load_events`` write and read
-the binary EVT1 layout that dataset directories store per sample.
+and polarity +1/-1 for a brightness increase/decrease.  A stream is its
+events, in non-decreasing time order, and the sensor resolution; it stores
+no window.  The tensor representations take a stream's window from its
+first and last event, so a stream built in memory and the same stream read
+back from disk give the same tensors.  ``save_events``/``load_events``
+write and read the binary EVT1 layout that dataset directories store per
+sample; it keeps timestamps in whole microseconds.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +24,12 @@ _EVT_DTYPE = np.dtype(
 
 @dataclass
 class EventStream:
-    """Events sorted by timestamp plus the sensor resolution.
+    """Events in non-decreasing time order plus the sensor resolution.
 
     Coordinates are stored as int32 arrays, timestamps as float64 seconds,
-    polarities as int8 in {-1, +1}.  If the constructor receives unsorted
-    timestamps it sorts them (stable, so same-timestamp order is kept) and
-    sets ``resorted`` so callers can tell the input was out of order.
-
-    ``t_start``/``t_end`` record the window this stream covers; the event
-    simulator sets them and they default to the data extent.  Keeping them
-    explicit matters for empty or one-sided windows, where the data extent
-    alone cannot recover the interval.
+    polarities as int8 in {-1, +1}.  A non-finite timestamp, or one below
+    its predecessor, is rejected; equal timestamps keep the order they were
+    given in.
     """
 
     xs: np.ndarray
@@ -42,9 +38,6 @@ class EventStream:
     ps: np.ndarray
     width: int
     height: int
-    t_start: float | None = None
-    t_end: float | None = None
-    resorted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.xs = np.ascontiguousarray(self.xs, dtype=np.int32)
@@ -71,27 +64,19 @@ class EventStream:
             if bad.size:
                 i = int(bad[0])
                 raise ValueError(f"event {i} has polarity {int(self.ps[i])}, expected -1 or +1")
-            if np.any(np.diff(self.ts) < 0):
-                order = np.argsort(self.ts, kind="stable")
-                self.xs = self.xs[order]
-                self.ys = self.ys[order]
-                self.ts = self.ts[order]
-                self.ps = self.ps[order]
-                self.resorted = True
+            bad = np.flatnonzero(~np.isfinite(self.ts))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"event {i} has timestamp {float(self.ts[i])}, "
+                                 "expected a finite value")
+            bad = np.flatnonzero(np.diff(self.ts) < 0)
+            if bad.size:
+                i = int(bad[0]) + 1
+                raise ValueError(f"event {i} at t={float(self.ts[i])} s is earlier "
+                                 f"than event {i - 1} at t={float(self.ts[i - 1])} s")
 
     def __len__(self):
         return len(self.ts)
-
-    def extent(self):
-        """(t_start, t_end) of the window, falling back to the data extent.
-
-        An empty stream with no recorded window returns (0.0, 0.0).
-        """
-        if self.t_start is not None and self.t_end is not None:
-            return float(self.t_start), float(self.t_end)
-        if len(self.ts):
-            return float(self.ts[0]), float(self.ts[-1])
-        return 0.0, 0.0
 
 
 def accumulate_mask(stream: EventStream) -> np.ndarray:
@@ -124,9 +109,8 @@ def load_events(path) -> EventStream:
 
     A bad magic, a header or record block of the wrong length, and any
     record the stream rejects (out-of-sensor coordinates, a polarity other
-    than -1/+1, a zero resolution) raise ValueError naming the file.
-    Unsorted timestamps are tolerated: the stream is sorted and flagged,
-    and a warning is emitted.
+    than -1/+1, a zero resolution, a timestamp below its predecessor) raise
+    ValueError naming the file.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -140,9 +124,6 @@ def load_events(path) -> EventStream:
                          f"found {len(raw) - 16} bytes")
     rec = np.frombuffer(raw, dtype=_EVT_DTYPE, offset=16)
     try:
-        stream = EventStream(rec["x"], rec["y"], rec["t"] * 1e-6, rec["p"], w, h)
+        return EventStream(rec["x"], rec["y"], rec["t"] * 1e-6, rec["p"], w, h)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    if stream.resorted:
-        warnings.warn(f"{path}: timestamps were not sorted; stream was re-sorted")
-    return stream

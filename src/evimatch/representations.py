@@ -1,11 +1,15 @@
 """Dense tensor representations of event windows.
 
-Each builder turns an event stream (usually a fixed-duration window) into a
-plain (C, H, W) float32 array suitable for a convolutional extractor: a
-voxel grid with bilinear splatting along time, a per-polarity exponential
-time surface, or a stack of signed count images.  ``normalize_tensor``
-standardizes an array over its nonzero support only, so sparse grids are
-not drowned by the zero background; ``build_representation`` always does.
+Each builder turns an event stream into a plain (C, H, W) float32 array
+suitable for a convolutional extractor: a voxel grid with bilinear
+splatting along time, a per-polarity exponential time surface, or a stack
+of signed count images.  The window [t_start, t_end] that a builder
+normalises time by runs from the stream's first event to its last, as in
+the voxel grid of Zhu et al. (CVPR 2019); a stream stores no window, so
+this is the same for a stream built in memory and one read from disk.
+``normalize_tensor`` standardizes an array over its nonzero support only,
+so sparse grids are not drowned by the zero background;
+``build_representation`` always does.
 Builders accumulate in float64 and round to float32 once, and
 normalization works on those float32 values, so the extractor sees the
 same bytes however a grid reaches it.
@@ -30,11 +34,11 @@ def voxel_grid(stream: EventStream, bins: int = 16) -> np.ndarray:
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    t0, t1 = stream.extent()
     grid = np.zeros((bins, stream.height, stream.width), dtype=np.float64)
     n = len(stream)
     if n:
-        dur = t1 - t0
+        t0 = stream.ts[0]
+        dur = stream.ts[-1] - t0
         if dur > 0 and bins > 1:
             tstar = (stream.ts - t0) / dur * (bins - 1)
         else:
@@ -59,10 +63,10 @@ def time_surface(stream: EventStream) -> np.ndarray:
     polarity at the pixel and tau is half the window duration; a
     zero-duration window writes 1.0 at every event pixel.
     """
-    t0, t1 = stream.extent()
-    tau = (t1 - t0) / 2.0
     surf = np.zeros((2, stream.height, stream.width), dtype=np.float64)
     if len(stream):
+        t1 = stream.ts[-1]
+        tau = (t1 - stream.ts[0]) / 2.0
         # events are time-sorted, so later writes win: each pixel ends up
         # holding the timestamp of its most recent event of each polarity
         last = np.full((2, stream.height, stream.width), -np.inf)
@@ -84,10 +88,10 @@ def event_stack(stream: EventStream, slices: int = 16) -> np.ndarray:
     """
     if slices < 1:
         raise ValueError("slices must be >= 1")
-    t0, t1 = stream.extent()
     grid = np.zeros((slices, stream.height, stream.width), dtype=np.float64)
     if len(stream):
-        dur = t1 - t0
+        t0 = stream.ts[0]
+        dur = stream.ts[-1] - t0
         if dur > 0:
             idx = np.floor((stream.ts - t0) / dur * slices).astype(np.int64)
             np.clip(idx, 0, slices - 1, out=idx)

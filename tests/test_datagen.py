@@ -227,7 +227,6 @@ def flat_frames(value, n=4, size=4):
 def test_static_signal_yields_no_events():
     ev = events_from_log_frames(flat_frames(0.3), np.linspace(0, 1, 4), 0.2)
     assert len(ev) == 0
-    assert ev.extent() == (0.0, 1.0)
 
 
 def test_exact_two_step_yields_two_events():
@@ -282,10 +281,10 @@ def test_events_frame_time_mismatch():
 def test_simulate_events_nonempty_and_windowed():
     ev = make_sample(SCENE, 0.25, delta_t=0.05, contrast=0.2, dt_sim=2e-3).events
     assert len(ev) > 0
-    assert ev.extent() == (0.2, 0.25)
     assert ev.ts.min() >= 0.2 - 1e-9 and ev.ts.max() <= 0.25 + 1e-9
     assert (np.diff(ev.ts) >= 0).all()
-    assert not ev.resorted
+    # whole microseconds, as EVT1 stores them
+    np.testing.assert_array_equal(ev.ts, np.round(ev.ts * 1e6) * 1e-6)
 
 
 def test_simulate_events_validation():
@@ -315,7 +314,8 @@ def test_make_sample_fields():
     s = make_sample(SCENE, 0.5, delta_t=0.05, dt_sim=2e-3)
     assert s.t == 0.5
     assert s.image.shape == (32, 32) and s.depth.shape == (32, 32)
-    assert s.events.extent() == (0.45, 0.5)
+    assert len(s.events) > 0
+    assert s.events.ts[0] >= 0.45 - 1e-9 and s.events.ts[-1] <= 0.5 + 1e-9
     rel = relative_pose(s.pose, SCENE.trajectory.pose(0.5))
     np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
 
@@ -360,13 +360,22 @@ def test_generate_benchmark_pairs_in_range():
     assert len(bench.samples) == 4
 
 
-def test_generate_benchmark_budget_warning():
-    # an unsatisfiable overlap band must warn and return a partial result
-    with pytest.warns(UserWarning, match="budget exhausted"):
+def test_generate_benchmark_without_a_pair_raises():
+    # an unsatisfiable overlap band accepts no pair at all
+    with pytest.raises(ValueError, match=(
+            r"^no pair with overlap in \[0\.0, 1e-06\]: benchmark budget exhausted: "
+            r"produced 0 of 2 requested pairs in 5 attempts$")):
+        generate_benchmark(SCENE, 2, seed=0, dt_sim=4e-3,
+                           overlap_range=(0.0, 1e-6), max_attempts=5)
+
+
+def test_generate_benchmark_partial_result_warns():
+    # the whole band accepts the first candidate, and the budget ends there
+    with pytest.warns(UserWarning, match="budget exhausted: produced 1 of 2 "
+                                         "requested pairs in 1 attempts"):
         bench = generate_benchmark(SCENE, 2, seed=0, dt_sim=4e-3,
-                                   overlap_range=(0.0, 1e-6),
-                                   max_attempts=5)
-    assert len(bench.pairs) < 2
+                                   overlap_range=(0.0, 1.0), max_attempts=1)
+    assert len(bench.pairs) == 1 and len(bench.samples) == 2
 
 
 def test_generate_benchmark_validation():

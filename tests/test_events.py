@@ -41,23 +41,23 @@ def test_stream_rejects_bad_polarity():
         EventStream([0, 1], [0, 0], [0.0, 0.1], [1, 0], 4, 4)
 
 
-def test_stream_resorts_unsorted_timestamps():
-    s = EventStream([0, 1, 2], [0, 0, 0], [0.2, 0.1, 0.3], [1, -1, 1], 4, 4)
-    assert s.resorted
-    assert list(s.ts) == [0.1, 0.2, 0.3]
-    assert list(s.xs) == [1, 0, 2]
-
-
-def test_stream_stable_resort_keeps_tie_order():
-    s = EventStream([0, 1, 2, 3], [0, 0, 0, 0], [0.5, 0.2, 0.2, 0.2],
+def test_stream_rejects_decreasing_timestamps_and_keeps_ties():
+    with pytest.raises(ValueError,
+                       match=r"^event 2 at t=0\.1 s is earlier than event 1 at t=0\.2 s$"):
+        EventStream([0, 1, 2], [0, 0, 0], [0.0, 0.2, 0.1], [1, -1, 1], 4, 4)
+    # equal timestamps are accepted in the order given
+    s = EventStream([3, 1, 2, 0], [0, 0, 0, 0], [0.2, 0.2, 0.2, 0.5],
                     [1, 1, -1, 1], 8, 4)
-    # the three t=0.2 events keep their original relative order
-    assert list(s.xs) == [1, 2, 3, 0]
-    assert list(s.ps) == [1, -1, 1, 1]
+    assert list(s.xs) == [3, 1, 2, 0]
+    assert list(s.ps) == [1, 1, -1, 1]
 
 
-def test_sorted_input_is_not_flagged():
-    assert not make_stream().resorted
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_stream_rejects_non_finite_timestamps(t):
+    # NaN compares false, so the order check alone would let it through
+    with pytest.raises(ValueError,
+                       match=rf"^event 1 has timestamp {t}, expected a finite value$"):
+        EventStream([0, 1, 2], [0, 0, 0], [0.0, t, 0.5], [1, 1, -1], 4, 4)
 
 
 def test_accumulate_mask_marks_event_pixels():
@@ -108,15 +108,6 @@ def evt_bytes(width, height, records):
             + b"".join(struct.pack("<HHqb3x", *r) for r in records))
 
 
-def test_load_unsorted_warns_and_sorts(tmp_path):
-    path = tmp_path / "uns.evt"
-    path.write_bytes(evt_bytes(4, 4, [(0, 0, 2000, 1), (1, 0, 1000, -1)]))
-    with pytest.warns(UserWarning, match="re-sorted"):
-        s = load_events(path)
-    assert s.resorted
-    assert list(s.xs) == [1, 0]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 23),
                           st.integers(0, 10 ** 7), st.sampled_from([-1, 1])),
@@ -139,15 +130,17 @@ def test_binary_roundtrip_property(tmp_path_factory, rows):
     np.testing.assert_array_equal(back.ps, s.ps)
 
 
-@pytest.mark.parametrize("width, height, record, cause", [
-    (4, 4, (1, 1, 0, 0), "polarity 0"),
-    (4, 4, (4, 1, 0, 1), "outside the 4x4 sensor"),
-    (4, 4, (1, 7, 0, -1), "outside the 4x4 sensor"),
-    (0, 4, (0, 0, 0, 1), "resolution must be positive"),
+@pytest.mark.parametrize("width, height, records, cause", [
+    (4, 4, [(1, 1, 0, 0)], "polarity 0"),
+    (4, 4, [(4, 1, 0, 1)], "outside the 4x4 sensor"),
+    (4, 4, [(1, 7, 0, -1)], "outside the 4x4 sensor"),
+    (0, 4, [(0, 0, 0, 1)], "resolution must be positive"),
+    (4, 4, [(0, 0, 2000, 1), (1, 0, 1000, -1)],
+     r"event 1 at t=0\.001 s is earlier than event 0 at t=0\.002 s"),
 ])
-def test_bad_record_names_the_file(tmp_path, width, height, record, cause):
+def test_bad_record_names_the_file(tmp_path, width, height, records, cause):
     path = tmp_path / "bad.evt"
-    path.write_bytes(evt_bytes(width, height, [record]))
+    path.write_bytes(evt_bytes(width, height, records))
     with pytest.raises(ValueError, match=rf"bad\.evt: .*{cause}"):
         load_events(path)
 

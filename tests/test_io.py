@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch import io
-from evimatch.datagen import LFDSample
-from evimatch.events import EventStream, load_events, save_events
+from evimatch.datagen import LFDSample, make_lfd_dataset, make_scene
+from evimatch.events import (EventStream, accumulate_mask, load_events,
+                             save_events)
 from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
                                 load_extractor, save_extractor)
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import Assignment
 from evimatch.optim import CKPT_MAGIC, load_checkpoint, save_checkpoint
+from evimatch.representations import KINDS, build_representation
 
 RNG = np.random.default_rng(7)
 
@@ -223,8 +225,7 @@ def tiny_sample(t, seed):
     ts = np.sort(rng.uniform(t - 0.05, t, n))
     ts = np.round(ts * 1e6) / 1e6  # storage keeps microsecond stamps
     events = EventStream(rng.integers(0, 8, n), rng.integers(0, 6, n), ts,
-                         rng.choice([-1, 1], n), 8, 6,
-                         t_start=t - 0.05, t_end=t)
+                         rng.choice([-1, 1], n), 8, 6)
     image = np.round(rng.uniform(size=(6, 8)) * 255) / 255.0
     depth = rng.uniform(1.0, 5.0, size=(6, 8)).astype(np.float32)
     pose = RigidPose(rotation_about([0, 0, 1.0], 0.1 * seed), [0.0, 0.1, 2.0])
@@ -247,6 +248,31 @@ def test_dataset_roundtrip(tmp_path):
         np.testing.assert_array_equal(got.depth, orig.depth.astype(np.float64))
         np.testing.assert_allclose(got.pose.rotation, orig.pose.rotation,
                                    atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def simulated_roundtrip(tmp_path_factory):
+    """Simulated samples and the same samples saved and loaded back."""
+    scene = make_scene(0, width=32, height=32)
+    samples = make_lfd_dataset(scene, 4)
+    root = tmp_path_factory.mktemp("sim") / "ds"
+    io.save_dataset(root, samples, scene.intrinsics, scene.width, scene.height)
+    return samples, io.load_dataset(root)[0]
+
+
+@pytest.mark.parametrize("tensor", [*KINDS, "mask"])
+def test_event_tensors_from_disk_equal_those_from_memory(simulated_roundtrip, tensor):
+    # the event window comes from the events alone, so every tensor built
+    # from a reloaded stream has the bytes of the in-memory one
+    def build(events):
+        if tensor == "mask":
+            return accumulate_mask(events)
+        return build_representation(events, tensor)
+
+    samples, back = simulated_roundtrip
+    for s, b in zip(samples, back, strict=True):
+        assert len(s.events) > 0
+        assert build(b.events).tobytes() == build(s.events).tobytes()
 
 
 def test_dataset_manifest_pose_disagreement(tmp_path):

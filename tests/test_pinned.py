@@ -125,19 +125,19 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
                                       log=log.append)
     path = tmp_path / "student.ckpt"
     save_extractor(path, params, student)
-    assert sha256(path) == ("db2b6880c8eba50c793881127e496d588f53c6ac"
-                            "203fbdfce7c05149411191de")
+    assert sha256(path) == ("4a2b0f6e327e8a79949a2546e8d4a13a00590df6"
+                            "bf1226dc9f9ac7529c1e0b8b")
     # the parameters alone, without the config entries
     save_checkpoint(path, params)
-    assert sha256(path) == ("e1774ba71c6630fa2b16218f6dbeee1bb7aa7483"
-                            "8a17e6a1b50886202271fb78")
+    assert sha256(path) == ("74d6ac27077e8b1b86fda0ae177db4dffafa5b0d"
+                            "f07d643c4d56a038c130ff69")
     assert loss_history_csv(history) == (
         "epoch,l_feats,l_score,l_desc,l_total\n"
-        "0,0.15050342,0.12279268,0.18915814,0.46245424\n"
-        "1,0.10612148,0.09172437,0.14366337,0.34150922\n")
+        "0,0.15127173,0.12180775,0.18824105,0.46132052\n"
+        "1,0.10777282,0.08556968,0.14450244,0.33784494\n")
     assert log == [
-        "epoch 0 l_feats=0.150503 l_score=0.122793 l_desc=0.189158 l_total=0.462454",
-        "epoch 1 l_feats=0.106121 l_score=0.091724 l_desc=0.143663 l_total=0.341509"]
+        "epoch 0 l_feats=0.151272 l_score=0.121808 l_desc=0.188241 l_total=0.461321",
+        "epoch 1 l_feats=0.107773 l_score=0.085570 l_desc=0.144502 l_total=0.337845"]
 
 
 # -- analytic teacher -------------------------------------------------------

@@ -13,13 +13,13 @@ from evimatch.representations import (KINDS, build_representation,
                                       voxel_grid)
 
 
-def stream_from(rows, width=8, height=6, window=(None, None)):
+def stream_from(rows, width=8, height=6):
     rows = sorted(rows, key=lambda r: r[2])
     if rows:
         xs, ys, ts, ps = zip(*rows)
     else:
         xs = ys = ts = ps = []
-    return EventStream(xs, ys, ts, ps, width, height, *window)
+    return EventStream(xs, ys, ts, ps, width, height)
 
 
 def test_voxel_shape_and_kind():
@@ -71,7 +71,7 @@ def test_voxel_rejects_zero_bins():
 
 def test_time_surface_channels_and_decay():
     # a 1 s window: tau = 0.5
-    s = stream_from([(1, 1, 0.0, -1), (2, 2, 1.0, 1)], window=(0.0, 1.0))
+    s = stream_from([(1, 1, 0.0, -1), (2, 2, 1.0, 1)])
     t = time_surface(s)
     assert t.shape == (2, 6, 8) and t.dtype == np.float32
     # negative polarity in channel 0, positive in channel 1
@@ -81,9 +81,8 @@ def test_time_surface_channels_and_decay():
 
 
 def test_time_surface_latest_event_wins():
-    # a 2 s window: tau = 1.0
     s = stream_from([(1, 1, 0.0, 1), (1, 1, 0.8, 1), (1, 1, 1.0, 1),
-                     (0, 0, 1.0, 1)], window=(-1.0, 1.0))
+                     (0, 0, 1.0, 1)])
     t = time_surface(s)
     assert t[1, 1, 1] == pytest.approx(1.0)
 
