@@ -1,5 +1,6 @@
 """Poses, quaternions, projection and the robust essential estimator."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,9 +13,10 @@ from hypothesis.extra import numpy as hnp
 from evimatch import geometry
 from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                EstimationFailed, PoseEstimate, RigidPose,
-                               _CHUNK, _bilinear, _eight_point,
-                               _hartley_normalization,
-                               _ransac_iters_needed, _sampson_sq, _triangulate,
+                               _CHUNK, _FIRST_CHUNK, _SLICE, _bilinear,
+                               _eight_point, _hartley_normalization,
+                               _ransac_iters_needed, _sampson_sq, _scored,
+                               _triangulate,
                                estimate_essential_ransac, project_many,
                                pose_angular_errors, quat_to_rotmat,
                                relative_pose, reproject_many, rotation_about,
@@ -353,15 +355,25 @@ def outcome(fn):
             est.inlier_mask.tobytes(), est.inlier_ratio, est.iterations)
 
 
+def chunk_ends(limit):
+    """The iteration counts at which ``_ransac``'s chunks end when no stop
+    or cap cuts them short, up to the first at or past limit."""
+    ends, size = [_FIRST_CHUNK], _FIRST_CHUNK
+    while ends[-1] < limit:
+        size = min(2 * size, _CHUNK)
+        ends.append(ends[-1] + size)
+    return ends
+
+
 # (n, share, max_iters): an early stop inside the first chunk, one inside a
-# later chunk, and a cap that is not a multiple of _CHUNK
-CHUNK_EDGES = [(60, 1.0, 2000), (200, 0.7, 2000), (100, 0.1, 600)]
+# later chunk, and a cap that is not a chunk boundary
+CHUNK_EDGES = [(16, 1.0, 2000), (200, 0.7, 2000), (100, 0.1, 600)]
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(8, 300), share=st.floats(0.1, 1.0), seed=st.integers(0, 999),
        max_iters=st.integers(1, 600), coincide=st.booleans())
-@example(n=60, share=1.0, seed=0, max_iters=2000, coincide=False)
+@example(n=16, share=1.0, seed=0, max_iters=2000, coincide=False)
 @example(n=200, share=0.7, seed=0, max_iters=2000, coincide=False)
 @example(n=100, share=0.1, seed=0, max_iters=600, coincide=False)
 @example(n=8, share=1.0, seed=0, max_iters=1, coincide=True)
@@ -383,10 +395,11 @@ def test_chunked_ransac_equals_one_sample_loop(n, share, seed, max_iters, coinci
     rng = np.random.default_rng(seed)
     idx = np.stack([rng.choice(n, size=8, replace=False) for _ in range(16)])
     e, s = _eight_point(x1[idx], x2[idx])
+    residual_sq = _sampson_sq(x1, x2)
     for i, sample in enumerate(idx):
         e_i, s_i = reference_eight_point(x1[sample], x2[sample])
         assert e[i].tobytes() == e_i.tobytes() and s[i].tobytes() == s_i.tobytes()
-        assert (_sampson_sq(e[i], x1, x2).tobytes()
+        assert (residual_sq(e[i]).tobytes()
                 == reference_sampson_sq(e_i, x1, x2).tobytes())
     if coincide:
         assert (_hartley_normalization(x1[idx, :2]) == np.eye(3)).all()
@@ -398,11 +411,88 @@ def test_chunk_edge_examples_reach_their_edge(monkeypatch, n, share, max_iters):
     p1, p2 = noisy_two_view(n, share, seed=0)
     monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
     it = estimate_essential_ransac(p1, p2, INTR, INTR, seed=0).iterations
-    assert it % _CHUNK != 0
+    assert chunk_ends(2000)[:4] == [16, 48, 112, 240]
+    assert it not in chunk_ends(max_iters)
     if max_iters < 2000:
-        assert it == max_iters > _CHUNK
+        assert it == max_iters > _FIRST_CHUNK
     else:
-        assert it < max_iters and (it < _CHUNK) == (share == 1.0)
+        assert it < max_iters and (it < _FIRST_CHUNK) == (share == 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(9, 1000), seed=st.integers(0, 999))
+@example(n=1000, seed=0)
+@example(n=8, seed=0)
+def test_refit_equals_the_full_svd_fit(n, seed):
+    # the refit drops the (n, n) U of its SVD; s and V, and so E, stay
+    # bitwise those of the full SVD, and 8 rows keep the full V
+    p1, p2 = noisy_two_view(n, 1.0, seed)
+    x1 = unproject_many(p1, np.ones(n), INTR)
+    x2 = unproject_many(p2, np.ones(n), INTR)
+    e, s = _eight_point(x1, x2)
+    e_ref, s_ref = reference_eight_point(x1, x2)
+    assert e.tobytes() == e_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+
+
+def test_exactly_eight_inliers_refit_on_the_full_svd(monkeypatch):
+    # on these matches the best set, and so the refit, has exactly 8 rows,
+    # whose null vector only the full V holds
+    p1, p2 = noisy_two_view(30, 0.2, seed=0)
+    refits = []
+
+    def eight_point(x1, x2):
+        fitted = _eight_point(x1, x2)
+        if x1.ndim == 2:
+            refits.append((fitted, reference_eight_point(x1, x2), len(x1)))
+        return fitted
+
+    monkeypatch.setattr(geometry, "_eight_point", eight_point)
+    estimate_essential_ransac(p1, p2, INTR, INTR, seed=0)
+    [((e, s), (e_ref, s_ref), rows)] = refits
+    assert rows == 8
+    assert e.tobytes() == e_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(8, 1000), seed=st.integers(0, 999),
+       sizes=st.lists(st.integers(1, _CHUNK), min_size=2, max_size=2, unique=True))
+@example(n=1000, seed=0, sizes=[_CHUNK, 1])
+@example(n=8, seed=0, sizes=[_SLICE + 1, _SLICE])
+def test_chunk_scoring_equals_per_model_scoring(n, seed, sizes):
+    # two chunks of different sizes through one set of buffers: each stacked
+    # score, mask and count is bitwise that of the model scored alone
+    p1, p2 = noisy_two_view(n, 0.5, seed)
+    x1 = unproject_many(p1, np.ones(n), INTR)
+    x2 = unproject_many(p2, np.ones(n), INTR)
+    thr_sq = (1.0 / INTR.fx) ** 2
+    residual_sq = _sampson_sq(x1, x2)
+    rng = np.random.default_rng(seed)
+    for k in sizes:
+        idx = np.stack([rng.choice(n, size=8, replace=False) for _ in range(k)])
+        e = _eight_point(x1[idx], x2[idx])[0]
+        want = [reference_sampson_sq(e_i, x1, x2) for e_i in e]
+        for lo in range(0, k, _SLICE):
+            got = residual_sq(e[lo:lo + _SLICE])
+            assert [r.tobytes() for r in got] == [
+                r.tobytes() for r in want[lo:lo + _SLICE]]
+        scored = list(_scored(e, residual_sq, thr_sq))
+        assert [(m.tobytes(), c) for m, c in scored] == [
+            ((r <= thr_sq).tobytes(), int((r <= thr_sq).sum())) for r in want]
+
+
+@pytest.mark.parametrize("share", [0.9, 0.2])
+def test_essential_ransac_peak_memory(share):
+    # a full SVD of the refit's (n, 9) system builds an (n, n) U, which
+    # peaked at 21.5 MiB here at share 0.9; the scoring buffers hold
+    # _SLICE * 8 floats per match, 2 MiB at 2,000 matches
+    p1, p2 = noisy_two_view(2000, share, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_essential_ransac(p1, p2, INTR, INTR, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0
 
 
 def reference_triangulate(r, t, x1, x2, cap=50):

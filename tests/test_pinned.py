@@ -30,7 +30,7 @@ from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                matcher_history_csv, mnn_match, save_matcher,
                                train_matcher)
 from evimatch.optim import save_checkpoint
-from test_geometry import reference_ransac
+from test_geometry import chunk_ends, reference_ransac
 
 INTR = CameraIntrinsics(fx=40.0, fy=42.0, cx=31.5, cy=23.5)
 
@@ -324,14 +324,16 @@ def test_essential_ransac_masks_and_iterations(monkeypatch, n_in, n_out, max_ite
     with monkeypatch.context() as m:
         m.setattr(geometry, "_ransac", reference_ransac)
         ref, ref_draws = recorded_draws(monkeypatch, estimate)
-    # chunks draw ahead of the stopping rule, but never past max_iters
+    # chunks draw ahead of the stopping rule, but never past max_iters or
+    # the end of the chunk the run stopped in
     assert ref.iterations == len(ref_draws)
     assert [d.tolist() for d in draws[:est.iterations]] == [
         d.tolist() for d in ref_draws]
     if est.iterations == max_iters:
         assert len(draws) == est.iterations
     else:
-        assert est.iterations <= len(draws) < est.iterations + geometry._CHUNK
+        stop_chunk_end = min(e for e in chunk_ends(max_iters) if e >= est.iterations)
+        assert est.iterations <= len(draws) <= stop_chunk_end
     assert mask_indices(est.inlier_mask) == inliers
     assert est.iterations == iterations
     assert mask_indices(ref.inlier_mask) == inliers
