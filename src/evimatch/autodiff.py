@@ -404,12 +404,14 @@ def layer_norm(x, gamma, beta):
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention as one graph node.
 
-    q is (N, D); k and v are (M, D).  Each of the ``heads`` consecutive
-    column blocks of width d_h = D / heads attends on its own,
+    q is (N, D); k and v are (M, D) with M >= 1.  Each of the ``heads``
+    consecutive column blocks of width d_h = D / heads attends on its own,
     softmax(q_h k_h^T / sqrt(d_h)) v_h, and the head outputs are
-    concatenated back to (N, D).  All heads run as batched matmuls on
-    (heads, rows, d_h) arrays, and only the (heads, N, M) probabilities are
-    kept for backward.
+    concatenated back to (N, D).  The heads run one at a time, forward and
+    backward, so each softmax pass works on one (N, M) block, and each
+    product is the 2-D matmul a batched one makes for that head.  The
+    (heads, N, M) probabilities are kept for backward only when an input
+    wants a gradient; otherwise one (N, M) block serves every head.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
@@ -417,41 +419,48 @@ def attention(q, k, v, heads):
         raise ValueError(
             f"attention: q {q.data.shape}, k {k.data.shape} and v {v.data.shape} "
             "must be (N, D), (M, D) and (M, D)")
+    if len(k.data) == 0:
+        raise ValueError(f"attention: q {q.data.shape} has no keys to attend to "
+                         f"(k {k.data.shape}, v {v.data.shape})")
     d = q.data.shape[1]
     if heads < 1 or d % heads:
         raise ValueError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
     qd, kd, vd = q.data, k.data, v.data
+    n, m = len(qd), len(kd)
 
-    # each head's block is made contiguous, and k's is stored transposed,
-    # so every per-head matmul sees the operand layouts a 2-D one would
+    # each head's block is made contiguous, and k is stored transposed, so
+    # every product sees the operand layouts a batched matmul gave it
     def split(x):  # (rows, D) -> (heads, rows, d_h)
         return np.ascontiguousarray(x.reshape(len(x), heads, dh).transpose(1, 0, 2))
 
-    def merge(x):  # (heads, rows, d_h) -> (rows, D)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
-
-    def k_t():  # (heads, d_h, M)
-        return np.ascontiguousarray(kd.reshape(-1, heads, dh).transpose(1, 2, 0))
-
-    # softmax in place, in the order scale, subtract the row max, exp, divide
-    p = np.matmul(split(qd), k_t())
-    p *= scale
-    p -= p.max(axis=2, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=2, keepdims=True)
-    y = merge(np.matmul(p, split(vd)))
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    p = np.empty((heads, n, m) if keep else (n, m), np.result_type(qd, kd))
+    y = np.empty((n, d), np.result_type(p, vd))
+    qs, kt, vs = split(qd), np.ascontiguousarray(kd.T), split(vd)
+    for h in range(heads):
+        ph, cols = (p[h] if keep else p), slice(h * dh, (h + 1) * dh)
+        np.matmul(qs[h], kt[cols], out=ph)
+        # softmax in place, in the order scale, subtract the row max, exp, divide
+        ph *= scale
+        ph -= ph.max(axis=1, keepdims=True)
+        np.exp(ph, out=ph)
+        ph /= ph.sum(axis=1, keepdims=True)
+        y[:, cols] = ph @ vs[h]
 
     def bwd(g):
-        gh = split(g)
-        gv = merge(np.matmul(p.transpose(0, 2, 1), gh))
-        gs = np.matmul(gh, split(vd).transpose(0, 2, 1))
-        gs -= (gs * p).sum(axis=2, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = merge(np.matmul(gs, k_t().transpose(0, 2, 1)))
-        gk = merge(np.matmul(split(qd).transpose(0, 2, 1), gs).transpose(0, 2, 1))
+        qs, kt, vs, gh = split(qd), np.ascontiguousarray(kd.T), split(vd), split(g)
+        gq, gk, gv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            gv[:, cols] = p[h].T @ gh[h]
+            gs = gh[h] @ vs[h].T
+            gs -= (gs * p[h]).sum(axis=1, keepdims=True)
+            gs *= p[h]
+            gs *= scale
+            gq[:, cols] = gs @ kt[cols].T
+            gk[:, cols] = (qs[h].T @ gs).T
         return gq, gk, gv
     return _make(y, (q, k, v), bwd)
 

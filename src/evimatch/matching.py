@@ -69,19 +69,31 @@ class GroundTruthMatches:
         self.unmatched_b = np.asarray(self.unmatched_b, dtype=np.int64).reshape(-1)
 
 
-def _log_softmax(s, axis):
-    z = s - s.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def _dual_log_softmax(s):
+    """log_softmax(s, axis=1) + log_softmax(s, axis=0) bit for bit, written
+    over s; two more (N, M) buffers hold the row term and the exponentials."""
+    rows = s - s.max(axis=1, keepdims=True)
+    e = np.exp(rows)
+    rows -= np.log(e.sum(axis=1, keepdims=True))
+    s -= s.max(axis=0, keepdims=True)
+    np.exp(s, out=e)
+    s -= np.log(e.sum(axis=0, keepdims=True))
+    s += rows
+    return s
 
 
 def _mutual_nearest(cost):
     """(rows, cols) of the mutual argmins of a non-empty cost matrix.
 
     Ties go to the first occurrence along each axis; rows come out in
-    increasing order.  Score matrices are passed negated.
+    increasing order.  Score matrices are passed negated.  A column's argmin
+    is its first row equal to the column minimum, without the transposed copy
+    np.argmin makes over axis 0, unless a NaN makes that minimum NaN.
     """
     best_j = np.argmin(cost, axis=1)
-    best_i = np.argmin(cost, axis=0)
+    low = cost.min(axis=0)
+    best_i = (np.argmin(cost, axis=0) if np.isnan(low).any()
+              else (cost == low).argmax(axis=0))
     rows = np.flatnonzero(best_i[best_j] == np.arange(cost.shape[0]))
     return rows, best_j[rows]
 
@@ -97,9 +109,9 @@ def mnn_match(kp_a, kp_b) -> Assignment:
     if len(kp_a) == 0 or len(kp_b) == 0:
         return Assignment.empty()
     s = kp_a.descriptors.astype(np.float64) @ kp_b.descriptors.astype(np.float64).T
-    log_p = _log_softmax(s, axis=1) + _log_softmax(s, axis=0)
-    rows, cols = _mutual_nearest(-log_p)
-    return Assignment(np.stack([rows, cols], axis=1), np.exp(log_p[rows, cols]))
+    cost = np.negative(_dual_log_softmax(s), out=s)
+    rows, cols = _mutual_nearest(cost)
+    return Assignment(np.stack([rows, cols], axis=1), np.exp(-cost[rows, cols]))
 
 
 # -- context-aware matcher ----------------------------------------------
@@ -294,9 +306,11 @@ def assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0):
     xb = np.asarray(x_b, np.float64)
     sa = np.asarray(sigma_a, np.float64).reshape(-1)
     sb = np.asarray(sigma_b, np.float64).reshape(-1)
-    s = scale * (xa @ xb.T)
-    soft = np.exp(_log_softmax(s, axis=0) + _log_softmax(s, axis=1))
-    return sa[:, None] * sb[None, :] * soft
+    s = xa @ xb.T
+    s *= scale
+    p = np.exp(_dual_log_softmax(s), out=s)
+    p *= sa[:, None] * sb[None, :]
+    return p
 
 
 def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
@@ -310,8 +324,8 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
     if len(x_a) == 0 or len(x_b) == 0:
         return Assignment.empty()
     p = assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale)
-    rows, cols = _mutual_nearest(-p)
-    vals = p[rows, cols]
+    rows, cols = _mutual_nearest(np.negative(p, out=p))
+    vals = -p[rows, cols]
     keep = vals >= threshold
     return Assignment(np.stack([rows[keep], cols[keep]], axis=1), vals[keep])
 

@@ -422,17 +422,35 @@ def assert_bitwise_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("heads, n_q, n_kv", [(4, 37, 53), (2, 24, 24), (1, 9, 5)])
-def test_attention_bitwise_equals_per_head_graph(heads, n_q, n_kv):
+# the small shapes run OpenBLAS's small-matrix kernel; 256 x 300 queries
+# and keys at the matcher's width run its normal sgemm path
+@pytest.mark.parametrize("heads, n_q, n_kv, width", [
+    (4, 37, 53, 32), (2, 24, 24, 32), (1, 9, 5, 32), (4, 256, 300, 128)])
+def test_attention_bitwise_equals_per_head_graph(heads, n_q, n_kv, width):
     r = np.random.default_rng(heads)
-    q, k, v = (r.normal(size=(n, 32)).astype(np.float32) for n in (n_q, n_kv, n_kv))
-    g = r.normal(size=(n_q, 32)).astype(np.float32)
+    q, k, v = (r.normal(size=(n, width)).astype(np.float32) for n in (n_q, n_kv, n_kv))
+    g = r.normal(size=(n_q, width)).astype(np.float32)
     tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
     y = ad.attention(tq, tk, tv, heads)
     ad.sum_all(ad.mul(y, Tensor(g))).backward()
     ref = attention_per_head(q, k, v, heads, g)
     for got, want in zip((y.data, tq.grad, tk.grad, tv.grad), ref):
         assert_bitwise_equal(got, want)
+    # without gradients the heads share one probability block
+    assert_bitwise_equal(ad.attention(q, k, v, heads).data, y.data)
+
+
+def test_attention_without_gradients_keeps_one_head_of_probabilities():
+    # the (heads, N, M) float32 stack would take 16 MiB; one (N, M) block 4
+    r = np.random.default_rng(0)
+    q, k, v = (r.normal(size=(1024, 128)).astype(np.float32) for _ in range(3))
+    tracemalloc.start()
+    try:
+        ad.attention(q, k, v, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_attention_rejects_bad_shapes():
@@ -441,6 +459,8 @@ def test_attention_rejects_bad_shapes():
         ad.attention(x, x, x, 3)
     with pytest.raises(ValueError, match="must be"):
         ad.attention(x, Tensor(np.ones((3, 2), np.float32)), x, 2)
+    with pytest.raises(ValueError, match=r"q \(3, 4\) has no keys .*k \(0, 4\)"):
+        ad.attention(x, np.ones((0, 4)), np.ones((0, 4)), 2)
 
 
 def test_grad_take_rows():

@@ -10,8 +10,9 @@ from evimatch.autodiff import Tensor
 from evimatch.extractor import KeypointSet
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
-                               MatchTrainConfig, assignment_probabilities,
-                               ca_assignment, ca_forward, ca_match, ca_scores,
+                               MatchTrainConfig, _mutual_nearest,
+                               assignment_probabilities, ca_assignment,
+                               ca_forward, ca_match, ca_scores,
                                fourier_encoding, gt_assignment, load_matcher,
                                matcher_history_csv, mnn_match, nll_loss,
                                save_matcher, train_matcher)
@@ -69,6 +70,52 @@ def test_mnn_empty_inputs():
     a = KeypointSet.empty(8)
     assert len(mnn_match(a, random_kp(4, 8))) == 0
     assert len(mnn_match(random_kp(4, 8), a)) == 0
+
+
+def log_softmax(s, axis):
+    z = s - s.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("n, m", [(40, 57), (57, 40), (1, 30), (30, 1), (1, 1)])
+def test_dual_softmax_equals_two_log_softmaxes_bitwise(n, m):
+    # the reference takes each log-softmax on its own and adds them; repeated
+    # rows and columns plant exact ties in the float64 scores
+    rng = np.random.default_rng(100 * n + m)
+    da, db = rng.normal(size=(n, 16)), rng.normal(size=(m, 16))
+    da[n // 2] = da[0]
+    db[m // 2] = db[0]
+    db[-1] = da[-1]
+    a, b = kp_from(da), kp_from(db)
+    s = a.descriptors.astype(np.float64) @ b.descriptors.astype(np.float64).T
+    log_p = log_softmax(s, axis=1) + log_softmax(s, axis=0)
+    best_j, best_i = np.argmin(-log_p, axis=1), np.argmin(-log_p, axis=0)
+    rows = np.flatnonzero(best_i[best_j] == np.arange(n))
+    got = mnn_match(a, b)
+    assert got.matches.tobytes() == np.stack([rows, best_j[rows]], axis=1).tobytes()
+    assert got.scores.tobytes() == np.exp(log_p[rows, best_j[rows]]).tobytes()
+
+    sa, sb = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
+    s = 2.5 * (da @ db.T)
+    want = sa[:, None] * sb[None, :] * np.exp(log_softmax(s, axis=0)
+                                              + log_softmax(s, axis=1))
+    got = assignment_probabilities(da, sa, db, sb, scale=2.5)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan, -0.0])
+def test_mutual_nearest_equals_the_argmins_of_both_axes(fill):
+    # small integers tie often; the fill values probe the column minimum's
+    # comparison, and a NaN sends the columns to np.argmin
+    rng = np.random.default_rng(7)
+    for n, m in [(1, 1), (1, 9), (9, 1), (13, 17), (17, 13)]:
+        cost = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+        cost[rng.uniform(size=(n, m)) < 0.2] = fill
+        best_j, best_i = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
+        rows = np.flatnonzero(best_i[best_j] == np.arange(n))
+        got = _mutual_nearest(cost)
+        np.testing.assert_array_equal(got[0], rows)
+        np.testing.assert_array_equal(got[1], best_j[rows])
 
 
 # -- context-aware matcher -------------------------------------------------
@@ -166,6 +213,15 @@ def test_ca_assignment_swap_transposes():
 def test_ca_match_empty_keypoints():
     m = CAMatcherParams.create(CFG)
     assert len(ca_match(KeypointSet.empty(16), random_kp(4), m)) == 0
+
+
+def test_ca_forward_rejects_an_empty_side():
+    m, kp, empty = CAMatcherParams.create(CFG), random_kp(5), KeypointSet.empty(16)
+    for a, b in ((kp, empty), (empty, kp)):
+        with pytest.raises(ValueError, match=r"attention: q \(\d+, 16\) has no keys"):
+            ca_forward(a, b, m)
+        with pytest.raises(ValueError, match="has no keys"):
+            ca_scores(a, b, m)
 
 
 def test_ca_scores_matches_numpy_probabilities():
