@@ -71,10 +71,6 @@ class Tensor:
         self.grad = None
         self._node = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 

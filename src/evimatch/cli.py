@@ -66,10 +66,9 @@ _COMMAND_PARAMS = {
                      overlap_hi="0.8", max_attempts="0"),
     "train-extractor": {
         "data": None, "representation": "voxel", "bins": "16",
-        "lr": "0.001", "epochs": "50", "batch": "8",
-        "pairs": "512", "seed": "0", "loss_terms": "feats,score,desc",
-        "channels": "64,64,128,128", "pools": "1,2,1,2",
-        "latent_dim": "128", "desc_dim": "128",
+        "lr": "0.001", "epochs": "50", "batch": "8", "seed": "0",
+        "loss_terms": "feats,score,desc", "channels": "64,64,128,128",
+        "pools": "1,2,1,2",
     },
     "train-matcher": dict(_EXTRACT_PARAMS, data=None, extractor=None,
                           pairs_file="", k="256", eps_px="3.0", lr="0.0001",
@@ -247,14 +246,12 @@ def cmd_train_extractor(out, cfg):
     if unknown:
         raise ValueError(f"unknown loss terms: {', '.join(sorted(unknown))}")
     dcfg = DistillConfig(
-        lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch"]), n_pairs=int(cfg["pairs"]),
-        seed=int(cfg["seed"]), use_feats="feats" in terms,
-        use_score="score" in terms, use_desc="desc" in terms)
+        lr=float(cfg["lr"]), epochs=int(cfg["epochs"]), batch_size=int(cfg["batch"]),
+        seed=int(cfg["seed"]), use_feats="feats" in terms, use_score="score" in terms,
+        use_desc="desc" in terms)
     student = ExtractorConfig(
         in_channels=channel_count(cfg["representation"], int(cfg["bins"])),
         channels=_ints(cfg["channels"]), pools=_ints(cfg["pools"]),
-        latent_dim=int(cfg["latent_dim"]), desc_dim=int(cfg["desc_dim"]),
         representation=cfg["representation"])
     params, history = train_extractor(samples, dcfg, student, log=print)
     save_extractor(os.path.join(out, "student.ckpt"), params, student)

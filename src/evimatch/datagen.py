@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import EventStream
-from .geometry import (CameraIntrinsics, RigidPose, _bilinear, project_many,
-                       relative_pose, rotation_about, unproject_many)
+from .geometry import (CameraIntrinsics, RigidPose, _bilinear, relative_pose,
+                       reproject_many, rotation_about)
 
 
 @dataclass(frozen=True)
@@ -356,12 +356,11 @@ def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
     def direction(depth_src, depth_dst, rel):
         # pixels with positive depth that land in frame in front of the
         # other camera, their reprojections and their depths there
-        d = depth_src.ravel()
-        pts = rel.apply(unproject_many(grid, d, scene.intrinsics))
-        proj, valid = project_many(pts, scene.intrinsics)
-        inside = (valid & (d > 0) & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
+        proj, valid, z = reproject_many(grid, depth_src.ravel(), scene.intrinsics,
+                                        scene.intrinsics, rel)
+        inside = (valid & (proj[:, 0] >= 0) & (proj[:, 0] <= w - 1)
                   & (proj[:, 1] >= 0) & (proj[:, 1] <= h - 1))
-        proj, z = proj[inside], pts[inside, 2]
+        proj, z = proj[inside], z[inside]
         ix = np.clip(np.round(proj[:, 0]).astype(np.int64), 0, w - 1)
         iy = np.clip(np.round(proj[:, 1]).astype(np.int64), 0, h - 1)
         observed = depth_dst[iy, ix]

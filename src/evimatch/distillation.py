@@ -31,20 +31,20 @@ _COLUMNS = ("l_feats", "l_score", "l_desc", "l_total")
 @dataclass(frozen=True)
 class DistillConfig:
     """Training recipe for the event extractor.  The student's input
-    representation belongs to its ``ExtractorConfig``."""
+    representation belongs to its ``ExtractorConfig``, and the number of
+    training samples to the dataset."""
 
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 8
-    n_pairs: int = 512
     seed: int = 0
     use_feats: bool = True
     use_score: bool = True
     use_desc: bool = True
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.n_pairs <= 0:
-            raise ValueError("epochs, batch_size and n_pairs must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (self.use_feats or self.use_score or self.use_desc):
@@ -147,15 +147,14 @@ def train_extractor(samples, config: DistillConfig,
     """Distill the event extractor; returns (params, history).
 
     Trains a fresh student (seeded by config.seed) with ``optim.fit`` on the
-    LFD loss over at most config.n_pairs samples, each read as the
-    representation student_config names.  fit's rows are the epoch means
-    of l_feats, l_score, l_desc and l_total, and the params come back
-    frozen.  The teacher is evaluated once up front and never updated; a
+    LFD loss over every sample, each read as the representation
+    student_config names.  fit's rows are the epoch means of l_feats,
+    l_score, l_desc and l_total, and the params come back frozen.  The teacher is evaluated once up front and never updated; a
     student whose outputs an enabled term cannot compare with the teacher's
     arrays is rejected before training.  The whole run is a pure function
     of the samples and the two configs.
     """
-    samples = list(samples)[:config.n_pairs]
+    samples = list(samples)
     if not samples:
         raise ValueError("no training samples provided")
 

@@ -43,6 +43,16 @@ from .optim import load_module, save_module
 from .representations import channel_count
 
 
+# the teacher's fixed shape: 8 orientations on a 4x4 grid of taps 2 px apart
+# make 128 descriptor channels; 128 latent channels at stride 4
+TEACHER_ORIENTATIONS = 8
+TEACHER_TAPS = (-3, -1, 1, 3)
+TEACHER_LATENT_DIM = 128
+TEACHER_STRIDE = 4
+TEACHER_PROJECTION_SEED = 7
+TEACHER_DESC_DIM = TEACHER_ORIENTATIONS * len(TEACHER_TAPS) ** 2
+
+
 @dataclass
 class DenseMaps:
     """Dense extractor outputs: latent features, score map, descriptor map.
@@ -66,7 +76,8 @@ class ExtractorConfig:
     of pools is the backbone stride s.  The score and descriptor heads
     stay at that stride: each is a 3x3 conv plus ReLU as wide as the last
     backbone block, then a 1x1 projection to s*s score cells or to
-    desc_dim descriptor channels.
+    desc_dim descriptor channels.  latent_dim and desc_dim default to the
+    teacher's widths, which distillation requires.
 
     ``representation`` names the event tensor the student reads (one of
     ``representations.KINDS``) with in_channels bins; the time surface
@@ -76,8 +87,8 @@ class ExtractorConfig:
     in_channels: int
     channels: tuple = (64, 64, 128, 128)
     pools: tuple = (1, 2, 1, 2)
-    latent_dim: int = 128
-    desc_dim: int = 128
+    latent_dim: int = TEACHER_LATENT_DIM
+    desc_dim: int = TEACHER_DESC_DIM
     representation: str = "voxel"
 
     def __post_init__(self):
@@ -125,16 +136,15 @@ class KeypointSet:
 # -- student ------------------------------------------------------------
 
 def _student_layout(config: ExtractorConfig):
-    """(name, shape, fan_in) per student parameter, in checkpoint order.
+    """(name, shape) per student parameter, in checkpoint order.
 
-    Biases have fan_in 0.  Shapes only: nothing is allocated, so a loader
-    can check a checkpoint against them before trusting its sizes.
+    Shapes only: nothing is allocated, so a loader can check a checkpoint
+    against them before trusting its sizes.
     """
     layout = []
 
     def conv(name, c_out, c_in, k):
-        layout.extend([(name + ".w", (c_out, c_in, k, k), c_in * k * k),
-                       (name + ".b", (c_out,), 0)])
+        layout.extend([(name + ".w", (c_out, c_in, k, k)), (name + ".b", (c_out,))])
 
     c_in = config.in_channels
     for i, c_out in enumerate(config.channels):
@@ -154,9 +164,10 @@ def init_student(config: ExtractorConfig, seed: int = 0):
     trains them, so a forward pass on a fresh student records no graph.
     """
     rng = np.random.default_rng(seed)
-    return {name: Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), shape).astype(np.float32)
-                         if fan_in else np.zeros(shape, np.float32))
-            for name, shape, fan_in in _student_layout(config)}
+    return {name: Tensor(rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), shape)
+                         .astype(np.float32) if name.endswith(".w")
+                         else np.zeros(shape, np.float32))
+            for name, shape in _student_layout(config)}
 
 
 def forward_student_batch(x, params, config: ExtractorConfig):
@@ -217,14 +228,6 @@ def cells_to_pixels(x, s):
 
 # -- analytic teacher ---------------------------------------------------
 
-# the teacher's fixed shape: 8 orientations on a 4x4 grid of taps 2 px apart
-# make 128 descriptor channels; 128 latent channels at stride 4
-TEACHER_ORIENTATIONS = 8
-TEACHER_TAPS = (-3, -1, 1, 3)
-TEACHER_LATENT_DIM = 128
-TEACHER_STRIDE = 4
-TEACHER_PROJECTION_SEED = 7
-TEACHER_DESC_DIM = TEACHER_ORIENTATIONS * len(TEACHER_TAPS) ** 2
 HARRIS_K = 0.04
 # a tap reads its response edge-padded by the largest offset
 _TAP_PAD = max(abs(t) for t in TEACHER_TAPS)
@@ -451,6 +454,8 @@ def _keypoints(score, desc_shape, columns, border, nms_radius, k, threshold):
         raise ValueError("border and nms_radius must be non-negative")
     if threshold is None and (k is None or k <= 0):
         raise ValueError(f"k must be positive, got {k}")
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     score = np.asarray(score, dtype=np.float64)
     if score.ndim == 3:
         score = score[0]
@@ -497,5 +502,4 @@ def load_extractor(path):
     Malformed architecture entries, and missing, extra or mis-shaped
     parameters, raise ValueError with the offending name.
     """
-    return load_module(path, ExtractorConfig,
-                       lambda c: {n: s for n, s, _ in _student_layout(c)})
+    return load_module(path, ExtractorConfig, _student_layout)

@@ -196,11 +196,12 @@ def _blend(g, taps, weights):
 
 
 def reproject_many(pixels, depths, intr_src, intr_dst, rel: RigidPose):
+    """Destination (pixels, valid, depths) of source pixels at source depths."""
     pts = rel.apply(unproject_many(pixels, depths, intr_src))
     px, valid = project_many(pts, intr_dst)
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
     valid &= d > 0
-    return px, valid
+    return px, valid, pts[:, 2]
 
 
 # -- two-view estimation ------------------------------------------------

@@ -5,12 +5,15 @@ is what makes rerun-identity of the pipeline testable.  Binary formats are
 little-endian with short magic headers; text formats are plain ASCII with
 full-precision floats (repr round-trips exactly).
 
-Text record files (keypoint dumps, poses, pairs, manifests) hold one record
+Text record files (keypoint dumps, poses, pairs) hold one record
 per line as whitespace-separated fields; blank lines and lines starting
 with ``#`` are skipped.  ``key=value`` files (configs, intrinsics) follow
 the same comment rule.  Every reader rejects malformed input with a
 ValueError that names the file, and for text the line or key:
 ``path:line: expected `x y score```.
+
+A dataset holds ``events/NNN.evt``, ``images/NNN.pgm`` and ``depth/NNN.f32``
+per sample, ``intrinsics.txt`` and ``poses.txt`` (microsecond times, poses).
 """
 
 from __future__ import annotations
@@ -260,27 +263,21 @@ def save_dataset(root, samples, intrinsics: CameraIntrinsics,
     os.makedirs(os.path.join(root, "events"), exist_ok=True)
     os.makedirs(os.path.join(root, "images"), exist_ok=True)
     os.makedirs(os.path.join(root, "depth"), exist_ok=True)
-    times_us = [int(round(s.t * 1e6)) for s in samples]
     for i, s in enumerate(samples):
         save_events(os.path.join(root, "events", f"{i:03d}.evt"), s.events)
         save_pgm(os.path.join(root, "images", f"{i:03d}.pgm"), s.image)
         save_depth(os.path.join(root, "depth", f"{i:03d}.f32"), s.depth)
-    save_poses(os.path.join(root, "poses.txt"), times_us,
-               [s.pose for s in samples])
+    save_poses(os.path.join(root, "poses.txt"),
+               [int(round(s.t * 1e6)) for s in samples], [s.pose for s in samples])
     save_intrinsics(os.path.join(root, "intrinsics.txt"), intrinsics,
                     width, height)
-    with open(os.path.join(root, "manifest.txt"), "w") as f:
-        f.write("".join(f"{t}\n" for t in times_us))
 
 
 def load_dataset(root):
-    """Read a dataset directory back: (samples, intrinsics, width, height)."""
+    """Read a dataset directory back: (samples, intrinsics, width, height),
+    one sample per row of ``poses.txt``; other files are ignored."""
     intr, width, height = load_intrinsics(os.path.join(root, "intrinsics.txt"))
-    times_us = _rows(os.path.join(root, "manifest.txt"), "t_us", (int,),
-                     lambda t_us: t_us)
-    pose_times, poses = load_poses(os.path.join(root, "poses.txt"))
-    if pose_times != times_us:
-        raise ValueError(f"{root}: poses.txt and manifest.txt disagree")
+    times_us, poses = load_poses(os.path.join(root, "poses.txt"))
     samples = []
     for i, t_us in enumerate(times_us):
         evt_path = os.path.join(root, "events", f"{i:03d}.evt")

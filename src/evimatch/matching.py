@@ -321,6 +321,8 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
     satisfies 0 <= P_ij <= sigma_i sigma_j, so low-matchability keypoints
     can never form a match.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if len(x_a) == 0 or len(x_b) == 0:
         return Assignment.empty()
     p = assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale)
@@ -333,8 +335,8 @@ def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
 def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
              threshold: float = 0.1) -> Assignment:
     """Forward pass plus hard assignment with the learned temperature."""
-    if len(kp_a) == 0 or len(kp_b) == 0:
-        return Assignment.empty()
+    if len(kp_a) == 0 or len(kp_b) == 0:  # no matches; the threshold is still checked
+        return ca_assignment((), (), (), (), threshold=threshold)
     xa, sa, xb, sb = (t.data for t in ca_forward(kp_a, kp_b, matcher))
     scale = float(np.exp(matcher.params["logit_scale"].data))
     return ca_assignment(xa, sa, xb, sb, scale=scale, threshold=threshold)
@@ -371,8 +373,8 @@ def gt_assignment(kp_a, kp_b, depth_a, depth_b,
 
     rel_ab = relative_pose(pose_a, pose_b)
     rel_ba = relative_pose(pose_b, pose_a)
-    prj_a, va = reproject_many(pa, np.where(ok_a, za, 1.0), intr_a, intr_b, rel_ab)
-    prj_b, vb = reproject_many(pb, np.where(ok_b, zb, 1.0), intr_b, intr_a, rel_ba)
+    prj_a, va, _ = reproject_many(pa, np.where(ok_a, za, 1.0), intr_a, intr_b, rel_ab)
+    prj_b, vb, _ = reproject_many(pb, np.where(ok_b, zb, 1.0), intr_b, intr_a, rel_ba)
     va &= ok_a
     vb &= ok_b
 
@@ -488,6 +490,5 @@ def save_matcher(path, matcher: CAMatcherParams):
 def load_matcher(path) -> CAMatcherParams:
     """Load a matcher; malformed architecture entries and missing, extra or
     mis-shaped params raise ValueError by name."""
-    params, config = load_module(path, CAConfig,
-                                 lambda c: dict(_matcher_layout(c)))
+    params, config = load_module(path, CAConfig, _matcher_layout)
     return CAMatcherParams(config, params)

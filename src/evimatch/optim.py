@@ -229,10 +229,10 @@ def save_module(path, config, params):
     save_checkpoint(path, blob)
 
 
-def load_module(path, config_cls, param_shapes):
+def load_module(path, config_cls, layout):
     """Read frozen (params, config) from a checkpoint written by save_module.
 
-    ``param_shapes(config)`` gives the expected name -> shape dict without
+    ``layout(config)`` gives the expected (name, shape) pairs without
     allocating anything, so a checkpoint that declares huge sizes costs no
     more than its own bytes before it is rejected.  A config entry that is
     missing, unknown to the dataclass, non-finite, not integral or of the
@@ -266,7 +266,7 @@ def load_module(path, config_cls, param_shapes):
         config = config_cls(**values)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    expected = param_shapes(config)
+    expected = dict(layout(config))
     loaded = {k: v for k, v in blob.items() if not k.startswith(_CONFIG_PREFIX)}
     for name in expected:
         if name not in loaded:

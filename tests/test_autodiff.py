@@ -65,7 +65,7 @@ def gradcheck(fn, inputs, eps=1e-3, rtol=1e-3, atol=1e-6):
 
 def test_tensor_keeps_zero_dim_shape():
     t = Tensor(np.float32(2.5))
-    assert t.shape == ()
+    assert t.data.shape == ()
     assert float(t.data) == pytest.approx(2.5)
 
 
@@ -216,7 +216,7 @@ def test_graph_keeps_a_parent_array_only_if_backward_reads_it(op, shape, reads_p
     y = op(h)
     del h
     assert (parent() is not None) == reads_parent
-    g = Tensor(const32(*y.shape, seed=4))
+    g = Tensor(const32(*y.data.shape, seed=4))
     ad.sum_all(ad.mul(y, g)).backward()
     assert parent() is None
     # the same op on a leaf with h's data, whose caller keeps it
@@ -539,7 +539,7 @@ def folded_and_reference(fused, unbiased, shapes, seed):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         y = build(*leaves)
         if g is None:
-            g = Tensor(r.normal(size=y.shape).astype(np.float32))
+            g = Tensor(r.normal(size=y.data.shape).astype(np.float32))
         ad.sum_all(ad.mul(y, g)).backward()
         results.append([y.data] + [t.grad for t in leaves])
     return results
@@ -642,7 +642,7 @@ def test_conv_bitwise_equals_batched_formulation(op, reference, w_shape, n, dtyp
             w = r.normal(size=w_shape).astype(dtype)
             tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             y = op(tx, tw, stride=stride, padding=padding)
-            g = r.normal(size=y.shape).astype(dtype)
+            g = r.normal(size=y.data.shape).astype(dtype)
             ad.sum_all(ad.mul(y, Tensor(g))).backward()
             for got, want in zip((y.data, tx.grad, tw.grad),
                                  reference(x, w, g, stride, padding)):
@@ -754,7 +754,7 @@ def test_no_grad_output_bitwise_equals_grad_path(op, reference, k, dtype, with_n
     leaf = Tensor(x, requires_grad=True)
     y = op(leaf)
     assert_bitwise_equal(frozen.data, y.data)
-    g = np.random.default_rng(1).normal(size=y.shape).astype(dtype)
+    g = np.random.default_rng(1).normal(size=y.data.shape).astype(dtype)
     want_y, want_g = reference(x, g)
     assert_bitwise_equal(y.data, want_y.astype(dtype))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN in the loss

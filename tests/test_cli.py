@@ -118,8 +118,9 @@ def dataset(tmp_path_factory):
 def test_synth_layout_and_config_echo(dataset):
     for name in ("events", "images", "depth"):
         assert os.path.isdir(os.path.join(dataset, name))
-    for name in ("poses.txt", "intrinsics.txt", "manifest.txt", "config.txt"):
+    for name in ("poses.txt", "intrinsics.txt", "config.txt"):
         assert os.path.isfile(os.path.join(dataset, name))
+    assert not os.path.exists(os.path.join(dataset, "manifest.txt"))
     lines = open(os.path.join(dataset, "config.txt")).read().splitlines()
     assert lines[0] == "command=synth"
     echoed = eio.parse_config("\n".join(lines[1:]))
@@ -182,6 +183,25 @@ def student_ckpt(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "student.ckpt")
     save_extractor(path, init_student(config, seed=2), config)
     return path
+
+
+@pytest.fixture(scope="module")
+def matcher_ckpt(tmp_path_factory):
+    """A seeded, untrained CA matcher for the student's descriptors."""
+    path = str(tmp_path_factory.mktemp("ca") / "ca.ckpt")
+    save_matcher(path, CAMatcherParams.create(
+        CAConfig(desc_dim=128, dim=8, layers=1, heads=2, pe_freqs=2,
+                 ffn_mult=2, image_size=(16, 16)), seed=0))
+    return path
+
+
+@pytest.fixture(scope="module")
+def kp_dir(dataset, tmp_path_factory):
+    """The dataset's image keypoint dumps."""
+    out = str(tmp_path_factory.mktemp("kp") / "kp")
+    assert main(["extract", "--data", dataset, "--modality", "images", "--border", "2",
+                 "--nms", "2", "--k", "8", "--out", out]) == 0
+    return os.path.join(out, "keypoints")
 
 
 def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
@@ -278,19 +298,15 @@ def test_extract_and_eval_read_the_representation_from_the_student(dataset,
 
 
 def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
-                                                       tmp_path):
-    ca = str(tmp_path / "ca.ckpt")
-    save_matcher(ca, CAMatcherParams.create(
-        CAConfig(desc_dim=128, dim=8, layers=1, heads=2, pe_freqs=2,
-                 ffn_mult=2, image_size=(16, 16)), seed=0))
-    matcher = load_matcher(ca)
+                                                       matcher_ckpt, tmp_path):
+    matcher = load_matcher(matcher_ckpt)
     kps = direct_keypoints(dataset, student_ckpt, "voxel", 16)
     gts = direct_gts(dataset, kps)
     flags = ["--data", dataset, "--extractor", student_ckpt, *KP_FLAGS]
     reports = {}
     for name, extra, match_fn in (
             ("mnn", [], mnn_match),
-            ("ca", ["--matcher-ckpt", ca],
+            ("ca", ["--matcher-ckpt", matcher_ckpt],
              lambda a, b: ca_match(a, b, matcher, threshold=0.1))):
         assert main(["eval", "--mode", "keypoints", *flags, *extra,
                      "--out", str(tmp_path / name)]) == 0
@@ -717,11 +733,13 @@ def test_flags_a_checkpoint_fixes_are_gone(command, flag, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("train-extractor", "--score-head"), ("train-extractor", "--desc-head"),
-    ("train-matcher", "--mask"), ("extract", "--mask"), ("eval", "--mask"),
-    ("viz", "--mask")])
+    ("train-extractor", "--latent-dim"), ("train-extractor", "--desc-dim"),
+    ("train-extractor", "--pairs"), ("train-matcher", "--mask"), ("extract", "--mask"),
+    ("eval", "--mask"), ("viz", "--mask")])
 def test_head_widths_and_the_mask_switch_are_gone(command, flag, capsys):
-    # the heads are as wide as the last backbone block, and event keypoints
-    # are always gated by the event mask
+    # the heads are as wide as the last backbone block, their outputs as
+    # wide as the teacher's, synth --n counts the training samples, and
+    # event keypoints are always gated by the event mask
     with pytest.raises(SystemExit) as exit_:
         parse([command, flag, "1"])
     assert exit_.value.code == 2
@@ -729,7 +747,7 @@ def test_head_widths_and_the_mask_switch_are_gone(command, flag, capsys):
 
 
 def test_settable_values():
-    assert sum(len(params) for params in cli._COMMAND_PARAMS.values()) == 88
+    assert sum(len(params) for params in cli._COMMAND_PARAMS.values()) == 85
 
 
 # -- inputs the pipeline cannot use -------------------------------------------
@@ -737,21 +755,16 @@ def test_settable_values():
 TINY_STUDENT = ["--channels", "4,4", "--pools", "2,2", "--epochs", "1"]
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--desc-dim", "64"], "desc_dim is 64 but the teacher's desc has 128 channels"),
-    (["--latent-dim", "64"],
-     "latent_dim is 64 but the teacher's feats have 128 channels"),
-    (["--channels", "4,4,4,4", "--pools", "1,1,1,2"],
-     "stride is 2, giving 8x8 feats for 16x16 inputs, but the teacher's feats "
-     "are 4x4"),
-])
-def test_train_extractor_names_what_the_teacher_cannot_supervise(
-        dataset, tmp_path, capsys, flags, message):
+def test_train_extractor_names_what_the_teacher_cannot_supervise(dataset, tmp_path,
+                                                                capsys):
+    # the student's widths are the teacher's; only its stride can misfit
     out = tmp_path / "tx"
-    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT, *flags,
-               "--out", str(out)])
+    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT, "--channels",
+               "4,4,4,4", "--pools", "1,1,1,2", "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"evimatch train-extractor: error: {message}\n"
+    assert capsys.readouterr().err == (
+        "evimatch train-extractor: error: stride is 2, giving 8x8 feats for 16x16 "
+        "inputs, but the teacher's feats are 4x4\n")
     assert not out.exists()
 
 
@@ -777,10 +790,19 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(
      "lr must be positive and finite, got nan"),
     (["train-matcher", "--data", "DATA", "--extractor", "CKPT", *KP_FLAGS,
       "--lr", "nan"], "lr must be positive and finite, got nan"),
+    (["extract", "--data", "DATA", "--modality", "images", "--threshold", "nan"],
+     "threshold must be finite, got nan"),
+    (["extract", "--data", "DATA", "--modality", "events", "--extractor", "CKPT",
+      "--threshold", "inf"], "threshold must be finite, got inf"),
+    (["match", "--kp-a", "KP", "--kp-b", "KP", "--matcher-ckpt", "CA",
+      "--threshold", "nan"], "threshold must be finite, got nan"),
+    (["eval", "--data", "DATA", "--mode", "keypoints", "--extractor", "CKPT",
+      *KP_FLAGS, "--matcher-ckpt", "CA", "--threshold", "nan"],
+     "threshold must be finite, got nan"),
 ])
-def test_non_finite_values_fail_by_name(dataset, student_ckpt, tmp_path, capsys,
-                                        argv, message):
-    paths = {"DATA": dataset, "CKPT": student_ckpt}
+def test_non_finite_values_fail_by_name(dataset, student_ckpt, matcher_ckpt, kp_dir,
+                                        tmp_path, capsys, argv, message):
+    paths = {"DATA": dataset, "CKPT": student_ckpt, "CA": matcher_ckpt, "KP": kp_dir}
     out = tmp_path / "out"
     rc = main([paths.get(a, a) for a in argv] + ["--out", str(out)])
     assert rc == 1
@@ -818,15 +840,6 @@ def test_train_extractor_rejects_bins_for_a_time_surface(dataset, tmp_path, caps
         "evimatch train-extractor: error: --bins 8 does not apply to a "
         "time_surface representation, which has no bins\n"))
     assert not out.exists()
-
-
-def test_train_extractor_skips_the_latent_check_without_feats(dataset, tmp_path):
-    out = tmp_path / "tx"
-    rc = main(["train-extractor", "--data", dataset, *TINY_STUDENT,
-               "--latent-dim", "64", "--loss-terms", "score,desc",
-               "--out", str(out)])
-    assert rc == 0
-    assert (out / "student.ckpt").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -136,7 +136,7 @@ def test_default_student_step_memory():
 
 STUDENT = ExtractorConfig(in_channels=4, channels=(6, 6), pools=(1, 2),
                           latent_dim=8, desc_dim=8)
-RECIPE = DistillConfig(lr=3e-3, epochs=4, batch_size=2, n_pairs=8, seed=0)
+RECIPE = DistillConfig(lr=3e-3, epochs=4, batch_size=2, seed=0)
 
 
 def lfd_sample(events, image):
@@ -267,6 +267,23 @@ def test_train_extractor_empty_samples():
     with pytest.raises(ValueError, match="no training samples"):
         train_extractor([], RECIPE, student_config=STUDENT,
                         teacher=small_teacher)
+
+
+@pytest.mark.parametrize("widths, message", [
+    (dict(desc_dim=64), "desc_dim is 64 but the teacher's desc has 8 channels"),
+    (dict(latent_dim=64), "latent_dim is 64 but the teacher's feats have 8 channels"),
+])
+def test_train_extractor_names_what_the_teacher_cannot_supervise(widths, message):
+    student = dataclasses.replace(STUDENT, **widths)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_extractor(training_samples(), RECIPE, student, teacher=small_teacher)
+
+
+def test_train_extractor_skips_the_latent_check_without_feats():
+    student = dataclasses.replace(STUDENT, latent_dim=64)
+    params, _ = train_extractor(training_samples(), dataclasses.replace(
+        RECIPE, epochs=1, use_feats=False), student, teacher=small_teacher)
+    assert params["latent.w"].data.shape == (64, 6, 1, 1)
 
 
 def test_train_extractor_aborts_on_nonfinite():

@@ -82,8 +82,8 @@ def test_student_heads_sit_at_the_backbone_stride(pools):
     assert params["score.out.w"].data.shape == (s * s, 4, 1, 1)
     x = np.random.default_rng(s).normal(size=(2, 16, 24)).astype(np.float32)
     _, score, desc = forward_student_batch(x[None], params, config)
-    assert score.shape == (1, s * s, 16 // s, 24 // s)
-    assert desc.shape == (1, 8, 16 // s, 24 // s)
+    assert score.data.shape == (1, s * s, 16 // s, 24 // s)
+    assert desc.data.shape == (1, 8, 16 // s, 24 // s)
     maps = forward_student(x, params, config)
     assert maps.score.tobytes() == cells_to_pixels(score.data, s)[0].tobytes()
     assert maps.desc.tobytes() == desc.data[0].tobytes()
@@ -387,6 +387,16 @@ def test_extract_keypoints_empty_when_masked():
     kp = extract_keypoints(gated, border=2, nms_radius=1, k=10)
     assert len(kp) == 0
     assert kp.descriptors.shape == (0, 8)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_keypoints_reject_a_non_finite_threshold_even_when_empty(threshold):
+    maps = random_maps(5)
+    gated = DenseMaps(maps.feats, np.zeros_like(maps.score), maps.desc)
+    for extract, source in ((extract_keypoints, maps), (extract_keypoints, gated),
+                            (teacher_keypoints, np.full((16, 16), 0.5))):
+        with pytest.raises(ValueError, match=f"^threshold must be finite, got {threshold}$"):
+            extract(source, k=None, threshold=threshold)
 
 
 def test_extract_keypoints_unit_descriptors():

@@ -197,17 +197,19 @@ def test_unproject_many_matches_scalar():
 
 def test_reproject_identity_is_noop():
     px = np.array([[30.0, 40.0]])
-    out, ok = reproject_many(px, [2.0], INTR, INTR, IDENTITY)
+    out, ok, depth = reproject_many(px, [2.0], INTR, INTR, IDENTITY)
     assert ok.all()
     np.testing.assert_allclose(out, px, atol=1e-12)
+    np.testing.assert_allclose(depth, [2.0], atol=1e-12)
 
 
 def test_reproject_many_flags_behind_camera():
     # 180 degree turn puts every forward point behind the second camera
     rel = RigidPose(rotation_about([0, 1, 0], 180.0), np.zeros(3))
-    px, valid = reproject_many(np.array([[10.0, 10.0], [50.0, 40.0]]),
-                               np.array([2.0, 3.0]), INTR, INTR, rel)
+    px, valid, depth = reproject_many(np.array([[10.0, 10.0], [50.0, 40.0]]),
+                                      np.array([2.0, 3.0]), INTR, INTR, rel)
     assert not valid.any()
+    np.testing.assert_allclose(depth, [-2.0, -3.0], atol=1e-12)
 
 
 def make_two_view(n=60, angle=10.0, seed=0, baseline=(1.0, 0.0, 0.0)):

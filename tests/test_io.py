@@ -275,13 +275,26 @@ def test_event_tensors_from_disk_equal_those_from_memory(simulated_roundtrip, te
         assert build(b.events).tobytes() == build(s.events).tobytes()
 
 
-def test_dataset_manifest_pose_disagreement(tmp_path):
-    samples = [tiny_sample(0.25, 1)]
-    root = tmp_path / "ds"
-    io.save_dataset(root, samples, CameraIntrinsics(6.4, 6.4, 3.5, 2.5), 8, 6)
-    (root / "manifest.txt").write_text("999999\n")
-    with pytest.raises(ValueError, match="disagree"):
-        io.load_dataset(root)
+def loaded_bytes(root):
+    """load_dataset's result with every array as bytes, for equality."""
+    samples, intr, w, h = io.load_dataset(root)
+    return intr, w, h, [(s.t, *(a.tobytes() for a in (
+        s.events.xs, s.events.ys, s.events.ts, s.events.ps, s.image, s.depth,
+        s.pose.rotation, s.pose.translation))) for s in samples]
+
+
+@pytest.mark.parametrize("manifest", ["250000\n500000\n", "999999\n25O000\n"],
+                         ids=["times", "malformed"])
+def test_dataset_ignores_a_stray_manifest(tmp_path, manifest):
+    # sample times come from poses.txt alone; older datasets also carry a
+    # manifest.txt of the same times, which loading ignores
+    samples = [tiny_sample(0.25, 1), tiny_sample(0.5, 2)]
+    for name in ("plain", "stray"):
+        io.save_dataset(tmp_path / name, samples, CameraIntrinsics(6.4, 6.4, 3.5, 2.5),
+                        8, 6)
+    (tmp_path / "stray" / "manifest.txt").write_text(manifest)
+    assert not (tmp_path / "plain" / "manifest.txt").exists()
+    assert loaded_bytes(tmp_path / "stray") == loaded_bytes(tmp_path / "plain")
 
 
 @pytest.mark.parametrize("name, write, size", [
@@ -409,15 +422,6 @@ def test_poses_reject_infinite_quaternion_without_warning(tmp_path):
             io.load_poses(p)
 
 
-def test_manifest_names_file_and_line(tmp_path):
-    root = tmp_path / "ds"
-    io.save_dataset(root, [tiny_sample(0.25, 1)],
-                    CameraIntrinsics(6.4, 6.4, 3.5, 2.5), 8, 6)
-    (root / "manifest.txt").write_text("250000\n25O000\n")
-    with pytest.raises(ValueError, match=r"manifest\.txt:2: expected `t_us`"):
-        io.load_dataset(root)
-
-
 @pytest.mark.parametrize("text, cause", [
     ("fx=abc\nfy=1\ncx=0\ncy=0\nwidth=4\nheight=4\n", "fx='abc' is not float"),
     ("fx=1\nfy=1\ncx=0\ncy=0\nwidth=4.5\nheight=4\n", "width='4.5' is not int"),
@@ -466,7 +470,6 @@ def valid_files(tmp_path_factory):
         "sidecar": (d / "kp.txt.desc", lambda _: io.load_keypoints(d / "kp.txt")),
         "pairs": (d / "pairs.txt", io.load_pairs),
         "poses": (d / "poses.txt", io.load_poses),
-        "manifest": (d / "ds" / "manifest.txt", lambda _: io.load_dataset(d / "ds")),
         "intrinsics": (d / "intr.txt", io.load_intrinsics),
         "config": (d / "run.cfg", io.load_config),
         "pgm": (d / "img.pgm", io.load_pgm),
@@ -479,7 +482,7 @@ BYTES = st.one_of(st.integers(0, 255), st.sampled_from(list(b"0123456789-.#=e \n
 
 @settings(max_examples=400, deadline=None)
 @given(reader=st.sampled_from(["evt", "checkpoint", "keypoints", "sidecar", "pairs",
-                               "poses", "manifest", "intrinsics", "config", "pgm",
+                               "poses", "intrinsics", "config", "pgm",
                                "depth"]),
        cut=st.one_of(st.none(), st.integers(0, 10 ** 6)),
        edits=st.lists(st.tuples(st.integers(0, 10 ** 6), BYTES), max_size=4))

@@ -215,6 +215,21 @@ def test_ca_match_empty_keypoints():
     assert len(ca_match(KeypointSet.empty(16), random_kp(4), m)) == 0
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf])
+def test_ca_assignment_rejects_a_non_finite_threshold_even_when_empty(threshold):
+    rng = np.random.default_rng(6)
+    x, s = rng.normal(size=(4, 8)), np.full(4, 0.9)
+    m = CAMatcherParams.create(CFG)
+    message = f"^threshold must be finite, got {threshold}$"
+    for match in (lambda: ca_assignment(x, s, x, s, threshold=threshold),
+                  lambda: ca_assignment(x[:0], s[:0], x, s, threshold=threshold),
+                  lambda: ca_match(random_kp(4), random_kp(5), m, threshold=threshold),
+                  lambda: ca_match(KeypointSet.empty(16), random_kp(4), m,
+                                   threshold=threshold)):
+        with pytest.raises(ValueError, match=message):
+            match()
+
+
 def test_ca_forward_rejects_an_empty_side():
     m, kp, empty = CAMatcherParams.create(CFG), random_kp(5), KeypointSet.empty(16)
     for a, b in ((kp, empty), (empty, kp)):

@@ -160,7 +160,6 @@ SYNTH_DIGESTS = {
     "depth/000.f32": "234c1ec31d0d70eaf8286051ea0c5460f4a84764426874b94e394ed30cfbbdd3",
     "events/000.evt": "93202da22b83f3d54fef865ce04139c067926a1cc5d9b3cb516f93df35933794",
     "images/000.pgm": "d4909fe7c1933a3c6ccd4fe5692c6ce61550e262bdef245fa4eee20261faa99c",
-    "manifest.txt": "faa1ebc71526da4fa1747bc764900b76a01a9d2c0291b2be93c897dbcadd4c18",
     "poses.txt": "a27fe03cb75d056f83f8bd6f62d1ec24201606c06627a86deed9cec875d9c533",
 }
 
@@ -172,7 +171,6 @@ BENCH_DIGESTS = {
     "events/001.evt": "49f5f4c3b5b3a3c134267cd333affb365f45928fcd2b71aef7297dcd7bac3660",
     "images/000.pgm": SYNTH_DIGESTS["images/000.pgm"],
     "images/001.pgm": "0cf2887686d2b99bcadf6ba15150d35ec5a182336b0d958d4d337af65bb02a4c",
-    "manifest.txt": "293389c5ee182177d94b31010b626d8cc132c0792da6030d40af0938c6f9ce26",
     "pairs.txt": "6f7a5cbe263001788157efd0e6382888407524c3e1cab964c803a81a3595fe5b",
     "poses.txt": "a33d901cccb285a397be1e6be67e601a3d0ab4451ae484db93bf0240eacce705",
 }
@@ -211,7 +209,7 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
     ["synth", *PIPE_SCENE, "--n", "4", "--out", "synth"],
     ["benchgen", *PIPE_SCENE, "--n-pairs", "2", "--out", "bench"],
     ["train-extractor", "--data", "synth", "--channels", "4,4", "--pools", "2,2",
-     "--epochs", "1", "--pairs", "8", "--out", "student"],
+     "--epochs", "1", "--out", "student"],
     ["train-matcher", "--data", "synth", "--extractor", PIPE_STUDENT, *PIPE_KP,
      "--dim", "8", "--layers", "1", "--heads", "2", "--pe-freqs", "2",
      "--epochs", "1", "--out", "matcher"],
@@ -232,9 +230,9 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
 ]
 
 PIPELINE_DIGESTS = {
-    "synth": "948cbfe3c0cc33ea7a94fbbf4c6e64827ff76b1fb94c52a853eb07579e31c12c",
-    "bench": "071300b26a762eb6a013583d417423ffd711c504e7e42d2cfff5cb518ec00318",
-    "student": "ad18194b892ca69020fd41907ef1f6adc6a1c1d45e6304451964a34fe79f1b8f",
+    "synth": "f3ac87aec8a57b18b4554113579e60b8cef0496fdebf049b71473a4b5eec9e7b",
+    "bench": "ab8ed95d43c9c779abb3c225c56db9acd7e60061781ba065ade2e7688a8989ad",
+    "student": "e1b50097fd1c23494286a2e2e0a052759c1a805b2c97f806e714c055ed714adb",
     "matcher": "c701617767bc52e7b124ef2b8418bb09306f8c2eed5a8ca6e8d0c9da6a9e1abd",
     "kp_events": "59bd8d934bb061908d695549e3836b09d2a6a27c1a8e75cf03599fe7b6247a02",
     "kp_images": "8c4b74d7f49ab059f90b206a8f65fe87c069433a5f3168a9aa96418c4fad69e3",
