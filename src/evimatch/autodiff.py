@@ -5,17 +5,18 @@ graph lazily and ``backward`` walks it in reverse topological order.  The
 op set is deliberately small: exactly what a convolutional extractor whose
 heads stay at the backbone stride, an attention matcher and their losses
 need.  Elementwise and reduction ops, 2-D matmul and transpose, an affine
-``linear`` layer, row and pair gathers, layer norm, a 2-D convolution
-(its optional bias folded into the same node) and pooling, and one fused
-multi-head ``attention`` node that keeps only its probabilities for
-backward.  Storage is float32 (float64 is accepted for numerical
-checking); explicit reductions accumulate in float64 before casting back.
-Broadcasting is limited to scalar-with-tensor and the per-channel biases
-of ``linear`` and ``conv2d``; everything else requires exact shape
-agreement, which keeps gradients trivially correct.
+``linear`` layer, row and pair gathers, layer norm, a same-size 2-D
+convolution at stride 1 (square odd kernel, its bias folded into the same
+node) and 2x2 max pooling, and one fused multi-head ``attention`` node
+that keeps only its probabilities for backward.  Storage is float32
+(float64 is accepted for numerical checking); explicit reductions
+accumulate in float64 before casting back.  Broadcasting is limited to
+scalar-with-tensor and the per-channel biases of ``linear`` and
+``conv2d``; everything else requires exact shape agreement, which keeps
+gradients trivially correct.
 
 ``conv2d`` runs one sample at a time: each sample's patches fill one
-reused (C*kh*kw, OH*OW) buffer, so a batch holds no more patch memory
+reused (C*k*k, H*W) buffer, so a batch holds no more patch memory
 than a single sample, and the weight gradient adds the samples' products
 in sample order.  Every batch size, inference's N = 1 included, takes
 this one path; an empty batch is rejected.
@@ -473,44 +474,40 @@ def _bias_grad(g, dtype, axes):
     return np.asarray(g.sum(axis=axes, dtype=np.float64), dtype=dtype)
 
 
-# convolution plumbing, one sample at a time: each sample's patches fill
-# one reused (C*kh*kw, OH*OW) buffer, and each product with them is the
-# 2-D BLAS call that a batched matmul makes for that sample.  conv2d and
-# its weight gradient are products with the patches of x, and its input
-# gradient is the adjoint _conv_dx
+# convolution plumbing, one sample at a time: each sample's patches under
+# a k x k kernel, padded by k // 2, fill one reused (C*k*k, H*W) buffer,
+# and each product with them is the 2-D BLAS call that a batched matmul
+# makes for that sample.  conv2d and its weight gradient are products with
+# the patches of x, and its input gradient is the adjoint _conv_dx
 
-def _patch_products(x, w, s, p, a=None):
-    """With P_n the patches of sample n of x (N, C, H, W) under w's kh x kw
-    kernel and w2 = w.reshape(len(w), -1): the (N, len(w), OH, OW) stack of
-    w2 @ P_n, or, if a (N, len(w), OH, OW) is given, the sum over n of
+def _patch_products(x, w, a=None):
+    """With P_n the patches of sample n of x (N, C, H, W) under w's k x k
+    kernel and w2 = w.reshape(len(w), -1): the (N, len(w), H, W) stack of
+    w2 @ P_n, or, if a (N, len(w), H, W) is given, the sum over n of
     a[n] @ P_n.T in w's shape.
 
     The sum adds each sample's product into the first in sample order,
     which is ``np.sum(axis=0)`` of the stacked products bit for bit.
     """
-    n, c, h, w_in = x.shape
-    f, kh, kw = len(w), w.shape[2], w.shape[3]
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w_in + 2 * p - kw) // s + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError("kernel does not fit the padded input")
-    xp = np.zeros((c, h + 2 * p, w_in + 2 * p), x.dtype)
-    cols = np.empty((c, kh, kw, oh, ow), x.dtype)
-    flat = cols.reshape(c * kh * kw, oh * ow)
-    y = np.empty((n, f, oh, ow), np.result_type(w, x)) if a is None else None
+    n, c, h, wd = x.shape
+    f, k, p = len(w), w.shape[2], w.shape[2] // 2
+    xp = np.zeros((c, h + 2 * p, wd + 2 * p), x.dtype)
+    cols = np.empty((c, k, k, h, wd), x.dtype)
+    flat = cols.reshape(c * k * k, h * wd)
+    y = np.empty((n, f, h, wd), np.result_type(w, x)) if a is None else None
     total = part = None
-    for k in range(n):
-        if kh == kw == s == 1 and p == 0:  # the patch matrix is the sample
-            flat = x[k].reshape(c, -1)
+    for m in range(n):
+        if k == 1:  # the patch matrix is the sample
+            flat = x[m].reshape(c, -1)
         else:
-            xp[:, p:p + h, p:p + w_in] = x[k]
-            for i in range(kh):
-                for j in range(kw):
-                    cols[:, i, j] = xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
+            xp[:, p:p + h, p:p + wd] = x[m]
+            for i in range(k):
+                for j in range(k):
+                    cols[:, i, j] = xp[:, i:i + h, j:j + wd]
         if a is None:
-            np.matmul(w.reshape(f, -1), flat, out=y[k].reshape(f, -1))
+            np.matmul(w.reshape(f, -1), flat, out=y[m].reshape(f, -1))
             continue
-        part = np.matmul(a[k].reshape(f, -1), flat.T, out=part)
+        part = np.matmul(a[m].reshape(f, -1), flat.T, out=part)
         if total is None:
             total, part = part, None
         else:
@@ -518,72 +515,66 @@ def _patch_products(x, w, s, p, a=None):
     return y if a is None else total.reshape(w.shape)
 
 
-def _conv_dx(gy, w, s, p, h, w_in):
-    """The adjoint of conv2d over its input: gy (N, F, OH, OW) to
-    (N, C, h, w_in), scattering each sample's w2.T @ gy[n] back onto its
+def _conv_dx(gy, w):
+    """The adjoint of conv2d over its input: gy (N, F, H, W) to
+    (N, C, H, W), scattering each sample's w2.T @ gy[n] back onto its
     padded input."""
-    n, f, oh, ow = gy.shape
-    c, kh, kw = w.shape[1], w.shape[2], w.shape[3]
+    n, f, h, wd = gy.shape
+    c, k, p = w.shape[1], w.shape[2], w.shape[2] // 2
     w2t = w.reshape(f, -1).T
-    cols = np.empty((c, kh, kw, oh, ow), gy.dtype)
-    xp = np.empty((c, h + 2 * p, w_in + 2 * p), gy.dtype)
-    gx = np.empty((n, c, h, w_in), gy.dtype)
-    for k in range(n):
-        np.matmul(w2t, gy[k].reshape(f, -1), out=cols.reshape(c * kh * kw, -1))
+    cols = np.empty((c, k, k, h, wd), gy.dtype)
+    xp = np.empty((c, h + 2 * p, wd + 2 * p), gy.dtype)
+    gx = np.empty((n, c, h, wd), gy.dtype)
+    for m in range(n):
+        np.matmul(w2t, gy[m].reshape(f, -1), out=cols.reshape(c * k * k, -1))
         xp.fill(0)
-        for i in range(kh):
-            for j in range(kw):
-                xp[:, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += cols[:, i, j]
-        gx[k] = xp[:, p:p + h, p:p + w_in]
+        for i in range(k):
+            for j in range(k):
+                xp[:, i:i + h, j:j + wd] += cols[:, i, j]
+        gx[m] = xp[:, p:p + h, p:p + wd]
     return gx
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
-    """2-D convolution, x (N,C,H,W) with w (F,C,kh,kw) and an optional
-    bias b (F,) added in the same node."""
-    x, w = _as_tensor(x), _as_tensor(w)
+def conv2d(x, w, b):
+    """Same-size 2-D convolution at stride 1: x (N,C,H,W) with a square,
+    odd-sized kernel w (F,C,k,k), zero-padded by k // 2, plus the bias
+    b (F,) in the same node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weight")
     if x.data.shape[1] != w.data.shape[1]:
         raise ValueError("conv2d: channel mismatch")
+    kh, kw = w.data.shape[2:]
+    if kh != kw or kh % 2 == 0:  # only a square odd kernel has a centre pixel
+        raise ValueError(f"conv2d: a {kh}x{kw} kernel is not square and odd-sized")
     if len(x.data) == 0:
         raise ValueError("conv2d: empty batch")
-    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
-        if value < low:
-            raise ValueError(f"conv2d: {name} {value} must be at least {low}")
-    h, w_in = x.data.shape[2], x.data.shape[3]
-    y = _patch_products(x.data, w.data, stride, padding)
-    bias = ()  # the node's parents after x and w
-    if b is not None:
-        bias = (_as_tensor(b),)
-        _check_bias(bias[0], y.shape[1], "conv2d")
-        y += bias[0].data[None, :, None, None]
+    _check_bias(b, len(w.data), "conv2d")
+    y = _patch_products(x.data, w.data)
+    y += b.data[None, :, None, None]
     xd, wd, x_grad = (x.data if w.requires_grad else None), w.data, x.requires_grad
-    b_dtypes = [t.data.dtype if t.requires_grad else None for t in bias]
+    b_dtype = b.data.dtype if b.requires_grad else None
     def bwd(g):
-        gx = _conv_dx(g, wd, stride, padding, h, w_in) if x_grad else None
-        gw = _patch_products(xd, wd, stride, padding, a=g) if xd is not None else None
-        return (gx, gw, *(_bias_grad(g, t, (0, 2, 3)) for t in b_dtypes))
-    return _make(y, (x, w, *bias), bwd)
+        gx = _conv_dx(g, wd) if x_grad else None
+        gw = _patch_products(xd, wd, a=g) if xd is not None else None
+        return gx, gw, _bias_grad(g, b_dtype, (0, 2, 3))
+    return _make(y, (x, w, b), bwd)
 
 
-def max_pool2d(x, k):
-    """Non-overlapping k x k max pooling; H and W must divide by k.
+def max_pool2d(x):
+    """Non-overlapping 2x2 max pooling; H and W must be even.
 
     Each output is its window's value at the first argmax in row-major
     order, NaN payloads and signed-zero ties included, and backward routes
-    the gradient there; it keeps that argmax, as uint8, so a window holds
-    at most 256.  With no gradient wanted there is no argmax: a running
-    maximum over the k*k strided window views gives the same bytes.
+    the gradient there; it keeps that argmax as uint8.  With no gradient
+    wanted there is no argmax: a running maximum over the four strided
+    window views gives the same bytes.
     """
     x = _as_tensor(x)
-    if k < 1:
-        raise ValueError(f"max_pool2d: window {k} must be at least 1")
+    k = 2  # the window's side
     n, c, h, w = x.data.shape
     if h % k or w % k:
         raise ValueError(f"pooling window {k} must divide spatial dims ({h}, {w})")
-    if k * k > 256:
-        raise ValueError(f"pooling window {k} has more than 256 elements")
     oh, ow = h // k, w // k
     x6 = x.data.reshape(n, c, oh, k, ow, k)
     if not x.requires_grad:

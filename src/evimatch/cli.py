@@ -10,13 +10,15 @@ Failures exit nonzero with a one-line cause and leave --out untouched.
 event representation and bin count; later commands read them from the
 student checkpoint.  ``--extractor`` always names that event student, whose
 score is always gated by the event mask, and image keypoints always come
-from the analytic teacher.  ``--matcher-ckpt`` selects the CA matcher, and
-without it ``match``, ``eval`` and ``viz`` use mutual nearest neighbour.  Keypoint ground truth is ``gt_assignment``'s
-depth reprojection between two samples' poses, and ``viz`` colours the
-matches of any two samples by it.  ``eval`` runs one loop over view pairs
-(a, b): sample a's event keypoints against sample b's image keypoints, one
-ground truth and one matching per pair, scored for repeatability, VDD/VDA,
-MMA and MR, then for the relative pose RANSAC estimates from the matches.
+from the analytic teacher, both the top ``--k``.  ``--matcher-ckpt``
+selects the CA matcher and its ``--threshold``; without it ``match``,
+``eval`` and ``viz`` use mutual nearest neighbour, which has none.
+Keypoint ground truth is ``gt_assignment``'s 3 px depth reprojection
+between two samples' poses, and ``viz`` colours the matches of any two
+samples by it.  ``eval`` runs one loop over view pairs (a, b): sample a's
+event keypoints against sample b's image keypoints, one ground truth and
+one matching per pair, scored for repeatability, VDD/VDA, MMA and MR, then
+for the relative pose RANSAC estimates from the matches.
 ``--mode`` only picks the pairs: ``rpe`` reads ``<data>/pairs.txt`` and
 ``keypoints`` pairs each sample with itself.  A pair whose ground-truth
 baseline is zero, as every ``keypoints`` pair's is, fails its pose before
@@ -44,7 +46,7 @@ from .extractor import (ExtractorConfig, apply_event_mask, extract_keypoints,
                         teacher_keypoints)
 from .geometry import (EstimationFailed, baseline_norm, estimate_essential_ransac,
                        pose_angular_errors, relative_pose)
-from .matching import (CAConfig, MatchTrainConfig, ca_match,
+from .matching import (CORRESPONDENCE_PX, CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
 from .metrics import (correct_matches, mma_mr, repeatability, report_csv,
@@ -60,6 +62,7 @@ _SCENE_PARAMS = {
     "delta_t": "0.05", "contrast": "0.2", "dt_sim": "0.001",
 }
 _EXTRACT_PARAMS = {"k": "512", "border": "4", "nms": "4"}
+_MATCH_PARAMS = {"matcher_ckpt": "", "threshold": "0.1"}
 _COMMAND_PARAMS = {
     "synth": dict(_SCENE_PARAMS, n="16"),
     "benchgen": dict(_SCENE_PARAMS, n_pairs="8", overlap_lo="0.4",
@@ -71,19 +74,17 @@ _COMMAND_PARAMS = {
         "pools": "1,2,1,2",
     },
     "train-matcher": dict(_EXTRACT_PARAMS, data=None, extractor=None,
-                          pairs_file="", k="256", eps_px="3.0", lr="0.0001",
+                          pairs_file="", k="256", lr="0.0001",
                           epochs="50", batch="8", seed="0", dim="128",
                           layers="2", heads="4", pe_freqs="4", ffn_mult="2"),
     "extract": dict(_EXTRACT_PARAMS, data=None, modality=None, extractor="",
-                    k="1024", threshold=""),
-    "match": {"kp_a": None, "kp_b": None, "pairs_file": "",
-              "matcher_ckpt": "", "threshold": "0.1"},
+                    k="1024"),
+    "match": dict(kp_a=None, kp_b=None, pairs_file="", **_MATCH_PARAMS),
     "eval": dict(_EXTRACT_PARAMS, data=None, mode=None, extractor=None,
-                 matcher_ckpt="", threshold="0.1", eps="3.0", ransac_px="1.0",
-                 rpe_thresholds="5,10,20", seed="0"),
+                 **_MATCH_PARAMS, ransac_px="1.0", rpe_thresholds="5,10,20",
+                 seed="0"),
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
-                index_b="-1", k="256", matcher_ckpt="", threshold="0.1",
-                eps="3.0"),
+                index_b="-1", k="256", **_MATCH_PARAMS),
 }
 
 
@@ -152,38 +153,40 @@ def _scene_from(cfg):
                       duration=float(cfg["duration"]))
 
 
-def _keypoints(extract, source, cfg, threshold):
-    """The top --k keypoints, or all above threshold when one is given."""
+def _keypoints(extract, source, cfg):
+    """The top --k keypoints."""
     return extract(source, border=int(cfg["border"]), nms_radius=int(cfg["nms"]),
-                   k=None if threshold is not None else int(cfg["k"]),
-                   threshold=threshold)
+                   k=int(cfg["k"]))
 
 
-def _event_keypoints(sample, cfg, params, config, threshold=None):
+def _event_keypoints(sample, cfg, params, config):
     rep = build_representation(sample.events, config.representation,
                                bins=config.in_channels)
     maps = forward_student(rep, params, config)
     return _keypoints(extract_keypoints,
-                      apply_event_mask(maps, accumulate_mask(sample.events)), cfg,
-                      threshold)
+                      apply_event_mask(maps, accumulate_mask(sample.events)), cfg)
 
 
-def _image_keypoints(sample, cfg, threshold=None):
-    return _keypoints(teacher_keypoints, sample.image, cfg, threshold)
+def _image_keypoints(sample, cfg):
+    return _keypoints(teacher_keypoints, sample.image, cfg)
 
 
-def _views(sa, sb, intr, cfg, params, config, eps):
+def _views(sa, sb, intr, cfg, params, config):
     """sa's event keypoints, sb's image keypoints and their ground truth."""
     kp_a = _event_keypoints(sa, cfg, params, config)
     kp_b = _image_keypoints(sb, cfg)
     return kp_a, kp_b, gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
-                                     sa.pose, sb.pose, eps_px=eps)
+                                     sa.pose, sb.pose)
 
 
 def _make_matcher(cfg):
     """Returns assignment_fn(kp_a, kp_b): the CA matcher --matcher-ckpt
-    names, or mutual nearest neighbour when it names none."""
+    names, or mutual nearest neighbour when it names none, which takes no
+    --threshold."""
     if not cfg["matcher_ckpt"]:
+        if cfg["threshold"] != _MATCH_PARAMS["threshold"]:
+            raise ValueError(f"--threshold {cfg['threshold']} does not apply without "
+                             "--matcher-ckpt: mutual nearest neighbour has no threshold")
         return mnn_match
     matcher = load_matcher(cfg["matcher_ckpt"])
     thr = float(cfg["threshold"])
@@ -267,8 +270,8 @@ def cmd_train_matcher(out, cfg):
                          len(samples), len(samples))
     if not pairs:
         raise ValueError("need at least two samples to form training pairs")
-    examples = [_views(samples[ia], samples[ib], intr, cfg, params, config,
-                       float(cfg["eps_px"])) for ia, ib in pairs]
+    examples = [_views(samples[ia], samples[ib], intr, cfg, params, config)
+                for ia, ib in pairs]
     ca_config = CAConfig(desc_dim=config.desc_dim, dim=int(cfg["dim"]),
                          layers=int(cfg["layers"]), heads=int(cfg["heads"]),
                          pe_freqs=int(cfg["pe_freqs"]),
@@ -293,14 +296,13 @@ def cmd_extract(out, cfg):
     if modality == "images" and cfg["extractor"]:
         raise ValueError("images use the analytic teacher, not --extractor")
     samples, _, _, _ = eio.load_dataset(cfg["data"])
-    threshold = float(cfg["threshold"]) if cfg["threshold"] else None
     kp_dir = os.path.join(out, "keypoints")
     os.makedirs(kp_dir, exist_ok=True)
     if modality == "events":
         params, config = load_extractor(cfg["extractor"])
-        kps = (_event_keypoints(s, cfg, params, config, threshold) for s in samples)
+        kps = (_event_keypoints(s, cfg, params, config) for s in samples)
     else:
-        kps = (_image_keypoints(s, cfg, threshold) for s in samples)
+        kps = (_image_keypoints(s, cfg) for s in samples)
     for i, kp in enumerate(kps):
         eio.save_keypoints(os.path.join(kp_dir, f"{i:03d}.txt"), kp)
     return f"wrote {len(samples)} keypoint dumps to {kp_dir}"
@@ -353,7 +355,7 @@ def _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn):
     matches give.  Returns the report entries and one pairs.csv row per
     pair.  A keypoint metric enters its mean only on pairs where it is
     defined.  Malformed flags fail before the first pair."""
-    eps, ransac_px, seed = float(cfg["eps"]), float(cfg["ransac_px"]), int(cfg["seed"])
+    ransac_px, seed = float(cfg["ransac_px"]), int(cfg["seed"])
     thresholds = _floats(cfg["rpe_thresholds"])
     for flag, values in (("--ransac-px", (ransac_px,)), ("--rpe-thresholds", thresholds)):
         for v in values:
@@ -362,7 +364,7 @@ def _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn):
     reps, vdds, vdas, mmas, mrs, errors, inliers, rows = ([] for _ in range(8))
     for ia, ib in pairs:
         sa, sb = samples[ia], samples[ib]
-        kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config, eps)
+        kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config)
         if len(kp_a) + len(kp_b) > 0:
             reps.append(repeatability(gt))
         if len(gt.matches):
@@ -386,12 +388,12 @@ def _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn):
                      f"{inlier_ratio:.6f}", f"{r_err:.6f}", f"{t_err:.6f}", reason))
     entries = [("n_pairs", None, float(len(pairs)))]
     if reps:
-        entries.append(("repeatability", eps, float(np.mean(reps))))
+        entries.append(("repeatability", CORRESPONDENCE_PX, float(np.mean(reps))))
     if vdds:
         entries.append(("vdd", None, float(np.mean(vdds))))
         entries.append(("vda", None, float(np.mean(vdas))))
     if mmas:
-        entries.append(("mma", eps, float(np.mean(mmas))))
+        entries.append(("mma", CORRESPONDENCE_PX, float(np.mean(mmas))))
     entries.append(("mr", None, float(np.mean(mrs))))
     entries.append(("n_failed", None, float(np.sum(~np.isfinite(errors)))))
     for thr in thresholds:
@@ -436,9 +438,10 @@ def cmd_viz(out, cfg):
     ia = _sample_index(int(cfg["index_a"]), len(samples), "--index-a")
     ib = int(cfg["index_b"])
     ib = ia if ib == -1 else _sample_index(ib, len(samples), "--index-b")
+    match_fn = _make_matcher(cfg)
     sa, sb = samples[ia], samples[ib]
-    kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config, float(cfg["eps"]))
-    assignment = _make_matcher(cfg)(kp_a, kp_b)
+    kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config)
+    assignment = match_fn(kp_a, kp_b)
     correct = correct_matches(assignment.matches, gt)
     surface = time_surface(sa.events).max(axis=0)
     canvas = eio.make_match_image(surface, sb.image, kp_a, kp_b, assignment,

@@ -5,11 +5,13 @@ latent map at the backbone stride, a full-resolution detection score map,
 and a descriptor map at the extractor's stride, all plain arrays.  The
 student is a small VGG-style convolutional net over event tensors, built on
 the autodiff engine so it can be distilled: training runs the batched
-forward pass on graph Tensors, and inference returns their arrays.  Its
-heads follow SuperPoint (DeTone et al., arXiv:1712.07629): each is a 3x3
-conv plus ReLU and a 1x1 projection at the backbone stride s, the score
-head's s*s channels being the pixels of each s x s cell (``cells_to_pixels``
-lays them out).  The teacher is analytic: Harris corner strength for the
+forward pass on graph Tensors, and inference returns their arrays.  It
+follows SuperPoint (DeTone et al., arXiv:1712.07629): every convolution
+keeps its input's size at stride 1 and has a bias, every downsampling is
+a 2x2 max pool, and each head is a 3x3 conv plus ReLU and a 1x1
+projection at the backbone stride s, the score head's s*s channels being
+the pixels of each s x s cell (``cells_to_pixels`` lays them out).  The
+teacher is analytic: Harris corner strength for the
 score, windowed oriented-gradient descriptors at full resolution, and a
 fixed seeded lift of steerable gradient responses for the latent map.  It
 needs no training, which keeps the whole distillation pipeline
@@ -22,10 +24,10 @@ the Harris score first and compute descriptors only at the pixels the
 sampler reads, with the same bytes.
 
 Keypoint extraction is shared by both modalities: border removal, strict
-non-maximum suppression with deterministic tie-breaking, top-k or threshold
-selection, and bilinear descriptor sampling from the unit-normalized map,
-at any stride, through the sampler in ``geometry``, normalizing only the
-pixels it reads.
+non-maximum suppression with deterministic tie-breaking, top-k selection,
+and bilinear descriptor sampling from the unit-normalized map, at any
+stride, through the sampler in ``geometry``, normalizing only the pixels
+it reads.
 """
 
 from __future__ import annotations
@@ -182,14 +184,13 @@ def forward_student_batch(x, params, config: ExtractorConfig):
             f"expected (N, {config.in_channels}, H, W) input, got {x.shape}")
     h = Tensor(x)
     for i, pool in enumerate(config.pools):
-        h = ad.relu(ad.conv2d(h, params[f"backbone.{i}.w"], params[f"backbone.{i}.b"],
-                              stride=1, padding=1))
+        h = ad.relu(ad.conv2d(h, params[f"backbone.{i}.w"], params[f"backbone.{i}.b"]))
         if pool == 2:
-            h = ad.max_pool2d(h, 2)
+            h = ad.max_pool2d(h)
     feats = ad.conv2d(h, params["latent.w"], params["latent.b"])
     heads = []
     for head in ("score", "desc"):
-        t = ad.relu(ad.conv2d(h, params[f"{head}.0.w"], params[f"{head}.0.b"], padding=1))
+        t = ad.relu(ad.conv2d(h, params[f"{head}.0.w"], params[f"{head}.0.b"]))
         heads.append(ad.conv2d(t, params[f"{head}.out.w"], params[f"{head}.out.b"]))
     score, desc = heads
     return feats, score, desc
@@ -357,7 +358,7 @@ def analytic_teacher(image) -> DenseMaps:
 
 
 def teacher_keypoints(image, border: int = 4, nms_radius: int = 4,
-                      k: int | None = 1024, threshold: float | None = None) -> KeypointSet:
+                      k: int = 1024) -> KeypointSet:
     """``extract_keypoints(analytic_teacher(image), ...)``, bit for bit,
     without the full maps: keypoints are selected on the Harris score
     first, and descriptors are computed only at the pixels the sampler
@@ -366,7 +367,7 @@ def teacher_keypoints(image, border: int = 4, nms_radius: int = 4,
     return _keypoints(harris_score(iy, ix).astype(np.float32),
                       (TEACHER_DESC_DIM,) + img.shape,
                       lambda pix: _teacher_columns(_teacher_responses(iy, ix), pix),
-                      border, nms_radius, k, threshold)
+                      border, nms_radius, k)
 
 
 def normalize_desc(desc_map):
@@ -425,13 +426,13 @@ def nms_mask(score, radius):
 
 
 def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
-                      k: int | None = 1024, threshold: float | None = None) -> KeypointSet:
+                      k: int = 1024) -> KeypointSet:
     """Select keypoints from a score map and sample their descriptors.
 
     Pipeline: scores within ``border`` of any edge are dropped; strict-max
-    NMS with row-major tie-breaking; then either the top ``k`` by score or
-    everything above ``threshold``.  Only strictly positive scores can
-    become keypoints, so a fully masked score map yields an empty set.
+    NMS with row-major tie-breaking; then the top ``k`` by score, k a
+    positive int.  Only strictly positive scores can become keypoints, so
+    a fully masked score map yields an empty set.
     Returned keypoints are ordered by descending score (ties by row-major
     index).  Descriptors are bilinearly sampled from the unit-normalized
     descriptor map and re-normalized; pixel (x, y) of the score map reads
@@ -443,19 +444,17 @@ def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
     # whole-map norm's order
     return _keypoints(maps.score, desc.shape,
                       lambda pix: np.take(desc.reshape(len(desc), -1), pix, axis=1),
-                      border, nms_radius, k, threshold)
+                      border, nms_radius, k)
 
 
-def _keypoints(score, desc_shape, columns, border, nms_radius, k, threshold):
+def _keypoints(score, desc_shape, columns, border, nms_radius, k):
     """``extract_keypoints`` on a score map, for a (C_d, h_d, w_d)
     descriptor map given by ``columns(pix)``: its (C_d, len(pix)) columns
     at the flat pixel indices pix, read only where the sampler reads."""
     if border < 0 or nms_radius < 0:
         raise ValueError("border and nms_radius must be non-negative")
-    if threshold is None and (k is None or k <= 0):
-        raise ValueError(f"k must be positive, got {k}")
-    if threshold is not None and not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    if not (isinstance(k, (int, np.integer)) and k > 0):
+        raise ValueError(f"k must be a positive int, got {k!r}")
     score = np.asarray(score, dtype=np.float64)
     if score.ndim == 3:
         score = score[0]
@@ -470,11 +469,7 @@ def _keypoints(score, desc_shape, columns, border, nms_radius, k, threshold):
     keep = nms_mask(s, nms_radius) & (s > 0) & np.isfinite(s)
     ys, xs = np.nonzero(keep)
     vals = s[ys, xs]
-    order = np.lexsort((ys * w + xs, -vals))
-    if threshold is not None:
-        order = order[vals[order] > threshold]
-    else:
-        order = order[:k]
+    order = np.lexsort((ys * w + xs, -vals))[:k]
     if len(order) == 0:
         return KeypointSet.empty(desc_shape[0])
     pos = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)

@@ -57,8 +57,9 @@ def save_pgm(path, image):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
-        raise ValueError("image values must lie in [0, 1]")
+    # written so that NaN, which compares False, fails too
+    if not (img.min() >= -1e-6 and img.max() <= 1.0 + 1e-6):
+        raise ValueError("image values must be finite and lie in [0, 1]")
     q = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = q.shape
     with open(path, "wb") as f:

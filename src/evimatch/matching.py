@@ -6,8 +6,8 @@ has no parameters.  The context-aware matcher refines both descriptor sets
 jointly with a small pre-LN transformer (shared self-attention unit, shared
 bidirectional cross-attention unit per layer), predicts a per-keypoint
 matchability, and extracts matches from the matchability-weighted dual
-softmax.  Ground-truth assignments for training come from reprojecting
-keypoints across views with rendered depth.
+softmax.  Ground-truth assignments come from reprojecting keypoints
+across views with rendered depth, at one radius for training and eval.
 """
 
 from __future__ import annotations
@@ -344,21 +344,22 @@ def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
 
 # -- supervision ----------------------------------------------------------
 
+# the radius of correspondence, for CA supervision and every eval metric
+CORRESPONDENCE_PX = 3.0
+
+
 def gt_assignment(kp_a, kp_b, depth_a, depth_b,
                   intr_a: CameraIntrinsics, intr_b: CameraIntrinsics,
-                  pose_a: RigidPose, pose_b: RigidPose,
-                  eps_px: float = 3.0) -> GroundTruthMatches:
+                  pose_a: RigidPose, pose_b: RigidPose) -> GroundTruthMatches:
     """Reprojection ground truth between two views with rendered depth.
 
     Each keypoint is lifted with its bilinearly sampled depth and carried
     into the other view; the symmetric cost is the max of the two squared
     transfer errors (+inf behind either camera or on invalid depth).  A
     pair is positive iff it is a mutual argmin with cost strictly below
-    eps_px^2; all other indices are reported unmatched.  Swapping the two
-    views swaps the roles exactly.
+    CORRESPONDENCE_PX^2; all other indices are reported unmatched.
+    Swapping the two views swaps the roles exactly.
     """
-    if not eps_px >= 0:
-        raise ValueError(f"eps_px must be non-negative, got {eps_px}")
     pa, pb = kp_a.positions, kp_b.positions
     na, nb = len(pa), len(pb)
     if na == 0 or nb == 0:
@@ -387,7 +388,7 @@ def gt_assignment(kp_a, kp_b, depth_a, depth_b,
         cost = np.maximum(d_ab, d_ba)
 
     rows, cols = _mutual_nearest(cost)
-    keep = cost[rows, cols] < eps_px ** 2
+    keep = cost[rows, cols] < CORRESPONDENCE_PX ** 2
     pairs = np.stack([rows[keep], cols[keep]], axis=1)
     un_a = np.setdiff1d(np.arange(na), pairs[:, 0], assume_unique=False)
     un_b = np.setdiff1d(np.arange(nb), pairs[:, 1], assume_unique=False)

@@ -178,7 +178,7 @@ def const32(*shape, seed):
 
 def conv_with_trainable_weight(h):
     return ad.conv2d(h, Tensor(const32(3, 2, 3, 3, seed=5), requires_grad=True),
-                     padding=1)
+                     Tensor(const32(3, seed=6)))
 
 
 # (op on the parent h, h's shape, whether backward reads h's data)
@@ -202,7 +202,7 @@ RETENTION = [
     pytest.param(lambda h: ad.layer_norm(h, Tensor(const32(4, seed=2)),
                                          Tensor(const32(4, seed=3))), (3, 4), False,
                  id="layer_norm"),
-    pytest.param(lambda h: ad.max_pool2d(h, 2), (1, 2, 4, 4), False, id="max_pool2d"),
+    pytest.param(ad.max_pool2d, (1, 2, 4, 4), False, id="max_pool2d"),
     pytest.param(conv_with_trainable_weight, (1, 2, 5, 5), True, id="conv2d"),
 ]
 
@@ -225,24 +225,22 @@ def test_graph_keeps_a_parent_array_only_if_backward_reads_it(op, shape, reads_p
     assert_bitwise_equal(x.grad, leaf.grad * np.float32(1.5))
 
 
-def test_max_pool_rejects_windows_over_256():
-    with pytest.raises(ValueError, match="more than 256"):
-        ad.max_pool2d(Tensor(np.ones((1, 1, 17, 17), np.float32)), 17)
-
-
 def ones(*shape):
     return Tensor(np.ones(shape, np.float32))
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: ad.max_pool2d(ones(1, 2, 4, 4), 0),
-                 "max_pool2d: window 0 must be at least 1", id="pool-window-0"),
-    pytest.param(lambda: ad.max_pool2d(ones(1, 2, 4, 4), -2),
-                 "max_pool2d: window -2 must be at least 1", id="pool-window-negative"),
-    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 3, 3), stride=0),
-                 "conv2d: stride 0 must be at least 1", id="conv-stride-0"),
-    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 1, 1), padding=-1),
-                 "conv2d: padding -1 must be at least 0", id="conv-padding-negative"),
+    pytest.param(lambda: ad.max_pool2d(ones(1, 2, 5, 4)),
+                 "pooling window 2 must divide spatial dims (5, 4)", id="pool-odd-height"),
+    # an even kernel has no centre, so no padding keeps the input's size
+    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 2, 2), ones(3)),
+                 "conv2d: a 2x2 kernel is not square and odd-sized", id="conv-even-kernel"),
+    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 3, 1), ones(3)),
+                 "conv2d: a 3x1 kernel is not square and odd-sized",
+                 id="conv-non-square-kernel"),
+    pytest.param(lambda: ad.conv2d(ones(1, 2, 4, 4), ones(3, 2, 2, 4), ones(3)),
+                 "conv2d: a 2x4 kernel is not square and odd-sized",
+                 id="conv-non-square-even-kernel"),
 ])
 def test_conv_and_pool_reject_bad_arguments(call, message):
     with pytest.raises(ValueError) as info:
@@ -291,14 +289,14 @@ def test_clamp_min_floors_values():
 
 def test_max_pool_requires_divisible_dims():
     with pytest.raises(ValueError, match="divide"):
-        ad.max_pool2d(Tensor(np.ones((1, 1, 5, 4))), 2)
+        ad.max_pool2d(Tensor(np.ones((1, 1, 4, 5))))
 
 
 def test_conv2d_identity_kernel():
     x = t64(1, 1, 5, 5)
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    y = ad.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
+    y = ad.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
     np.testing.assert_allclose(y.data, x, atol=1e-6)
 
 
@@ -478,24 +476,19 @@ def test_grad_layer_norm():
 
 
 def test_grad_conv2d():
-    assert gradcheck(lambda x, w: ad.conv2d(x, w, stride=1, padding=1),
+    # a frozen bias: only x and w are checked
+    b = Tensor(t64(4))
+    assert gradcheck(lambda x, w: ad.conv2d(x, w, b),
                      [t64(2, 3, 6, 6), t64(4, 3, 3, 3)])
 
 
-def test_grad_conv2d_strided():
-    assert gradcheck(lambda x, w: ad.conv2d(x, w, stride=2, padding=1),
-                     [t64(1, 2, 8, 8), t64(3, 2, 3, 3)])
-
-
 def test_grad_conv2d_bias():
-    assert gradcheck(lambda x, w, b: ad.conv2d(x, w, b, stride=2, padding=1),
-                     [t64(2, 2, 6, 6), t64(3, 2, 3, 3), t64(3)])
+    assert gradcheck(ad.conv2d, [t64(2, 2, 5, 7), t64(3, 2, 3, 3), t64(3)])
 
 
 def test_grad_conv2d_1x1_bias():
     # the student heads' 1x1 projections
-    assert gradcheck(lambda x, w, b: ad.conv2d(x, w, b),
-                     [t64(2, 4, 3, 5), t64(6, 4, 1, 1), t64(6)])
+    assert gradcheck(ad.conv2d, [t64(2, 4, 3, 5), t64(6, 4, 1, 1), t64(6)])
 
 
 def test_grad_linear():
@@ -505,7 +498,7 @@ def test_grad_linear():
 def test_grad_max_pool2d():
     x = t64(1, 2, 4, 4)
     x += np.arange(32).reshape(x.shape) * 0.1  # break pooling ties
-    assert gradcheck(lambda t: ad.max_pool2d(t, 2), [x])
+    assert gradcheck(ad.max_pool2d, [x])
 
 
 def test_gradcheck_catches_wrong_gradient():
@@ -545,20 +538,26 @@ def folded_and_reference(fused, unbiased, shapes, seed):
     return results
 
 
-@pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 0)])
-def test_conv2d_bias_bitwise_equals_bias_node(stride, padding):
-    got, want = folded_and_reference(
-        lambda x, w, b: ad.conv2d(x, w, b, stride=stride, padding=padding),
-        lambda x, w: ad.conv2d(x, w, stride=stride, padding=padding),
-        [(3, 4, 12, 12), (5, 4, 3, 3), (5,)], seed=stride + padding)
+def unbiased_conv(x, w):
+    """conv2d without its bias, from the module's patch products (output
+    and weight gradient) and their adjoint (input gradient)."""
+    xd, wd = x.data, w.data
+    def bwd(g):
+        return ad._conv_dx(g, wd), ad._patch_products(xd, wd, a=g)
+    return ad._make(ad._patch_products(xd, wd), (x, w), bwd)
+
+
+@pytest.mark.parametrize("x_shape, seed", [((3, 4, 12, 12), 2), ((3, 4, 9, 7), 1)])
+def test_conv2d_bias_bitwise_equals_bias_node(x_shape, seed):
+    got, want = folded_and_reference(ad.conv2d, unbiased_conv,
+                                     [x_shape, (5, 4, 3, 3), (5,)], seed=seed)
     for a, b in zip(got, want):
         assert_bitwise_equal(a, b)
 
 
 def test_conv2d_1x1_bias_bitwise_equals_bias_node():
-    got, want = folded_and_reference(
-        lambda x, w, b: ad.conv2d(x, w, b), lambda x, w: ad.conv2d(x, w),
-        [(3, 6, 8, 8), (4, 6, 1, 1), (4,)], seed=7)
+    got, want = folded_and_reference(ad.conv2d, unbiased_conv,
+                                     [(3, 6, 8, 8), (4, 6, 1, 1), (4,)], seed=7)
     for a, b in zip(got, want):
         assert_bitwise_equal(a, b)
 
@@ -589,64 +588,61 @@ def test_frozen_bias_gets_no_gradient():
 
 # -- per-sample convolutions ---------------------------------------------------
 
-def batched_patches(x, kh, kw, s, p):
-    """The batch-wide (N, C*kh*kw, OH*OW) patch matrix the per-sample
-    convolutions replaced, with OH and OW."""
+def batched_patches(x, k):
+    """The batch-wide (N, C*k*k, H*W) patch matrix the per-sample
+    convolutions replaced, under a k x k kernel padded by k // 2."""
     n, c, h, w = x.shape
+    p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    oh, ow = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
-    cols = np.empty((n, c, kh, kw, oh, ow), x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+    cols = np.empty((n, c, k, k, h, w), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + h, j:j + w]
+    return cols.reshape(n, c * k * k, h * w)
 
 
-def batched_adjoint(gy, w, s, p, h, w_in):
+def batched_adjoint(gy, w):
     """conv2d's batched input gradient: one matmul over the batch, then a
     scatter-add of every sample's columns at once."""
-    n, f, oh, ow = gy.shape
-    c, kh, kw = w.shape[1:]
-    cols = np.matmul(w.reshape(f, -1).T[None], gy.reshape(n, f, oh * ow))
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    n, f, h, w_in = gy.shape
+    c, k = w.shape[1], w.shape[2]
+    p = k // 2
+    cols = np.matmul(w.reshape(f, -1).T[None], gy.reshape(n, f, h * w_in))
+    cols = cols.reshape(n, c, k, k, h, w_in)
     xp = np.zeros((n, c, h + 2 * p, w_in + 2 * p), gy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + s * (oh - 1) + 1:s, j:j + s * (ow - 1) + 1:s] += cols[:, :, i, j]
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i:i + h, j:j + w_in] += cols[:, :, i, j]
     return xp[:, :, p:p + h, p:p + w_in]
 
 
-def batched_conv2d(x, w, g, s, p):
+def batched_conv2d(x, w, b, g):
+    """Output and x, w and b gradients of the batched formulation."""
     n, f = len(x), len(w)
-    cols, oh, ow = batched_patches(x, w.shape[2], w.shape[3], s, p)
-    y = np.matmul(w.reshape(f, -1)[None], cols).reshape(n, f, oh, ow)
-    gx = batched_adjoint(g, w, s, p, x.shape[2], x.shape[3])
+    cols = batched_patches(x, w.shape[2])
+    y = np.matmul(w.reshape(f, -1)[None], cols).reshape(n, f, *x.shape[2:])
     gw = np.matmul(g.reshape(n, f, -1), cols.transpose(0, 2, 1)).sum(axis=0)
-    return y, gx, gw.reshape(w.shape)
+    gb = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(b.dtype)
+    return y + b[:, None, None], batched_adjoint(g, w), gw.reshape(w.shape), gb
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 3, 8, 9, 17])
-@pytest.mark.parametrize("op, reference, w_shape", [
-    (ad.conv2d, batched_conv2d, (6, 5, 3, 3)),
-    # at stride 1 and padding 0 a 1x1 kernel's patch matrix is the sample
-    (ad.conv2d, batched_conv2d, (6, 5, 1, 1)),
-])
-def test_conv_bitwise_equals_batched_formulation(op, reference, w_shape, n, dtype):
+# a 1x1 kernel's patch matrix is the sample
+@pytest.mark.parametrize("w_shape", [(6, 5, 3, 3), (6, 5, 1, 1)])
+def test_conv_bitwise_equals_batched_formulation(w_shape, n, dtype):
     # the weight gradient must add the samples' products in sample order,
     # as .sum(axis=0) does; pairwise or tree sums change bytes from N = 8
     r = np.random.default_rng(n)
-    for stride in (1, 2):
-        for padding in (0, 1):
-            x = r.normal(size=(n, 5, 9, 7)).astype(dtype)
-            w = r.normal(size=w_shape).astype(dtype)
-            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            y = op(tx, tw, stride=stride, padding=padding)
-            g = r.normal(size=y.data.shape).astype(dtype)
-            ad.sum_all(ad.mul(y, Tensor(g))).backward()
-            for got, want in zip((y.data, tx.grad, tw.grad),
-                                 reference(x, w, g, stride, padding)):
-                assert_bitwise_equal(got, want)
+    x = r.normal(size=(n, 5, 9, 7)).astype(dtype)
+    w = r.normal(size=w_shape).astype(dtype)
+    b = r.normal(size=len(w)).astype(dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    y = ad.conv2d(*leaves)
+    g = r.normal(size=y.data.shape).astype(dtype)
+    ad.sum_all(ad.mul(y, Tensor(g))).backward()
+    for got, want in zip([y.data] + [t.grad for t in leaves], batched_conv2d(x, w, b, g)):
+        assert_bitwise_equal(got, want)
 
 
 def test_conv2d_forward_holds_one_sample_of_patches():
@@ -655,19 +651,19 @@ def test_conv2d_forward_holds_one_sample_of_patches():
     w = Tensor(np.ones((64, 64, 3, 3), np.float32))
     tracemalloc.start()
     try:
-        ad.conv2d(x, w, padding=1)
+        ad.conv2d(x, w, Tensor(np.zeros(64, np.float32)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 576 * 1024 * 4
 
 
-@pytest.mark.parametrize("op, w_shape", [(ad.conv2d, (3, 2, 3, 3)),
-                                         (ad.conv2d, (3, 2, 1, 1))])
-def test_conv_rejects_an_empty_batch(op, w_shape):
+@pytest.mark.parametrize("w_shape", [(3, 2, 3, 3), (3, 2, 1, 1)])
+def test_conv_rejects_an_empty_batch(w_shape):
     x = Tensor(np.ones((0, 2, 4, 4), np.float32), requires_grad=True)
-    with pytest.raises(ValueError, match=f"{op.__name__}: empty batch"):
-        op(x, Tensor(np.ones(w_shape, np.float32), requires_grad=True))
+    with pytest.raises(ValueError, match="conv2d: empty batch"):
+        ad.conv2d(x, Tensor(np.ones(w_shape, np.float32), requires_grad=True),
+                  Tensor(np.ones(3, np.float32)))
 
 
 # -- relu -------------------------------------------------------------------
@@ -697,10 +693,11 @@ def test_abs_gradient_bitwise_equals_sign():
 
 # -- no-grad forward ----------------------------------------------------------
 
-def special_windows(k, dtype, with_nan):
-    """A (1, C, 2k, 3k) input whose k x k windows put a -0.0/+0.0 tie
+def special_windows(dtype, with_nan):
+    """A (1, C, 4, 6) input whose 2x2 pooling windows put a -0.0/+0.0 tie
     above negative values at every ordered pair of window positions and,
     if with_nan, a nan/-nan pair likewise; more windows draw from SPECIAL."""
+    k = 2
     r = np.random.default_rng(k)
     values = np.array(SPECIAL, dtype)
     negative = values[values < 0]
@@ -719,36 +716,33 @@ def special_windows(k, dtype, with_nan):
         0, 1, 2, 4, 3, 5).reshape(1, c, 2 * k, 3 * k)
 
 
-def pool_reference(k):
+def pool_reference(x, g):
     """max_pool2d as an argmax and take-along gather, with its gradient."""
-    def reference(x, g):
-        n, c, h, w = x.shape
-        xr = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h // k, w // k, k * k)
-        idx = xr.argmax(axis=-1)[..., None]
-        gr = np.zeros(xr.shape, g.dtype)
-        np.put_along_axis(gr, idx, g[..., None], axis=-1)
-        gx = gr.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return np.take_along_axis(xr, idx, axis=-1)[..., 0], gx.reshape(x.shape)
-    return reference
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // 2, w // 2, 4)
+    idx = xr.argmax(axis=-1)[..., None]
+    gr = np.zeros(xr.shape, g.dtype)
+    np.put_along_axis(gr, idx, g[..., None], axis=-1)
+    gx = gr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return np.take_along_axis(xr, idx, axis=-1)[..., 0], gx.reshape(x.shape)
 
 
-# (op, its output and input gradient from numpy, pooling window of the input)
+# (op, its output and input gradient from numpy)
 NO_GRAD = [
-    pytest.param(ad.relu, lambda x, g: (np.where(x > 0, x, 0), g * (x > 0)), 2, id="relu"),
-    pytest.param(ad.abs_, lambda x, g: (np.abs(x), g * np.sign(x)), 2, id="abs"),
+    pytest.param(ad.relu, lambda x, g: (np.where(x > 0, x, 0), g * (x > 0)), id="relu"),
+    pytest.param(ad.abs_, lambda x, g: (np.abs(x), g * np.sign(x)), id="abs"),
     pytest.param(lambda t: ad.clamp_min(t, 0.0),
-                 lambda x, g: (np.maximum(x, 0.0), g * (x >= 0.0)), 2, id="clamp_min"),
-    pytest.param(lambda t: ad.max_pool2d(t, 2), pool_reference(2), 2, id="max_pool2d-2"),
-    pytest.param(lambda t: ad.max_pool2d(t, 4), pool_reference(4), 4, id="max_pool2d-4"),
+                 lambda x, g: (np.maximum(x, 0.0), g * (x >= 0.0)), id="clamp_min"),
+    pytest.param(ad.max_pool2d, pool_reference, id="max_pool2d-2"),
 ]
 
 
 @pytest.mark.parametrize("with_nan", [False, True])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op, reference, k", NO_GRAD)
-def test_no_grad_output_bitwise_equals_grad_path(op, reference, k, dtype, with_nan):
-    x = special_windows(k, dtype, with_nan)
+@pytest.mark.parametrize("op, reference", NO_GRAD)
+def test_no_grad_output_bitwise_equals_grad_path(op, reference, dtype, with_nan):
+    x = special_windows(dtype, with_nan)
     frozen = op(Tensor(x))
     assert frozen._node is None
     leaf = Tensor(x, requires_grad=True)

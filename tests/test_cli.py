@@ -165,16 +165,6 @@ def test_extract_and_match_pipeline(dataset, tmp_path):
     assert len(a) == len(kp.positions)
 
 
-def test_extract_threshold_mode(dataset, tmp_path):
-    out = str(tmp_path / "kp_thr")
-    rc = main(["extract", "--data", dataset, "--modality", "images",
-               "--border", "2", "--nms", "2", "--threshold", "0.05",
-               "--out", out])
-    assert rc == 0
-    kp = eio.load_keypoints(os.path.join(out, "keypoints", "000.txt"))
-    assert (kp.scores > 0.05).all()
-
-
 @pytest.fixture(scope="module")
 def student_ckpt(tmp_path_factory):
     """A seeded, untrained student whose descriptors match the teacher's."""
@@ -735,11 +725,13 @@ def test_flags_a_checkpoint_fixes_are_gone(command, flag, capsys):
     ("train-extractor", "--score-head"), ("train-extractor", "--desc-head"),
     ("train-extractor", "--latent-dim"), ("train-extractor", "--desc-dim"),
     ("train-extractor", "--pairs"), ("train-matcher", "--mask"), ("extract", "--mask"),
-    ("eval", "--mask"), ("viz", "--mask")])
+    ("eval", "--mask"), ("viz", "--mask"), ("extract", "--threshold"),
+    ("train-matcher", "--eps-px"), ("eval", "--eps"), ("viz", "--eps")])
 def test_head_widths_and_the_mask_switch_are_gone(command, flag, capsys):
     # the heads are as wide as the last backbone block, their outputs as
-    # wide as the teacher's, synth --n counts the training samples, and
-    # event keypoints are always gated by the event mask
+    # wide as the teacher's, synth --n counts the training samples, event
+    # keypoints are always gated by the event mask, keypoints are always
+    # the top --k, and keypoints correspond within matching.CORRESPONDENCE_PX
     with pytest.raises(SystemExit) as exit_:
         parse([command, flag, "1"])
     assert exit_.value.code == 2
@@ -747,7 +739,28 @@ def test_head_widths_and_the_mask_switch_are_gone(command, flag, capsys):
 
 
 def test_settable_values():
-    assert sum(len(params) for params in cli._COMMAND_PARAMS.values()) == 85
+    # a value added or removed shows here by name
+    scene = ["contrast", "delta_t", "dt_sim", "duration", "height", "height_amplitude",
+             "motion_scale", "n_rects", "seed", "width"]
+    keypoints = ["border", "k", "nms"]
+    matcher = ["matcher_ckpt", "threshold"]
+    want = {
+        "synth": scene + ["n"],
+        "benchgen": scene + ["max_attempts", "n_pairs", "overlap_hi", "overlap_lo"],
+        "train-extractor": ["batch", "bins", "channels", "data", "epochs", "loss_terms",
+                            "lr", "pools", "representation", "seed"],
+        "train-matcher": keypoints + ["batch", "data", "dim", "epochs", "extractor",
+                                      "ffn_mult", "heads", "layers", "lr",
+                                      "pairs_file", "pe_freqs", "seed"],
+        "extract": keypoints + ["data", "extractor", "modality"],
+        "match": matcher + ["kp_a", "kp_b", "pairs_file"],
+        "eval": keypoints + matcher + ["data", "extractor", "mode", "ransac_px",
+                                       "rpe_thresholds", "seed"],
+        "viz": keypoints + matcher + ["data", "extractor", "index_a", "index_b"],
+    }
+    assert {command: sorted(params) for command, params in cli._COMMAND_PARAMS.items()} \
+        == {command: sorted(names) for command, names in want.items()}
+    assert sum(len(names) for names in want.values()) == 81
 
 
 # -- inputs the pipeline cannot use -------------------------------------------
@@ -790,10 +803,6 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(dataset, tmp_pa
      "lr must be positive and finite, got nan"),
     (["train-matcher", "--data", "DATA", "--extractor", "CKPT", *KP_FLAGS,
       "--lr", "nan"], "lr must be positive and finite, got nan"),
-    (["extract", "--data", "DATA", "--modality", "images", "--threshold", "nan"],
-     "threshold must be finite, got nan"),
-    (["extract", "--data", "DATA", "--modality", "events", "--extractor", "CKPT",
-      "--threshold", "inf"], "threshold must be finite, got inf"),
     (["match", "--kp-a", "KP", "--kp-b", "KP", "--matcher-ckpt", "CA",
       "--threshold", "nan"], "threshold must be finite, got nan"),
     (["eval", "--data", "DATA", "--mode", "keypoints", "--extractor", "CKPT",
@@ -839,6 +848,26 @@ def test_train_extractor_rejects_bins_for_a_time_surface(dataset, tmp_path, caps
     assert capsys.readouterr() == ("", (
         "evimatch train-extractor: error: --bins 8 does not apply to a "
         "time_surface representation, which has no bins\n"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0.7", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["match", "--kp-a", "KP", "--kp-b", "KP"],
+    ["eval", "--data", "DATA", "--mode", "keypoints", "--extractor", "CKPT", *KP_FLAGS],
+    ["viz", "--data", "DATA", "--extractor", "CKPT", *KP_FLAGS]], ids=lambda a: a[0])
+def test_threshold_needs_a_matcher_checkpoint(dataset, student_ckpt, kp_dir, tmp_path,
+                                              capsys, argv, threshold):
+    # mutual nearest neighbour reads no threshold: one would only move the
+    # content-addressed output directory of equal outputs
+    paths = {"DATA": dataset, "CKPT": student_ckpt, "KP": kp_dir}
+    out = tmp_path / "out"
+    rc = main([paths.get(a, a) for a in argv]
+              + ["--threshold", threshold, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"evimatch {argv[0]}: error: --threshold {threshold} does not apply without "
+        "--matcher-ckpt: mutual nearest neighbour has no threshold\n")
     assert not out.exists()
 
 

@@ -265,7 +265,7 @@ def test_teacher_columns_at_clamped_taps_and_on_a_constant_image():
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kwargs", [
     dict(border=4, nms_radius=4, k=1024), dict(border=0, nms_radius=1, k=1024),
-    dict(border=2, nms_radius=2, k=1), dict(border=3, nms_radius=2, threshold=0.05)])
+    dict(border=2, nms_radius=2, k=1), dict(border=3, nms_radius=2, k=8)])
 def test_teacher_keypoints_equal_extracting_the_full_maps(seed, kwargs):
     img = render(make_scene(seed=seed, width=32, height=32), 0.7)[0]
     got = teacher_keypoints(img, **kwargs)
@@ -278,8 +278,6 @@ def test_teacher_keypoints_equal_extracting_the_full_maps(seed, kwargs):
 def test_teacher_keypoints_of_a_flat_image_are_empty():
     kp = teacher_keypoints(np.full((16, 16), 0.5))
     assert len(kp) == 0 and kp.descriptors.shape == (0, 128)
-    with pytest.raises(ValueError, match="k must be positive"):
-        teacher_keypoints(teacher_image(), k=0)
 
 
 def test_teacher_deterministic():
@@ -372,15 +370,6 @@ def test_extract_keypoints_top_k_cap():
     assert len(kp) == 5
 
 
-def test_extract_keypoints_threshold_mode():
-    maps = random_maps(4)
-    kp = extract_keypoints(maps, border=2, nms_radius=1, k=None, threshold=0.5)
-    assert (kp.scores > 0.5).all()
-    all_kp = extract_keypoints(maps, border=2, nms_radius=1, k=10_000)
-    expect = (all_kp.scores > 0.5).sum()
-    assert len(kp) == expect
-
-
 def test_extract_keypoints_empty_when_masked():
     maps = random_maps(5)
     gated = DenseMaps(maps.feats, np.zeros_like(maps.score), maps.desc)
@@ -389,14 +378,14 @@ def test_extract_keypoints_empty_when_masked():
     assert kp.descriptors.shape == (0, 8)
 
 
-@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
-def test_keypoints_reject_a_non_finite_threshold_even_when_empty(threshold):
+@pytest.mark.parametrize("k", [0, -1, None, 2.5])
+def test_keypoints_reject_a_k_that_is_not_a_positive_int_even_when_empty(k):
     maps = random_maps(5)
     gated = DenseMaps(maps.feats, np.zeros_like(maps.score), maps.desc)
     for extract, source in ((extract_keypoints, maps), (extract_keypoints, gated),
                             (teacher_keypoints, np.full((16, 16), 0.5))):
-        with pytest.raises(ValueError, match=f"^threshold must be finite, got {threshold}$"):
-            extract(source, k=None, threshold=threshold)
+        with pytest.raises(ValueError, match=f"^k must be a positive int, got {k!r}$"):
+            extract(source, k=k)
 
 
 def test_extract_keypoints_unit_descriptors():
@@ -474,10 +463,8 @@ def test_keypoint_descriptors_at_the_stride_sample_the_mapped_coordinates(s):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("border, k, threshold", [
-    (0, 1024, None), (0, None, 0.3), (0, 1, None), (3, 1024, None), (2, None, 0.6)])
-def test_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(
-        seed, border, k, threshold):
+@pytest.mark.parametrize("border, k", [(0, 1024), (0, 16), (0, 1), (3, 1024), (2, 8)])
+def test_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(seed, border, k):
     r = np.random.default_rng(seed)
     desc = r.standard_normal((32, 13, 11)).astype(np.float32)
     desc[:, r.random((13, 11)) < 0.2] = 0.0
@@ -486,7 +473,7 @@ def test_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(
     # where the sampler puts weight 1 on the far corner of the cell before
     score[0, [0, 0, -1, -1], [0, -1, 0, -1]] = [1.5, 1.6, 1.7, 1.8]
     maps = DenseMaps(np.zeros((8, 3, 3), np.float32), score, desc)
-    kp = extract_keypoints(maps, border=border, nms_radius=1, k=k, threshold=threshold)
+    kp = extract_keypoints(maps, border=border, nms_radius=1, k=k)
     assert len(kp) > 0
     if border == 0 and k != 1:
         assert kp.positions[:, 0].max() == 10 and kp.positions[:, 1].max() == 12
@@ -498,8 +485,8 @@ def test_teacher_keypoint_descriptors_bitwise_equal_sampling_the_normalized_map(
     yy, xx = np.mgrid[0:32, 0:32]
     img = 0.5 + 0.25 * np.sin(xx / 2.3) * np.cos(yy / 3.1) + 0.2 * ((xx > 20) & (yy < 12))
     maps = analytic_teacher(img)
-    for kwargs in (dict(k=1024), dict(threshold=0.05)):
-        kp = extract_keypoints(maps, border=border, nms_radius=2, **kwargs)
+    for k in (1024, 8):
+        kp = extract_keypoints(maps, border=border, nms_radius=2, k=k)
         assert len(kp) > 1
         assert kp.descriptors.tobytes() == reference_descriptors(maps, kp.positions).tobytes()
 

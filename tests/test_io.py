@@ -42,6 +42,19 @@ def test_pgm_validation(tmp_path):
         io.save_pgm(tmp_path / "x.pgm", np.full((2, 2), 1.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_a_non_finite_pixel(tmp_path, bad):
+    # NaN compares False both ways: it used to be written as 0
+    img = quantized_image(3, 4)
+    img[1, 2] = bad
+    p = tmp_path / "x.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^image values must be finite and lie in \[0, 1\]$"):
+            io.save_pgm(p, img)
+    assert not p.exists()
+
+
 def test_pgm_reader_errors(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P4\n1 1\n255\n\x00")

@@ -262,7 +262,7 @@ def flat_depth(value=2.0, size=48):
 def test_gt_assignment_identity_views():
     kp = random_kp(8, seed=9)
     gt = gt_assignment(kp, kp, flat_depth(), flat_depth(), INTR, INTR,
-                       IDENTITY, IDENTITY, eps_px=1.0)
+                       IDENTITY, IDENTITY)
     np.testing.assert_array_equal(gt.matches,
                                   np.stack([np.arange(8)] * 2, 1))
     assert len(gt.unmatched_a) == 0 and len(gt.unmatched_b) == 0
@@ -279,7 +279,7 @@ def test_gt_assignment_translated_views():
     kp_b = KeypointSet(pos_b, kp_a.descriptors, kp_a.scores)
     pose_b = RigidPose(np.eye(3), np.array([-tx, 0.0, 0.0]))
     gt = gt_assignment(kp_a, kp_b, flat_depth(z), flat_depth(z), INTR, INTR,
-                       IDENTITY, pose_b, eps_px=1.0)
+                       IDENTITY, pose_b)
     np.testing.assert_array_equal(gt.matches,
                                   np.stack([np.arange(10)] * 2, 1))
 
@@ -289,7 +289,7 @@ def test_gt_assignment_partition_is_complete():
     gt = gt_assignment(a, b, flat_depth(), flat_depth(), INTR, INTR,
                        IDENTITY,
                        RigidPose(rotation_about([0, 1, 0], 3.0),
-                                 np.array([0.1, 0.0, 0.0])), eps_px=2.0)
+                                 np.array([0.1, 0.0, 0.0])))
     ia = np.concatenate([gt.matches[:, 0], gt.unmatched_a])
     ib = np.concatenate([gt.matches[:, 1], gt.unmatched_b])
     np.testing.assert_array_equal(np.sort(ia), np.arange(12))
@@ -300,9 +300,9 @@ def test_gt_assignment_swap_symmetric():
     a, b = random_kp(10, seed=13), random_kp(11, seed=14)
     pose_b = RigidPose(rotation_about([1, 0, 0], 2.0), np.array([0.05, 0.0, 0.0]))
     ab = gt_assignment(a, b, flat_depth(), flat_depth(), INTR, INTR,
-                       IDENTITY, pose_b, eps_px=2.0)
+                       IDENTITY, pose_b)
     ba = gt_assignment(b, a, flat_depth(), flat_depth(), INTR, INTR,
-                       pose_b, IDENTITY, eps_px=2.0)
+                       pose_b, IDENTITY)
     assert set(map(tuple, ab.matches)) == set(map(tuple, ba.matches[:, ::-1]))
     np.testing.assert_array_equal(ab.unmatched_a, ba.unmatched_b)
     np.testing.assert_array_equal(ab.unmatched_b, ba.unmatched_a)
@@ -322,16 +322,6 @@ def test_gt_assignment_empty_side():
                        flat_depth(), flat_depth(), INTR, INTR,
                        IDENTITY, IDENTITY)
     assert len(gt.matches) == 0 and len(gt.unmatched_b) == 3
-
-
-
-@pytest.mark.parametrize("eps", [-3.0, float("nan")])
-def test_gt_assignment_rejects_a_negative_bound(eps):
-    # a squared bound would otherwise accept -3 as if it were 3
-    kp = random_kp(3)
-    with pytest.raises(ValueError, match="eps_px must be non-negative"):
-        gt_assignment(kp, kp, flat_depth(), flat_depth(), INTR, INTR,
-                      IDENTITY, IDENTITY, eps_px=eps)
 
 
 # -- matching loss ----------------------------------------------------------

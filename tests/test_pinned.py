@@ -25,10 +25,10 @@ from evimatch.extractor import (ExtractorConfig, KeypointSet, analytic_teacher,
                                 init_student, save_extractor)
 from evimatch.geometry import (CameraIntrinsics, RigidPose,
                                estimate_essential_ransac, rotation_about)
-from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
-                               MatchTrainConfig, ca_assignment, gt_assignment,
-                               matcher_history_csv, mnn_match, save_matcher,
-                               train_matcher)
+from evimatch.matching import (CORRESPONDENCE_PX, CAConfig, CAMatcherParams,
+                               GroundTruthMatches, MatchTrainConfig,
+                               ca_assignment, gt_assignment, matcher_history_csv,
+                               mnn_match, save_matcher, train_matcher)
 from evimatch.optim import save_checkpoint
 from test_geometry import chunk_ends, reference_ransac
 
@@ -160,6 +160,7 @@ SYNTH_DIGESTS = {
     "depth/000.f32": "234c1ec31d0d70eaf8286051ea0c5460f4a84764426874b94e394ed30cfbbdd3",
     "events/000.evt": "93202da22b83f3d54fef865ce04139c067926a1cc5d9b3cb516f93df35933794",
     "images/000.pgm": "d4909fe7c1933a3c6ccd4fe5692c6ce61550e262bdef245fa4eee20261faa99c",
+    "intrinsics.txt": "d9a199fd208d87c403a49c4deaba711aea6ae0a7f3d97db17d5393cb6a7b769e",
     "poses.txt": "a27fe03cb75d056f83f8bd6f62d1ec24201606c06627a86deed9cec875d9c533",
 }
 
@@ -171,17 +172,21 @@ BENCH_DIGESTS = {
     "events/001.evt": "49f5f4c3b5b3a3c134267cd333affb365f45928fcd2b71aef7297dcd7bac3660",
     "images/000.pgm": SYNTH_DIGESTS["images/000.pgm"],
     "images/001.pgm": "0cf2887686d2b99bcadf6ba15150d35ec5a182336b0d958d4d337af65bb02a4c",
+    "intrinsics.txt": SYNTH_DIGESTS["intrinsics.txt"],
     "pairs.txt": "6f7a5cbe263001788157efd0e6382888407524c3e1cab964c803a81a3595fe5b",
     "poses.txt": "a33d901cccb285a397be1e6be67e601a3d0ab4451ae484db93bf0240eacce705",
 }
 
 
 def dataset_digests(root, samples, scene, pairs=None):
+    """The digest of every file the dataset writes under root, by
+    relative path."""
     eio.save_dataset(root, samples, scene.intrinsics, scene.width, scene.height)
     if pairs is not None:
         eio.save_pairs(os.path.join(root, "pairs.txt"), pairs)
-    return {name: sha256(os.path.join(root, name))
-            for name in BENCH_DIGESTS if os.path.exists(os.path.join(root, name))}
+    return {os.path.relpath(os.path.join(base, name), root).replace(os.sep, "/"):
+            sha256(os.path.join(base, name))
+            for base, _, names in os.walk(root) for name in names}
 
 
 def test_synth_dataset_bytes(tmp_path):
@@ -233,13 +238,13 @@ PIPELINE_DIGESTS = {
     "synth": "f3ac87aec8a57b18b4554113579e60b8cef0496fdebf049b71473a4b5eec9e7b",
     "bench": "ab8ed95d43c9c779abb3c225c56db9acd7e60061781ba065ade2e7688a8989ad",
     "student": "e1b50097fd1c23494286a2e2e0a052759c1a805b2c97f806e714c055ed714adb",
-    "matcher": "c701617767bc52e7b124ef2b8418bb09306f8c2eed5a8ca6e8d0c9da6a9e1abd",
-    "kp_events": "59bd8d934bb061908d695549e3836b09d2a6a27c1a8e75cf03599fe7b6247a02",
-    "kp_images": "8c4b74d7f49ab059f90b206a8f65fe87c069433a5f3168a9aa96418c4fad69e3",
+    "matcher": "16dd7e5577a87d7fd8d5b987a615be1f1d59bd47e7e31a227ab7d058f840700c",
+    "kp_events": "728e1793ffbf654373d58fcc55f48e34440c755959d42a08b97ba537e9c8f761",
+    "kp_images": "7d0ce65ca2e08d73a6d77cbbd23c262557470ebe38ae0f35689da787b8002591",
     "matches": "a2e92599dc57a05890cf07d6729e139846b3633ed01204bdf1bc69a5c0f67a5d",
-    "eval_keypoints": "b8d00b824ba85f92af6bbb98be38c9ba0cf525d80749d78263195b9501d86c3a",
-    "eval_rpe": "bb913f8991d70c1ff64c3ead35061bcda337471e6f501b0dd03aa064f983a7da",
-    "viz": "6a28aabd606095b4e004f162dbee96ccc1f176f95ec8803f6179a9d7ccfd8ad2",
+    "eval_keypoints": "2a2fb209c303c1289715c923e6a4c3dedb7bb2967571f197bf359217e5b2699a",
+    "eval_rpe": "728d11c6d8719579c6ee6bd45dab8ee1dcacbc5005d64e335297276f34120677",
+    "viz": "219de4c568043547505a922f66393a991acfad7447239a1c38afbab66f334abe",
 }
 
 
@@ -383,8 +388,9 @@ def test_gt_assignment_ties_and_strict_bound():
     depth = np.full((48, 64), 4.0)
     pose = RigidPose(np.eye(3), np.zeros(3))
     gt = gt_assignment(keypoints(pa), keypoints(pb), depth, depth, INTR, INTR,
-                       pose, pose, eps_px=3.0)
-    # a[1] sits exactly eps_px from its nearest b: the bound is strict
+                       pose, pose)
+    # a[1] sits exactly CORRESPONDENCE_PX from its nearest b: the bound is strict
+    assert CORRESPONDENCE_PX == 3.0
     assert gt.matches.tolist() == [[0, 0], [2, 3], [3, 5]]
     assert gt.unmatched_a.tolist() == [1]
     assert gt.unmatched_b.tolist() == [1, 2, 4]
