@@ -3,13 +3,16 @@
 Poses are world-to-camera maps, x_cam = R @ x_world + t.  The relative pose
 between views a and b is the map taking a-frame camera coordinates into the
 b frame.  Essential-matrix estimation uses the normalized 8-point algorithm
-inside a plain RANSAC loop with a seeded generator.  The loop draws and fits
-its samples in chunks of growing size, one batched 8-point call per chunk,
-scores each chunk's models in stacked Sampson calls and walks their inlier
-counts in draw order under the adaptive stopping rule, so masks, iteration
-counts and poses are exactly those of a one-sample-at-a-time loop; an early
-stop leaves the rest of its chunk's draws unread.  The 8-point fit, its
-Hartley normalization and the Sampson distance take leading batch axes.
+inside a plain RANSAC loop with a seeded generator.  The loop draws its
+samples in chunks of growing size, one uniform draw per chunk that Floyd's
+algorithm turns into index rows, fits each chunk in one batched minimal
+8-point call (null vectors by QR), scores the models in stacked Sampson
+calls and walks their inlier counts in draw order under the adaptive
+stopping rule, so masks, iteration counts and poses are exactly those of a
+one-sample-at-a-time loop; an early stop leaves the rest of its chunk's
+draws unread.  The best inlier set is refit by SVD.  The 8-point fits,
+their Hartley normalization and the Sampson distance take leading batch
+axes.
 Translation directions recovered from an essential matrix are unit vectors,
 so translation error is angular.  The package's one bilinear sampler lives
 here too, so that scene synthesis, keypoint extraction and match
@@ -217,13 +220,10 @@ class PoseEstimate:
     iterations: int = field(default=0, compare=False)
 
 
-def _eight_point(x1, x2):
-    """Normalized 8-point fit over leading batch axes.
-
-    x1, x2 are (..., N, 3) homogeneous points.  Returns the (..., 3, 3)
-    unit-norm essential matrices, projected to two equal singular values,
-    and the (..., min(N, 9)) singular values of the design matrices.
-    """
+def _design(x1, x2):
+    """The 8-point design matrices of the (..., N, 3) homogeneous matches
+    x1, x2 on Hartley-conditioned coordinates: (..., N, 9) rows, one per
+    match, and the two (..., 3, 3) conditioning similarities."""
     # x2^T E x1 = 0 solved on Hartley-conditioned coordinates; even in
     # camera-normalized units the constant column dominates the Kronecker
     # system, and the raw least-squares fit is visibly biased already at
@@ -237,21 +237,51 @@ def _eight_point(x1, x2):
         n2[..., 1] * n1[..., 0], n2[..., 1] * n1[..., 1], n2[..., 1],
         n1[..., 0], n1[..., 1], np.ones(n1.shape[:-1]),
     ], axis=-1)
-    # an 8-row system's null vector exists only in the full V; with more
-    # rows the thin SVD gives the same s and V without the (N, N) U
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
+    return a, t1, t2
+
+
+def _essential(v, t1, t2):
+    """(..., 3, 3) unit-norm essential matrices with two equal singular
+    values from the (..., 9) null vectors v of conditioned systems."""
     # denormalize before projecting: the equal-singular-value structure of
     # an essential matrix only holds in the calibrated frame
-    e = np.swapaxes(t2, -1, -2) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ t1
-    u, sv, vt2 = np.linalg.svd(e)
+    e = np.swapaxes(t2, -1, -2) @ v.reshape(v.shape[:-1] + (3, 3)) @ t1
+    u, sv, vt = np.linalg.svd(e)
     m = (sv[..., 0] + sv[..., 1]) / 2.0
     diag = np.zeros(e.shape)
     diag[..., 0, 0] = diag[..., 1, 1] = m
-    e = u @ diag @ vt2
+    e = u @ diag @ vt
     # the norm as a per-matrix dot product, the reduction np.linalg.norm
     # uses, so a batched fit equals the fits made one at a time
     f = e.reshape(e.shape[:-2] + (1, 9))
-    return e / np.sqrt(f @ np.swapaxes(f, -1, -2)), s
+    return e / np.sqrt(f @ np.swapaxes(f, -1, -2))
+
+
+def _eight_point(x1, x2):
+    """Normalized 8-point least-squares fit over leading batch axes.
+
+    x1, x2 are (..., N, 3) homogeneous points.  Returns the (..., 3, 3)
+    unit-norm essential matrices, projected to two equal singular values,
+    and the (..., min(N, 9)) singular values of the design matrices.
+    """
+    a, t1, t2 = _design(x1, x2)
+    # an 8-row system's null vector exists only in the full V; with more
+    # rows the thin SVD gives the same s and V without the (N, N) U
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
+    return _essential(vt[..., -1, :], t1, t2), s
+
+
+def _minimal_fit(x1, x2):
+    """The 8-point fit of (..., 8, 3) minimal samples, (..., 3, 3).
+
+    The null vector of each 8x9 system is the last column of Q in a
+    complete QR of its transpose: orthogonal to the system's eight rows,
+    and several times cheaper than the SVD ``_eight_point`` needs for
+    the singular values of a least-squares refit.
+    """
+    a, t1, t2 = _design(x1, x2)
+    q, _ = np.linalg.qr(np.swapaxes(a, -1, -2), mode="complete")
+    return _essential(q[..., -1], t1, t2)
 
 
 def _sampson_sq(x1, x2):
@@ -350,6 +380,25 @@ def _scored(models, residual_sq, thr_sq):
         yield from zip(masks, np.count_nonzero(masks, axis=1).tolist())
 
 
+def _draw_samples(rng, n, k, size):
+    """k rows of ``size`` distinct indices in [0, n), uniform over subsets.
+
+    One ``rng.random((k, size))`` call feeds Floyd's algorithm (Bentley &
+    Floyd, CACM 1987), a column at a time over all rows: column c draws
+    v = floor(u * (j + 1)) with j = n - size + c and takes j instead when
+    the row already holds v.  Each row consumes exactly ``size`` doubles,
+    in order, so k rows equal k one-row draws from the same generator.
+    """
+    u = rng.random((k, size))
+    idx = np.empty((k, size), dtype=np.int64)
+    for c in range(size):
+        j = n - size + c
+        v = (u[:, c] * (j + 1)).astype(np.int64)
+        taken = (idx[:, :c] == v[:, None]).any(axis=1)
+        idx[:, c] = np.where(taken, j, v)
+    return idx
+
+
 def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
     """Uniform-sampling RANSAC with the adaptive stopping rule.
 
@@ -359,10 +408,12 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
     inlier set replaces the best one and tightens the iteration budget to
     what ``_CONFIDENCE`` requires.  Returns (best inlier mask, iterations).
 
-    Samples are drawn and fitted in chunks: ``fit`` maps a (k,
-    sample_size) index array to k models in one batched call.  The first
-    chunk holds ``_FIRST_CHUNK`` samples and each next one twice as many,
-    up to ``_CHUNK``.  ``residual_sq`` scores stacks of up to ``_SLICE``
+    Samples are drawn and fitted in chunks: ``_draw_samples`` makes a
+    chunk's (k, sample_size) index array from one ``rng.random`` call, k
+    rows of ``sample_size`` doubles that each row reads in order, and
+    ``fit`` maps it to k models in one batched call.  The first chunk
+    holds ``_FIRST_CHUNK`` samples and each next one twice as many, up to
+    ``_CHUNK``.  ``residual_sq`` scores stacks of up to ``_SLICE``
     models, and the counts are walked in draw order under the stopping
     rule, so the iteration count and the best mask are those of drawing,
     fitting and scoring one sample at a time.  A chunk is never larger
@@ -380,8 +431,7 @@ def _ransac(n, sample_size, fit, residual_sq, thr_sq, max_iters, seed):
     while it < min(needed, max_iters):
         k = min(chunk, min(needed, max_iters) - it)
         chunk = min(2 * chunk, _CHUNK)
-        idx = np.stack([rng.choice(n, size=sample_size, replace=False)
-                        for _ in range(k)])
+        idx = _draw_samples(rng, n, k, sample_size)
         for mask, count in _scored(fit(idx), residual_sq, thr_sq):
             it += 1
             if count > best_count:
@@ -402,10 +452,12 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     """Recover the relative pose (view 1 to view 2) from pixel matches.
 
     Normalized 8-point algorithm inside a uniform-sampling RANSAC loop.
-    The inlier test is the Sampson distance in focal-normalized coordinates
+    Each sample is 8 distinct matches, drawn by Floyd's algorithm from 8
+    uniform doubles of the seeded generator, and its model is the null
+    vector of its 8x9 system, taken from a complete QR.  The inlier test is the Sampson distance in focal-normalized coordinates
     against threshold_px / f_avg, f_avg the mean of the four focal lengths.
-    The final model is refit on the best inlier set, checked for a unique
-    null space (a near-rank-deficient system means pure rotation or a
+    The final model is refit by SVD on the best inlier set, checked
+    through its singular values for a unique null space (a near-rank-deficient system means pure rotation or a
     coplanar scene and raises DegenerateGeometry), and decomposed with the
     cheirality check.  Deterministic for a fixed seed.
 
@@ -427,7 +479,7 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
     residual_sq = _sampson_sq(x1, x2)
     best_mask, it = _ransac(
-        len(pts1), 8, lambda idx: _eight_point(x1[idx], x2[idx])[0],
+        len(pts1), 8, lambda idx: _minimal_fit(x1[idx], x2[idx]),
         residual_sq, thr_sq, _MAX_ITERS, seed)
 
     e, sv = _eight_point(x1[best_mask], x2[best_mask])
