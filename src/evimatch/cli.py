@@ -74,17 +74,16 @@ _COMMAND_PARAMS = {
         "pools": "1,2,1,2",
     },
     "train-matcher": dict(_EXTRACT_PARAMS, data=None, extractor=None,
-                          pairs_file="", k="256", lr="0.0001",
+                          pairs_file="", lr="0.0001",
                           epochs="50", batch="8", seed="0", dim="128",
                           layers="2", heads="4", pe_freqs="4", ffn_mult="2"),
-    "extract": dict(_EXTRACT_PARAMS, data=None, modality=None, extractor="",
-                    k="1024"),
+    "extract": dict(_EXTRACT_PARAMS, data=None, modality=None, extractor=""),
     "match": dict(kp_a=None, kp_b=None, pairs_file="", **_MATCH_PARAMS),
     "eval": dict(_EXTRACT_PARAMS, data=None, mode=None, extractor=None,
                  **_MATCH_PARAMS, ransac_px="1.0", rpe_thresholds="5,10,20",
                  seed="0"),
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
-                index_b="-1", k="256", **_MATCH_PARAMS),
+                index_b="-1", **_MATCH_PARAMS),
 }
 
 

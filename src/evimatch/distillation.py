@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .events import EventStream, accumulate_mask
 from .extractor import (ExtractorConfig, analytic_teacher, forward_student_batch,
                         init_student, normalize_desc, pixels_to_cells)
-from .optim import fit, history_csv
+from .optim import check_recipe, fit, history_csv
 from .representations import build_representation
 
 _COLUMNS = ("l_feats", "l_score", "l_desc", "l_total")
@@ -43,10 +43,7 @@ class DistillConfig:
     use_desc: bool = True
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        check_recipe(self)
         if not (self.use_feats or self.use_score or self.use_desc):
             raise ValueError("at least one loss term must be enabled")
 

@@ -277,6 +277,13 @@ def harris_score(iy, ix):
     return r / peak if peak > 0 else r
 
 
+def check_unit_image(img):
+    """Raise unless every value of img is finite and in [0, 1] (± 1e-6)."""
+    # written so that NaN, which compares False, fails too
+    if not (img.min() >= -1e-6 and img.max() <= 1.0 + 1e-6):
+        raise ValueError("image values must be finite and lie in [0, 1]")
+
+
 def _teacher_input(image):
     """The checked (H, W) float64 image and its gradients (iy, ix)."""
     img = np.asarray(image, dtype=np.float64)
@@ -284,9 +291,7 @@ def _teacher_input(image):
         img = img[0]
     if img.ndim != 2:
         raise ValueError(f"expected a grayscale image, got shape {img.shape}")
-    # written so that NaN, which compares False, fails too
-    if not (img.min() >= -1e-6 and img.max() <= 1.0 + 1e-6):
-        raise ValueError("image values must be finite and lie in [0, 1]")
+    check_unit_image(img)
     h, w = img.shape
     s = TEACHER_STRIDE
     if h % s or w % s:
@@ -357,8 +362,7 @@ def analytic_teacher(image) -> DenseMaps:
     return DenseMaps(feats.astype(np.float32), score.astype(np.float32), desc)
 
 
-def teacher_keypoints(image, border: int = 4, nms_radius: int = 4,
-                      k: int = 1024) -> KeypointSet:
+def teacher_keypoints(image, border: int, nms_radius: int, k: int) -> KeypointSet:
     """``extract_keypoints(analytic_teacher(image), ...)``, bit for bit,
     without the full maps: keypoints are selected on the Harris score
     first, and descriptors are computed only at the pixels the sampler
@@ -425,8 +429,8 @@ def nms_mask(score, radius):
     return key == _sliding_max(key, radius)
 
 
-def extract_keypoints(maps: DenseMaps, border: int = 4, nms_radius: int = 4,
-                      k: int = 1024) -> KeypointSet:
+def extract_keypoints(maps: DenseMaps, border: int, nms_radius: int,
+                      k: int) -> KeypointSet:
     """Select keypoints from a score map and sample their descriptors.
 
     Pipeline: scores within ``border`` of any edge are dropped; strict-max

@@ -25,7 +25,7 @@ import numpy as np
 
 from .datagen import LFDSample
 from .events import load_events, save_events
-from .extractor import KeypointSet
+from .extractor import KeypointSet, check_unit_image
 from .geometry import CameraIntrinsics, RigidPose, quat_to_rotmat, rotmat_to_quat
 from .matching import Assignment
 
@@ -57,9 +57,7 @@ def save_pgm(path, image):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    # written so that NaN, which compares False, fails too
-    if not (img.min() >= -1e-6 and img.max() <= 1.0 + 1e-6):
-        raise ValueError("image values must be finite and lie in [0, 1]")
+    check_unit_image(img)
     q = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = q.shape
     with open(path, "wb") as f:

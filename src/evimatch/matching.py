@@ -5,9 +5,11 @@ pairs with a symmetric dual softmax and keeps strict mutual argmaxes; it
 has no parameters.  The context-aware matcher refines both descriptor sets
 jointly with a small pre-LN transformer (shared self-attention unit, shared
 bidirectional cross-attention unit per layer), predicts a per-keypoint
-matchability, and extracts matches from the matchability-weighted dual
-softmax.  Ground-truth assignments come from reprojecting keypoints
-across views with rendered depth, at one radius for training and eval.
+matchability, and weights a dual softmax with it.  That soft assignment
+P has one implementation, ``ca_scores``: the loss trains on it and
+``ca_match`` keeps its thresholded mutual argmaxes.  Ground-truth
+assignments come from reprojecting keypoints across views with rendered
+depth, at one radius for training and eval.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import (CameraIntrinsics, RigidPose, _bilinear, relative_pose,
                        reproject_many)
-from .optim import fit, history_csv, load_module, save_module
+from .optim import check_recipe, fit, history_csv, load_module, save_module
 
 
 @dataclass
@@ -286,11 +288,13 @@ def ca_forward(kp_a, kp_b, matcher: CAMatcherParams):
 
 
 def ca_scores(kp_a, kp_b, matcher: CAMatcherParams):
-    """Differentiable soft assignment matrix plus matchabilities.
+    """The soft assignment matrix plus matchabilities, for the loss and
+    for inference.
 
     P = sigma_a sigma_b^T * softmax_cols(s S) * softmax_rows(s S) with the
     learned temperature s = exp(logit_scale).  Returns (P, sigma_a,
-    sigma_b) as Tensors for the matching loss.
+    sigma_b) as Tensors: ``nll_loss`` trains on them and ``ca_match``
+    takes its hard matches from P.  Frozen params record no graph.
     """
     xa, sa, xb, sb = ca_forward(kp_a, kp_b, matcher)
     s = ad.matmul(xa, ad.transpose(xb))
@@ -300,46 +304,32 @@ def ca_scores(kp_a, kp_b, matcher: CAMatcherParams):
     return p, sa, sb
 
 
-def assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0):
-    """Soft assignment matrix from the arrays of ``ca_forward``'s outputs."""
-    xa = np.asarray(x_a, np.float64)
-    xb = np.asarray(x_b, np.float64)
-    sa = np.asarray(sigma_a, np.float64).reshape(-1)
-    sb = np.asarray(sigma_b, np.float64).reshape(-1)
-    s = xa @ xb.T
-    s *= scale
-    p = np.exp(_dual_log_softmax(s), out=s)
-    p *= sa[:, None] * sb[None, :]
-    return p
+def ca_assignment(p, threshold: float = 0.1) -> Assignment:
+    """Hard matches of a soft assignment matrix: its mutual argmaxes with
+    P >= threshold.
 
-
-def ca_assignment(x_a, sigma_a, x_b, sigma_b, scale: float = 1.0,
-                  threshold: float = 0.1) -> Assignment:
-    """Extract hard matches from the matchability-weighted dual softmax.
-
-    Matches are mutual argmaxes of P with P >= threshold.  Every entry
+    The threshold is compared in float64, so it means the same on a
+    float32 P; p is not written over.  For ``ca_scores``' P every entry
     satisfies 0 <= P_ij <= sigma_i sigma_j, so low-matchability keypoints
     can never form a match.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    if len(x_a) == 0 or len(x_b) == 0:
+    if p.size == 0:
         return Assignment.empty()
-    p = assignment_probabilities(x_a, sigma_a, x_b, sigma_b, scale)
-    rows, cols = _mutual_nearest(np.negative(p, out=p))
-    vals = -p[rows, cols]
+    rows, cols = _mutual_nearest(np.negative(p))
+    vals = p[rows, cols].astype(np.float64)
     keep = vals >= threshold
     return Assignment(np.stack([rows[keep], cols[keep]], axis=1), vals[keep])
 
 
 def ca_match(kp_a, kp_b, matcher: CAMatcherParams,
              threshold: float = 0.1) -> Assignment:
-    """Forward pass plus hard assignment with the learned temperature."""
+    """``ca_assignment`` of ``ca_scores``' P: the matcher infers through
+    the forward pass it trains on."""
     if len(kp_a) == 0 or len(kp_b) == 0:  # no matches; the threshold is still checked
-        return ca_assignment((), (), (), (), threshold=threshold)
-    xa, sa, xb, sb = (t.data for t in ca_forward(kp_a, kp_b, matcher))
-    scale = float(np.exp(matcher.params["logit_scale"].data))
-    return ca_assignment(xa, sa, xb, sb, scale=scale, threshold=threshold)
+        return ca_assignment(np.zeros((len(kp_a), len(kp_b))), threshold)
+    return ca_assignment(ca_scores(kp_a, kp_b, matcher)[0].data, threshold)
 
 
 # -- supervision ----------------------------------------------------------
@@ -434,10 +424,7 @@ class MatchTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        check_recipe(self)
 
 
 def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),

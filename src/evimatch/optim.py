@@ -89,13 +89,21 @@ def _keep_freed_memory():
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
+def check_recipe(recipe):
+    """The checks every training recipe makes in its ``__post_init__``."""
+    if not 0 < recipe.lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {recipe.lr}")
+    if recipe.epochs <= 0 or recipe.batch_size <= 0:
+        raise ValueError("epochs and batch_size must be positive")
+
+
 def fit(params, n, recipe, batch_loss, columns, log=None):
     """Train params on n items; returns one (epoch, *column means) row per epoch.
 
     recipe is any config with ``lr``, ``epochs``, ``batch_size`` and
-    ``seed``.  Every epoch visits the items in a fresh permutation drawn
-    from ``default_rng(recipe.seed)``, batch_size at a time (the last batch
-    may be short), and takes one Adam step per batch on a cosine schedule
+    ``seed`` that ``check_recipe`` accepts.  Every epoch visits the items
+    in a fresh permutation drawn from ``default_rng(recipe.seed)``,
+    batch_size at a time (the last batch may be short), and takes one Adam step per batch on a cosine schedule
     that spans all epochs.  ``batch_loss(idx)`` returns (loss Tensor, one
     value per column).  A non-finite loss aborts before its backward pass,
     naming the epoch and the global step.  Column means accumulate in

@@ -1,5 +1,7 @@
 """Student network, analytic teacher and keypoint selection."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,10 @@ def test_teacher_taps_read_clamped_neighbours():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("teacher", [analytic_teacher, teacher_keypoints])
+@pytest.mark.parametrize("teacher", [
+    analytic_teacher,
+    pytest.param(partial(teacher_keypoints, border=4, nms_radius=4, k=1024),
+                 id="teacher_keypoints")])
 def test_teacher_rejects_non_finite_image(teacher, bad):
     img = teacher_image(5)
     img[7, 9] = bad
@@ -276,7 +281,7 @@ def test_teacher_keypoints_equal_extracting_the_full_maps(seed, kwargs):
 
 
 def test_teacher_keypoints_of_a_flat_image_are_empty():
-    kp = teacher_keypoints(np.full((16, 16), 0.5))
+    kp = teacher_keypoints(np.full((16, 16), 0.5), border=4, nms_radius=4, k=1024)
     assert len(kp) == 0 and kp.descriptors.shape == (0, 128)
 
 
@@ -385,7 +390,7 @@ def test_keypoints_reject_a_k_that_is_not_a_positive_int_even_when_empty(k):
     for extract, source in ((extract_keypoints, maps), (extract_keypoints, gated),
                             (teacher_keypoints, np.full((16, 16), 0.5))):
         with pytest.raises(ValueError, match=f"^k must be a positive int, got {k!r}$"):
-            extract(source, k=k)
+            extract(source, border=4, nms_radius=4, k=k)
 
 
 def test_extract_keypoints_unit_descriptors():

@@ -11,8 +11,7 @@ from evimatch.extractor import KeypointSet
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import (CAConfig, CAMatcherParams, GroundTruthMatches,
                                MatchTrainConfig, _mutual_nearest,
-                               assignment_probabilities, ca_assignment,
-                               ca_forward, ca_match, ca_scores,
+                               ca_assignment, ca_forward, ca_match, ca_scores,
                                fourier_encoding, gt_assignment, load_matcher,
                                matcher_history_csv, mnn_match, nll_loss,
                                save_matcher, train_matcher)
@@ -95,13 +94,6 @@ def test_dual_softmax_equals_two_log_softmaxes_bitwise(n, m):
     assert got.matches.tobytes() == np.stack([rows, best_j[rows]], axis=1).tobytes()
     assert got.scores.tobytes() == np.exp(log_p[rows, best_j[rows]]).tobytes()
 
-    sa, sb = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m)
-    s = 2.5 * (da @ db.T)
-    want = sa[:, None] * sb[None, :] * np.exp(log_softmax(s, axis=0)
-                                              + log_softmax(s, axis=1))
-    got = assignment_probabilities(da, sa, db, sb, scale=2.5)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
 
 @pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan, -0.0])
 def test_mutual_nearest_equals_the_argmins_of_both_axes(fill):
@@ -160,54 +152,63 @@ def test_ca_forward_shapes_and_sigma_range():
     assert (sb.data > 0).all() and (sb.data < 1).all()
 
 
-def test_assignment_probabilities_bounded_by_matchability():
-    rng = np.random.default_rng(3)
-    xa = rng.normal(size=(6, 8))
-    xb = rng.normal(size=(9, 8))
-    sa = rng.uniform(0.1, 0.9, 6)
-    sb = rng.uniform(0.1, 0.9, 9)
-    p = assignment_probabilities(xa, sa, xb, sb, scale=1.0)
-    assert (p >= 0).all()
-    assert (p <= sa[:, None] * sb[None, :] + 1e-12).all()
+def test_ca_scores_bounded_by_matchability():
+    p, sa, sb = ca_scores(random_kp(6, seed=3), random_kp(9, seed=4),
+                          CAMatcherParams.create(CFG, seed=3))
+    assert p.data.shape == (6, 9)
+    assert (p.data >= 0).all()
+    assert (p.data <= sa.data * sb.data.T).all()
 
 
-def test_assignment_probabilities_softmax_structure():
-    # with unit matchability P is exactly rowsoftmax * colsoftmax
-    rng = np.random.default_rng(4)
-    xa = rng.normal(size=(5, 8))
-    xb = rng.normal(size=(7, 8))
-    ones_a, ones_b = np.ones(5), np.ones(7)
-    p = assignment_probabilities(xa, ones_a, xb, ones_b, scale=1.0)
-    s = xa @ xb.T
-    er = np.exp(s - s.max(1, keepdims=True))
-    row = er / er.sum(1, keepdims=True)
-    ec = np.exp(s - s.max(0, keepdims=True))
-    col = ec / ec.sum(0, keepdims=True)
-    np.testing.assert_allclose(p, row * col, atol=1e-12)
+def test_ca_scores_softmax_structure():
+    # P / (sigma_a sigma_b^T) is rowsoftmax * colsoftmax of the scaled
+    # similarities of ca_forward's descriptors
+    a, b = random_kp(5, seed=4), random_kp(7, seed=5)
+    matcher = CAMatcherParams.create(CFG, seed=4)
+    p, sa, sb = ca_scores(a, b, matcher)
+    xa, _, xb, _ = (t.data.astype(np.float64) for t in ca_forward(a, b, matcher))
+    s = np.exp(float(matcher.params["logit_scale"].data)) * (xa @ xb.T)
+    want = np.exp(log_softmax(s, axis=1) + log_softmax(s, axis=0))
+    np.testing.assert_allclose(p.data / (sa.data * sb.data.T), want, rtol=1e-5)
 
 
 def test_ca_assignment_mutual_and_thresholded():
-    rng = np.random.default_rng(5)
-    xa = rng.normal(size=(10, 8))
-    xb = xa[::-1].copy()  # perfect reversed correspondence
-    sa = sb = np.full(10, 0.95)
-    m = ca_assignment(xa, sa, xb, sb, scale=3.0, threshold=0.1)
+    p = np.full((10, 10), 0.05)
+    p[np.arange(10), 9 - np.arange(10)] = 0.9  # perfect reversed correspondence
+    m = ca_assignment(p, threshold=0.1)
     assert len(m) == 10
     np.testing.assert_array_equal(m.matches[:, 1], 9 - m.matches[:, 0])
-    high = ca_assignment(xa, sa, xb, sb, scale=3.0, threshold=2.0)
+    np.testing.assert_array_equal(m.scores, 0.9)
+    high = ca_assignment(p, threshold=2.0)
     assert len(high) == 0  # probabilities cannot exceed 1
 
 
 def test_ca_assignment_swap_transposes():
+    # a repeated row and column plant exact ties
     rng = np.random.default_rng(6)
-    xa, xb = rng.normal(size=(8, 8)), rng.normal(size=(11, 8))
-    sa = rng.uniform(0.5, 0.99, 8)
-    sb = rng.uniform(0.5, 0.99, 11)
-    ab = ca_assignment(xa, sa, xb, sb, scale=2.0, threshold=0.05)
-    ba = ca_assignment(xb, sb, xa, sa, scale=2.0, threshold=0.05)
-    pa = set(map(tuple, ab.matches))
-    pb = set(map(tuple, ba.matches[:, ::-1]))
-    assert pa == pb
+    for dtype in (np.float64, np.float32):
+        p = rng.uniform(0.0, 0.5, (8, 11)).astype(dtype)
+        p[4], p[:, 7] = p[0], p[:, 2]
+        ab = ca_assignment(p, threshold=0.05)
+        ba = ca_assignment(p.T, threshold=0.05)
+        assert len(ab) > 0
+        order = np.argsort(ba.matches[:, 1], kind="stable")
+        assert ab.matches.tobytes() == ba.matches[order, ::-1].copy().tobytes()
+        assert ab.scores.tobytes() == ba.scores[order].tobytes()
+
+
+def test_ca_assignment_compares_the_threshold_in_float64():
+    # float32 would round this threshold down to the entry and keep it
+    p = np.array([[0.1, 0.0], [0.0, 0.5]], np.float32)
+    entry = float(p[0, 0])
+    above = np.nextafter(entry, 1.0)
+    assert np.float32(above) == p[0, 0]
+    before = p.copy()
+    assert ca_assignment(p, threshold=entry).matches.tolist() == [[0, 0], [1, 1]]
+    out = ca_assignment(p, threshold=above)
+    assert out.matches.tolist() == [[1, 1]]
+    assert out.scores.tolist() == [0.5]
+    assert p.tobytes() == before.tobytes()  # p is not written over
 
 
 def test_ca_match_empty_keypoints():
@@ -217,12 +218,11 @@ def test_ca_match_empty_keypoints():
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf])
 def test_ca_assignment_rejects_a_non_finite_threshold_even_when_empty(threshold):
-    rng = np.random.default_rng(6)
-    x, s = rng.normal(size=(4, 8)), np.full(4, 0.9)
+    p = np.random.default_rng(6).uniform(size=(4, 5))
     m = CAMatcherParams.create(CFG)
     message = f"^threshold must be finite, got {threshold}$"
-    for match in (lambda: ca_assignment(x, s, x, s, threshold=threshold),
-                  lambda: ca_assignment(x[:0], s[:0], x, s, threshold=threshold),
+    for match in (lambda: ca_assignment(p, threshold=threshold),
+                  lambda: ca_assignment(p[:0], threshold=threshold),
                   lambda: ca_match(random_kp(4), random_kp(5), m, threshold=threshold),
                   lambda: ca_match(KeypointSet.empty(16), random_kp(4), m,
                                    threshold=threshold)):
@@ -239,14 +239,17 @@ def test_ca_forward_rejects_an_empty_side():
             ca_scores(a, b, m)
 
 
-def test_ca_scores_matches_numpy_probabilities():
-    a, b = random_kp(6, seed=7), random_kp(5, seed=8)
+def test_ca_match_is_ca_assignment_of_ca_scores_bitwise():
+    a, b = random_kp(12, seed=7), random_kp(15, seed=8)
     matcher = CAMatcherParams.create(CFG, seed=1)
-    p, sa, sb = ca_scores(a, b, matcher)
-    xa, sa2, xb, sb2 = ca_forward(a, b, matcher)
-    scale = float(np.exp(matcher.params["logit_scale"].data))
-    want = assignment_probabilities(xa.data, sa2.data, xb.data, sb2.data, scale)
-    np.testing.assert_allclose(p.data, want, atol=1e-5)
+    every = ca_match(a, b, matcher, threshold=0.0)
+    cut = float(np.median(every.scores))
+    assert 0 < len(ca_match(a, b, matcher, threshold=cut)) < len(every)
+    for t in (0.0, cut):
+        got = ca_match(a, b, matcher, threshold=t)
+        want = ca_assignment(ca_scores(a, b, matcher)[0].data, t)
+        assert got.matches.tobytes() == want.matches.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
 
 
 # -- reprojection ground truth ---------------------------------------------

@@ -241,7 +241,7 @@ PIPELINE_DIGESTS = {
     "matcher": "16dd7e5577a87d7fd8d5b987a615be1f1d59bd47e7e31a227ab7d058f840700c",
     "kp_events": "728e1793ffbf654373d58fcc55f48e34440c755959d42a08b97ba537e9c8f761",
     "kp_images": "7d0ce65ca2e08d73a6d77cbbd23c262557470ebe38ae0f35689da787b8002591",
-    "matches": "a2e92599dc57a05890cf07d6729e139846b3633ed01204bdf1bc69a5c0f67a5d",
+    "matches": "288cfab7e371e4dd31090fc4664b33aba8748fe418c20bac6f62d46cf12c8385",
     "eval_keypoints": "2a2fb209c303c1289715c923e6a4c3dedb7bb2967571f197bf359217e5b2699a",
     "eval_rpe": "728d11c6d8719579c6ee6bd45dab8ee1dcacbc5005d64e335297276f34120677",
     "viz": "219de4c568043547505a922f66393a991acfad7447239a1c38afbab66f334abe",
@@ -376,7 +376,9 @@ def test_ca_assignment_ties_and_threshold():
     xb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     sa = np.array([0.9, 0.5, 1.0])
     sb = np.array([0.8, 0.8, 0.3])
-    out = ca_assignment(xa, sa, xb, sb, scale=4.0, threshold=0.1)
+    e = np.exp(4.0 * (xa @ xb.T))
+    p = np.outer(sa, sb) * (e / e.sum(axis=0)) * (e / e.sum(axis=1, keepdims=True))
+    out = ca_assignment(p, threshold=0.1)
     # (0, 0) wins the tie with column 1; the mutual pair (1, 2) scores 0.0986
     assert out.matches.tolist() == [[0, 0]]
     np.testing.assert_allclose(out.scores, [0.292353342526269], rtol=1e-12)
