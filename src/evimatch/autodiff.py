@@ -7,8 +7,11 @@ heads stay at the backbone stride, an attention matcher and their losses
 need.  Elementwise and reduction ops, 2-D matmul and transpose, an affine
 ``linear`` layer, row and pair gathers, layer norm, a same-size 2-D
 convolution at stride 1 (square odd kernel, its bias folded into the same
-node) and 2x2 max pooling, and one fused multi-head ``attention`` node
-that keeps only its probabilities for backward.  Storage is float32
+node) and 2x2 max pooling, and one fused multi-head ``attention`` node.
+``attention`` scales q once, keeps each head's scores as unnormalised
+exponentials and normalises by their row sums after the value product;
+for backward it keeps those exponentials, the row sums and the scaled q,
+and splits q, k and v into heads again there.  Storage is float32
 (float64 is accepted for numerical checking); explicit reductions
 accumulate in float64 before casting back.  Broadcasting is limited to
 scalar-with-tensor and the per-channel biases of ``linear`` and
@@ -298,12 +301,14 @@ def clamp_min(a, floor):
 
 def softmax(a, axis):
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    # the shift, exp and divide all write into the output
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gx = g - (g * y).sum(axis=axis, keepdims=True)
+        gx *= y
+        return (gx,)
     return _make(y, (a,), bwd)
 
 
@@ -405,10 +410,18 @@ def attention(q, k, v, heads):
     consecutive column blocks of width d_h = D / heads attends on its own,
     softmax(q_h k_h^T / sqrt(d_h)) v_h, and the head outputs are
     concatenated back to (N, D).  The heads run one at a time, forward and
-    backward, so each softmax pass works on one (N, M) block, and each
-    product is the 2-D matmul a batched one makes for that head.  The
-    (heads, N, M) probabilities are kept for backward only when an input
-    wants a gradient; otherwise one (N, M) block serves every head.
+    backward, and each product is the 2-D matmul a batched one makes for
+    that head.
+
+    Forward scales q once, as an (N, D) array.  Per head it writes
+    q_h k_h^T into one (N, M) block, subtracts the row maxima and
+    exponentiates in place to E_h, sums the rows to s_h (N, 1) and
+    divides the (N, d_h) product E_h v_h by s_h.  With a gradient wanted
+    it keeps the (heads, N, M) stack of E_h, the row sums and the scaled
+    q; otherwise one (N, M) block serves every head.  Backward splits q,
+    k and v into heads again and, with G_h = g_h / s_h and
+    D_h = rowsum(G_h * y_h), takes dS = E_h * (G_h v_h^T - D_h) and
+    gv_h = E_h^T G_h; the scale goes onto the (N, d_h) gq.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
@@ -424,7 +437,7 @@ def attention(q, k, v, heads):
         raise ValueError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
-    qd, kd, vd = q.data, k.data, v.data
+    qd, kd, vd = q.data * scale, k.data, v.data
     n, m = len(qd), len(kd)
 
     # each head's block is made contiguous, and k is stored transposed, so
@@ -433,31 +446,32 @@ def attention(q, k, v, heads):
         return np.ascontiguousarray(x.reshape(len(x), heads, dh).transpose(1, 0, 2))
 
     keep = q.requires_grad or k.requires_grad or v.requires_grad
-    p = np.empty((heads, n, m) if keep else (n, m), np.result_type(qd, kd))
-    y = np.empty((n, d), np.result_type(p, vd))
+    e = np.empty((heads, n, m) if keep else (n, m), np.result_type(qd, kd))
+    s = np.empty((heads, n, 1), e.dtype)
+    y = np.empty((n, d), np.result_type(e, vd))
     qs, kt, vs = split(qd), np.ascontiguousarray(kd.T), split(vd)
     for h in range(heads):
-        ph, cols = (p[h] if keep else p), slice(h * dh, (h + 1) * dh)
-        np.matmul(qs[h], kt[cols], out=ph)
-        # softmax in place, in the order scale, subtract the row max, exp, divide
-        ph *= scale
-        ph -= ph.max(axis=1, keepdims=True)
-        np.exp(ph, out=ph)
-        ph /= ph.sum(axis=1, keepdims=True)
-        y[:, cols] = ph @ vs[h]
+        eh, cols = (e[h] if keep else e), slice(h * dh, (h + 1) * dh)
+        np.matmul(qs[h], kt[cols], out=eh)
+        eh -= eh.max(axis=1, keepdims=True)
+        np.exp(eh, out=eh)
+        np.sum(eh, axis=1, keepdims=True, out=s[h])
+        np.divide(eh @ vs[h], s[h], out=y[:, cols])
 
     def bwd(g):
         qs, kt, vs, gh = split(qd), np.ascontiguousarray(kd.T), split(vd), split(g)
         gq, gk, gv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        ds = None  # one (N, M) block, reused by every head
         for h in range(heads):
             cols = slice(h * dh, (h + 1) * dh)
-            gv[:, cols] = p[h].T @ gh[h]
-            gs = gh[h] @ vs[h].T
-            gs -= (gs * p[h]).sum(axis=1, keepdims=True)
-            gs *= p[h]
-            gs *= scale
-            gq[:, cols] = gs @ kt[cols].T
-            gk[:, cols] = (qs[h].T @ gs).T
+            gn = gh[h] / s[h]
+            dot = (gn * y[:, cols]).sum(axis=1, keepdims=True)
+            gv[:, cols] = e[h].T @ gn
+            ds = np.matmul(gn, vs[h].T, out=ds)
+            ds -= dot
+            ds *= e[h]
+            np.multiply(ds @ kt[cols].T, scale, out=gq[:, cols])
+            gk[:, cols] = (qs[h].T @ ds).T
         return gq, gk, gv
     return _make(y, (q, k, v), bwd)
 

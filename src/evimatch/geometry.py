@@ -6,13 +6,14 @@ b frame.  Essential-matrix estimation uses the normalized 8-point algorithm
 inside a plain RANSAC loop with a seeded generator.  The loop draws its
 samples in chunks of growing size, one uniform draw per chunk that Floyd's
 algorithm turns into index rows, fits each chunk in one batched minimal
-8-point call (null vectors by QR), scores the models in stacked Sampson
-calls and walks their inlier counts in draw order under the adaptive
-stopping rule, so masks, iteration counts and poses are exactly those of a
-one-sample-at-a-time loop; an early stop leaves the rest of its chunk's
-draws unread.  The best inlier set is refit by SVD.  The 8-point fits,
-their Hartley normalization and the Sampson distance take leading batch
-axes.
+8-point call (null vectors by QR, scored unprojected), scores the models
+in stacked Sampson calls and walks their inlier counts in draw order
+under the adaptive stopping rule, so masks, iteration counts and poses
+are exactly those of a one-sample-at-a-time loop; an early stop leaves
+the rest of its chunk's draws unread.  The best inlier set is refit by
+SVD, and only that refit is projected to two equal singular values.  The
+8-point fits, their Hartley normalization and the Sampson distance take
+leading batch axes.
 Translation directions recovered from an essential matrix are unit vectors,
 so translation error is angular.  The package's one bilinear sampler lives
 here too, so that scene synthesis, keypoint extraction and match
@@ -240,21 +241,30 @@ def _design(x1, x2):
     return a, t1, t2
 
 
-def _essential(v, t1, t2):
-    """(..., 3, 3) unit-norm essential matrices with two equal singular
-    values from the (..., 9) null vectors v of conditioned systems."""
-    # denormalize before projecting: the equal-singular-value structure of
-    # an essential matrix only holds in the calibrated frame
-    e = np.swapaxes(t2, -1, -2) @ v.reshape(v.shape[:-1] + (3, 3)) @ t1
-    u, sv, vt = np.linalg.svd(e)
-    m = (sv[..., 0] + sv[..., 1]) / 2.0
-    diag = np.zeros(e.shape)
-    diag[..., 0, 0] = diag[..., 1, 1] = m
-    e = u @ diag @ vt
+def _denormalized(v, t1, t2):
+    """The (..., 3, 3) matrices T2^T V T1 of the (..., 9) null vectors v
+    of conditioned systems, in the calibrated frame."""
+    return np.swapaxes(t2, -1, -2) @ v.reshape(v.shape[:-1] + (3, 3)) @ t1
+
+
+def _unit(e):
+    """(..., 3, 3) matrices scaled to unit Frobenius norm."""
     # the norm as a per-matrix dot product, the reduction np.linalg.norm
     # uses, so a batched fit equals the fits made one at a time
     f = e.reshape(e.shape[:-2] + (1, 9))
     return e / np.sqrt(f @ np.swapaxes(f, -1, -2))
+
+
+def _essential(e):
+    """The (..., 3, 3) denormalized fits e projected to unit-norm
+    essential matrices with two equal singular values."""
+    # the equal-singular-value structure of an essential matrix only holds
+    # in the calibrated frame, so e is denormalized before this
+    u, sv, vt = np.linalg.svd(e)
+    m = (sv[..., 0] + sv[..., 1]) / 2.0
+    diag = np.zeros(e.shape)
+    diag[..., 0, 0] = diag[..., 1, 1] = m
+    return _unit(u @ diag @ vt)
 
 
 def _eight_point(x1, x2):
@@ -268,7 +278,7 @@ def _eight_point(x1, x2):
     # an 8-row system's null vector exists only in the full V; with more
     # rows the thin SVD gives the same s and V without the (N, N) U
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
-    return _essential(vt[..., -1, :], t1, t2), s
+    return _essential(_denormalized(vt[..., -1, :], t1, t2)), s
 
 
 def _minimal_fit(x1, x2):
@@ -277,11 +287,15 @@ def _minimal_fit(x1, x2):
     The null vector of each 8x9 system is the last column of Q in a
     complete QR of its transpose: orthogonal to the system's eight rows,
     and several times cheaper than the SVD ``_eight_point`` needs for
-    the singular values of a least-squares refit.
+    the singular values of a least-squares refit.  The model is that
+    null vector denormalized and scaled to unit norm, not projected to
+    two equal singular values: it fits its own eight matches exactly,
+    where the projection can move them several pixels off their epipolar
+    lines and leave the sample without its own eight inliers.
     """
     a, t1, t2 = _design(x1, x2)
     q, _ = np.linalg.qr(np.swapaxes(a, -1, -2), mode="complete")
-    return _essential(q[..., -1], t1, t2)
+    return _unit(_denormalized(q[..., -1], t1, t2))
 
 
 def _sampson_sq(x1, x2):
@@ -453,13 +467,17 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
 
     Normalized 8-point algorithm inside a uniform-sampling RANSAC loop.
     Each sample is 8 distinct matches, drawn by Floyd's algorithm from 8
-    uniform doubles of the seeded generator, and its model is the null
-    vector of its 8x9 system, taken from a complete QR.  The inlier test is the Sampson distance in focal-normalized coordinates
-    against threshold_px / f_avg, f_avg the mean of the four focal lengths.
-    The final model is refit by SVD on the best inlier set, checked
-    through its singular values for a unique null space (a near-rank-deficient system means pure rotation or a
-    coplanar scene and raises DegenerateGeometry), and decomposed with the
-    cheirality check.  Deterministic for a fixed seed.
+    uniform doubles of the seeded generator, and its hypothesis is the
+    null vector of its 8x9 system, taken from a complete QR, denormalized
+    and scaled to unit norm but not projected, so it fits its own sample
+    exactly.  The inlier test is the Sampson distance in focal-normalized
+    coordinates against threshold_px / f_avg, f_avg the mean of the four
+    focal lengths.  The final model is refit by SVD on the best inlier
+    set, checked through its singular values for a unique null space (a
+    near-rank-deficient system means pure rotation or a coplanar scene
+    and raises DegenerateGeometry), projected to two equal singular
+    values (the only projection the estimator makes), and decomposed with
+    the cheirality check.  Deterministic for a fixed seed.
 
     Samples are drawn and fitted a chunk at a time and scored a stack of
     models at a time, with the counts walked in draw order (see

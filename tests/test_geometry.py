@@ -338,10 +338,12 @@ def reference_eight_point(x1, x2):
 
 
 def reference_minimal_fit(x1, x2):
-    """``_minimal_fit`` for one (8, 3) sample."""
+    """``_minimal_fit`` for one (8, 3) sample: the denormalized,
+    unit-norm null vector, unprojected."""
     a, t1, t2 = reference_design(x1, x2)
     q, _ = np.linalg.qr(a.T, mode="complete")
-    return reference_essential(q[:, -1], t1, t2)
+    e = t2.T @ q[:, -1].reshape(3, 3) @ t1
+    return e / np.linalg.norm(e)
 
 
 def reference_sampson_sq(e, x1, x2):
@@ -547,6 +549,22 @@ def test_qr_null_vector_is_the_svd_null_vector(n, share, seed, coincide):
             assert min(np.abs(v_i - w).max(), np.abs(v_i + w).max()) < 1e-12
         assert coincide or len(null) == 1
         assert np.abs(v_i - null.T @ (null @ v_i)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_estimates_from_few_true_matches(n):
+    # projected to two equal singular values, a minimal model can move its
+    # own matches by up to 23 px, so at a 1 px threshold most of these
+    # inputs would find no model with 8 inliers; unprojected, each model
+    # fits its own 8 matches exactly
+    for seed in range(40):
+        p1, p2 = noisy_two_view(n, 1.0, seed)
+        est = estimate_essential_ransac(p1, p2, INTR, INTR, seed=seed)
+        assert est.inlier_mask.sum() >= 8
+        x1 = unproject_many(p1[:8], np.ones(8), INTR)
+        x2 = unproject_many(p2[:8], np.ones(8), INTR)
+        own = _sampson_sq(x1, x2)(_minimal_fit(x1, x2))
+        assert np.sqrt(own.max()) * INTR.fx < 1e-9
 
 
 @pytest.mark.parametrize("share", [0.9, 0.2])
