@@ -9,14 +9,16 @@ need.  Elementwise and reduction ops, 2-D matmul and transpose, an affine
 convolution at stride 1 (square odd kernel, its bias folded into the same
 node) and 2x2 max pooling, and one fused multi-head ``attention`` node.
 ``attention`` scales q once, keeps each head's scores as unnormalised
-exponentials and normalises by their row sums after the value product;
-for backward it keeps those exponentials, the row sums and the scaled q,
-and splits q, k and v into heads again there.  Storage is float32
-(float64 is accepted for numerical checking); explicit reductions
-accumulate in float64 before casting back.  Broadcasting is limited to
-scalar-with-tensor and the per-channel biases of ``linear`` and
-``conv2d``; everything else requires exact shape agreement, which keeps
-gradients trivially correct.
+exponentials (unshifted where a Cauchy-Schwarz bound on the scores
+allows) and normalises by their row sums, which the value product
+returns beside its own output; for backward it keeps those
+exponentials, the row sums and the scaled q, and splits q, k and v into
+heads again there.  Storage is float32 (float64 is accepted for
+numerical checking); explicit reductions accumulate in float64 before
+casting back.  Broadcasting is limited to scalar-with-tensor and the
+per-channel biases of ``linear`` and ``conv2d``; everything else
+requires exact shape agreement, which keeps gradients trivially
+correct.
 
 ``conv2d`` runs one sample at a time: each sample's patches fill one
 reused (C*k*k, H*W) buffer, so a batch holds no more patch memory
@@ -403,6 +405,16 @@ def layer_norm(x, gamma, beta):
     return _make(y, (x, gamma, beta), bwd)
 
 
+# While |S_ij| <= 60 bounds every score of a head, its exponentials need
+# no shift by the row maxima: each term lies in [e^-60, e^60], so a row
+# sums to at most M e^60, below float32's largest value (about e^88.7) for
+# any M < e^28, and to at least e^-60, far above float32's smallest normal
+# (about e^-87.3).  float64's range is wider still.  Backward divides g
+# by these row sums: where they near M e^60, float32 gradient entries
+# below 1.2e-38 M e^60 (1.4e-9 at M = 1,024) turn subnormal and lose digits.
+_UNSHIFTED_EXP_BOUND = 60.0
+
+
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention as one graph node.
 
@@ -413,15 +425,20 @@ def attention(q, k, v, heads):
     backward, and each product is the 2-D matmul a batched one makes for
     that head.
 
-    Forward scales q once, as an (N, D) array.  Per head it writes
-    q_h k_h^T into one (N, M) block, subtracts the row maxima and
-    exponentiates in place to E_h, sums the rows to s_h (N, 1) and
-    divides the (N, d_h) product E_h v_h by s_h.  With a gradient wanted
-    it keeps the (heads, N, M) stack of E_h, the row sums and the scaled
-    q; otherwise one (N, M) block serves every head.  Backward splits q,
-    k and v into heads again and, with G_h = g_h / s_h and
-    D_h = rowsum(G_h * y_h), takes dS = E_h * (G_h v_h^T - D_h) and
-    gv_h = E_h^T G_h; the scale goes onto the (N, d_h) gq.
+    Forward scales q once, as an (N, D) array, and bounds each head's
+    scores in float64 by Cauchy-Schwarz: |S_ij| <= max_i |q_i| max_j |k_j|.
+    Per head it writes S_h = q_h k_h^T into one (N, M) block and
+    exponentiates it in place to E_h: unshifted when the bound is at most
+    ``_UNSHIFTED_EXP_BOUND``, otherwise (a NaN or inf bound included)
+    after subtracting the row maxima.  One product E_h [v_h | 1] gives
+    both E_h v_h and the (N, 1) row sums s_h, and y_h = (E_h v_h) / s_h.
+    With a gradient wanted it keeps the (heads, N, M) stack of E_h, the
+    row sums and the scaled q; otherwise one (N, M) block serves every
+    head.  Backward reads E_h and s_h only through E_h / s_h, the softmax
+    under either shift: it splits q, k and v into heads again and, with
+    G_h = g_h / s_h and D_h = rowsum(G_h * y_h), takes
+    dS = E_h * (G_h v_h^T - D_h) and gv_h = E_h^T G_h; the scale goes onto
+    the (N, d_h) gq.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape \
@@ -445,18 +462,28 @@ def attention(q, k, v, heads):
     def split(x):  # (rows, D) -> (heads, rows, d_h)
         return np.ascontiguousarray(x.reshape(len(x), heads, dh).transpose(1, 0, 2))
 
+    def norm_max(x):  # (rows, D) -> (heads,): largest row norm per head
+        sq = np.square(x.reshape(len(x), heads, dh), dtype=np.float64).sum(axis=2)
+        return np.sqrt(sq.max(axis=0, initial=0.0))
+
+    bound = norm_max(qd) * norm_max(kd)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
     e = np.empty((heads, n, m) if keep else (n, m), np.result_type(qd, kd))
-    s = np.empty((heads, n, 1), e.dtype)
     y = np.empty((n, d), np.result_type(e, vd))
-    qs, kt, vs = split(qd), np.ascontiguousarray(kd.T), split(vd)
+    s = np.empty((heads, n, 1), y.dtype)
+    qs, kt = split(qd), np.ascontiguousarray(kd.T)
+    v1 = np.empty((heads, m, dh + 1), vd.dtype)  # each head's [v_h | 1]
+    v1[..., :dh] = vd.reshape(m, heads, dh).transpose(1, 0, 2)
+    v1[..., dh] = 1
     for h in range(heads):
         eh, cols = (e[h] if keep else e), slice(h * dh, (h + 1) * dh)
         np.matmul(qs[h], kt[cols], out=eh)
-        eh -= eh.max(axis=1, keepdims=True)
+        if not bound[h] <= _UNSHIFTED_EXP_BOUND:
+            eh -= eh.max(axis=1, keepdims=True)
         np.exp(eh, out=eh)
-        np.sum(eh, axis=1, keepdims=True, out=s[h])
-        np.divide(eh @ vs[h], s[h], out=y[:, cols])
+        ev = eh @ v1[h]
+        s[h] = ev[:, dh:]
+        np.divide(ev[:, :dh], s[h], out=y[:, cols])
 
     def bwd(g):
         qs, kt, vs, gh = split(qd), np.ascontiguousarray(kd.T), split(vd), split(g)

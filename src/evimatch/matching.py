@@ -235,15 +235,17 @@ def _mha(xq, xkv, p, base, heads):
     return _linear(ad.attention(q, k, v, heads), p, base + ".wo")
 
 
-def _attn_unit(x, ctx, p, base, heads):
+def _ln1(x, p, base):
+    return ad.layer_norm(x, p[base + ".ln1.g"], p[base + ".ln1.b"])
+
+
+def _attn_unit(x, xn, cn, p, base, heads):
     """Pre-LN residual attention unit followed by a pre-LN residual FFN.
 
-    The same layer norm is applied to the query and context sides, so the
-    unit is exactly symmetric when used bidirectionally.
+    xn and cn are the unit's ``ln1`` of the query x and of the context.
+    The caller norms each side once, so a cross unit applied both ways
+    shares them and is exactly symmetric.
     """
-    xn = ad.layer_norm(x, p[base + ".ln1.g"], p[base + ".ln1.b"])
-    cn = xn if ctx is x else ad.layer_norm(ctx, p[base + ".ln1.g"],
-                                           p[base + ".ln1.b"])
     x = ad.add(x, _mha(xn, cn, p, base, heads))
     xn2 = ad.layer_norm(x, p[base + ".ln2.g"], p[base + ".ln2.b"])
     ffn = _linear(ad.relu(_linear(xn2, p, base + ".ffn1")), p, base + ".ffn2")
@@ -274,12 +276,13 @@ def ca_forward(kp_a, kp_b, matcher: CAMatcherParams):
     xa, xb = embed(da, kp_a.positions), embed(db, kp_b.positions)
     for layer in range(cfg.layers):
         sb = f"layers.{layer}.self"
-        xa = _attn_unit(xa, xa, p, sb, cfg.heads)
-        xb = _attn_unit(xb, xb, p, sb, cfg.heads)
+        na, nb = _ln1(xa, p, sb), _ln1(xb, p, sb)
+        xa = _attn_unit(xa, na, na, p, sb, cfg.heads)
+        xb = _attn_unit(xb, nb, nb, p, sb, cfg.heads)
         cb = f"layers.{layer}.cross"
-        xa2 = _attn_unit(xa, xb, p, cb, cfg.heads)
-        xb2 = _attn_unit(xb, xa, p, cb, cfg.heads)
-        xa, xb = xa2, xb2
+        na, nb = _ln1(xa, p, cb), _ln1(xb, p, cb)
+        xa, xb = (_attn_unit(xa, na, nb, p, cb, cfg.heads),
+                  _attn_unit(xb, nb, na, p, cb, cfg.heads))
     out_a = ad.l2_normalize(_linear(xa, p, "out_proj"), axis=1)
     out_b = ad.l2_normalize(_linear(xb, p, "out_proj"), axis=1)
     sig_a = ad.sigmoid(_linear(xa, p, "match_head"))

@@ -431,17 +431,21 @@ def attention_with_grads(q, k, v, heads, g):
     return y.data, tq.grad, tk.grad, tv.grad
 
 
-def assert_close_to_per_head_graph(heads, n_q, n_kv, width, dtype, rtol):
-    # the fused node scales q instead of the scores and normalises after
-    # the value product, so it rounds differently from the textbook graph:
-    # each array must agree with it within rtol of its largest entry
+def assert_close_to_per_head_graph(heads, n_q, n_kv, width, dtype, rtol, gain=1):
+    # the fused node scales q instead of the scores, may skip the row-max
+    # shift and normalises after the value product, so it rounds
+    # differently from the textbook graph: each array must agree with it
+    # within rtol of its largest entry.  q and k are multiplied by gain
     r = np.random.default_rng(heads)
     q, k, v = (r.normal(size=(n, width)).astype(dtype) for n in (n_q, n_kv, n_kv))
+    q, k = q * dtype(gain), k * dtype(gain)
     g = r.normal(size=(n_q, width)).astype(dtype)
     got = attention_with_grads(q, k, v, heads, g)
     for name, a, b in zip("y gq gk gv".split(), got, attention_per_head(q, k, v, heads, g)):
         assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert np.isfinite(a).all(), name
         assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
+    return q, k
 
 
 # the small shapes run OpenBLAS's small-matrix kernel; 256 x 300 queries
@@ -460,6 +464,55 @@ def test_attention_float64_agrees_with_per_head_graph(heads, n_q, n_kv, width):
 def test_attention_float32_agrees_with_per_head_graph(heads, n_q, n_kv, width):
     # measured worst case over 20 seeds: 1.8e-6, at 256 x 300
     assert_close_to_per_head_graph(heads, n_q, n_kv, width, np.float32, 1e-5)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_attention_shifts_scores_beyond_the_bound(dtype, rtol):
+    # x16 lifts each head's Cauchy-Schwarz bound past 60 and some scores
+    # past the log of the dtype's largest value, so unshifted exponentials
+    # would overflow.  At d_h = 16 the scale 1/4 is exact, so the fused
+    # node and the textbook graph round the scores alike; where it is not,
+    # their scores part by about eps |S|, beyond either tolerance at
+    # |S| ~ 1e3
+    heads, width = 2, 32
+    q, k = assert_close_to_per_head_graph(heads, 24, 24, width, dtype, rtol, gain=16)
+    dh, top = width // heads, []
+    for h in range(heads):
+        qh, kh = (x[:, h * dh:(h + 1) * dh].astype(np.float64) / dh ** 0.25 for x in (q, k))
+        bound = np.linalg.norm(qh, axis=1).max() * np.linalg.norm(kh, axis=1).max()
+        assert bound > ad._UNSHIFTED_EXP_BOUND
+        top.append((qh @ kh.T).max())
+    assert max(top) > np.log(np.finfo(dtype).max), top
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_attention_unshifted_at_the_bound(sign):
+    # every score of a row at +-59.9, just inside the bound, over 1,024
+    # keys: the row sums stay finite and normal, and the output is the
+    # mean of v.  Every key is the same, so gq is 0 in exact arithmetic
+    # and each error is measured against at least 1
+    n, m, heads, dh = 3, 1024, 2, 4
+    u = np.full(dh, 0.5)  # a unit vector
+    q = np.tile(u * 59.9 * np.sqrt(dh), (n, heads)).astype(np.float32)
+    k = np.tile(sign * u, (m, heads)).astype(np.float32)
+    v = np.random.default_rng(0).normal(size=(m, heads * dh)).astype(np.float32)
+    g = np.ones((n, heads * dh), np.float32)
+    got = attention_with_grads(q, k, v, heads, g)
+    for name, a, b in zip("y gq gk gv".split(), got, attention_per_head(q, k, v, heads, g)):
+        assert np.isfinite(a).all(), name
+        assert np.abs(a - b).max() <= 1e-5 * max(np.abs(b).max(), 1), name
+    assert np.abs(got[0] - v.mean(axis=0)).max() <= 1e-5
+
+
+def test_attention_with_no_queries():
+    # N = 0: an empty output, and backward gives k and v zero gradients
+    q = Tensor(np.ones((0, 8), np.float32), requires_grad=True)
+    k, v = (Tensor(np.ones((5, 8), np.float32), requires_grad=True) for _ in range(2))
+    y = ad.attention(q, k, v, 2)
+    assert y.data.shape == (0, 8) and y.data.dtype == np.float32
+    ad.sum_all(y).backward()
+    assert q.grad.shape == (0, 8)
+    assert not k.grad.any() and not v.grad.any()
 
 
 def test_attention_keeps_exponentials_row_sums_and_scaled_q_for_backward():

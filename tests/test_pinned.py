@@ -106,9 +106,9 @@ def test_trained_matcher_checkpoint_bytes(tmp_path):
                                      log=log.append)
     path = tmp_path / "matcher.ckpt"
     save_matcher(path, matcher)
-    assert sha256(path) == ("454666e2f94830faccefb45bf7464f31ed84d8aa"
-                            "94f6b24685bc0244f85d590f")
-    assert matcher_history_csv(history) == "epoch,loss\n0,6.73042488\n1,5.64935303\n"
+    assert sha256(path) == ("452aa614586964fa13d25d4366cb9c41483b43fa"
+                            "bfc60427a55139e3d9e34e0b")
+    assert matcher_history_csv(history) == "epoch,loss\n0,6.73042464\n1,5.64935303\n"
     assert log == ["epoch 0 loss=6.730425", "epoch 1 loss=5.649353"]
 
 
@@ -238,10 +238,10 @@ PIPELINE_DIGESTS = {
     "synth": "f3ac87aec8a57b18b4554113579e60b8cef0496fdebf049b71473a4b5eec9e7b",
     "bench": "ab8ed95d43c9c779abb3c225c56db9acd7e60061781ba065ade2e7688a8989ad",
     "student": "e1b50097fd1c23494286a2e2e0a052759c1a805b2c97f806e714c055ed714adb",
-    "matcher": "86cb2b810c29606bcc70a2e3a97545884cdf7763721e3fcec19922836f013ae3",
+    "matcher": "165a43b25ca9f44aec60db597c87c1414feb9a0db4da51333fb0eafb122773c0",
     "kp_events": "728e1793ffbf654373d58fcc55f48e34440c755959d42a08b97ba537e9c8f761",
     "kp_images": "7d0ce65ca2e08d73a6d77cbbd23c262557470ebe38ae0f35689da787b8002591",
-    "matches": "e1cdf0e12df7ac9d123b6c1ba1ce1c52da62d5483327a9b000cb6d789e713d3f",
+    "matches": "bb2729b74940425862d5a5f81371a170776c8ae4763ee71e715cf7ecaa826daa",
     "eval_keypoints": "2a2fb209c303c1289715c923e6a4c3dedb7bb2967571f197bf359217e5b2699a",
     "eval_rpe": "728d11c6d8719579c6ee6bd45dab8ee1dcacbc5005d64e335297276f34120677",
     "viz": "219de4c568043547505a922f66393a991acfad7447239a1c38afbab66f334abe",
