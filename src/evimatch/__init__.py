@@ -29,8 +29,8 @@ from .matching import (Assignment, CAConfig, CAMatcherParams,
                        ca_forward, ca_match, ca_scores, gt_assignment,
                        load_matcher, mnn_match, nll_loss, save_matcher,
                        train_matcher)
-from .metrics import (mma_mr, repeatability, report_csv, report_text, rpe_auc,
-                      rpe_ratio, vdd_vda)
+from .metrics import (repeatability, report_csv, report_text, rpe_auc,
+                      rpe_ratio, score_pair, vdd_vda)
 from .optim import Adam, cosine_lr, load_checkpoint, save_checkpoint
 from .representations import (build_representation, event_stack,
                               normalize_tensor, time_surface, voxel_grid)

@@ -405,14 +405,15 @@ def layer_norm(x, gamma, beta):
     return _make(y, (x, gamma, beta), bwd)
 
 
-# While |S_ij| <= 60 bounds every score of a head, its exponentials need
-# no shift by the row maxima: each term lies in [e^-60, e^60], so a row
-# sums to at most M e^60, below float32's largest value (about e^88.7) for
-# any M < e^28, and to at least e^-60, far above float32's smallest normal
+# While |S_ij| <= 30 bounds every score of a head, its exponentials need
+# no shift by the row maxima: each term lies in [e^-30, e^30], so a row
+# sums to at most M e^30, below float32's largest value (about e^88.7) for
+# any M < e^58, and to at least e^-30, far above float32's smallest normal
 # (about e^-87.3).  float64's range is wider still.  Backward divides g
-# by these row sums: where they near M e^60, float32 gradient entries
-# below 1.2e-38 M e^60 (1.4e-9 at M = 1,024) turn subnormal and lose digits.
-_UNSHIFTED_EXP_BOUND = 60.0
+# by these row sums: where they near M e^30, float32 gradient entries
+# below 1.2e-38 M e^30 (1.3e-22 at M = 1,024) turn subnormal and lose
+# digits; a bound of 60 would put that edge at 1.4e-9.
+_UNSHIFTED_EXP_BOUND = 30.0
 
 
 def attention(q, k, v, heads):

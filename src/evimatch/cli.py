@@ -17,12 +17,13 @@ Keypoint ground truth is ``gt_assignment``'s 3 px depth reprojection
 between two samples' poses, and ``viz`` colours the matches of any two
 samples by it.  ``eval`` runs one loop over view pairs (a, b): sample a's
 event keypoints against sample b's image keypoints, one ground truth and
-one matching per pair, scored for repeatability, VDD/VDA, MMA and MR, then
-for the relative pose RANSAC estimates from the matches.
-``--mode`` only picks the pairs: ``rpe`` reads ``<data>/pairs.txt`` and
-``keypoints`` pairs each sample with itself.  A pair whose ground-truth
-baseline is zero, as every ``keypoints`` pair's is, fails its pose before
-RANSAC runs.
+one matching per pair, which ``metrics.score_pair`` scores for
+repeatability, VDD/VDA, MMA and MR, then for the relative pose RANSAC
+estimates from the matches; ``eval`` averages the scores and reports RPE
+at 5, 10 and 20 degrees.  ``--mode`` only picks the pairs: ``rpe`` reads
+``<data>/pairs.txt`` and ``keypoints`` pairs each sample with itself.  A
+pair whose ground-truth baseline is zero, as every ``keypoints`` pair's
+is, fails its pose before RANSAC runs.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from .events import accumulate_mask
 from .extractor import (ExtractorConfig, apply_event_mask, extract_keypoints,
                         forward_student, load_extractor, save_extractor,
                         teacher_keypoints)
-from .geometry import (EstimationFailed, baseline_norm, estimate_essential_ransac,
-                       pose_angular_errors, relative_pose)
+from .geometry import relative_pose
 from .matching import (CORRESPONDENCE_PX, CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
-from .metrics import (correct_matches, mma_mr, repeatability, report_csv,
-                      report_text, rpe_auc, rpe_ratio, vdd_vda)
+from .metrics import (PAIR_COLUMNS, RPE_THRESHOLDS, correct_matches, report_csv,
+                      report_text, rpe_auc, rpe_ratio, score_pair)
 from .representations import build_representation, channel_count, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
@@ -80,8 +80,7 @@ _COMMAND_PARAMS = {
     "extract": dict(_EXTRACT_PARAMS, data=None, modality=None, extractor=""),
     "match": dict(kp_a=None, kp_b=None, pairs_file="", **_MATCH_PARAMS),
     "eval": dict(_EXTRACT_PARAMS, data=None, mode=None, extractor=None,
-                 **_MATCH_PARAMS, ransac_px="1.0", rpe_thresholds="5,10,20",
-                 seed="0"),
+                 **_MATCH_PARAMS, ransac_px="1.0", seed="0"),
     "viz": dict(_EXTRACT_PARAMS, data=None, extractor=None, index_a="0",
                 index_b="-1", **_MATCH_PARAMS),
 }
@@ -89,10 +88,6 @@ _COMMAND_PARAMS = {
 
 def _ints(v):
     return tuple(int(x) for x in str(v).split(",") if x.strip() != "")
-
-
-def _floats(v):
-    return tuple(float(x) for x in str(v).split(",") if x.strip() != "")
 
 
 def build_parser():
@@ -328,79 +323,41 @@ def cmd_match(out, cfg):
     return f"wrote {len(pairs)} match dumps to {match_dir}"
 
 
-def _pose_error(pts_a, pts_b, gt_pose, intr, ransac_px, seed):
-    """(rotation, translation) error in degrees, inlier ratio and "ok"; or
-    (inf, inf), nan and why the pair failed.  A zero ground-truth baseline
-    fails before the estimator runs, then fewer than 8 matches, then
-    EstimationFailed."""
-    failed = (np.inf, np.inf), np.nan
-    try:
-        baseline_norm(gt_pose.translation)
-    except ValueError as e:
-        return *failed, str(e)
-    if len(pts_a) < 8:
-        return *failed, "fewer than 8 matches"
-    try:
-        est = estimate_essential_ransac(pts_a, pts_b, intr, intr,
-                                        threshold_px=ransac_px, seed=seed)
-    except EstimationFailed as e:
-        return *failed, str(e)
-    return pose_angular_errors(est, gt_pose), est.inlier_ratio, "ok"
-
-
 def _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn):
-    """Scores each (ia, ib) pair once: sa's event keypoints against sb's
-    image keypoints on their ground truth, then the relative pose their
-    matches give.  Returns the report entries and one pairs.csv row per
-    pair.  A keypoint metric enters its mean only on pairs where it is
-    defined.  Malformed flags fail before the first pair."""
+    """Scores each (ia, ib) pair once with ``score_pair``: sa's event
+    keypoints against sb's image keypoints on their ground truth, then the
+    relative pose their matches give.  Returns the report entries and one
+    pairs.csv row per pair.  A keypoint metric enters its mean only on
+    pairs where it is defined, the inlier ratio only on pairs whose pose
+    was estimated.  A malformed --ransac-px fails before the first pair."""
     ransac_px, seed = float(cfg["ransac_px"]), int(cfg["seed"])
-    thresholds = _floats(cfg["rpe_thresholds"])
-    for flag, values in (("--ransac-px", (ransac_px,)), ("--rpe-thresholds", thresholds)):
-        for v in values:
-            if not 0 < v < np.inf:
-                raise ValueError(f"{flag} must be positive and finite, got {v}")
-    reps, vdds, vdas, mmas, mrs, errors, inliers, rows = ([] for _ in range(8))
+    if not 0 < ransac_px < np.inf:
+        raise ValueError(f"--ransac-px must be positive and finite, got {ransac_px}")
+    scores = []
     for ia, ib in pairs:
         sa, sb = samples[ia], samples[ib]
         kp_a, kp_b, gt = _views(sa, sb, intr, cfg, params, config)
-        if len(kp_a) + len(kp_b) > 0:
-            reps.append(repeatability(gt))
-        if len(gt.matches):
-            vdd, vda = vdd_vda(gt, kp_a, kp_b)
-            vdds.append(vdd)
-            vdas.append(vda)
-        assignment = match_fn(kp_a, kp_b)
-        mma, mr = mma_mr(assignment, gt)
-        mrs.append(mr)
-        if mma is not None:
-            mmas.append(mma)
-        (r_err, t_err), inlier_ratio, reason = _pose_error(
-            kp_a.positions[assignment.matches[:, 0]],
-            kp_b.positions[assignment.matches[:, 1]],
-            relative_pose(sa.pose, sb.pose), intr, ransac_px, seed)
-        errors.append(max(r_err, t_err))
-        if reason == "ok":
-            inliers.append(inlier_ratio)
-        rows.append((ia, ib, len(kp_a), len(kp_b), len(gt.matches), len(assignment),
-                     int(correct_matches(assignment.matches, gt).sum()),
-                     f"{inlier_ratio:.6f}", f"{r_err:.6f}", f"{t_err:.6f}", reason))
-    entries = [("n_pairs", None, float(len(pairs)))]
-    if reps:
-        entries.append(("repeatability", CORRESPONDENCE_PX, float(np.mean(reps))))
-    if vdds:
-        entries.append(("vdd", None, float(np.mean(vdds))))
-        entries.append(("vda", None, float(np.mean(vdas))))
-    if mmas:
-        entries.append(("mma", CORRESPONDENCE_PX, float(np.mean(mmas))))
-    entries.append(("mr", None, float(np.mean(mrs))))
-    entries.append(("n_failed", None, float(np.sum(~np.isfinite(errors)))))
-    for thr in thresholds:
-        entries.append(("rpe_ratio", thr, rpe_ratio(errors, thr)))
-        entries.append(("rpe_auc", thr, rpe_auc(errors, thr)))
-    if inliers:
-        entries.append(("inlier_ratio", None, float(np.mean(inliers))))
-    return entries, rows
+        scores.append(score_pair(kp_a, kp_b, gt, match_fn(kp_a, kp_b),
+                                 relative_pose(sa.pose, sb.pose), intr, ransac_px, seed))
+
+    def mean(name, of=scores):
+        values = [s[name] for s in of if s[name] is not None]
+        return float(np.mean(values)) if values else None
+
+    errors = [max(s["rotation_deg"], s["translation_deg"]) for s in scores]
+    entries = [("n_pairs", None, float(len(pairs))),
+               ("repeatability", CORRESPONDENCE_PX, mean("repeatability")),
+               ("vdd", None, mean("vdd")), ("vda", None, mean("vda")),
+               ("mma", CORRESPONDENCE_PX, mean("mma")), ("mr", None, mean("mr")),
+               ("n_failed", None, float(np.sum(~np.isfinite(errors))))]
+    for thr in RPE_THRESHOLDS:
+        entries += [("rpe_ratio", thr, rpe_ratio(errors, thr)),
+                    ("rpe_auc", thr, rpe_auc(errors, thr))]
+    entries.append(("inlier_ratio", None,
+                    mean("inlier_ratio", [s for s in scores if s["reason"] == "ok"])))
+    rows = [(ia, ib, *(f"{s[c]:.6f}" if isinstance(s[c], float) else s[c]
+                       for c in PAIR_COLUMNS)) for (ia, ib), s in zip(pairs, scores)]
+    return [e for e in entries if e[2] is not None], rows
 
 
 def cmd_eval(out, cfg):
@@ -420,9 +377,7 @@ def cmd_eval(out, cfg):
     entries, rows = _eval_pairs(samples, pairs, intr, cfg, params, config, match_fn)
     with open(os.path.join(out, "pairs.csv"), "w", newline="") as f:
         table = csv.writer(f, lineterminator="\n")
-        table.writerow(("index_a", "index_b", "keypoints_a", "keypoints_b", "gt_pairs",
-                        "matches", "correct", "inlier_ratio", "rotation_deg",
-                        "translation_deg", "reason"))
+        table.writerow(("index_a", "index_b", *PAIR_COLUMNS))
         table.writerows(rows)
     with open(os.path.join(out, "report.txt"), "w") as f:
         f.write(report_text(entries))

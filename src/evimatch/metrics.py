@@ -1,19 +1,29 @@
 """Evaluation metrics for cross-modal detection, matching and estimation.
 
-The keypoint metrics (repeatability, descriptor distances, matching
-accuracy) read one ``GroundTruthMatches`` per view pair, the reprojection
-ground truth of ``matching.gt_assignment``: two keypoints correspond iff
-they form one of its rows, and its partition gives each set's size.  The
-estimation metrics aggregate per-pair errors into a threshold ratio and the
-area under the truncated recall curve; failed estimations enter as +inf so
-a crash-free evaluation can still report every pair.
+``score_pair`` scores one view pair and holds the pose-failure policy.  Its
+keypoint metrics (repeatability, descriptor distances, matching accuracy)
+read the pair's ``GroundTruthMatches``, the reprojection ground truth of
+``matching.gt_assignment``: two keypoints correspond iff they form one of
+its rows, and its partition gives each set's size.  Each is None where it
+is undefined.  The estimation metrics aggregate per-pair errors into a
+threshold ratio and the area under the truncated recall curve; failed
+estimations enter as +inf so a crash-free evaluation can still report
+every pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matching import Assignment, GroundTruthMatches
+from .geometry import (EstimationFailed, baseline_norm, estimate_essential_ransac,
+                       pose_angular_errors)
+from .matching import GroundTruthMatches
+
+# one pair's pairs.csv columns after its two sample indices, in order
+PAIR_COLUMNS = ("keypoints_a", "keypoints_b", "gt_pairs", "matches", "correct",
+                "inlier_ratio", "rotation_deg", "translation_deg", "reason")
+# pose error thresholds in degrees, as in the SuperGlue protocol
+RPE_THRESHOLDS = (5.0, 10.0, 20.0)
 
 
 def _set_sizes(gt: GroundTruthMatches):
@@ -22,13 +32,11 @@ def _set_sizes(gt: GroundTruthMatches):
             len(gt.matches) + len(gt.unmatched_b))
 
 
-def repeatability(gt: GroundTruthMatches) -> float:
+def repeatability(gt: GroundTruthMatches):
     """Fraction of keypoints that have a ground-truth partner in the other
-    view."""
+    view; None with no keypoints at all."""
     na, nb = _set_sizes(gt)
-    if na + nb == 0:
-        raise ValueError("repeatability is undefined with no keypoints at all")
-    return 2.0 * len(gt.matches) / (na + nb)
+    return 2.0 * len(gt.matches) / (na + nb) if na + nb else None
 
 
 def vdd_vda(gt: GroundTruthMatches, kp_a, kp_b):
@@ -36,10 +44,10 @@ def vdd_vda(gt: GroundTruthMatches, kp_a, kp_b):
     pairs.
 
     Both are means over the pair set; with no pairs the statistics do not
-    exist and asking for them is an error, not a zero.
+    exist, and both are None, not a zero.
     """
     if len(gt.matches) == 0:
-        raise ValueError("descriptor distances are undefined without ground-truth pairs")
+        return None, None
     da = kp_a.descriptors[gt.matches[:, 0]].astype(np.float64)
     db = kp_b.descriptors[gt.matches[:, 1]].astype(np.float64)
     vdd = float(np.sqrt(((da - db) ** 2).sum(axis=1)).mean())
@@ -53,33 +61,64 @@ def correct_matches(matches, gt: GroundTruthMatches):
     return (matches[:, None, :] == gt.matches[None, :, :]).all(axis=2).any(axis=1)
 
 
-def mma_mr(assignment: Assignment, gt: GroundTruthMatches):
-    """Mean matching accuracy and matching ratio of a hard assignment.
+def _pose_columns(pts_a, pts_b, rel_pose, intr, ransac_px, seed):
+    """The inlier ratio, rotation and translation errors in degrees and "ok"
+    of the pose RANSAC estimates; or nan, inf, inf and why the pose failed.
+    A zero ground-truth baseline fails before the estimator runs, then
+    fewer than 8 matches, then EstimationFailed; any other error
+    propagates."""
+    failed = np.nan, np.inf, np.inf
+    try:
+        baseline_norm(rel_pose.translation)
+    except ValueError as e:
+        return *failed, str(e)
+    if len(pts_a) < 8:
+        return *failed, "fewer than 8 matches"
+    try:
+        est = estimate_essential_ransac(pts_a, pts_b, intr, intr,
+                                        threshold_px=ransac_px, seed=seed)
+    except EstimationFailed as e:
+        return *failed, str(e)
+    return est.inlier_ratio, *pose_angular_errors(est, rel_pose), "ok"
 
-    MMA is the fraction of matches that are ground-truth pairs; with zero
-    matches it is absent (None), never a fake zero.  MR is the match count
-    over min(|A|, |B|), and 0 when either set is empty.
-    """
+
+def score_pair(kp_a, kp_b, gt: GroundTruthMatches, assignment, rel_pose, intr,
+               ransac_px, seed):
+    """One view pair's scores by name: the ``PAIR_COLUMNS`` values, then
+    repeatability, vdd, vda, mma and mr, each None where it is undefined
+    (mr is 0 when either set is empty).  The pose is RANSAC's from the
+    matched positions, in views with intrinsics intr, against rel_pose."""
     matches = assignment.matches
+    correct = correct_matches(matches, gt)
+    pose = _pose_columns(kp_a.positions[matches[:, 0]], kp_b.positions[matches[:, 1]],
+                         rel_pose, intr, ransac_px, seed)
+    vdd, vda = vdd_vda(gt, kp_a, kp_b)
     denom = min(_set_sizes(gt))
-    mr = float(len(matches)) / denom if denom > 0 else 0.0
-    if len(matches) == 0:
-        return None, mr
-    return float(correct_matches(matches, gt).mean()), mr
+    return dict(zip(PAIR_COLUMNS, (len(kp_a), len(kp_b), len(gt.matches), len(matches),
+                                   int(correct.sum()), *pose)),
+                repeatability=repeatability(gt), vdd=vdd, vda=vda,
+                mma=float(correct.mean()) if len(matches) else None,
+                mr=len(matches) / denom if denom else 0.0)
 
 
 # -- error aggregation ----------------------------------------------------
+
+def _errors(errors, threshold):
+    """errors as one float64 row, once it and the threshold are usable."""
+    e = np.asarray(errors, dtype=np.float64).reshape(-1)
+    if len(e) == 0:
+        raise ValueError("no errors to aggregate")
+    if not 0 < threshold < np.inf:  # False for NaN as well
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    return e
+
 
 def rpe_ratio(errors, threshold: float) -> float:
     """Fraction of pairs whose error is within the threshold.
 
     Non-finite errors (failed estimations) count in the denominator only.
     """
-    e = np.asarray(errors, dtype=np.float64).reshape(-1)
-    if len(e) == 0:
-        raise ValueError("no errors to aggregate")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    e = _errors(errors, threshold)
     return float((np.isfinite(e) & (e <= threshold)).sum() / len(e))
 
 
@@ -92,11 +131,7 @@ def rpe_auc(errors, threshold: float) -> float:
     rule, then divided by the threshold.  When every error is non-finite
     the recall curve is zero throughout, so the area is 0.
     """
-    e = np.asarray(errors, dtype=np.float64).reshape(-1)
-    if len(e) == 0:
-        raise ValueError("no errors to aggregate")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    e = _errors(errors, threshold)
     finite = np.sort(e[np.isfinite(e)])
     if len(finite) == 0:
         return 0.0

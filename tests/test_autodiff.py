@@ -468,12 +468,12 @@ def test_attention_float32_agrees_with_per_head_graph(heads, n_q, n_kv, width):
 
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_attention_shifts_scores_beyond_the_bound(dtype, rtol):
-    # x16 lifts each head's Cauchy-Schwarz bound past 60 and some scores
-    # past the log of the dtype's largest value, so unshifted exponentials
-    # would overflow.  At d_h = 16 the scale 1/4 is exact, so the fused
-    # node and the textbook graph round the scores alike; where it is not,
-    # their scores part by about eps |S|, beyond either tolerance at
-    # |S| ~ 1e3
+    # x16 lifts each head's Cauchy-Schwarz bound past _UNSHIFTED_EXP_BOUND
+    # and some scores past the log of the dtype's largest value, so
+    # unshifted exponentials would overflow.  At d_h = 16 the scale 1/4 is
+    # exact, so the fused node and the textbook graph round the scores
+    # alike; where it is not, their scores part by about eps |S|, beyond
+    # either tolerance at |S| ~ 1e3
     heads, width = 2, 32
     q, k = assert_close_to_per_head_graph(heads, 24, 24, width, dtype, rtol, gain=16)
     dh, top = width // heads, []
@@ -485,23 +485,43 @@ def test_attention_shifts_scores_beyond_the_bound(dtype, rtol):
     assert max(top) > np.log(np.finfo(dtype).max), top
 
 
+def scores_at_the_bound(sign, n=3, m=1024, heads=2, dh=4):
+    """q and k whose every score is sign * (bound - 0.1), just inside the
+    unshifted bound: all m keys are the same unit vector, so each row's
+    softmax is uniform and attention returns the mean of v."""
+    u = np.full(dh, 0.5)
+    q = np.tile(u * (ad._UNSHIFTED_EXP_BOUND - 0.1) * np.sqrt(dh), (n, heads))
+    return q.astype(np.float32), np.tile(sign * u, (m, heads)).astype(np.float32)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_attention_unshifted_at_the_bound(sign):
-    # every score of a row at +-59.9, just inside the bound, over 1,024
-    # keys: the row sums stay finite and normal, and the output is the
-    # mean of v.  Every key is the same, so gq is 0 in exact arithmetic
-    # and each error is measured against at least 1
-    n, m, heads, dh = 3, 1024, 2, 4
-    u = np.full(dh, 0.5)  # a unit vector
-    q = np.tile(u * 59.9 * np.sqrt(dh), (n, heads)).astype(np.float32)
-    k = np.tile(sign * u, (m, heads)).astype(np.float32)
-    v = np.random.default_rng(0).normal(size=(m, heads * dh)).astype(np.float32)
-    g = np.ones((n, heads * dh), np.float32)
-    got = attention_with_grads(q, k, v, heads, g)
-    for name, a, b in zip("y gq gk gv".split(), got, attention_per_head(q, k, v, heads, g)):
+    # over 1,024 keys the row sums stay finite and normal.  Every key is
+    # the same, so gq is 0 in exact arithmetic and each error is measured
+    # against at least 1
+    q, k = scores_at_the_bound(sign)
+    v = np.random.default_rng(0).normal(size=k.shape).astype(np.float32)
+    g = np.ones(q.shape, np.float32)
+    got = attention_with_grads(q, k, v, 2, g)
+    for name, a, b in zip("y gq gk gv".split(), got, attention_per_head(q, k, v, 2, g)):
         assert np.isfinite(a).all(), name
         assert np.abs(a - b).max() <= 1e-5 * max(np.abs(b).max(), 1), name
     assert np.abs(got[0] - v.mean(axis=0)).max() <= 1e-5
+
+
+def test_attention_unshifted_keeps_tiny_gradients():
+    # upstream gradients of ~1e-12 divided by row sums near 1,024 e^bound
+    # must stay normal float32: gk and gv within 1e-6 of their largest
+    # entry.  At a bound of 60 they turn subnormal, and gk and gv part
+    # from the per-head graph by 9e-5 and 5e-5
+    q, k = scores_at_the_bound(1)
+    r = np.random.default_rng(1)
+    v = r.normal(size=k.shape).astype(np.float32)
+    g = (1e-12 * r.normal(size=q.shape)).astype(np.float32)
+    got = attention_with_grads(q, k, v, 2, g)
+    want = attention_per_head(q, k, v, 2, g)
+    for name, a, b in zip("gk gv".split(), got[2:], want[2:]):
+        assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), name
 
 
 def test_attention_with_no_queries():

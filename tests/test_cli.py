@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from evimatch import cli, io as eio
+from evimatch import cli, io as eio, metrics
 from evimatch.cli import _eval_pairs, build_parser, main, output_dir, resolve_config
 from evimatch.datagen import make_scene, render
 from evimatch.events import accumulate_mask
@@ -24,7 +24,7 @@ from evimatch.geometry import (EstimationFailed, PoseEstimate, RigidPose,
 from evimatch.matching import (Assignment, CAConfig, CAMatcherParams, ca_match,
                                gt_assignment, load_matcher, mnn_match,
                                save_matcher)
-from evimatch.metrics import mma_mr, repeatability
+from evimatch.metrics import score_pair
 from evimatch.representations import build_representation
 
 TINY_SYNTH = ["--width", "16", "--height", "16", "--n", "2",
@@ -87,8 +87,7 @@ def test_help_shows_each_default(capsys):
     text = " ".join(capsys.readouterr().out.split())
     for flag, help_ in (("--data DATA", "required"), ("--k K", "default: 512"),
                         ("--matcher-ckpt MATCHER_CKPT", "default: none"),
-                        ("--ransac-px RANSAC_PX", "default: 1.0"),
-                        ("--rpe-thresholds RPE_THRESHOLDS", "default: 5,10,20")):
+                        ("--ransac-px RANSAC_PX", "default: 1.0")):
         assert f"{flag} {help_}" in text
 
 
@@ -232,10 +231,13 @@ def direct_keypoints(dataset, ckpt, kind, bins):
     return out
 
 
-def direct_gts(dataset, kps):
-    """Each sample's ground truth between its (event, image) keypoints."""
+def direct_scores(dataset, kps, match_fn):
+    """score_pair of each sample's (event, image) keypoints on their ground
+    truth, matched by match_fn; a sample against itself has no pose."""
     samples, intr, _, _ = eio.load_dataset(dataset)
-    return [gt_assignment(a, b, s.depth, s.depth, intr, intr, s.pose, s.pose)
+    return [score_pair(a, b, gt_assignment(a, b, s.depth, s.depth, intr, intr,
+                                           s.pose, s.pose),
+                       match_fn(a, b), relative_pose(s.pose, s.pose), intr, 1.0, 0)
             for s, (a, b) in zip(samples, kps)]
 
 
@@ -281,9 +283,9 @@ def test_extract_and_eval_read_the_representation_from_the_student(dataset,
     assert main(["eval", "--mode", "keypoints", *flags,
                  "--out", str(tmp_path / "ev")]) == 0
     report = (tmp_path / "ev" / "report.txt").read_text().splitlines()
-    gts = direct_gts(dataset, kps)
-    rep = np.mean([repeatability(gt) for gt in gts])
-    mr = np.mean([mma_mr(mnn_match(a, b), gt)[1] for (a, b), gt in zip(kps, gts)])
+    scores = direct_scores(dataset, kps, mnn_match)
+    rep = np.mean([s["repeatability"] for s in scores])
+    mr = np.mean([s["mr"] for s in scores])
     assert f"repeatability@3={rep:.6f}" in report and f"mr={mr:.6f}" in report
 
 
@@ -291,7 +293,6 @@ def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
                                                        matcher_ckpt, tmp_path):
     matcher = load_matcher(matcher_ckpt)
     kps = direct_keypoints(dataset, student_ckpt, "voxel", 16)
-    gts = direct_gts(dataset, kps)
     flags = ["--data", dataset, "--extractor", student_ckpt, *KP_FLAGS]
     reports = {}
     for name, extra, match_fn in (
@@ -301,7 +302,7 @@ def test_eval_runs_the_ca_matcher_its_checkpoint_names(dataset, student_ckpt,
         assert main(["eval", "--mode", "keypoints", *flags, *extra,
                      "--out", str(tmp_path / name)]) == 0
         reports[name] = (tmp_path / name / "report.txt").read_text()
-        mr = np.mean([mma_mr(match_fn(a, b), gt)[1] for (a, b), gt in zip(kps, gts)])
+        mr = np.mean([s["mr"] for s in direct_scores(dataset, kps, match_fn)])
         assert f"\nmr={mr:.6f}\n" in reports[name]
     assert reports["ca"] != reports["mnn"]
 
@@ -335,7 +336,7 @@ def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch
             raise got
         return PoseEstimate(got.rotation, got.translation, np.ones(8, bool), 0.75)
 
-    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    monkeypatch.setattr(metrics, "estimate_essential_ransac", estimate)
     cfg = resolve_config("eval", parse(
         ["eval", "--data", dataset, "--mode", "rpe", "--extractor", student_ckpt,
          "--border", "2", "--nms", "2", "--k", "16"]))
@@ -360,7 +361,7 @@ def test_eval_rpe_does_not_swallow_other_estimator_errors(dataset, student_ckpt,
     def estimate(*args, **kwargs):
         raise ValueError("match arrays must have equal length")
 
-    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    monkeypatch.setattr(metrics, "estimate_essential_ransac", estimate)
     samples, intr, _, _ = eio.load_dataset(dataset)
     cfg = resolve_config("eval", parse(
         ["eval", "--data", dataset, "--mode", "rpe", "--extractor", student_ckpt]))
@@ -377,7 +378,7 @@ def test_eval_keypoints_never_runs_the_estimator(dataset, student_ckpt, tmp_path
     def estimate(*args, **kwargs):
         pytest.fail("the estimator ran on a zero-baseline pair")
 
-    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    monkeypatch.setattr(metrics, "estimate_essential_ransac", estimate)
     monkeypatch.setattr(cli, "mnn_match", lambda kp_a, kp_b: Assignment(
         np.zeros((8, 2), np.int64), np.ones(8)))
     out = tmp_path / "ev"
@@ -448,10 +449,6 @@ def test_eval_rpe_repeatability_sees_a_geometric_error_in_view_b(student_ckpt,
     (["--ransac-px", "0"], "--ransac-px must be positive and finite, got 0.0"),
     (["--ransac-px", "nan"], "--ransac-px must be positive and finite, got nan"),
     (["--seed", "x"], "invalid literal for int() with base 10: 'x'"),
-    (["--rpe-thresholds", "5,ten"], "could not convert string to float: 'ten'"),
-    (["--rpe-thresholds", "0,5"], "--rpe-thresholds must be positive and finite, got 0.0"),
-    (["--rpe-thresholds", "5,-1"], "--rpe-thresholds must be positive and finite, got -1.0"),
-    (["--rpe-thresholds", "5,inf"], "--rpe-thresholds must be positive and finite, got inf"),
 ])
 def test_eval_rpe_rejects_bad_flags_before_the_first_pair(
         dataset, student_ckpt, tmp_path, monkeypatch, capsys, flags, message):
@@ -459,7 +456,7 @@ def test_eval_rpe_rejects_bad_flags_before_the_first_pair(
     def estimate(*args, **kwargs):
         pytest.fail("the estimator ran before the flags were checked")
 
-    monkeypatch.setattr(cli, "estimate_essential_ransac", estimate)
+    monkeypatch.setattr(metrics, "estimate_essential_ransac", estimate)
     monkeypatch.setattr(cli, "mnn_match", lambda kp_a, kp_b: Assignment(
         np.zeros((8, 2), np.int64), np.ones(8)))
     bench = tmp_path / "bench"
@@ -755,12 +752,12 @@ def test_settable_values():
         "extract": keypoints + ["data", "extractor", "modality"],
         "match": matcher + ["kp_a", "kp_b", "pairs_file"],
         "eval": keypoints + matcher + ["data", "extractor", "mode", "ransac_px",
-                                       "rpe_thresholds", "seed"],
+                                       "seed"],
         "viz": keypoints + matcher + ["data", "extractor", "index_a", "index_b"],
     }
     assert {command: sorted(params) for command, params in cli._COMMAND_PARAMS.items()} \
         == {command: sorted(names) for command, names in want.items()}
-    assert sum(len(names) for names in want.values()) == 81
+    assert sum(len(names) for names in want.values()) == 80
 
 
 # -- inputs the pipeline cannot use -------------------------------------------

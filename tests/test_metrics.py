@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evimatch import metrics
 from evimatch.datagen import make_scene, render
 from evimatch.extractor import KeypointSet, analytic_teacher, extract_keypoints
-from evimatch.geometry import RigidPose, rotation_about
+from evimatch.geometry import (CameraIntrinsics, EstimationFailed, RigidPose,
+                               project_many, rotation_about)
 from evimatch.matching import Assignment, GroundTruthMatches, gt_assignment
-from evimatch.metrics import (correct_matches, mma_mr, repeatability,
+from evimatch.metrics import (PAIR_COLUMNS, correct_matches, repeatability,
                               report_csv, report_text, rpe_auc, rpe_ratio,
-                              vdd_vda)
+                              score_pair, vdd_vda)
 
 
 def kp_at(positions, desc=None):
@@ -35,11 +37,10 @@ def gt_of(matches, na, nb):
 
 
 def test_repeatability_value_and_errors():
-    # one pair out of 2 + 3 keypoints -> 2*1/5
+    # one pair out of 2 + 3 keypoints -> 2*1/5; undefined with none at all
     assert repeatability(gt_of([[0, 0]], 2, 3)) == pytest.approx(0.4)
     assert repeatability(gt_of([], 0, 3)) == 0.0
-    with pytest.raises(ValueError, match="undefined"):
-        repeatability(gt_of([], 0, 0))
+    assert repeatability(gt_of([], 0, 0)) is None
 
 
 def test_vdd_vda_hand_values():
@@ -52,16 +53,25 @@ def test_vdd_vda_hand_values():
     assert vda == pytest.approx(45.0, rel=1e-6)
 
 
-def test_vdd_vda_empty_raises():
-    with pytest.raises(ValueError, match="undefined"):
-        vdd_vda(gt_of([], 1, 1), kp_at([[0, 0]]), kp_at([[0, 0]]))
+def test_vdd_vda_empty_is_none():
+    assert vdd_vda(gt_of([], 1, 1), kp_at([[0, 0]]), kp_at([[0, 0]])) == (None, None)
+
+
+STILL = RigidPose(np.eye(3), np.zeros(3))  # a zero baseline: no pose to estimate
+INTR = CameraIntrinsics(fx=50.0, fy=50.0, cx=31.5, cy=31.5)
+
+
+def score(kp_a, kp_b, gt, matches, rel_pose=STILL):
+    return score_pair(kp_a, kp_b, gt, Assignment(matches, np.ones(len(matches))),
+                      rel_pose, INTR, 1.0, 0)
 
 
 def test_mma_mr_values():
-    matches = Assignment(np.array([[0, 0], [1, 1], [2, 2]]), np.ones(3))
-    mma, mr = mma_mr(matches, gt_of([[0, 0], [1, 1]], 3, 4))
-    assert mma == pytest.approx(2.0 / 3.0)
-    assert mr == pytest.approx(1.0)
+    got = score(kp_at(np.zeros((3, 2))), kp_at(np.zeros((4, 2))),
+                gt_of([[0, 0], [1, 1]], 3, 4), [[0, 0], [1, 1], [2, 2]])
+    assert got["mma"] == pytest.approx(2.0 / 3.0)
+    assert got["mr"] == pytest.approx(1.0)
+    assert [got[c] for c in PAIR_COLUMNS[:5]] == [3, 4, 2, 3, 2]
 
 
 def test_correct_matches_is_membership_in_the_ground_truth():
@@ -74,10 +84,68 @@ def test_correct_matches_is_membership_in_the_ground_truth():
 
 
 def test_mma_absent_with_no_matches():
-    mma, mr = mma_mr(Assignment.empty(), gt_of([[0, 0]], 1, 1))
-    assert mma is None
-    assert mr == 0.0
-    assert mma_mr(Assignment.empty(), gt_of([], 0, 3)) == (None, 0.0)
+    got = score(kp_at([[0, 0]]), kp_at([[0, 0]]), gt_of([[0, 0]], 1, 1),
+                np.zeros((0, 2)))
+    assert got["mma"] is None and got["mr"] == 0.0 and got["correct"] == 0
+    assert got["repeatability"] == 1.0 and got["vdd"] == 0.0
+
+
+@pytest.mark.parametrize("na, nb, undefined", [
+    (0, 0, {"repeatability", "vdd", "vda", "mma"}),  # no keypoints
+    (2, 3, {"vdd", "vda", "mma"}),  # no ground-truth pairs
+])
+def test_score_pair_undefined_metrics_are_none(na, nb, undefined):
+    got = score(kp_at(np.zeros((na, 2))), kp_at(np.zeros((nb, 2))),
+                gt_of([], na, nb), np.zeros((0, 2)))
+    assert {k for k, v in got.items() if v is None} == undefined
+    assert got["mr"] == 0.0
+
+
+def test_pair_columns_are_the_pairs_csv_header():
+    assert ("index_a", "index_b", *PAIR_COLUMNS) == (
+        "index_a", "index_b", "keypoints_a", "keypoints_b", "gt_pairs", "matches",
+        "correct", "inlier_ratio", "rotation_deg", "translation_deg", "reason")
+
+
+def two_view(n):
+    """n noise-free correspondences between two views about 0.5 apart, the
+    identity as ground truth; returns kp_a, kp_b, gt and the relative pose."""
+    rng = np.random.default_rng(0)
+    points = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+                       rng.uniform(3, 6, n)], axis=1)
+    rel = RigidPose(rotation_about([0, 1, 0], 4.0), [0.5, 0.1, 0.0])
+    kp_a, kp_b = (kp_at(project_many(p, INTR)[0]) for p in (points, rel.apply(points)))
+    return kp_a, kp_b, gt_of(np.stack([np.arange(n)] * 2, axis=1), n, n), rel
+
+
+def test_score_pair_estimates_the_pose_of_exact_matches():
+    kp_a, kp_b, gt, rel = two_view(12)
+    got = score(kp_a, kp_b, gt, gt.matches, rel)
+    assert got["reason"] == "ok" and got["inlier_ratio"] == 1.0
+    assert got["rotation_deg"] < 1e-4 and got["translation_deg"] < 1e-4
+    assert got["correct"] == got["matches"] == 12 and got["mma"] == 1.0
+
+
+@pytest.mark.parametrize("n, rel_pose, raises, reason", [
+    (12, STILL, None, "translation direction undefined for a zero-norm baseline"),
+    (7, None, None, "fewer than 8 matches"),
+    (12, None, EstimationFailed("no model with 8 inliers after 9 iterations"),
+     "no model with 8 inliers after 9 iterations"),
+])
+def test_score_pair_gives_why_the_pose_failed(monkeypatch, n, rel_pose, raises,
+                                              reason):
+    # a zero baseline fails before the estimator runs, then fewer than 8
+    # matches, then EstimationFailed
+    def estimate(*args, **kwargs):
+        if raises is None:
+            pytest.fail("the estimator ran")
+        raise raises
+
+    monkeypatch.setattr(metrics, "estimate_essential_ransac", estimate)
+    kp_a, kp_b, gt, rel = two_view(12)
+    got = score(kp_a, kp_b, gt, gt.matches[:n], rel_pose or rel)
+    assert got["reason"] == reason and np.isnan(got["inlier_ratio"])
+    assert got["rotation_deg"] == got["translation_deg"] == np.inf
 
 
 def test_rpe_ratio_counts_failures_in_denominator():
@@ -85,10 +153,11 @@ def test_rpe_ratio_counts_failures_in_denominator():
 
 
 def test_rpe_ratio_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no errors"):
         rpe_ratio([], 5.0)
-    with pytest.raises(ValueError):
-        rpe_ratio([1.0], 0.0)
+    for threshold in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rpe_ratio([1.0, 3.0, np.inf], threshold)
 
 
 def test_rpe_auc_frozen_oracle():
@@ -123,6 +192,12 @@ def test_rpe_auc_all_nonfinite_raises():
     assert rpe_auc([np.inf, np.nan], 10.0) == 0.0
     with pytest.raises(ValueError, match="no errors"):
         rpe_auc([], 10.0)
+
+
+def test_rpe_auc_validation():
+    for threshold in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rpe_auc([1.0, 3.0, np.inf], threshold)
 
 
 def test_rpe_auc_bounded():

@@ -242,8 +242,8 @@ PIPELINE_DIGESTS = {
     "kp_events": "728e1793ffbf654373d58fcc55f48e34440c755959d42a08b97ba537e9c8f761",
     "kp_images": "7d0ce65ca2e08d73a6d77cbbd23c262557470ebe38ae0f35689da787b8002591",
     "matches": "bb2729b74940425862d5a5f81371a170776c8ae4763ee71e715cf7ecaa826daa",
-    "eval_keypoints": "2a2fb209c303c1289715c923e6a4c3dedb7bb2967571f197bf359217e5b2699a",
-    "eval_rpe": "728d11c6d8719579c6ee6bd45dab8ee1dcacbc5005d64e335297276f34120677",
+    "eval_keypoints": "d2a928437a63612521be62721b985e61dc3103290cf2e64277a47edb2cbead33",
+    "eval_rpe": "60cb9ca8a5e74b660995d569c9056204ef3f92bd956d7862bc7c2d36129293b9",
     "viz": "219de4c568043547505a922f66393a991acfad7447239a1c38afbab66f334abe",
 }
 
