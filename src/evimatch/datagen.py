@@ -94,6 +94,10 @@ def make_scene(seed: int = 0, width: int = 64, height: int = 64,
                         ("motion_scale", motion_scale), ("duration", duration)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    for name, value, low in (("width", width, 1), ("height", height, 1),
+                             ("n_rects", n_rects, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(seed)
     extent = 1.6
     texture_grid = rng.uniform(0.3, 0.7, (9, 9))
@@ -372,7 +376,7 @@ def overlap_score(scene: Scene, t_a: float, t_b: float) -> float:
 
 @dataclass
 class LFDSample:
-    """One aligned observation: events over [t - delta_t, t], frame at t."""
+    """Events over [t - delta_t, t], with the 8-bit frame and float32 depth at t."""
 
     t: float
     events: EventStream
@@ -384,7 +388,8 @@ class LFDSample:
 def make_sample(scene: Scene, t: float, delta_t: float = 0.05,
                 contrast: float = 0.2, dt_sim: float = 1e-3) -> LFDSample:
     events, (image, depth) = _simulate(scene, t - delta_t, t, contrast, dt_sim)
-    return LFDSample(float(t), events, image, depth, scene.trajectory.pose(t))
+    return LFDSample(float(t), events, np.round(image * 255) / 255,
+                     depth.astype(np.float32), scene.trajectory.pose(t))
 
 
 def _frame_times(rng, scene, delta_t, size):

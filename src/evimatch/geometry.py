@@ -82,48 +82,6 @@ def relative_pose(pose_a: RigidPose, pose_b: RigidPose) -> RigidPose:
     return RigidPose(r, t)
 
 
-def quat_to_rotmat(q):
-    """Unit quaternion (qx, qy, qz, qw), scalar last, to a rotation matrix."""
-    x, y, z, w = q = np.asarray(q, dtype=np.float64)
-    if not np.isfinite(q).all():
-        raise ValueError(f"quaternion must be finite, got {q.tolist()}")
-    n = np.sqrt(x * x + y * y + z * z + w * w)
-    if n < 1e-12:
-        raise ValueError("zero quaternion")
-    x, y, z, w = x / n, y / n, z / n, w / n
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def rotmat_to_quat(r):
-    """Rotation matrix to unit quaternion (qx, qy, qz, qw), qw >= 0."""
-    r = np.asarray(r, dtype=np.float64)
-    tr = np.trace(r)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2
-        w = 0.25 * s
-        x = (r[2, 1] - r[1, 2]) / s
-        y = (r[0, 2] - r[2, 0]) / s
-        z = (r[1, 0] - r[0, 1]) / s
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2
-        vals = np.empty(3)
-        vals[i] = 0.25 * s
-        vals[j] = (r[j, i] + r[i, j]) / s
-        vals[k] = (r[k, i] + r[i, k]) / s
-        w = (r[k, j] - r[j, k]) / s
-        x, y, z = vals
-    q = np.array([x, y, z, w])
-    if q[3] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
 def rotation_about(axis, degrees):
     """Rotation matrix about a unit axis by an angle in degrees."""
     a = np.asarray(axis, dtype=np.float64)

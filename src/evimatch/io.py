@@ -13,7 +13,8 @@ ValueError that names the file, and for text the line or key:
 ``path:line: expected `x y score```.
 
 A dataset holds ``events/NNN.evt``, ``images/NNN.pgm`` and ``depth/NNN.f32``
-per sample, ``intrinsics.txt`` and ``poses.txt`` (microsecond times, poses).
+per sample, ``intrinsics.txt`` and ``poses.txt`` (times in seconds, poses).
+``load_dataset`` gives back ``datagen.make_sample``'s samples bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .datagen import LFDSample
 from .events import load_events, save_events
 from .extractor import KeypointSet, check_unit_image
-from .geometry import CameraIntrinsics, RigidPose, quat_to_rotmat, rotmat_to_quat
+from .geometry import CameraIntrinsics, RigidPose
 from .matching import Assignment
 
 DESC_MAGIC = b"DSC1"
@@ -48,6 +49,12 @@ def _rows(path, layout, types, make=lambda *fields: fields):
             except ValueError as e:
                 raise ValueError(f"{path}:{ln}: expected `{layout}`") from e
     return out
+
+
+def _finite(text):
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 # -- portable graymaps ----------------------------------------------------
@@ -128,12 +135,13 @@ def save_depth(path, depth):
 
 
 def load_depth(path, width: int, height: int):
+    """A float32 (height, width) map written by ``save_depth``."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) != width * height * 4:
         raise ValueError(f"{path}: expected {width * height * 4} bytes for "
                          f"{width}x{height} float32, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").reshape(height, width).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4").reshape(height, width).astype(np.float32)
 
 
 # -- keypoints and matches --------------------------------------------------
@@ -182,22 +190,21 @@ def save_matches(path, assignment: Assignment):
 
 # -- poses, intrinsics, configs ---------------------------------------------
 
-def save_poses(path, times_us, poses):
-    """Lines `t_us tx ty tz qx qy qz qw`, world-to-camera, scalar-last."""
-    lines = []
-    for t_us, pose in zip(times_us, poses):
-        q = [float(v) for v in rotmat_to_quat(pose.rotation)]
-        tx, ty, tz = (float(v) for v in pose.translation)
-        lines.append(f"{int(t_us)} {tx!r} {ty!r} {tz!r} "
-                     f"{q[0]!r} {q[1]!r} {q[2]!r} {q[3]!r}")
+def save_poses(path, times, poses):
+    """Lines `t tx ty tz r00 r01 r02 r10 r11 r12 r20 r21 r22`: the time in
+    seconds, then the world-to-camera translation and row-major rotation."""
+    lines = [" ".join(repr(float(v)) for v in (t, *pose.translation,
+                                               *pose.rotation.ravel()))
+             for t, pose in zip(times, poses)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_poses(path):
-    """Returns aligned lists (times_us, poses)."""
-    rows = _rows(path, "t_us tx ty tz qx qy qz qw", (int,) + (float,) * 7,
-                 lambda t_us, *v: (t_us, RigidPose(quat_to_rotmat(v[3:]), v[:3])))
+    """Returns aligned lists (times, poses); a row with a non-finite field,
+    or whose rotation is not orthonormal with determinant +1, is malformed."""
+    rows = _rows(path, "t tx ty tz r00 r01 r02 r10 r11 r12 r20 r21 r22",
+                 (_finite,) + (float,) * 12, lambda t, *v: (t, RigidPose(v[3:], v[:3])))
     return [t for t, _ in rows], [pose for _, pose in rows]
 
 
@@ -259,26 +266,24 @@ def parse_config(text: str, path="config") -> dict:
 def save_dataset(root, samples, intrinsics: CameraIntrinsics,
                  width: int, height: int):
     """Write the dataset directory layout for a list of aligned samples."""
-    os.makedirs(os.path.join(root, "events"), exist_ok=True)
-    os.makedirs(os.path.join(root, "images"), exist_ok=True)
-    os.makedirs(os.path.join(root, "depth"), exist_ok=True)
+    for sub in ("events", "images", "depth"):
+        os.makedirs(os.path.join(root, sub), exist_ok=True)
     for i, s in enumerate(samples):
         save_events(os.path.join(root, "events", f"{i:03d}.evt"), s.events)
         save_pgm(os.path.join(root, "images", f"{i:03d}.pgm"), s.image)
         save_depth(os.path.join(root, "depth", f"{i:03d}.f32"), s.depth)
     save_poses(os.path.join(root, "poses.txt"),
-               [int(round(s.t * 1e6)) for s in samples], [s.pose for s in samples])
-    save_intrinsics(os.path.join(root, "intrinsics.txt"), intrinsics,
-                    width, height)
+               [s.t for s in samples], [s.pose for s in samples])
+    save_intrinsics(os.path.join(root, "intrinsics.txt"), intrinsics, width, height)
 
 
 def load_dataset(root):
     """Read a dataset directory back: (samples, intrinsics, width, height),
     one sample per row of ``poses.txt``; other files are ignored."""
     intr, width, height = load_intrinsics(os.path.join(root, "intrinsics.txt"))
-    times_us, poses = load_poses(os.path.join(root, "poses.txt"))
+    times, poses = load_poses(os.path.join(root, "poses.txt"))
     samples = []
-    for i, t_us in enumerate(times_us):
+    for i, t in enumerate(times):
         evt_path = os.path.join(root, "events", f"{i:03d}.evt")
         pgm_path = os.path.join(root, "images", f"{i:03d}.pgm")
         events, image = load_events(evt_path), load_pgm(pgm_path)
@@ -287,9 +292,8 @@ def load_dataset(root):
             if (w, h) != (width, height):
                 raise ValueError(f"{path}: size {w}x{h} differs from the "
                                  f"{width}x{height} of intrinsics.txt")
-        depth = load_depth(os.path.join(root, "depth", f"{i:03d}.f32"),
-                           width, height)
-        samples.append(LFDSample(t_us / 1e6, events, image, depth, poses[i]))
+        depth = load_depth(os.path.join(root, "depth", f"{i:03d}.f32"), width, height)
+        samples.append(LFDSample(t, events, image, depth, poses[i]))
     return samples, intr, width, height
 
 

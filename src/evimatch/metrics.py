@@ -65,15 +65,13 @@ def _pose_columns(pts_a, pts_b, rel_pose, intr, ransac_px, seed):
     """The inlier ratio, rotation and translation errors in degrees and "ok"
     of the pose RANSAC estimates; or nan, inf, inf and why the pose failed.
     A zero ground-truth baseline fails before the estimator runs, then
-    fewer than 8 matches, then EstimationFailed; any other error
+    EstimationFailed (which covers fewer than 8 matches); any other error
     propagates."""
     failed = np.nan, np.inf, np.inf
     try:
         baseline_norm(rel_pose.translation)
     except ValueError as e:
         return *failed, str(e)
-    if len(pts_a) < 8:
-        return *failed, "fewer than 8 matches"
     try:
         est = estimate_essential_ransac(pts_a, pts_b, intr, intr,
                                         threshold_px=ransac_px, seed=seed)

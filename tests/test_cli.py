@@ -320,7 +320,7 @@ def test_eval_rpe_all_failures_score_zero(dataset, student_ckpt):
     assert report[("n_pairs", None)] == report[("n_failed", None)] == 2
     assert [report[("rpe_auc", t)] for t in (5.0, 10.0, 20.0)] == [0.0] * 3
     assert ("mma", 3.0) not in report and report[("mr", None)] == 0.0
-    assert [row[-1] for row in rows] == ["fewer than 8 matches"] * 2
+    assert [row[-1] for row in rows] == ["need at least 8 matches, got 0"] * 2
 
 
 def test_eval_rpe_rows_give_each_pairs_reason(dataset, student_ckpt, monkeypatch):
@@ -805,6 +805,9 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(dataset, tmp_pa
     (["eval", "--data", "DATA", "--mode", "keypoints", "--extractor", "CKPT",
       *KP_FLAGS, "--matcher-ckpt", "CA", "--threshold", "nan"],
      "threshold must be finite, got nan"),
+    (["synth", *TINY_SYNTH, "--width", "0"], "width must be at least 1, got 0"),
+    (["synth", *TINY_SYNTH, "--height", "0"], "height must be at least 1, got 0"),
+    (["synth", *TINY_SYNTH, "--n-rects", "-1"], "n_rects must be at least 0, got -1"),
 ])
 def test_non_finite_values_fail_by_name(dataset, student_ckpt, matcher_ckpt, kp_dir,
                                         tmp_path, capsys, argv, message):

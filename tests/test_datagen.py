@@ -331,9 +331,10 @@ def test_make_sample_renders_each_frame_once(monkeypatch):
     s = make_sample(SCENE, 0.5, delta_t=0.05, dt_sim=1e-2)
     # the simulation's last frame is the sample's frame
     assert len(times) == len(set(times)) == 6 and times[-1] == 0.5
+    # at the 8 bits of its PGM and the float32 of its depth file
     image, depth = render(SCENE, 0.5)
-    np.testing.assert_array_equal(s.image, image)
-    np.testing.assert_array_equal(s.depth, depth)
+    assert s.image.tobytes() == (np.round(image * 255) / 255).tobytes()
+    assert s.depth.tobytes() == depth.astype(np.float32).tobytes()
 
 
 def test_make_lfd_dataset_sorted_times():

@@ -1,7 +1,6 @@
-"""Poses, quaternions, projection and the robust essential estimator."""
+"""Poses, projection and the robust essential estimator."""
 
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,17 +18,16 @@ from evimatch.geometry import (CameraIntrinsics, DegenerateGeometry,
                                _ransac_iters_needed, _sampson_sq, _scored,
                                _triangulate,
                                estimate_essential_ransac, project_many,
-                               pose_angular_errors, quat_to_rotmat,
-                               relative_pose, reproject_many, rotation_about,
-                               rotmat_to_quat, skew, unproject_many)
+                               pose_angular_errors, relative_pose,
+                               reproject_many, rotation_about, skew,
+                               unproject_many)
 
 INTR = CameraIntrinsics(fx=120.0, fy=120.0, cx=63.5, cy=47.5)
 IDENTITY = RigidPose(np.eye(3), np.zeros(3))
 
 
 def random_rotation(rng):
-    q = rng.normal(size=4)
-    return quat_to_rotmat(q / np.linalg.norm(q))
+    return rotation_about(rng.normal(size=3), rng.uniform(0, 360))
 
 
 def test_intrinsics_matrix_and_validation():
@@ -57,14 +55,6 @@ def test_pose_and_intrinsics_reject_non_finite(bad):
         values = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, field: bad}
         with pytest.raises(ValueError, match="finite"):
             CameraIntrinsics(**values)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_quaternion_rejects_non_finite_without_warning(bad):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="quaternion must be finite"):
-            quat_to_rotmat([0.0, bad, 0.0, 1.0])
 
 
 def reference_bilinear(m, x, y):
@@ -134,16 +124,6 @@ def test_relative_pose_identity():
     rel = relative_pose(p, p)
     np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(rel.translation, 0.0, atol=1e-12)
-
-
-def test_quat_roundtrip_many():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        r = random_rotation(rng)
-        q = rotmat_to_quat(r)
-        assert q[3] >= 0.0  # scalar-last, positive hemisphere
-        assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(quat_to_rotmat(q), r, atol=1e-10)
 
 
 def test_rotation_about_quarter_turn():

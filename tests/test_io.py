@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimatch import io
-from evimatch.datagen import LFDSample, make_lfd_dataset, make_scene
+from evimatch.datagen import (LFDSample, generate_benchmark, make_lfd_dataset,
+                              make_scene)
 from evimatch.events import (EventStream, accumulate_mask, load_events,
                              save_events)
-from evimatch.extractor import (ExtractorConfig, KeypointSet, init_student,
-                                load_extractor, save_extractor)
+from evimatch.extractor import (ExtractorConfig, KeypointSet, analytic_teacher,
+                                init_student, load_extractor, save_extractor,
+                                teacher_keypoints)
 from evimatch.geometry import CameraIntrinsics, RigidPose, rotation_about
 from evimatch.matching import Assignment
 from evimatch.optim import CKPT_MAGIC, load_checkpoint, save_checkpoint
@@ -165,21 +167,21 @@ def test_matches_roundtrip(tmp_path):
 # -- poses, intrinsics, configs -----------------------------------------------
 
 def test_poses_roundtrip(tmp_path):
-    poses = [RigidPose(rotation_about([0.0, 1.0, 0.0], np.radians(d)),
-                       [0.1 * d, -0.2, 3.0]) for d in (0.0, 12.0, 170.0)]
+    poses = [RigidPose(rotation_about([0.3, 1.0, -0.2], d), [0.1 * d, -0.2, 3.0])
+             for d in (0.0, 12.0, 170.0)]
     p = tmp_path / "poses.txt"
-    io.save_poses(p, [0, 33000, 66000], poses)
+    io.save_poses(p, [0.0, 0.033, 2 / 3], poses)
     times, back = io.load_poses(p)
-    assert times == [0, 33000, 66000]
-    for orig, got in zip(poses, back):
-        np.testing.assert_allclose(got.rotation, orig.rotation, atol=1e-12)
-        np.testing.assert_allclose(got.translation, orig.translation, atol=1e-15)
+    assert times == [0.0, 0.033, 2 / 3]
+    for orig, got in zip(poses, back, strict=True):
+        assert got.rotation.tobytes() == orig.rotation.tobytes()
+        assert got.translation.tobytes() == orig.translation.tobytes()
 
 
 def test_poses_malformed_line(tmp_path):
     p = tmp_path / "poses.txt"
     p.write_text("0 1 2 3\n")
-    with pytest.raises(ValueError, match="expected `t_us tx ty tz"):
+    with pytest.raises(ValueError, match="expected `t tx ty tz r00"):
         io.load_poses(p)
 
 
@@ -236,13 +238,21 @@ def tiny_sample(t, seed):
     rng = np.random.default_rng(seed)
     n = 12
     ts = np.sort(rng.uniform(t - 0.05, t, n))
-    ts = np.round(ts * 1e6) / 1e6  # storage keeps microsecond stamps
+    ts = np.round(ts * 1e6) * 1e-6  # whole microseconds, as the simulator stamps them
     events = EventStream(rng.integers(0, 8, n), rng.integers(0, 6, n), ts,
                          rng.choice([-1, 1], n), 8, 6)
     image = np.round(rng.uniform(size=(6, 8)) * 255) / 255.0
     depth = rng.uniform(1.0, 5.0, size=(6, 8)).astype(np.float32)
     pose = RigidPose(rotation_about([0, 0, 1.0], 0.1 * seed), [0.0, 0.1, 2.0])
     return LFDSample(t, events, image, depth, pose)
+
+
+def sample_bytes(s):
+    """Every field of a sample, each array as its dtype, shape and bytes."""
+    arrays = (s.events.xs, s.events.ys, s.events.ts, s.events.ps, s.image, s.depth,
+              s.pose.rotation, s.pose.translation)
+    return (s.t, s.events.width, s.events.height,
+            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -252,15 +262,27 @@ def test_dataset_roundtrip(tmp_path):
     io.save_dataset(root, samples, intr, 8, 6)
     back, intr2, w, h = io.load_dataset(root)
     assert intr2 == intr and (w, h) == (8, 6)
-    assert len(back) == 2
-    for orig, got in zip(samples, back):
-        assert got.t == pytest.approx(orig.t, abs=1e-9)
-        np.testing.assert_array_equal(got.events.xs, orig.events.xs)
-        np.testing.assert_allclose(got.events.ts, orig.events.ts, atol=1e-9)
-        np.testing.assert_array_equal(got.image, orig.image)
-        np.testing.assert_array_equal(got.depth, orig.depth.astype(np.float64))
-        np.testing.assert_allclose(got.pose.rotation, orig.pose.rotation,
-                                   atol=1e-12)
+    assert [sample_bytes(s) for s in back] == [sample_bytes(s) for s in samples]
+
+
+@pytest.mark.parametrize("source", ["lfd", "benchmark"])
+def test_generated_samples_reload_bit_for_bit(tmp_path, source):
+    # the generator keeps the 8-bit frame and float32 depth its files hold,
+    # so the teacher sees the same frame in memory and from disk
+    scene = make_scene(0)
+    samples = (make_lfd_dataset(scene, 3, dt_sim=0.01) if source == "lfd"
+               else generate_benchmark(scene, 1, dt_sim=0.01).samples)
+    io.save_dataset(tmp_path, samples, scene.intrinsics, scene.width, scene.height)
+    back = io.load_dataset(tmp_path)[0]
+    assert [sample_bytes(s) for s in back] == [sample_bytes(s) for s in samples]
+    for s, b in zip(samples, back, strict=True):
+        maps, maps_back = analytic_teacher(s.image), analytic_teacher(b.image)
+        for name in ("feats", "score", "desc"):
+            assert getattr(maps_back, name).tobytes() == getattr(maps, name).tobytes()
+        kp, kp_back = (teacher_keypoints(image, 4, 4, 64) for image in (s.image, b.image))
+        assert len(kp.scores) > 0
+        for name in ("positions", "descriptors", "scores"):
+            assert getattr(kp_back, name).tobytes() == getattr(kp, name).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -291,9 +313,7 @@ def test_event_tensors_from_disk_equal_those_from_memory(simulated_roundtrip, te
 def loaded_bytes(root):
     """load_dataset's result with every array as bytes, for equality."""
     samples, intr, w, h = io.load_dataset(root)
-    return intr, w, h, [(s.t, *(a.tobytes() for a in (
-        s.events.xs, s.events.ys, s.events.ts, s.events.ps, s.image, s.depth,
-        s.pose.rotation, s.pose.translation))) for s in samples]
+    return intr, w, h, [sample_bytes(s) for s in samples]
 
 
 @pytest.mark.parametrize("manifest", ["250000\n500000\n", "999999\n25O000\n"],
@@ -412,27 +432,27 @@ def test_checkpoint_empty_shape_with_overflowing_dims(tmp_path):
     ("pairs.txt", "0 1 0.5\n0 x 0.5\n", r"pairs\.txt:2: expected `idx_events"),
     ("pairs.txt", "# i j overlap\n0 1 0.5\n1 \xff 2\n", r"pairs\.txt:3: expected"),
     ("kp.txt", "1.0 2.0 0.5\n\n1.0 abc 0.5\n", r"kp\.txt:3: expected `x y score`"),
-    ("poses.txt", "0 0 0 0 0 0 0 0\n", r"poses\.txt:1: expected `t_us tx"),
-    ("poses.txt", "1.5 0 0 0 0 0 0 1\n", r"poses\.txt:1: expected `t_us tx"),
-    ("poses.txt", "0 0 0 0 0 nan 0 1\n", r"poses\.txt:1: expected `t_us tx"),
-    ("poses.txt", "0 0 0 0 0 0 0 1\n5 0 inf 0 0 0 0 1\n", r"poses\.txt:2: expected"),
+    # a line of the older quaternion layout, non-finite fields, a rotation
+    # that is not orthonormal and one that is a reflection
+    ("poses.txt", "0 0 0 0 0 0 0 0\n", r"poses\.txt:1: expected `t tx ty tz r00"),
+    ("poses.txt", "nan 0 0 0 1 0 0 0 1 0 0 0 1\n", r"poses\.txt:1: expected"),
+    ("poses.txt", "0 0 0 0 1 nan 0 0 1 0 0 0 1\n", r"poses\.txt:1: expected"),
+    ("poses.txt", "0 0 0 0 1 0 0 0 1 0 0 0 1\n0.5 0 inf 0 1 0 0 0 1 0 0 0 1\n",
+     r"poses\.txt:2: expected"),
+    ("poses.txt", "0 0 0 0 1 0 0 0 1 0 0 0 1\n0.5 0 0 0 1 0 0 0 inf 0 0 0 1\n",
+     r"poses\.txt:2: expected"),
+    ("poses.txt", "0 0 0 0 1 0 0 0 1 0 0 0 1.001\n", r"poses\.txt:1: expected"),
+    ("poses.txt", "0 0 0 0 1 0 0 0 1 0 0 0 -1\n", r"poses\.txt:1: expected"),
 ])
 def test_text_records_name_file_and_line(tmp_path, name, text, where):
     p = tmp_path / name
     p.write_bytes(text.encode("latin-1"))
     read = {"pairs.txt": io.load_pairs, "kp.txt": io.load_keypoints,
             "poses.txt": io.load_poses}[name]
-    with pytest.raises(ValueError, match=where):
-        read(p)
-
-
-def test_poses_reject_infinite_quaternion_without_warning(tmp_path):
-    p = tmp_path / "poses.txt"
-    p.write_text("0 0 0 0 0 0 0 1\n5 0 0 0 0 inf 0 1\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"poses\.txt:2: expected"):
-            io.load_poses(p)
+        with pytest.raises(ValueError, match=where):
+            read(p)
 
 
 @pytest.mark.parametrize("text, cause", [

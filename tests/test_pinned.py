@@ -125,19 +125,19 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
                                       log=log.append)
     path = tmp_path / "student.ckpt"
     save_extractor(path, params, student)
-    assert sha256(path) == ("4a2b0f6e327e8a79949a2546e8d4a13a00590df6"
-                            "bf1226dc9f9ac7529c1e0b8b")
+    assert sha256(path) == ("1e0800b456eb0930c17193157a5dc0f575fe9b03"
+                            "5273c16faa5d3f6625665d38")
     # the parameters alone, without the config entries
     save_checkpoint(path, params)
-    assert sha256(path) == ("74d6ac27077e8b1b86fda0ae177db4dffafa5b0d"
-                            "f07d643c4d56a038c130ff69")
+    assert sha256(path) == ("0bacc7d8746a0bc17a5c8f808fc0d7e7ab634f8c"
+                            "773a90d64487256ad580842e")
     assert loss_history_csv(history) == (
         "epoch,l_feats,l_score,l_desc,l_total\n"
-        "0,0.15127173,0.12180775,0.18824105,0.46132052\n"
-        "1,0.10777282,0.08556968,0.14450244,0.33784494\n")
+        "0,0.15127668,0.12132720,0.18824770,0.46085158\n"
+        "1,0.10776236,0.08482256,0.14450827,0.33709320\n")
     assert log == [
-        "epoch 0 l_feats=0.151272 l_score=0.121808 l_desc=0.188241 l_total=0.461321",
-        "epoch 1 l_feats=0.107773 l_score=0.085570 l_desc=0.144502 l_total=0.337845"]
+        "epoch 0 l_feats=0.151277 l_score=0.121327 l_desc=0.188248 l_total=0.460852",
+        "epoch 1 l_feats=0.107762 l_score=0.084823 l_desc=0.144508 l_total=0.337093"]
 
 
 # -- analytic teacher -------------------------------------------------------
@@ -161,7 +161,7 @@ SYNTH_DIGESTS = {
     "events/000.evt": "93202da22b83f3d54fef865ce04139c067926a1cc5d9b3cb516f93df35933794",
     "images/000.pgm": "d4909fe7c1933a3c6ccd4fe5692c6ce61550e262bdef245fa4eee20261faa99c",
     "intrinsics.txt": "d9a199fd208d87c403a49c4deaba711aea6ae0a7f3d97db17d5393cb6a7b769e",
-    "poses.txt": "a27fe03cb75d056f83f8bd6f62d1ec24201606c06627a86deed9cec875d9c533",
+    "poses.txt": "3ebe9bf687cafd2121569df894724a3061ae04093448df622e9239e16cf01ca8",
 }
 
 BENCH_DIGESTS = {
@@ -174,7 +174,7 @@ BENCH_DIGESTS = {
     "images/001.pgm": "0cf2887686d2b99bcadf6ba15150d35ec5a182336b0d958d4d337af65bb02a4c",
     "intrinsics.txt": SYNTH_DIGESTS["intrinsics.txt"],
     "pairs.txt": "6f7a5cbe263001788157efd0e6382888407524c3e1cab964c803a81a3595fe5b",
-    "poses.txt": "a33d901cccb285a397be1e6be67e601a3d0ab4451ae484db93bf0240eacce705",
+    "poses.txt": "7f45c4cd636cf0f6c9a59801ce68d16317f1e2a9c0a37c87c0be5ec0b3cb1478",
 }
 
 
@@ -235,15 +235,15 @@ PIPELINE = [  # every command once; eval in both modes; the CA matcher keeps
 ]
 
 PIPELINE_DIGESTS = {
-    "synth": "f3ac87aec8a57b18b4554113579e60b8cef0496fdebf049b71473a4b5eec9e7b",
-    "bench": "ab8ed95d43c9c779abb3c225c56db9acd7e60061781ba065ade2e7688a8989ad",
+    "synth": "323dbfd5f63f98d6906e198cf1fd6e2508e8010901f9bd03034f875d4c31c11b",
+    "bench": "6304c3c9a01f0fe05f865ad812b56add3b7123d364146f66b3d1ab42c85d5976",
     "student": "e1b50097fd1c23494286a2e2e0a052759c1a805b2c97f806e714c055ed714adb",
     "matcher": "165a43b25ca9f44aec60db597c87c1414feb9a0db4da51333fb0eafb122773c0",
     "kp_events": "728e1793ffbf654373d58fcc55f48e34440c755959d42a08b97ba537e9c8f761",
     "kp_images": "7d0ce65ca2e08d73a6d77cbbd23c262557470ebe38ae0f35689da787b8002591",
     "matches": "bb2729b74940425862d5a5f81371a170776c8ae4763ee71e715cf7ecaa826daa",
     "eval_keypoints": "d2a928437a63612521be62721b985e61dc3103290cf2e64277a47edb2cbead33",
-    "eval_rpe": "60cb9ca8a5e74b660995d569c9056204ef3f92bd956d7862bc7c2d36129293b9",
+    "eval_rpe": "821b7cbf6e59518129acddd322ad5387bc4c9aa05427fde143d7a955be838833",
     "viz": "219de4c568043547505a922f66393a991acfad7447239a1c38afbab66f334abe",
 }
 
