@@ -18,7 +18,7 @@ from .distillation import (DistillConfig, lfd_loss, loss_history_csv,
                            train_extractor)
 from .events import EventStream, accumulate_mask, load_events, save_events
 from .extractor import (DenseMaps, ExtractorConfig, KeypointSet,
-                        analytic_teacher, apply_event_mask, extract_keypoints,
+                        analytic_teacher, event_keypoints, extract_keypoints,
                         forward_student, init_student, load_extractor,
                         save_extractor)
 from .geometry import (CameraIntrinsics, DegenerateGeometry, EstimationFailed,

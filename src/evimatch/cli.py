@@ -8,11 +8,12 @@ Only a run that succeeds changes --out, and it replaces whole entries.
 Failures exit nonzero with a one-line cause and leave --out untouched.
 ``--help`` lists each flag's default.  Only ``train-extractor`` takes the
 event representation and bin count; later commands read them from the
-student checkpoint.  ``--extractor`` always names that event student, whose
-score is always gated by the event mask, and image keypoints always come
-from the analytic teacher, both the top ``--k``.  ``--matcher-ckpt``
-selects the CA matcher and its ``--threshold``; without it ``match``,
-``eval`` and ``viz`` use mutual nearest neighbour, which has none.
+student checkpoint.  Keypoints are the top ``--k`` of one library call each:
+``extractor.event_keypoints`` runs the ``--extractor`` student and gates
+its score by the event mask, and ``extractor.teacher_keypoints`` runs the
+analytic teacher on images.  ``--matcher-ckpt`` selects the CA matcher and
+its ``--threshold``; without it ``match``, ``eval`` and ``viz`` use mutual
+nearest neighbour, which has none.
 Keypoint ground truth is ``gt_assignment``'s 3 px depth reprojection
 between two samples' poses, and ``viz`` colours the matches of any two
 samples by it.  ``eval`` runs one loop over view pairs (a, b): sample a's
@@ -41,17 +42,15 @@ import numpy as np
 from . import io as eio
 from .datagen import generate_benchmark, make_lfd_dataset, make_scene
 from .distillation import (DistillConfig, loss_history_csv, train_extractor)
-from .events import accumulate_mask
-from .extractor import (ExtractorConfig, apply_event_mask, extract_keypoints,
-                        forward_student, load_extractor, save_extractor,
-                        teacher_keypoints)
+from .extractor import (ExtractorConfig, event_keypoints, load_extractor,
+                        save_extractor, teacher_keypoints)
 from .geometry import relative_pose
 from .matching import (CORRESPONDENCE_PX, CAConfig, MatchTrainConfig, ca_match,
                        gt_assignment, load_matcher, matcher_history_csv,
                        mnn_match, save_matcher, train_matcher)
 from .metrics import (PAIR_COLUMNS, RPE_THRESHOLDS, correct_matches, report_csv,
                       report_text, rpe_auc, rpe_ratio, score_pair)
-from .representations import build_representation, channel_count, time_surface
+from .representations import channel_count, time_surface
 
 # parameter tables: name -> default (None marks a required parameter).
 # all values live as strings until conversion, so flags and config files
@@ -147,28 +146,16 @@ def _scene_from(cfg):
                       duration=float(cfg["duration"]))
 
 
-def _keypoints(extract, source, cfg):
-    """The top --k keypoints."""
-    return extract(source, border=int(cfg["border"]), nms_radius=int(cfg["nms"]),
-                   k=int(cfg["k"]))
-
-
-def _event_keypoints(sample, cfg, params, config):
-    rep = build_representation(sample.events, config.representation,
-                               bins=config.in_channels)
-    maps = forward_student(rep, params, config)
-    return _keypoints(extract_keypoints,
-                      apply_event_mask(maps, accumulate_mask(sample.events)), cfg)
-
-
-def _image_keypoints(sample, cfg):
-    return _keypoints(teacher_keypoints, sample.image, cfg)
+def _kp_args(cfg):
+    """The keypoint calls' border, nms_radius and k: the top --k."""
+    return dict(border=int(cfg["border"]), nms_radius=int(cfg["nms"]), k=int(cfg["k"]))
 
 
 def _views(sa, sb, intr, cfg, params, config):
     """sa's event keypoints, sb's image keypoints and their ground truth."""
-    kp_a = _event_keypoints(sa, cfg, params, config)
-    kp_b = _image_keypoints(sb, cfg)
+    kw = _kp_args(cfg)
+    kp_a = event_keypoints(sa.events, params, config, **kw)
+    kp_b = teacher_keypoints(sb.image, **kw)
     return kp_a, kp_b, gt_assignment(kp_a, kp_b, sa.depth, sb.depth, intr, intr,
                                      sa.pose, sb.pose)
 
@@ -260,12 +247,6 @@ def cmd_train_extractor(out, cfg):
 def cmd_train_matcher(out, cfg):
     samples, intr, width, height = eio.load_dataset(cfg["data"])
     params, config = load_extractor(cfg["extractor"])
-    pairs = _index_pairs(cfg, [(i, i + 1) for i in range(len(samples) - 1)],
-                         len(samples), len(samples))
-    if not pairs:
-        raise ValueError("need at least two samples to form training pairs")
-    examples = [_views(samples[ia], samples[ib], intr, cfg, params, config)
-                for ia, ib in pairs]
     ca_config = CAConfig(desc_dim=config.desc_dim, dim=int(cfg["dim"]),
                          layers=int(cfg["layers"]), heads=int(cfg["heads"]),
                          pe_freqs=int(cfg["pe_freqs"]),
@@ -273,6 +254,12 @@ def cmd_train_matcher(out, cfg):
                          image_size=(width, height))
     tcfg = MatchTrainConfig(lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
                             batch_size=int(cfg["batch"]), seed=int(cfg["seed"]))
+    pairs = _index_pairs(cfg, [(i, i + 1) for i in range(len(samples) - 1)],
+                         len(samples), len(samples))
+    if not pairs:
+        raise ValueError("need at least two samples to form training pairs")
+    examples = [_views(samples[ia], samples[ib], intr, cfg, params, config)
+                for ia, ib in pairs]
     matcher, history = train_matcher(examples, config=tcfg, ca_config=ca_config,
                                      log=print)
     save_matcher(os.path.join(out, "matcher.ckpt"), matcher)
@@ -289,14 +276,15 @@ def cmd_extract(out, cfg):
         raise ValueError("extracting from events requires --extractor")
     if modality == "images" and cfg["extractor"]:
         raise ValueError("images use the analytic teacher, not --extractor")
+    kw = _kp_args(cfg)
     samples, _, _, _ = eio.load_dataset(cfg["data"])
     kp_dir = os.path.join(out, "keypoints")
     os.makedirs(kp_dir, exist_ok=True)
     if modality == "events":
         params, config = load_extractor(cfg["extractor"])
-        kps = (_event_keypoints(s, cfg, params, config) for s in samples)
+        kps = (event_keypoints(s.events, params, config, **kw) for s in samples)
     else:
-        kps = (_image_keypoints(s, cfg) for s in samples)
+        kps = (teacher_keypoints(s.image, **kw) for s in samples)
     for i, kp in enumerate(kps):
         eio.save_keypoints(os.path.join(kp_dir, f"{i:03d}.txt"), kp)
     return f"wrote {len(samples)} keypoint dumps to {kp_dir}"
@@ -304,7 +292,8 @@ def cmd_extract(out, cfg):
 
 def cmd_match(out, cfg):
     def kp_files(d):
-        names = sorted(n for n in os.listdir(d) if n.endswith(".txt"))
+        names = [n for n in os.listdir(d) if n.endswith(".txt")]
+        names.sort(key=lambda n: (len(n), n))  # as extract numbers: 999 before 1000
         return [os.path.join(d, n) for n in names]
 
     files_a, files_b = kp_files(cfg["kp_a"]), kp_files(cfg["kp_b"])

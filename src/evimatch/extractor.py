@@ -27,7 +27,9 @@ Keypoint extraction is shared by both modalities: border removal, strict
 non-maximum suppression with deterministic tie-breaking, top-k selection,
 and bilinear descriptor sampling from the unit-normalized map, at any
 stride, through the sampler in ``geometry``, normalizing only the pixels
-it reads.
+it reads.  Each modality's keypoints are one call: ``teacher_keypoints``
+on an image, ``event_keypoints`` on an event window, its score gated by
+the window's event mask.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import _bilinear_taps, _blend
+from .events import accumulate_mask
 from .optim import load_module, save_module
-from .representations import channel_count
+from .representations import build_representation, channel_count
 
 
 # the teacher's fixed shape: 8 orientations on a 4x4 grid of taps 2 px apart
@@ -83,7 +86,7 @@ class ExtractorConfig:
 
     ``representation`` names the event tensor the student reads (one of
     ``representations.KINDS``) with in_channels bins; the time surface
-    always has 2 channels.  Image extractors ignore it.
+    always has 2 channels.
     """
 
     in_channels: int
@@ -374,23 +377,22 @@ def teacher_keypoints(image, border: int, nms_radius: int, k: int) -> KeypointSe
                       border, nms_radius, k)
 
 
+def event_keypoints(events, params, config: ExtractorConfig, border: int,
+                    nms_radius: int, k: int) -> KeypointSet:
+    """``extract_keypoints`` of the student's maps on the window's
+    ``config.representation``, the score gated by ``accumulate_mask``."""
+    rep = build_representation(events, config.representation, bins=config.in_channels)
+    maps = forward_student(rep, params, config)
+    maps.score = maps.score * accumulate_mask(events).astype(np.float32)
+    return extract_keypoints(maps, border, nms_radius, k)
+
+
 def normalize_desc(desc_map):
     """Scale each pixel's descriptor to unit L2 norm; zero vectors stay zero."""
     d = np.asarray(desc_map)
     n = np.sqrt((d.astype(np.float64) ** 2).sum(axis=0, keepdims=True))
     safe = np.where(n < 1e-12, 1.0, n)
     return (d / safe).astype(d.dtype)
-
-
-def apply_event_mask(maps: DenseMaps, mask) -> DenseMaps:
-    """Gate the score map by an (H, W) event mask (``accumulate_mask``)
-    into a plain array, for inference; feats and desc pass through."""
-    m = np.asarray(mask)
-    score = maps.score
-    if score.shape[-2:] != m.shape:
-        raise ValueError(f"mask shape {m.shape} does not match score {score.shape}")
-    return DenseMaps(maps.feats, score * m.reshape(score.shape).astype(np.float32),
-                     maps.desc)
 
 
 # -- keypoint extraction ------------------------------------------------

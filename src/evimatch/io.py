@@ -5,12 +5,12 @@ is what makes rerun-identity of the pipeline testable.  Binary formats are
 little-endian with short magic headers; text formats are plain ASCII with
 full-precision floats (repr round-trips exactly).
 
-Text record files (keypoint dumps, poses, pairs) hold one record
-per line as whitespace-separated fields; blank lines and lines starting
-with ``#`` are skipped.  ``key=value`` files (configs, intrinsics) follow
-the same comment rule.  Every reader rejects malformed input with a
-ValueError that names the file, and for text the line or key:
-``path:line: expected `x y score```.
+Text record files (keypoint dumps, poses, pairs) hold one record per
+line as whitespace-separated fields, each number finite; blank lines and
+lines starting with ``#`` are skipped.  ``key=value`` files (configs,
+intrinsics) follow the same comment rule.  Every reader rejects malformed
+input with a ValueError that names the file, and for text the line or
+key: ``path:line: expected `x y score```.
 
 A dataset holds ``events/NNN.evt``, ``images/NNN.pgm`` and ``depth/NNN.f32``
 per sample, ``intrinsics.txt`` and ``poses.txt`` (times in seconds, poses).
@@ -165,7 +165,7 @@ def save_keypoints(path, kp: KeypointSet):
 
 
 def load_keypoints(path) -> KeypointSet:
-    rows = np.asarray(_rows(path, "x y score", (float,) * 3), np.float64).reshape(-1, 3)
+    rows = np.asarray(_rows(path, "x y score", (_finite,) * 3), np.float64).reshape(-1, 3)
     side = descriptor_sidecar_path(path)
     with open(side, "rb") as f:
         raw = f.read()
@@ -305,7 +305,7 @@ def save_pairs(path, pairs):
 
 
 def load_pairs(path):
-    return _rows(path, "idx_events idx_image overlap", (int, int, float))
+    return _rows(path, "idx_events idx_image overlap", (int, int, _finite))
 
 
 # -- visualization -------------------------------------------------------------

@@ -6,7 +6,6 @@ import hashlib
 import os
 import shutil
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +14,9 @@ from evimatch import cli, io as eio, metrics
 from evimatch.cli import _eval_pairs, build_parser, main, output_dir, resolve_config
 from evimatch.datagen import make_scene, render
 from evimatch.events import accumulate_mask
-from evimatch.extractor import (ExtractorConfig, analytic_teacher,
-                                apply_event_mask, extract_keypoints,
-                                forward_student, init_student, load_extractor,
-                                save_extractor)
+from evimatch.extractor import (ExtractorConfig, KeypointSet, analytic_teacher,
+                                extract_keypoints, forward_student, init_student,
+                                load_extractor, save_extractor, teacher_keypoints)
 from evimatch.geometry import (EstimationFailed, PoseEstimate, RigidPose,
                                relative_pose, rotation_about)
 from evimatch.matching import (Assignment, CAConfig, CAMatcherParams, ca_match,
@@ -164,6 +162,23 @@ def test_extract_and_match_pipeline(dataset, tmp_path):
     assert len(a) == len(kp.positions)
 
 
+def test_match_pairs_dump_i_with_the_dump_extract_numbered_i(tmp_path):
+    # past 999 the names sort as strings would put 1000.txt between 100.txt
+    # and 101.txt; dump i holds 1 + i % 4 keypoints with orthonormal
+    # descriptors, so matching it against itself gives that many matches
+    kp_dir = tmp_path / "kp"
+    kp_dir.mkdir()
+    for i in range(1001):
+        n = 1 + i % 4
+        eio.save_keypoints(kp_dir / f"{i:03d}.txt", KeypointSet(
+            np.zeros((n, 2)), np.eye(4, dtype=np.float32)[:n], np.ones(n)))
+    assert main(["match", "--kp-a", str(kp_dir), "--kp-b", str(kp_dir),
+                 "--out", str(tmp_path / "m")]) == 0
+    match_dir = tmp_path / "m" / "matches"
+    assert [len((match_dir / f"{i:03d}_{i:03d}.txt").read_text().splitlines())
+            for i in range(1001)] == [1 + i % 4 for i in range(1001)]
+
+
 @pytest.fixture(scope="module")
 def student_ckpt(tmp_path_factory):
     """A seeded, untrained student whose descriptors match the teacher's."""
@@ -218,14 +233,15 @@ def test_eval_keypoints_report_bytes(dataset, student_ckpt, tmp_path):
 
 def direct_keypoints(dataset, ckpt, kind, bins):
     """Each sample's (event, image) keypoints at --border 2 --nms 2 --k 16,
-    computed without the CLI from the given representation."""
+    computed without the CLI from the given representation, the event
+    score gated by the event mask by hand."""
     samples, _, _, _ = eio.load_dataset(dataset)
     params, config = load_extractor(ckpt)
     out = []
     for s in samples:
         maps = forward_student(build_representation(s.events, kind, bins=bins),
                                params, config)
-        maps = apply_event_mask(maps, accumulate_mask(s.events))
+        maps.score = maps.score * accumulate_mask(s.events).astype(np.float32)
         out.append(tuple(extract_keypoints(m, border=2, nms_radius=2, k=16)
                          for m in (maps, analytic_teacher(s.image))))
     return out
@@ -245,11 +261,11 @@ def test_image_keypoints_build_no_full_descriptor_map():
     # the teacher's full (128, 64, 64) float64 map alone is 4 MiB; image
     # keypoints compute descriptors only where the sampler reads
     image, _ = render(make_scene(seed=2), 1.1)
-    cfg = resolve_config("eval", parse(["eval", "--data", "d", "--mode", "keypoints",
-                                        "--extractor", "e"]))
+    defaults = cli._COMMAND_PARAMS["eval"]
     tracemalloc.start()
     try:
-        kp = cli._image_keypoints(SimpleNamespace(image=image), cfg)
+        kp = teacher_keypoints(image, border=int(defaults["border"]),
+                               nms_radius=int(defaults["nms"]), k=int(defaults["k"]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -763,6 +779,21 @@ def test_settable_values():
 # -- inputs the pipeline cannot use -------------------------------------------
 
 TINY_STUDENT = ["--channels", "4,4", "--pools", "2,2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--heads", "3"], "dim must be divisible by heads"),
+    (["--lr", "nan"], "lr must be positive and finite, got nan"),
+])
+def test_train_matcher_checks_its_architecture_and_recipe_before_any_view(
+        dataset, student_ckpt, tmp_path, monkeypatch, capsys, flags, message):
+    real, calls = cli._views, []
+    monkeypatch.setattr(cli, "_views", lambda *args: calls.append(1) or real(*args))
+    rc = main(["train-matcher", "--data", dataset, "--extractor", student_ckpt, *flags,
+               "--out", str(tmp_path / "tm")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"evimatch train-matcher: error: {message}\n"
+    assert len(calls) == 0
 
 
 def test_train_extractor_names_what_the_teacher_cannot_supervise(dataset, tmp_path,

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from evimatch.datagen import make_scene, render
+from evimatch.events import EventStream, accumulate_mask
 from evimatch.extractor import (DenseMaps, ExtractorConfig, KeypointSet,
-                                analytic_teacher, apply_event_mask,
-                                cells_to_pixels, extract_keypoints,
+                                analytic_teacher, cells_to_pixels,
+                                event_keypoints, extract_keypoints,
                                 forward_student, forward_student_batch,
                                 harris_score, init_student, load_extractor,
                                 nms_mask, normalize_desc, pixels_to_cells,
                                 save_extractor, teacher_keypoints)
 from evimatch.geometry import _bilinear
+from evimatch.representations import build_representation
 
 TINY = ExtractorConfig(in_channels=2, channels=(8, 8), pools=(1, 2),
                        latent_dim=8, desc_dim=16)
@@ -300,23 +302,30 @@ def test_normalize_desc_keeps_zero_columns():
     assert (out[:, 1, 1] == 0.0).all()
 
 
-def test_apply_event_mask_gates_score():
-    maps = DenseMaps(np.zeros((2, 2, 2), np.float32),
-                     np.ones((1, 4, 4), np.float32),
-                     np.zeros((4, 4, 4), np.float32))
-    mask = np.zeros((4, 4), np.uint8)
-    mask[1, 2] = 1
-    gated = apply_event_mask(maps, mask)
-    assert gated.score[0, 1, 2] == 1.0
-    assert gated.score.sum() == 1.0
+def test_event_keypoints_gate_the_score_by_the_event_pixels():
+    # events touch only a 6x6 patch of the 16x16 sensor; a positive score
+    # bias gives the ungated student keypoints off that patch too
+    rng = np.random.default_rng(0)
+    n = 200
+    events = EventStream(rng.integers(4, 10, n), rng.integers(5, 11, n),
+                         np.sort(rng.uniform(0.0, 1.0, n)), rng.choice([-1, 1], n),
+                         16, 16)
+    params = init_student(TINY, seed=3)
+    params["score.out.b"].data[:] = 0.5
+    mask = accumulate_mask(events)
+    maps = forward_student(build_representation(events, "voxel", bins=2), params, TINY)
+    ungated = extract_keypoints(maps, border=1, nms_radius=1, k=64)
+    xs, ys = ungated.positions.astype(int).T
+    assert not mask[ys, xs].all()
 
-
-def test_apply_event_mask_shape_mismatch():
-    maps = DenseMaps(np.zeros((2, 2, 2), np.float32),
-                     np.ones((1, 4, 4), np.float32),
-                     np.zeros((4, 4, 4), np.float32))
-    with pytest.raises(ValueError, match="mask shape"):
-        apply_event_mask(maps, np.zeros((3, 3), np.uint8))
+    kp = event_keypoints(events, params, TINY, border=1, nms_radius=1, k=64)
+    xs, ys = kp.positions.astype(int).T
+    assert len(kp) > 0 and mask[ys, xs].all()
+    gated = DenseMaps(maps.feats, maps.score * mask.astype(np.float32), maps.desc)
+    want = extract_keypoints(gated, border=1, nms_radius=1, k=64)
+    for field in ("positions", "descriptors", "scores"):
+        got, ref = getattr(kp, field), getattr(want, field)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def brute_force_nms(score, radius):

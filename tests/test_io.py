@@ -432,6 +432,11 @@ def test_checkpoint_empty_shape_with_overflowing_dims(tmp_path):
     ("pairs.txt", "0 1 0.5\n0 x 0.5\n", r"pairs\.txt:2: expected `idx_events"),
     ("pairs.txt", "# i j overlap\n0 1 0.5\n1 \xff 2\n", r"pairs\.txt:3: expected"),
     ("kp.txt", "1.0 2.0 0.5\n\n1.0 abc 0.5\n", r"kp\.txt:3: expected `x y score`"),
+    # non-finite keypoint and overlap fields
+    ("kp.txt", "nan 3 0.5\n", r"kp\.txt:1: expected `x y score`"),
+    ("kp.txt", "1.0 2.0 0.5\n1.0 2.0 inf\n", r"kp\.txt:2: expected `x y score`"),
+    ("pairs.txt", "0 1 nan\n", r"pairs\.txt:1: expected `idx_events"),
+    ("pairs.txt", "0 1 0.5\n1 0 -inf\n", r"pairs\.txt:2: expected `idx_events"),
     # a line of the older quaternion layout, non-finite fields, a rotation
     # that is not orthonormal and one that is a reflection
     ("poses.txt", "0 0 0 0 0 0 0 0\n", r"poses\.txt:1: expected `t tx ty tz r00"),
