@@ -300,6 +300,9 @@ def cmd_match(out, cfg):
     n = min(len(files_a), len(files_b))
     pairs = _index_pairs(cfg, [(i, i) for i in range(n)],
                          len(files_a), len(files_b))
+    if not pairs:
+        source = cfg["pairs_file"] or f"{cfg['kp_a']} and {cfg['kp_b']}"
+        raise ValueError(f"{source}: no pairs to match")
     match_fn = _make_matcher(cfg)
     match_dir = os.path.join(out, "matches")
     os.makedirs(match_dir, exist_ok=True)

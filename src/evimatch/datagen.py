@@ -79,10 +79,10 @@ class Scene:
     height_amplitude: float
     extent: float  # textured half-extent in world units
     trajectory: Trajectory
-    duration: float = 4.0
+    duration: float
 
 
-def make_scene(seed: int = 0, width: int = 64, height: int = 64,
+def make_scene(seed: int, width: int = 64, height: int = 64,
                n_rects: int = 14, height_amplitude: float = 0.08,
                motion_scale: float = 1.0, duration: float = 4.0) -> Scene:
     """Random scene, fully determined by the seed and the arguments.
@@ -261,8 +261,8 @@ def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
     therefore yields exactly 2 events, and reversing the signal flips the
     polarity of the next events.
 
-    Events are sorted stably by crossing time, then stamped in whole
-    microseconds, as EVT1 stores them, so ``load_events`` returns this
+    Events are sorted stably by crossing time, then stamped k / 1e6 for k
+    whole microseconds, as ``load_events`` reads EVT1, which returns this
     stream unchanged.  The stream stores no window: the representations
     take it from the first and last event, which lie inside
     [times[0], times[-1]].
@@ -308,7 +308,7 @@ def events_from_log_frames(log_frames, times, contrast: float) -> EventStream:
         ps = np.concatenate(ev_p)
         order = np.argsort(ts, kind="stable")
         x, y, ts, ps = x[order], y[order], ts[order], ps[order]
-        ts = np.round(ts * 1e6) * 1e-6
+        ts = np.round(ts * 1e6) / 1e6
     else:
         x = np.zeros(0, np.int64)
         y = np.zeros(0, np.int64)
@@ -385,8 +385,8 @@ class LFDSample:
     pose: RigidPose
 
 
-def make_sample(scene: Scene, t: float, delta_t: float = 0.05,
-                contrast: float = 0.2, dt_sim: float = 1e-3) -> LFDSample:
+def make_sample(scene: Scene, t: float, delta_t: float, contrast: float,
+                dt_sim: float) -> LFDSample:
     events, (image, depth) = _simulate(scene, t - delta_t, t, contrast, dt_sim)
     return LFDSample(float(t), events, np.round(image * 255) / 255,
                      depth.astype(np.float32), scene.trajectory.pose(t))
@@ -400,9 +400,8 @@ def _frame_times(rng, scene, delta_t, size):
     return rng.uniform(delta_t, scene.duration, size)
 
 
-def make_lfd_dataset(scene: Scene, n: int, delta_t: float = 0.05,
-                     seed: int = 0, contrast: float = 0.2,
-                     dt_sim: float = 1e-3):
+def make_lfd_dataset(scene: Scene, n: int, delta_t: float, seed: int,
+                     contrast: float, dt_sim: float):
     """n aligned samples at random times, sorted chronologically."""
     if n <= 0:
         raise ValueError("n must be positive")
@@ -421,13 +420,14 @@ class Benchmark:
     pairs: list = field(default_factory=list)
 
 
-def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
-                       seed: int = 0, overlap_range=(0.4, 0.8), max_attempts=None,
-                       contrast: float = 0.2, dt_sim: float = 1e-3) -> Benchmark:
+def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float, seed: int,
+                       overlap_range, max_attempts, contrast: float,
+                       dt_sim: float) -> Benchmark:
     """Rejection-sample evaluation pairs with moderate co-visibility.
 
     Candidate time pairs are accepted when their overlap score falls inside
-    overlap_range.  If the attempt budget runs out a partial benchmark is
+    overlap_range.  The budget is max_attempts candidates, at least 1, or
+    60 per pair when it is None.  If it runs out a partial benchmark is
     returned with a warning; with no pair at all, ValueError is raised.
     """
     if n_pairs <= 0:
@@ -437,6 +437,8 @@ def generate_benchmark(scene: Scene, n_pairs: int, delta_t: float = 0.05,
         raise ValueError("overlap_range must satisfy 0 <= lo < hi <= 1")
     if max_attempts is None:
         max_attempts = 60 * n_pairs
+    elif max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     rng = np.random.default_rng(seed)
     bench = Benchmark(samples=[])
     attempts = 0

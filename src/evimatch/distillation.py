@@ -34,13 +34,13 @@ class DistillConfig:
     representation belongs to its ``ExtractorConfig``, and the number of
     training samples to the dataset."""
 
-    lr: float = 1e-3
-    epochs: int = 50
-    batch_size: int = 8
-    seed: int = 0
-    use_feats: bool = True
-    use_score: bool = True
-    use_desc: bool = True
+    lr: float
+    epochs: int
+    batch_size: int
+    seed: int
+    use_feats: bool
+    use_score: bool
+    use_desc: bool
 
     def __post_init__(self):
         check_recipe(self)

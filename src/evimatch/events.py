@@ -7,7 +7,8 @@ no window.  The tensor representations take a stream's window from its
 first and last event, so a stream built in memory and the same stream read
 back from disk give the same tensors.  ``save_events``/``load_events``
 write and read the binary EVT1 layout that dataset directories store per
-sample; it keeps timestamps in whole microseconds.
+sample; it keeps timestamps in whole microseconds, and a stamp of k µs
+reads back as k / 1e6, so a stream stamped k / 1e6 reloads bit for bit.
 """
 
 from __future__ import annotations
@@ -124,6 +125,6 @@ def load_events(path) -> EventStream:
                          f"found {len(raw) - 16} bytes")
     rec = np.frombuffer(raw, dtype=_EVT_DTYPE, offset=16)
     try:
-        return EventStream(rec["x"], rec["y"], rec["t"] * 1e-6, rec["p"], w, h)
+        return EventStream(rec["x"], rec["y"], rec["t"] / 1e6, rec["p"], w, h)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

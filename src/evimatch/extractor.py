@@ -162,7 +162,7 @@ def _student_layout(config: ExtractorConfig):
     return layout
 
 
-def init_student(config: ExtractorConfig, seed: int = 0):
+def init_student(config: ExtractorConfig, seed: int):
     """He-initialized parameter dict for the student architecture.
 
     The parameters come frozen: ``optim.fit`` turns gradients on while it

@@ -31,11 +31,6 @@ class EstimationFailed(RuntimeError):
     """Raised when a model cannot be estimated from the given matches."""
 
 
-class DegenerateGeometry(EstimationFailed):
-    """Raised when the correspondences do not pin down a unique model,
-    e.g. pure rotation or a coplanar scene for the essential matrix."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -433,7 +428,7 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     focal lengths.  The final model is refit by SVD on the best inlier
     set, checked through its singular values for a unique null space (a
     near-rank-deficient system means pure rotation or a coplanar scene
-    and raises DegenerateGeometry), projected to two equal singular
+    and raises EstimationFailed), projected to two equal singular
     values (the only projection the estimator makes), and decomposed with
     the cheirality check.  Deterministic for a fixed seed.
 
@@ -462,7 +457,7 @@ def estimate_essential_ransac(pts1, pts2, intr1: CameraIntrinsics,
     # a unique solution needs the 8th singular value well above noise level;
     # identity motion or a flat scene leaves a multi-dimensional null space
     if sv[7] / sv[0] < 1e-8:
-        raise DegenerateGeometry(
+        raise EstimationFailed(
             "the matches do not determine a unique epipolar geometry")
     final_mask = residual_sq(e) <= thr_sq
     if int(final_mask.sum()) < 8:

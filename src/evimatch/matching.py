@@ -151,7 +151,7 @@ class CAMatcherParams:
     params: dict
 
     @classmethod
-    def create(cls, config: CAConfig = CAConfig(), seed: int = 0):
+    def create(cls, config: CAConfig, seed: int):
         """Freshly initialized, frozen parameters; ``optim.fit`` turns
         gradients on while it trains them."""
         rng = np.random.default_rng(seed)
@@ -307,7 +307,7 @@ def ca_scores(kp_a, kp_b, matcher: CAMatcherParams):
     return p, sa, sb
 
 
-def ca_assignment(p, threshold: float = 0.1) -> Assignment:
+def ca_assignment(p, threshold: float) -> Assignment:
     """Hard matches of a soft assignment matrix: its mutual argmaxes with
     P >= threshold.
 
@@ -430,8 +430,8 @@ class MatchTrainConfig:
         check_recipe(self)
 
 
-def train_matcher(examples, config: MatchTrainConfig = MatchTrainConfig(),
-                  ca_config: CAConfig = CAConfig(), log=None):
+def train_matcher(examples, config: MatchTrainConfig, ca_config: CAConfig,
+                  log=None):
     """Train a fresh matcher on (kp_a, kp_b, GroundTruthMatches) triples.
 
     The matcher is ``CAMatcherParams.create(ca_config, seed=config.seed)``,

@@ -24,7 +24,7 @@ from .events import EventStream
 KINDS = ("voxel", "time_surface", "stack")
 
 
-def voxel_grid(stream: EventStream, bins: int = 16) -> np.ndarray:
+def voxel_grid(stream: EventStream, bins: int) -> np.ndarray:
     """Signed polarity mass splatted bilinearly over `bins` temporal slices.
 
     Each event lands at the continuous bin coordinate
@@ -80,7 +80,7 @@ def time_surface(stream: EventStream) -> np.ndarray:
     return surf.astype(np.float32)
 
 
-def event_stack(stream: EventStream, slices: int = 16) -> np.ndarray:
+def event_stack(stream: EventStream, slices: int) -> np.ndarray:
     """Signed event counts over equal-duration slices of the window.
 
     Slice k covers [t_start + k * dur / bins, t_start + (k+1) * dur / bins);
@@ -131,7 +131,7 @@ def channel_count(kind: str, bins: int) -> int:
     return 2 if kind == "time_surface" else bins
 
 
-def build_representation(stream: EventStream, kind: str, bins: int = 16) -> np.ndarray:
+def build_representation(stream: EventStream, kind: str, bins: int) -> np.ndarray:
     """Standardized (C, H, W) float32 grid of one window, by name (one of
     KINDS)."""
     if kind not in KINDS:

@@ -179,6 +179,29 @@ def test_match_pairs_dump_i_with_the_dump_extract_numbered_i(tmp_path):
             for i in range(1001)] == [1 + i % 4 for i in range(1001)]
 
 
+@pytest.mark.parametrize("pairs_row", [None, ""], ids=["no-dumps", "empty-pairs-file"])
+def test_match_fails_with_no_pair_to_match(tmp_path, capsys, pairs_row):
+    # as eval does with no pairs: two empty dump directories, or dumps and
+    # an empty --pairs-file, give nothing to match
+    kp_a, kp_b = tmp_path / "a", tmp_path / "b"
+    kp_a.mkdir()
+    kp_b.mkdir()
+    flags = []
+    if pairs_row is not None:
+        for d in (kp_a, kp_b):
+            eio.save_keypoints(d / "000.txt", KeypointSet(
+                np.zeros((1, 2)), np.ones((1, 4), np.float32), np.ones(1)))
+        (tmp_path / "pairs.txt").write_text(pairs_row)
+        flags = ["--pairs-file", str(tmp_path / "pairs.txt")]
+    out = tmp_path / "m"
+    assert main(["match", "--kp-a", str(kp_a), "--kp-b", str(kp_b), *flags,
+                 "--out", str(out)]) == 1
+    source = flags[1] if flags else f"{kp_a} and {kp_b}"
+    assert capsys.readouterr().err == (
+        f"evimatch match: error: {source}: no pairs to match\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def student_ckpt(tmp_path_factory):
     """A seeded, untrained student whose descriptors match the teacher's."""
@@ -839,6 +862,7 @@ def test_train_extractor_names_what_the_teacher_cannot_supervise(dataset, tmp_pa
     (["synth", *TINY_SYNTH, "--width", "0"], "width must be at least 1, got 0"),
     (["synth", *TINY_SYNTH, "--height", "0"], "height must be at least 1, got 0"),
     (["synth", *TINY_SYNTH, "--n-rects", "-1"], "n_rects must be at least 0, got -1"),
+    (["benchgen", "--max-attempts", "-3"], "max_attempts must be at least 1, got -3"),
 ])
 def test_non_finite_values_fail_by_name(dataset, student_ckpt, matcher_ckpt, kp_dir,
                                         tmp_path, capsys, argv, message):

@@ -284,12 +284,12 @@ def test_simulate_events_nonempty_and_windowed():
     assert ev.ts.min() >= 0.2 - 1e-9 and ev.ts.max() <= 0.25 + 1e-9
     assert (np.diff(ev.ts) >= 0).all()
     # whole microseconds, as EVT1 stores them
-    np.testing.assert_array_equal(ev.ts, np.round(ev.ts * 1e6) * 1e-6)
+    np.testing.assert_array_equal(ev.ts, np.round(ev.ts * 1e6) / 1e6)
 
 
 def test_simulate_events_validation():
     with pytest.raises(ValueError, match="t_end"):
-        make_sample(SCENE, 0.5, delta_t=0.0)
+        make_sample(SCENE, 0.5, delta_t=0.0, contrast=0.2, dt_sim=1e-3)
 
 
 def test_overlap_same_time_is_high():
@@ -311,7 +311,7 @@ def test_overlap_order_invariant():
 
 
 def test_make_sample_fields():
-    s = make_sample(SCENE, 0.5, delta_t=0.05, dt_sim=2e-3)
+    s = make_sample(SCENE, 0.5, delta_t=0.05, contrast=0.2, dt_sim=2e-3)
     assert s.t == 0.5
     assert s.image.shape == (32, 32) and s.depth.shape == (32, 32)
     assert len(s.events) > 0
@@ -328,7 +328,7 @@ def test_make_sample_renders_each_frame_once(monkeypatch):
         return render(scene, t)
 
     monkeypatch.setattr(datagen, "render", counting_render)
-    s = make_sample(SCENE, 0.5, delta_t=0.05, dt_sim=1e-2)
+    s = make_sample(SCENE, 0.5, delta_t=0.05, contrast=0.2, dt_sim=1e-2)
     # the simulation's last frame is the sample's frame
     assert len(times) == len(set(times)) == 6 and times[-1] == 0.5
     # at the 8 bits of its PGM and the float32 of its depth file
@@ -338,7 +338,8 @@ def test_make_sample_renders_each_frame_once(monkeypatch):
 
 
 def test_make_lfd_dataset_sorted_times():
-    samples = make_lfd_dataset(SCENE, 5, delta_t=0.05, seed=2, dt_sim=4e-3)
+    samples = make_lfd_dataset(SCENE, 5, delta_t=0.05, seed=2, contrast=0.2,
+                               dt_sim=4e-3)
     ts = [s.t for s in samples]
     assert ts == sorted(ts)
     assert all(0.05 <= t <= SCENE.duration for t in ts)
@@ -347,12 +348,13 @@ def test_make_lfd_dataset_sorted_times():
 
 def test_make_lfd_dataset_validation():
     with pytest.raises(ValueError):
-        make_lfd_dataset(SCENE, 0)
+        make_lfd_dataset(SCENE, 0, delta_t=0.05, seed=0, contrast=0.2, dt_sim=1e-3)
 
 
 def test_generate_benchmark_pairs_in_range():
-    bench = generate_benchmark(SCENE, 2, seed=3, dt_sim=4e-3,
-                               overlap_range=(0.4, 0.8))
+    bench = generate_benchmark(SCENE, 2, delta_t=0.05, seed=3,
+                               overlap_range=(0.4, 0.8), max_attempts=None,
+                               contrast=0.2, dt_sim=4e-3)
     assert len(bench.pairs) == 2
     for ia, ib, score in bench.pairs:
         assert 0.4 <= score <= 0.8
@@ -366,21 +368,29 @@ def test_generate_benchmark_without_a_pair_raises():
     with pytest.raises(ValueError, match=(
             r"^no pair with overlap in \[0\.0, 1e-06\]: benchmark budget exhausted: "
             r"produced 0 of 2 requested pairs in 5 attempts$")):
-        generate_benchmark(SCENE, 2, seed=0, dt_sim=4e-3,
-                           overlap_range=(0.0, 1e-6), max_attempts=5)
+        generate_benchmark(SCENE, 2, delta_t=0.05, seed=0,
+                           overlap_range=(0.0, 1e-6), max_attempts=5,
+                           contrast=0.2, dt_sim=4e-3)
 
 
 def test_generate_benchmark_partial_result_warns():
     # the whole band accepts the first candidate, and the budget ends there
     with pytest.warns(UserWarning, match="budget exhausted: produced 1 of 2 "
                                          "requested pairs in 1 attempts"):
-        bench = generate_benchmark(SCENE, 2, seed=0, dt_sim=4e-3,
-                                   overlap_range=(0.0, 1.0), max_attempts=1)
+        bench = generate_benchmark(SCENE, 2, delta_t=0.05, seed=0,
+                                   overlap_range=(0.0, 1.0), max_attempts=1,
+                                   contrast=0.2, dt_sim=4e-3)
     assert len(bench.pairs) == 1 and len(bench.samples) == 2
 
 
 def test_generate_benchmark_validation():
+    kw = dict(delta_t=0.05, seed=0, contrast=0.2, dt_sim=1e-3)
     with pytest.raises(ValueError, match="n_pairs"):
-        generate_benchmark(SCENE, 0)
+        generate_benchmark(SCENE, 0, overlap_range=(0.4, 0.8), max_attempts=None, **kw)
     with pytest.raises(ValueError, match="overlap_range"):
-        generate_benchmark(SCENE, 1, overlap_range=(0.8, 0.4))
+        generate_benchmark(SCENE, 1, overlap_range=(0.8, 0.4), max_attempts=None, **kw)
+    for attempts in (0, -3):
+        with pytest.raises(ValueError, match=f"^max_attempts must be at least 1, "
+                                             f"got {attempts}$"):
+            generate_benchmark(SCENE, 1, overlap_range=(0.4, 0.8),
+                               max_attempts=attempts, **kw)

@@ -17,14 +17,19 @@ from evimatch.extractor import (DenseMaps, ExtractorConfig, analytic_teacher,
 from evimatch.geometry import RigidPose
 from evimatch.representations import build_representation
 
+# train-extractor's default recipe: every loss term on
+CLI_RECIPE = DistillConfig(lr=1e-3, epochs=50, batch_size=8, seed=0,
+                           use_feats=True, use_score=True, use_desc=True)
+
 
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
-        DistillConfig(epochs=0)
+        dataclasses.replace(CLI_RECIPE, epochs=0)
     with pytest.raises(ValueError, match="positive"):
-        DistillConfig(lr=0.0)
+        dataclasses.replace(CLI_RECIPE, lr=0.0)
     with pytest.raises(ValueError, match="loss term"):
-        DistillConfig(use_feats=False, use_score=False, use_desc=False)
+        dataclasses.replace(CLI_RECIPE, use_feats=False, use_score=False,
+                            use_desc=False)
 
 
 def tiny_batch(mask_val=1.0):
@@ -46,7 +51,7 @@ def tiny_batch(mask_val=1.0):
 
 def test_lfd_loss_matches_hand_computation():
     (sf, ss, sd), (tf, ts, td), masks = tiny_batch()
-    total, values = lfd_loss((sf, ss, sd), (tf, ts, td), masks, DistillConfig())
+    total, values = lfd_loss((sf, ss, sd), (tf, ts, td), masks, CLI_RECIPE)
     l_feats = np.mean((sf.data - tf) ** 2)
     l_score = np.mean((ss.data - ts) ** 2)
     l_desc = np.mean(np.abs(sd.data - td))
@@ -60,7 +65,7 @@ def test_lfd_loss_mask_restricts_support():
     masks = np.zeros_like(masks)
     masks[0, 3, 1, 0] = 1.0  # a single supported pixel, in cell (1, 0)
     _, (_, l_score, l_desc, _) = lfd_loss(student, (tf, ts, td), masks,
-                                          DistillConfig())
+                                          CLI_RECIPE)
     _, ss, sd = student
     want_score = (ss.data[0, 3, 1, 0] - ts[0, 3, 1, 0]) ** 2
     want_desc = np.abs(sd.data[0, :, 1, 0] - td[0, :, 1, 0]).mean()
@@ -78,7 +83,7 @@ def test_lfd_desc_term_covers_cells_that_hold_an_event(cell, holds_event):
     desc = td.copy()
     desc[0, :, cell[0], cell[1]] += 1.0
     _, (_, _, l_desc, _) = lfd_loss((sf, ss, Tensor(desc)), (tf, ts, td), masks,
-                                    DistillConfig())
+                                    CLI_RECIPE)
     if holds_event:
         assert l_desc == pytest.approx(1.0, rel=1e-5)
     else:
@@ -87,7 +92,7 @@ def test_lfd_desc_term_covers_cells_that_hold_an_event(cell, holds_event):
 
 def test_lfd_loss_empty_mask_flagged_not_nan():
     _, (l_feats, l_score, l_desc, l_total) = lfd_loss(
-        *tiny_batch(mask_val=0.0), DistillConfig())
+        *tiny_batch(mask_val=0.0), CLI_RECIPE)
     assert l_score == 0.0 and l_desc == 0.0
     assert np.isfinite(l_total)
     assert l_total == pytest.approx(l_feats)
@@ -95,14 +100,14 @@ def test_lfd_loss_empty_mask_flagged_not_nan():
 
 def test_lfd_loss_disabled_terms_are_zero():
     _, (l_feats, l_score, l_desc, l_total) = lfd_loss(
-        *tiny_batch(), DistillConfig(use_feats=False, use_desc=False))
+        *tiny_batch(), dataclasses.replace(CLI_RECIPE, use_feats=False, use_desc=False))
     assert l_feats == 0.0 and l_desc == 0.0
     assert l_total == pytest.approx(l_score)
 
 
 def test_lfd_loss_total_differentiable():
     student, teacher, masks = tiny_batch()
-    total, _ = lfd_loss(student, teacher, masks, DistillConfig())
+    total, _ = lfd_loss(student, teacher, masks, CLI_RECIPE)
     total.backward()
     assert all(t.grad is not None for t in student)
 
@@ -113,7 +118,7 @@ def test_default_student_step_memory():
     # keeping only what each backward reads brought it to about 28 MiB,
     # and heads at the backbone stride to about 19 MiB
     config = ExtractorConfig(in_channels=16)
-    params = init_student(config)
+    params = init_student(config, seed=0)
     for p in params.values():
         p.requires_grad = True
     r = np.random.default_rng(0)
@@ -125,7 +130,7 @@ def test_default_student_step_memory():
     tracemalloc.start()
     try:
         total, _ = lfd_loss(forward_student_batch(x, params, config), teacher,
-                            masks, DistillConfig())
+                            masks, CLI_RECIPE)
         total.backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -136,7 +141,7 @@ def test_default_student_step_memory():
 
 STUDENT = ExtractorConfig(in_channels=4, channels=(6, 6), pools=(1, 2),
                           latent_dim=8, desc_dim=8)
-RECIPE = DistillConfig(lr=3e-3, epochs=4, batch_size=2, seed=0)
+RECIPE = dataclasses.replace(CLI_RECIPE, lr=3e-3, epochs=4, batch_size=2)
 
 
 def lfd_sample(events, image):
@@ -241,7 +246,7 @@ def test_train_extractor_loss_decreases():
     assert len(history) == RECIPE.epochs
     first, last = history[0][4], history[-1][4]
     assert last < first
-    assert set(params) == set(init_student(STUDENT))
+    assert set(params) == set(init_student(STUDENT, seed=0))
 
 
 def test_train_extractor_deterministic():
@@ -254,7 +259,7 @@ def test_train_extractor_deterministic():
 
 def test_train_extractor_returns_frozen_params():
     params, _ = train_extractor(
-        training_samples(), DistillConfig(epochs=1, batch_size=4, seed=0),
+        training_samples(), dataclasses.replace(CLI_RECIPE, epochs=1, batch_size=4),
         STUDENT, teacher=small_teacher)
     assert not any(p.requires_grad for p in params.values())
     events = training_samples(n=1)[0].events

@@ -71,8 +71,8 @@ def test_accumulate_mask_marks_event_pixels():
 
 def test_binary_roundtrip_exact(tmp_path):
     s = make_stream(seed=3)
-    # quantize to whole microseconds so the roundtrip is bit exact
-    s = EventStream(s.xs, s.ys, np.round(s.ts * 1e6) * 1e-6, s.ps,
+    # stamped k / 1e6, the double nearest k whole microseconds: bit exact
+    s = EventStream(s.xs, s.ys, np.round(s.ts * 1e6) / 1e6, s.ps,
                     s.width, s.height)
     path = tmp_path / "ev.evt"
     save_events(path, s)
@@ -80,7 +80,7 @@ def test_binary_roundtrip_exact(tmp_path):
     assert back.width == s.width and back.height == s.height
     np.testing.assert_array_equal(back.xs, s.xs)
     np.testing.assert_array_equal(back.ys, s.ys)
-    np.testing.assert_allclose(back.ts, s.ts, atol=1e-12)
+    np.testing.assert_array_equal(back.ts, s.ts)
     np.testing.assert_array_equal(back.ps, s.ps)
 
 
@@ -115,7 +115,7 @@ def evt_bytes(width, height, records):
 def test_binary_roundtrip_property(tmp_path_factory, rows):
     xs = [r[0] for r in rows]
     ys = [r[1] for r in rows]
-    ts = [r[2] * 1e-6 for r in rows]
+    ts = [r[2] / 1e6 for r in rows]
     ps = [r[3] for r in rows]
     order = np.argsort(ts, kind="stable")
     s = EventStream(np.asarray(xs)[order] if rows else [],
@@ -126,7 +126,7 @@ def test_binary_roundtrip_property(tmp_path_factory, rows):
     save_events(path, s)
     back = load_events(path)
     np.testing.assert_array_equal(back.xs, s.xs)
-    np.testing.assert_allclose(back.ts, s.ts, atol=1e-12)
+    np.testing.assert_array_equal(back.ts, s.ts)
     np.testing.assert_array_equal(back.ps, s.ps)
 
 

@@ -94,7 +94,7 @@ def test_student_heads_sit_at_the_backbone_stride(pools):
 
 
 def test_default_student_size():
-    params = init_student(ExtractorConfig(in_channels=16))
+    params = init_student(ExtractorConfig(in_channels=16), seed=0)
     assert sum(p.data.size for p in params.values()) == 597_904
 
 
@@ -123,7 +123,7 @@ def test_forward_student_rejects_wrong_channels():
 
 def test_forward_student_graph_only_when_trainable():
     x = np.random.default_rng(0).normal(size=(2, 8, 8)).astype(np.float32)
-    params = init_student(TINY)
+    params = init_student(TINY, seed=0)
     maps = forward_student(x, params, TINY)
     assert all(type(m) is np.ndarray and m.dtype == np.float32
                for m in (maps.feats, maps.score, maps.desc))

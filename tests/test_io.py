@@ -238,7 +238,7 @@ def tiny_sample(t, seed):
     rng = np.random.default_rng(seed)
     n = 12
     ts = np.sort(rng.uniform(t - 0.05, t, n))
-    ts = np.round(ts * 1e6) * 1e-6  # whole microseconds, as the simulator stamps them
+    ts = np.round(ts * 1e6) / 1e6  # whole microseconds, as the simulator stamps them
     events = EventStream(rng.integers(0, 8, n), rng.integers(0, 6, n), ts,
                          rng.choice([-1, 1], n), 8, 6)
     image = np.round(rng.uniform(size=(6, 8)) * 255) / 255.0
@@ -270,8 +270,10 @@ def test_generated_samples_reload_bit_for_bit(tmp_path, source):
     # the generator keeps the 8-bit frame and float32 depth its files hold,
     # so the teacher sees the same frame in memory and from disk
     scene = make_scene(0)
-    samples = (make_lfd_dataset(scene, 3, dt_sim=0.01) if source == "lfd"
-               else generate_benchmark(scene, 1, dt_sim=0.01).samples)
+    sim = dict(delta_t=0.05, seed=0, contrast=0.2, dt_sim=0.01)
+    samples = (make_lfd_dataset(scene, 3, **sim) if source == "lfd"
+               else generate_benchmark(scene, 1, overlap_range=(0.4, 0.8),
+                                       max_attempts=None, **sim).samples)
     io.save_dataset(tmp_path, samples, scene.intrinsics, scene.width, scene.height)
     back = io.load_dataset(tmp_path)[0]
     assert [sample_bytes(s) for s in back] == [sample_bytes(s) for s in samples]
@@ -289,7 +291,8 @@ def test_generated_samples_reload_bit_for_bit(tmp_path, source):
 def simulated_roundtrip(tmp_path_factory):
     """Simulated samples and the same samples saved and loaded back."""
     scene = make_scene(0, width=32, height=32)
-    samples = make_lfd_dataset(scene, 4)
+    samples = make_lfd_dataset(scene, 4, delta_t=0.05, seed=0, contrast=0.2,
+                               dt_sim=1e-3)
     root = tmp_path_factory.mktemp("sim") / "ds"
     io.save_dataset(root, samples, scene.intrinsics, scene.width, scene.height)
     return samples, io.load_dataset(root)[0]
@@ -302,7 +305,7 @@ def test_event_tensors_from_disk_equal_those_from_memory(simulated_roundtrip, te
     def build(events):
         if tensor == "mask":
             return accumulate_mask(events)
-        return build_representation(events, tensor)
+        return build_representation(events, tensor, bins=16)
 
     samples, back = simulated_roundtrip
     for s, b in zip(samples, back, strict=True):
@@ -493,7 +496,7 @@ def valid_files(tmp_path_factory):
     save_events(d / "ev.evt", sample.events)
     config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,), latent_dim=4,
                              desc_dim=8)
-    save_extractor(d / "net.ckpt", init_student(config), config)
+    save_extractor(d / "net.ckpt", init_student(config, seed=0), config)
     io.save_keypoints(d / "kp.txt", random_keypoints(k=3, c=4))
     io.save_pairs(d / "pairs.txt", [(0, 1, 0.62), (2, 3, 0.41)])
     io.save_poses(d / "poses.txt", [0, 33000], [sample.pose, sample.pose])

@@ -130,7 +130,7 @@ def test_matcher_params_deterministic_create():
 
 
 def test_logit_scale_initialized_to_log_ten():
-    m = CAMatcherParams.create(CFG)
+    m = CAMatcherParams.create(CFG, seed=0)
     assert m.params["logit_scale"].data.shape == ()
     assert float(m.params["logit_scale"].data) == pytest.approx(np.log(10.0),
                                                                 rel=1e-6)
@@ -145,7 +145,7 @@ def test_fourier_encoding_shape_and_range():
 
 def test_ca_forward_shapes_and_sigma_range():
     a, b = random_kp(7, seed=1), random_kp(9, seed=2)
-    xa, sa, xb, sb = ca_forward(a, b, CAMatcherParams.create(CFG))
+    xa, sa, xb, sb = ca_forward(a, b, CAMatcherParams.create(CFG, seed=0))
     assert xa.data.shape == (7, CFG.dim) and xb.data.shape == (9, CFG.dim)
     assert sa.data.shape == (7, 1) and sb.data.shape == (9, 1)
     assert (sa.data > 0).all() and (sa.data < 1).all()
@@ -212,14 +212,14 @@ def test_ca_assignment_compares_the_threshold_in_float64():
 
 
 def test_ca_match_empty_keypoints():
-    m = CAMatcherParams.create(CFG)
+    m = CAMatcherParams.create(CFG, seed=0)
     assert len(ca_match(KeypointSet.empty(16), random_kp(4), m)) == 0
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf])
 def test_ca_assignment_rejects_a_non_finite_threshold_even_when_empty(threshold):
     p = np.random.default_rng(6).uniform(size=(4, 5))
-    m = CAMatcherParams.create(CFG)
+    m = CAMatcherParams.create(CFG, seed=0)
     message = f"^threshold must be finite, got {threshold}$"
     for match in (lambda: ca_assignment(p, threshold=threshold),
                   lambda: ca_assignment(p[:0], threshold=threshold),
@@ -231,7 +231,8 @@ def test_ca_assignment_rejects_a_non_finite_threshold_even_when_empty(threshold)
 
 
 def test_ca_forward_rejects_an_empty_side():
-    m, kp, empty = CAMatcherParams.create(CFG), random_kp(5), KeypointSet.empty(16)
+    m, kp = CAMatcherParams.create(CFG, seed=0), random_kp(5)
+    empty = KeypointSet.empty(16)
     for a, b in ((kp, empty), (empty, kp)):
         with pytest.raises(ValueError, match=r"attention: q \(\d+, 16\) has no keys"):
             ca_forward(a, b, m)
@@ -482,7 +483,7 @@ def test_train_matcher_trains_a_frozen_matcher():
 
 def test_train_matcher_empty_examples():
     with pytest.raises(ValueError, match="no training examples"):
-        train_matcher([], ca_config=CFG)
+        train_matcher([], config=MatchTrainConfig(), ca_config=CFG)
 
 
 def test_train_matcher_drops_pairs_with_an_empty_side():
@@ -510,7 +511,7 @@ def test_train_matcher_needs_a_pair_with_both_sides():
     empty = KeypointSet.empty(CFG.desc_dim)
     with pytest.warns(RuntimeWarning, match="dropped 1 of 1"):
         with pytest.raises(ValueError, match="keypoints on both sides"):
-            train_matcher([(kp_a, empty, gt)], ca_config=CFG)
+            train_matcher([(kp_a, empty, gt)], config=MatchTrainConfig(), ca_config=CFG)
 
 
 def test_train_matcher_aborts_on_nonfinite():
@@ -544,7 +545,7 @@ def test_save_load_matcher_roundtrip(tmp_path):
 def test_load_matcher_missing_param(tmp_path):
     from evimatch.optim import load_checkpoint, save_checkpoint
     path = tmp_path / "m.ckpt"
-    save_matcher(path, CAMatcherParams.create(CFG))
+    save_matcher(path, CAMatcherParams.create(CFG, seed=0))
     blob = load_checkpoint(path)
     del blob["logit_scale"]
     save_checkpoint(path, blob)

@@ -322,14 +322,14 @@ def test_checkpoint_trailing_bytes(tmp_path):
 def write_extractor(path):
     config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,),
                              latent_dim=4, desc_dim=8)
-    save_extractor(path, init_student(config), config)
+    save_extractor(path, init_student(config, seed=0), config)
     return load_extractor
 
 
 def write_matcher(path):
     config = CAConfig(desc_dim=8, dim=8, layers=1, heads=2, pe_freqs=2,
                       ffn_mult=2)
-    save_matcher(path, CAMatcherParams.create(config))
+    save_matcher(path, CAMatcherParams.create(config, seed=0))
     return load_matcher
 
 
@@ -380,7 +380,7 @@ def test_student_checkpoint_with_head_widths_is_refused(tmp_path):
     config = ExtractorConfig(in_channels=2, channels=(4,), pools=(2,),
                              latent_dim=4, desc_dim=8)
     path = tmp_path / "old.ckpt"
-    save_extractor(path, init_student(config), config)
+    save_extractor(path, init_student(config, seed=0), config)
     old = {}
     for key, value in load_checkpoint(path).items():
         if key == "__config__.representation":

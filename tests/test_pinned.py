@@ -116,10 +116,12 @@ def test_trained_extractor_checkpoint_bytes(tmp_path):
     # three 32x24 samples at batch size 2: each epoch averages a full and a
     # partial batch, against the default analytic teacher
     scene = make_scene(seed=3, width=32, height=24)
-    samples = make_lfd_dataset(scene, 3, seed=3, dt_sim=0.01)
+    samples = make_lfd_dataset(scene, 3, delta_t=0.05, seed=3, contrast=0.2,
+                               dt_sim=0.01)
     student = ExtractorConfig(in_channels=4, channels=(4, 8), pools=(2, 2),
                               latent_dim=128, desc_dim=128)
-    recipe = DistillConfig(lr=3e-3, epochs=2, batch_size=2, seed=0)
+    recipe = DistillConfig(lr=3e-3, epochs=2, batch_size=2, seed=0, use_feats=True,
+                           use_score=True, use_desc=True)
     log = []
     params, history = train_extractor(samples, recipe, student_config=student,
                                       log=log.append)
@@ -191,13 +193,15 @@ def dataset_digests(root, samples, scene, pairs=None):
 
 def test_synth_dataset_bytes(tmp_path):
     scene = make_scene(seed=1)
-    samples = make_lfd_dataset(scene, 1, seed=1)
+    samples = make_lfd_dataset(scene, 1, delta_t=0.05, seed=1, contrast=0.2,
+                               dt_sim=1e-3)
     assert dataset_digests(tmp_path, samples, scene) == SYNTH_DIGESTS
 
 
 def test_benchgen_dataset_bytes(tmp_path):
     scene = make_scene(seed=1)
-    bench = generate_benchmark(scene, 1, seed=1)
+    bench = generate_benchmark(scene, 1, delta_t=0.05, seed=1, overlap_range=(0.4, 0.8),
+                               max_attempts=None, contrast=0.2, dt_sim=1e-3)
     assert dataset_digests(tmp_path, bench.samples, scene,
                            bench.pairs) == BENCH_DIGESTS
 

@@ -150,7 +150,7 @@ def test_build_representation_dispatch():
         rep = build_representation(s, kind, bins=bins)
         assert rep.shape == (channels, 6, 8) and rep.dtype == np.float32
     with pytest.raises(ValueError, match="unknown representation"):
-        build_representation(s, "histogram")
+        build_representation(s, "histogram", bins=4)
 
 
 def test_channel_count_per_kind():
